@@ -1,21 +1,30 @@
 """Hierarchy of successively merged partitions stored implicitly.
 
-Only the base map is kept in full. Each reduction step is a kernel, a set of
-darts that disappears at that level, tagged with how it disappears:
+The encoding is the base map, the level at which each dart dies and the
+state of each kernel. A kernel is the set of darts that disappears at one
+level, tagged with how it disappears:
 
 * CK: a forest of edges whose contraction merges adjacent regions,
 * RKESL: empty self loops (inner boundaries around nothing),
 * RKEDE: darts at degree-2 dual vertices, whose removal fuses consecutive
   boundary pieces into a single edge.
 
-Every reduced level is recovered from the base by replaying absorbed darts.
-Walking from a surviving dart d with sigma0, taking phi0 after a contracted
-dart and sigma0 after a removed dart, yields the darts swallowed between d
-and its level-i successor: the first surviving dart hit is sigma_i(d). The
-partner alpha_i(d) is read off d's boundary piece instead: scanning around
-base corners, the piece grows by one absorbed double-edge dart at a time and
-stops where a survivor is met, and the base partner of its last dart is
-alpha_i(d) (just -d while the piece is a single crack).
+Each level is derived from the level below when its kernel is applied, in
+one pass over the darts alive there: sigma_i(d) is the first survivor along
+sigma_{i-1} after d, stepping by phi_{i-1} past a contracted dart and by
+sigma_{i-1} past a removed one, and alpha_i(d) = alpha_{i-1}(d) except under
+RKEDE, where y <- alpha_{i-1}(phi_{i-1}(y)) steps past removed joints. The
+level maps and their empty self loops and redundant darts are stored as the
+levels are appended and never change afterwards.
+
+Replay from the base serves receptive fields and boundary segments. Walking
+from a surviving dart d with sigma0, taking phi0 after a contracted dart and
+sigma0 after a removed dart, yields the darts swallowed between d and its
+level-i successor: the first surviving dart hit is sigma_i(d). The partner
+alpha_i(d) is read off d's boundary piece instead: scanning around base
+corners, the piece grows by one absorbed double-edge dart at a time and stops
+where a survivor is met, and the base partner of its last dart is alpha_i(d)
+(just -d while the piece is a single crack).
 
 A removed double-edge joint drops one dart from each of the two boundary
 directions, so kernels with state RKEDE pair surviving darts of formerly
@@ -69,8 +78,8 @@ class KernelError(ValueError):
 class Pyramid:
     """Base grid map plus the per-dart level and per-kernel state functions.
 
-    Construction is single writer via apply_kernel; all queries afterwards
-    are read only and reconstruct any level from the base on demand.
+    Construction is single writer via apply_kernel, which also derives the
+    new level map and its per-level facts; queries only read them.
     """
 
     def __init__(self, base: CombinatorialMap, embedding: CrackEmbedding):
@@ -80,7 +89,14 @@ class Pyramid:
         self._killed: dict[Dart, int] = {}
         # orientation cache: per level, the darts whose turn count changed
         self._or_updates: list[dict[Dart, int]] = []
-        self._level_maps: dict[int, CombinatorialMap] = {0: base}
+        # per level: the map and its redundant darts; for the top level also
+        # its empty self loops and double-edge joints, which the next kernel
+        # is computed from and checked against
+        self._levels: list[CombinatorialMap] = []
+        self._redundant: list[frozenset[Dart]] = []
+        self._top_loops: frozenset[Dart] = frozenset()
+        self._top_joints: frozenset[Dart] = frozenset()
+        self._append_level(base)
 
     @classmethod
     def from_grid(cls, width: int, height: int) -> "Pyramid":
@@ -105,7 +121,7 @@ class Pyramid:
         return self.level(d) > i
 
     def top_map(self) -> CombinatorialMap:
-        return self.reconstruct_level(self.top_level)
+        return self._levels[-1]
 
     # -- replay of absorbed darts ---------------------------------------------
 
@@ -178,25 +194,16 @@ class Pyramid:
         return self.reconstruct_level(i).alpha(d)
 
     def reconstruct_level(self, i: int) -> CombinatorialMap:
-        """The level-i map, rebuilt from the base and the level function."""
+        """The level-i map, derived from level i-1 when its kernel was applied."""
+        self._check_level(i)
+        return self._levels[i]
+
+    def _check_level(self, i: int) -> None:
         if not 0 <= i <= self.top_level:
             raise ValueError(f"level {i} out of range 0..{self.top_level}")
-        cached = self._level_maps.get(i)
-        if cached is not None:
-            return cached
-        survivors = [d for d in sorted(self.base.darts, key=dart_sort_key) if self.level(d) > i]
-        sigma: dict[Dart, Dart] = {}
-        alpha: dict[Dart, Dart] = {}
-        for d in survivors:
-            sigma[d] = self._absorbed(i, d)[1]
-            alpha[d] = -self._segment_walk(i, d)[-1]
-        m = CombinatorialMap(survivors, sigma, alpha)
-        self._level_maps[i] = m
-        return m
 
     def _require_alive(self, i: int, d: Dart) -> None:
-        if not 0 <= i <= self.top_level:
-            raise ValueError(f"level {i} out of range 0..{self.top_level}")
+        self._check_level(i)
         if self.level(d) <= i:
             raise ValueError(f"dart {d} does not survive at level {i}")
 
@@ -209,9 +216,13 @@ class Pyramid:
         piece, by folding in the absorbed darts' counts and junction turns.
         """
         self._require_alive(i, d)
-        for updates in reversed(self._or_updates[:i]):
-            if d in updates:
-                return updates[d]
+        return self._orientation(i, d)
+
+    def _orientation(self, i: int, d: Dart) -> int:
+        for k in range(i - 1, -1, -1):
+            turns = self._or_updates[k].get(d)
+            if turns is not None:
+                return turns
         return 0
 
     def first_move(self, d: Dart) -> Move:
@@ -223,8 +234,8 @@ class Pyramid:
     # -- kernel application ---------------------------------------------------
 
     def apply_kernel(self, kernel: Kernel) -> "Pyramid":
-        """Append one reduction level. The kernel is checked against the
-        current top map before any state is touched."""
+        """Append one reduction level, derived from the current top map. The
+        kernel is checked against the top map before any state is touched."""
         top = self.top_map()
         dead = [d for d in kernel.darts if d not in top.darts]
         if dead:
@@ -238,22 +249,31 @@ class Pyramid:
         else:
             self._check_rkede(top, kernel.darts)
             updates = self._fold_orientations(top, kernel.darts)
+        reduced = _reduce(top, kernel)
         new_level = len(self.kernels) + 1
         self.kernels.append(kernel)
         for d in kernel.darts:
             self._killed[d] = new_level
         self._or_updates.append(updates)
-        self.reconstruct_level(new_level)
+        self._append_level(reduced)
         return self
+
+    def _append_level(self, m: CombinatorialMap) -> None:
+        self._top_loops = _empty_self_loops(m)
+        self._top_joints = _joint_darts(m, self.embedding)
+        self._levels.append(m)
+        self._redundant.append(self._top_loops | self._top_joints)
 
     def _check_ck(self, top: CombinatorialMap, darts: frozenset[Dart]) -> None:
         for d in darts:
             if top.alpha(d) not in darts:
                 raise KernelError(f"contraction kernel is not closed under alpha at dart {d}")
-        vertex_of = {}
-        for cyc in top.vertices():
-            for d in cyc:
-                vertex_of[d] = cyc[0]
+        ordered = sorted(darts, key=dart_sort_key)
+        vertex_of: dict[Dart, Dart] = {}
+        for d in ordered:
+            if d not in vertex_of:
+                for c in top.orbit(d, "sigma"):
+                    vertex_of[c] = d
         parent: dict[Dart, Dart] = {}
 
         def find(v: Dart) -> Dart:
@@ -262,7 +282,7 @@ class Pyramid:
                 v = parent[v]
             return v
 
-        for d in sorted(darts, key=dart_sort_key):
+        for d in ordered:
             if dart_sort_key(top.alpha(d)) < dart_sort_key(d):
                 continue
             a, b = vertex_of[d], vertex_of[top.alpha(d)]
@@ -277,14 +297,13 @@ class Pyramid:
         for d in darts:
             if top.alpha(d) not in darts:
                 raise KernelError(f"self-loop kernel is not closed under alpha at dart {d}")
-        loops = _empty_self_loops(top)
         for d in sorted(darts, key=dart_sort_key):
-            if d not in loops:
+            if d not in self._top_loops:
                 raise KernelError(f"dart {d} is not part of an empty self loop")
         self._check_keeps_vertices(top, darts)
 
     def _check_rkede(self, top: CombinatorialMap, darts: frozenset[Dart]) -> None:
-        if _empty_self_loops(top):
+        if self._top_loops:
             raise KernelError("empty self loops present; remove them before double edges")
         for d in sorted(darts, key=dart_sort_key):
             cyc = top.orbit(d, "phi")
@@ -300,9 +319,14 @@ class Pyramid:
         self._check_keeps_vertices(top, darts)
 
     def _check_keeps_vertices(self, top: CombinatorialMap, darts: frozenset[Dart]) -> None:
-        for cyc in top.vertices():
-            if all(d in darts for d in cyc):
-                raise KernelError(f"kernel consumes every dart of the vertex of {cyc[0]}")
+        seen: set[Dart] = set()
+        for d in sorted(darts, key=dart_sort_key):
+            if d in seen:
+                continue
+            cyc = top.orbit(d, "sigma")
+            seen.update(cyc)
+            if all(c in darts for c in cyc):
+                raise KernelError(f"kernel consumes every dart of the vertex of {d}")
 
     def _fold_orientations(self, top: CombinatorialMap, darts: frozenset[Dart]) -> dict[Dart, int]:
         """New turn counts for survivors whose boundary piece grows.
@@ -312,19 +336,23 @@ class Pyramid:
         its new count folds the chain's counts and the turns at the joints.
         """
         i = self.top_level
+
+        def last_move(d: Dart) -> Move:
+            return self.embedding.move(-top.alpha(d))
+
         updates: dict[Dart, int] = {}
-        for f1 in sorted(top.darts, key=dart_sort_key):
-            if f1 in darts or top.alpha(f1) not in darts:
+        for f1 in map(top.alpha, darts):
+            if f1 in darts:
                 continue
-            total = self.cached_orientation(i, f1)
-            last = self.last_move(i, f1)
+            total = self._orientation(i, f1)
+            last = last_move(f1)
             f = f1
             while top.alpha(f) in darts:
                 f = top.sigma(f)
                 if f == f1:
                     raise KernelError("double-edge chain is not terminated by a surviving partner")
-                total += turn_angle(last, self.first_move(f)) + self.cached_orientation(i, f)
-                last = self.last_move(i, f)
+                total += turn_angle(last, self.first_move(f)) + self._orientation(i, f)
+                last = last_move(f)
             updates[f1] = total
         return updates
 
@@ -332,7 +360,7 @@ class Pyramid:
 
     def compute_rkesl(self) -> Kernel:
         """Maximal kernel of empty self loops of the current top map."""
-        return Kernel.of(KernelState.RKESL, _empty_self_loops(self.top_map()))
+        return Kernel.of(KernelState.RKESL, self._top_loops)
 
     def compute_rkede(self) -> Kernel:
         """Maximal kernel of double-edge joints of the current top map.
@@ -343,17 +371,7 @@ class Pyramid:
         whole edge so every region keeps a border.
         """
         top = self.top_map()
-        link: dict[Dart, Dart] = {}
-        for cyc in top.faces():
-            if len(cyc) != 2:
-                continue
-            x, y = cyc
-            if y == top.alpha(x):
-                continue
-            if self.embedding.start(x) != self.embedding.start(y):
-                continue
-            link[top.alpha(x)] = y
-            link[top.alpha(y)] = x
+        link = {top.alpha(x): top.phi(x) for x in self._top_joints}
         has_pred = set(link.values())
         removed: set[Dart] = set()
         seen: set[Dart] = set()
@@ -433,18 +451,8 @@ class Pyramid:
     def redundant_darts(self, i: int) -> frozenset[Dart]:
         """Darts of empty self loops and of removable double-edge joints at
         level i. Empty means the level is safe for enclosure queries."""
-        m = self.reconstruct_level(i)
-        bad = set(_empty_self_loops(m))
-        for cyc in m.faces():
-            if len(cyc) != 2:
-                continue
-            x, y = cyc
-            if y == m.alpha(x):
-                continue
-            if self.embedding.start(x) != self.embedding.start(y):
-                continue
-            bad.update(cyc)
-        return frozenset(bad)
+        self._check_level(i)
+        return self._redundant[i]
 
     def composed_of(self, i: int, v: Dart) -> frozenset[Dart]:
         """Level-(i-1) vertices merged into vertex v by the level-i kernel."""
@@ -486,17 +494,76 @@ class Pyramid:
 
     @classmethod
     def from_json(cls, text: str) -> "Pyramid":
+        """Load a record written by to_json. Every kernel is checked again as
+        it is applied; malformed input raises ValueError."""
         payload = json.loads(text)
-        if payload.get("format") != "combipyramid-pyramid":
+        if not isinstance(payload, dict) or payload.get("format") != "combipyramid-pyramid":
             raise ValueError("not a serialized pyramid")
-        pyr = cls.from_grid(payload["width"], payload["height"])
-        stored = payload["base_sigma"]
+        width, height = _positive_int(payload, "width"), _positive_int(payload, "height")
+        stored, states, kernels = (_list_field(payload, key) for key in ("base_sigma", "states", "kernels"))
+        n_darts = CrackEmbedding(width, height).n_darts
+        if len(stored) != n_darts:
+            raise ValueError(f"base_sigma has {len(stored)} entries, a {width}x{height} grid has {n_darts} darts")
+        if len(states) != len(kernels):
+            raise ValueError(f"{len(states)} kernel states for {len(kernels)} kernels")
+        pyr = cls.from_grid(width, height)
         actual = [pyr.base.sigma(d) for d in sorted(pyr.base.darts, key=dart_sort_key)]
         if stored != actual:
             raise ValueError("stored base permutation does not match the grid layout")
-        for state, darts in zip(payload["states"], payload["kernels"]):
+        for k, (state, darts) in enumerate(zip(states, kernels), start=1):
+            if not isinstance(darts, list) or any(type(d) is not int for d in darts):
+                raise ValueError(f"kernel {k} is not a list of integer darts")
             pyr.apply_kernel(Kernel.of(KernelState(state), darts))
         return pyr
+
+
+def _positive_int(payload: dict, key: str) -> int:
+    value = payload.get(key)
+    if type(value) is not int or value < 1:  # bool is an int subclass
+        raise ValueError(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
+def _list_field(payload: dict, key: str) -> list:
+    value = payload.get(key)
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list")
+    return value
+
+
+def _reduce(m: CombinatorialMap, kernel: Kernel) -> CombinatorialMap:
+    """The map left when the kernel's darts are contracted or removed from m.
+
+    sigma'(d) is the first survivor after d along sigma, stepping by phi past
+    a contracted dart and by sigma past a removed one. alpha' = alpha, except
+    under RKEDE, where y <- alpha(phi(y)) steps past the removed joints. The
+    sigma walks follow one permutation, so together they pass each dead dart
+    once; an RKEDE walk visits the partners of the darts after d around its
+    vertex, up to the first surviving one. The pass costs O(|m|).
+    """
+    dead = kernel.darts
+    sigma, alpha, phi = m.sigma, m.alpha, m.phi
+    past = phi if kernel.state is KernelState.CK else sigma
+    repair = kernel.state is KernelState.RKEDE
+    new_sigma: dict[Dart, Dart] = {}
+    new_alpha: dict[Dart, Dart] = {}
+    for d in m.darts:
+        if d in dead:
+            continue
+        c = sigma(d)
+        while c in dead:
+            c = past(c)
+        new_sigma[d] = c
+        y = alpha(d)
+        if repair:
+            steps = 0
+            while y in dead:
+                y = alpha(phi(y))
+                steps += 1
+                if steps > len(m):
+                    raise KernelError(f"double-edge removal leaves dart {d} without a surviving partner")
+        new_alpha[d] = y
+    return CombinatorialMap(new_sigma.keys(), new_sigma, new_alpha)
 
 
 def _backtrack_survivor(pyr: Pyramid, i: int, d: Dart) -> Dart:
@@ -516,28 +583,63 @@ def _backtrack_survivor(pyr: Pyramid, i: int, d: Dart) -> Dart:
     return c
 
 
-def _empty_self_loops(m: CombinatorialMap) -> set[Dart]:
-    """Darts of self loops enclosing nothing, grown to the fixed point.
+def _cycle_ids(m: CombinatorialMap, step) -> dict[Dart, Dart]:
+    """Each dart of m mapped to the first dart met on its cycle under step."""
+    ids: dict[Dart, Dart] = {}
+    for d in m.darts:
+        if d in ids:
+            continue
+        ids[d] = d
+        c = step(d)
+        while c != d:
+            ids[c] = d
+            c = step(c)
+    return ids
 
-    Seeded by loops whose inner face is a single dart, then extended by loops
-    whose inner face sees only loops already collected.
+
+def _empty_self_loops(m: CombinatorialMap) -> frozenset[Dart]:
+    """Darts of self loops enclosing nothing: the least set closed under
+    marking a loop, with its partner, once the rest of its face is marked.
+
+    One worklist pass over faces. Each face keeps the count and the sum of
+    its unmarked darts, so a face down to one unmarked dart names that dart.
+    Marking a loop dart and its partner can only bring the partner's face
+    down to one, so only that face is examined again.
     """
-    vertex_of = {}
-    for cyc in m.vertices():
-        for d in cyc:
-            vertex_of[d] = cyc[0]
-    loop_darts = {d for d in m.darts if vertex_of[d] == vertex_of[m.alpha(d)]}
+    vertex = _cycle_ids(m, m.sigma)
+    if all(vertex[d] != vertex[m.alpha(d)] for d in m.darts):
+        return frozenset()
+    face = _cycle_ids(m, m.phi)
+    count: dict[Dart, int] = {}
+    total: dict[Dart, int] = {}
+    for d, f in face.items():
+        count[f] = count.get(f, 0) + 1
+        total[f] = total.get(f, 0) + d
+    work = [f for f, n in count.items() if n == 1]
     marked: set[Dart] = set()
-    changed = True
-    while changed:
-        changed = False
-        for d in sorted(loop_darts, key=dart_sort_key):
-            if d in marked:
-                continue
-            for side in (d, m.alpha(d)):
-                if all(x == side or x in marked for x in m.orbit(side, "phi")):
-                    marked.add(d)
-                    marked.add(m.alpha(d))
-                    changed = True
-                    break
-    return marked
+    while work:
+        f = work.pop()
+        if count[f] != 1:
+            continue
+        d = total[f]
+        a = m.alpha(d)
+        if vertex[d] != vertex[a]:
+            continue
+        marked.update((d, a))
+        for x in (d, a):
+            count[face[x]] -= 1
+            total[face[x]] -= x
+        if count[face[a]] == 1:
+            work.append(face[a])
+    return frozenset(marked)
+
+
+def _joint_darts(m: CombinatorialMap, emb: CrackEmbedding) -> frozenset[Dart]:
+    """Darts of degree-2 dual vertices whose two darts come from distinct
+    edges and start at one grid corner: the removable double-edge joints."""
+    out: list[Dart] = []
+    for x in m.darts:
+        y = m.phi(x)
+        if x < y and m.phi(y) == x and y != m.alpha(x) and emb.start(x) == emb.start(y):
+            out += (x, y)
+    return frozenset(out)

@@ -1,7 +1,9 @@
-"""Independent mutable-map reducer, the reference for level reconstruction.
+"""Independent references for the derived levels and their empty self loops.
 
-Applies kernels one edge or joint at a time on explicit permutation dicts,
-with none of the package's replay machinery. Kept deliberately simple.
+EagerMap applies kernels one edge or joint at a time on explicit permutation
+dicts, with none of the package's derivation machinery. sorted_sweep_loops
+grows the empty self loops by repeated sorted sweeps. Both are kept
+deliberately simple.
 """
 
 from __future__ import annotations
@@ -89,3 +91,30 @@ def eager_levels(pyr: Pyramid) -> list[CombinatorialMap]:
         em.apply(kernel)
         out.append(em.to_map())
     return out
+
+
+def sorted_sweep_loops(m: CombinatorialMap) -> set:
+    """Darts of self loops enclosing nothing, grown to the fixed point.
+
+    Seeded by loops whose inner face is a single dart, then extended by loops
+    whose inner face sees only loops already collected.
+    """
+    vertex_of = {}
+    for cyc in m.vertices():
+        for d in cyc:
+            vertex_of[d] = cyc[0]
+    loop_darts = {d for d in m.darts if vertex_of[d] == vertex_of[m.alpha(d)]}
+    marked: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for d in sorted(loop_darts, key=dart_sort_key):
+            if d in marked:
+                continue
+            for side in (d, m.alpha(d)):
+                if all(x == side or x in marked for x in m.orbit(side, "phi")):
+                    marked.add(d)
+                    marked.add(m.alpha(d))
+                    changed = True
+                    break
+    return marked

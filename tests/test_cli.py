@@ -5,6 +5,7 @@ import pytest
 
 from combipyramid.cli import main
 from combipyramid.netpbm import load_image, save_ppm
+from combipyramid.pyramid import Kernel, KernelState, Pyramid
 
 from conftest import arrow_sign_raster, flag_sign_raster
 
@@ -149,3 +150,47 @@ def test_query_level_zero_and_composed_of(tmp_path, sign_ppm, capsys):
 def test_missing_file_is_a_clean_error(tmp_path, capsys):
     code = main(["query", "--pyr", str(tmp_path / "nope.pyr"), "--report"])
     assert code == 1
+
+
+# -- malformed pyramid files ---------------------------------------------------------
+
+
+def small_record():
+    return json.loads(Pyramid.from_grid(2, 1).apply_kernel(Kernel.of(KernelState.CK, [2, -2])).to_json())
+
+
+def assert_clean_error(capsys, tmp_path, data, needle):
+    path = tmp_path / "bad.pyr"
+    path.write_text(json.dumps(data))
+    code = main(["validate", "--pyr", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and needle in err
+
+
+def test_states_and_kernels_of_different_lengths_are_rejected(tmp_path, sign_ppm, capsys):
+    data = json.loads(built(tmp_path, sign_ppm, capsys).read_text())
+    assert len(data["kernels"]) >= 3
+    data["states"] = data["states"][:1]
+    assert_clean_error(capsys, tmp_path, data, "kernel states for")
+
+
+@pytest.mark.parametrize("width", ["4", True, 2.0, 0])
+def test_width_that_is_not_a_positive_int_is_rejected(tmp_path, capsys, width):
+    data = small_record()
+    data["width"] = width
+    assert_clean_error(capsys, tmp_path, data, "width must be a positive integer")
+
+
+def test_kernel_entry_that_is_not_an_int_is_rejected(tmp_path, capsys):
+    data = small_record()
+    data["kernels"] = [[None]]
+    assert_clean_error(capsys, tmp_path, data, "kernel 1 is not a list of integer darts")
+
+
+def test_base_sigma_length_is_checked_before_the_grid_is_built(tmp_path, capsys):
+    # the record claims a 300x300 grid but carries no permutation: the length
+    # check must fail before 361k darts are allocated
+    data = small_record()
+    data["width"] = data["height"] = 300
+    assert_clean_error(capsys, tmp_path, data, "base_sigma has 14 entries, a 300x300 grid has 361200 darts")
