@@ -9,14 +9,12 @@ from .boundary import (
     CrackChain,
     Segment,
     dart_orientation,
-    first_last_moves,
     segment,
     sequence_orientation,
 )
 from .containment import (
     VisitCounter,
     contains,
-    flood_fill_contains_oracle,
     inside_all,
     inside_direct,
     starting_darts,
@@ -27,8 +25,6 @@ from .map_core import (
     Dart,
     ValidationReport,
     build_grid_map,
-    dual,
-    orbit,
     to_dot,
     validate,
 )
@@ -76,16 +72,12 @@ __all__ = [
     "build_grid_map",
     "contains",
     "dart_orientation",
-    "dual",
-    "first_last_moves",
-    "flood_fill_contains_oracle",
     "infinite_region",
     "inside_all",
     "inside_direct",
     "load_image",
     "meets_each",
     "meets_exists",
-    "orbit",
     "rag_export",
     "rag_to_dot",
     "region_ids",

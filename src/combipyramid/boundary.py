@@ -23,7 +23,6 @@ __all__ = [
     "Segment",
     "segment",
     "dart_orientation",
-    "first_last_moves",
     "sequence_orientation",
 ]
 
@@ -77,7 +76,7 @@ def segment(pyr: Pyramid, i: int, d: Dart) -> Segment:
     pyr._require_alive(i, d)
     emb = pyr.embedding
     darts = pyr._segment_walk(i, d)
-    if darts[-1] != -pyr.alpha_at(i, d):
+    if darts[-1] != -pyr.reconstruct_level(i).alpha(d):
         raise RuntimeError(f"segment of dart {d} does not reach its partner edge")
     moves = []
     prev = None
@@ -91,12 +90,6 @@ def segment(pyr: Pyramid, i: int, d: Dart) -> Segment:
         end_of_prev = emb.end(c)
         moves.append(m)
     return Segment(tuple(darts), CrackChain(emb.start(d), tuple(moves)))
-
-
-def first_last_moves(pyr: Pyramid, i: int, d: Dart) -> tuple[Move, Move]:
-    """Moves of the first and last cracks of d's segment, in constant time."""
-    pyr._require_alive(i, d)
-    return pyr.first_move(d), pyr.last_move(i, d)
 
 
 def dart_orientation(pyr: Pyramid, i: int, d: Dart, recompute: bool = False) -> int:
@@ -122,14 +115,17 @@ def sequence_orientation(pyr: Pyramid, i: int, seq: list[Dart] | tuple[Dart, ...
     """
     if not seq:
         raise ValueError("empty dart sequence")
+    for d in seq:
+        pyr._require_alive(i, d)
+    m = pyr.reconstruct_level(i)
     for a, b in zip(seq, seq[1:]):
-        if pyr.sigma_at(i, a) != b:
+        if m.sigma(a) != b:
             raise ValueError(f"darts {a} and {b} are not sigma-consecutive at level {i}")
     last = seq[-1]
     if closed:
-        if pyr.alpha_at(i, last) == seq[0]:
+        if m.alpha(last) == seq[0]:
             raise ValueError("closed sequence may not end on the partner of its first dart")
-        if seq[0] not in _phi_orbit(pyr, i, pyr.alpha_at(i, last)):
+        if seq[0] not in m.orbit(m.alpha(last), "phi"):
             raise ValueError("sequence endpoints do not meet at one dual vertex")
     total = 0
     for a, b in zip(seq, seq[1:]):
@@ -139,14 +135,3 @@ def sequence_orientation(pyr: Pyramid, i: int, seq: list[Dart] | tuple[Dart, ...
     if closed:
         total += turn_angle(pyr.last_move(i, last), pyr.first_move(seq[0]))
     return total
-
-
-def _phi_orbit(pyr: Pyramid, i: int, d: Dart) -> list[Dart]:
-    out = [d]
-    c = pyr.sigma_at(i, pyr.alpha_at(i, d))
-    while c != d:
-        out.append(c)
-        if len(out) > len(pyr.base):
-            raise RuntimeError("phi orbit does not close")
-        c = pyr.sigma_at(i, pyr.alpha_at(i, c))
-    return out

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .map_core import Dart, dart_sort_key
-from .moves import turn_angle
+from .map_core import CombinatorialMap, Dart, dart_sort_key
+from .moves import Move, turn_angle
 from .pyramid import Pyramid
 
 __all__ = [
@@ -28,7 +26,6 @@ __all__ = [
     "inside_direct",
     "inside_all",
     "contains",
-    "flood_fill_contains_oracle",
 ]
 
 
@@ -66,7 +63,13 @@ def starting_darts(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None =
     """
     require_clean_level(pyr, i)
     pyr._require_alive(i, v)
-    cycle = _vertex_cycle(pyr, i, v)
+    m = pyr.reconstruct_level(i)
+    first_move = pyr.first_move
+
+    def last_move(d: Dart) -> Move:
+        return first_move(-m.alpha(d))
+
+    cycle = _vertex_cycle(m, v)
     out: list[Dart] = []
     stack: list[tuple[Dart, int]] = []
     on_stack: set[Dart] = set()
@@ -78,9 +81,9 @@ def starting_darts(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None =
             counter.hit()
         before = prefix
         if prev is not None:
-            prefix += turn_angle(pyr.last_move(i, prev), pyr.first_move(dk))
+            prefix += turn_angle(last_move(prev), first_move(dk))
         prefix += pyr.cached_orientation(i, dk)
-        partner = pyr.alpha_at(i, dk)
+        partner = m.alpha(dk)
         if partner in discarded:
             raise RuntimeError(f"crossing loops at dart {dk}: the map is not planar")
         if partner in on_stack:
@@ -92,12 +95,12 @@ def starting_darts(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None =
                 raise RuntimeError(f"stack exhausted looking for the partner of dart {dk}")
             dj, prefix_j = stack.pop()
             on_stack.discard(dj)
-            dj_next = pyr.sigma_at(i, dj)
+            dj_next = m.sigma(dj)
             or_c1 = (
                 before
                 - prefix_j
-                - turn_angle(pyr.last_move(i, dj), pyr.first_move(dj_next))
-                + turn_angle(pyr.last_move(i, prev), pyr.first_move(dj_next))
+                - turn_angle(last_move(dj), first_move(dj_next))
+                + turn_angle(last_move(prev), first_move(dj_next))
             )
             if or_c1 not in (4, -4):
                 raise RuntimeError(f"loop span at dart {dj} has turn count {or_c1}, expected +4 or -4")
@@ -120,19 +123,19 @@ def inside_direct(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None = 
     visited twice across all loops.
     """
     starts = starting_darts(pyr, i, v, counter)
-    start_set = set(starts)
-    end_set = {pyr.alpha_at(i, s) for s in starts}
     cur = pyr.reconstruct_level(i)
+    start_set = set(starts)
+    end_set = {cur.alpha(s) for s in starts}
     found: set[Dart] = set()
     for s in starts:
-        stop = pyr.alpha_at(i, s)
+        stop = cur.alpha(s)
         e = cur.sigma(s)
         while e != stop:
             if counter is not None:
                 counter.hit()
             if e in start_set:
                 # a nested loop: its span is handled from its own starting dart
-                e = cur.sigma(pyr.alpha_at(i, e))
+                e = cur.sigma(cur.alpha(e))
                 continue
             if e in end_set:
                 raise RuntimeError(f"ending dart {e} reached before its starting dart")
@@ -165,43 +168,8 @@ def contains(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
     return cur.vertex_of(b) in inside_all(pyr, i, a)
 
 
-def _vertex_cycle(pyr: Pyramid, i: int, v: Dart) -> list[Dart]:
-    cur = pyr.reconstruct_level(i)
-    cyc = cur.orbit(v, "sigma")
+def _vertex_cycle(m: CombinatorialMap, v: Dart) -> list[Dart]:
+    cyc = m.orbit(v, "sigma")
     k = cyc.index(min(cyc, key=dart_sort_key))
     return list(cyc[k:] + cyc[:k])
 
-
-def flood_fill_contains_oracle(labels, a: int, b: int) -> bool:
-    """Pixel-level reference for contains: flooding from region b over the
-    complement of region a never reaches the image border.
-
-    Regions are 4-connected, so the complement floods with 8-connectivity:
-    a pocket touching other boundaries only at a corner point is not sealed.
-    This is the standard connectivity pairing and it matches crack-boundary
-    enclosure exactly.
-    """
-    arr = np.asarray(labels)
-    if arr.ndim != 2:
-        raise ValueError("labels must be a 2D array")
-    if a == b:
-        raise ValueError("regions must differ")
-    for r in (a, b):
-        if not (arr == r).any():
-            raise ValueError(f"unknown region label {r}")
-    h, w = arr.shape
-    blocked = arr == a
-    seen = np.zeros_like(blocked)
-    stack = [(int(y), int(x)) for y, x in zip(*np.nonzero(arr == b))]
-    for y, x in stack:
-        seen[y, x] = True
-    while stack:
-        y, x = stack.pop()
-        if y == 0 or x == 0 or y == h - 1 or x == w - 1:
-            return False
-        for ny in (y - 1, y, y + 1):
-            for nx in (x - 1, x, x + 1):
-                if not seen[ny, nx] and not blocked[ny, nx]:
-                    seen[ny, nx] = True
-                    stack.append((ny, nx))
-    return True

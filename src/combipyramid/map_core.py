@@ -20,8 +20,6 @@ __all__ = [
     "CrackEmbedding",
     "ValidationReport",
     "build_grid_map",
-    "orbit",
-    "dual",
     "validate",
     "to_dot",
     "dart_sort_key",
@@ -77,13 +75,6 @@ class CombinatorialMap:
     def phi(self, d: Dart) -> Dart:
         return self._sigma[self._alpha[d]]
 
-    def sigma_inv(self, d: Dart) -> Dart:
-        # cycles are short in practice; avoid storing the inverse permutation
-        prev = d
-        while self._sigma[prev] != d:
-            prev = self._sigma[prev]
-        return prev
-
     def orbit(self, d: Dart, kind: str) -> tuple[Dart, ...]:
         """Cycle (d, pi(d), pi^2(d), ...) of d under sigma, alpha or phi."""
         if d not in self._darts:
@@ -123,6 +114,10 @@ class CombinatorialMap:
     def vertex_of(self, d: Dart) -> Dart:
         """Canonical representative dart of the vertex of d."""
         return min(self.orbit(d, "sigma"), key=dart_sort_key)
+
+    def vertex_ids(self) -> dict[Dart, Dart]:
+        """Every dart mapped to the canonical dart of its vertex."""
+        return {d: cyc[0] for cyc in self.vertices() for d in cyc}
 
     def dual(self) -> "CombinatorialMap":
         """Map whose vertex permutation is phi; dual of the dual is the map."""
@@ -223,14 +218,6 @@ def build_grid_map(width: int, height: int) -> tuple[CombinatorialMap, CrackEmbe
     return CombinatorialMap(darts, sigma, alpha), CrackEmbedding(width, height)
 
 
-def orbit(m: CombinatorialMap, d: Dart, kind: str) -> tuple[Dart, ...]:
-    return m.orbit(d, kind)
-
-
-def dual(m: CombinatorialMap) -> CombinatorialMap:
-    return m.dual()
-
-
 @dataclass
 class ValidationReport:
     """Pass/fail per structural invariant, with a witness dart on failure."""
@@ -308,10 +295,7 @@ def _connected(m: CombinatorialMap) -> tuple[bool, Dart | None]:
 
 def to_dot(m: CombinatorialMap, name: str = "map") -> str:
     """DOT text with one node per sigma cycle and one edge per alpha cycle."""
-    rep = {}
-    for cyc in m.vertices():
-        for d in cyc:
-            rep[d] = cyc[0]
+    rep = m.vertex_ids()
     lines = [f"graph {name} {{"]
     for cyc in m.vertices():
         label = ",".join(str(d) for d in cyc)

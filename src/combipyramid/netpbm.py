@@ -60,9 +60,12 @@ def load_image(path: str) -> np.ndarray:
             if not token:
                 raise NetpbmError(f"truncated payload, {len(values)}/{count} samples", start)
             try:
-                values.append(int(token))
+                value = int(token)
             except ValueError:
                 raise NetpbmError(f"bad sample {token!r}", start) from None
+            if not 0 <= value <= maxval:
+                raise NetpbmError(f"sample {value} exceeds the range 0..{maxval}", start)
+            values.append(value)
         arr = np.array(values, dtype=np.uint32)
     else:
         if pos >= len(data) or not data[pos : pos + 1].isspace():
@@ -75,9 +78,8 @@ def load_image(path: str) -> np.ndarray:
             raise NetpbmError(f"truncated payload, {len(payload)}/{need} bytes", pos + len(payload))
         dtype = ">u2" if width_bytes == 2 else np.uint8
         arr = np.frombuffer(payload, dtype=dtype).astype(np.uint32)
-
-    if (arr > maxval).any():
-        raise NetpbmError(f"sample exceeds maximum value {maxval}", pos)
+        if (arr > maxval).any():
+            raise NetpbmError(f"sample exceeds maximum value {maxval}", pos)
     if maxval != 255:
         arr = (arr * 255 + maxval // 2) // maxval
     return arr.astype(np.uint8).reshape(height, width, channels)

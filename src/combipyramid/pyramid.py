@@ -15,16 +15,18 @@ sigma_{i-1} after d, stepping by phi_{i-1} past a contracted dart and by
 sigma_{i-1} past a removed one, and alpha_i(d) = alpha_{i-1}(d) except under
 RKEDE, where y <- alpha_{i-1}(phi_{i-1}(y)) steps past removed joints. The
 level maps and their empty self loops and redundant darts are stored as the
-levels are appended and never change afterwards.
+levels are appended and never change afterwards, and every query reads them.
 
-Replay from the base serves receptive fields and boundary segments. Walking
-from a surviving dart d with sigma0, taking phi0 after a contracted dart and
-sigma0 after a removed dart, yields the darts swallowed between d and its
-level-i successor: the first surviving dart hit is sigma_i(d). The partner
-alpha_i(d) is read off d's boundary piece instead: scanning around base
-corners, the piece grows by one absorbed double-edge dart at a time and stops
-where a survivor is met, and the base partner of its last dart is alpha_i(d)
-(just -d while the piece is a single crack).
+Replay from the base serves receptive fields, boundary segments,
+vertex_of_pixel and pixel_labels. Walking from a surviving dart d with
+sigma0, taking phi0 after a contracted dart and sigma0 after a removed dart,
+yields the darts swallowed between d and its level-i successor: the first
+surviving dart hit is sigma_i(d). From a dead dart the same rule leads to a
+survivor of the vertex that absorbed it. A boundary piece is read off the
+base instead: scanning around base corners, the piece grows by one absorbed
+double-edge dart at a time and stops where a survivor is met, and the base
+partner of its last dart is alpha_i(d) (just -d while the piece is a single
+crack).
 
 A removed double-edge joint drops one dart from each of the two boundary
 directions, so kernels with state RKEDE pair surviving darts of formerly
@@ -117,32 +119,33 @@ class Pyramid:
     def state(self, i: int) -> KernelState:
         return self.kernels[i - 1].state
 
-    def alive(self, d: Dart, i: int) -> bool:
-        return self.level(d) > i
-
     def top_map(self) -> CombinatorialMap:
         return self._levels[-1]
 
     # -- replay of absorbed darts ---------------------------------------------
 
     def _absorbed(self, i: int, d: Dart) -> tuple[list[Dart], Dart]:
-        """Darts replayed between d and its level-i sigma successor.
+        """Darts replayed from d up to the first survivor at level i.
 
-        Returns (walk, successor): walk starts at d and lists every dart that
-        died at level <= i before the successor, the first survivor, is hit.
+        Returns (walk, survivor): walk starts at d and lists every dart that
+        died at level <= i before the survivor is hit. From a surviving d the
+        survivor is sigma_i(d); from a dead d it lies on the level-i vertex
+        that absorbed d.
         """
         walk = [d]
-        c = self.base.sigma(d)
         limit = len(self.base)
-        while self.level(c) <= i:
-            walk.append(c)
-            if len(walk) > limit:
-                raise RuntimeError("absorbed-dart replay does not terminate")
-            if self.state(self.level(c)) is KernelState.CK:
+        c, lvl = d, self.level(d)
+        while True:
+            if lvl <= i and self.state(lvl) is KernelState.CK:
                 c = self.base.phi(c)
             else:
                 c = self.base.sigma(c)
-        return walk, c
+            lvl = self.level(c)
+            if lvl > i:
+                return walk, c
+            walk.append(c)
+            if len(walk) > limit:
+                raise RuntimeError("absorbed-dart replay does not terminate")
 
     def receptive_field(self, i: int, d: Dart) -> tuple[Dart, ...]:
         """Base darts reduced onto d at level i, in replay order."""
@@ -183,16 +186,6 @@ class Pyramid:
                 raise RuntimeError(f"boundary piece of dart {d} does not terminate")
             c = nxt
 
-    def sigma_at(self, i: int, d: Dart) -> Dart:
-        self._require_alive(i, d)
-        return self.reconstruct_level(i).sigma(d)
-
-    def alpha_at(self, i: int, d: Dart) -> Dart:
-        """Level-i edge partner: base partner of the last dart of d's
-        boundary piece, which is -d while the piece is a single crack."""
-        self._require_alive(i, d)
-        return self.reconstruct_level(i).alpha(d)
-
     def reconstruct_level(self, i: int) -> CombinatorialMap:
         """The level-i map, derived from level i-1 when its kernel was applied."""
         self._check_level(i)
@@ -226,10 +219,14 @@ class Pyramid:
         return 0
 
     def first_move(self, d: Dart) -> Move:
+        """Move of the first crack of d's boundary piece: d's own crack."""
         return self.embedding.move(d)
 
     def last_move(self, i: int, d: Dart) -> Move:
-        return self.embedding.move(-self.alpha_at(i, d))
+        """Move of the last crack of d's boundary piece at level i, the
+        reverse of the crack of its partner alpha_i(d)."""
+        self._require_alive(i, d)
+        return self.embedding.move(-self._levels[i].alpha(d))
 
     # -- kernel application ---------------------------------------------------
 
@@ -265,6 +262,8 @@ class Pyramid:
         self._redundant.append(self._top_loops | self._top_joints)
 
     def _check_ck(self, top: CombinatorialMap, darts: frozenset[Dart]) -> None:
+        if len(darts) == len(top):
+            raise KernelError("contraction kernel contains every dart of the top map")
         for d in darts:
             if top.alpha(d) not in darts:
                 raise KernelError(f"contraction kernel is not closed under alpha at dart {d}")
@@ -411,7 +410,7 @@ class Pyramid:
         if not (0 <= x < emb.width and 0 <= y < emb.height):
             raise ValueError(f"pixel ({x}, {y}) outside the {emb.width}x{emb.height} grid")
         left_side = -(y * (emb.width + 1) + x + 1)
-        d = _backtrack_survivor(self, i, left_side)
+        d = self._absorbed(i, left_side)[1]
         return self.reconstruct_level(i).vertex_of(d)
 
     def pixel_labels(self, i: int) -> list[list[Dart]]:
@@ -420,11 +419,7 @@ class Pyramid:
         Resolved walks are shared across pixels, so the whole image costs
         one pass over the base darts instead of one walk per pixel.
         """
-        m = self.reconstruct_level(i)
-        resolved: dict[Dart, Dart] = {}
-        for cyc in m.vertices():
-            for d in cyc:
-                resolved[d] = cyc[0]
+        resolved = self.reconstruct_level(i).vertex_ids()
         emb = self.embedding
         out = []
         for y in range(emb.height):
@@ -455,24 +450,34 @@ class Pyramid:
         return self._redundant[i]
 
     def composed_of(self, i: int, v: Dart) -> frozenset[Dart]:
-        """Level-(i-1) vertices merged into vertex v by the level-i kernel."""
+        """Level-(i-1) vertices merged into vertex v by the level-i kernel.
+
+        A level-(i-1) vertex belongs to the level-i vertex of its first dart
+        alive at level i. Only a contraction kernel can take every dart of a
+        vertex, as the removal kernels are checked to keep all vertices; then
+        stepping by phi_{i-1} past the contracted darts reaches a survivor of
+        the vertex it merged into.
+        """
         if not 1 <= i <= self.top_level:
             raise ValueError(f"level {i} out of range 1..{self.top_level}")
         cur = self.reconstruct_level(i)
         if v not in cur.darts:
             raise ValueError(f"dart {v} does not survive at level {i}")
-        v = cur.vertex_of(v)
+        home = set(cur.orbit(v, "sigma"))
+        alive = cur.darts
         prev = self.reconstruct_level(i - 1)
+        limit = len(self.base)
         out = []
         for cyc in prev.vertices():
-            parent = None
-            for d in cyc:
-                if d in cur.darts:
-                    parent = cur.vertex_of(d)
-                    break
-            if parent is None:
-                parent = cur.vertex_of(_backtrack_survivor(self, i, cyc[0]))
-            if parent == v:
+            d = next((d for d in cyc if d in alive), None)
+            if d is None:
+                d, steps = cyc[0], 0
+                while d not in alive:
+                    d = prev.phi(d)
+                    steps += 1
+                    if steps > limit:
+                        raise RuntimeError("replay from a contracted dart does not terminate")
+            if d in home:
                 out.append(cyc[0])
         return frozenset(out)
 
@@ -564,23 +569,6 @@ def _reduce(m: CombinatorialMap, kernel: Kernel) -> CombinatorialMap:
                     raise KernelError(f"double-edge removal leaves dart {d} without a surviving partner")
         new_alpha[d] = y
     return CombinatorialMap(new_sigma.keys(), new_sigma, new_alpha)
-
-
-def _backtrack_survivor(pyr: Pyramid, i: int, d: Dart) -> Dart:
-    """From a dart contracted at or below level i, follow the replay rule
-    forward to a dart surviving at level i."""
-    limit = len(pyr.base)
-    c = d
-    steps = 0
-    while pyr.level(c) <= i:
-        if pyr.state(pyr.level(c)) is KernelState.CK:
-            c = pyr.base.phi(c)
-        else:
-            c = pyr.base.sigma(c)
-        steps += 1
-        if steps > limit:
-            raise RuntimeError("replay from a contracted dart does not terminate")
-    return c
 
 
 def _cycle_ids(m: CombinatorialMap, step) -> dict[Dart, Dart]:

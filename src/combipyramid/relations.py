@@ -45,10 +45,7 @@ def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:
     when the regions are not adjacent.
     """
     m = pyr.reconstruct_level(i)
-    rep = {}
-    for cyc in m.vertices():
-        for d in cyc:
-            rep[d] = cyc[0]
+    rep = m.vertex_ids()
     ra, rb = rep[a], rep[b]
     if ra == rb:
         raise ValueError("meets_each needs two distinct regions")
@@ -116,10 +113,7 @@ def rag_export(pyr: Pyramid, i: int) -> tuple[list[Dart], list[tuple[Dart, Dart]
     m = pyr.reconstruct_level(i)
     regions = region_ids(pyr, i)
     edges: set[tuple[Dart, Dart]] = set()
-    rep = {}
-    for cyc in m.vertices():
-        for d in cyc:
-            rep[d] = cyc[0]
+    rep = m.vertex_ids()
     for cyc in m.edges():
         d = cyc[0]
         u, v = rep[d], rep[m.alpha(d)]

@@ -121,18 +121,16 @@ class SegmentedImage:
                 continue
             dist = float(np.linalg.norm(self.stats[u].mean_color - self.stats[v].mean_color))
             if dist <= threshold:
-                candidates.append((dist, min(abs(d), abs(top.alpha(d))), d))
+                # d is unique per edge, so u and v never take part in the order
+                candidates.append((dist, min(abs(d), abs(top.alpha(d))), d, u, v))
         candidates.sort()
         chosen: list[Dart] = []
-        merges: list[tuple[int, int]] = []
-        for _, _, d in candidates:
-            u, v = self.root_of_dart(d), self.root_of_dart(top.alpha(d))
+        for _, _, d, u, v in candidates:
             ru, rv = self._find(u), self._find(v)
             if ru == rv:
                 continue
             self._parent[ru] = rv
             self.stats[rv] = self.stats[rv].merged(self.stats.pop(ru))
-            merges.append((ru, rv))
             chosen.extend((d, top.alpha(d)))
         if not chosen:
             return []

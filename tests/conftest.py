@@ -26,10 +26,7 @@ def random_pyramid(rng: random.Random, max_side: int = 8, rounds: int | None = N
     pyr = Pyramid.from_grid(w, h)
     for _ in range(rounds if rounds is not None else rng.randint(1, 3)):
         top = pyr.top_map()
-        rep = {}
-        for cyc in top.vertices():
-            for d in cyc:
-                rep[d] = cyc[0]
+        rep = top.vertex_ids()
         cands = []
         for cyc in top.edges():
             d = cyc[0]

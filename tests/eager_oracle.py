@@ -1,12 +1,15 @@
-"""Independent references for the derived levels and their empty self loops.
+"""Independent references for the derived levels, their empty self loops
+and enclosure.
 
 EagerMap applies kernels one edge or joint at a time on explicit permutation
 dicts, with none of the package's derivation machinery. sorted_sweep_loops
-grows the empty self loops by repeated sorted sweeps. Both are kept
-deliberately simple.
+grows the empty self loops by repeated sorted sweeps. flood_fill_contains_oracle
+decides enclosure on the pixels. All are kept deliberately simple.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from combipyramid.map_core import CombinatorialMap, dart_sort_key
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
@@ -118,3 +121,38 @@ def sorted_sweep_loops(m: CombinatorialMap) -> set:
                     changed = True
                     break
     return marked
+
+
+def flood_fill_contains_oracle(labels, a: int, b: int) -> bool:
+    """Pixel-level reference for contains: flooding from region b over the
+    complement of region a never reaches the image border.
+
+    Regions are 4-connected, so the complement floods with 8-connectivity:
+    a pocket touching other boundaries only at a corner point is not sealed.
+    This is the standard connectivity pairing and it matches crack-boundary
+    enclosure exactly.
+    """
+    arr = np.asarray(labels)
+    if arr.ndim != 2:
+        raise ValueError("labels must be a 2D array")
+    if a == b:
+        raise ValueError("regions must differ")
+    for r in (a, b):
+        if not (arr == r).any():
+            raise ValueError(f"unknown region label {r}")
+    h, w = arr.shape
+    blocked = arr == a
+    seen = np.zeros_like(blocked)
+    stack = [(int(y), int(x)) for y, x in zip(*np.nonzero(arr == b))]
+    for y, x in stack:
+        seen[y, x] = True
+    while stack:
+        y, x = stack.pop()
+        if y == 0 or x == 0 or y == h - 1 or x == w - 1:
+            return False
+        for ny in (y - 1, y, y + 1):
+            for nx in (x - 1, x, x + 1):
+                if not seen[ny, nx] and not blocked[ny, nx]:
+                    seen[ny, nx] = True
+                    stack.append((ny, nx))
+    return True

@@ -15,7 +15,6 @@ from combipyramid.boundary import dart_orientation, sequence_orientation
 from combipyramid.containment import (
     VisitCounter,
     contains,
-    flood_fill_contains_oracle,
     inside_direct,
     starting_darts,
 )
@@ -36,7 +35,7 @@ from conftest import (
     random_pyramid,
     shared_boundary_components,
 )
-from eager_oracle import eager_levels
+from eager_oracle import eager_levels, flood_fill_contains_oracle
 
 N_PYRAMIDS = 100
 N_PARTITIONS = 100

@@ -4,7 +4,6 @@ import pytest
 
 from combipyramid.boundary import (
     dart_orientation,
-    first_last_moves,
     segment,
     sequence_orientation,
 )
@@ -85,10 +84,7 @@ def test_segments_tile_the_partition_boundary():
 
         expected = boundary_cracks(np.array([[hash(v) for v in row] for row in labels]))
         expected = {frozenset(c) for c in expected}
-        rep = {}
-        for cyc in m.vertices():
-            for d in cyc:
-                rep[d] = cyc[0]
+        rep = m.vertex_ids()
         covered = set()
         loop_cracks = set()
         for cyc in m.edges():
@@ -111,13 +107,15 @@ def test_inner_corner_scan_is_bounded_on_grids():
 
 def test_first_last_moves_singleton():
     pyr = Pyramid.from_grid(2, 1)
-    assert first_last_moves(pyr, 0, 4) == (Move.LEFT, Move.LEFT)
+    assert (pyr.first_move(4), pyr.last_move(0, 4)) == (Move.LEFT, Move.LEFT)
 
 
 def test_first_last_moves_of_extended_piece():
     pyr = reduced_two_by_one()
-    assert first_last_moves(pyr, 2, 1) == (Move.UP, Move.LEFT)
-    assert first_last_moves(pyr, 2, -6) == (Move.RIGHT, Move.DOWN)
+    assert (pyr.first_move(1), pyr.last_move(2, 1)) == (Move.UP, Move.LEFT)
+    assert (pyr.first_move(-6), pyr.last_move(2, -6)) == (Move.RIGHT, Move.DOWN)
+    with pytest.raises(ValueError, match="does not survive"):
+        pyr.last_move(2, 2)  # contracted at level 1
 
 
 def test_two_crack_counter_clockwise_turn():
@@ -172,9 +170,9 @@ def test_no_opposite_moves_inside_or_between_segments():
                 moves = segment(pyr, i, d).cracks.moves
                 for a, b in zip(moves, moves[1:]):
                     assert b != a.opposite
-                fm, lm = first_last_moves(pyr, i, d)
+                fm, lm = pyr.first_move(d), pyr.last_move(i, d)
                 assert (fm, lm) == (moves[0], moves[-1])
-                succ_first = first_last_moves(pyr, i, m.sigma(d))[0]
+                succ_first = pyr.first_move(m.sigma(d))
                 assert succ_first != lm.opposite
 
 

@@ -1,9 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import combipyramid
 from combipyramid.cli import main
+from combipyramid.map_core import CombinatorialMap
 from combipyramid.netpbm import load_image, save_ppm
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
 
@@ -194,3 +198,35 @@ def test_base_sigma_length_is_checked_before_the_grid_is_built(tmp_path, capsys)
     data = small_record()
     data["width"] = data["height"] = 300
     assert_clean_error(capsys, tmp_path, data, "base_sigma has 14 entries, a 300x300 grid has 361200 darts")
+
+
+def test_validate_rejects_a_contraction_of_the_whole_map(tmp_path, capsys):
+    # the last edge of a cleaned 1x1 grid, contracted, would leave no darts
+    pyr = Pyramid.from_grid(1, 1)
+    pyr.apply_kernel(pyr.compute_rkede())
+    data = json.loads(pyr.to_json())
+    data["states"].append("CK")
+    data["kernels"].append([1, -4])
+    assert_clean_error(capsys, tmp_path, data, "contraction kernel contains every dart of the top map")
+
+
+# -- malformed images ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sample", [b"-5", b"99999999999"])
+def test_ascii_sample_out_of_range_is_rejected(tmp_path, capsys, sample):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P2\n2 1\n255\n7 " + sample + b"\n")
+    code = main(["build", "--input", str(path), "--threshold", "1", "--out", str(tmp_path / "x.pyr")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "exceeds the range 0..255 (byte offset 13)" in err
+
+
+def test_readme_lists_the_exported_api():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("Lower-level pieces") : readme.index("## CLI")]
+    names = set(re.findall(r"`(\w+)`", section))
+    assert set(combipyramid.__all__) <= names
+    for name in names - set(combipyramid.__all__):  # methods, named in parentheses
+        assert hasattr(Pyramid, name) or hasattr(CombinatorialMap, name), name

@@ -7,7 +7,6 @@ import pytest
 from combipyramid.containment import (
     VisitCounter,
     contains,
-    flood_fill_contains_oracle,
     inside_all,
     inside_direct,
     starting_darts,
@@ -16,6 +15,7 @@ from combipyramid.pyramid import Kernel, KernelState, Pyramid
 from combipyramid.segmentation import segment_labels
 
 from conftest import clean_levels, random_labels, random_pyramid
+from eager_oracle import flood_fill_contains_oracle
 
 
 def ring_labels(size=3):

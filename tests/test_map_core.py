@@ -5,8 +5,6 @@ import pytest
 from combipyramid.map_core import (
     CombinatorialMap,
     build_grid_map,
-    dual,
-    orbit,
     to_dot,
     validate,
 )
@@ -66,25 +64,25 @@ def test_every_pixel_cycle_has_length_four():
 def test_alpha_orbit_is_the_edge_pair():
     m, _ = build_grid_map(2, 2)
     for d in (1, -5, 9):
-        assert orbit(m, d, "alpha") == (d, -d)
+        assert m.orbit(d, "alpha") == (d, -d)
 
 
 def test_orbit_unknown_dart():
     m, _ = build_grid_map(1, 1)
     with pytest.raises(KeyError):
-        orbit(m, 99, "sigma")
+        m.orbit(99, "sigma")
 
 
 def test_orbit_never_longer_than_dart_count():
     m, _ = build_grid_map(3, 2)
     for d in m.darts:
         for kind in ("sigma", "alpha", "phi"):
-            assert len(orbit(m, d, kind)) <= len(m)
+            assert len(m.orbit(d, kind)) <= len(m)
 
 
 def test_dual_swaps_faces_and_vertices():
     m, _ = build_grid_map(1, 1)
-    dm = dual(m)
+    dm = m.dual()
     assert sorted(dm.vertices()) == sorted(m.faces())
     assert sorted(dm.faces()) == sorted(m.vertices())
     assert validate(dm).ok
@@ -92,12 +90,12 @@ def test_dual_swaps_faces_and_vertices():
 
 def test_dual_is_an_involution():
     m, _ = build_grid_map(3, 3)
-    assert dual(dual(m)) == m
+    assert m.dual().dual() == m
 
 
 def test_dual_corner_degree():
     m, _ = build_grid_map(3, 3)
-    dm = dual(m)
+    dm = m.dual()
     assert len(dm.orbit(-1, "sigma")) == 2  # image corner seen as a dual vertex
 
 

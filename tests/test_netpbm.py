@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combipyramid.netpbm import NetpbmError, load_image, save_pgm, save_ppm
 
@@ -79,3 +83,44 @@ def test_sample_above_maxval_rejected(tmp_path):
     p.write_bytes(b"P2\n1 1\n9\n10\n")
     with pytest.raises(NetpbmError, match="exceeds"):
         load_image(str(p))
+
+
+
+def valid_netpbm_files():
+    return [
+        b"P2\n2 2\n255\n0 17\n255 3\n",
+        b"P3\n# comment\n2 1\n100\n1 2 3 97 98 99\n",
+        b"P5\n2 1\n255\n\x05\xfa",
+        b"P6\n1 2\n65535\n" + bytes(range(12)),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(valid_netpbm_files()), st.data())
+def test_mutated_files_load_or_raise_netpbm_error(tmp_path_factory, original, data):
+    # overwrite, insert or delete a few bytes of a valid file, or put any
+    # integer, negative or wide, in place of one of its digit runs
+    raw = bytearray(original)
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from(["set", "insert", "delete", "number"]))
+        if op == "number":
+            runs = list(re.finditer(rb"\d+", raw))
+            if runs:
+                run = data.draw(st.sampled_from(runs))
+                raw[run.start() : run.end()] = str(data.draw(st.integers())).encode()
+            continue
+        k = data.draw(st.integers(0, len(raw)))
+        if op == "insert":
+            raw[k:k] = data.draw(st.binary(min_size=1, max_size=3))
+        elif k < len(raw):
+            if op == "set":
+                raw[k] = data.draw(st.integers(0, 255))
+            else:
+                del raw[k]
+    path = tmp_path_factory.mktemp("fuzz") / "x.img"
+    path.write_bytes(bytes(raw))
+    try:
+        img = load_image(str(path))
+    except NetpbmError:
+        return
+    assert img.dtype == np.uint8 and img.ndim == 3

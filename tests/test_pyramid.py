@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combipyramid.map_core import CombinatorialMap, validate
+from combipyramid.map_core import CombinatorialMap, dart_sort_key, validate
 from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid, _empty_self_loops
 
 from conftest import random_pyramid
@@ -60,6 +60,40 @@ def test_kernel_rejections():
     pyr3.apply_kernel(Kernel.of(KernelState.CK, [2, -2, 9, -9, 5, -5]))
     with pytest.raises(KernelError, match="self-loop"):
         pyr3.apply_kernel(Kernel.of(KernelState.CK, [10, -10]))
+
+
+def test_contraction_of_the_whole_map_is_rejected():
+    # a 1x1 grid cleaned by RKEDE keeps one edge between the pixel and the
+    # outside; contracting it would leave a level with no darts
+    pyr = Pyramid.from_grid(1, 1)
+    pyr.apply_kernel(pyr.compute_rkede())
+    assert pyr.top_map().darts == {1, -4}
+    with pytest.raises(KernelError, match="every dart"):
+        pyr.apply_kernel(Kernel.of(KernelState.CK, [1, -4]))
+    assert pyr.top_level == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.sampled_from(list(KernelState)), st.booleans(), st.data())
+def test_random_kernel_is_rejected_or_yields_the_eager_level(seed, state, closed, data):
+    # any dart subset of a random top, raw or closed under alpha, under any
+    # state: apply_kernel rejects it untouched or derives a valid level
+    pyr = random_pyramid(random.Random(seed), max_side=5)
+    top = pyr.top_map()
+    darts = data.draw(st.sets(st.sampled_from(sorted(top.darts, key=dart_sort_key))))
+    if closed:
+        darts |= {top.alpha(d) for d in darts}
+    before = pyr.to_json()
+    try:
+        pyr.apply_kernel(Kernel.of(state, darts))
+    except KernelError:
+        assert pyr.to_json() == before
+        return
+    level = pyr.top_map()
+    assert validate(level).ok
+    assert level == eager_levels(pyr)[-1]
+    text = pyr.to_json()
+    assert Pyramid.from_json(text).to_json() == text
 
 
 def test_rkede_requires_loops_gone():
@@ -199,7 +233,7 @@ def test_receptive_field_contains_contracted_darts():
     pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
     assert pyr.receptive_field(1, -6) == (-6, 2)
     assert pyr.receptive_field(1, 5) == (5, -2)
-    assert pyr.sigma_at(1, -6) == -7
+    assert pyr.reconstruct_level(1).sigma(-6) == -7
 
 
 def test_receptive_field_rejects_dead_darts():
