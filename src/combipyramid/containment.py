@@ -147,6 +147,7 @@ def inside_direct(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None = 
 def inside_all(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
     """All vertices enclosed by v: everything reachable from the directly
     enclosed neighbours without stepping across v."""
+    pyr._require_alive(i, v)
     cur = pyr.reconstruct_level(i)
     home = cur.vertex_of(v)
     seeds = inside_direct(pyr, i, v)
@@ -164,6 +165,7 @@ def inside_all(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
 
 def contains(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
     """True when region b lies inside region a at level i."""
+    pyr._require_alive(i, b)  # inside_all checks a
     cur = pyr.reconstruct_level(i)
     return cur.vertex_of(b) in inside_all(pyr, i, a)
 

@@ -163,6 +163,11 @@ class CrackEmbedding:
         (x, y), (dx, dy) = self.start(d), self.move(d).delta
         return (x + dx, y + dy)
 
+    def pixel_dart(self, x: int, y: int) -> Dart:
+        """Dart down the left side of pixel (x, y): the canonical dart of the
+        pixel's vertex in the base map."""
+        return -(y * (self.width + 1) + x + 1)
+
     def pixel_of(self, d: Dart) -> tuple[int, int] | None:
         """Pixel whose sigma cycle owns dart d at the base level, or None for
         the outside vertex."""

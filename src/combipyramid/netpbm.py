@@ -99,9 +99,15 @@ def _skip_separators(data: bytes, pos: int) -> int:
 
 
 def save_pgm(path: str, gray: np.ndarray, maxval: int = 255) -> None:
+    """Binary PGM; raises ValueError for a sample outside 0..maxval or a
+    maxval outside 1..65535, which the format cannot store."""
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"maximum value {maxval} outside the range 1..65535")
     arr = np.asarray(gray)
     if arr.ndim == 3:
         arr = arr[:, :, 0]
+    if arr.size and not (arr.min() >= 0 and arr.max() <= maxval):
+        raise ValueError(f"samples {arr.min()}..{arr.max()} exceed the range 0..{maxval}")
     h, w = arr.shape
     if maxval > 255:
         payload = arr.astype(">u2").tobytes()

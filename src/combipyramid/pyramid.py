@@ -274,20 +274,13 @@ class Pyramid:
                 for c in top.orbit(d, "sigma"):
                     vertex_of[c] = d
         parent: dict[Dart, Dart] = {}
-
-        def find(v: Dart) -> Dart:
-            while parent.get(v, v) != v:
-                parent[v] = parent.get(parent[v], parent[v])
-                v = parent[v]
-            return v
-
         for d in ordered:
             if dart_sort_key(top.alpha(d)) < dart_sort_key(d):
                 continue
             a, b = vertex_of[d], vertex_of[top.alpha(d)]
             if a == b:
                 raise KernelError(f"contraction kernel contains the self-loop edge of dart {d}")
-            ra, rb = find(a), find(b)
+            ra, rb = _find_root(parent, a), _find_root(parent, b)
             if ra == rb:
                 raise KernelError(f"contraction kernel contains a cycle through dart {d}")
             parent[ra] = rb
@@ -409,8 +402,7 @@ class Pyramid:
         emb = self.embedding
         if not (0 <= x < emb.width and 0 <= y < emb.height):
             raise ValueError(f"pixel ({x}, {y}) outside the {emb.width}x{emb.height} grid")
-        left_side = -(y * (emb.width + 1) + x + 1)
-        d = self._absorbed(i, left_side)[1]
+        d = self._absorbed(i, emb.pixel_dart(x, y))[1]
         return self.reconstruct_level(i).vertex_of(d)
 
     def pixel_labels(self, i: int) -> list[list[Dart]]:
@@ -425,9 +417,8 @@ class Pyramid:
         for y in range(emb.height):
             row = []
             for x in range(emb.width):
-                d = -(y * (emb.width + 1) + x + 1)
                 path = []
-                c = d
+                c = emb.pixel_dart(x, y)
                 while c not in resolved:
                     path.append(c)
                     if len(path) > len(self.base):
@@ -520,6 +511,15 @@ class Pyramid:
                 raise ValueError(f"kernel {k} is not a list of integer darts")
             pyr.apply_kernel(Kernel.of(KernelState(state), darts))
         return pyr
+
+
+def _find_root(parent: dict[Dart, Dart], v: Dart) -> Dart:
+    """Root of v in a union-find forest kept as a parent dict, where a dart
+    missing from the dict is a root; halves the path on the way up."""
+    while parent.get(v, v) != v:
+        parent[v] = parent.get(parent[v], parent[v])
+        v = parent[v]
+    return v
 
 
 def _positive_int(payload: dict, key: str) -> int:

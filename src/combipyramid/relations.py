@@ -44,6 +44,8 @@ def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:
     a/b border, so edges continuing through such junctions are glued. Empty
     when the regions are not adjacent.
     """
+    for d in (a, b):
+        pyr._require_alive(i, d)
     m = pyr.reconstruct_level(i)
     rep = m.vertex_ids()
     ra, rb = rep[a], rep[b]

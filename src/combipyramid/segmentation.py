@@ -3,7 +3,8 @@
 Merging is driven by color: each level contracts a spanning forest of the
 adjacency edges whose region mean colors are within a threshold, then cleans
 up the redundant edges the contraction left behind. Region statistics are
-carried along so the road-sign extraction can reason about colors.
+carried along, keyed by the region's vertex dart in the top map, so the
+road-sign extraction can reason about colors.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .containment import inside_all, require_clean_level
 from .map_core import Dart, dart_sort_key
-from .pyramid import Kernel, KernelState, Pyramid
+from .pyramid import Kernel, KernelState, Pyramid, _find_root
 
 __all__ = [
     "RegionStats",
@@ -48,7 +49,12 @@ class RegionStats:
 
 
 class SegmentedImage:
-    """Pyramid over a raster, merged by color distance level by level."""
+    """Pyramid over a raster, merged by color distance level by level.
+
+    A region is a vertex of the top map, named by the canonical dart of that
+    vertex as everywhere else in the library. `stats` maps every region but
+    the outside, which has no pixels, to its RegionStats.
+    """
 
     def __init__(self, image: np.ndarray):
         arr = np.asarray(image)
@@ -59,50 +65,18 @@ class SegmentedImage:
         self.image = arr.astype(float)
         self.height, self.width = arr.shape[:2]
         self.pyramid = Pyramid.from_grid(self.width, self.height)
-        self._parent = list(range(self.width * self.height))
-        self.stats: dict[int, RegionStats] = {}
-        for y in range(self.height):
-            for x in range(self.width):
-                self.stats[y * self.width + x] = RegionStats(
-                    1, self.image[y, x].copy(), (x, y, x, y)
-                )
-
-    # -- region bookkeeping ----------------------------------------------------
-
-    def _find(self, p: int) -> int:
-        while self._parent[p] != p:
-            self._parent[p] = self._parent[self._parent[p]]
-            p = self._parent[p]
-        return p
-
-    def root_of_dart(self, d: Dart) -> int | None:
-        """Merged-region root of a dart's base pixel, None for the outside."""
-        px = self.pyramid.embedding.pixel_of(d)
-        if px is None:
-            return None
-        x, y = px
-        return self._find(y * self.width + x)
-
-    def vertex_at(self, x: int, y: int) -> Dart:
-        """Top-level vertex of the region covering pixel (x, y)."""
-        root = self._find(y * self.width + x)
-        return self._vertices_by_root()[root]
-
-    def _vertices_by_root(self) -> dict[int | None, Dart]:
-        top = self.pyramid.top_map()
-        out: dict[int | None, Dart] = {}
-        for cyc in top.vertices():
-            out[self.root_of_dart(cyc[0])] = cyc[0]
-        return out
+        emb = self.pyramid.embedding
+        self.stats: dict[Dart, RegionStats] = {
+            emb.pixel_dart(x, y): RegionStats(1, self.image[y, x].copy(), (x, y, x, y))
+            for y in range(self.height)
+            for x in range(self.width)
+        }
 
     def labels(self) -> np.ndarray:
-        """Dense region index per pixel, stable under the dart order."""
-        roots = np.empty((self.height, self.width), dtype=np.int64)
-        for y in range(self.height):
-            for x in range(self.width):
-                roots[y, x] = self._find(y * self.width + x)
-        order = {root: k for k, root in enumerate(sorted(set(roots.ravel().tolist())))}
-        return np.vectorize(order.__getitem__)(roots)
+        """Dense region index per pixel: the top level's regions numbered
+        0, 1, ... in increasing order of their vertex dart."""
+        darts = np.array(self.pyramid.pixel_labels(self.pyramid.top_level))
+        return np.unique(darts, return_inverse=True)[1].reshape(darts.shape)
 
     # -- construction ------------------------------------------------------------
 
@@ -113,24 +87,29 @@ class SegmentedImage:
         Returns the kernels applied; an empty list means nothing merged.
         """
         top = self.pyramid.top_map()
+        rep = top.vertex_ids()
+        stats = self.stats
         candidates = []
-        for cyc in top.edges():
-            d = cyc[0]
-            u, v = self.root_of_dart(d), self.root_of_dart(top.alpha(d))
-            if u is None or v is None or u == v:
+        for d in top.darts:
+            a = top.alpha(d)
+            if dart_sort_key(a) < dart_sort_key(d):
+                continue  # each edge once, from its first dart
+            u, v = rep[d], rep[a]
+            if u == v or u not in stats or v not in stats:
                 continue
-            dist = float(np.linalg.norm(self.stats[u].mean_color - self.stats[v].mean_color))
+            dist = float(np.linalg.norm(stats[u].mean_color - stats[v].mean_color))
             if dist <= threshold:
-                # d is unique per edge, so u and v never take part in the order
-                candidates.append((dist, min(abs(d), abs(top.alpha(d))), d, u, v))
+                candidates.append((dist, abs(d), d))
         candidates.sort()
+        # union-find over this round's vertices; a root keeps its class's stats
+        parent: dict[Dart, Dart] = {}
         chosen: list[Dart] = []
-        for _, _, d, u, v in candidates:
-            ru, rv = self._find(u), self._find(v)
+        for _, _, d in candidates:
+            ru, rv = _find_root(parent, rep[d]), _find_root(parent, rep[top.alpha(d)])
             if ru == rv:
                 continue
-            self._parent[ru] = rv
-            self.stats[rv] = self.stats[rv].merged(self.stats.pop(ru))
+            parent[ru] = rv
+            stats[rv] = stats[rv].merged(stats.pop(ru))
             chosen.extend((d, top.alpha(d)))
         if not chosen:
             return []
@@ -144,6 +123,13 @@ class SegmentedImage:
         if rkede.darts:
             self.pyramid.apply_kernel(rkede)
             applied.append(rkede)
+        # the contraction merged exactly the union-find classes and the
+        # removals keep every vertex, so each new vertex is one class
+        self.stats = {}
+        for cyc in self.pyramid.top_map().vertices():
+            root = _find_root(parent, rep[cyc[0]])
+            if root in stats:
+                self.stats[cyc[0]] = stats[root]
         return applied
 
     def run(self, threshold: float, max_levels: int | None = None) -> "SegmentedImage":
@@ -157,7 +143,7 @@ class SegmentedImage:
 
     def region_count(self) -> int:
         """Number of image regions at the top level, the outside excluded."""
-        return len(self.pyramid.top_map().vertices()) - 1
+        return len(self.stats)
 
 
 def segment_labels(labels: np.ndarray) -> SegmentedImage:
@@ -192,11 +178,9 @@ def roadsign_extract(
     require_clean_level(pyr, i)
     bg = np.asarray(background_color, dtype=float)
     sym = np.asarray(symbol_color, dtype=float)
-    by_vertex = {v: root for root, v in seg._vertices_by_root().items() if root is not None}
-
     ranked = sorted(
-        by_vertex,
-        key=lambda v: (float(np.linalg.norm(seg.stats[by_vertex[v]].mean_color - bg)), dart_sort_key(v)),
+        seg.stats,
+        key=lambda v: (float(np.linalg.norm(seg.stats[v].mean_color - bg)), dart_sort_key(v)),
     )
     best = None
     for v in ranked[:k]:
@@ -205,7 +189,7 @@ def roadsign_extract(
             continue
         merged = None
         for u in inner:
-            s = seg.stats[by_vertex[u]]
+            s = seg.stats[u]
             merged = s if merged is None else merged.merged(s)
         score = (
             float(np.linalg.norm(merged.mean_color - sym)),

@@ -85,7 +85,7 @@ def label_vertices(seg, labels):
     out = {}
     for v in sorted(set(labels.ravel().tolist())):
         ys, xs = np.nonzero(labels == v)
-        out[v] = seg.vertex_at(int(xs[0]), int(ys[0]))
+        out[v] = seg.pyramid.vertex_of_pixel(seg.pyramid.top_level, int(xs[0]), int(ys[0]))
     return out
 
 

@@ -151,6 +151,33 @@ def test_query_level_zero_and_composed_of(tmp_path, sign_ppm, capsys):
     assert json.loads(text)["composed_of"]
 
 
+def query_error(capsys, pyr_path, *argv):
+    code = main(["query", "--pyr", str(pyr_path), *(str(a) for a in argv)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ")
+    return err
+
+
+def test_meets_each_with_an_unknown_dart_names_it(tmp_path, sign_ppm, capsys):
+    pyr_path = built(tmp_path, sign_ppm, capsys)
+    _, text = run(capsys, "query", "--pyr", pyr_path, "--report")
+    region = json.loads(text)["regions"][0]
+    err = query_error(capsys, pyr_path, "--meets-each", 99999, region)
+    assert "dart 99999 is not in the base map" in err
+
+
+def test_contains_with_an_unknown_dart_names_it(tmp_path, sign_ppm, capsys):
+    pyr_path = built(tmp_path, sign_ppm, capsys)
+    _, text = run(capsys, "query", "--pyr", pyr_path, "--report")
+    region = json.loads(text)["regions"][0]
+    record = json.loads(pyr_path.read_text())
+    err = query_error(capsys, pyr_path, "--contains", region, 99999)
+    assert "dart 99999 is not in the base map" in err
+    dead = record["kernels"][0][0]
+    err = query_error(capsys, pyr_path, "--contains", dead, region)
+    assert f"dart {dead} does not survive at level {len(record['kernels'])}" in err
+
+
 def test_missing_file_is_a_clean_error(tmp_path, capsys):
     code = main(["query", "--pyr", str(tmp_path / "nope.pyr"), "--report"])
     assert code == 1

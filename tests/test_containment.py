@@ -27,7 +27,7 @@ def ring_labels(size=3):
 
 def label_vertex(seg, labels, value):
     ys, xs = np.nonzero(labels == value)
-    return seg.vertex_at(int(xs[0]), int(ys[0]))
+    return seg.pyramid.vertex_of_pixel(seg.pyramid.top_level, int(xs[0]), int(ys[0]))
 
 
 # -- the flood-fill reference ---------------------------------------------------

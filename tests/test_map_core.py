@@ -61,6 +61,14 @@ def test_every_pixel_cycle_has_length_four():
     assert lengths == {2: 4, 3: 10, 4: 6}
 
 
+def test_pixel_dart_is_the_canonical_dart_of_the_pixel_vertex():
+    m, emb = build_grid_map(4, 3)
+    for y in range(3):
+        for x in range(4):
+            d = emb.pixel_dart(x, y)
+            assert m.vertex_of(d) == d and emb.pixel_of(d) == (x, y)
+
+
 def test_alpha_orbit_is_the_edge_pair():
     m, _ = build_grid_map(2, 2)
     for d in (1, -5, 9):

@@ -48,6 +48,20 @@ def test_maxval_normalization(tmp_path):
     assert img2[0, 0, 0] == 0 and img2[0, 1, 0] == 255
 
 
+def test_save_pgm_rejects_what_the_format_cannot_store(tmp_path):
+    path = tmp_path / "x.pgm"
+    with pytest.raises(ValueError, match=re.escape("samples -1..70000 exceed the range 0..65535")):
+        save_pgm(str(path), [[70000, 5], [300, -1]], maxval=65535)
+    with pytest.raises(ValueError, match=re.escape("exceed the range 0..255")):
+        save_pgm(str(path), [[256]])
+    for maxval in (0, 65536):
+        with pytest.raises(ValueError, match="maximum value"):
+            save_pgm(str(path), [[0]], maxval=maxval)
+    assert not path.exists()
+    save_pgm(str(path), [[65535, 0]], maxval=65535)
+    assert load_image(str(path))[0, :, 0].tolist() == [255, 0]
+
+
 def test_truncated_binary_payload_reports_offset(tmp_path):
     p = tmp_path / "t.pgm"
     data = b"P5\n2 2\n255\n\x01\x02"

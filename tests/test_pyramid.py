@@ -96,6 +96,36 @@ def test_random_kernel_is_rejected_or_yields_the_eager_level(seed, state, closed
     assert Pyramid.from_json(text).to_json() == text
 
 
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.sampled_from([KernelState.RKESL, KernelState.RKEDE]), st.data())
+def test_partial_removal_kernel_is_rejected_or_yields_the_eager_level(seed, state, data):
+    # a subset of the top's own empty self loops, closed under alpha, or of
+    # its joints once the loops are gone, closed under their phi pairs:
+    # rejected untouched or a valid level
+    pyr = random_pyramid(random.Random(seed), max_side=5)
+    if state is KernelState.RKEDE and pyr.compute_rkesl().darts:
+        pyr.apply_kernel(pyr.compute_rkesl())
+    top = pyr.top_map()
+    full, mate = {
+        KernelState.RKESL: (pyr.compute_rkesl().darts, top.alpha),
+        KernelState.RKEDE: (pyr.compute_rkede().darts, top.phi),
+    }[state]
+    pairs = sorted({min(d, mate(d), key=dart_sort_key) for d in full}, key=dart_sort_key)
+    chosen = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    darts = chosen | {mate(d) for d in chosen}
+    before = pyr.to_json()
+    try:
+        pyr.apply_kernel(Kernel.of(state, darts))
+    except KernelError:
+        assert pyr.to_json() == before
+        return
+    level = pyr.top_map()
+    assert validate(level).ok
+    assert level == eager_levels(pyr)[-1]
+    text = pyr.to_json()
+    assert Pyramid.from_json(text).to_json() == text
+
+
 def test_rkede_requires_loops_gone():
     pyr = Pyramid.from_grid(2, 2)
     pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2, 9, -9, 5, -5]))

@@ -25,7 +25,7 @@ from conftest import (
 
 def label_vertex(seg, labels, value):
     ys, xs = np.nonzero(labels == value)
-    return seg.vertex_at(int(xs[0]), int(ys[0]))
+    return seg.pyramid.vertex_of_pixel(seg.pyramid.top_level, int(xs[0]), int(ys[0]))
 
 
 def rgb_labels(img):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,8 +82,8 @@ def test_roadsign_extract_finds_the_arrow():
     assert len(symbol) == 1
     (v,) = symbol
     # the symbol region is exactly the arrow: check a shaft pixel and size
-    assert seg.vertex_at(16, 20) == v
-    arrow_pixels = seg.stats[seg.root_of_dart(v)].pixel_count
+    assert seg.pyramid.vertex_of_pixel(seg.pyramid.top_level, 16, 20) == v
+    arrow_pixels = seg.stats[v].pixel_count
     assert arrow_pixels == (img[4:-4, 4:-4] == 255).all(axis=2).sum()
 
 
@@ -104,10 +106,10 @@ def test_two_signs_each_contain_their_own_symbol():
     img = two_sign_raster(24)
     seg = SegmentedImage(img).run(threshold=1.0)
     pyr, top = seg.pyramid, seg.pyramid.top_level
-    left_bg = seg.vertex_at(5, 12)
-    right_bg = seg.vertex_at(24 + 5, 12)
-    left_dot = seg.vertex_at(12, 12)
-    right_dot = seg.vertex_at(24 + 12, 12)
+    left_bg = pyr.vertex_of_pixel(top, 5, 12)
+    right_bg = pyr.vertex_of_pixel(top, 24 + 5, 12)
+    left_dot = pyr.vertex_of_pixel(top, 12, 12)
+    right_dot = pyr.vertex_of_pixel(top, 24 + 12, 12)
     assert inside_all(pyr, top, left_bg) == {left_dot}
     assert inside_all(pyr, top, right_bg) == {right_dot}
     symbol = roadsign_extract(seg, k=5, background_color=BLUE, symbol_color=WHITE)
@@ -118,7 +120,18 @@ def test_vertex_at_against_infinite_region():
     img = np.full((3, 3, 3), 7, dtype=np.uint8)
     seg = SegmentedImage(img).run(threshold=1.0)
     pyr, top = seg.pyramid, seg.pyramid.top_level
-    assert seg.vertex_at(0, 0) != infinite_region(pyr, top)
+    assert pyr.vertex_of_pixel(top, 0, 0) != infinite_region(pyr, top)
+
+
+def test_vertex_of_pixel_rejects_pixels_outside_the_grid():
+    img = np.zeros((3, 4), dtype=np.uint8)
+    img[1, 1:3] = 200
+    seg = SegmentedImage(img).run(threshold=1.0)
+    pyr, top = seg.pyramid, seg.pyramid.top_level
+    assert top > 0
+    for x, y in ((-1, 0), (4, 0), (0, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"pixel ({x}, {y}) outside the 4x3 grid")):
+            pyr.vertex_of_pixel(top, x, y)
 
 
 def test_builder_rejects_bad_k():
