@@ -443,33 +443,31 @@ class Pyramid:
     def composed_of(self, i: int, v: Dart) -> frozenset[Dart]:
         """Level-(i-1) vertices merged into vertex v by the level-i kernel.
 
-        A level-(i-1) vertex belongs to the level-i vertex of its first dart
-        alive at level i. Only a contraction kernel can take every dart of a
-        vertex, as the removal kernels are checked to keep all vertices; then
-        stepping by phi_{i-1} past the contracted darts reaches a survivor of
-        the vertex it merged into.
+        Every dart of v's level-i sigma cycle is alive at level i-1, and its
+        level-(i-1) sigma cycle is a child. A removal kernel keeps every
+        vertex, so that gives the one child. A contraction kernel merges a
+        tree of vertices along its edges, some of which lost all their
+        darts: following each contracted dart of a child to its alpha_{i-1}
+        partner reaches the rest. The walk costs the total degree of the
+        children.
         """
         if not 1 <= i <= self.top_level:
             raise ValueError(f"level {i} out of range 1..{self.top_level}")
-        cur = self.reconstruct_level(i)
+        cur, prev = self._levels[i], self._levels[i - 1]
         if v not in cur.darts:
             raise ValueError(f"dart {v} does not survive at level {i}")
-        home = set(cur.orbit(v, "sigma"))
-        alive = cur.darts
-        prev = self.reconstruct_level(i - 1)
-        limit = len(self.base)
+        contracted = self.kernels[i - 1].darts if self.state(i) is KernelState.CK else frozenset()
+        seen: set[Dart] = set()
         out = []
-        for cyc in prev.vertices():
-            d = next((d for d in cyc if d in alive), None)
-            if d is None:
-                d, steps = cyc[0], 0
-                while d not in alive:
-                    d = prev.phi(d)
-                    steps += 1
-                    if steps > limit:
-                        raise RuntimeError("replay from a contracted dart does not terminate")
-            if d in home:
-                out.append(cyc[0])
+        todo = list(cur.orbit(v, "sigma"))
+        while todo:
+            d = todo.pop()
+            if d in seen:
+                continue
+            cyc = prev.orbit(d, "sigma")
+            seen.update(cyc)
+            out.append(min(cyc, key=dart_sort_key))
+            todo.extend(prev.alpha(c) for c in cyc if c in contracted)
         return frozenset(out)
 
     # -- serialization ----------------------------------------------------------

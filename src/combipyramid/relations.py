@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .boundary import CrackChain, Segment, segment
 from .containment import inside_all
-from .map_core import Dart, dart_sort_key
+from .map_core import CombinatorialMap, Dart, dart_sort_key
 from .pyramid import Pyramid
 
 __all__ = [
@@ -52,6 +52,30 @@ def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:
     if ra == rb:
         raise ValueError("meets_each needs two distinct regions")
     facing = [d for d in m.orbit(ra, "sigma") if rep[m.alpha(d)] == rb]
+    out = []
+    for chain in _pieces(m, rep, facing):
+        pieces = [segment(pyr, i, d) for d in chain]
+        darts: list[Dart] = []
+        moves = []
+        for k, piece in enumerate(pieces):
+            if k and piece.cracks.start != pieces[k - 1].cracks.points()[-1]:
+                raise RuntimeError("glued boundary pieces do not touch")
+            darts.extend(piece.darts)
+            moves.extend(piece.cracks.moves)
+        out.append(Segment(tuple(darts), CrackChain(pieces[0].cracks.start, tuple(moves))))
+    return out
+
+
+def _pieces(m: CombinatorialMap, rep: dict[Dart, Dart], facing: list[Dart]) -> list[list[Dart]]:
+    """The darts of one region that face one other region, grouped into
+    boundary pieces, each a chain of darts in boundary order.
+
+    rep maps every dart of m to its vertex. A piece continues past a
+    junction when every other edge there is a self loop.
+    """
+    if not facing:
+        return []
+    ra, rb = rep[facing[0]], rep[m.alpha(facing[0])]
 
     def continuation(d: Dart) -> Dart | None:
         # the junction at the far end of d's piece: glue when every incident
@@ -90,19 +114,7 @@ def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:
             chain.append(step)
             seen.add(step)
         chains.append(chain)
-
-    out = []
-    for chain in chains:
-        pieces = [segment(pyr, i, d) for d in chain]
-        darts: list[Dart] = []
-        moves = []
-        for k, piece in enumerate(pieces):
-            if k and piece.cracks.start != pieces[k - 1].cracks.points()[-1]:
-                raise RuntimeError("glued boundary pieces do not touch")
-            darts.extend(piece.darts)
-            moves.extend(piece.cracks.moves)
-        out.append(Segment(tuple(darts), CrackChain(pieces[0].cracks.start, tuple(moves))))
-    return out
+    return chains
 
 
 def meets_exists(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
@@ -143,18 +155,27 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
 
     Enclosure entries are dropped with a warning while the level still has
     redundant edges; everything else is always reported. The optional region
-    filter keeps only pairs involving that region.
+    filter keeps only pairs involving that region. One vertex map of the
+    level serves every pair, so the report costs one pass over the level
+    plus the enclosure walks.
     """
     m = pyr.reconstruct_level(i)
+    home = None
+    if region is not None:
+        pyr._require_alive(i, region)
+        home = m.vertex_of(region)
     regions = region_ids(pyr, i)
     outside = infinite_region(pyr, i)
     _, rag_edges = rag_export(pyr, i)
     warnings: list[str] = []
 
-    meets = []
-    for u, v in rag_edges:
-        segs = meets_each(pyr, i, u, v)
-        meets.append({"a": u, "b": v, "segments": len(segs)})
+    rep = m.vertex_ids()
+    facing: dict[tuple[Dart, Dart], list[Dart]] = {}
+    for d in m.darts:
+        u, v = rep[d], rep[m.alpha(d)]
+        if u != v:
+            facing.setdefault((u, v), []).append(d)
+    meets = [{"a": u, "b": v, "segments": len(_pieces(m, rep, facing[u, v]))} for u, v in rag_edges]
 
     contains_pairs: list[tuple[Dart, Dart]] = []
     if pyr.redundant_darts(i):
@@ -171,7 +192,7 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
             composed.append({"parent": r, "children": children})
 
     def keep(*darts: Dart) -> bool:
-        return region is None or m.vertex_of(region) in darts
+        return home is None or home in darts
 
     report = {
         "level": i,

@@ -1,18 +1,23 @@
-"""Independent references for the derived levels, their empty self loops
-and enclosure.
+"""Independent references for the derived levels, their empty self loops,
+enclosure, shared boundaries and composition.
 
 EagerMap applies kernels one edge or joint at a time on explicit permutation
 dicts, with none of the package's derivation machinery. sorted_sweep_loops
 grows the empty self loops by repeated sorted sweeps. flood_fill_contains_oracle
-decides enclosure on the pixels. All are kept deliberately simple.
+and enclosed_regions decide enclosure on the pixels, and BoundaryOracle finds
+shared boundary pieces on them. composed_of_scan assigns every vertex of the
+level below to its parent by a scan of the whole level. All are kept
+deliberately simple.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from combipyramid.map_core import CombinatorialMap, dart_sort_key
+from combipyramid.map_core import CombinatorialMap, Dart, dart_sort_key
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
+
+Crack = tuple[tuple[int, int], tuple[int, int]]
 
 
 class EagerMap:
@@ -156,3 +161,123 @@ def flood_fill_contains_oracle(labels, a: int, b: int) -> bool:
                     seen[ny, nx] = True
                     stack.append((ny, nx))
     return True
+
+
+def enclosed_regions(labels: np.ndarray, a: int) -> frozenset[int]:
+    """Labels of all regions inside region a.
+
+    Region b is inside a when flooding from b over the complement of a never
+    reaches the image border. Regions are 4-connected, so the complement
+    floods with 8-connectivity: a pocket touching other boundaries only at a
+    corner point is not sealed. Every pixel outside a's bounding box reaches
+    the border in a straight line, so the flood runs from the ring around
+    that box and stays inside it; whatever it leaves unreached is enclosed.
+    """
+    ys, xs = np.nonzero(labels == a)
+    if len(ys) == 0:
+        return frozenset()
+    h, w = labels.shape
+    y0, y1 = max(int(ys.min()) - 1, 0), min(int(ys.max()) + 1, h - 1)
+    x0, x1 = max(int(xs.min()) - 1, 0), min(int(xs.max()) + 1, w - 1)
+    win = labels[y0 : y1 + 1, x0 : x1 + 1]
+    wh, ww = win.shape
+    blocked = win == a
+    seen = blocked.copy()
+    stack = []
+    for y in range(wh):
+        for x in range(ww):
+            if (y in (0, wh - 1) or x in (0, ww - 1)) and not seen[y, x]:
+                seen[y, x] = True
+                stack.append((y, x))
+    while stack:
+        y, x = stack.pop()
+        for ny in range(max(y - 1, 0), min(y + 2, wh)):
+            for nx in range(max(x - 1, 0), min(x + 2, ww)):
+                if not seen[ny, nx]:
+                    seen[ny, nx] = True
+                    stack.append((ny, nx))
+    return frozenset(int(v) for v in np.unique(win[~seen]))
+
+
+def label_cracks(labels: np.ndarray, outside: int) -> dict[Crack, tuple[int, int]]:
+    """Every crack between two different regions, image border included,
+    mapped to the sorted label pair it separates. A crack is its two end
+    corners (x, y), smaller first."""
+    h, w = labels.shape
+    p = np.full((h + 2, w + 2), outside, dtype=np.int64)
+    p[1:-1, 1:-1] = labels
+    out: dict[Crack, tuple[int, int]] = {}
+    # horizontal crack from (x, y) to (x + 1, y): pixel rows y - 1 and y
+    for y, x in zip(*np.nonzero(p[:-1, 1:-1] != p[1:, 1:-1])):
+        u, v = int(p[y, x + 1]), int(p[y + 1, x + 1])
+        out[((int(x), int(y)), (int(x) + 1, int(y)))] = (min(u, v), max(u, v))
+    # vertical crack from (x, y) to (x, y + 1): pixel columns x - 1 and x
+    for y, x in zip(*np.nonzero(p[1:-1, :-1] != p[1:-1, 1:])):
+        u, v = int(p[y + 1, x]), int(p[y + 1, x + 1])
+        out[((int(x), int(y)), (int(x), int(y) + 1))] = (min(u, v), max(u, v))
+    return out
+
+
+class BoundaryOracle:
+    """Adjacency and shared-boundary pieces of one label raster."""
+
+    def __init__(self, labels: np.ndarray, outside: int):
+        self.cracks = label_cracks(labels, outside)
+        self.degree: dict[tuple[int, int], int] = {}
+        self.by_pair: dict[tuple[int, int], list[Crack]] = {}
+        for crack, pair in self.cracks.items():
+            for p in crack:
+                self.degree[p] = self.degree.get(p, 0) + 1
+            self.by_pair.setdefault(pair, []).append(crack)
+
+    def adjacent_pairs(self) -> set[tuple[int, int]]:
+        return set(self.by_pair)
+
+    def shared(self, a: int, b: int) -> tuple[frozenset[Crack], int]:
+        """The a|b cracks and the number of connected boundary pieces they
+        form. Two a|b cracks continue each other only through a corner where
+        exactly two boundary cracks meet; other corners are junctions."""
+        ab = self.by_pair.get((min(a, b), max(a, b)), [])
+        parent = {c: c for c in ab}
+
+        def find(c):
+            while parent[c] != c:
+                parent[c] = parent[parent[c]]
+                c = parent[c]
+            return c
+
+        by_point: dict[tuple[int, int], list[Crack]] = {}
+        for c in ab:
+            for p in c:
+                by_point.setdefault(p, []).append(c)
+        for p, incident in by_point.items():
+            if self.degree[p] == 2 and len(incident) == 2:
+                ra, rb = find(incident[0]), find(incident[1])
+                if ra != rb:
+                    parent[ra] = rb
+        return frozenset(ab), len({find(c) for c in ab})
+
+
+def composed_of_scan(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
+    """Level-(i-1) vertices merged into vertex v, by a scan of every
+    level-(i-1) vertex.
+
+    A vertex belongs to the level-i vertex of its first dart alive at level
+    i; when a contraction took all its darts, stepping by phi_{i-1} past the
+    contracted darts reaches a survivor of the vertex it merged into.
+    """
+    cur, prev = pyr.reconstruct_level(i), pyr.reconstruct_level(i - 1)
+    home = set(cur.orbit(v, "sigma"))
+    out = []
+    for cyc in prev.vertices():
+        d = next((d for d in cyc if d in cur.darts), None)
+        if d is None:
+            d, steps = cyc[0], 0
+            while d not in cur.darts:
+                d = prev.phi(d)
+                steps += 1
+                if steps > len(pyr.base):
+                    raise RuntimeError("replay from a contracted dart does not terminate")
+        if d in home:
+            out.append(cyc[0])
+    return frozenset(out)

@@ -163,7 +163,16 @@ def test_meets_each_with_an_unknown_dart_names_it(tmp_path, sign_ppm, capsys):
     _, text = run(capsys, "query", "--pyr", pyr_path, "--report")
     region = json.loads(text)["regions"][0]
     err = query_error(capsys, pyr_path, "--meets-each", 99999, region)
-    assert "dart 99999 is not in the base map" in err
+    assert err == "error: dart 99999 is not in the base map\n"
+
+
+def test_report_with_an_unknown_region_names_it(tmp_path, sign_ppm, capsys):
+    pyr_path = built(tmp_path, sign_ppm, capsys)
+    err = query_error(capsys, pyr_path, "--report", "--region", 99999)
+    assert err == "error: dart 99999 is not in the base map\n"
+    dead = json.loads(pyr_path.read_text())["kernels"][0][0]
+    err = query_error(capsys, pyr_path, "--level", 1, "--report", "--region", dead)
+    assert err == f"error: dart {dead} does not survive at level 1\n"
 
 
 def test_contains_with_an_unknown_dart_names_it(tmp_path, sign_ppm, capsys):

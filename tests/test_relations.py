@@ -2,6 +2,8 @@ import json
 import random
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combipyramid.relations import (
     infinite_region,
@@ -12,15 +14,20 @@ from combipyramid.relations import (
     region_ids,
     relation_report,
 )
+from combipyramid.map_core import CombinatorialMap
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
 from combipyramid.segmentation import segment_labels
 
 from conftest import (
     arrow_sign_raster,
+    clean_levels,
+    connected_components,
     flag_sign_raster,
     random_labels,
+    random_pyramid,
     shared_boundary_components,
 )
+from eager_oracle import BoundaryOracle, composed_of_scan, enclosed_regions
 
 
 def label_vertex(seg, labels, value):
@@ -195,3 +202,88 @@ def test_region_ids_are_stable():
     seg = segment_labels(arr)
     pyr, top = seg.pyramid, seg.pyramid.top_level
     assert region_ids(pyr, top) == region_ids(pyr, top)
+
+
+@st.composite
+def label_rasters(draw):
+    """Small partitions painted as overlapping rectangles, some with a core
+    of another label, so regions nest, wrap around each other and touch the
+    border."""
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    arr = np.zeros((h, w), dtype=np.int64)
+    for _ in range(draw(st.integers(0, 6))):
+        ring = w >= 3 and h >= 3 and draw(st.booleans())
+        x0, y0 = draw(st.integers(0, w - 1 - 2 * ring)), draw(st.integers(0, h - 1 - 2 * ring))
+        x1, y1 = draw(st.integers(x0 + 2 * ring, w - 1)), draw(st.integers(y0 + 2 * ring, h - 1))
+        arr[y0 : y1 + 1, x0 : x1 + 1] = draw(st.integers(0, 3))
+        if ring:
+            arr[y0 + 1 : y1, x0 + 1 : x1] = draw(st.integers(0, 3))
+    return connected_components(arr)
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_rasters())
+def test_relation_report_matches_pixel_oracles(labels):
+    pyr = segment_labels(labels).pyramid
+    levels = []  # per level: the region of every pixel, and the outside region
+    for i in range(pyr.top_level + 1):
+        raster = np.array(pyr.pixel_labels(i), dtype=np.int64)
+        (outside,) = set(region_ids(pyr, i)) - {int(v) for v in np.unique(raster)}
+        levels.append((raster, outside))
+    for i in clean_levels(pyr):
+        raster, outside = levels[i]
+        inner = {int(v) for v in np.unique(raster)}
+        report = relation_report(pyr, i)
+        assert report["warnings"] == []
+        assert sorted(report["regions"]) == sorted(inner | {outside})
+        assert report["infinite_region"] == outside
+        boundary = BoundaryOracle(raster, outside)
+        meets = {frozenset((e["a"], e["b"])): e["segments"] for e in report["meets"]}
+        assert meets == {frozenset(p): boundary.shared(*p)[1] for p in boundary.adjacent_pairs()}
+        pairs = {(a, b) for a in inner for b in enclosed_regions(raster, a)}
+        assert {tuple(p) for p in report["contains"]} == pairs
+        assert {tuple(p) for p in report["inside"]} == {(b, a) for a, b in pairs}
+        if i == 0:
+            assert report["composed_of"] == []
+            continue
+        below, below_outside = levels[i - 1]
+        composed = {r: set() for r in report["regions"]}
+        composed[outside].add(below_outside)
+        for u, v in zip(below.ravel().tolist(), raster.ravel().tolist()):
+            composed[v].add(u)
+        assert {e["parent"]: set(e["children"]) for e in report["composed_of"]} == composed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_report_agrees_with_single_queries(seed):
+    pyr = random_pyramid(random.Random(seed), max_side=6)
+    for i in range(pyr.top_level + 1):
+        report = relation_report(pyr, i)
+        for e in report["meets"]:
+            assert e["segments"] == len(meets_each(pyr, i, e["a"], e["b"]))
+        if i == 0:
+            continue
+        composed = {e["parent"]: frozenset(e["children"]) for e in report["composed_of"]}
+        for r in region_ids(pyr, i):
+            assert pyr.composed_of(i, r) == composed_of_scan(pyr, i, r) == composed[r]
+
+
+def test_report_rebuilds_no_level_per_pair(monkeypatch):
+    calls = []
+    cycles = CombinatorialMap.cycles
+
+    def counted(self, kind):
+        calls.append(kind)
+        return cycles(self, kind)
+
+    monkeypatch.setattr(CombinatorialMap, "cycles", counted)
+    counts = []
+    for side in (8, 24):
+        labels = random_labels(random.Random(side), side, side, blobs=side // 2)
+        pyr = segment_labels(labels).pyramid
+        calls.clear()
+        report = relation_report(pyr, pyr.top_level)
+        assert report["meets"] and report["composed_of"]
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
