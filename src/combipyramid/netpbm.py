@@ -28,21 +28,7 @@ def load_image(path: str) -> np.ndarray:
         raise NetpbmError(f"unsupported magic number {magic!r}", 0)
     channels = 3 if magic in ("P3", "P6") else 1
 
-    pos = 2
-    fields: list[int] = []
-    while len(fields) < 3:
-        pos = _skip_separators(data, pos)
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
-        if not token:
-            raise NetpbmError("truncated header", start)
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise NetpbmError(f"bad header token {token!r}", start) from None
-    width, height, maxval = fields
+    (width, height, maxval), pos = _read_ints(data, 2, 3)
     if width < 1 or height < 1:
         raise NetpbmError(f"bad dimensions {width}x{height}", 2)
     if not 0 < maxval < 65536:
@@ -50,23 +36,7 @@ def load_image(path: str) -> np.ndarray:
 
     count = width * height * channels
     if magic in ("P2", "P3"):
-        values = []
-        while len(values) < count:
-            pos = _skip_separators(data, pos)
-            start = pos
-            while pos < len(data) and not data[pos : pos + 1].isspace():
-                pos += 1
-            token = data[start:pos]
-            if not token:
-                raise NetpbmError(f"truncated payload, {len(values)}/{count} samples", start)
-            try:
-                value = int(token)
-            except ValueError:
-                raise NetpbmError(f"bad sample {token!r}", start) from None
-            if not 0 <= value <= maxval:
-                raise NetpbmError(f"sample {value} exceeds the range 0..{maxval}", start)
-            values.append(value)
-        arr = np.array(values, dtype=np.uint32)
+        arr = np.array(_read_ints(data, pos, count, maxval)[0], dtype=np.uint32)
     else:
         if pos >= len(data) or not data[pos : pos + 1].isspace():
             raise NetpbmError("missing separator before binary payload", pos)
@@ -85,17 +55,37 @@ def load_image(path: str) -> np.ndarray:
     return arr.astype(np.uint8).reshape(height, width, channels)
 
 
-def _skip_separators(data: bytes, pos: int) -> int:
-    while pos < len(data):
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
+def _read_ints(data: bytes, pos: int, count: int, maxval: int | None = None) -> tuple[list[int], int]:
+    """count integers from pos on, separated by whitespace and # comments,
+    and the offset after the last one. Without maxval they are header
+    fields; with it they are samples, each within 0..maxval."""
+    values: list[int] = []
+    while len(values) < count:
+        while pos < len(data):
+            c = data[pos : pos + 1]
+            if c == b"#":
+                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
+                    pos += 1
+            elif c.isspace():
                 pos += 1
-        elif c.isspace():
+            else:
+                break
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        else:
-            break
-    return pos
+        token = data[start:pos]
+        if not token:
+            what = "header" if maxval is None else f"payload, {len(values)}/{count} samples"
+            raise NetpbmError(f"truncated {what}", start)
+        try:
+            value = int(token)
+        except ValueError:
+            what = "header token" if maxval is None else "sample"
+            raise NetpbmError(f"bad {what} {token!r}", start) from None
+        if maxval is not None and not 0 <= value <= maxval:
+            raise NetpbmError(f"sample {value} exceeds the range 0..{maxval}", start)
+        values.append(value)
+    return values, pos
 
 
 def save_pgm(path: str, gray: np.ndarray, maxval: int = 255) -> None:

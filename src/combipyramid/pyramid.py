@@ -13,9 +13,11 @@ Each level is derived from the level below when its kernel is applied, in
 one pass over the darts alive there: sigma_i(d) is the first survivor along
 sigma_{i-1} after d, stepping by phi_{i-1} past a contracted dart and by
 sigma_{i-1} past a removed one, and alpha_i(d) = alpha_{i-1}(d) except under
-RKEDE, where y <- alpha_{i-1}(phi_{i-1}(y)) steps past removed joints. The
-level maps and their empty self loops and redundant darts are stored as the
-levels are appended and never change afterwards, and every query reads them.
+RKEDE, where y <- alpha_{i-1}(phi_{i-1}(y)) steps past removed joints. Each
+level map and its redundant darts are stored once and never change. The top
+level's vertex partition, empty self loops and joints are computed once as it
+is appended; kernel checks and merge rounds read them. Queries read the stored
+maps; with no per-level index cached yet, each builds its own vertex map.
 
 Replay from the base serves receptive fields, boundary segments,
 vertex_of_pixel and pixel_labels. Walking from a surviving dart d with
@@ -91,14 +93,10 @@ class Pyramid:
         self._killed: dict[Dart, int] = {}
         # orientation cache: per level, the darts whose turn count changed
         self._or_updates: list[dict[Dart, int]] = []
-        # per level: the map and its redundant darts; for the top level also
-        # its empty self loops and double-edge joints, which the next kernel
-        # is computed from and checked against
+        # per level: the map and its redundant darts
         self._levels: list[CombinatorialMap] = []
         self._redundant: list[frozenset[Dart]] = []
-        self._top_loops: frozenset[Dart] = frozenset()
-        self._top_joints: frozenset[Dart] = frozenset()
-        self._append_level(base)
+        self._append_level(base, embedding._dart_order())
 
     @classmethod
     def from_grid(cls, width: int, height: int) -> "Pyramid":
@@ -252,11 +250,18 @@ class Pyramid:
         for d in kernel.darts:
             self._killed[d] = new_level
         self._or_updates.append(updates)
-        self._append_level(reduced)
+        self._append_level(reduced, [d for d in self._top_order if d not in kernel.darts])
         return self
 
-    def _append_level(self, m: CombinatorialMap) -> None:
-        self._top_loops = _empty_self_loops(m)
+    def _append_level(self, m: CombinatorialMap, order: list[Dart]) -> None:
+        """Store m as the new top, order being its darts in dart_sort_key
+        order. For the top only, also keep that order, the vertex partition
+        (dart -> canonical vertex dart, the first met in that order), the
+        empty self loops and the double-edge joints: kernel construction,
+        kernel checks and merge rounds read them."""
+        self._top_order = order
+        self._top_vertex = _cycle_ids(m.sigma, order)
+        self._top_loops = _empty_self_loops(m, self._top_vertex)
         self._top_joints = _joint_darts(m, self.embedding)
         self._levels.append(m)
         self._redundant.append(self._top_loops | self._top_joints)
@@ -267,17 +272,11 @@ class Pyramid:
         for d in darts:
             if top.alpha(d) not in darts:
                 raise KernelError(f"contraction kernel is not closed under alpha at dart {d}")
-        ordered = sorted(darts, key=dart_sort_key)
-        vertex_of: dict[Dart, Dart] = {}
-        for d in ordered:
-            if d not in vertex_of:
-                for c in top.orbit(d, "sigma"):
-                    vertex_of[c] = d
         parent: dict[Dart, Dart] = {}
-        for d in ordered:
+        for d in sorted(darts, key=dart_sort_key):
             if dart_sort_key(top.alpha(d)) < dart_sort_key(d):
                 continue
-            a, b = vertex_of[d], vertex_of[top.alpha(d)]
+            a, b = self._top_vertex[d], self._top_vertex[top.alpha(d)]
             if a == b:
                 raise KernelError(f"contraction kernel contains the self-loop edge of dart {d}")
             ra, rb = _find_root(parent, a), _find_root(parent, b)
@@ -298,27 +297,23 @@ class Pyramid:
         if self._top_loops:
             raise KernelError("empty self loops present; remove them before double edges")
         for d in sorted(darts, key=dart_sort_key):
-            cyc = top.orbit(d, "phi")
-            if len(cyc) != 2:
-                raise KernelError(f"dart {d} is not at a degree-2 dual vertex")
-            other = cyc[1]
-            if other == top.alpha(d):
-                raise KernelError(f"dart {d} bounds a single-edge boundary, not a double edge")
-            if other not in darts:
+            if d not in self._top_joints:
+                raise KernelError(f"dart {d} is not a double-edge joint at a degree-2 dual vertex")
+            if top.phi(d) not in darts:
                 raise KernelError(f"joint of dart {d} is only half removed")
-            if self.embedding.start(d) != self.embedding.start(other):
-                raise KernelError(f"joint at dart {d} does not meet at one grid corner")
         self._check_keeps_vertices(top, darts)
 
     def _check_keeps_vertices(self, top: CombinatorialMap, darts: frozenset[Dart]) -> None:
+        # one walk per touched vertex, over its kernel darts up to a survivor
         seen: set[Dart] = set()
         for d in sorted(darts, key=dart_sort_key):
-            if d in seen:
-                continue
-            cyc = top.orbit(d, "sigma")
-            seen.update(cyc)
-            if all(c in darts for c in cyc):
-                raise KernelError(f"kernel consumes every dart of the vertex of {d}")
+            if self._top_vertex[d] not in seen:
+                seen.add(self._top_vertex[d])
+                c = top.sigma(d)
+                while c in darts and c != d:
+                    c = top.sigma(c)
+                if c == d:
+                    raise KernelError(f"kernel consumes every dart of the vertex of {d}")
 
     def _fold_orientations(self, top: CombinatorialMap, darts: frozenset[Dart]) -> dict[Dart, int]:
         """New turn counts for survivors whose boundary piece grows.
@@ -474,7 +469,7 @@ class Pyramid:
 
     def to_json(self) -> str:
         """Flat record of the implicit encoding; loading replays the kernels."""
-        base_sigma = [self.base.sigma(d) for d in sorted(self.base.darts, key=dart_sort_key)]
+        base_sigma = [self.base.sigma(d) for d in self.embedding._dart_order()]
         payload = {
             "format": "combipyramid-pyramid",
             "version": 1,
@@ -490,7 +485,10 @@ class Pyramid:
     def from_json(cls, text: str) -> "Pyramid":
         """Load a record written by to_json. Every kernel is checked again as
         it is applied; malformed input raises ValueError."""
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except RecursionError:
+            raise ValueError("pyramid JSON is nested too deeply") from None
         if not isinstance(payload, dict) or payload.get("format") != "combipyramid-pyramid":
             raise ValueError("not a serialized pyramid")
         width, height = _positive_int(payload, "width"), _positive_int(payload, "height")
@@ -501,7 +499,7 @@ class Pyramid:
         if len(states) != len(kernels):
             raise ValueError(f"{len(states)} kernel states for {len(kernels)} kernels")
         pyr = cls.from_grid(width, height)
-        actual = [pyr.base.sigma(d) for d in sorted(pyr.base.darts, key=dart_sort_key)]
+        actual = [pyr.base.sigma(d) for d in pyr.embedding._dart_order()]
         if stored != actual:
             raise ValueError("stored base permutation does not match the grid layout")
         for k, (state, darts) in enumerate(zip(states, kernels), start=1):
@@ -569,10 +567,11 @@ def _reduce(m: CombinatorialMap, kernel: Kernel) -> CombinatorialMap:
     return CombinatorialMap(new_sigma.keys(), new_sigma, new_alpha)
 
 
-def _cycle_ids(m: CombinatorialMap, step) -> dict[Dart, Dart]:
-    """Each dart of m mapped to the first dart met on its cycle under step."""
+def _cycle_ids(step, darts: Iterable[Dart]) -> dict[Dart, Dart]:
+    """Each dart mapped to the first dart met on its cycle under step, the
+    darts taken in the given order."""
     ids: dict[Dart, Dart] = {}
-    for d in m.darts:
+    for d in darts:
         if d in ids:
             continue
         ids[d] = d
@@ -583,19 +582,19 @@ def _cycle_ids(m: CombinatorialMap, step) -> dict[Dart, Dart]:
     return ids
 
 
-def _empty_self_loops(m: CombinatorialMap) -> frozenset[Dart]:
+def _empty_self_loops(m: CombinatorialMap, vertex: dict[Dart, Dart]) -> frozenset[Dart]:
     """Darts of self loops enclosing nothing: the least set closed under
     marking a loop, with its partner, once the rest of its face is marked.
+    vertex is m's vertex partition.
 
     One worklist pass over faces. Each face keeps the count and the sum of
     its unmarked darts, so a face down to one unmarked dart names that dart.
     Marking a loop dart and its partner can only bring the partner's face
     down to one, so only that face is examined again.
     """
-    vertex = _cycle_ids(m, m.sigma)
     if all(vertex[d] != vertex[m.alpha(d)] for d in m.darts):
         return frozenset()
-    face = _cycle_ids(m, m.phi)
+    face = _cycle_ids(m.phi, m.darts)
     count: dict[Dart, int] = {}
     total: dict[Dart, int] = {}
     for d, f in face.items():

@@ -155,18 +155,23 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
 
     Enclosure entries are dropped with a warning while the level still has
     redundant edges; everything else is always reported. The optional region
-    filter keeps only pairs involving that region. One vertex map of the
-    level serves every pair, so the report costs one pass over the level
-    plus the enclosure walks.
+    filter keeps, and computes, only pairs involving that region, but the
+    enclosure walks still start from every region, the only way to find the
+    region's enclosers. One vertex map of the level serves every pair, so
+    the report costs one pass over the level plus the enclosure walks.
     """
     m = pyr.reconstruct_level(i)
     home = None
     if region is not None:
         pyr._require_alive(i, region)
         home = m.vertex_of(region)
+
+    def keep(*darts: Dart) -> bool:
+        return home is None or home in darts
+
     regions = region_ids(pyr, i)
     outside = infinite_region(pyr, i)
-    _, rag_edges = rag_export(pyr, i)
+    rag_edges = [e for e in rag_export(pyr, i)[1] if keep(*e)]
     warnings: list[str] = []
 
     rep = m.vertex_ids()
@@ -182,26 +187,21 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
         warnings.append("redundant edges present: enclosure entries omitted")
     else:
         for r in regions:
-            for inner in sorted(inside_all(pyr, i, r), key=dart_sort_key):
-                contains_pairs.append((r, inner))
+            inner = sorted(inside_all(pyr, i, r), key=dart_sort_key)
+            contains_pairs += [(r, b) for b in inner if keep(r, b)]
 
-    composed = []
-    if i >= 1:
-        for r in regions:
-            children = sorted(pyr.composed_of(i, r), key=dart_sort_key)
-            composed.append({"parent": r, "children": children})
+    composed = [
+        {"parent": r, "children": sorted(pyr.composed_of(i, r), key=dart_sort_key)}
+        for r in regions if i >= 1 and keep(r)
+    ]
 
-    def keep(*darts: Dart) -> bool:
-        return home is None or home in darts
-
-    report = {
+    return {
         "level": i,
         "regions": regions,
         "infinite_region": outside,
-        "meets": [e for e in meets if keep(e["a"], e["b"])],
-        "contains": [[a, b] for a, b in contains_pairs if keep(a, b)],
-        "inside": [[b, a] for a, b in contains_pairs if keep(a, b)],
-        "composed_of": [e for e in composed if keep(e["parent"])],
+        "meets": meets,
+        "contains": [[a, b] for a, b in contains_pairs],
+        "inside": [[b, a] for a, b in contains_pairs],
+        "composed_of": composed,
         "warnings": warnings,
     }
-    return report

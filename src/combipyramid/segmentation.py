@@ -87,7 +87,7 @@ class SegmentedImage:
         Returns the kernels applied; an empty list means nothing merged.
         """
         top = self.pyramid.top_map()
-        rep = top.vertex_ids()
+        rep = self.pyramid._top_vertex
         stats = self.stats
         candidates = []
         for d in top.darts:
@@ -126,10 +126,9 @@ class SegmentedImage:
         # the contraction merged exactly the union-find classes and the
         # removals keep every vertex, so each new vertex is one class
         self.stats = {}
-        for cyc in self.pyramid.top_map().vertices():
-            root = _find_root(parent, rep[cyc[0]])
-            if root in stats:
-                self.stats[cyc[0]] = stats[root]
+        for v in self.pyramid._top_order:
+            if self.pyramid._top_vertex[v] == v and (root := _find_root(parent, rep[v])) in stats:
+                self.stats[v] = stats[root]
         return applied
 
     def run(self, threshold: float, max_levels: int | None = None) -> "SegmentedImage":

@@ -236,6 +236,16 @@ def test_base_sigma_length_is_checked_before_the_grid_is_built(tmp_path, capsys)
     assert_clean_error(capsys, tmp_path, data, "base_sigma has 14 entries, a 300x300 grid has 361200 darts")
 
 
+@pytest.mark.parametrize("command", [["validate"], ["query", "--report"], ["export", "--labels", "x.pgm"]])
+def test_deeply_nested_json_is_rejected(tmp_path, capsys, command):
+    path = tmp_path / "nested.pyr"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code = main([command[0], "--pyr", str(path), *command[1:]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: pyramid JSON is nested too deeply\n"
+
+
 def test_validate_rejects_a_contraction_of_the_whole_map(tmp_path, capsys):
     # the last edge of a cleaned 1x1 grid, contracted, would leave no darts
     pyr = Pyramid.from_grid(1, 1)

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -141,11 +142,64 @@ def test_rkesl_rejects_non_loops():
 
 
 def test_rkede_rejects_half_joints_and_degree():
+    # each rejection leaves the pyramid as it was; a joint whose darts start
+    # at two grid corners is not built: faces that span corners only occur
+    # while empty self loops remain, and those reject a double-edge kernel
     pyr = Pyramid.from_grid(2, 2)
-    with pytest.raises(KernelError, match="half removed"):
-        pyr.apply_kernel(Kernel.of(KernelState.RKEDE, [8]))  # joint partner -3 missing
-    with pytest.raises(KernelError, match="degree-2"):
-        pyr.apply_kernel(Kernel.of(KernelState.RKEDE, [9, -9]))  # interior corner, degree 4
+    before = pyr.to_json()
+    for darts, match in [
+        ([8], "half removed"),  # joint partner -3 missing
+        ([9, -9], "degree-2"),  # interior corner, degree 4
+        ([8, -3, 9, -9], "degree-2"),  # a whole joint with a non-joint
+    ]:
+        with pytest.raises(KernelError, match=match):
+            pyr.apply_kernel(Kernel.of(KernelState.RKEDE, darts))
+        assert pyr.to_json() == before
+    pyr = Pyramid.from_grid(1, 1)
+    pyr.apply_kernel(pyr.compute_rkede())
+    before = pyr.to_json()
+    with pytest.raises(KernelError, match="degree-2"):  # one edge left: a single-edge boundary
+        pyr.apply_kernel(Kernel.of(KernelState.RKEDE, [1, -4]))
+    assert pyr.to_json() == before
+
+
+@pytest.mark.parametrize("contract", [False, True])
+def test_removal_kernel_that_consumes_a_vertex_is_rejected(contract):
+    # 1x1 grid: all eight darts are corner joints; with the pixel contracted
+    # into the outside, the three edges left are empty self loops
+    pyr = Pyramid.from_grid(1, 1)
+    if contract:
+        pyr.apply_kernel(Kernel.of(KernelState.CK, [1, -1]))
+    darts = pyr.top_map().darts
+    assert pyr.redundant_darts(pyr.top_level) == darts
+    kernel = Kernel.of(KernelState.RKESL if contract else KernelState.RKEDE, darts)
+    before = pyr.to_json()
+    with pytest.raises(KernelError, match="every dart of the vertex"):
+        pyr.apply_kernel(kernel)
+    assert pyr.to_json() == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_stored_top_partition_is_the_vertex_map(seed):
+    # checked after every kernel a random build or its reload applies
+    apply = Pyramid.apply_kernel
+    applied = []
+
+    def checked(pyr, kernel):
+        apply(pyr, kernel)
+        top = pyr.top_map()
+        assert pyr._top_vertex == top.vertex_ids()
+        assert pyr._top_order == sorted(top.darts, key=dart_sort_key)
+        applied.append(kernel)
+        return pyr
+
+    with mock.patch.object(Pyramid, "apply_kernel", checked):
+        pyr = random_pyramid(random.Random(seed), max_side=6)
+        Pyramid.from_json(pyr.to_json())
+    assert len(applied) == 2 * pyr.top_level
+    base = Pyramid.from_grid(pyr.embedding.width, pyr.embedding.height)
+    assert base._top_vertex == base.top_map().vertex_ids()
 
 
 # -- removal kernels -------------------------------------------------------------
@@ -174,7 +228,7 @@ def test_rkesl_expansion_collects_nested_loops():
     alpha = {d: -d for d in sigma}
     m = CombinatorialMap(sigma.keys(), sigma, alpha)
     assert validate(m).ok
-    assert _empty_self_loops(m) == {t, -t, u, -u}
+    assert _empty_self_loops(m, m.vertex_ids()) == {t, -t, u, -u}
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,7 +238,7 @@ def test_worklist_loops_equal_sorted_sweep(seed):
     for i in range(pyr.top_level + 1):
         m = pyr.reconstruct_level(i)
         loops = sorted_sweep_loops(m)
-        assert _empty_self_loops(m) == loops
+        assert _empty_self_loops(m, m.vertex_ids()) == loops
         joints = {
             d
             for x, y in (c for c in m.faces() if len(c) == 2)

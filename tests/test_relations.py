@@ -179,6 +179,24 @@ def test_relation_report_level_zero_and_filter():
     assert len(only["meets"]) <= len(full["meets"])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_filtered_report_is_the_whole_report_restricted(seed):
+    pyr = random_pyramid(random.Random(seed), max_side=6, always_clean=True)
+    for i in clean_levels(pyr):
+        whole = relation_report(pyr, i)
+        m = pyr.reconstruct_level(i)
+        for r in whole["regions"]:
+            only = relation_report(pyr, i, region=m.sigma(r))  # any dart names its region
+            assert only == dict(
+                whole,
+                meets=[e for e in whole["meets"] if r in (e["a"], e["b"])],
+                contains=[p for p in whole["contains"] if r in p],
+                inside=[p for p in whole["inside"] if r in p],
+                composed_of=[e for e in whole["composed_of"] if e["parent"] == r],
+            )
+
+
 def test_relation_report_warns_on_dirty_level():
     pyr = Pyramid.from_grid(2, 2)
     pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))

@@ -2,9 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combipyramid.containment import inside_all
-from combipyramid.relations import infinite_region
+from combipyramid.relations import infinite_region, region_ids
 from combipyramid.segmentation import (
     RoadsignNotFound,
     SegmentedImage,
@@ -16,6 +18,26 @@ from conftest import arrow_sign_raster, flag_sign_raster, two_sign_raster
 
 WHITE = (255.0, 255.0, 255.0)
 BLUE = (0.0, 0.0, 200.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_stats_are_the_top_regions_after_every_round(seed):
+    # grey steps of 10 under threshold 10: means drift, so merges go on for rounds
+    rng = np.random.default_rng(seed)
+    height, width = rng.integers(1, 9, size=2)
+    image = rng.choice([0.0, 10.0, 20.0, 40.0], size=(height, width))
+    seg = SegmentedImage(image)
+    while seg.merge_level(10.0):
+        pyr = seg.pyramid
+        top = pyr.top_level
+        assert set(seg.stats) == set(region_ids(pyr, top)) - {infinite_region(pyr, top)}
+        labels = np.array(pyr.pixel_labels(top))
+        for v, s in seg.stats.items():
+            ys, xs = np.nonzero(labels == v)
+            assert s.pixel_count == len(xs)
+            assert s.color_sum[0] == image[ys, xs].sum()
+            assert s.bbox == (xs.min(), ys.min(), xs.max(), ys.max())
 
 
 def test_zero_threshold_on_distinct_colors_merges_nothing():

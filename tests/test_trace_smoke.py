@@ -1,0 +1,20 @@
+"""A short traced benchmark run as a test.
+
+`perfbench/run.py --trace 1` exits 3 when an entry point it wraps is gone or
+never called, and counts a failed operation when an answer disagrees with its
+pixel oracle, so a refactor that breaks either fails here.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_benchmark_run_succeeds():
+    argv = ["perfbench/run.py", "--workload", "noise-regions", "--seed", "1", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["failed"] == 0
