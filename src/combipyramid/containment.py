@@ -10,6 +10,14 @@ whose span is the +4 side is the loop's starting dart.
 The span's turn count comes for free from prefix counts kept on a stack, so
 one traversal of the cycle classifies every loop, and a second bounded sweep
 collects the enclosed neighbours.
+
+Enclosure is laminar, so each clean level has a forest in which a region's
+parent is its innermost encloser. It is derived from those local tests in one
+traversal of the level from the outside region, on the first enclosure query
+of the level, and stored on the Pyramid with one dict store; levels never
+change, so two racing builds give equal forests. contains is then an ancestor
+check, O(deg a + deg b + nesting depth), and inside_all a subtree walk,
+O(deg v + output).
 """
 
 from __future__ import annotations
@@ -145,29 +153,89 @@ def inside_direct(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None = 
 
 
 def inside_all(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
-    """All vertices enclosed by v: everything reachable from the directly
-    enclosed neighbours without stepping across v."""
+    """All vertices enclosed by v: its subtree in the level's enclosure
+    forest. Costs O(deg v + output) once the forest is built."""
     pyr._require_alive(i, v)
-    cur = pyr.reconstruct_level(i)
-    home = cur.vertex_of(v)
-    seeds = inside_direct(pyr, i, v)
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        u = stack.pop()
-        for d in cur.orbit(u, "sigma"):
-            w = cur.vertex_of(cur.alpha(d))
-            if w != home and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+    children = _enclosure_forest(pyr, i)[1]
+    out: list[Dart] = []
+    todo = list(children.get(pyr.reconstruct_level(i).vertex_of(v), ()))
+    while todo:
+        u = todo.pop()
+        out.append(u)
+        todo.extend(children.get(u, ()))
+    return frozenset(out)
 
 
 def contains(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
-    """True when region b lies inside region a at level i."""
-    pyr._require_alive(i, b)  # inside_all checks a
-    cur = pyr.reconstruct_level(i)
-    return cur.vertex_of(b) in inside_all(pyr, i, a)
+    """True when region b lies inside region a at level i: a is an ancestor
+    of b in the enclosure forest. Costs O(deg a + deg b + nesting depth)."""
+    pyr._require_alive(i, b)
+    pyr._require_alive(i, a)
+    return pyr.reconstruct_level(i).vertex_of(a) in _enclosers(pyr, i, b)
+
+
+def _enclosers(pyr: Pyramid, i: int, v: Dart) -> list[Dart]:
+    """The vertices enclosing v, innermost first."""
+    pyr._require_alive(i, v)
+    parent = _enclosure_forest(pyr, i)[0]
+    out: list[Dart] = []
+    u = parent.get(pyr.reconstruct_level(i).vertex_of(v))
+    while u is not None:
+        out.append(u)
+        u = parent.get(u)
+    return out
+
+
+_Forest = tuple[dict[Dart, Dart], dict[Dart, list[Dart]]]
+
+
+def _enclosure_forest(pyr: Pyramid, i: int) -> _Forest:
+    """The level's enclosure forest, built on first use and then read from
+    pyr._forests. Levels never change, so racing builds give equal forests
+    and the one dict store that publishes each is safe."""
+    forest = pyr._forests.get(i)
+    if forest is None:
+        forest = pyr._forests[i] = _build_forest(pyr, i)
+    return forest
+
+
+def _build_forest(pyr: Pyramid, i: int) -> _Forest:
+    """(parent, children) over the level's vertices, keyed by canonical
+    vertex dart: a vertex's parent is its innermost encloser, and vertices
+    enclosed by nothing have none.
+
+    One traversal from the outside vertex. A neighbour w first reached from
+    v is enclosed by everything enclosing v, and by v itself exactly when w
+    lies inside a loop of v, which inside_direct tells; so w's parent is v
+    or v's own parent. Costs O(|level|) plus one loop classification per
+    vertex with self loops.
+    """
+    require_clean_level(pyr, i)
+    m = pyr.reconstruct_level(i)
+    cycles = m.vertices()
+    rep = {d: cyc[0] for cyc in cycles for d in cyc}
+    cycle_of = {cyc[0]: cyc for cyc in cycles}
+    pixel_of = pyr.embedding.pixel_of
+    outside = rep[next(d for d in m.darts if pixel_of(d) is None)]
+    parent: dict[Dart, Dart] = {}
+    children: dict[Dart, list[Dart]] = {}
+    seen = {outside}
+    todo = [outside]
+    while todo:
+        v = todo.pop()
+        around = dict.fromkeys(rep[m.alpha(d)] for d in cycle_of[v])
+        inner = inside_direct(pyr, i, v) if v in around else frozenset()
+        up = parent.get(v)
+        for w in around:
+            if w in seen:
+                continue
+            seen.add(w)
+            todo.append(w)
+            p = v if w in inner else up
+            if p is not None:
+                parent[w] = p
+                children.setdefault(p, []).append(w)
+    return parent, children
 
 
 def _vertex_cycle(m: CombinatorialMap, v: Dart) -> list[Dart]:

@@ -17,7 +17,9 @@ RKEDE, where y <- alpha_{i-1}(phi_{i-1}(y)) steps past removed joints. Each
 level map and its redundant darts are stored once and never change. The top
 level's vertex partition, empty self loops and joints are computed once as it
 is appended; kernel checks and merge rounds read them. Queries read the stored
-maps; with no per-level index cached yet, each builds its own vertex map.
+maps. The one thing a query stores is a clean level's enclosure forest: the
+first enclosure query there builds it and publishes it with one dict store in
+`_forests`. Levels never change, so racing builds give equal forests.
 
 Replay from the base serves receptive fields, boundary segments,
 vertex_of_pixel and pixel_labels. Walking from a surviving dart d with
@@ -83,7 +85,8 @@ class Pyramid:
     """Base grid map plus the per-dart level and per-kernel state functions.
 
     Construction is single writer via apply_kernel, which also derives the
-    new level map and its per-level facts; queries only read them.
+    new level map and its per-level facts; queries read them and add only
+    the per-level enclosure forests, each built once and stored idempotently.
     """
 
     def __init__(self, base: CombinatorialMap, embedding: CrackEmbedding):
@@ -96,6 +99,9 @@ class Pyramid:
         # per level: the map and its redundant darts
         self._levels: list[CombinatorialMap] = []
         self._redundant: list[frozenset[Dart]] = []
+        # per clean level: its enclosure forest, built by the first
+        # enclosure query there (see containment)
+        self._forests: dict[int, tuple] = {}
         self._append_level(base, embedding._dart_order())
 
     @classmethod
@@ -244,13 +250,19 @@ class Pyramid:
         else:
             self._check_rkede(top, kernel.darts)
             updates = self._fold_orientations(top, kernel.darts)
+        order = [d for d in self._top_order if d not in kernel.darts]
+        # Nothing fails from here on: _reduce repairs only the chains that
+        # _fold_orientations walked. The old top's facts go before the
+        # reduced map is built, so a reload holds one vertex partition at a
+        # time.
+        self._top_order = self._top_vertex = self._top_loops = self._top_joints = None
         reduced = _reduce(top, kernel)
         new_level = len(self.kernels) + 1
         self.kernels.append(kernel)
         for d in kernel.darts:
             self._killed[d] = new_level
         self._or_updates.append(updates)
-        self._append_level(reduced, [d for d in self._top_order if d not in kernel.darts])
+        self._append_level(reduced, order)
         return self
 
     def _append_level(self, m: CombinatorialMap, order: list[Dart]) -> None:

@@ -9,7 +9,7 @@ the outside face.
 from __future__ import annotations
 
 from .boundary import CrackChain, Segment, segment
-from .containment import inside_all
+from .containment import _enclosers, inside_all
 from .map_core import CombinatorialMap, Dart, dart_sort_key
 from .pyramid import Pyramid
 
@@ -155,10 +155,10 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
 
     Enclosure entries are dropped with a warning while the level still has
     redundant edges; everything else is always reported. The optional region
-    filter keeps, and computes, only pairs involving that region, but the
-    enclosure walks still start from every region, the only way to find the
-    region's enclosers. One vertex map of the level serves every pair, so
-    the report costs one pass over the level plus the enclosure walks.
+    filter keeps, and computes, only pairs involving that region: its
+    enclosers and the regions it encloses, read off the level's enclosure
+    forest. One vertex map of the level serves every pair, so the report
+    costs one pass over the level plus the enclosure pairs it lists.
     """
     m = pyr.reconstruct_level(i)
     home = None
@@ -185,10 +185,13 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
     contains_pairs: list[tuple[Dart, Dart]] = []
     if pyr.redundant_darts(i):
         warnings.append("redundant edges present: enclosure entries omitted")
-    else:
+    elif home is None:
         for r in regions:
-            inner = sorted(inside_all(pyr, i, r), key=dart_sort_key)
-            contains_pairs += [(r, b) for b in inner if keep(r, b)]
+            contains_pairs += [(r, b) for b in sorted(inside_all(pyr, i, r), key=dart_sort_key)]
+    else:
+        contains_pairs = [(a, home) for a in _enclosers(pyr, i, home)]
+        contains_pairs += [(home, b) for b in inside_all(pyr, i, home)]
+        contains_pairs.sort(key=lambda p: (dart_sort_key(p[0]), dart_sort_key(p[1])))
 
     composed = [
         {"parent": r, "children": sorted(pyr.composed_of(i, r), key=dart_sort_key)}

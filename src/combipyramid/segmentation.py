@@ -92,8 +92,8 @@ class SegmentedImage:
         candidates = []
         for d in top.darts:
             a = top.alpha(d)
-            if dart_sort_key(a) < dart_sort_key(d):
-                continue  # each edge once, from its first dart
+            if abs(a) < abs(d) or a == -d > 0:
+                continue  # each edge once, from its first in dart_sort_key order
             u, v = rep[d], rep[a]
             if u == v or u not in stats or v not in stats:
                 continue

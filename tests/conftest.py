@@ -88,6 +88,27 @@ def random_labels(rng: random.Random, width: int, height: int, blobs: int | None
     return connected_components(arr)
 
 
+def ringed_labels(rng: random.Random, width: int, height: int, rings: int | None = None) -> np.ndarray:
+    """random_labels with one-pixel rectangular rings drawn over it, each in
+    a fresh label; a ring is often drawn inside the previous one's interior,
+    so that regions enclose others, often several deep."""
+    arr = random_labels(rng, width, height) + 1
+    box = (0, 0, width - 1, height - 1)
+    for lbl in range(-1, -(rings if rings is not None else rng.randint(1, 6)) - 1, -1):
+        bx0, by0, bx1, by1 = box
+        if bx1 - bx0 < 1 or by1 - by0 < 1:
+            bx0, by0, bx1, by1 = box = (0, 0, width - 1, height - 1)
+            if bx1 < 1 or by1 < 1:
+                break
+        x0, x1 = bx0 + rng.randint(0, (bx1 - bx0) // 3), bx1 - rng.randint(0, (bx1 - bx0) // 3)
+        y0, y1 = by0 + rng.randint(0, (by1 - by0) // 3), by1 - rng.randint(0, (by1 - by0) // 3)
+        arr[y0, x0 : x1 + 1] = arr[y1, x0 : x1 + 1] = lbl
+        arr[y0 : y1 + 1, x0] = arr[y0 : y1 + 1, x1] = lbl
+        nested = rng.random() < 0.6
+        box = (x0 + 1, y0 + 1, x1 - 1, y1 - 1) if nested else (0, 0, width - 1, height - 1)
+    return connected_components(arr)
+
+
 def connected_components(labels: np.ndarray) -> np.ndarray:
     """Relabel so every region is 4-connected, ids dense from 0."""
     h, w = labels.shape

@@ -3,7 +3,8 @@ enclosure, shared boundaries and composition.
 
 EagerMap applies kernels one edge or joint at a time on explicit permutation
 dicts, with none of the package's derivation machinery. sorted_sweep_loops
-grows the empty self loops by repeated sorted sweeps. flood_fill_contains_oracle
+grows the empty self loops by repeated sorted sweeps. inside_all_flood floods
+the map from a vertex's directly enclosed neighbours; flood_fill_contains_oracle
 and enclosed_regions decide enclosure on the pixels, and BoundaryOracle finds
 shared boundary pieces on them. composed_of_scan assigns every vertex of the
 level below to its parent by a scan of the whole level. All are kept
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from combipyramid.containment import inside_direct
 from combipyramid.map_core import CombinatorialMap, Dart, dart_sort_key
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
 
@@ -126,6 +128,25 @@ def sorted_sweep_loops(m: CombinatorialMap) -> set:
                     changed = True
                     break
     return marked
+
+
+def inside_all_flood(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
+    """All vertices enclosed by v: everything reachable from the directly
+    enclosed neighbours without stepping across v."""
+    pyr._require_alive(i, v)
+    cur = pyr.reconstruct_level(i)
+    home = cur.vertex_of(v)
+    seeds = inside_direct(pyr, i, v)
+    seen = set(seeds)
+    stack = list(seeds)
+    while stack:
+        u = stack.pop()
+        for d in cur.orbit(u, "sigma"):
+            w = cur.vertex_of(cur.alpha(d))
+            if w != home and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
 
 
 def flood_fill_contains_oracle(labels, a: int, b: int) -> bool:

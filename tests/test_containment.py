@@ -1,21 +1,27 @@
 import itertools
 import random
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combipyramid.containment import (
     VisitCounter,
+    _enclosure_forest,
     contains,
     inside_all,
     inside_direct,
     starting_darts,
 )
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
-from combipyramid.segmentation import segment_labels
+from combipyramid.segmentation import SegmentedImage, segment_labels
 
-from conftest import clean_levels, random_labels, random_pyramid
-from eager_oracle import flood_fill_contains_oracle
+from conftest import clean_levels, random_labels, random_pyramid, ringed_labels
+from eager_oracle import flood_fill_contains_oracle, inside_all_flood
 
 
 def ring_labels(size=3):
@@ -282,3 +288,86 @@ def test_work_bound_two_visits_per_cycle_dart():
             counter = VisitCounter()
             inside_direct(pyr, top, cyc[0], counter)
             assert counter.visits <= 2 * len(cyc)
+
+
+# -- the enclosure forest --------------------------------------------------------------
+
+
+def tiered_pyramid(labels: np.ndarray) -> Pyramid:
+    """A label partition painted in four grey tiers and merged at two
+    thresholds, which gives several clean levels."""
+    seg = SegmentedImage((labels * 7 % 4 * 60).astype(np.uint8))
+    for threshold in (0.0, 65.0):
+        while seg.merge_level(threshold):
+            pass
+    return seg.pyramid
+
+
+def random_enclosing_pyramid(rng: random.Random, source: str) -> Pyramid:
+    """A pyramid whose clean levels hold nested enclosures, from a ringed
+    label partition as one level or in tiers, or a random_pyramid."""
+    if source == "random":
+        return random_pyramid(rng, max_side=7)
+    labels = ringed_labels(rng, rng.randint(3, 14), rng.randint(3, 14))
+    return segment_labels(labels).pyramid if source == "labels" else tiered_pyramid(labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["labels", "tiers", "random"]))
+def test_forest_is_the_transitive_reduction_of_the_flood(seed, source):
+    pyr = random_enclosing_pyramid(random.Random(seed), source)
+    for i in clean_levels(pyr):
+        vertices = [cyc[0] for cyc in pyr.reconstruct_level(i).vertices()]
+        flood = {v: inside_all_flood(pyr, i, v) for v in vertices}
+        for v in vertices:
+            assert inside_all(pyr, i, v) == flood[v]
+        parent, children = _enclosure_forest(pyr, i)
+        assert set(parent) | set(children) <= set(vertices)
+        assert {(p, c) for p, cs in children.items() for c in cs} == {(p, c) for c, p in parent.items()}
+        for u in vertices:
+            # enclosure sets are laminar, so u's enclosers nest by size;
+            # the forest chain from u upwards must list them innermost first
+            outer = sorted((v for v in vertices if u in flood[v]), key=lambda v: len(flood[v]))
+            chain = []
+            p = parent.get(u)
+            while p is not None:
+                chain.append(p)
+                p = parent.get(p)
+            assert chain == outer
+
+
+def test_concurrent_queries_on_a_fresh_pyramid_match_sequential_ones():
+    text = tiered_pyramid(ringed_labels(random.Random(8), 24, 24, rings=8)).to_json()
+    seq = Pyramid.from_json(text)
+    levels = clean_levels(seq)
+    regions = {i: [cyc[0] for cyc in seq.reconstruct_level(i).vertices()] for i in levels}
+    assert sum(any(inside_all(seq, i, a) for a in regions[i]) for i in levels) >= 2
+
+    def answers(pyr, i):
+        return [(inside_all(pyr, i, a), [contains(pyr, i, a, b) for b in regions[i][:20]]) for a in regions[i]]
+
+    want = {i: answers(seq, i) for i in levels}
+    for _ in range(3):
+        shared = Pyramid.from_json(text)
+        start = threading.Barrier(4)
+        got: list = [None] * 4
+
+        def worker(k):
+            start.wait(timeout=60)
+            # staggered starts, so that later threads' first queries of a
+            # level tend to fall into the first thread's build of it
+            time.sleep(0.0005 * k)
+            got[k] = {i: answers(shared, i) for i in levels}
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the forest builds too
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 4

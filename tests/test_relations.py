@@ -25,6 +25,7 @@ from conftest import (
     flag_sign_raster,
     random_labels,
     random_pyramid,
+    ringed_labels,
     shared_boundary_components,
 )
 from eager_oracle import BoundaryOracle, composed_of_scan, enclosed_regions
@@ -179,10 +180,7 @@ def test_relation_report_level_zero_and_filter():
     assert len(only["meets"]) <= len(full["meets"])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_filtered_report_is_the_whole_report_restricted(seed):
-    pyr = random_pyramid(random.Random(seed), max_side=6, always_clean=True)
+def assert_filtered_reports_restrict_the_whole(pyr):
     for i in clean_levels(pyr):
         whole = relation_report(pyr, i)
         m = pyr.reconstruct_level(i)
@@ -195,6 +193,21 @@ def test_filtered_report_is_the_whole_report_restricted(seed):
                 inside=[p for p in whole["inside"] if r in p],
                 composed_of=[e for e in whole["composed_of"] if e["parent"] == r],
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_filtered_report_is_the_whole_report_restricted(seed):
+    assert_filtered_reports_restrict_the_whole(random_pyramid(random.Random(seed), max_side=6, always_clean=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_filtered_report_is_the_whole_report_restricted_on_random_partitions(seed):
+    # rings drawn over the partition give enclosers several deep
+    rng = random.Random(seed)
+    labels = ringed_labels(rng, rng.randint(3, 12), rng.randint(3, 12))
+    assert_filtered_reports_restrict_the_whole(segment_labels(labels).pyramid)
 
 
 def test_relation_report_warns_on_dirty_level():

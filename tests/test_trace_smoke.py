@@ -1,8 +1,9 @@
-"""A short traced benchmark run as a test.
+"""A short traced benchmark run per workload as a test.
 
 `perfbench/run.py --trace 1` exits 3 when an entry point it wraps is gone or
 never called, and counts a failed operation when an answer disagrees with its
-pixel oracle, so a refactor that breaks either fails here.
+pixel oracle, so a refactor that breaks either fails here. gradient-levels
+queries three clean levels, so a fault in per-level state shows there.
 """
 
 import json
@@ -10,11 +11,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_benchmark_run_succeeds():
-    argv = ["perfbench/run.py", "--workload", "noise-regions", "--seed", "1", "--seconds", "1", "--trace", "1"]
+@pytest.mark.parametrize("workload", ["noise-regions", "gradient-levels", "sign-mosaic"])
+def test_traced_benchmark_run_succeeds(workload):
+    argv = ["perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"]
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["failed"] == 0
