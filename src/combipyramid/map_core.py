@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .moves import Move
 
 __all__ = [
@@ -159,6 +161,23 @@ class CrackEmbedding:
         x, y = k % self.width, k // self.width
         return (x + 1, y) if d > 0 else (x, y)
 
+    def moves(self, d: np.ndarray) -> np.ndarray:
+        """move() of every dart of an array, as Move values."""
+        vertical = np.abs(d) <= self.n_vertical
+        return np.where(vertical, np.where(d > 0, Move.UP, Move.DOWN), np.where(d > 0, Move.LEFT, Move.RIGHT))
+
+    def corners(self, d: np.ndarray) -> np.ndarray:
+        """start() of every dart of an array, as the corner index
+        y * (width + 1) + x."""
+        k = np.abs(d) - 1
+        horizontal = k >= self.n_vertical
+        kh = k - self.n_vertical
+        # a horizontal crack at row y, column x starts where the vertical
+        # crack at row y, column x does; positive darts start at the other
+        # end, one row down or one column right
+        k = np.where(horizontal, kh // self.width * (self.width + 1) + kh % self.width, k)
+        return k + np.where(d > 0, np.where(horizontal, 1, self.width + 1), 0)
+
     def end(self, d: Dart) -> tuple[int, int]:
         (x, y), (dx, dy) = self.start(d), self.move(d).delta
         return (x + dx, y + dy)
@@ -167,13 +186,6 @@ class CrackEmbedding:
         """Dart down the left side of pixel (x, y): the canonical dart of the
         pixel's vertex in the base map."""
         return -(y * (self.width + 1) + x + 1)
-
-    def _dart_order(self) -> list[Dart]:
-        """Every base dart in dart_sort_key order: 1, -1, 2, -2, ..."""
-        n = self.n_darts // 2
-        order: list[Dart] = [0] * (2 * n)
-        order[0::2], order[1::2] = range(1, n + 1), range(-1, -n - 1, -1)
-        return order
 
     def pixel_of(self, d: Dart) -> tuple[int, int] | None:
         """Pixel whose sigma cycle owns dart d at the base level, or None for
@@ -190,44 +202,67 @@ class CrackEmbedding:
             return (x, y) if y <= self.height - 1 else None
         return (x, y - 1) if y >= 1 else None
 
+    def grid_sigma(self) -> np.ndarray:
+        """sigma of the base map as an int32 array indexed by signed dart: a
+        negative dart wraps to the end, entry 0 is unused.
 
-def build_grid_map(width: int, height: int) -> tuple[CombinatorialMap, CrackEmbedding]:
-    """Base map of a width x height 4-connected grid.
-
-    Each pixel is a sigma cycle of its four side darts in counter-clockwise
-    order; the outer sides of the border pixels form one extra vertex, the
-    outside region, whose cycle runs clockwise around the image. alpha(d) = -d.
-    """
-    if width < 1 or height < 1:
-        raise ValueError(f"grid dimensions must be positive, got {width}x{height}")
-    nv = (width + 1) * height
-
-    def vid(x: int, y: int) -> Dart:
-        return y * (width + 1) + x + 1
-
-    def hid(x: int, y: int) -> Dart:
-        return nv + y * width + x + 1
-
-    sigma: dict[Dart, Dart] = {}
-
-    def close(cycle: list[Dart]) -> None:
+        Each pixel is the cycle (right, top, -left, -bottom) of its sides,
+        positive vertical darts pointing up and positive horizontal darts
+        pointing left, so it runs counter-clockwise; the outer sides of the
+        border pixels form the outside vertex, whose cycle runs clockwise.
+        """
+        w, h, nv = self.width, self.height, self.n_vertical
+        n = self.n_darts // 2
+        if 2 * n + 1 > np.iinfo(np.int32).max:
+            raise ValueError(f"a {w}x{h} grid has too many darts for int32 dart ids")
+        sigma = np.zeros(2 * n + 1, dtype=np.int32)
+        y, x = np.divmod(np.arange(w * h, dtype=np.int64), w)
+        left = y * (w + 1) + x + 1  # vertical crack at column x, row y
+        top = nv + y * w + x + 1  # horizontal crack at row y, column x
+        cycle = [left + 1, top, -left, -(top + w)]
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             sigma[a] = b
+        xs, ys = np.arange(w, dtype=np.int64), np.arange(h, dtype=np.int64)
+        outside = np.concatenate(
+            [-(nv + xs + 1), -(ys * (w + 1) + w + 1), (nv + h * w + xs + 1)[::-1], (ys * (w + 1) + 1)[::-1]]
+        )
+        sigma[outside] = np.roll(outside, -1)
+        return sigma
 
-    for y in range(height):
-        for x in range(width):
-            close([vid(x + 1, y), hid(x, y), -vid(x, y), -hid(x, y + 1)])
-    outside = (
-        [-hid(x, 0) for x in range(width)]
-        + [-vid(width, y) for y in range(height)]
-        + [hid(x, height) for x in reversed(range(width))]
-        + [vid(0, y) for y in reversed(range(height))]
-    )
-    close(outside)
 
-    alpha = {d: -d for d in sigma}
-    # a list: a frozenset built from a dict gets a table twice as large
-    return CombinatorialMap(list(sigma), sigma, alpha), CrackEmbedding(width, height)
+def build_grid_map(width: int, height: int) -> tuple[CombinatorialMap, CrackEmbedding]:
+    """Base map of a width x height 4-connected grid, from the closed form of
+    CrackEmbedding.grid_sigma. alpha(d) = -d."""
+    if width < 1 or height < 1:
+        raise ValueError(f"grid dimensions must be positive, got {width}x{height}")
+    emb = CrackEmbedding(width, height)
+    sigma = emb.grid_sigma()
+    ids = dart_ids(len(sigma) // 2)
+    return map_of(ids.astype(object), dart_order(len(sigma) // 2), sigma, -ids), emb
+
+
+def dart_ids(n: int) -> np.ndarray:
+    """The dart that indexes each slot of an array over darts -n..n: slots
+    0..n hold 0..n, slots n+1..2n hold -n..-1."""
+    ids = np.arange(2 * n + 1, dtype=np.int32)
+    ids[n + 1 :] -= 2 * n + 1
+    return ids
+
+
+def dart_order(n: int) -> np.ndarray:
+    """Darts -n..n without 0 in dart_sort_key order: 1, -1, 2, -2, ..."""
+    order = np.empty(2 * n, dtype=np.int32)
+    order[0::2] = np.arange(1, n + 1)
+    order[1::2] = -order[0::2]
+    return order
+
+
+def map_of(ints: np.ndarray, darts: np.ndarray, sigma: np.ndarray, alpha: np.ndarray) -> CombinatorialMap:
+    """Dict map over darts, read off dart-indexed sigma/alpha arrays. ints is
+    an object array holding the int object of every dart, so maps built from
+    one table share their ints."""
+    keys = ints[darts]
+    return CombinatorialMap(keys, dict(zip(keys, ints[sigma[darts]])), dict(zip(keys, ints[alpha[darts]])))
 
 
 @dataclass

@@ -9,17 +9,21 @@ level, tagged with how it disappears:
 * RKEDE: darts at degree-2 dual vertices, whose removal fuses consecutive
   boundary pieces into a single edge.
 
-Each level is derived from the level below when its kernel is applied, in
-one pass over the darts alive there: sigma_i(d) is the first survivor along
-sigma_{i-1} after d, stepping by phi_{i-1} past a contracted dart and by
-sigma_{i-1} past a removed one, and alpha_i(d) = alpha_{i-1}(d) except under
-RKEDE, where y <- alpha_{i-1}(phi_{i-1}(y)) steps past removed joints. Each
-level map and its redundant darts are stored once and never change. The top
-level's vertex partition, empty self loops and joints are computed once as it
-is appended; kernel checks and merge rounds read them. Queries read the stored
-maps. The one thing a query stores is a clean level's enclosure forest: the
-first enclosure query there builds it and publishes it with one dict store in
-`_forests`. Levels never change, so racing builds give equal forests.
+Each level is derived from the level below when its kernel is applied:
+sigma_i(d) is the first survivor along sigma_{i-1} after d, stepping by
+phi_{i-1} past a contracted dart and by sigma_{i-1} past a removed one, and
+alpha_i(d) = alpha_{i-1}(d) except under RKEDE, where
+y <- alpha_{i-1}(phi_{i-1}(y)) steps past removed joints. The top level alone
+is also held as int32 sigma/alpha arrays indexed by signed dart, and the
+derivation, the kernel checks and the top's vertex partition, empty self
+loops and joints are whole-array passes over them: pointer jumping instead of
+one walk per dart. Only the constructor and apply_kernel, the single writer,
+write the arrays, and no query reads them. Each level map and its redundant
+darts are stored once as dict maps, built from one table of the base's int
+objects, and never change; queries read those. The one thing a query stores
+is a clean level's enclosure forest: the first enclosure query there builds
+it and publishes it with one dict store in `_forests`. Levels never change,
+so racing builds give equal forests.
 
 Replay from the base serves receptive fields, boundary segments,
 vertex_of_pixel and pixel_labels. Walking from a surviving dart d with
@@ -44,14 +48,19 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+import numpy as np
+
 from .map_core import (
     CombinatorialMap,
     CrackEmbedding,
     Dart,
     build_grid_map,
+    dart_ids,
+    dart_order,
     dart_sort_key,
+    map_of,
 )
-from .moves import Move, turn_angle
+from .moves import Move
 
 __all__ = ["KernelState", "Kernel", "Pyramid", "KernelError"]
 
@@ -84,12 +93,15 @@ class KernelError(ValueError):
 class Pyramid:
     """Base grid map plus the per-dart level and per-kernel state functions.
 
-    Construction is single writer via apply_kernel, which also derives the
-    new level map and its per-level facts; queries read them and add only
-    the per-level enclosure forests, each built once and stored idempotently.
+    Construction is single writer via apply_kernel, which derives the new
+    level map and its per-level facts from the top's sigma/alpha arrays and
+    then replaces those arrays; queries read the stored dict maps and facts
+    and add only the per-level enclosure forests, each built once and stored
+    idempotently.
     """
 
     def __init__(self, base: CombinatorialMap, embedding: CrackEmbedding):
+        """base is the grid map of embedding, as build_grid_map makes it."""
         self.base = base
         self.embedding = embedding
         self.kernels: list[Kernel] = []
@@ -102,7 +114,19 @@ class Pyramid:
         # per clean level: its enclosure forest, built by the first
         # enclosure query there (see containment)
         self._forests: dict[int, tuple] = {}
-        self._append_level(base, embedding._dart_order())
+        # The top level as int32 arrays indexed by signed dart (see
+        # map_core.dart_ids), 0 for a dead dart: sigma, alpha and the turn
+        # count of each dart's boundary piece. _ints holds the base's int
+        # object of every dart, so the stored level maps share them.
+        self._sigma = embedding.grid_sigma()
+        n = len(self._sigma) // 2
+        self._ids = dart_ids(n)
+        self._alpha = -self._ids
+        self._turns = np.zeros(2 * n + 1, dtype=np.int32)
+        darts = list(base.darts)
+        self._ints = np.empty(2 * n + 1, dtype=object)
+        self._ints[np.fromiter(darts, np.int32, len(darts))] = darts
+        self._append_level(base, dart_order(n))
 
     @classmethod
     def from_grid(cls, width: int, height: int) -> "Pyramid":
@@ -238,57 +262,77 @@ class Pyramid:
         """Append one reduction level, derived from the current top map. The
         kernel is checked against the top map before any state is touched."""
         top = self.top_map()
-        dead = [d for d in kernel.darts if d not in top.darts]
+        dead = kernel.darts - top.darts
         if dead:
             raise KernelError(f"kernel contains dead or unknown darts: {sorted(dead, key=dart_sort_key)[:4]}")
+        # only live top darts from here on, so they index the arrays; kd
+        # keeps the kernel's iteration order
+        kd = np.fromiter(kernel.darts, np.int32, len(kernel.darts))
+        kill = np.zeros(len(self._sigma), dtype=bool)
+        kill[kd] = True
+        updates: dict[Dart, int] = {}
         if kernel.state is KernelState.CK:
-            self._check_ck(top, kernel.darts)
-            updates: dict[Dart, int] = {}
+            self._check_ck(top, kernel.darts, kd, kill)
         elif kernel.state is KernelState.RKESL:
-            self._check_rkesl(top, kernel.darts)
-            updates = {}
+            self._check_rkesl(kernel.darts, kd, kill)
         else:
-            self._check_rkede(top, kernel.darts)
-            updates = self._fold_orientations(top, kernel.darts)
-        order = [d for d in self._top_order if d not in kernel.darts]
+            self._check_rkede(kernel.darts, kd, kill)
+            heads, turns = self._fold_orientations(kill)
+            updates = dict(zip(self._ints[heads], turns.tolist()))
         # Nothing fails from here on: _reduce repairs only the chains that
         # _fold_orientations walked. The old top's facts go before the
         # reduced map is built, so a reload holds one vertex partition at a
         # time.
+        if updates:
+            self._turns[heads] = turns
+        order = self._top_order[~kill[self._top_order]]
         self._top_order = self._top_vertex = self._top_loops = self._top_joints = None
-        reduced = _reduce(top, kernel)
+        self._sigma, self._alpha = _reduce(self._sigma, self._alpha, self._ids, kill, order, kernel.state)
         new_level = len(self.kernels) + 1
         self.kernels.append(kernel)
-        for d in kernel.darts:
-            self._killed[d] = new_level
+        self._killed.update(dict.fromkeys(kernel.darts, new_level))
         self._or_updates.append(updates)
-        self._append_level(reduced, order)
+        self._append_level(map_of(self._ints, order, self._sigma, self._alpha), order)
         return self
 
-    def _append_level(self, m: CombinatorialMap, order: list[Dart]) -> None:
-        """Store m as the new top, order being its darts in dart_sort_key
-        order. For the top only, also keep that order, the vertex partition
-        (dart -> canonical vertex dart, the first met in that order), the
-        empty self loops and the double-edge joints: kernel construction,
-        kernel checks and merge rounds read them."""
+    def _append_level(self, m: CombinatorialMap, order: np.ndarray) -> None:
+        """Store m, the map of the top arrays, as the new top; order is its
+        darts in dart_sort_key order. For the top only, also keep that order,
+        the vertex partition (a dart-indexed array of canonical vertex darts,
+        the least in dart_sort_key order), the empty self loops and the
+        double-edge joints: kernel construction, kernel checks and merge
+        rounds read them."""
         self._top_order = order
-        self._top_vertex = _cycle_ids(m.sigma, order)
-        self._top_loops = _empty_self_loops(m, self._top_vertex)
-        self._top_joints = _joint_darts(m, self.embedding)
+        # the passes run over positions in order: pos maps a dart to its own
+        pos = np.zeros(len(self._sigma), dtype=np.int32)
+        pos[order] = np.arange(len(order), dtype=np.int32)
+        sigma, mate = pos[self._sigma[order]], pos[self._alpha[order]]
+        vertex = _cycle_min(sigma)
+        self._top_vertex = np.zeros_like(self._sigma)
+        self._top_vertex[order] = order[vertex]
+        self._top_loops = frozenset(self._ints[order[_empty_loops(sigma, mate, vertex)]])
+        self._top_joints = frozenset(self._ints[order[_joints(sigma, mate, self.embedding.corners(order))]])
         self._levels.append(m)
         self._redundant.append(self._top_loops | self._top_joints)
 
-    def _check_ck(self, top: CombinatorialMap, darts: frozenset[Dart]) -> None:
+    def _unpaired(self, kd: np.ndarray, kill: np.ndarray) -> Dart | None:
+        """The first kernel dart, in the kernel's iteration order, whose alpha
+        partner is not in the kernel; kd lists the kernel in that order."""
+        open_ = kd[~kill[self._alpha[kd]]]
+        return int(open_[0]) if open_.size else None
+
+    def _check_ck(self, top: CombinatorialMap, darts: frozenset[Dart], kd: np.ndarray, kill: np.ndarray) -> None:
         if len(darts) == len(top):
             raise KernelError("contraction kernel contains every dart of the top map")
-        for d in darts:
-            if top.alpha(d) not in darts:
-                raise KernelError(f"contraction kernel is not closed under alpha at dart {d}")
+        if (open_ := self._unpaired(kd, kill)) is not None:
+            raise KernelError(f"contraction kernel is not closed under alpha at dart {open_}")
+        # union-find over the kernel's edges, each from its first dart in
+        # dart_sort_key order
+        kd = kd[np.argsort(_rank(kd))]
+        kd = kd[_rank(self._alpha[kd]) > _rank(kd)]
+        vertex, ints = self._top_vertex, self._ints
         parent: dict[Dart, Dart] = {}
-        for d in sorted(darts, key=dart_sort_key):
-            if dart_sort_key(top.alpha(d)) < dart_sort_key(d):
-                continue
-            a, b = self._top_vertex[d], self._top_vertex[top.alpha(d)]
+        for d, a, b in zip(ints[kd].tolist(), ints[vertex[kd]].tolist(), ints[vertex[self._alpha[kd]]].tolist()):
             if a == b:
                 raise KernelError(f"contraction kernel contains the self-loop edge of dart {d}")
             ra, rb = _find_root(parent, a), _find_root(parent, b)
@@ -296,64 +340,65 @@ class Pyramid:
                 raise KernelError(f"contraction kernel contains a cycle through dart {d}")
             parent[ra] = rb
 
-    def _check_rkesl(self, top: CombinatorialMap, darts: frozenset[Dart]) -> None:
-        for d in darts:
-            if top.alpha(d) not in darts:
-                raise KernelError(f"self-loop kernel is not closed under alpha at dart {d}")
-        for d in sorted(darts, key=dart_sort_key):
-            if d not in self._top_loops:
-                raise KernelError(f"dart {d} is not part of an empty self loop")
-        self._check_keeps_vertices(top, darts)
+    def _check_rkesl(self, darts: frozenset[Dart], kd: np.ndarray, kill: np.ndarray) -> None:
+        if (open_ := self._unpaired(kd, kill)) is not None:
+            raise KernelError(f"self-loop kernel is not closed under alpha at dart {open_}")
+        stray = darts - self._top_loops
+        if stray:
+            raise KernelError(f"dart {min(stray, key=dart_sort_key)} is not part of an empty self loop")
+        self._check_keeps_vertices(kd)
 
-    def _check_rkede(self, top: CombinatorialMap, darts: frozenset[Dart]) -> None:
+    def _check_rkede(self, darts: frozenset[Dart], kd: np.ndarray, kill: np.ndarray) -> None:
         if self._top_loops:
             raise KernelError("empty self loops present; remove them before double edges")
-        for d in sorted(darts, key=dart_sort_key):
-            if d not in self._top_joints:
+        stray = darts - self._top_joints
+        half = kd[~kill[self._sigma[self._alpha[kd]]]].tolist()
+        if stray or half:
+            d = min(stray | set(half), key=dart_sort_key)
+            if d in stray:
                 raise KernelError(f"dart {d} is not a double-edge joint at a degree-2 dual vertex")
-            if top.phi(d) not in darts:
-                raise KernelError(f"joint of dart {d} is only half removed")
-        self._check_keeps_vertices(top, darts)
+            raise KernelError(f"joint of dart {d} is only half removed")
+        self._check_keeps_vertices(kd)
 
-    def _check_keeps_vertices(self, top: CombinatorialMap, darts: frozenset[Dart]) -> None:
-        # one walk per touched vertex, over its kernel darts up to a survivor
-        seen: set[Dart] = set()
-        for d in sorted(darts, key=dart_sort_key):
-            if self._top_vertex[d] not in seen:
-                seen.add(self._top_vertex[d])
-                c = top.sigma(d)
-                while c in darts and c != d:
-                    c = top.sigma(c)
-                if c == d:
-                    raise KernelError(f"kernel consumes every dart of the vertex of {d}")
+    def _check_keeps_vertices(self, kd: np.ndarray) -> None:
+        # kernel darts against all darts, counted per vertex
+        vertex = self._top_vertex[kd]
+        rank = _rank(vertex)
+        size = np.bincount(_rank(self._top_vertex[self._top_order]))
+        taken = np.bincount(rank, minlength=len(size))
+        gone = vertex[taken[rank] == size[rank]]
+        if gone.size:
+            raise KernelError(f"kernel consumes every dart of the vertex of {int(gone[np.argmin(_rank(gone))])}")
 
-    def _fold_orientations(self, top: CombinatorialMap, darts: frozenset[Dart]) -> dict[Dart, int]:
-        """New turn counts for survivors whose boundary piece grows.
+    def _fold_orientations(self, kill: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Survivors whose boundary piece grows, with their new turn counts.
 
         A survivor f1 whose partner dies heads a chain f1, sigma(f1), ... of
         same-direction darts ending just before the surviving reverse dart;
         its new count folds the chain's counts and the turns at the joints.
+        Every chain at once, by pointer jumping: after r rounds hop(f) lies
+        2^r steps down f's chain, or at its end, and total(f) sums the
+        weights of the steps in between.
         """
-        i = self.top_level
-
-        def last_move(d: Dart) -> Move:
-            return self.embedding.move(-top.alpha(d))
-
-        updates: dict[Dart, int] = {}
-        for f1 in map(top.alpha, darts):
-            if f1 in darts:
-                continue
-            total = self._orientation(i, f1)
-            last = last_move(f1)
-            f = f1
-            while top.alpha(f) in darts:
-                f = top.sigma(f)
-                if f == f1:
-                    raise KernelError("double-edge chain is not terminated by a surviving partner")
-                total += turn_angle(last, self.first_move(f)) + self._orientation(i, f)
-                last = last_move(f)
-            updates[f1] = total
-        return updates
+        sigma, alpha, live = self._sigma, self._alpha, self._top_order
+        steps = live[kill[alpha[live]]]  # darts whose chain moves on to sigma
+        heads = steps[~kill[steps]]
+        nxt = sigma[steps]
+        turn = (self.embedding.moves(-alpha[steps]) - self.embedding.moves(nxt)) % 4
+        if (turn == 2).any():
+            raise ValueError("opposite moves inside a boundary chain")
+        total = np.zeros(len(sigma), dtype=np.int64)
+        total[steps] = np.where(turn == 3, -1, turn) + self._turns[nxt]
+        hop = self._ids.copy()
+        hop[steps] = nxt
+        moving = kill[alpha]
+        for _ in range(len(steps).bit_length() + 1):
+            if not moving[hop[heads]].any():
+                return heads, self._turns[heads] + total[heads]
+            h = hop[steps]
+            total[steps] += total[h]
+            hop[steps] = hop[h]
+        raise KernelError("double-edge chain is not terminated by a surviving partner")
 
     # -- kernel construction --------------------------------------------------
 
@@ -481,7 +526,7 @@ class Pyramid:
 
     def to_json(self) -> str:
         """Flat record of the implicit encoding; loading replays the kernels."""
-        base_sigma = [self.base.sigma(d) for d in self.embedding._dart_order()]
+        base_sigma = [self.base.sigma(d) for d in dart_order(self.embedding.n_darts // 2).tolist()]
         payload = {
             "format": "combipyramid-pyramid",
             "version": 1,
@@ -503,6 +548,9 @@ class Pyramid:
             raise ValueError("pyramid JSON is nested too deeply") from None
         if not isinstance(payload, dict) or payload.get("format") != "combipyramid-pyramid":
             raise ValueError("not a serialized pyramid")
+        version = payload.get("version")
+        if type(version) is not int or version != 1:  # 1.0 and True compare equal to 1
+            raise ValueError(f"unsupported pyramid version {version!r}, expected 1")
         width, height = _positive_int(payload, "width"), _positive_int(payload, "height")
         stored, states, kernels = (_list_field(payload, key) for key in ("base_sigma", "states", "kernels"))
         n_darts = CrackEmbedding(width, height).n_darts
@@ -510,12 +558,13 @@ class Pyramid:
             raise ValueError(f"base_sigma has {len(stored)} entries, a {width}x{height} grid has {n_darts} darts")
         if len(states) != len(kernels):
             raise ValueError(f"{len(states)} kernel states for {len(kernels)} kernels")
+        if not set(map(type, stored)) <= {int}:  # 4.0 and True compare equal to ints
+            raise ValueError("base_sigma is not a list of integer darts")
         pyr = cls.from_grid(width, height)
-        actual = [pyr.base.sigma(d) for d in pyr.embedding._dart_order()]
-        if stored != actual:
+        if stored != pyr._sigma[dart_order(len(pyr._sigma) // 2)].tolist():
             raise ValueError("stored base permutation does not match the grid layout")
         for k, (state, darts) in enumerate(zip(states, kernels), start=1):
-            if not isinstance(darts, list) or any(type(d) is not int for d in darts):
+            if not isinstance(darts, list) or not set(map(type, darts)) <= {int}:
                 raise ValueError(f"kernel {k} is not a list of integer darts")
             pyr.apply_kernel(Kernel.of(KernelState(state), darts))
         return pyr
@@ -544,99 +593,111 @@ def _list_field(payload: dict, key: str) -> list:
     return value
 
 
-def _reduce(m: CombinatorialMap, kernel: Kernel) -> CombinatorialMap:
-    """The map left when the kernel's darts are contracted or removed from m.
+def _rank(d: np.ndarray) -> np.ndarray:
+    """Position of each dart in dart_sort_key order: 1, -1, 2, -2, ... map
+    to 0, 1, 2, 3, ..."""
+    return 2 * np.abs(d) - 2 + (d < 0)
+
+
+def _reduce(sigma: np.ndarray, alpha: np.ndarray, ids: np.ndarray, dead: np.ndarray, live: np.ndarray,
+            state: KernelState) -> tuple[np.ndarray, np.ndarray]:
+    """sigma and alpha once the dead darts are contracted (CK) or removed.
 
     sigma'(d) is the first survivor after d along sigma, stepping by phi past
     a contracted dart and by sigma past a removed one. alpha' = alpha, except
-    under RKEDE, where y <- alpha(phi(y)) steps past the removed joints. The
-    sigma walks follow one permutation, so together they pass each dead dart
-    once; an RKEDE walk visits the partners of the darts after d around its
-    vertex, up to the first surviving one. The pass costs O(|m|).
+    under RKEDE, where y <- alpha(phi(y)) steps past the removed joints.
+    live lists the survivors.
     """
-    dead = kernel.darts
-    sigma, alpha, phi = m.sigma, m.alpha, m.phi
-    past = phi if kernel.state is KernelState.CK else sigma
-    repair = kernel.state is KernelState.RKEDE
-    new_sigma: dict[Dart, Dart] = {}
-    new_alpha: dict[Dart, Dart] = {}
-    for d in m.darts:
-        if d in dead:
-            continue
-        c = sigma(d)
-        while c in dead:
-            c = past(c)
-        new_sigma[d] = c
-        y = alpha(d)
-        if repair:
-            steps = 0
-            while y in dead:
-                y = alpha(phi(y))
-                steps += 1
-                if steps > len(m):
-                    raise KernelError(f"double-edge removal leaves dart {d} without a surviving partner")
-        new_alpha[d] = y
-    return CombinatorialMap(new_sigma.keys(), new_sigma, new_alpha)
+    phi = sigma[alpha]
+    new_sigma, new_alpha = np.zeros_like(sigma), np.zeros_like(alpha)
+    new_sigma[live] = _first_alive(phi if state is KernelState.CK else sigma, dead, ids, sigma[live])
+    if state is KernelState.RKEDE:
+        new_alpha[live] = _first_alive(alpha[phi], dead, ids, alpha[live])
+    else:
+        new_alpha[live] = alpha[live]
+    return new_sigma, new_alpha
 
 
-def _cycle_ids(step, darts: Iterable[Dart]) -> dict[Dart, Dart]:
-    """Each dart mapped to the first dart met on its cycle under step, the
-    darts taken in the given order."""
-    ids: dict[Dart, Dart] = {}
-    for d in darts:
-        if d in ids:
-            continue
-        ids[d] = d
-        c = step(d)
-        while c != d:
-            ids[c] = d
-            c = step(c)
-    return ids
+def _first_alive(step: np.ndarray, dead: np.ndarray, ids: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """For each dart c of start, the first of c, step(c), step(step(c)), ...
+    that is not dead.
 
-
-def _empty_self_loops(m: CombinatorialMap, vertex: dict[Dart, Dart]) -> frozenset[Dart]:
-    """Darts of self loops enclosing nothing: the least set closed under
-    marking a loop, with its partner, once the rest of its face is marked.
-    vertex is m's vertex partition.
-
-    One worklist pass over faces. Each face keeps the count and the sum of
-    its unmarked darts, so a face down to one unmarked dart names that dart.
-    Marking a loop dart and its partner can only bring the partner's face
-    down to one, so only that face is examined again.
+    Pointer jumping over the dead darts: after r rounds hop(c) lies 2^r
+    steps past a dead c, or at the first survivor, so a walk over k dead
+    darts takes log2(k) rounds.
     """
-    if all(vertex[d] != vertex[m.alpha(d)] for d in m.darts):
-        return frozenset()
-    face = _cycle_ids(m.phi, m.darts)
-    count: dict[Dart, int] = {}
-    total: dict[Dart, int] = {}
-    for d, f in face.items():
-        count[f] = count.get(f, 0) + 1
-        total[f] = total.get(f, 0) + d
-    work = [f for f, n in count.items() if n == 1]
-    marked: set[Dart] = set()
-    while work:
-        f = work.pop()
-        if count[f] != 1:
-            continue
-        d = total[f]
-        a = m.alpha(d)
-        if vertex[d] != vertex[a]:
-            continue
-        marked.update((d, a))
-        for x in (d, a):
-            count[face[x]] -= 1
-            total[face[x]] -= x
-        if count[face[a]] == 1:
-            work.append(face[a])
-    return frozenset(marked)
+    hop = np.where(dead, step, ids)
+    todo = np.flatnonzero(dead)
+    for _ in range(len(todo).bit_length() + 1):
+        out = hop[start]
+        if not dead[out].any():
+            return out
+        hop[todo] = hop[hop[todo]]
+    raise RuntimeError("a walk over contracted or removed darts does not terminate")
 
 
-def _joint_darts(m: CombinatorialMap, emb: CrackEmbedding) -> frozenset[Dart]:
-    """Darts of degree-2 dual vertices whose two darts come from distinct
-    edges and start at one grid corner: the removable double-edge joints."""
-    out: list[Dart] = []
-    for x in m.darts:
-        y = m.phi(x)
-        if x < y and m.phi(y) == x and y != m.alpha(x) and emb.start(x) == emb.start(y):
-            out += (x, y)
-    return frozenset(out)
+def _cycle_min(step: np.ndarray) -> np.ndarray:
+    """For a permutation step of positions 0..k-1, the least position on
+    the cycle of each.
+
+    Pointer jumping: after r rounds best(p) is the least position among the
+    2^r met from p on and hop(p) lies 2^r steps on. A round that changes no
+    best ends it: every window then holds its cycle's least position.
+    """
+    best, hop = np.arange(len(step), dtype=np.int32), step
+    while True:
+        new = np.minimum(best, best[hop])
+        if (new == best).all():
+            return best
+        best, hop = new, hop[hop]
+
+
+def _empty_loops(sigma: np.ndarray, mate: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+    """Mask of the darts of self loops enclosing nothing: the least set
+    closed under marking a loop, with its partner, once the rest of its
+    face is marked. Darts are positions; sigma and mate (alpha) permute
+    them and vertex is the partition of _cycle_min.
+
+    Each face keeps the count and the sum of its unmarked darts, so a face
+    down to one unmarked dart names that dart. A round marks the loops so
+    named; marking a loop and its partner can only bring the partner's face
+    down to one, so the next round examines those faces only.
+    """
+    marked = np.zeros(len(sigma), dtype=bool)
+    loop = vertex == vertex[mate]
+    if not loop.any():
+        return marked
+    face = _cycle_min(sigma[mate])
+    count = np.bincount(face, minlength=len(sigma))
+    total = np.zeros(len(sigma), dtype=np.int64)
+    np.add.at(total, face, np.arange(len(sigma)))
+    slot = np.empty(len(sigma), dtype=np.intp)
+    todo = np.flatnonzero(count == 1)
+    while todo.size:
+        d = total[todo]
+        d = d[loop[d]]
+        # a loop named from both its faces is marked from its lesser dart
+        marked[d] = True
+        d = d[~marked[mate[d]] | (d < mate[d])]
+        new = np.concatenate([d, mate[d]])
+        marked[new] = True
+        np.subtract.at(count, face[new], 1)
+        np.subtract.at(total, face[new], new)
+        # the touched faces down to one dart, each once: the last write to
+        # a face's slot wins, so a round costs the darts it marks
+        todo = face[new]
+        todo = todo[count[todo] == 1]
+        at = np.arange(len(todo))
+        slot[todo] = at
+        todo = todo[slot[todo] == at]
+    return marked
+
+
+def _joints(sigma: np.ndarray, mate: np.ndarray, corner: np.ndarray) -> np.ndarray:
+    """Mask of the darts of degree-2 dual vertices whose two darts come from
+    distinct edges and start at one grid corner: the removable double-edge
+    joints. Darts are positions as in _empty_loops; corner holds the start
+    corner of each."""
+    phi = sigma[mate]
+    at = np.arange(len(sigma))
+    return (phi != at) & (phi[phi] == at) & (phi != mate) & (corner == corner[phi])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .containment import inside_all, require_clean_level
 from .map_core import Dart, dart_sort_key
-from .pyramid import Kernel, KernelState, Pyramid, _find_root
+from .pyramid import Kernel, KernelState, Pyramid, _find_root, _rank
 
 __all__ = [
     "RegionStats",
@@ -86,48 +86,55 @@ class SegmentedImage:
 
         Returns the kernels applied; an empty list means nothing merged.
         """
-        top = self.pyramid.top_map()
-        rep = self.pyramid._top_vertex
+        pyr = self.pyramid
+        rep = pyr._top_vertex
         stats = self.stats
+        # each edge once, from its first dart in dart_sort_key order, between
+        # two image regions; the darts are read from the pyramid's int table,
+        # so the loop allocates no ints
+        first = pyr._top_order
+        first = first[_rank(pyr._alpha[first]) > _rank(first)]
+        mate = pyr._alpha[first]
+        keep = rep[first] != rep[mate]
+        first, mate = first[keep], mate[keep]
         candidates = []
-        for d in top.darts:
-            a = top.alpha(d)
-            if abs(a) < abs(d) or a == -d > 0:
-                continue  # each edge once, from its first in dart_sort_key order
-            u, v = rep[d], rep[a]
-            if u == v or u not in stats or v not in stats:
+        for d, a, u, v in zip(*(pyr._ints[x].tolist() for x in (first, mate, rep[first], rep[mate]))):
+            if u not in stats or v not in stats:
                 continue
             dist = float(np.linalg.norm(stats[u].mean_color - stats[v].mean_color))
             if dist <= threshold:
-                candidates.append((dist, abs(d), d))
+                candidates.append((dist, abs(d), d, a, u, v))
         candidates.sort()
         # union-find over this round's vertices; a root keeps its class's stats
         parent: dict[Dart, Dart] = {}
         chosen: list[Dart] = []
-        for _, _, d in candidates:
-            ru, rv = _find_root(parent, rep[d]), _find_root(parent, rep[top.alpha(d)])
+        for _, _, d, a, u, v in candidates:
+            ru, rv = _find_root(parent, u), _find_root(parent, v)
             if ru == rv:
                 continue
             parent[ru] = rv
             stats[rv] = stats[rv].merged(stats.pop(ru))
-            chosen.extend((d, top.alpha(d)))
+            chosen.extend((d, a))
         if not chosen:
             return []
         applied = [Kernel.of(KernelState.CK, chosen)]
-        self.pyramid.apply_kernel(applied[0])
-        rkesl = self.pyramid.compute_rkesl()
+        pyr.apply_kernel(applied[0])
+        rkesl = pyr.compute_rkesl()
         if rkesl.darts:
-            self.pyramid.apply_kernel(rkesl)
+            pyr.apply_kernel(rkesl)
             applied.append(rkesl)
-        rkede = self.pyramid.compute_rkede()
+        rkede = pyr.compute_rkede()
         if rkede.darts:
-            self.pyramid.apply_kernel(rkede)
+            pyr.apply_kernel(rkede)
             applied.append(rkede)
         # the contraction merged exactly the union-find classes and the
-        # removals keep every vertex, so each new vertex is one class
+        # removals keep every vertex, so each new vertex is one class; rep
+        # is still the partition this round started from
+        order = pyr._top_order
+        regions = order[pyr._top_vertex[order] == order]
         self.stats = {}
-        for v in self.pyramid._top_order:
-            if self.pyramid._top_vertex[v] == v and (root := _find_root(parent, rep[v])) in stats:
+        for v, old in zip(pyr._ints[regions].tolist(), pyr._ints[rep[regions]].tolist()):
+            if (root := _find_root(parent, old)) in stats:
                 self.stats[v] = stats[root]
         return applied
 

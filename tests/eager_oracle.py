@@ -1,9 +1,12 @@
 """Independent references for the derived levels, their empty self loops,
 enclosure, shared boundaries and composition.
 
-EagerMap applies kernels one edge or joint at a time on explicit permutation
-dicts, with none of the package's derivation machinery. sorted_sweep_loops
-grows the empty self loops by repeated sorted sweeps. inside_all_flood floods
+grid_map_by_pixels builds the base map one pixel cycle at a time. EagerMap
+applies kernels one edge or joint at a time on explicit permutation dicts,
+with none of the package's derivation machinery. DictTop derives a
+level from the one below one dart at a time on dicts, with the kernel
+checks' messages: the loop form of the package's array passes.
+sorted_sweep_loops grows the empty self loops by repeated sorted sweeps. inside_all_flood floods
 the map from a vertex's directly enclosed neighbours; flood_fill_contains_oracle
 and enclosed_regions decide enclosure on the pixels, and BoundaryOracle finds
 shared boundary pieces on them. composed_of_scan assigns every vertex of the
@@ -15,11 +18,43 @@ from __future__ import annotations
 
 import numpy as np
 
+from typing import Iterable
+
 from combipyramid.containment import inside_direct
-from combipyramid.map_core import CombinatorialMap, Dart, dart_sort_key
-from combipyramid.pyramid import Kernel, KernelState, Pyramid
+from combipyramid.map_core import CombinatorialMap, CrackEmbedding, Dart, dart_sort_key
+from combipyramid.moves import Move, turn_angle
+from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid
 
 Crack = tuple[tuple[int, int], tuple[int, int]]
+
+
+def grid_map_by_pixels(width: int, height: int) -> CombinatorialMap:
+    """Base map of a width x height grid: each pixel's side darts closed into
+    a counter-clockwise sigma cycle, then the outside cycle, clockwise."""
+    nv = (width + 1) * height
+
+    def vid(x: int, y: int) -> Dart:
+        return y * (width + 1) + x + 1
+
+    def hid(x: int, y: int) -> Dart:
+        return nv + y * width + x + 1
+
+    sigma: dict[Dart, Dart] = {}
+
+    def close(cycle: list[Dart]) -> None:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            sigma[a] = b
+
+    for y in range(height):
+        for x in range(width):
+            close([vid(x + 1, y), hid(x, y), -vid(x, y), -hid(x, y + 1)])
+    close(
+        [-hid(x, 0) for x in range(width)]
+        + [-vid(width, y) for y in range(height)]
+        + [hid(x, height) for x in reversed(range(width))]
+        + [vid(0, y) for y in reversed(range(height))]
+    )
+    return CombinatorialMap(sigma, sigma, {d: -d for d in sigma})
 
 
 class EagerMap:
@@ -101,6 +136,192 @@ def eager_levels(pyr: Pyramid) -> list[CombinatorialMap]:
         em.apply(kernel)
         out.append(em.to_map())
     return out
+
+
+class DictTop:
+    """One top level on dicts: the map, its vertex partition (dart ->
+    least dart of its sigma cycle), empty self loops, double-edge joints and
+    the turn count of each dart's boundary piece."""
+
+    def __init__(self, m: CombinatorialMap, emb: CrackEmbedding, turns: dict[Dart, int]):
+        self.m, self.emb, self.turns = m, emb, turns
+        self.order = sorted(m.darts, key=dart_sort_key)
+        self.vertex = cycle_ids(m.sigma, self.order)
+        self.loops = empty_self_loops(m, self.vertex)
+        self.joints = joint_darts(m, emb)
+
+    @classmethod
+    def of(cls, pyr: Pyramid) -> "DictTop":
+        i = pyr.top_level
+        m = pyr.top_map()
+        return cls(m, pyr.embedding, {d: pyr._orientation(i, d) for d in m.darts})
+
+    def apply(self, kernel: Kernel) -> tuple["DictTop", dict[Dart, int]]:
+        """The next top and the orientation updates, or KernelError."""
+        top, darts = self.m, kernel.darts
+        dead = [d for d in darts if d not in top.darts]
+        if dead:
+            raise KernelError(f"kernel contains dead or unknown darts: {sorted(dead, key=dart_sort_key)[:4]}")
+        updates: dict[Dart, int] = {}
+        if kernel.state is KernelState.CK:
+            self._check_ck(darts)
+        elif kernel.state is KernelState.RKESL:
+            for d in darts:
+                if top.alpha(d) not in darts:
+                    raise KernelError(f"self-loop kernel is not closed under alpha at dart {d}")
+            for d in sorted(darts, key=dart_sort_key):
+                if d not in self.loops:
+                    raise KernelError(f"dart {d} is not part of an empty self loop")
+            self._check_keeps_vertices(darts)
+        else:
+            if self.loops:
+                raise KernelError("empty self loops present; remove them before double edges")
+            for d in sorted(darts, key=dart_sort_key):
+                if d not in self.joints:
+                    raise KernelError(f"dart {d} is not a double-edge joint at a degree-2 dual vertex")
+                if top.phi(d) not in darts:
+                    raise KernelError(f"joint of dart {d} is only half removed")
+            self._check_keeps_vertices(darts)
+            updates = self._fold_orientations(darts)
+        return DictTop(reduce_map(top, kernel), self.emb, {**self.turns, **updates}), updates
+
+    def _check_ck(self, darts: frozenset[Dart]) -> None:
+        top = self.m
+        if len(darts) == len(top):
+            raise KernelError("contraction kernel contains every dart of the top map")
+        for d in darts:
+            if top.alpha(d) not in darts:
+                raise KernelError(f"contraction kernel is not closed under alpha at dart {d}")
+        parent: dict[Dart, Dart] = {}
+
+        def find(v):
+            while parent.get(v, v) != v:
+                v = parent[v]
+            return v
+
+        for d in sorted(darts, key=dart_sort_key):
+            if dart_sort_key(top.alpha(d)) < dart_sort_key(d):
+                continue
+            a, b = self.vertex[d], self.vertex[top.alpha(d)]
+            if a == b:
+                raise KernelError(f"contraction kernel contains the self-loop edge of dart {d}")
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                raise KernelError(f"contraction kernel contains a cycle through dart {d}")
+            parent[ra] = rb
+
+    def _check_keeps_vertices(self, darts: frozenset[Dart]) -> None:
+        seen: set[Dart] = set()
+        for d in sorted(darts, key=dart_sort_key):
+            if self.vertex[d] not in seen:
+                seen.add(self.vertex[d])
+                c = self.m.sigma(d)
+                while c in darts and c != d:
+                    c = self.m.sigma(c)
+                if c == d:
+                    raise KernelError(f"kernel consumes every dart of the vertex of {d}")
+
+    def _fold_orientations(self, darts: frozenset[Dart]) -> dict[Dart, int]:
+        """A survivor f1 whose partner dies heads a chain f1, sigma(f1), ...
+        of same-direction darts ending just before the surviving reverse
+        dart; its new count folds the chain's counts and the joint turns."""
+        top = self.m
+
+        def last_move(d: Dart) -> Move:
+            return self.emb.move(-top.alpha(d))
+
+        updates: dict[Dart, int] = {}
+        for f1 in map(top.alpha, darts):
+            if f1 in darts:
+                continue
+            total = self.turns.get(f1, 0)
+            last = last_move(f1)
+            f = f1
+            while top.alpha(f) in darts:
+                f = top.sigma(f)
+                if f == f1:
+                    raise KernelError("double-edge chain is not terminated by a surviving partner")
+                total += turn_angle(last, self.emb.move(f)) + self.turns.get(f, 0)
+                last = last_move(f)
+            updates[f1] = total
+        return updates
+
+
+def reduce_map(m: CombinatorialMap, kernel: Kernel) -> CombinatorialMap:
+    """The map left when the kernel's darts are contracted or removed from m:
+    sigma'(d) is the first survivor after d along sigma, stepping by phi past
+    a contracted dart and by sigma past a removed one; alpha' = alpha, except
+    under RKEDE, where y <- alpha(phi(y)) steps past the removed joints."""
+    dead = kernel.darts
+    past = m.phi if kernel.state is KernelState.CK else m.sigma
+    new_sigma: dict[Dart, Dart] = {}
+    new_alpha: dict[Dart, Dart] = {}
+    for d in m.darts:
+        if d in dead:
+            continue
+        c = m.sigma(d)
+        while c in dead:
+            c = past(c)
+        new_sigma[d] = c
+        y = m.alpha(d)
+        while kernel.state is KernelState.RKEDE and y in dead:
+            y = m.alpha(m.phi(y))
+        new_alpha[d] = y
+    return CombinatorialMap(new_sigma.keys(), new_sigma, new_alpha)
+
+
+def cycle_ids(step, darts: Iterable[Dart]) -> dict[Dart, Dart]:
+    """Each dart mapped to the first dart met on its cycle under step, the
+    darts taken in the given order."""
+    ids: dict[Dart, Dart] = {}
+    for d in darts:
+        if d in ids:
+            continue
+        ids[d] = d
+        c = step(d)
+        while c != d:
+            ids[c] = d
+            c = step(c)
+    return ids
+
+
+def empty_self_loops(m: CombinatorialMap, vertex: dict[Dart, Dart]) -> frozenset[Dart]:
+    """Darts of self loops enclosing nothing, by a worklist over faces that
+    keep the count and the sum of their unmarked darts."""
+    face = cycle_ids(m.phi, m.darts)
+    count: dict[Dart, int] = {}
+    total: dict[Dart, int] = {}
+    for d, f in face.items():
+        count[f] = count.get(f, 0) + 1
+        total[f] = total.get(f, 0) + d
+    work = [f for f, n in count.items() if n == 1]
+    marked: set[Dart] = set()
+    while work:
+        f = work.pop()
+        if count[f] != 1:
+            continue
+        d = total[f]
+        a = m.alpha(d)
+        if vertex[d] != vertex[a]:
+            continue
+        marked.update((d, a))
+        for x in (d, a):
+            count[face[x]] -= 1
+            total[face[x]] -= x
+        if count[face[a]] == 1:
+            work.append(face[a])
+    return frozenset(marked)
+
+
+def joint_darts(m: CombinatorialMap, emb: CrackEmbedding) -> frozenset[Dart]:
+    """Darts of degree-2 dual vertices whose two darts come from distinct
+    edges and start at one grid corner."""
+    out: list[Dart] = []
+    for x in m.darts:
+        y = m.phi(x)
+        if x < y and m.phi(y) == x and y != m.alpha(x) and emb.start(x) == emb.start(y):
+            out += (x, y)
+    return frozenset(out)
 
 
 def sorted_sweep_loops(m: CombinatorialMap) -> set:

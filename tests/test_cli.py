@@ -228,6 +228,64 @@ def test_kernel_entry_that_is_not_an_int_is_rejected(tmp_path, capsys):
     assert_clean_error(capsys, tmp_path, data, "kernel 1 is not a list of integer darts")
 
 
+def load_error(capsys, tmp_path, data, command):
+    path = tmp_path / "bad.pyr"
+    path.write_text(json.dumps(data))
+    code = main([command[0], "--pyr", str(path), *command[1:]])
+    err = capsys.readouterr().err
+    assert code == 1
+    return err
+
+
+COMMANDS = [["validate"], ["query", "--report"]]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("version", [2, 0, 1.0, True, "1", None])
+def test_version_other_than_1_is_rejected(tmp_path, capsys, command, version):
+    data = small_record()
+    data["version"] = version
+    err = load_error(capsys, tmp_path, data, command)
+    assert err == f"error: unsupported pyramid version {version!r}, expected 1\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("entry", ["float", "bool"])
+def test_base_sigma_entry_that_is_not_an_int_is_rejected(tmp_path, capsys, command, entry):
+    # 4.0 == 4 and True == 1, so either would pass the permutation compare
+    data = small_record()
+    sigma = data["base_sigma"]
+    if entry == "float":
+        sigma[0] = float(sigma[0])
+    else:
+        sigma[sigma.index(1)] = True
+    err = load_error(capsys, tmp_path, data, command)
+    assert err == "error: base_sigma is not a list of integer darts\n"
+
+
+UNKNOWN_DARTS = {
+    "0": lambda n: 0,
+    "n+1": lambda n: n + 1,
+    "-(n+1)": lambda n: -(n + 1),
+    "2n": lambda n: 2 * n,
+    "2**31": lambda n: 2**31,
+    "2**40": lambda n: 2**40,
+    "-2**63": lambda n: -2**63,
+}
+
+
+@pytest.mark.parametrize("dart", UNKNOWN_DARTS)
+def test_kernel_with_an_unknown_dart_is_rejected(tmp_path, capsys, dart):
+    # beyond +-n a dart must not reach an array indexed by signed dart,
+    # where n+1 would alias -n and 2**31 overflow int32
+    data = small_record()
+    d = UNKNOWN_DARTS[dart](len(data["base_sigma"]) // 2)
+    data["states"].append("CK")
+    data["kernels"].append([d, 1])
+    err = load_error(capsys, tmp_path, data, ["validate"])
+    assert err.startswith("error: kernel contains dead or unknown darts: [") and str(d) in err
+
+
 def test_base_sigma_length_is_checked_before_the_grid_is_built(tmp_path, capsys):
     # the record claims a 300x300 grid but carries no permutation: the length
     # check must fail before 361k darts are allocated

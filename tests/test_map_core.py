@@ -4,11 +4,15 @@ import pytest
 
 from combipyramid.map_core import (
     CombinatorialMap,
+    CrackEmbedding,
     build_grid_map,
+    dart_order,
     to_dot,
     validate,
 )
 from combipyramid.moves import Move
+
+from eager_oracle import grid_map_by_pixels
 
 
 def grid_dart_count(w, h):
@@ -19,6 +23,23 @@ def test_rejects_bad_dimensions():
     for w, h in ((0, 3), (3, 0), (-1, 2)):
         with pytest.raises(ValueError):
             build_grid_map(w, h)
+
+
+@pytest.mark.parametrize("w,h", [(1, 1), (1, 4), (5, 1), (3, 3), (7, 4)])
+def test_closed_form_equals_the_pixel_loop(w, h):
+    m, emb = build_grid_map(w, h)
+    assert m == grid_map_by_pixels(w, h)
+    darts = dart_order(emb.n_darts // 2)
+    assert [Move(v) for v in emb.moves(darts)] == [emb.move(d) for d in darts.tolist()]
+    assert [(int(c) % (w + 1), int(c) // (w + 1)) for c in emb.corners(darts)] == [
+        emb.start(d) for d in darts.tolist()
+    ]
+
+
+def test_grid_too_large_for_int32_darts_is_rejected():
+    # checked before any array is allocated
+    with pytest.raises(ValueError, match="too many darts"):
+        CrackEmbedding(2**15, 2**15).grid_sigma()
 
 
 def test_single_pixel_grid():

@@ -1,15 +1,17 @@
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combipyramid.map_core import CombinatorialMap, dart_sort_key, validate
-from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid, _empty_self_loops
+from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid, _cycle_min, _empty_loops
+from combipyramid.segmentation import segment_labels
 
-from conftest import random_pyramid
-from eager_oracle import eager_levels, sorted_sweep_loops
+from conftest import random_pyramid, ringed_labels
+from eager_oracle import DictTop, eager_levels, empty_self_loops, sorted_sweep_loops
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -61,6 +63,21 @@ def test_kernel_rejections():
     pyr3.apply_kernel(Kernel.of(KernelState.CK, [2, -2, 9, -9, 5, -5]))
     with pytest.raises(KernelError, match="self-loop"):
         pyr3.apply_kernel(Kernel.of(KernelState.CK, [10, -10]))
+
+
+@pytest.mark.parametrize("state", list(KernelState))
+def test_unknown_darts_are_rejected_before_any_array_read(state):
+    # the top arrays have 2n+1 entries indexed by signed dart: n+1 would
+    # alias -n, and 2**31 does not fit int32
+    pyr = Pyramid.from_grid(3, 2)
+    n = len(pyr.base) // 2
+    before = pyr.to_json()
+    for d in (0, n + 1, -(n + 1), 2 * n, 2**31, 2**40, -2**63):
+        with pytest.raises(KernelError, match=rf"^kernel contains dead or unknown darts: \[{d}\]$"):
+            pyr.apply_kernel(Kernel.of(state, [d]))
+        with pytest.raises(KernelError, match=r"^kernel contains dead or unknown darts: "):
+            pyr.apply_kernel(Kernel.of(state, [1, -1, d]))
+    assert pyr.to_json() == before
 
 
 def test_contraction_of_the_whole_map_is_rejected():
@@ -189,8 +206,8 @@ def test_stored_top_partition_is_the_vertex_map(seed):
     def checked(pyr, kernel):
         apply(pyr, kernel)
         top = pyr.top_map()
-        assert pyr._top_vertex == top.vertex_ids()
-        assert pyr._top_order == sorted(top.darts, key=dart_sort_key)
+        assert {d: pyr._top_vertex[d] for d in top.darts} == top.vertex_ids()
+        assert pyr._top_order.tolist() == sorted(top.darts, key=dart_sort_key)
         applied.append(kernel)
         return pyr
 
@@ -199,7 +216,71 @@ def test_stored_top_partition_is_the_vertex_map(seed):
         Pyramid.from_json(pyr.to_json())
     assert len(applied) == 2 * pyr.top_level
     base = Pyramid.from_grid(pyr.embedding.width, pyr.embedding.height)
-    assert base._top_vertex == base.top_map().vertex_ids()
+    assert {d: base._top_vertex[d] for d in base.base.darts} == base.top_map().vertex_ids()
+
+
+def random_kernels(rng: random.Random, pyr: Pyramid) -> list[Kernel]:
+    """Kernels to try on the top: a random dart subset under every state,
+    raw and closed under alpha, and random halves of the top's maximal
+    removal kernels, closed under their alpha or phi pairs."""
+    top = pyr.top_map()
+    darts = sorted(top.darts, key=dart_sort_key)
+    out = []
+    for state in KernelState:
+        raw = {d for d in darts if rng.random() < 0.3}
+        out += [Kernel.of(state, raw), Kernel.of(state, raw | {top.alpha(d) for d in raw})]
+    for full, mate, state in ((pyr.compute_rkesl().darts, top.alpha, KernelState.RKESL),
+                              (pyr.compute_rkede().darts, top.phi, KernelState.RKEDE)):
+        half = {d for d in full if rng.random() < 0.5}
+        out.append(Kernel.of(state, half | {mate(d) for d in half}))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.booleans())
+def test_array_derivation_equals_the_dict_reference(seed, ringed):
+    # every kernel a random build applies, and random kernels on each of its
+    # tops: the same KernelError message, or the same level and top facts
+    # as the loop-by-dart derivation of eager_oracle.DictTop
+    apply = Pyramid.apply_kernel
+    rng = random.Random(seed)
+
+    def same_top(pyr, ref):
+        assert pyr.top_map() == ref.m
+        assert {d: pyr._top_vertex[d] for d in ref.m.darts} == ref.vertex
+        assert pyr._top_loops == ref.loops
+        assert pyr._top_joints == ref.joints
+
+    def checked(pyr, kernel):
+        ref = DictTop.of(pyr)
+        same_top(pyr, ref)
+        try:
+            nxt, updates = ref.apply(kernel)
+        except KernelError as exc:
+            before = pyr.to_json()
+            with pytest.raises(KernelError) as got:
+                apply(pyr, kernel)
+            assert str(got.value) == str(exc)
+            assert pyr.to_json() == before
+            return pyr
+        apply(pyr, kernel)
+        same_top(pyr, nxt)
+        assert pyr._or_updates[-1] == updates
+        return pyr
+
+    with mock.patch.object(Pyramid, "apply_kernel", checked):
+        if ringed:
+            pyr = segment_labels(ringed_labels(rng, rng.randint(3, 10), rng.randint(3, 10))).pyramid
+        else:
+            pyr = random_pyramid(rng, max_side=6)
+        for i in range(pyr.top_level + 1):
+            # replay up to level i, then try random kernels on that top
+            prefix = Pyramid.from_grid(pyr.embedding.width, pyr.embedding.height)
+            for kernel in pyr.kernels[:i]:
+                prefix.apply_kernel(kernel)
+            for kernel in random_kernels(rng, prefix):
+                trial = Pyramid.from_json(prefix.to_json())
+                trial.apply_kernel(kernel)
 
 
 # -- removal kernels -------------------------------------------------------------
@@ -228,7 +309,14 @@ def test_rkesl_expansion_collects_nested_loops():
     alpha = {d: -d for d in sigma}
     m = CombinatorialMap(sigma.keys(), sigma, alpha)
     assert validate(m).ok
-    assert _empty_self_loops(m, m.vertex_ids()) == {t, -t, u, -u}
+    assert empty_self_loops(m, m.vertex_ids()) == {t, -t, u, -u}
+    # the array pass, over the darts' positions in dart_sort_key order
+    order = sorted(m.darts, key=dart_sort_key)
+    pos = {d: k for k, d in enumerate(order)}
+    step = np.array([pos[sigma[d]] for d in order])
+    mate = np.array([pos[alpha[d]] for d in order])
+    loops = _empty_loops(step, mate, _cycle_min(step))
+    assert {d for d, marked in zip(order, loops) if marked} == {t, -t, u, -u}
 
 
 @settings(max_examples=60, deadline=None)
@@ -238,7 +326,7 @@ def test_worklist_loops_equal_sorted_sweep(seed):
     for i in range(pyr.top_level + 1):
         m = pyr.reconstruct_level(i)
         loops = sorted_sweep_loops(m)
-        assert _empty_self_loops(m, m.vertex_ids()) == loops
+        assert empty_self_loops(m, m.vertex_ids()) == loops
         joints = {
             d
             for x, y in (c for c in m.faces() if len(c) == 2)
