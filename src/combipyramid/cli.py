@@ -12,7 +12,7 @@ from . import relations
 from .containment import contains
 from .map_core import dart_sort_key, to_dot, validate
 from .netpbm import load_image, save_pgm
-from .pyramid import Pyramid
+from .pyramid import Pyramid, _rank
 from .segmentation import RoadsignNotFound, SegmentedImage, roadsign_extract
 
 
@@ -82,7 +82,10 @@ def _load_pyramid(path: str) -> Pyramid:
 def _parse_level(pyr: Pyramid, text: str) -> int:
     if text == "top":
         return pyr.top_level
-    i = int(text)
+    try:
+        i = int(text)
+    except ValueError:
+        raise ValueError(f"--level must be 'top' or an integer in 0..{pyr.top_level}, got {text!r}") from None
     if not 0 <= i <= pyr.top_level:
         raise ValueError(f"level {i} out of range 0..{pyr.top_level}")
     return i
@@ -139,18 +142,15 @@ def _cmd_export(args) -> int:
         with open(args.rag_dot, "w", encoding="ascii") as fh:
             fh.write(relations.rag_to_dot(pyr, i, name=f"rag{i}"))
     if args.labels:
-        emb = pyr.embedding
-        rows = pyr.pixel_labels(i)
-        reps = sorted({v for row in rows for v in row}, key=dart_sort_key)
-        dense = {v: k for k, v in enumerate(reps)}
-        arr = np.zeros((emb.height, emb.width), dtype=np.int64)
-        for y in range(emb.height):
-            for x in range(emb.width):
-                arr[y, x] = dense[rows[y][x]]
+        rows = np.array(pyr.pixel_labels(i), dtype=np.int64)
+        # regions numbered 0, 1, ... in dart_sort_key order of their darts
+        _, first, arr = np.unique(_rank(rows), return_index=True, return_inverse=True)
+        arr = arr.reshape(rows.shape)
         maxval = max(1, int(arr.max()))
         save_pgm(args.labels, arr, maxval=min(65535, maxval))
+        regions = {str(k): v for k, v in enumerate(rows.ravel()[first].tolist())}
         with open(args.labels + ".json", "w", encoding="ascii") as fh:
-            fh.write(json.dumps({"regions": {str(k): v for v, k in dense.items()}}, sort_keys=True) + "\n")
+            fh.write(json.dumps({"regions": regions}, sort_keys=True) + "\n")
     return 0
 
 
@@ -168,12 +168,8 @@ def _cmd_roadsign(args) -> int:
     sym = _parse_color(args.symbol_color)[:channels]
     seg = SegmentedImage(image).run(args.threshold, args.max_levels)
     symbol = roadsign_extract(seg, k=args.k, background_color=bg, symbol_color=sym)
-    mask = np.zeros((seg.height, seg.width), dtype=np.uint8)
-    rows = seg.pyramid.pixel_labels(seg.pyramid.top_level)
-    for y in range(seg.height):
-        for x in range(seg.width):
-            if rows[y][x] in symbol:
-                mask[y, x] = 255
+    rows = np.array(seg.pyramid.pixel_labels(seg.pyramid.top_level), dtype=np.int64)
+    mask = np.where(np.isin(rows, list(symbol)), 255, 0).astype(np.uint8)
     save_pgm(args.out, mask)
     print(json.dumps({
         "symbol_regions": sorted(symbol, key=dart_sort_key),

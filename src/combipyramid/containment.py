@@ -186,6 +186,13 @@ def _enclosers(pyr: Pyramid, i: int, v: Dart) -> list[Dart]:
     return out
 
 
+def infinite_region(pyr: Pyramid, i: int) -> Dart:
+    """Representative of the vertex encoding the outside of the image: the
+    level-i region of dart 1, which the base's outside vertex starts with."""
+    pyr._check_level(i)
+    return pyr._ints[pyr._regions[i][1]]
+
+
 _Forest = tuple[dict[Dart, Dart], dict[Dart, list[Dart]]]
 
 
@@ -215,8 +222,7 @@ def _build_forest(pyr: Pyramid, i: int) -> _Forest:
     cycles = m.vertices()
     rep = {d: cyc[0] for cyc in cycles for d in cyc}
     cycle_of = {cyc[0]: cyc for cyc in cycles}
-    pixel_of = pyr.embedding.pixel_of
-    outside = rep[next(d for d in m.darts if pixel_of(d) is None)]
+    outside = infinite_region(pyr, i)
     parent: dict[Dart, Dart] = {}
     children: dict[Dart, list[Dart]] = {}
     seen = {outside}

@@ -15,26 +15,32 @@ phi_{i-1} past a contracted dart and by sigma_{i-1} past a removed one, and
 alpha_i(d) = alpha_{i-1}(d) except under RKEDE, where
 y <- alpha_{i-1}(phi_{i-1}(y)) steps past removed joints. The top level alone
 is also held as int32 sigma/alpha arrays indexed by signed dart, and the
-derivation, the kernel checks and the top's vertex partition, empty self
-loops and joints are whole-array passes over them: pointer jumping instead of
-one walk per dart. Only the constructor and apply_kernel, the single writer,
-write the arrays, and no query reads them. Each level map and its redundant
-darts are stored once as dict maps, built from one table of the base's int
-objects, and never change; queries read those. The one thing a query stores
-is a clean level's enclosure forest: the first enclosure query there builds
-it and publishes it with one dict store in `_forests`. Levels never change,
-so racing builds give equal forests.
+derivation, the kernel checks and the top's empty self loops and joints are
+whole-array passes over them: pointer jumping instead of one walk per dart.
+Only the constructor and apply_kernel, the single writer, write the arrays.
 
-Replay from the base serves receptive fields, boundary segments,
-vertex_of_pixel and pixel_labels. Walking from a surviving dart d with
-sigma0, taking phi0 after a contracted dart and sigma0 after a removed dart,
-yields the darts swallowed between d and its level-i successor: the first
-surviving dart hit is sigma_i(d). From a dead dart the same rule leads to a
-survivor of the vertex that absorbed it. A boundary piece is read off the
-base instead: scanning around base corners, the piece grows by one absorbed
-double-edge dart at a time and stops where a survivor is met, and the base
-partner of its last dart is alpha_i(d) (just -d while the piece is a single
-crack).
+Each level also keeps its region array: for every base dart, the canonical
+dart of the level-i vertex that holds or absorbed it, indexed by signed dart.
+A level's regions are those below merged by its kernel, so one gather
+derives the array from the one below: each old vertex goes to the new vertex
+of its first survivor, which the pointer jumping that derives sigma also
+finds. Kernel checks, merge rounds, pixel_labels, vertex_of_pixel and the
+outside region read these arrays. Each level map and its redundant darts are
+stored once as dict maps, built from one table of the base's int objects.
+Only the constructor and apply_kernel write the maps and region arrays, and
+they never change after that; queries read them. The one thing a query stores is a clean
+level's enclosure forest: the first enclosure query there builds it and
+publishes it with one dict store in `_forests`. Levels never change, so
+racing builds give equal forests.
+
+Replay from the base serves receptive fields and boundary segments. Walking
+from a surviving dart d with sigma0, taking phi0 after a contracted dart and
+sigma0 after a removed dart, yields the darts swallowed between d and its
+level-i successor: the first surviving dart hit is sigma_i(d). A boundary
+piece is read off the base instead: scanning around base corners, the piece
+grows by one absorbed double-edge dart at a time and stops where a survivor
+is met, and the base partner of its last dart is alpha_i(d) (just -d while
+the piece is a single crack).
 
 A removed double-edge joint drops one dart from each of the two boundary
 directions, so kernels with state RKEDE pair surviving darts of formerly
@@ -94,10 +100,10 @@ class Pyramid:
     """Base grid map plus the per-dart level and per-kernel state functions.
 
     Construction is single writer via apply_kernel, which derives the new
-    level map and its per-level facts from the top's sigma/alpha arrays and
-    then replaces those arrays; queries read the stored dict maps and facts
-    and add only the per-level enclosure forests, each built once and stored
-    idempotently.
+    level map, its region array and its redundant darts from the top's
+    sigma/alpha arrays and then replaces those arrays; queries read the
+    stored maps and region arrays, which never change, and add only the
+    per-level enclosure forests, each built once and stored idempotently.
     """
 
     def __init__(self, base: CombinatorialMap, embedding: CrackEmbedding):
@@ -108,9 +114,11 @@ class Pyramid:
         self._killed: dict[Dart, int] = {}
         # orientation cache: per level, the darts whose turn count changed
         self._or_updates: list[dict[Dart, int]] = []
-        # per level: the map and its redundant darts
+        # per level: the map, its redundant darts and its region array (see
+        # the module docstring)
         self._levels: list[CombinatorialMap] = []
         self._redundant: list[frozenset[Dart]] = []
+        self._regions: list[np.ndarray] = []
         # per clean level: its enclosure forest, built by the first
         # enclosure query there (see containment)
         self._forests: dict[int, tuple] = {}
@@ -280,36 +288,40 @@ class Pyramid:
             heads, turns = self._fold_orientations(kill)
             updates = dict(zip(self._ints[heads], turns.tolist()))
         # Nothing fails from here on: _reduce repairs only the chains that
-        # _fold_orientations walked. The old top's facts go before the
-        # reduced map is built, so a reload holds one vertex partition at a
-        # time.
+        # _fold_orientations walked.
         if updates:
             self._turns[heads] = turns
         order = self._top_order[~kill[self._top_order]]
-        self._top_order = self._top_vertex = self._top_loops = self._top_joints = None
-        self._sigma, self._alpha = _reduce(self._sigma, self._alpha, self._ids, kill, order, kernel.state)
+        canon = self._top_order[self._regions[-1][self._top_order] == self._top_order]
+        self._sigma, self._alpha, first = _reduce(self._sigma, self._alpha, self._ids, kill, order, kernel.state,
+                                                  canon)
         new_level = len(self.kernels) + 1
         self.kernels.append(kernel)
         self._killed.update(dict.fromkeys(kernel.darts, new_level))
         self._or_updates.append(updates)
-        self._append_level(map_of(self._ints, order, self._sigma, self._alpha), order)
+        self._append_level(map_of(self._ints, order, self._sigma, self._alpha), order, canon, first)
         return self
 
-    def _append_level(self, m: CombinatorialMap, order: np.ndarray) -> None:
-        """Store m, the map of the top arrays, as the new top; order is its
-        darts in dart_sort_key order. For the top only, also keep that order,
-        the vertex partition (a dart-indexed array of canonical vertex darts,
-        the least in dart_sort_key order), the empty self loops and the
-        double-edge joints: kernel construction, kernel checks and merge
-        rounds read them."""
+    def _append_level(self, m: CombinatorialMap, order: np.ndarray, canon: np.ndarray | None = None,
+                      first: np.ndarray | None = None) -> None:
+        """Store m, the map of the top arrays, and its region array as the
+        new top; order is its darts in dart_sort_key order, canon the old
+        top's canonical vertex darts (the least in that order) and first the
+        first survivor of each, both None at the base. For the top only, also
+        keep the order, the empty self loops and the double-edge joints."""
         self._top_order = order
         # the passes run over positions in order: pos maps a dart to its own
         pos = np.zeros(len(self._sigma), dtype=np.int32)
         pos[order] = np.arange(len(order), dtype=np.int32)
         sigma, mate = pos[self._sigma[order]], pos[self._alpha[order]]
         vertex = _cycle_min(sigma)
-        self._top_vertex = np.zeros_like(self._sigma)
-        self._top_vertex[order] = order[vertex]
+        region = np.zeros_like(self._sigma)
+        region[order] = order[vertex]
+        if canon is not None:
+            lift = np.zeros_like(region)
+            lift[canon] = region[first]
+            region = lift[self._regions[-1]]
+        self._regions.append(region)
         self._top_loops = frozenset(self._ints[order[_empty_loops(sigma, mate, vertex)]])
         self._top_joints = frozenset(self._ints[order[_joints(sigma, mate, self.embedding.corners(order))]])
         self._levels.append(m)
@@ -330,7 +342,7 @@ class Pyramid:
         # dart_sort_key order
         kd = kd[np.argsort(_rank(kd))]
         kd = kd[_rank(self._alpha[kd]) > _rank(kd)]
-        vertex, ints = self._top_vertex, self._ints
+        vertex, ints = self._regions[-1], self._ints
         parent: dict[Dart, Dart] = {}
         for d, a, b in zip(ints[kd].tolist(), ints[vertex[kd]].tolist(), ints[vertex[self._alpha[kd]]].tolist()):
             if a == b:
@@ -362,9 +374,9 @@ class Pyramid:
 
     def _check_keeps_vertices(self, kd: np.ndarray) -> None:
         # kernel darts against all darts, counted per vertex
-        vertex = self._top_vertex[kd]
+        vertex = self._regions[-1][kd]
         rank = _rank(vertex)
-        size = np.bincount(_rank(self._top_vertex[self._top_order]))
+        size = np.bincount(_rank(self._regions[-1][self._top_order]))
         taken = np.bincount(rank, minlength=len(size))
         gone = vertex[taken[rank] == size[rank]]
         if gone.size:
@@ -454,37 +466,15 @@ class Pyramid:
         emb = self.embedding
         if not (0 <= x < emb.width and 0 <= y < emb.height):
             raise ValueError(f"pixel ({x}, {y}) outside the {emb.width}x{emb.height} grid")
-        d = self._absorbed(i, emb.pixel_dart(x, y))[1]
-        return self.reconstruct_level(i).vertex_of(d)
+        self._check_level(i)
+        return self._ints[self._regions[i][emb.pixel_dart(x, y)]]
 
     def pixel_labels(self, i: int) -> list[list[Dart]]:
-        """Region representative of every pixel at level i, row by row.
-
-        Resolved walks are shared across pixels, so the whole image costs
-        one pass over the base darts instead of one walk per pixel.
-        """
-        resolved = self.reconstruct_level(i).vertex_ids()
+        """Region representative of every pixel at level i, row by row."""
+        self._check_level(i)
         emb = self.embedding
-        out = []
-        for y in range(emb.height):
-            row = []
-            for x in range(emb.width):
-                path = []
-                c = emb.pixel_dart(x, y)
-                while c not in resolved:
-                    path.append(c)
-                    if len(path) > len(self.base):
-                        raise RuntimeError("replay from a contracted dart does not terminate")
-                    if self.state(self.level(c)) is KernelState.CK:
-                        c = self.base.phi(c)
-                    else:
-                        c = self.base.sigma(c)
-                rep = resolved[c]
-                for p in path:
-                    resolved[p] = rep
-                row.append(rep)
-            out.append(row)
-        return out
+        darts = emb.pixel_dart(np.arange(emb.width), np.arange(emb.height)[:, None])
+        return self._ints[self._regions[i][darts]].tolist()
 
     def redundant_darts(self, i: int) -> frozenset[Dart]:
         """Darts of empty self loops and of removable double-edge joints at
@@ -505,9 +495,8 @@ class Pyramid:
         """
         if not 1 <= i <= self.top_level:
             raise ValueError(f"level {i} out of range 1..{self.top_level}")
+        self._require_alive(i, v)
         cur, prev = self._levels[i], self._levels[i - 1]
-        if v not in cur.darts:
-            raise ValueError(f"dart {v} does not survive at level {i}")
         contracted = self.kernels[i - 1].darts if self.state(i) is KernelState.CK else frozenset()
         seen: set[Dart] = set()
         out = []
@@ -600,22 +589,25 @@ def _rank(d: np.ndarray) -> np.ndarray:
 
 
 def _reduce(sigma: np.ndarray, alpha: np.ndarray, ids: np.ndarray, dead: np.ndarray, live: np.ndarray,
-            state: KernelState) -> tuple[np.ndarray, np.ndarray]:
-    """sigma and alpha once the dead darts are contracted (CK) or removed.
+            state: KernelState, canon: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma and alpha once the dead darts are contracted (CK) or removed,
+    and the first survivor from each dart of canon.
 
     sigma'(d) is the first survivor after d along sigma, stepping by phi past
-    a contracted dart and by sigma past a removed one. alpha' = alpha, except
-    under RKEDE, where y <- alpha(phi(y)) steps past the removed joints.
-    live lists the survivors.
+    a contracted dart and by sigma past a removed one; the same steps from a
+    dead dart lead to a survivor of the vertex that absorbed it. alpha' =
+    alpha, except under RKEDE, where y <- alpha(phi(y)) steps past the
+    removed joints. live lists the survivors.
     """
     phi = sigma[alpha]
     new_sigma, new_alpha = np.zeros_like(sigma), np.zeros_like(alpha)
-    new_sigma[live] = _first_alive(phi if state is KernelState.CK else sigma, dead, ids, sigma[live])
+    out = _first_alive(phi if state is KernelState.CK else sigma, dead, ids, np.concatenate([sigma[live], canon]))
+    new_sigma[live] = out[: len(live)]
     if state is KernelState.RKEDE:
         new_alpha[live] = _first_alive(alpha[phi], dead, ids, alpha[live])
     else:
         new_alpha[live] = alpha[live]
-    return new_sigma, new_alpha
+    return new_sigma, new_alpha, out[len(live) :]
 
 
 def _first_alive(step: np.ndarray, dead: np.ndarray, ids: np.ndarray, start: np.ndarray) -> np.ndarray:

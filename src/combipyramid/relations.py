@@ -9,7 +9,7 @@ the outside face.
 from __future__ import annotations
 
 from .boundary import CrackChain, Segment, segment
-from .containment import _enclosers, inside_all
+from .containment import _enclosers, infinite_region, inside_all
 from .map_core import CombinatorialMap, Dart, dart_sort_key
 from .pyramid import Pyramid
 
@@ -27,13 +27,6 @@ __all__ = [
 def region_ids(pyr: Pyramid, i: int) -> list[Dart]:
     """Canonical representative darts of all level-i vertices."""
     return [cyc[0] for cyc in pyr.reconstruct_level(i).vertices()]
-
-
-def infinite_region(pyr: Pyramid, i: int) -> Dart:
-    """Representative of the vertex encoding the outside of the image."""
-    m = pyr.reconstruct_level(i)
-    d = next(d for d in sorted(m.darts, key=dart_sort_key) if pyr.embedding.pixel_of(d) is None)
-    return m.vertex_of(d)
 
 
 def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:

@@ -87,7 +87,7 @@ class SegmentedImage:
         Returns the kernels applied; an empty list means nothing merged.
         """
         pyr = self.pyramid
-        rep = pyr._top_vertex
+        rep = pyr._regions[-1]
         stats = self.stats
         # each edge once, from its first dart in dart_sort_key order, between
         # two image regions; the darts are read from the pyramid's int table,
@@ -128,18 +128,20 @@ class SegmentedImage:
             pyr.apply_kernel(rkede)
             applied.append(rkede)
         # the contraction merged exactly the union-find classes and the
-        # removals keep every vertex, so each new vertex is one class; rep
-        # is still the partition this round started from
-        order = pyr._top_order
-        regions = order[pyr._top_vertex[order] == order]
-        self.stats = {}
-        for v, old in zip(pyr._ints[regions].tolist(), pyr._ints[rep[regions]].tolist()):
-            if (root := _find_root(parent, old)) in stats:
-                self.stats[v] = stats[root]
+        # removals keep every vertex, so each class root lies in one new
+        # region; keep the regions in dart_sort_key order
+        roots = np.fromiter(stats, np.int32, len(stats))
+        regions = pyr._regions[-1][roots]
+        values = list(stats.values())
+        self.stats = {pyr._ints[regions[k]]: values[k] for k in np.argsort(_rank(regions)).tolist()}
         return applied
 
     def run(self, threshold: float, max_levels: int | None = None) -> "SegmentedImage":
         """Merge until stable (or until max_levels merge rounds)."""
+        if not threshold >= 0:  # also rejects nan
+            raise ValueError(f"threshold must be a non-negative number, got {threshold}")
+        if max_levels is not None and max_levels < 0:
+            raise ValueError(f"max_levels must be non-negative, got {max_levels}")
         rounds = 0
         while max_levels is None or rounds < max_levels:
             if not self.merge_level(threshold):

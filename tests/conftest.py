@@ -11,16 +11,17 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from combipyramid.pyramid import Kernel, KernelState, Pyramid
+from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid
 
 
 def random_pyramid(rng: random.Random, max_side: int = 8, rounds: int | None = None,
-                   always_clean: bool = False) -> Pyramid:
+                   always_clean: bool = False, touch_outside: bool = False) -> Pyramid:
     """Pyramid over a random small grid with random valid kernel sequences.
 
     Each round contracts a random forest of region adjacencies (never touching
-    the outside vertex), then usually removes the empty self loops and double
-    edges it created. With always_clean the cleanup always runs.
+    the outside vertex, unless touch_outside), then usually removes the empty
+    self loops and double edges it created. With always_clean the cleanup
+    always runs.
     """
     w, h = rng.randint(1, max_side), rng.randint(1, max_side)
     pyr = Pyramid.from_grid(w, h)
@@ -32,7 +33,7 @@ def random_pyramid(rng: random.Random, max_side: int = 8, rounds: int | None = N
             d = cyc[0]
             if rep[d] == rep[top.alpha(d)]:
                 continue
-            if pyr.embedding.pixel_of(d) is None or pyr.embedding.pixel_of(top.alpha(d)) is None:
+            if not touch_outside and None in (pyr.embedding.pixel_of(d), pyr.embedding.pixel_of(top.alpha(d))):
                 continue
             cands.append(d)
         rng.shuffle(cands)
@@ -53,17 +54,36 @@ def random_pyramid(rng: random.Random, max_side: int = 8, rounds: int | None = N
                 continue
             parent[ru] = rv
             chosen.extend((d, top.alpha(d)))
-        if chosen:
+        if chosen and len(chosen) < len(top):  # a tree is not contracted whole
             pyr.apply_kernel(Kernel.of(KernelState.CK, chosen))
         elif rng.random() < 0.2:
             pyr.apply_kernel(Kernel.of(KernelState.CK, []))
         if always_clean or rng.random() < 0.85:
-            rkesl = pyr.compute_rkesl()
-            if rkesl.darts:
-                pyr.apply_kernel(rkesl)
-            rkede = pyr.compute_rkede()
-            if rkede.darts:
-                pyr.apply_kernel(rkede)
+            for compute in (pyr.compute_rkesl, pyr.compute_rkede):
+                kernel = compute()
+                if not kernel.darts:
+                    continue
+                try:
+                    pyr.apply_kernel(kernel)
+                except KernelError:
+                    # contractions through the outside can leave one vertex,
+                    # which the maximal removal kernel would empty
+                    if not touch_outside:
+                        raise
+                    break
+    return pyr
+
+
+def borderless_outside_pyramid() -> Pyramid:
+    """3x3 grid whose outside keeps no border dart from level 2 on: the
+    first contraction welds the outside to the pixels it borders, the loop
+    removal takes the remaining border darts, and a last contraction merges
+    the two regions left."""
+    pyr = Pyramid.from_grid(3, 3)
+    pyr.apply_kernel(Kernel.of(KernelState.CK, [-23, -22, -21, -13, -12, -5, -3, -2, 2, 3, 5, 12, 13, 21, 22, 23]))
+    pyr.apply_kernel(Kernel.of(KernelState.RKESL, [-24, -19, -18, -16, -15, -14, -11, -10, -9, -8, -4, -1,
+                                                   1, 4, 8, 9, 10, 11, 14, 15, 16, 18, 19, 24]))
+    pyr.apply_kernel(Kernel.of(KernelState.CK, [-6, 6]))
     return pyr
 
 

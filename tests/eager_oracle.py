@@ -10,8 +10,9 @@ sorted_sweep_loops grows the empty self loops by repeated sorted sweeps. inside_
 the map from a vertex's directly enclosed neighbours; flood_fill_contains_oracle
 and enclosed_regions decide enclosure on the pixels, and BoundaryOracle finds
 shared boundary pieces on them. composed_of_scan assigns every vertex of the
-level below to its parent by a scan of the whole level. All are kept
-deliberately simple.
+level below to its parent by a scan of the whole level. replay_pixel_labels
+finds each pixel's region by replaying absorbed darts from the base. All are
+kept deliberately simple.
 """
 
 from __future__ import annotations
@@ -523,3 +524,35 @@ def composed_of_scan(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
         if d in home:
             out.append(cyc[0])
     return frozenset(out)
+
+
+def replay_pixel_labels(pyr: Pyramid, i: int) -> list[list[Dart]]:
+    """Region of every pixel at level i, row by row, by replay from the base.
+
+    From a pixel's dart, step by phi0 past a dart contracted at or below
+    level i and by sigma0 past a removed one, until a dart alive at level i
+    is hit; its level-i vertex holds the pixel. Resolved walks are shared
+    across pixels.
+    """
+    resolved = pyr.reconstruct_level(i).vertex_ids()
+    emb = pyr.embedding
+    out = []
+    for y in range(emb.height):
+        row = []
+        for x in range(emb.width):
+            path = []
+            c = emb.pixel_dart(x, y)
+            while c not in resolved:
+                path.append(c)
+                if len(path) > len(pyr.base):
+                    raise RuntimeError("replay from a contracted dart does not terminate")
+                if pyr.state(pyr.level(c)) is KernelState.CK:
+                    c = pyr.base.phi(c)
+                else:
+                    c = pyr.base.sigma(c)
+            rep = resolved[c]
+            for p in path:
+                resolved[p] = rep
+            row.append(rep)
+        out.append(row)
+    return out

@@ -11,7 +11,7 @@ from combipyramid.map_core import CombinatorialMap
 from combipyramid.netpbm import load_image, save_ppm
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
 
-from conftest import arrow_sign_raster, flag_sign_raster
+from conftest import arrow_sign_raster, borderless_outside_pyramid, flag_sign_raster
 
 
 @pytest.fixture
@@ -187,6 +187,45 @@ def test_contains_with_an_unknown_dart_names_it(tmp_path, sign_ppm, capsys):
     assert f"dart {dead} does not survive at level {len(record['kernels'])}" in err
 
 
+def test_unknown_composed_of_dart_names_it(tmp_path, sign_ppm, capsys):
+    pyr_path = built(tmp_path, sign_ppm, capsys)
+    err = query_error(capsys, pyr_path, "--composed-of", 99999)
+    assert err == "error: dart 99999 is not in the base map\n"
+
+
+def test_level_that_is_not_a_number_names_the_flag(tmp_path, sign_ppm, capsys):
+    pyr_path = built(tmp_path, sign_ppm, capsys)
+    err = query_error(capsys, pyr_path, "--level", "abc", "--report")
+    assert err == "error: --level must be 'top' or an integer in 0..3, got 'abc'\n"
+
+
+@pytest.mark.parametrize("command", ["build", "roadsign"])
+@pytest.mark.parametrize("flags, message", [
+    (["--threshold", "nan"], "threshold must be a non-negative number, got nan"),
+    (["--threshold", "-5"], "threshold must be a non-negative number, got -5.0"),
+    (["--threshold", "1", "--max-levels", "-3"], "max_levels must be non-negative, got -3"),
+], ids=["nan", "negative", "max-levels"])
+def test_bad_merge_settings_are_rejected(tmp_path, sign_ppm, capsys, command, flags, message):
+    out = tmp_path / "out"
+    code = main([command, "--input", str(sign_ppm), *flags, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_outside_without_border_darts_is_reported(tmp_path, capsys):
+    # validate accepts the file, so the queries must answer on it too
+    path = tmp_path / "borderless.pyr"
+    path.write_text(borderless_outside_pyramid().to_json())
+    code, text = run(capsys, "validate", "--pyr", path)
+    assert code == 0 and json.loads(text)["ok"] is True
+    code, text = run(capsys, "query", "--pyr", path, "--level", 2, "--report")
+    assert code == 0 and json.loads(text)["infinite_region"] == 6
+    rag = tmp_path / "rag.dot"
+    code, _ = run(capsys, "export", "--pyr", path, "--level", 2, "--rag-dot", rag)
+    assert code == 0 and '"r6" [shape=doublecircle]' in rag.read_text()
+
+
 def test_missing_file_is_a_clean_error(tmp_path, capsys):
     code = main(["query", "--pyr", str(tmp_path / "nope.pyr"), "--report"])
     assert code == 1
@@ -325,6 +364,18 @@ def test_ascii_sample_out_of_range_is_rejected(tmp_path, capsys, sample):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "exceeds the range 0..255 (byte offset 13)" in err
+
+
+def test_readme_quickstart_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library quickstart") :]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start : section.index("```\n", start)]
+    scope: dict = {}
+    exec(code, scope)
+    pyr, top, a, b = (scope[k] for k in ("pyr", "top", "a", "b"))
+    assert combipyramid.contains(pyr, top, a, b)
+    assert len(combipyramid.meets_each(pyr, top, a, b)) == 1
 
 
 def test_readme_lists_the_exported_api():

@@ -11,7 +11,7 @@ from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid, _cyc
 from combipyramid.segmentation import segment_labels
 
 from conftest import random_pyramid, ringed_labels
-from eager_oracle import DictTop, eager_levels, empty_self_loops, sorted_sweep_loops
+from eager_oracle import DictTop, eager_levels, empty_self_loops, replay_pixel_labels, sorted_sweep_loops
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -196,27 +196,44 @@ def test_removal_kernel_that_consumes_a_vertex_is_rejected(contract):
     assert pyr.to_json() == before
 
 
+def built_pyramid(rng: random.Random, kind: str) -> Pyramid:
+    """A random pyramid of one of three kinds: random_pyramid's, a
+    segmentation of ringed_labels, or random_pyramid's with contractions
+    through the outside vertex, which can leave the outside no border dart."""
+    if kind == "ringed":
+        return segment_labels(ringed_labels(rng, rng.randint(4, 10), rng.randint(4, 10))).pyramid
+    return random_pyramid(rng, max_side=6, touch_outside=kind == "outside")
+
+
+kinds = st.sampled_from(["random", "ringed", "outside"])
+
+
 @settings(max_examples=60, deadline=None)
-@given(seeds)
-def test_stored_top_partition_is_the_vertex_map(seed):
-    # checked after every kernel a random build or its reload applies
+@given(seeds, kinds)
+def test_stored_top_partition_is_the_vertex_map(seed, kind):
+    # checked after every kernel a random build or its reload applies: the
+    # top's region array holds every base dart's level vertex, by replay
     apply = Pyramid.apply_kernel
     applied = []
 
     def checked(pyr, kernel):
         apply(pyr, kernel)
-        top = pyr.top_map()
-        assert {d: pyr._top_vertex[d] for d in top.darts} == top.vertex_ids()
+        i, top = pyr.top_level, pyr.top_map()
+        region = pyr._regions[-1]
+        assert len(pyr._regions) == i + 1
+        assert {d: region[d] for d in pyr.base.darts} == {
+            d: top.vertex_of(pyr._absorbed(i, d)[1]) for d in pyr.base.darts
+        }
         assert pyr._top_order.tolist() == sorted(top.darts, key=dart_sort_key)
         applied.append(kernel)
         return pyr
 
     with mock.patch.object(Pyramid, "apply_kernel", checked):
-        pyr = random_pyramid(random.Random(seed), max_side=6)
+        pyr = built_pyramid(random.Random(seed), kind)
         Pyramid.from_json(pyr.to_json())
     assert len(applied) == 2 * pyr.top_level
     base = Pyramid.from_grid(pyr.embedding.width, pyr.embedding.height)
-    assert {d: base._top_vertex[d] for d in base.base.darts} == base.top_map().vertex_ids()
+    assert {d: base._regions[0][d] for d in base.base.darts} == base.top_map().vertex_ids()
 
 
 def random_kernels(rng: random.Random, pyr: Pyramid) -> list[Kernel]:
@@ -247,7 +264,7 @@ def test_array_derivation_equals_the_dict_reference(seed, ringed):
 
     def same_top(pyr, ref):
         assert pyr.top_map() == ref.m
-        assert {d: pyr._top_vertex[d] for d in ref.m.darts} == ref.vertex
+        assert {d: pyr._regions[-1][d] for d in ref.m.darts} == ref.vertex
         assert pyr._top_loops == ref.loops
         assert pyr._top_joints == ref.joints
 
@@ -522,15 +539,19 @@ def test_composed_of_swallowed_tree_vertex():
 
 
 def test_pixel_labels_agree_with_single_lookups():
+    # every level, built and reloaded, against the replay from the base
     rng = random.Random(63)
-    for _ in range(6):
-        pyr = random_pyramid(rng, max_side=5)
+    for kind in ["random", "ringed", "outside"] * 6:
+        pyr = built_pyramid(rng, kind)
+        clone = Pyramid.from_json(pyr.to_json())
         emb = pyr.embedding
-        for i in (0, pyr.top_level):
-            rows = pyr.pixel_labels(i)
-            for y in range(emb.height):
-                for x in range(emb.width):
-                    assert rows[y][x] == pyr.vertex_of_pixel(i, x, y)
+        for i in range(pyr.top_level + 1):
+            ref = replay_pixel_labels(pyr, i)
+            for p in (pyr, clone):
+                assert p.pixel_labels(i) == ref
+                for y in range(emb.height):
+                    for x in range(emb.width):
+                        assert p.vertex_of_pixel(i, x, y) == ref[y][x]
 
 
 # -- serialization ------------------------------------------------------------------

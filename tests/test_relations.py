@@ -20,6 +20,7 @@ from combipyramid.segmentation import segment_labels
 
 from conftest import (
     arrow_sign_raster,
+    borderless_outside_pyramid,
     clean_levels,
     connected_components,
     flag_sign_raster,
@@ -225,6 +226,16 @@ def test_rag_dot_deterministic():
     pyr, top = seg.pyramid, seg.pyramid.top_level
     assert rag_to_dot(pyr, top) == rag_to_dot(pyr, top)
     assert "doublecircle" in rag_to_dot(pyr, top)
+
+
+def test_outside_without_border_darts():
+    # contractions through the outside can leave it no dart on the image
+    # border; it is still the region of base dart 1
+    pyr = borderless_outside_pyramid()
+    assert [infinite_region(pyr, i) for i in range(4)] == [1, 1, 6, 7]
+    assert 1 in pyr.composed_of(2, 6)
+    assert relation_report(pyr, 2)["infinite_region"] == 6
+    assert '"r6" [shape=doublecircle]' in rag_to_dot(pyr, 2)
 
 
 def test_region_ids_are_stable():
