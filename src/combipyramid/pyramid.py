@@ -338,19 +338,18 @@ class Pyramid:
             raise KernelError("contraction kernel contains every dart of the top map")
         if (open_ := self._unpaired(kd, kill)) is not None:
             raise KernelError(f"contraction kernel is not closed under alpha at dart {open_}")
-        # union-find over the kernel's edges, each from its first dart in
-        # dart_sort_key order
-        kd = kd[np.argsort(_rank(kd))]
+        # the kernel's edges, each from its first dart in dart_sort_key order,
+        # form a forest exactly when Kruskal keeps them all; the first edge
+        # it drops is a self loop or closes a cycle
+        kd = _by_rank(kd)
         kd = kd[_rank(self._alpha[kd]) > _rank(kd)]
-        vertex, ints = self._regions[-1], self._ints
-        parent: dict[Dart, Dart] = {}
-        for d, a, b in zip(ints[kd].tolist(), ints[vertex[kd]].tolist(), ints[vertex[self._alpha[kd]]].tolist()):
-            if a == b:
-                raise KernelError(f"contraction kernel contains the self-loop edge of dart {d}")
-            ra, rb = _find_root(parent, a), _find_root(parent, b)
-            if ra == rb:
-                raise KernelError(f"contraction kernel contains a cycle through dart {d}")
-            parent[ra] = rb
+        u, v = self._regions[-1][kd], self._regions[-1][self._alpha[kd]]
+        dropped = np.flatnonzero(~_spanning_forest(u, v))
+        if dropped.size:
+            k = dropped[0]
+            if u[k] == v[k]:
+                raise KernelError(f"contraction kernel contains the self-loop edge of dart {int(kd[k])}")
+            raise KernelError(f"contraction kernel contains a cycle through dart {int(kd[k])}")
 
     def _check_rkesl(self, darts: frozenset[Dart], kd: np.ndarray, kill: np.ndarray) -> None:
         if (open_ := self._unpaired(kd, kill)) is not None:
@@ -373,14 +372,19 @@ class Pyramid:
         self._check_keeps_vertices(kd)
 
     def _check_keeps_vertices(self, kd: np.ndarray) -> None:
+        gone = self._emptied(kd)
+        if gone.size:
+            raise KernelError(f"kernel consumes every dart of the vertex of {int(gone[np.argmin(_rank(gone))])}")
+
+    def _emptied(self, kd: np.ndarray) -> np.ndarray:
+        """Canonical darts of the top vertices all of whose darts are in kd,
+        once per dart of kd that lies on one."""
         # kernel darts against all darts, counted per vertex
         vertex = self._regions[-1][kd]
         rank = _rank(vertex)
         size = np.bincount(_rank(self._regions[-1][self._top_order]))
         taken = np.bincount(rank, minlength=len(size))
-        gone = vertex[taken[rank] == size[rank]]
-        if gone.size:
-            raise KernelError(f"kernel consumes every dart of the vertex of {int(gone[np.argmin(_rank(gone))])}")
+        return vertex[taken[rank] == size[rank]]
 
     def _fold_orientations(self, kill: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Survivors whose boundary piece grows, with their new turn counts.
@@ -415,8 +419,13 @@ class Pyramid:
     # -- kernel construction --------------------------------------------------
 
     def compute_rkesl(self) -> Kernel:
-        """Maximal kernel of empty self loops of the current top map."""
-        return Kernel.of(KernelState.RKESL, self._top_loops)
+        """Maximal kernel of empty self loops of the current top map. A
+        vertex made of empty self loops only keeps the loop of its canonical
+        dart, so that no vertex is emptied."""
+        loops = np.fromiter(self._top_loops, np.int32, len(self._top_loops))
+        spare = np.unique(self._emptied(loops))
+        spare = np.concatenate([spare, self._alpha[spare]])
+        return Kernel.of(KernelState.RKESL, self._top_loops.difference(self._ints[spare].tolist()))
 
     def compute_rkede(self) -> Kernel:
         """Maximal kernel of double-edge joints of the current top map.
@@ -515,7 +524,7 @@ class Pyramid:
 
     def to_json(self) -> str:
         """Flat record of the implicit encoding; loading replays the kernels."""
-        base_sigma = [self.base.sigma(d) for d in dart_order(self.embedding.n_darts // 2).tolist()]
+        base_sigma = self.embedding.grid_sigma()[dart_order(self.embedding.n_darts // 2)].tolist()
         payload = {
             "format": "combipyramid-pyramid",
             "version": 1,
@@ -523,7 +532,7 @@ class Pyramid:
             "height": self.embedding.height,
             "base_sigma": base_sigma,
             "states": [k.state.value for k in self.kernels],
-            "kernels": [sorted(k.darts, key=dart_sort_key) for k in self.kernels],
+            "kernels": [self._ints[_by_rank(np.fromiter(k.darts, np.int32, len(k)))].tolist() for k in self.kernels],
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -559,15 +568,6 @@ class Pyramid:
         return pyr
 
 
-def _find_root(parent: dict[Dart, Dart], v: Dart) -> Dart:
-    """Root of v in a union-find forest kept as a parent dict, where a dart
-    missing from the dict is a root; halves the path on the way up."""
-    while parent.get(v, v) != v:
-        parent[v] = parent.get(parent[v], parent[v])
-        v = parent[v]
-    return v
-
-
 def _positive_int(payload: dict, key: str) -> int:
     value = payload.get(key)
     if type(value) is not int or value < 1:  # bool is an int subclass
@@ -586,6 +586,11 @@ def _rank(d: np.ndarray) -> np.ndarray:
     """Position of each dart in dart_sort_key order: 1, -1, 2, -2, ... map
     to 0, 1, 2, 3, ..."""
     return 2 * np.abs(d) - 2 + (d < 0)
+
+
+def _by_rank(d: np.ndarray) -> np.ndarray:
+    """The darts d sorted by dart_sort_key."""
+    return d[np.argsort(_rank(d))]
 
 
 def _reduce(sigma: np.ndarray, alpha: np.ndarray, ids: np.ndarray, dead: np.ndarray, live: np.ndarray,
@@ -608,6 +613,45 @@ def _reduce(sigma: np.ndarray, alpha: np.ndarray, ids: np.ndarray, dead: np.ndar
     else:
         new_alpha[live] = alpha[live]
     return new_sigma, new_alpha, out[len(live) :]
+
+
+def _spanning_forest(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mask of the edges u[k]-v[k] that Kruskal's algorithm keeps when it
+    takes them in index order: each joins two trees of the edges before it.
+
+    Borůvka rounds: the index order is strict, so that forest is the unique
+    minimum spanning forest. A round hooks every tree to the tree across
+    its least outgoing edge, which the forest holds; of two trees that
+    picked the same edge the lesser stays a root, and pointer jumping takes
+    every tree to its new root. Each round at least halves the trees that still have
+    an outgoing edge.
+    """
+    ends, vertex = np.unique(np.concatenate([u, v]), return_inverse=True)
+    vertex = vertex.reshape(2, -1)
+    keep = np.zeros(len(u), dtype=bool)
+    tree = np.arange(len(ends))
+    live = np.flatnonzero(vertex[0] != vertex[1])
+    while True:
+        a, b = tree[vertex[0, live]], tree[vertex[1, live]]
+        cross = a != b
+        if not cross.any():
+            return keep
+        live, a, b = live[cross], a[cross], b[cross]
+        # each tree's first appearance among the live edges' ends, taken in
+        # index order, is its least outgoing edge
+        trees, at = np.unique(np.stack([a, b], axis=1).ravel(), return_index=True)
+        pick = at // 2
+        keep[live[pick]] = True
+        hook = np.arange(len(ends))
+        hook[trees] = np.where(at % 2 == 0, b[pick], a[pick])
+        mutual = trees[(hook[hook[trees]] == trees) & (trees < hook[trees])]
+        hook[mutual] = mutual
+        while True:
+            nxt = hook[hook]
+            if (nxt == hook).all():
+                break
+            hook = nxt
+        tree = hook[tree]
 
 
 def _first_alive(step: np.ndarray, dead: np.ndarray, ids: np.ndarray, start: np.ndarray) -> np.ndarray:

@@ -3,19 +3,25 @@
 Merging is driven by color: each level contracts a spanning forest of the
 adjacency edges whose region mean colors are within a threshold, then cleans
 up the redundant edges the contraction left behind. Region statistics are
-carried along, keyed by the region's vertex dart in the top map, so the
-road-sign extraction can reason about colors.
+not carried along from round to round: each round reads every region's
+pixel count and color sum off the top's region array over the pixels, and
+`SegmentedImage.stats`, keyed by the region's vertex dart in the top map so
+that the road-sign extraction can reason about colors, is built the same
+way. Color sums are exact for integer-valued rasters, which every Netpbm
+input is; for other float rasters they are summed in pixel order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .containment import inside_all, require_clean_level
 from .map_core import Dart, dart_sort_key
-from .pyramid import Kernel, KernelState, Pyramid, _find_root, _rank
+from .pyramid import Kernel, KernelState, Pyramid, _rank, _spanning_forest
 
 __all__ = [
     "RegionStats",
@@ -66,11 +72,36 @@ class SegmentedImage:
         self.height, self.width = arr.shape[:2]
         self.pyramid = Pyramid.from_grid(self.width, self.height)
         emb = self.pyramid.embedding
-        self.stats: dict[Dart, RegionStats] = {
-            emb.pixel_dart(x, y): RegionStats(1, self.image[y, x].copy(), (x, y, x, y))
-            for y in range(self.height)
-            for x in range(self.width)
-        }
+        # one dart of every pixel, in raster order
+        self._pixels = emb.pixel_dart(np.arange(self.width), np.arange(self.height)[:, None]).ravel()
+        self._view: tuple[np.ndarray, Mapping[Dart, RegionStats]] | None = None
+
+    @property
+    def stats(self) -> Mapping[Dart, RegionStats]:
+        """Read-only view of every top region but the outside, in
+        dart_sort_key order, built from the top's region array when the top
+        has changed since the last access."""
+        rep = self.pyramid._regions[-1]
+        if self._view is None or self._view[0] is not rep:
+            regions, count, color_sum, inverse = self._region_sums()
+            # pixels grouped by region, the groups in the order of regions
+            ys, xs = np.divmod(np.argsort(inverse), self.width)
+            starts = np.cumsum(count) - count
+            low = [np.minimum.reduceat(c, starts).tolist() for c in (xs, ys)]
+            high = [np.maximum.reduceat(c, starts).tolist() for c in (xs, ys)]
+            stats = map(RegionStats, count.tolist(), color_sum, zip(*low, *high))
+            self._view = rep, MappingProxyType(dict(zip(self.pyramid._ints[regions].tolist(), stats)))
+        return self._view[1]
+
+    def _region_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The top regions holding pixels in dart_sort_key order, their pixel
+        counts and color sums, and each pixel's index among them."""
+        region = self.pyramid._regions[-1][self._pixels]
+        _, at, inverse = np.unique(_rank(region), return_index=True, return_inverse=True)
+        count = np.bincount(inverse)
+        pixels = self.image.reshape(len(region), -1)
+        color_sum = np.stack([np.bincount(inverse, pixels[:, c], len(at)) for c in range(pixels.shape[1])], axis=1)
+        return region[at], count, color_sum, inverse
 
     def labels(self) -> np.ndarray:
         """Dense region index per pixel: the top level's regions numbered
@@ -84,40 +115,34 @@ class SegmentedImage:
         """One merge round: contract a forest of color-close adjacencies,
         then drop the empty self loops and double edges it produced.
 
-        Returns the kernels applied; an empty list means nothing merged.
+        The forest is the one Kruskal's algorithm picks from the edges
+        between two image regions whose mean colors lie within threshold,
+        taken by increasing (distance, |d|, d) for the edge's first dart d
+        in dart_sort_key order. Returns the kernels applied; an empty list
+        means nothing merged.
         """
         pyr = self.pyramid
         rep = pyr._regions[-1]
-        stats = self.stats
-        # each edge once, from its first dart in dart_sort_key order, between
-        # two image regions; the darts are read from the pyramid's int table,
-        # so the loop allocates no ints
+        regions, count, color_sum, _ = self._region_sums()
+        # each edge once, from its first dart, between two image regions
+        # (the outside holds no pixel), its ends as indices into regions
         first = pyr._top_order
         first = first[_rank(pyr._alpha[first]) > _rank(first)]
         mate = pyr._alpha[first]
-        keep = rep[first] != rep[mate]
-        first, mate = first[keep], mate[keep]
-        candidates = []
-        for d, a, u, v in zip(*(pyr._ints[x].tolist() for x in (first, mate, rep[first], rep[mate]))):
-            if u not in stats or v not in stats:
-                continue
-            dist = float(np.linalg.norm(stats[u].mean_color - stats[v].mean_color))
-            if dist <= threshold:
-                candidates.append((dist, abs(d), d, a, u, v))
-        candidates.sort()
-        # union-find over this round's vertices; a root keeps its class's stats
-        parent: dict[Dart, Dart] = {}
-        chosen: list[Dart] = []
-        for _, _, d, a, u, v in candidates:
-            ru, rv = _find_root(parent, u), _find_root(parent, v)
-            if ru == rv:
-                continue
-            parent[ru] = rv
-            stats[rv] = stats[rv].merged(stats.pop(ru))
-            chosen.extend((d, a))
-        if not chosen:
+        index = np.full(len(rep), -1)
+        index[regions] = np.arange(len(regions))
+        u, v = index[rep[first]], index[rep[mate]]
+        keep = (u != v) & (u >= 0) & (v >= 0)
+        first, mate, u, v = first[keep], mate[keep], u[keep], v[keep]
+        mean = color_sum / count[:, None]
+        dist = _row_norms(mean[u] - mean[v])
+        keep = dist <= threshold
+        first, mate, u, v, dist = first[keep], mate[keep], u[keep], v[keep], dist[keep]
+        order = np.lexsort((first, np.abs(first), dist))
+        chosen = order[_spanning_forest(u[order], v[order])]
+        if not chosen.size:
             return []
-        applied = [Kernel.of(KernelState.CK, chosen)]
+        applied = [Kernel.of(KernelState.CK, pyr._ints[np.concatenate([first[chosen], mate[chosen]])].tolist())]
         pyr.apply_kernel(applied[0])
         rkesl = pyr.compute_rkesl()
         if rkesl.darts:
@@ -127,13 +152,6 @@ class SegmentedImage:
         if rkede.darts:
             pyr.apply_kernel(rkede)
             applied.append(rkede)
-        # the contraction merged exactly the union-find classes and the
-        # removals keep every vertex, so each class root lies in one new
-        # region; keep the regions in dart_sort_key order
-        roots = np.fromiter(stats, np.int32, len(stats))
-        regions = pyr._regions[-1][roots]
-        values = list(stats.values())
-        self.stats = {pyr._ints[regions[k]]: values[k] for k in np.argsort(_rank(regions)).tolist()}
         return applied
 
     def run(self, threshold: float, max_levels: int | None = None) -> "SegmentedImage":
@@ -160,6 +178,13 @@ def segment_labels(labels: np.ndarray) -> SegmentedImage:
     seg = SegmentedImage(arr.astype(float))
     seg.run(threshold=0.0)
     return seg
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, bit for bit: norm takes the square root
+    of the row's dot product with itself, and a batched matmul of 1xC by
+    Cx1 computes that same dot product."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
 class RoadsignNotFound(RuntimeError):

@@ -11,8 +11,11 @@ the map from a vertex's directly enclosed neighbours; flood_fill_contains_oracle
 and enclosed_regions decide enclosure on the pixels, and BoundaryOracle finds
 shared boundary pieces on them. composed_of_scan assigns every vertex of the
 level below to its parent by a scan of the whole level. replay_pixel_labels
-finds each pixel's region by replaying absorbed darts from the base. All are
-kept deliberately simple.
+finds each pixel's region by replaying absorbed darts from the base.
+kruskal_forest and check_ck_by_union_find are the sequential union-find
+forms of the package's Borůvka forest and contraction check, and
+KruskalSegmentation is the merge round one candidate edge at a time, with
+region statistics merged pairwise. All are kept deliberately simple.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from combipyramid.containment import inside_direct
 from combipyramid.map_core import CombinatorialMap, CrackEmbedding, Dart, dart_sort_key
 from combipyramid.moves import Move, turn_angle
 from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid
+from combipyramid.segmentation import RegionStats
 
 Crack = tuple[tuple[int, int], tuple[int, int]]
 
@@ -556,3 +560,116 @@ def replay_pixel_labels(pyr: Pyramid, i: int) -> list[list[Dart]]:
             row.append(rep)
         out.append(row)
     return out
+
+
+def find_root(parent: dict, v):
+    """Root of v in a union-find forest kept as a parent dict, where a key
+    missing from the dict is a root; halves the path on the way up."""
+    while parent.get(v, v) != v:
+        parent[v] = parent.get(parent[v], parent[v])
+        v = parent[v]
+    return v
+
+
+def kruskal_forest(u: Iterable, v: Iterable) -> list[bool]:
+    """Kruskal's algorithm over the edges u[k]-v[k] in index order: an edge
+    is kept when it joins two trees of the edges kept before it."""
+    parent: dict = {}
+    keep = []
+    for a, b in zip(u, v):
+        ra, rb = find_root(parent, a), find_root(parent, b)
+        keep.append(ra != rb)
+        if ra != rb:
+            parent[ra] = rb
+    return keep
+
+
+def check_ck_by_union_find(pyr: Pyramid, kernel: Kernel) -> None:
+    """The checks apply_kernel makes of a contraction kernel of live top
+    darts, with its messages: union-find over the kernel's edges, each from
+    its first dart in dart_sort_key order, on the top map's vertex cycles."""
+    top = pyr.top_map()
+    if len(kernel.darts) == len(top):
+        raise KernelError("contraction kernel contains every dart of the top map")
+    for d in kernel.darts:
+        if top.alpha(d) not in kernel.darts:
+            raise KernelError(f"contraction kernel is not closed under alpha at dart {d}")
+    vertex = top.vertex_ids()
+    parent: dict[Dart, Dart] = {}
+    for d in sorted(kernel.darts, key=dart_sort_key):
+        if dart_sort_key(top.alpha(d)) < dart_sort_key(d):
+            continue
+        a, b = vertex[d], vertex[top.alpha(d)]
+        if a == b:
+            raise KernelError(f"contraction kernel contains the self-loop edge of dart {d}")
+        ra, rb = find_root(parent, a), find_root(parent, b)
+        if ra == rb:
+            raise KernelError(f"contraction kernel contains a cycle through dart {d}")
+        parent[ra] = rb
+
+
+class KruskalSegmentation:
+    """SegmentedImage's merge rounds, one candidate edge at a time.
+
+    Each pixel starts with its own RegionStats; a round computes the color
+    distance of every edge between two image regions with np.linalg.norm,
+    runs Kruskal's loop over the candidates within the threshold sorted by
+    (distance, |d|, d), merges the stats of the classes it joins pairwise,
+    and re-keys them by the new regions after the round.
+    """
+
+    def __init__(self, image: np.ndarray):
+        arr = np.asarray(image)
+        if arr.ndim == 2:
+            arr = arr[:, :, None]
+        image = arr.astype(float)
+        height, width = arr.shape[:2]
+        self.pyramid = Pyramid.from_grid(width, height)
+        emb = self.pyramid.embedding
+        self.stats = {
+            emb.pixel_dart(x, y): RegionStats(1, image[y, x].copy(), (x, y, x, y))
+            for y in range(height)
+            for x in range(width)
+        }
+
+    def run(self, threshold: float) -> "KruskalSegmentation":
+        while self.merge_level(threshold):
+            pass
+        return self
+
+    def merge_level(self, threshold: float) -> bool:
+        pyr, stats = self.pyramid, self.stats
+        top = pyr.top_map()
+        vertex = top.vertex_ids()
+        candidates = []
+        for d in top.darts:
+            a = top.alpha(d)
+            u, v = vertex[d], vertex[a]
+            if dart_sort_key(a) < dart_sort_key(d) or u == v or u not in stats or v not in stats:
+                continue
+            dist = float(np.linalg.norm(stats[u].mean_color - stats[v].mean_color))
+            if dist <= threshold:
+                candidates.append((dist, abs(d), d, a, u, v))
+        candidates.sort()
+        parent: dict[Dart, Dart] = {}
+        chosen: list[Dart] = []
+        for _, _, d, a, u, v in candidates:
+            ru, rv = find_root(parent, u), find_root(parent, v)
+            if ru == rv:
+                continue
+            parent[ru] = rv
+            stats[rv] = stats[rv].merged(stats.pop(ru))
+            chosen.extend((d, a))
+        if not chosen:
+            return False
+        pyr.apply_kernel(Kernel.of(KernelState.CK, chosen))
+        for compute in (pyr.compute_rkesl, pyr.compute_rkede):
+            kernel = compute()
+            if kernel.darts:
+                pyr.apply_kernel(kernel)
+        # a class root is a dart of the old top, so the pixel whose base
+        # cycle holds it lies in the class; its new region names the class
+        top = pyr.top_level
+        new = {pyr.vertex_of_pixel(top, *pyr.embedding.pixel_of(r)): s for r, s in stats.items()}
+        self.stats = {r: new[r] for r in sorted(new, key=dart_sort_key)}
+        return True

@@ -4,6 +4,8 @@ For seed 1 of each workload in perfbench/workloads.py: the sha256 of the
 built pyramid's to_json() and of its top level's relation_report (dumped
 with sorted keys), and the state and size of every kernel. A change to how
 levels are derived, checked or stored must leave all three as they are.
+For seeds 1-3, the merge rounds also build what the one-edge-at-a-time
+reference builds.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ from combipyramid.segmentation import SegmentedImage
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+from eager_oracle import KruskalSegmentation  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 GOLDEN = {
@@ -58,3 +61,17 @@ def test_workload_outputs_are_pinned(name):
     clone = Pyramid.from_json(text)
     assert clone.to_json() == text
     assert sha256(json.dumps(relation_report(clone, clone.top_level), sort_keys=True)) == report_hash
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", GOLDEN)
+def test_merge_rounds_equal_the_kruskal_reference(name, seed):
+    workload = WORKLOADS[name]
+    raster = workload.raster(np.random.default_rng(seed))
+    seg = SegmentedImage(raster).run(workload.threshold)
+    ref = KruskalSegmentation(raster).run(workload.threshold)
+    assert seg.pyramid.to_json() == ref.pyramid.to_json()
+    assert list(seg.stats) == list(ref.stats)
+    for v, s in seg.stats.items():
+        r = ref.stats[v]
+        assert (s.pixel_count, s.color_sum.tobytes(), s.bbox) == (r.pixel_count, r.color_sum.tobytes(), r.bbox)

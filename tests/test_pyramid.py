@@ -7,11 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combipyramid.map_core import CombinatorialMap, dart_sort_key, validate
-from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid, _cycle_min, _empty_loops
+from combipyramid.pyramid import (
+    Kernel,
+    KernelError,
+    KernelState,
+    Pyramid,
+    _cycle_min,
+    _empty_loops,
+    _spanning_forest,
+)
 from combipyramid.segmentation import segment_labels
 
 from conftest import random_pyramid, ringed_labels
-from eager_oracle import DictTop, eager_levels, empty_self_loops, replay_pixel_labels, sorted_sweep_loops
+from eager_oracle import (
+    DictTop,
+    check_ck_by_union_find,
+    eager_levels,
+    empty_self_loops,
+    kruskal_forest,
+    replay_pixel_labels,
+    sorted_sweep_loops,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -112,6 +128,54 @@ def test_random_kernel_is_rejected_or_yields_the_eager_level(seed, state, closed
     assert level == eager_levels(pyr)[-1]
     text = pyr.to_json()
     assert Pyramid.from_json(text).to_json() == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=40))
+def test_spanning_forest_equals_kruskal(edges):
+    # few vertices, so ties between trees, self loops and parallel edges abound
+    u, v = (np.array([e[k] for e in edges], dtype=np.int32) for k in (0, 1))
+    assert _spanning_forest(u, v).tolist() == kruskal_forest(u.tolist(), v.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.booleans(), st.data())
+def test_contraction_check_agrees_with_union_find(seed, touch_outside, data):
+    # whole edges of a random top, the base grid's cycles included, sometimes
+    # with one partner missing: the array check accepts exactly what the loop
+    # accepts, else raises its message
+    rounds = data.draw(st.integers(0, 2))
+    pyr = random_pyramid(random.Random(seed), max_side=5, rounds=rounds, touch_outside=touch_outside)
+    edges = sorted(pyr.top_map().edges())
+    taken = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    darts = {d for e, t in zip(edges, taken) if t for d in e}
+    if darts and data.draw(st.integers(0, 3)) == 0:
+        darts.discard(data.draw(st.sampled_from(sorted(darts))))
+    kernel = Kernel.of(KernelState.CK, darts)
+    try:
+        check_ck_by_union_find(pyr, kernel)
+        expected = None
+    except KernelError as exc:
+        expected = str(exc)
+    try:
+        pyr.apply_kernel(kernel)
+        got = None
+    except KernelError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+def test_maximal_loop_kernel_keeps_a_loop_of_a_vertex_it_would_empty():
+    # welding the pixel to the outside leaves one vertex of three empty loops
+    pyr = Pyramid.from_grid(1, 1).apply_kernel(Kernel.of(KernelState.CK, [1, -1]))
+    assert pyr.redundant_darts(1) == {-4, -3, -2, 2, 3, 4}
+    kernel = pyr.compute_rkesl()
+    assert kernel.darts == {-4, -3, 3, 4}
+    pyr.apply_kernel(kernel)
+    level = pyr.top_map()
+    assert level.darts == {2, -2} and validate(level).ok
+    assert level == eager_levels(pyr)[-1]
+    assert not pyr.compute_rkesl().darts
 
 
 @settings(max_examples=300, deadline=None)

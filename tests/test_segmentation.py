@@ -6,38 +6,77 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combipyramid.containment import inside_all
+from combipyramid.map_core import dart_sort_key
 from combipyramid.relations import infinite_region, region_ids
 from combipyramid.segmentation import (
     RoadsignNotFound,
     SegmentedImage,
+    _row_norms,
     roadsign_extract,
     segment_labels,
 )
 
 from conftest import arrow_sign_raster, flag_sign_raster, two_sign_raster
+from eager_oracle import KruskalSegmentation
 
 WHITE = (255.0, 255.0, 255.0)
 BLUE = (0.0, 0.0, 200.0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_stats_are_the_top_regions_after_every_round(seed):
-    # grey steps of 10 under threshold 10: means drift, so merges go on for rounds
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 3]), st.booleans())
+def test_stats_are_the_top_regions_after_every_round(seed, channels, fractional):
+    # levels 6 apart under threshold 10: one channel steps merge and means
+    # drift, so merges go on for rounds; three-channel steps may not
     rng = np.random.default_rng(seed)
     height, width = rng.integers(1, 9, size=2)
-    image = rng.choice([0.0, 10.0, 20.0, 40.0], size=(height, width))
-    seg = SegmentedImage(image)
+    image = rng.choice([0, 6, 12, 24], size=(height, width, channels)).astype(np.uint8)
+    if fractional:
+        # sums of non-integers depend on their order: pixel order here
+        image = image + rng.choice([0.1, 0.25, 1 / 3], size=image.shape)
+    seg = SegmentedImage(image[:, :, 0] if channels == 1 else image)
     while seg.merge_level(10.0):
         pyr = seg.pyramid
         top = pyr.top_level
-        assert set(seg.stats) == set(region_ids(pyr, top)) - {infinite_region(pyr, top)}
+        assert list(seg.stats) == sorted(set(region_ids(pyr, top)) - {infinite_region(pyr, top)}, key=dart_sort_key)
         labels = np.array(pyr.pixel_labels(top))
         for v, s in seg.stats.items():
             ys, xs = np.nonzero(labels == v)
             assert s.pixel_count == len(xs)
-            assert s.color_sum[0] == image[ys, xs].sum()
+            np.testing.assert_allclose(s.color_sum, image[ys, xs].sum(axis=0), rtol=1e-13 if fractional else 0)
             assert s.bbox == (xs.min(), ys.min(), xs.max(), ys.max())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 3]), st.sampled_from([6.0, 10.0]))
+def test_merge_rounds_equal_the_kruskal_reference_on_small_rasters(seed, channels, threshold):
+    # few levels, so many candidate edges tie on distance and on |d|
+    rng = np.random.default_rng(seed)
+    height, width = rng.integers(1, 11, size=2)
+    image = rng.choice([0, 6, 12], size=(height, width, channels))
+    seg = SegmentedImage(image).run(threshold)
+    ref = KruskalSegmentation(image).run(threshold)
+    assert seg.pyramid.to_json() == ref.pyramid.to_json()
+    assert [(v, s.pixel_count, s.color_sum.tolist(), s.bbox) for v, s in seg.stats.items()] == [
+        (v, s.pixel_count, s.color_sum.tolist(), s.bbox) for v, s in ref.stats.items()
+    ]
+
+
+def test_stats_are_read_only():
+    seg = SegmentedImage(np.zeros((2, 2)))
+    with pytest.raises(TypeError):
+        seg.stats[1] = seg.stats[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 6))
+def test_row_norms_equal_linalg_norm_bit_for_bit(seed, channels):
+    # one ulp moves near-ties in the candidate order, and so the kernel
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((500, channels)) * 10.0 ** rng.integers(-3, 4, size=(500, 1))
+    rows[::3] = np.round(rows[::3] * 3) / 3  # differences of means of small integers
+    norms = _row_norms(rows)
+    assert norms.tobytes() == np.array([np.linalg.norm(r) for r in rows]).tobytes()
 
 
 def test_zero_threshold_on_distinct_colors_merges_nothing():
