@@ -15,16 +15,16 @@ Enclosure is laminar, so each clean level has a forest in which a region's
 parent is its innermost encloser. It is derived from those local tests in one
 traversal of the level from the outside region, on the first enclosure query
 of the level, and stored on the Pyramid with one dict store; levels never
-change, so two racing builds give equal forests. contains is then an ancestor
-check, O(deg a + deg b + nesting depth), and inside_all a subtree walk,
-O(deg v + output).
+change, so two racing builds give equal forests. Each query names a dart's
+region by one read of the level's region array, so contains is then an
+ancestor check, O(nesting depth), and inside_all a subtree walk, O(output).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .map_core import CombinatorialMap, Dart, dart_sort_key
+from .map_core import Dart, dart_sort_key
 from .moves import Move, turn_angle
 from .pyramid import Pyramid
 
@@ -77,7 +77,7 @@ def starting_darts(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None =
     def last_move(d: Dart) -> Move:
         return first_move(-m.alpha(d))
 
-    cycle = _vertex_cycle(m, v)
+    cycle = m.orbit(pyr._region(i, v), "sigma")
     out: list[Dart] = []
     stack: list[tuple[Dart, int]] = []
     on_stack: set[Dart] = set()
@@ -147,18 +147,18 @@ def inside_direct(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None = 
                 continue
             if e in end_set:
                 raise RuntimeError(f"ending dart {e} reached before its starting dart")
-            found.add(cur.vertex_of(cur.alpha(e)))
+            found.add(pyr._region(i, cur.alpha(e)))
             e = cur.sigma(e)
     return frozenset(found)
 
 
 def inside_all(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
     """All vertices enclosed by v: its subtree in the level's enclosure
-    forest. Costs O(deg v + output) once the forest is built."""
+    forest. Costs O(output) once the forest is built."""
     pyr._require_alive(i, v)
     children = _enclosure_forest(pyr, i)[1]
     out: list[Dart] = []
-    todo = list(children.get(pyr.reconstruct_level(i).vertex_of(v), ()))
+    todo = list(children.get(pyr._region(i, v), ()))
     while todo:
         u = todo.pop()
         out.append(u)
@@ -168,10 +168,11 @@ def inside_all(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
 
 def contains(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
     """True when region b lies inside region a at level i: a is an ancestor
-    of b in the enclosure forest. Costs O(deg a + deg b + nesting depth)."""
+    of b in the enclosure forest. Costs O(nesting depth of b) once the
+    forest is built."""
     pyr._require_alive(i, b)
     pyr._require_alive(i, a)
-    return pyr.reconstruct_level(i).vertex_of(a) in _enclosers(pyr, i, b)
+    return pyr._region(i, a) in _enclosers(pyr, i, b)
 
 
 def _enclosers(pyr: Pyramid, i: int, v: Dart) -> list[Dart]:
@@ -179,7 +180,7 @@ def _enclosers(pyr: Pyramid, i: int, v: Dart) -> list[Dart]:
     pyr._require_alive(i, v)
     parent = _enclosure_forest(pyr, i)[0]
     out: list[Dart] = []
-    u = parent.get(pyr.reconstruct_level(i).vertex_of(v))
+    u = parent.get(pyr._region(i, v))
     while u is not None:
         out.append(u)
         u = parent.get(u)
@@ -190,7 +191,7 @@ def infinite_region(pyr: Pyramid, i: int) -> Dart:
     """Representative of the vertex encoding the outside of the image: the
     level-i region of dart 1, which the base's outside vertex starts with."""
     pyr._check_level(i)
-    return pyr._ints[pyr._regions[i][1]]
+    return pyr._region(i, 1)
 
 
 _Forest = tuple[dict[Dart, Dart], dict[Dart, list[Dart]]]
@@ -219,9 +220,6 @@ def _build_forest(pyr: Pyramid, i: int) -> _Forest:
     """
     require_clean_level(pyr, i)
     m = pyr.reconstruct_level(i)
-    cycles = m.vertices()
-    rep = {d: cyc[0] for cyc in cycles for d in cyc}
-    cycle_of = {cyc[0]: cyc for cyc in cycles}
     outside = infinite_region(pyr, i)
     parent: dict[Dart, Dart] = {}
     children: dict[Dart, list[Dart]] = {}
@@ -229,7 +227,7 @@ def _build_forest(pyr: Pyramid, i: int) -> _Forest:
     todo = [outside]
     while todo:
         v = todo.pop()
-        around = dict.fromkeys(rep[m.alpha(d)] for d in cycle_of[v])
+        around = dict.fromkeys(pyr._region(i, m.alpha(d)) for d in m.orbit(v, "sigma"))
         inner = inside_direct(pyr, i, v) if v in around else frozenset()
         up = parent.get(v)
         for w in around:
@@ -242,10 +240,4 @@ def _build_forest(pyr: Pyramid, i: int) -> _Forest:
                 parent[w] = p
                 children.setdefault(p, []).append(w)
     return parent, children
-
-
-def _vertex_cycle(m: CombinatorialMap, v: Dart) -> list[Dart]:
-    cyc = m.orbit(v, "sigma")
-    k = cyc.index(min(cyc, key=dart_sort_key))
-    return list(cyc[k:] + cyc[:k])
 

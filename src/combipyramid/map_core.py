@@ -113,10 +113,6 @@ class CombinatorialMap:
     def faces(self) -> list[tuple[Dart, ...]]:
         return self.cycles("phi")
 
-    def vertex_of(self, d: Dart) -> Dart:
-        """Canonical representative dart of the vertex of d."""
-        return min(self.orbit(d, "sigma"), key=dart_sort_key)
-
     def vertex_ids(self) -> dict[Dart, Dart]:
         """Every dart mapped to the canonical dart of its vertex."""
         return {d: cyc[0] for cyc in self.vertices() for d in cyc}

@@ -24,11 +24,13 @@ dart of the level-i vertex that holds or absorbed it, indexed by signed dart.
 A level's regions are those below merged by its kernel, so one gather
 derives the array from the one below: each old vertex goes to the new vertex
 of its first survivor, which the pointer jumping that derives sigma also
-finds. Kernel checks, merge rounds, pixel_labels, vertex_of_pixel and the
-outside region read these arrays. Each level map and its redundant darts are
-stored once as dict maps, built from one table of the base's int objects.
-Only the constructor and apply_kernel write the maps and region arrays, and
-they never change after that; queries read them. The one thing a query stores is a clean
+finds. Kernel checks, merge rounds, pixel_labels, vertex_of_pixel,
+composed_of and the query layer's region lists, adjacency graph, reports,
+outside region and enclosure queries read these arrays (all but meets_each).
+Each level map and its redundant darts are stored once as dict maps, built
+from one table of the base's int objects. Only the constructor and
+apply_kernel write the maps and region arrays, and they never change after
+that; queries read them. The one thing a query stores is a clean
 level's enclosure forest: the first enclosure query there builds it and
 publishes it with one dict store in `_forests`. Levels never change, so
 racing builds give equal forests.
@@ -112,8 +114,10 @@ class Pyramid:
         self.embedding = embedding
         self.kernels: list[Kernel] = []
         self._killed: dict[Dart, int] = {}
-        # orientation cache: per level, the darts whose turn count changed
-        self._or_updates: list[dict[Dart, int]] = []
+        # orientation cache: per level, the top's turn counts once its kernel
+        # was applied; levels without a double-edge kernel share the array
+        # of the level below
+        self._turns_at: list[np.ndarray] = []
         # per level: the map, its redundant darts and its region array (see
         # the module docstring)
         self._levels: list[CombinatorialMap] = []
@@ -236,6 +240,12 @@ class Pyramid:
         if self.level(d) <= i:
             raise ValueError(f"dart {d} does not survive at level {i}")
 
+    def _region(self, i: int, d: Dart) -> Dart:
+        """Canonical dart of the level-i vertex that holds or absorbed base
+        dart d. No check: a negative index wraps, so callers check the level
+        and the dart first."""
+        return self._ints[self._regions[i][d]]
+
     # -- orientation cache ----------------------------------------------------
 
     def cached_orientation(self, i: int, d: Dart) -> int:
@@ -245,14 +255,7 @@ class Pyramid:
         piece, by folding in the absorbed darts' counts and junction turns.
         """
         self._require_alive(i, d)
-        return self._orientation(i, d)
-
-    def _orientation(self, i: int, d: Dart) -> int:
-        for k in range(i - 1, -1, -1):
-            turns = self._or_updates[k].get(d)
-            if turns is not None:
-                return turns
-        return 0
+        return int(self._turns_at[i][d])
 
     def first_move(self, d: Dart) -> Move:
         """Move of the first crack of d's boundary piece: d's own crack."""
@@ -278,7 +281,6 @@ class Pyramid:
         kd = np.fromiter(kernel.darts, np.int32, len(kernel.darts))
         kill = np.zeros(len(self._sigma), dtype=bool)
         kill[kd] = True
-        updates: dict[Dart, int] = {}
         if kernel.state is KernelState.CK:
             self._check_ck(top, kernel.darts, kd, kill)
         elif kernel.state is KernelState.RKESL:
@@ -286,10 +288,10 @@ class Pyramid:
         else:
             self._check_rkede(kernel.darts, kd, kill)
             heads, turns = self._fold_orientations(kill)
-            updates = dict(zip(self._ints[heads], turns.tolist()))
-        # Nothing fails from here on: _reduce repairs only the chains that
-        # _fold_orientations walked.
-        if updates:
+            # Nothing fails from here on: _reduce repairs only the chains
+            # that _fold_orientations walked. The levels below keep the
+            # array they share, so the new counts go into a copy.
+            self._turns = self._turns.copy()
             self._turns[heads] = turns
         order = self._top_order[~kill[self._top_order]]
         canon = self._top_order[self._regions[-1][self._top_order] == self._top_order]
@@ -298,17 +300,17 @@ class Pyramid:
         new_level = len(self.kernels) + 1
         self.kernels.append(kernel)
         self._killed.update(dict.fromkeys(kernel.darts, new_level))
-        self._or_updates.append(updates)
         self._append_level(map_of(self._ints, order, self._sigma, self._alpha), order, canon, first)
         return self
 
     def _append_level(self, m: CombinatorialMap, order: np.ndarray, canon: np.ndarray | None = None,
                       first: np.ndarray | None = None) -> None:
-        """Store m, the map of the top arrays, and its region array as the
-        new top; order is its darts in dart_sort_key order, canon the old
-        top's canonical vertex darts (the least in that order) and first the
-        first survivor of each, both None at the base. For the top only, also
-        keep the order, the empty self loops and the double-edge joints."""
+        """Store m, the map of the top arrays, its region array and the top's
+        turn counts as the new top; order is its darts in dart_sort_key
+        order, canon the old top's canonical vertex darts (the least in that
+        order) and first the first survivor of each, both None at the base.
+        For the top only, also keep the order, the empty self loops and the
+        double-edge joints."""
         self._top_order = order
         # the passes run over positions in order: pos maps a dart to its own
         pos = np.zeros(len(self._sigma), dtype=np.int32)
@@ -322,6 +324,7 @@ class Pyramid:
             lift[canon] = region[first]
             region = lift[self._regions[-1]]
         self._regions.append(region)
+        self._turns_at.append(self._turns)
         self._top_loops = frozenset(self._ints[order[_empty_loops(sigma, mate, vertex)]])
         self._top_joints = frozenset(self._ints[order[_joints(sigma, mate, self.embedding.corners(order))]])
         self._levels.append(m)
@@ -476,7 +479,7 @@ class Pyramid:
         if not (0 <= x < emb.width and 0 <= y < emb.height):
             raise ValueError(f"pixel ({x}, {y}) outside the {emb.width}x{emb.height} grid")
         self._check_level(i)
-        return self._ints[self._regions[i][emb.pixel_dart(x, y)]]
+        return self._region(i, emb.pixel_dart(x, y))
 
     def pixel_labels(self, i: int) -> list[list[Dart]]:
         """Region representative of every pixel at level i, row by row."""
@@ -516,7 +519,7 @@ class Pyramid:
                 continue
             cyc = prev.orbit(d, "sigma")
             seen.update(cyc)
-            out.append(min(cyc, key=dart_sort_key))
+            out.append(self._region(i - 1, d))
             todo.extend(prev.alpha(c) for c in cyc if c in contracted)
         return frozenset(out)
 

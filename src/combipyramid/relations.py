@@ -8,9 +8,11 @@ the outside face.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .boundary import CrackChain, Segment, segment
 from .containment import _enclosers, infinite_region, inside_all
-from .map_core import CombinatorialMap, Dart, dart_sort_key
+from .map_core import CombinatorialMap, Dart, dart_order, dart_sort_key
 from .pyramid import Pyramid
 
 __all__ = [
@@ -25,8 +27,12 @@ __all__ = [
 
 
 def region_ids(pyr: Pyramid, i: int) -> list[Dart]:
-    """Canonical representative darts of all level-i vertices."""
-    return [cyc[0] for cyc in pyr.reconstruct_level(i).vertices()]
+    """Canonical representative darts of all level-i vertices, in
+    dart_sort_key order: the darts that are their own region."""
+    pyr._check_level(i)
+    region = pyr._regions[i]
+    order = dart_order(len(region) // 2)
+    return pyr._ints[order[region[order] == order]].tolist()
 
 
 def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:
@@ -59,12 +65,13 @@ def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:
     return out
 
 
-def _pieces(m: CombinatorialMap, rep: dict[Dart, Dart], facing: list[Dart]) -> list[list[Dart]]:
+def _pieces(m: CombinatorialMap, rep: dict[Dart, Dart] | np.ndarray, facing: list[Dart]) -> list[list[Dart]]:
     """The darts of one region that face one other region, grouped into
     boundary pieces, each a chain of darts in boundary order.
 
-    rep maps every dart of m to its vertex. A piece continues past a
-    junction when every other edge there is a self loop.
+    rep maps every dart of m to its vertex: a dict, or the level's region
+    array indexed by signed dart. A piece continues past a junction when
+    every other edge there is a self loop.
     """
     if not facing:
         return []
@@ -120,13 +127,11 @@ def rag_export(pyr: Pyramid, i: int) -> tuple[list[Dart], list[tuple[Dart, Dart]
     m = pyr.reconstruct_level(i)
     regions = region_ids(pyr, i)
     edges: set[tuple[Dart, Dart]] = set()
-    rep = m.vertex_ids()
-    for cyc in m.edges():
-        d = cyc[0]
-        u, v = rep[d], rep[m.alpha(d)]
-        if u == v:
-            continue
-        edges.add((u, v) if dart_sort_key(u) <= dart_sort_key(v) else (v, u))
+    for d in m.darts:
+        # each pair once, from the dart on its lesser region
+        u, v = pyr._region(i, d), pyr._region(i, m.alpha(d))
+        if dart_sort_key(u) < dart_sort_key(v):
+            edges.add((u, v))
     return regions, sorted(edges, key=lambda e: (dart_sort_key(e[0]), dart_sort_key(e[1])))
 
 
@@ -150,24 +155,25 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
     redundant edges; everything else is always reported. The optional region
     filter keeps, and computes, only pairs involving that region: its
     enclosers and the regions it encloses, read off the level's enclosure
-    forest. One vertex map of the level serves every pair, so the report
-    costs one pass over the level plus the enclosure pairs it lists.
+    forest. The level's region array names the region of every dart, so the
+    report costs one pass over the level plus the enclosure pairs it lists.
     """
     m = pyr.reconstruct_level(i)
     home = None
     if region is not None:
         pyr._require_alive(i, region)
-        home = m.vertex_of(region)
+        home = pyr._region(i, region)
 
     def keep(*darts: Dart) -> bool:
         return home is None or home in darts
 
-    regions = region_ids(pyr, i)
+    regions, rag_edges = rag_export(pyr, i)
+    rag_edges = [e for e in rag_edges if keep(*e)]
     outside = infinite_region(pyr, i)
-    rag_edges = [e for e in rag_export(pyr, i)[1] if keep(*e)]
     warnings: list[str] = []
 
-    rep = m.vertex_ids()
+    # int32 darts, which hash and compare as the ints rag_export lists
+    rep = pyr._regions[i]
     facing: dict[tuple[Dart, Dart], list[Dart]] = {}
     for d in m.darts:
         u, v = rep[d], rep[m.alpha(d)]

@@ -6,7 +6,9 @@ applies kernels one edge or joint at a time on explicit permutation dicts,
 with none of the package's derivation machinery. DictTop derives a
 level from the one below one dart at a time on dicts, with the kernel
 checks' messages: the loop form of the package's array passes.
-sorted_sweep_loops grows the empty self loops by repeated sorted sweeps. inside_all_flood floods
+sorted_sweep_loops grows the empty self loops by repeated sorted sweeps.
+vertex_of, region_ids_by_cycles and rag_export_by_cycles name regions by
+walking vertex cycles instead of reading region arrays. inside_all_flood floods
 the map from a vertex's directly enclosed neighbours; flood_fill_contains_oracle
 and enclosed_regions decide enclosure on the pixels, and BoundaryOracle finds
 shared boundary pieces on them. composed_of_scan assigns every vertex of the
@@ -159,7 +161,7 @@ class DictTop:
     def of(cls, pyr: Pyramid) -> "DictTop":
         i = pyr.top_level
         m = pyr.top_map()
-        return cls(m, pyr.embedding, {d: pyr._orientation(i, d) for d in m.darts})
+        return cls(m, pyr.embedding, {d: pyr.cached_orientation(i, d) for d in m.darts})
 
     def apply(self, kernel: Kernel) -> tuple["DictTop", dict[Dart, int]]:
         """The next top and the orientation updates, or KernelError."""
@@ -356,19 +358,42 @@ def sorted_sweep_loops(m: CombinatorialMap) -> set:
     return marked
 
 
+def vertex_of(m: CombinatorialMap, d: Dart) -> Dart:
+    """Canonical representative dart of the vertex of d: the least dart of
+    its sigma cycle."""
+    return min(m.orbit(d, "sigma"), key=dart_sort_key)
+
+
+def region_ids_by_cycles(pyr: Pyramid, i: int) -> list[Dart]:
+    """relations.region_ids from the level's vertex cycles."""
+    return [cyc[0] for cyc in pyr.reconstruct_level(i).vertices()]
+
+
+def rag_export_by_cycles(pyr: Pyramid, i: int) -> tuple[list[Dart], list[tuple[Dart, Dart]]]:
+    """relations.rag_export from the level's vertex and edge cycles."""
+    m = pyr.reconstruct_level(i)
+    rep = m.vertex_ids()
+    edges: set[tuple[Dart, Dart]] = set()
+    for cyc in m.edges():
+        u, v = rep[cyc[0]], rep[m.alpha(cyc[0])]
+        if u != v:
+            edges.add((u, v) if dart_sort_key(u) <= dart_sort_key(v) else (v, u))
+    return region_ids_by_cycles(pyr, i), sorted(edges, key=lambda e: (dart_sort_key(e[0]), dart_sort_key(e[1])))
+
+
 def inside_all_flood(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
     """All vertices enclosed by v: everything reachable from the directly
     enclosed neighbours without stepping across v."""
     pyr._require_alive(i, v)
     cur = pyr.reconstruct_level(i)
-    home = cur.vertex_of(v)
+    home = vertex_of(cur, v)
     seeds = inside_direct(pyr, i, v)
     seen = set(seeds)
     stack = list(seeds)
     while stack:
         u = stack.pop()
         for d in cur.orbit(u, "sigma"):
-            w = cur.vertex_of(cur.alpha(d))
+            w = vertex_of(cur, cur.alpha(d))
             if w != home and w not in seen:
                 seen.add(w)
                 stack.append(w)

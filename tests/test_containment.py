@@ -18,10 +18,11 @@ from combipyramid.containment import (
     starting_darts,
 )
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
+from combipyramid.relations import relation_report
 from combipyramid.segmentation import SegmentedImage, segment_labels
 
 from conftest import clean_levels, random_labels, random_pyramid, ringed_labels
-from eager_oracle import flood_fill_contains_oracle, inside_all_flood
+from eager_oracle import flood_fill_contains_oracle, inside_all_flood, vertex_of
 
 
 def ring_labels(size=3):
@@ -99,7 +100,7 @@ def test_ring_vertex_classifies_its_loop():
     while e != m.alpha(s):
         span.append(e)
         e = m.sigma(e)
-    assert [m.vertex_of(m.alpha(e)) for e in span] == [center]
+    assert [vertex_of(m, m.alpha(e)) for e in span] == [center]
     assert inside_direct(pyr, top, ring) == {center}
     assert inside_all(pyr, top, ring) == {center}
     assert contains(pyr, top, ring, center)
@@ -371,3 +372,35 @@ def test_concurrent_queries_on_a_fresh_pyramid_match_sequential_ones():
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 4
+
+
+def test_bad_darts_are_refused_before_any_region_read():
+    # the region arrays are indexed by signed dart and a negative index
+    # wraps, so -(n+1) would read dart n's slot: every entry point refuses a
+    # dart outside the base, or dead at the level, with the same error before
+    # and after the level's enclosure forest exists
+    arr = np.zeros((5, 5), dtype=np.int64)
+    arr[1:4, 1:4] = 1
+    arr[2, 2] = 2
+    pyr = segment_labels(arr).pyramid
+    top, n = pyr.top_level, len(pyr.base) // 2
+    dead = min(pyr.kernels[0].darts, key=abs)
+    good = pyr.vertex_of_pixel(top, 2, 2)
+    calls = [
+        lambda d: contains(pyr, top, d, good),
+        lambda d: contains(pyr, top, good, d),
+        lambda d: inside_all(pyr, top, d),
+        lambda d: inside_direct(pyr, top, d),
+        lambda d: relation_report(pyr, top, region=d),
+        lambda d: pyr.composed_of(top, d),
+    ]
+    for _ in range(2):
+        for call in calls:
+            for d in (0, n + 1, -(n + 1), 2**31):
+                with pytest.raises(KeyError) as got:
+                    call(d)
+                assert type(got.value) is KeyError and got.value.args == (f"dart {d} is not in the base map",)
+            with pytest.raises(ValueError) as got:
+                call(dead)
+            assert type(got.value) is ValueError and str(got.value) == f"dart {dead} does not survive at level {top}"
+        relation_report(pyr, top)

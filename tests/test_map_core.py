@@ -12,7 +12,7 @@ from combipyramid.map_core import (
 )
 from combipyramid.moves import Move
 
-from eager_oracle import grid_map_by_pixels
+from eager_oracle import grid_map_by_pixels, vertex_of
 
 
 def grid_dart_count(w, h):
@@ -87,7 +87,7 @@ def test_pixel_dart_is_the_canonical_dart_of_the_pixel_vertex():
     for y in range(3):
         for x in range(4):
             d = emb.pixel_dart(x, y)
-            assert m.vertex_of(d) == d and emb.pixel_of(d) == (x, y)
+            assert vertex_of(m, d) == d and emb.pixel_of(d) == (x, y)
 
 
 def test_alpha_orbit_is_the_edge_pair():

@@ -27,6 +27,7 @@ from eager_oracle import (
     kruskal_forest,
     replay_pixel_labels,
     sorted_sweep_loops,
+    vertex_of,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -286,7 +287,7 @@ def test_stored_top_partition_is_the_vertex_map(seed, kind):
         region = pyr._regions[-1]
         assert len(pyr._regions) == i + 1
         assert {d: region[d] for d in pyr.base.darts} == {
-            d: top.vertex_of(pyr._absorbed(i, d)[1]) for d in pyr.base.darts
+            d: vertex_of(top, pyr._absorbed(i, d)[1]) for d in pyr.base.darts
         }
         assert pyr._top_order.tolist() == sorted(top.darts, key=dart_sort_key)
         applied.append(kernel)
@@ -346,7 +347,10 @@ def test_array_derivation_equals_the_dict_reference(seed, ringed):
             return pyr
         apply(pyr, kernel)
         same_top(pyr, nxt)
-        assert pyr._or_updates[-1] == updates
+        # the new level's counts are the level below's with the updates
+        expected = pyr._turns_at[-2].copy()
+        expected[list(updates)] = list(updates.values())
+        assert (pyr._turns_at[-1] == expected).all()
         return pyr
 
     with mock.patch.object(Pyramid, "apply_kernel", checked):
@@ -561,11 +565,11 @@ def test_composed_of_contraction_and_removal_levels():
     pyr = Pyramid.from_grid(2, 1)
     pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
     m0, m1 = pyr.reconstruct_level(0), pyr.reconstruct_level(1)
-    merged = m1.vertex_of(4)
+    merged = vertex_of(m1, 4)
     children = pyr.composed_of(1, merged)
-    assert children == {m0.vertex_of(2), m0.vertex_of(3)}  # the two pixels
-    outside = m1.vertex_of(1)
-    assert pyr.composed_of(1, outside) == {m0.vertex_of(1)}
+    assert children == {vertex_of(m0, 2), vertex_of(m0, 3)}  # the two pixels
+    outside = vertex_of(m1, 1)
+    assert pyr.composed_of(1, outside) == {vertex_of(m0, 1)}
     # a removal level maps every vertex to its own counterpart
     pyr.apply_kernel(pyr.compute_rkede())
     m2 = pyr.reconstruct_level(2)
@@ -599,7 +603,7 @@ def test_composed_of_swallowed_tree_vertex():
     m1 = pyr.reconstruct_level(1)
     assert all(d not in m1.darts for d in center)
     merged = pyr.vertex_of_pixel(1, 1, 1)
-    assert m0.vertex_of(center[0]) in pyr.composed_of(1, merged)
+    assert vertex_of(m0, center[0]) in pyr.composed_of(1, merged)
 
 
 def test_pixel_labels_agree_with_single_lookups():

@@ -14,6 +14,7 @@ from combipyramid.relations import (
     region_ids,
     relation_report,
 )
+from combipyramid.containment import contains, inside_all
 from combipyramid.map_core import CombinatorialMap
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
 from combipyramid.segmentation import segment_labels
@@ -29,7 +30,13 @@ from conftest import (
     ringed_labels,
     shared_boundary_components,
 )
-from eager_oracle import BoundaryOracle, composed_of_scan, enclosed_regions
+from eager_oracle import (
+    BoundaryOracle,
+    composed_of_scan,
+    enclosed_regions,
+    rag_export_by_cycles,
+    region_ids_by_cycles,
+)
 
 
 def label_vertex(seg, labels, value):
@@ -312,6 +319,9 @@ def test_report_agrees_with_single_queries(seed):
 
 
 def test_report_rebuilds_no_level_per_pair(monkeypatch):
+    # the first report of a level, which builds its enclosure forest, and the
+    # first enclosure queries read regions off the region arrays and walk
+    # single vertex cycles only: no whole-level map of cycles is built
     calls = []
     cycles = CombinatorialMap.cycles
 
@@ -320,12 +330,32 @@ def test_report_rebuilds_no_level_per_pair(monkeypatch):
         return cycles(self, kind)
 
     monkeypatch.setattr(CombinatorialMap, "cycles", counted)
-    counts = []
     for side in (8, 24):
         labels = random_labels(random.Random(side), side, side, blobs=side // 2)
-        pyr = segment_labels(labels).pyramid
-        calls.clear()
-        report = relation_report(pyr, pyr.top_level)
+        text = segment_labels(labels).pyramid.to_json()
+        top = Pyramid.from_json(text).top_level
+        report = relation_report(Pyramid.from_json(text), top)
         assert report["meets"] and report["composed_of"]
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        regions = report["regions"]
+        queries = [
+            lambda pyr: relation_report(pyr, top),
+            lambda pyr: [contains(pyr, top, a, b) for a in regions for b in regions],
+            lambda pyr: [inside_all(pyr, top, r) for r in regions],
+        ]
+        for query in queries:
+            pyr = Pyramid.from_json(text)
+            calls.clear()
+            query(pyr)
+            assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_region_reads_equal_the_cycle_references(seed, touch_outside):
+    for pyr in (random_pyramid(random.Random(seed), max_side=6, touch_outside=touch_outside),
+                borderless_outside_pyramid()):
+        for i in range(pyr.top_level + 1):
+            regions, edges = rag_export(pyr, i)
+            assert region_ids(pyr, i) == regions == region_ids_by_cycles(pyr, i)
+            assert (regions, edges) == rag_export_by_cycles(pyr, i)
+            assert {type(d) for d in regions + [d for e in edges for d in e]} == {int}
