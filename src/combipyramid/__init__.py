@@ -5,48 +5,14 @@ answers region relationships (meets, contains, inside, composed_of) with
 local computations on any level.
 """
 
-from .boundary import (
-    CrackChain,
-    Segment,
-    dart_orientation,
-    segment,
-    sequence_orientation,
-)
-from .containment import (
-    VisitCounter,
-    contains,
-    inside_all,
-    inside_direct,
-    starting_darts,
-)
-from .map_core import (
-    CombinatorialMap,
-    CrackEmbedding,
-    Dart,
-    ValidationReport,
-    build_grid_map,
-    to_dot,
-    validate,
-)
+from .boundary import CrackChain, Segment, dart_orientation, segment, sequence_orientation
+from .containment import VisitCounter, contains, inside_all, inside_direct, starting_darts
+from .map_core import CombinatorialMap, CrackEmbedding, Dart, ValidationReport, build_grid_map, to_dot, validate
 from .moves import UNDEFINED_ANGLE, Move, angle
 from .netpbm import NetpbmError, load_image, save_pgm, save_ppm
 from .pyramid import Kernel, KernelError, KernelState, Pyramid
-from .relations import (
-    infinite_region,
-    meets_each,
-    meets_exists,
-    rag_export,
-    rag_to_dot,
-    region_ids,
-    relation_report,
-)
-from .segmentation import (
-    RegionStats,
-    RoadsignNotFound,
-    SegmentedImage,
-    roadsign_extract,
-    segment_labels,
-)
+from .relations import infinite_region, meets_each, meets_exists, rag_export, rag_to_dot, region_ids, relation_report
+from .segmentation import RegionStats, RoadsignNotFound, SegmentedImage, roadsign_extract, segment_labels
 
 __version__ = "0.1.0"
 

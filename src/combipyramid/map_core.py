@@ -10,6 +10,7 @@ alpha(d) = -d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -37,69 +38,103 @@ def dart_sort_key(d: Dart) -> tuple[int, int]:
 
 
 class CombinatorialMap:
-    """Immutable dart set plus sigma/alpha permutations for one map level."""
+    """Immutable dart set plus sigma/alpha permutations for one map level.
 
-    __slots__ = ("_darts", "_sigma", "_alpha")
+    sigma and alpha are lists indexed by signed dart over -n..n. A dart is
+    in the map when its sigma slot is not 0; the alpha slot of any other
+    dart is 0, or stale where a pyramid level shares the alpha list of the
+    level below, so every accessor checks the range and the sigma slot
+    before it reads. The dart set is built on first use.
+    """
+
+    __slots__ = ("_sigma", "_alpha", "_n", "_order", "_darts")
 
     def __init__(self, darts: Iterable[Dart], sigma: dict[Dart, Dart], alpha: dict[Dart, Dart]):
-        self._darts = frozenset(darts)
-        self._sigma = dict(sigma)
-        self._alpha = dict(alpha)
+        """Map of permutation dicts: sigma defined on exactly the darts,
+        alpha on no other dart, all darts and images nonzero int32 values.
+        Other input raises ValueError."""
+        darts = frozenset(darts)
+        images = [*sigma.values(), *alpha.values()]
+        n = max(map(abs, [*darts, *images]), default=0)
+        if sigma.keys() != darts or not alpha.keys() <= darts or 0 in darts or 0 in images or n >= 2**31:
+            raise ValueError("a map needs sigma on exactly its darts, alpha on no other, all nonzero int32")
+        self._sigma, self._alpha, self._n = [0] * (2 * n + 1), [0] * (2 * n + 1), n
+        for table, perm in ((self._sigma, sigma), (self._alpha, alpha)):
+            for d, e in perm.items():
+                table[d] = e
+        self._order, self._darts = np.array(sorted(darts, key=dart_sort_key), dtype=np.int64), darts
 
     @property
     def darts(self) -> frozenset[Dart]:
+        if self._darts is None:
+            self._darts = frozenset(self._order.tolist())
         return self._darts
 
     def __len__(self) -> int:
-        return len(self._darts)
+        return len(self._order)
 
     def __contains__(self, d: Dart) -> bool:
-        return d in self._darts
+        return -self._n <= d <= self._n and self._sigma[d] != 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CombinatorialMap):
             return NotImplemented
-        return (
-            self._darts == other._darts
-            and self._sigma == other._sigma
-            and self._alpha == other._alpha
-        )
+        # lists of equal maps may differ in length, so compare per dart
+        s, a, os, oa = self._sigma, self._alpha, other._sigma, other._alpha
+        return self.darts == other.darts and all(s[d] == os[d] and a[d] == oa[d] for d in self.darts)
 
     def __hash__(self):
         raise TypeError("CombinatorialMap is not hashable")
 
     def sigma(self, d: Dart) -> Dart:
-        return self._sigma[d]
+        if -self._n <= d <= self._n and (e := self._sigma[d]):
+            return e
+        raise KeyError(d)
 
     def alpha(self, d: Dart) -> Dart:
-        return self._alpha[d]
+        if -self._n <= d <= self._n and self._sigma[d] and (e := self._alpha[d]):
+            return e
+        raise KeyError(d)
 
     def phi(self, d: Dart) -> Dart:
-        return self._sigma[self._alpha[d]]
+        return self.sigma(self.alpha(d))
 
     def orbit(self, d: Dart, kind: str) -> tuple[Dart, ...]:
         """Cycle (d, pi(d), pi^2(d), ...) of d under sigma, alpha or phi."""
-        if d not in self._darts:
+        if d not in self:
             raise KeyError(f"dart {d} is not in the map")
-        step = {"sigma": self.sigma, "alpha": self.alpha, "phi": self.phi}[kind]
-        out = [d]
-        c = step(d)
-        while c != d:
-            out.append(c)
-            if len(out) > len(self._darts):
-                raise RuntimeError(f"{kind} orbit of {d} does not close")
-            c = step(c)
-        return tuple(out)
+        return self._cycle(d, kind)
+
+    def _cycle(self, d: Dart, kind: str) -> tuple[Dart, ...]:
+        """orbit of a dart of the map: a plain loop per kind, bounded by the
+        dart count."""
+        sigma, alpha, out = self._sigma, self._alpha, [d]
+        if kind == "phi":
+            c = sigma[alpha[d]]
+            for _ in repeat(None, len(self._order)):
+                if c == d:
+                    return tuple(out)
+                out.append(c)
+                c = sigma[alpha[c]]
+        else:
+            step = {"sigma": sigma, "alpha": alpha}[kind]
+            c = step[d]
+            for _ in repeat(None, len(self._order)):
+                if c == d:
+                    return tuple(out)
+                out.append(c)
+                c = step[c]
+        raise RuntimeError(f"{kind} orbit of {d} does not close")
 
     def cycles(self, kind: str) -> list[tuple[Dart, ...]]:
         """All cycles of a permutation, each rotated to start at its canonical
         dart, listed in canonical order."""
         seen: set[Dart] = set()
         out = []
-        for d in sorted(self._darts, key=dart_sort_key):
+        for d in self._order.tolist():
             if d in seen:
                 continue
-            cyc = self.orbit(d, kind)
+            cyc = self._cycle(d, kind)
             seen.update(cyc)
             out.append(cyc)
         return out
@@ -119,8 +154,8 @@ class CombinatorialMap:
 
     def dual(self) -> "CombinatorialMap":
         """Map whose vertex permutation is phi; dual of the dual is the map."""
-        phi = {d: self.phi(d) for d in self._darts}
-        return CombinatorialMap(self._darts, phi, self._alpha)
+        phi = {d: self.phi(d) for d in self.darts}
+        return CombinatorialMap(self.darts, phi, {d: self._alpha[d] for d in self.darts})
 
 
 @dataclass(frozen=True)
@@ -225,6 +260,18 @@ class CrackEmbedding:
         sigma[outside] = np.roll(outside, -1)
         return sigma
 
+    def grid_regions(self) -> np.ndarray:
+        """Canonical dart of each dart's base vertex, indexed like grid_sigma:
+        -left for the four sides of a pixel, 1 for the outside vertex."""
+        w, h, nv = self.width, self.height, self.n_vertical
+        region = np.ones(self.n_darts + 1, dtype=np.int32)
+        y, x = np.divmod(np.arange(w * h, dtype=np.int64), w)
+        left, top = y * (w + 1) + x + 1, nv + y * w + x + 1
+        for d in (left + 1, top, -left, -(top + w)):
+            region[d] = -left
+        region[0] = 0
+        return region
+
 
 def build_grid_map(width: int, height: int) -> tuple[CombinatorialMap, CrackEmbedding]:
     """Base map of a width x height 4-connected grid, from the closed form of
@@ -253,12 +300,15 @@ def dart_order(n: int) -> np.ndarray:
     return order
 
 
-def map_of(ints: np.ndarray, darts: np.ndarray, sigma: np.ndarray, alpha: np.ndarray) -> CombinatorialMap:
-    """Dict map over darts, read off dart-indexed sigma/alpha arrays. ints is
-    an object array holding the int object of every dart, so maps built from
-    one table share their ints."""
-    keys = ints[darts]
-    return CombinatorialMap(keys, dict(zip(keys, ints[sigma[darts]])), dict(zip(keys, ints[alpha[darts]])))
+def map_of(ints: np.ndarray, darts: np.ndarray, sigma: np.ndarray, alpha: np.ndarray | list[Dart]) -> CombinatorialMap:
+    """Map of dart-indexed sigma/alpha arrays, 0 at a dart not in the map;
+    darts lists its darts in dart_sort_key order, and alpha may be a map's
+    alpha list instead, which the new map shares. ints is an object array
+    holding the int object of every dart, which the maps built from it share."""
+    m = CombinatorialMap.__new__(CombinatorialMap)
+    m._sigma, m._n, m._order, m._darts = ints[sigma].tolist(), len(sigma) // 2, darts, None
+    m._alpha = ints[alpha].tolist() if isinstance(alpha, np.ndarray) else alpha
+    return m
 
 
 @dataclass
@@ -285,55 +335,34 @@ class ValidationReport:
 
 def validate(m: CombinatorialMap) -> ValidationReport:
     """Report on involution, bijectivity, connectivity and the Euler count."""
-    checks: list[tuple[str, bool, Dart | None]] = []
-    darts = m.darts
-
-    witness = None
-    for d in sorted(darts, key=dart_sort_key):
-        a = m._alpha.get(d)
-        if a is None or a not in darts or m._alpha.get(a) != d:
-            witness = d
-            break
-    checks.append(("alpha_involution", witness is None, witness))
-
-    witness = next((d for d in sorted(darts, key=dart_sort_key) if m._alpha.get(d) == d), None)
-    checks.append(("alpha_no_fixed_point", witness is None, witness))
-
-    domain_ok = set(m._sigma) == set(darts)
-    image = set(m._sigma.values()) if domain_ok else set()
-    sigma_ok = domain_ok and image == set(darts)
-    witness = None
-    if not sigma_ok and domain_ok:
-        witness = min(set(darts) - image, key=dart_sort_key)
-    checks.append(("sigma_bijection", sigma_ok, witness))
-
-    connected, witness = _connected(m)
-    checks.append(("connected", connected, witness))
-
-    if sigma_ok and checks[0][1] and checks[1][1]:
-        euler = len(m.vertices()) - len(m.edges()) + len(m.faces())
-        checks.append(("euler_count_2", euler == 2, None))
-    else:
-        checks.append(("euler_count_2", False, None))
-    return ValidationReport(checks)
+    # a map built from dicts reads 0 at a missing alpha image and at the slot of a non-dart
+    order, alpha = m._order.tolist(), m._alpha
+    involution = next((d for d in order if alpha[alpha[d]] != d), None)
+    fixed = next((d for d in order if alpha[d] == d), None)
+    # the constructor makes sigma's domain the darts
+    image = {m._sigma[d] for d in order}
+    sigma_ok = image == m.darts
+    connected, witness = _connected(m, order)
+    euler = sigma_ok and involution is None and fixed is None
+    return ValidationReport([
+        ("alpha_involution", involution is None, involution),
+        ("alpha_no_fixed_point", fixed is None, fixed),
+        ("sigma_bijection", sigma_ok, None if sigma_ok else next(d for d in order if d not in image)),
+        ("connected", connected, witness),
+        ("euler_count_2", euler and len(m.vertices()) - len(m.edges()) + len(m.faces()) == 2, None),
+    ])
 
 
-def _connected(m: CombinatorialMap) -> tuple[bool, Dart | None]:
-    darts = m.darts
-    if not darts:
-        return True, None
-    start = min(darts, key=dart_sort_key)
-    seen = {start}
-    stack = [start]
+def _connected(m: CombinatorialMap, order: list[Dart]) -> tuple[bool, Dart | None]:
+    seen, stack = set(order[:1]), order[:1]
     while stack:
         d = stack.pop()
-        for n in (m._sigma.get(d), m._alpha.get(d)):
-            if n is not None and n in darts and n not in seen:
-                seen.add(n)
-                stack.append(n)
-    if len(seen) == len(darts):
-        return True, None
-    return False, min(darts - seen, key=dart_sort_key)
+        for e in (m._sigma[d], m._alpha[d]):
+            if e in m and e not in seen:
+                seen.add(e)
+                stack.append(e)
+    missing = next((d for d in order if d not in seen), None)
+    return missing is None, missing
 
 
 def to_dot(m: CombinatorialMap, name: str = "map") -> str:

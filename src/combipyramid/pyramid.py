@@ -17,23 +17,21 @@ y <- alpha_{i-1}(phi_{i-1}(y)) steps past removed joints. The top level alone
 is also held as int32 sigma/alpha arrays indexed by signed dart, and the
 derivation, the kernel checks and the top's empty self loops and joints are
 whole-array passes over them: pointer jumping instead of one walk per dart.
-Only the constructor and apply_kernel, the single writer, write the arrays.
 
-Each level also keeps its region array: for every base dart, the canonical
-dart of the level-i vertex that holds or absorbed it, indexed by signed dart.
-A level's regions are those below merged by its kernel, so one gather
-derives the array from the one below: each old vertex goes to the new vertex
-of its first survivor, which the pointer jumping that derives sigma also
-finds. Kernel checks, merge rounds, pixel_labels, vertex_of_pixel,
-composed_of and the query layer's region lists, adjacency graph, reports,
-outside region and enclosure queries read these arrays (all but meets_each).
-Each level map and its redundant darts are stored once as dict maps, built
-from one table of the base's int objects. Only the constructor and
-apply_kernel write the maps and region arrays, and they never change after
-that; queries read them. The one thing a query stores is a clean
-level's enclosure forest: the first enclosure query there builds it and
-publishes it with one dict store in `_forests`. Levels never change, so
-racing builds give equal forests.
+Every level keeps its map, as lists indexed by signed dart holding the
+base's int objects (a level whose kernel keeps alpha shares the alpha list
+below), its redundant darts as an int32 array, and its region array: for
+every base dart, the canonical dart of the level-i vertex that holds or
+absorbed it. A level's vertices are those below merged along the contracted
+trees, less the killed darts, so one gather derives the region array from
+the one below. Kernel checks, merge rounds, pixel_labels, vertex_of_pixel,
+composed_of and the query layer (all but meets_each) read these arrays. The
+level of each dart is one int array; kernels are rebuilt from it on request.
+Only the constructor and apply_kernel write all this, and it never changes
+after that. A query stores only idempotent caches, each published with one
+store, so racing builds give equal values: a clean level's enclosure forest
+in `_forests`, composed_of's index of a contraction level and the list copy
+of the dart levels that level() reads.
 
 Replay from the base serves receptive fields and boundary segments. Walking
 from a surviving dart d with sigma0, taking phi0 after a contracted dart and
@@ -101,44 +99,45 @@ class KernelError(ValueError):
 class Pyramid:
     """Base grid map plus the per-dart level and per-kernel state functions.
 
-    Construction is single writer via apply_kernel, which derives the new
-    level map, its region array and its redundant darts from the top's
-    sigma/alpha arrays and then replaces those arrays; queries read the
-    stored maps and region arrays, which never change, and add only the
-    per-level enclosure forests, each built once and stored idempotently.
+    apply_kernel, the single writer, derives each level from the top's
+    sigma/alpha arrays; queries read what it stored, which never changes,
+    and add only idempotent caches (see the module docstring).
     """
 
     def __init__(self, base: CombinatorialMap, embedding: CrackEmbedding):
         """base is the grid map of embedding, as build_grid_map makes it."""
         self.base = base
         self.embedding = embedding
-        self.kernels: list[Kernel] = []
-        self._killed: dict[Dart, int] = {}
-        # orientation cache: per level, the top's turn counts once its kernel
-        # was applied; levels without a double-edge kernel share the array
-        # of the level below
-        self._turns_at: list[np.ndarray] = []
-        # per level: the map, its redundant darts and its region array (see
-        # the module docstring)
-        self._levels: list[CombinatorialMap] = []
-        self._redundant: list[frozenset[Dart]] = []
-        self._regions: list[np.ndarray] = []
-        # per clean level: its enclosure forest, built by the first
-        # enclosure query there (see containment)
-        self._forests: dict[int, tuple] = {}
-        # The top level as int32 arrays indexed by signed dart (see
-        # map_core.dart_ids), 0 for a dead dart: sigma, alpha and the turn
-        # count of each dart's boundary piece. _ints holds the base's int
-        # object of every dart, so the stored level maps share them.
+        # the encoding past the base: each kernel's state and, indexed by
+        # signed dart (see map_core.dart_ids), the level whose kernel removed
+        # each dart, 0 while it survives, with the list copy level() reads
+        self._states: list[KernelState] = []
         self._sigma = embedding.grid_sigma()
-        n = len(self._sigma) // 2
+        n = self._n = len(self._sigma) // 2
+        self._died = np.zeros(2 * n + 1, dtype=np.int32)
+        self._died_list: list[int] | None = None
+        # per level (see the module docstring): the top's turn counts once
+        # its kernel was applied, shared until a double-edge kernel, the map,
+        # the redundant darts and the region array; the index composed_of
+        # builds for a contraction level, its kernel darts' regions there,
+        # sorted, with their regions below; a clean level's enclosure forest
+        self._turns_at: list[np.ndarray] = []
+        self._levels: list[CombinatorialMap] = []
+        self._redundant: list[np.ndarray] = []
+        self._regions: list[np.ndarray] = []
+        self._merged: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._forests: dict[int, tuple] = {}
+        # The top level as int32 arrays indexed by signed dart, 0 for a dead
+        # dart: sigma, alpha and the turn count of each dart's boundary
+        # piece. _ints holds the base's int object of every dart (its alpha
+        # list holds -d at slot d), which the level maps share.
         self._ids = dart_ids(n)
         self._alpha = -self._ids
         self._turns = np.zeros(2 * n + 1, dtype=np.int32)
-        darts = list(base.darts)
-        self._ints = np.empty(2 * n + 1, dtype=object)
-        self._ints[np.fromiter(darts, np.int32, len(darts))] = darts
-        self._append_level(base, dart_order(n))
+        self._ints = np.array(base._alpha, dtype=object)[self._alpha]
+        # the start corner of every dart, for the joints of each level
+        self._corners = embedding.corners(self._ids).astype(np.int32)
+        self._append_level(base, dart_order(n), embedding.grid_regions())
 
     @classmethod
     def from_grid(cls, width: int, height: int) -> "Pyramid":
@@ -148,16 +147,25 @@ class Pyramid:
 
     @property
     def top_level(self) -> int:
-        return len(self.kernels)
+        return len(self._states)
+
+    @property
+    def kernels(self) -> list[Kernel]:
+        """The kernel of every level, rebuilt from the level of each dart."""
+        order = dart_order(self._n)
+        died = self._died[order]
+        return [Kernel.of(s, self._ints[order[died == k]].tolist()) for k, s in enumerate(self._states, 1)]
 
     def level(self, d: Dart) -> int:
         """Highest level where d survives, top_level + 1 if it never dies."""
-        if d not in self.base:
+        if not (-self._n <= d <= self._n and d):
             raise KeyError(f"dart {d} is not in the base map")
-        return self._killed.get(d, len(self.kernels) + 1)
+        if self._died_list is None:
+            self._died_list = np.where(self._died, self._died, len(self._states) + 1).tolist()
+        return self._died_list[d]
 
     def state(self, i: int) -> KernelState:
-        return self.kernels[i - 1].state
+        return self._states[i - 1]
 
     def top_map(self) -> CombinatorialMap:
         return self._levels[-1]
@@ -175,12 +183,14 @@ class Pyramid:
         walk = [d]
         limit = len(self.base)
         c, lvl = d, self.level(d)
+        # every step stays on base darts, so the lists are read unchecked
+        sigma, alpha, states, died = self.base._sigma, self.base._alpha, self._states, self._died_list
         while True:
-            if lvl <= i and self.state(lvl) is KernelState.CK:
-                c = self.base.phi(c)
+            if lvl <= i and states[lvl - 1] is KernelState.CK:
+                c = sigma[alpha[c]]
             else:
-                c = self.base.sigma(c)
-            lvl = self.level(c)
+                c = sigma[c]
+            lvl = died[c]
             if lvl > i:
                 return walk, c
             walk.append(c)
@@ -204,18 +214,20 @@ class Pyramid:
         out = [d]
         limit = len(self.base)
         c = d
+        self.level(d)  # the lists are then read unchecked, as in _absorbed
+        sigma, alpha, states, died = self.base._sigma, self.base._alpha, self._states, self._died_list
         while True:
-            hop = self.base.phi(-c)
+            hop = sigma[alpha[-c]]
             steps = 0
             nxt = None
             while True:
-                lvl = self.level(hop)
+                lvl = died[hop]
                 if lvl > i:
                     break
-                if self.state(lvl) is KernelState.RKEDE:
+                if states[lvl - 1] is KernelState.RKEDE:
                     nxt = hop
                     break
-                hop = self.base.phi(hop)
+                hop = sigma[alpha[hop]]
                 steps += 1
                 if steps > limit:
                     raise RuntimeError(f"corner scan from dart {c} does not terminate")
@@ -272,21 +284,31 @@ class Pyramid:
     def apply_kernel(self, kernel: Kernel) -> "Pyramid":
         """Append one reduction level, derived from the current top map. The
         kernel is checked against the top map before any state is touched."""
-        top = self.top_map()
-        dead = kernel.darts - top.darts
-        if dead:
+        top, n = self.top_map(), self._n
+        # kd keeps the kernel's iteration order; a dart beyond int64 fails to convert
+        try:
+            kd = np.fromiter(kernel.darts, np.int64, len(kernel.darts))
+            live = ((kd >= -n) & (kd <= n)).all() and self._sigma[kd].all()
+        except OverflowError:
+            live = False
+        if not live:
+            dead = [d for d in kernel.darts if d not in top]
             raise KernelError(f"kernel contains dead or unknown darts: {sorted(dead, key=dart_sort_key)[:4]}")
-        # only live top darts from here on, so they index the arrays; kd
-        # keeps the kernel's iteration order
-        kd = np.fromiter(kernel.darts, np.int32, len(kernel.darts))
+        # only live top darts from here on, so they index the arrays
+        kd = kd.astype(np.int32)
         kill = np.zeros(len(self._sigma), dtype=bool)
         kill[kd] = True
+        # each base dart's top vertex, named alike along contracted trees
+        merged = self._regions[-1]
         if kernel.state is KernelState.CK:
-            self._check_ck(top, kernel.darts, kd, kill)
+            ends, root = self._check_ck(top, kd, kill)
+            tree = self._ids.copy()
+            tree[ends] = root
+            merged = tree[merged]
         elif kernel.state is KernelState.RKESL:
-            self._check_rkesl(kernel.darts, kd, kill)
+            self._check_rkesl(kd, kill)
         else:
-            self._check_rkede(kernel.darts, kd, kill)
+            self._check_rkede(kd, kill)
             heads, turns = self._fold_orientations(kill)
             # Nothing fails from here on: _reduce repairs only the chains
             # that _fold_orientations walked. The levels below keep the
@@ -294,41 +316,36 @@ class Pyramid:
             self._turns = self._turns.copy()
             self._turns[heads] = turns
         order = self._top_order[~kill[self._top_order]]
-        canon = self._top_order[self._regions[-1][self._top_order] == self._top_order]
-        self._sigma, self._alpha, first = _reduce(self._sigma, self._alpha, self._ids, kill, order, kernel.state,
-                                                  canon)
-        new_level = len(self.kernels) + 1
-        self.kernels.append(kernel)
-        self._killed.update(dict.fromkeys(kernel.darts, new_level))
-        self._append_level(map_of(self._ints, order, self._sigma, self._alpha), order, canon, first)
+        # a new vertex is the survivors of the top vertices merged alike, its
+        # canonical dart the least in order; slot len(order) stands for dart 0
+        least = np.full(len(merged), len(order), dtype=np.int32)
+        np.minimum.at(least, merged[order], np.arange(len(order), dtype=np.int32))
+        region = np.append(order, np.int32(0))[least[merged]]
+        self._sigma, self._alpha = _reduce(self._sigma, self._alpha, self._ids, kill, order, kernel.state)
+        self._states.append(kernel.state)
+        self._died[kd] = len(self._states)
+        self._died_list = None
+        # only RKEDE changes alpha, so other levels share the list below
+        alpha = self._alpha if kernel.state is KernelState.RKEDE else top._alpha
+        self._append_level(map_of(self._ints, order, self._sigma, alpha), order, region)
         return self
 
-    def _append_level(self, m: CombinatorialMap, order: np.ndarray, canon: np.ndarray | None = None,
-                      first: np.ndarray | None = None) -> None:
+    def _append_level(self, m: CombinatorialMap, order: np.ndarray, region: np.ndarray) -> None:
         """Store m, the map of the top arrays, its region array and the top's
         turn counts as the new top; order is its darts in dart_sort_key
-        order, canon the old top's canonical vertex darts (the least in that
-        order) and first the first survivor of each, both None at the base.
-        For the top only, also keep the order, the empty self loops and the
-        double-edge joints."""
+        order. For the top only, also keep the order, the empty self loops
+        and the double-edge joints."""
         self._top_order = order
         # the passes run over positions in order: pos maps a dart to its own
         pos = np.zeros(len(self._sigma), dtype=np.int32)
         pos[order] = np.arange(len(order), dtype=np.int32)
         sigma, mate = pos[self._sigma[order]], pos[self._alpha[order]]
-        vertex = _cycle_min(sigma)
-        region = np.zeros_like(self._sigma)
-        region[order] = order[vertex]
-        if canon is not None:
-            lift = np.zeros_like(region)
-            lift[canon] = region[first]
-            region = lift[self._regions[-1]]
         self._regions.append(region)
         self._turns_at.append(self._turns)
-        self._top_loops = frozenset(self._ints[order[_empty_loops(sigma, mate, vertex)]])
-        self._top_joints = frozenset(self._ints[order[_joints(sigma, mate, self.embedding.corners(order))]])
+        self._top_loops = order[_empty_loops(sigma, mate, pos[region[order]])]
+        self._top_joints = order[_joints(sigma, mate, self._corners[order])]
         self._levels.append(m)
-        self._redundant.append(self._top_loops | self._top_joints)
+        self._redundant.append(np.concatenate([self._top_loops, self._top_joints]))
 
     def _unpaired(self, kd: np.ndarray, kill: np.ndarray) -> Dart | None:
         """The first kernel dart, in the kernel's iteration order, whose alpha
@@ -336,8 +353,10 @@ class Pyramid:
         open_ = kd[~kill[self._alpha[kd]]]
         return int(open_[0]) if open_.size else None
 
-    def _check_ck(self, top: CombinatorialMap, darts: frozenset[Dart], kd: np.ndarray, kill: np.ndarray) -> None:
-        if len(darts) == len(top):
+    def _check_ck(self, top: CombinatorialMap, kd: np.ndarray, kill: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Raise unless the kernel is a forest of whole edges that leaves a
+        dart; else return the top vertices on its trees, each with its tree's name."""
+        if len(kd) == len(top):
             raise KernelError("contraction kernel contains every dart of the top map")
         if (open_ := self._unpaired(kd, kill)) is not None:
             raise KernelError(f"contraction kernel is not closed under alpha at dart {open_}")
@@ -347,31 +366,33 @@ class Pyramid:
         kd = _by_rank(kd)
         kd = kd[_rank(self._alpha[kd]) > _rank(kd)]
         u, v = self._regions[-1][kd], self._regions[-1][self._alpha[kd]]
-        dropped = np.flatnonzero(~_spanning_forest(u, v))
+        keep, ends, root = _spanning_forest(u, v)
+        dropped = np.flatnonzero(~keep)
         if dropped.size:
             k = dropped[0]
             if u[k] == v[k]:
                 raise KernelError(f"contraction kernel contains the self-loop edge of dart {int(kd[k])}")
             raise KernelError(f"contraction kernel contains a cycle through dart {int(kd[k])}")
+        return ends, root
 
-    def _check_rkesl(self, darts: frozenset[Dart], kd: np.ndarray, kill: np.ndarray) -> None:
+    def _check_rkesl(self, kd: np.ndarray, kill: np.ndarray) -> None:
         if (open_ := self._unpaired(kd, kill)) is not None:
             raise KernelError(f"self-loop kernel is not closed under alpha at dart {open_}")
-        stray = darts - self._top_loops
-        if stray:
-            raise KernelError(f"dart {min(stray, key=dart_sort_key)} is not part of an empty self loop")
+        stray = kd[~np.isin(kd, self._top_loops)]
+        if stray.size:
+            raise KernelError(f"dart {int(stray[np.argmin(_rank(stray))])} is not part of an empty self loop")
         self._check_keeps_vertices(kd)
 
-    def _check_rkede(self, darts: frozenset[Dart], kd: np.ndarray, kill: np.ndarray) -> None:
-        if self._top_loops:
+    def _check_rkede(self, kd: np.ndarray, kill: np.ndarray) -> None:
+        if self._top_loops.size:
             raise KernelError("empty self loops present; remove them before double edges")
-        stray = darts - self._top_joints
-        half = kd[~kill[self._sigma[self._alpha[kd]]]].tolist()
-        if stray or half:
-            d = min(stray | set(half), key=dart_sort_key)
-            if d in stray:
-                raise KernelError(f"dart {d} is not a double-edge joint at a degree-2 dual vertex")
-            raise KernelError(f"joint of dart {d} is only half removed")
+        stray = ~np.isin(kd, self._top_joints)
+        bad = stray | ~kill[self._sigma[self._alpha[kd]]]
+        if bad.any():
+            k = np.flatnonzero(bad)[np.argmin(_rank(kd[bad]))]
+            if stray[k]:
+                raise KernelError(f"dart {int(kd[k])} is not a double-edge joint at a degree-2 dual vertex")
+            raise KernelError(f"joint of dart {int(kd[k])} is only half removed")
         self._check_keeps_vertices(kd)
 
     def _check_keeps_vertices(self, kd: np.ndarray) -> None:
@@ -425,10 +446,10 @@ class Pyramid:
         """Maximal kernel of empty self loops of the current top map. A
         vertex made of empty self loops only keeps the loop of its canonical
         dart, so that no vertex is emptied."""
-        loops = np.fromiter(self._top_loops, np.int32, len(self._top_loops))
+        loops = self._top_loops
         spare = np.unique(self._emptied(loops))
         spare = np.concatenate([spare, self._alpha[spare]])
-        return Kernel.of(KernelState.RKESL, self._top_loops.difference(self._ints[spare].tolist()))
+        return Kernel.of(KernelState.RKESL, self._ints[loops[~np.isin(loops, spare)]].tolist())
 
     def compute_rkede(self) -> Kernel:
         """Maximal kernel of double-edge joints of the current top map.
@@ -437,41 +458,31 @@ class Pyramid:
         edges and meet at one grid corner. Chains of joints keep their first
         dart in each traversal direction; closed boundary rings also keep one
         whole edge so every region keeps a border.
+
+        Link is sigma on the keys alpha(joints). From a key that is no joint
+        it runs over joints, all removed, until it leaves the keys; pointer
+        jumping finds the keys on such a path. The other keys lie on rings,
+        in pairs: alpha(r) is the joint partner of sigma(r), so the mates of
+        a ring r0, r1, ... form the ring ..., alpha(r1), alpha(r0). A pair
+        keeps its least dart s and the partner phi(s) of s.
         """
-        top = self.top_map()
-        link = {top.alpha(x): top.phi(x) for x in self._top_joints}
-        has_pred = set(link.values())
-        removed: set[Dart] = set()
-        seen: set[Dart] = set()
-        for f in sorted(link, key=dart_sort_key):
-            if f in has_pred or f in seen:
-                continue
-            seen.add(f)
-            c = f
-            while c in link:
-                c = link[c]
-                seen.add(c)
-                removed.add(c)
-        # leftover links all lie on closed rings; keep one edge per ring
-        for f in sorted(link, key=dart_sort_key):
-            if f in seen:
-                continue
-            ring = [f]
-            c = link[f]
-            while c != f:
-                ring.append(c)
-                c = link[c]
-            seen.update(ring)
-            mates = [top.alpha(d) for d in ring]
-            seen.update(mates)
-            start = min(ring + mates, key=dart_sort_key)
-            if start not in ring:
-                ring = [top.alpha(d) for d in reversed(ring)]
-            k = ring.index(start)
-            ordered = ring[k:] + ring[:k]
-            removed.update(ordered[1:])
-            removed.update(top.alpha(d) for d in ordered[:-1])
-        return Kernel.of(KernelState.RKEDE, removed)
+        sigma, alpha = self._sigma, self._alpha
+        keys = alpha[self._top_joints]
+        key = np.zeros(len(sigma), dtype=bool)
+        key[keys] = True
+        hop = np.where(key, sigma, self._ids)
+        for _ in range(len(keys).bit_length()):
+            hop[keys] = hop[hop[keys]]
+        on_chain = ~key[hop[keys]]
+        # the rings by position in dart_sort_key order, each pair's least
+        ring = _by_rank(keys[~on_chain])
+        pos = np.zeros(len(sigma), dtype=np.int32)
+        pos[ring] = np.arange(len(ring), dtype=np.int32)
+        least = _cycle_min(pos[sigma[ring]])
+        start = ring[np.minimum(least, least[pos[alpha[ring]]])]
+        kept = np.concatenate([start, sigma[alpha[start]]])
+        removed = np.concatenate([sigma[keys[on_chain]], ring[~np.isin(ring, kept)]])
+        return Kernel.of(KernelState.RKEDE, self._ints[removed].tolist())
 
     def vertex_of_pixel(self, i: int, x: int, y: int) -> Dart:
         """Representative of the level-i region containing pixel (x, y)."""
@@ -492,50 +503,48 @@ class Pyramid:
         """Darts of empty self loops and of removable double-edge joints at
         level i. Empty means the level is safe for enclosure queries."""
         self._check_level(i)
-        return self._redundant[i]
+        bad = self._redundant[i]
+        return frozenset(self._ints[bad].tolist()) if bad.size else frozenset()
 
     def composed_of(self, i: int, v: Dart) -> frozenset[Dart]:
         """Level-(i-1) vertices merged into vertex v by the level-i kernel.
 
-        Every dart of v's level-i sigma cycle is alive at level i-1, and its
-        level-(i-1) sigma cycle is a child. A removal kernel keeps every
-        vertex, so that gives the one child. A contraction kernel merges a
-        tree of vertices along its edges, some of which lost all their
-        darts: following each contracted dart of a child to its alpha_{i-1}
-        partner reaches the rest. The walk costs the total degree of the
-        children.
+        A removal kernel keeps every vertex, so v's own level-(i-1) vertex is
+        the one child. A contraction kernel merges a tree of vertices along
+        its edges, and each vertex of a tree with an edge holds a dart of the
+        kernel: the level-(i-1) regions of the kernel darts that land in v,
+        one slice of the level's sorted index, name the rest.
         """
         if not 1 <= i <= self.top_level:
             raise ValueError(f"level {i} out of range 1..{self.top_level}")
         self._require_alive(i, v)
-        cur, prev = self._levels[i], self._levels[i - 1]
-        contracted = self.kernels[i - 1].darts if self.state(i) is KernelState.CK else frozenset()
-        seen: set[Dart] = set()
-        out = []
-        todo = list(cur.orbit(v, "sigma"))
-        while todo:
-            d = todo.pop()
-            if d in seen:
-                continue
-            cyc = prev.orbit(d, "sigma")
-            seen.update(cyc)
-            out.append(self._region(i - 1, d))
-            todo.extend(prev.alpha(c) for c in cyc if c in contracted)
+        out = [self._region(i - 1, v)]
+        if self._states[i - 1] is KernelState.CK:
+            if (index := self._merged.get(i)) is None:
+                kd = self._ids[self._died == i]
+                new = self._regions[i][kd]
+                by = np.argsort(new)
+                index = self._merged[i] = new[by], self._regions[i - 1][kd[by]]
+            new, old = index
+            r = self._regions[i][v]
+            out += self._ints[old[new.searchsorted(r) : new.searchsorted(r, "right")]].tolist()
         return frozenset(out)
 
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> str:
         """Flat record of the implicit encoding; loading replays the kernels."""
-        base_sigma = self.embedding.grid_sigma()[dart_order(self.embedding.n_darts // 2)].tolist()
+        order = dart_order(self._n)
+        died = self._died[order]
+        base_sigma = self.embedding.grid_sigma()[order].tolist()
         payload = {
             "format": "combipyramid-pyramid",
             "version": 1,
             "width": self.embedding.width,
             "height": self.embedding.height,
             "base_sigma": base_sigma,
-            "states": [k.state.value for k in self.kernels],
-            "kernels": [self._ints[_by_rank(np.fromiter(k.darts, np.int32, len(k)))].tolist() for k in self.kernels],
+            "states": [state.value for state in self._states],
+            "kernels": [self._ints[order[died == k]].tolist() for k in range(1, self.top_level + 1)],
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -562,7 +571,7 @@ class Pyramid:
         if not set(map(type, stored)) <= {int}:  # 4.0 and True compare equal to ints
             raise ValueError("base_sigma is not a list of integer darts")
         pyr = cls.from_grid(width, height)
-        if stored != pyr._sigma[dart_order(len(pyr._sigma) // 2)].tolist():
+        if stored != pyr._ints[pyr._sigma[dart_order(pyr._n)]].tolist():
             raise ValueError("stored base permutation does not match the grid layout")
         for k, (state, darts) in enumerate(zip(states, kernels), start=1):
             if not isinstance(darts, list) or not set(map(type, darts)) <= {int}:
@@ -597,30 +606,28 @@ def _by_rank(d: np.ndarray) -> np.ndarray:
 
 
 def _reduce(sigma: np.ndarray, alpha: np.ndarray, ids: np.ndarray, dead: np.ndarray, live: np.ndarray,
-            state: KernelState, canon: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sigma and alpha once the dead darts are contracted (CK) or removed,
-    and the first survivor from each dart of canon.
+            state: KernelState) -> tuple[np.ndarray, np.ndarray]:
+    """sigma and alpha once the dead darts are contracted (CK) or removed.
 
     sigma'(d) is the first survivor after d along sigma, stepping by phi past
-    a contracted dart and by sigma past a removed one; the same steps from a
-    dead dart lead to a survivor of the vertex that absorbed it. alpha' =
-    alpha, except under RKEDE, where y <- alpha(phi(y)) steps past the
-    removed joints. live lists the survivors.
+    a contracted dart and by sigma past a removed one. alpha' = alpha,
+    except under RKEDE, where y <- alpha(phi(y)) steps past the removed
+    joints. live lists the survivors.
     """
     phi = sigma[alpha]
     new_sigma, new_alpha = np.zeros_like(sigma), np.zeros_like(alpha)
-    out = _first_alive(phi if state is KernelState.CK else sigma, dead, ids, np.concatenate([sigma[live], canon]))
-    new_sigma[live] = out[: len(live)]
+    new_sigma[live] = _first_alive(phi if state is KernelState.CK else sigma, dead, ids, sigma[live])
     if state is KernelState.RKEDE:
         new_alpha[live] = _first_alive(alpha[phi], dead, ids, alpha[live])
     else:
         new_alpha[live] = alpha[live]
-    return new_sigma, new_alpha, out[len(live) :]
+    return new_sigma, new_alpha
 
 
-def _spanning_forest(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _spanning_forest(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mask of the edges u[k]-v[k] that Kruskal's algorithm keeps when it
-    takes them in index order: each joins two trees of the edges before it.
+    takes them in index order (each joins two trees of the edges before it),
+    the distinct ends of the edges and, for each end, an end naming its tree.
 
     Borůvka rounds: the index order is strict, so that forest is the unique
     minimum spanning forest. A round hooks every tree to the tree across
@@ -638,7 +645,7 @@ def _spanning_forest(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         a, b = tree[vertex[0, live]], tree[vertex[1, live]]
         cross = a != b
         if not cross.any():
-            return keep
+            return keep, ends, ends[tree]
         live, a, b = live[cross], a[cross], b[cross]
         # each tree's first appearance among the live edges' ends, taken in
         # index order, is its least outgoing edge
@@ -695,7 +702,7 @@ def _empty_loops(sigma: np.ndarray, mate: np.ndarray, vertex: np.ndarray) -> np.
     """Mask of the darts of self loops enclosing nothing: the least set
     closed under marking a loop, with its partner, once the rest of its
     face is marked. Darts are positions; sigma and mate (alpha) permute
-    them and vertex is the partition of _cycle_min.
+    them and vertex names the vertex of each by its least position.
 
     Each face keeps the count and the sum of its unmarked darts, so a face
     down to one unmarked dart names that dart. A round marks the loops so
@@ -703,10 +710,12 @@ def _empty_loops(sigma: np.ndarray, mate: np.ndarray, vertex: np.ndarray) -> np.
     down to one, so the next round examines those faces only.
     """
     marked = np.zeros(len(sigma), dtype=bool)
-    loop = vertex == vertex[mate]
-    if not loop.any():
+    phi = sigma[mate]
+    # marking starts from the faces of one dart, phi(d) = d
+    if not (phi == np.arange(len(sigma))).any():
         return marked
-    face = _cycle_min(sigma[mate])
+    loop = vertex == vertex[mate]
+    face = _cycle_min(phi)
     count = np.bincount(face, minlength=len(sigma))
     total = np.zeros(len(sigma), dtype=np.int64)
     np.add.at(total, face, np.arange(len(sigma)))

@@ -139,7 +139,7 @@ class SegmentedImage:
         keep = dist <= threshold
         first, mate, u, v, dist = first[keep], mate[keep], u[keep], v[keep], dist[keep]
         order = np.lexsort((first, np.abs(first), dist))
-        chosen = order[_spanning_forest(u[order], v[order])]
+        chosen = order[_spanning_forest(u[order], v[order])[0]]
         if not chosen.size:
             return []
         applied = [Kernel.of(KernelState.CK, pyr._ints[np.concatenate([first[chosen], mate[chosen]])].tolist())]

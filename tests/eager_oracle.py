@@ -12,7 +12,11 @@ walking vertex cycles instead of reading region arrays. inside_all_flood floods
 the map from a vertex's directly enclosed neighbours; flood_fill_contains_oracle
 and enclosed_regions decide enclosure on the pixels, and BoundaryOracle finds
 shared boundary pieces on them. composed_of_scan assigns every vertex of the
-level below to its parent by a scan of the whole level. replay_pixel_labels
+level below to its parent by a scan of the whole level, and
+composed_of_by_cycles walks the children's vertex cycles across contracted
+darts. rkede_by_walk follows a dict of joint links from each chain start and
+around each ring. validate_dicts is map_core.validate on permutation dicts,
+for maps the list-backed map cannot hold. replay_pixel_labels
 finds each pixel's region by replaying absorbed darts from the base.
 kruskal_forest and check_ck_by_union_find are the sequential union-find
 forms of the package's Borůvka forest and contraction check, and
@@ -27,7 +31,7 @@ import numpy as np
 from typing import Iterable
 
 from combipyramid.containment import inside_direct
-from combipyramid.map_core import CombinatorialMap, CrackEmbedding, Dart, dart_sort_key
+from combipyramid.map_core import CombinatorialMap, CrackEmbedding, Dart, ValidationReport, dart_sort_key
 from combipyramid.moves import Move, turn_angle
 from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid
 from combipyramid.segmentation import RegionStats
@@ -553,6 +557,110 @@ def composed_of_scan(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
         if d in home:
             out.append(cyc[0])
     return frozenset(out)
+
+
+def composed_of_by_cycles(pyr: Pyramid, i: int, v: Dart, contracted: frozenset[Dart]) -> frozenset[Dart]:
+    """Level-(i-1) vertices merged into vertex v: the level-(i-1) sigma
+    cycles of v's darts, and of the partners of their contracted darts
+    (contracted: the darts of a CK kernel at level i, else empty)."""
+    cur, prev = pyr.reconstruct_level(i), pyr.reconstruct_level(i - 1)
+    seen: set[Dart] = set()
+    out = []
+    todo = list(cur.orbit(v, "sigma"))
+    while todo:
+        d = todo.pop()
+        if d in seen:
+            continue
+        cyc = prev.orbit(d, "sigma")
+        seen.update(cyc)
+        out.append(vertex_of(prev, d))
+        todo.extend(prev.alpha(c) for c in cyc if c in contracted)
+    return frozenset(out)
+
+
+def rkede_by_walk(pyr: Pyramid) -> frozenset[Dart]:
+    """Pyramid.compute_rkede's darts, by walking the joint links
+    alpha(x) -> phi(x) of the top: each chain from its start, each ring
+    once from the least dart of it and its mates."""
+    top = pyr.top_map()
+    link = {top.alpha(x): top.phi(x) for x in joint_darts(top, pyr.embedding)}
+    has_pred = set(link.values())
+    removed: set[Dart] = set()
+    seen: set[Dart] = set()
+    for f in sorted(link, key=dart_sort_key):
+        if f in has_pred or f in seen:
+            continue
+        seen.add(f)
+        c = f
+        while c in link:
+            c = link[c]
+            seen.add(c)
+            removed.add(c)
+    # leftover links all lie on closed rings; keep one edge per ring
+    for f in sorted(link, key=dart_sort_key):
+        if f in seen:
+            continue
+        ring = [f]
+        c = link[f]
+        while c != f:
+            ring.append(c)
+            c = link[c]
+        seen.update(ring)
+        mates = [top.alpha(d) for d in ring]
+        seen.update(mates)
+        start = min(ring + mates, key=dart_sort_key)
+        if start not in ring:
+            ring = [top.alpha(d) for d in reversed(ring)]
+        k = ring.index(start)
+        ordered = ring[k:] + ring[:k]
+        removed.update(ordered[1:])
+        removed.update(top.alpha(d) for d in ordered[:-1])
+    return frozenset(removed)
+
+
+def validate_dicts(darts: Iterable[Dart], sigma: dict[Dart, Dart], alpha: dict[Dart, Dart]) -> ValidationReport:
+    """map_core.validate of the map with these darts and permutation dicts."""
+    checks: list[tuple[str, bool, Dart | None]] = []
+    darts = frozenset(darts)
+    order = sorted(darts, key=dart_sort_key)
+
+    witness = None
+    for d in order:
+        a = alpha.get(d)
+        if a is None or a not in darts or alpha.get(a) != d:
+            witness = d
+            break
+    checks.append(("alpha_involution", witness is None, witness))
+
+    witness = next((d for d in order if alpha.get(d) == d), None)
+    checks.append(("alpha_no_fixed_point", witness is None, witness))
+
+    domain_ok = set(sigma) == set(darts)
+    image = set(sigma.values()) if domain_ok else set()
+    sigma_ok = domain_ok and image == set(darts)
+    witness = None
+    if not sigma_ok and domain_ok:
+        witness = min(set(darts) - image, key=dart_sort_key)
+    checks.append(("sigma_bijection", sigma_ok, witness))
+
+    seen = set(order[:1])
+    stack = order[:1]
+    while stack:
+        d = stack.pop()
+        for n in (sigma.get(d), alpha.get(d)):
+            if n is not None and n in darts and n not in seen:
+                seen.add(n)
+                stack.append(n)
+    witness = None if len(seen) == len(darts) else min(darts - seen, key=dart_sort_key)
+    checks.append(("connected", witness is None, witness))
+
+    if sigma_ok and checks[0][1] and checks[1][1]:
+        phi = {d: sigma[alpha[d]] for d in darts}
+        v, e, f = (len(set(cycle_ids(p.__getitem__, order).values())) for p in (sigma, alpha, phi))
+        checks.append(("euler_count_2", v - e + f == 2, None))
+    else:
+        checks.append(("euler_count_2", False, None))
+    return ValidationReport(checks)
 
 
 def replay_pixel_labels(pyr: Pyramid, i: int) -> list[list[Dart]]:

@@ -1,18 +1,23 @@
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combipyramid.map_core import (
     CombinatorialMap,
     CrackEmbedding,
     build_grid_map,
     dart_order,
+    dart_sort_key,
     to_dot,
     validate,
 )
 from combipyramid.moves import Move
+from combipyramid.pyramid import Kernel, KernelState, Pyramid
 
-from eager_oracle import grid_map_by_pixels, vertex_of
+from eager_oracle import grid_map_by_pixels, validate_dicts, vertex_of
 
 
 def grid_dart_count(w, h):
@@ -188,3 +193,110 @@ def test_dot_export_is_deterministic():
     assert text == to_dot(m)
     assert text.startswith("graph map {")
     assert text.count("--") == len(m.edges())
+
+
+# -- list-backed maps: darts outside the map and malformed input ----------------
+
+
+def dict_answer(fn):
+    """fn() or KeyError, as the dict-era map answered."""
+    try:
+        return fn()
+    except KeyError:
+        return KeyError
+
+
+def small_maps():
+    """A grid map, a dict-built map and a pyramid level that lost darts,
+    each with a dart that died at a lower level."""
+    base, _ = build_grid_map(3, 2)
+    pyr = Pyramid.from_grid(3, 2)
+    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2, 5, -5]))
+    level = pyr.reconstruct_level(1)
+    built = CombinatorialMap(level.darts, {d: level.sigma(d) for d in level.darts},
+                             {d: level.alpha(d) for d in level.darts})
+    return [(base, None), (level, 2), (built, 5)]
+
+
+@pytest.mark.parametrize("which", ["zero", "n+1", "-(n+1)", "2**31", "-2**63", "dead", "np.int32"])
+def test_darts_outside_the_map_never_read_a_wrapped_slot(which):
+    for m, dead in small_maps():
+        n = max(abs(d) for d in m.darts)
+        d = {"zero": 0, "n+1": n + 1, "-(n+1)": -(n + 1), "2**31": 2**31, "-2**63": -2**63, "dead": dead,
+             "np.int32": np.int32(-n)}[which]
+        if d is None:
+            continue
+        darts = frozenset(m.darts)
+        sigma = {e: m.sigma(e) for e in darts}
+        alpha = {e: m.alpha(e) for e in darts}
+        assert (d in m) == (d in darts)
+        assert dict_answer(lambda: m.sigma(d)) == dict_answer(lambda: sigma[d])
+        assert dict_answer(lambda: m.alpha(d)) == dict_answer(lambda: alpha[d])
+        assert dict_answer(lambda: m.phi(d)) == dict_answer(lambda: sigma[alpha[d]])
+        for kind, step in (("sigma", sigma.get), ("alpha", alpha.get), ("phi", lambda e: sigma[alpha[e]])):
+            if d in darts:
+                cycle, c = [d], step(d)
+                while c != d:
+                    cycle.append(c)
+                    c = step(c)
+                assert m.orbit(d, kind) == tuple(cycle)
+            else:
+                with pytest.raises(KeyError):
+                    m.orbit(d, kind)
+
+
+def test_unrepresentable_dict_maps_are_rejected():
+    m, _ = build_grid_map(1, 1)
+    sigma, alpha = {d: m.sigma(d) for d in m.darts}, {d: -d for d in m.darts}
+    for darts, s, a in [
+        (m.darts, {d: e for d, e in sigma.items() if d != 2}, alpha),  # a dart without sigma
+        (m.darts - {2}, {d: e for d, e in sigma.items() if d != 2}, alpha),  # alpha on a non-dart
+        (m.darts | {0}, {**sigma, 0: 0}, alpha),  # dart 0
+        (m.darts, {**sigma, 2: 0}, alpha),  # image 0
+        (m.darts | {2**31}, {**sigma, 2**31: 2**31}, alpha),  # beyond int32
+    ]:
+        with pytest.raises(ValueError):
+            CombinatorialMap(darts, s, a)
+
+
+MUTATIONS = ["drop sigma", "drop alpha", "alpha fixed point", "new fixed dart", "duplicate successor",
+             "swap alpha", "sparse ids"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.lists(st.sampled_from(MUTATIONS), max_size=3), st.data())
+def test_validate_equals_the_dict_validate_on_mutated_maps(w, h, mutations, data):
+    m, _ = build_grid_map(w, h)
+    darts = set(m.darts)
+    sigma = {d: m.sigma(d) for d in darts}
+    alpha = {d: m.alpha(d) for d in darts}
+    for mutation in mutations:
+        pick = lambda: data.draw(st.sampled_from(sorted(darts, key=dart_sort_key)))  # noqa: E731
+        if mutation == "drop sigma":
+            sigma.pop(pick(), None)
+        elif mutation == "drop alpha":
+            alpha.pop(pick(), None)
+        elif mutation == "alpha fixed point":
+            d = pick()
+            alpha[d] = d
+        elif mutation == "new fixed dart":
+            x = max(map(abs, darts)) + data.draw(st.integers(1, 5))
+            darts.add(x)
+            sigma[x] = alpha[x] = x
+        elif mutation == "duplicate successor":
+            sigma[pick()] = sigma.get(pick(), pick())
+        elif mutation == "swap alpha":
+            alpha[pick()] = pick()
+        else:
+            k = data.draw(st.integers(2, 7))
+            sparse = lambda d: d * k + (1 if d > 0 else -1)  # noqa: E731
+            darts = {sparse(d) for d in darts}
+            sigma = {sparse(d): sparse(e) for d, e in sigma.items()}
+            alpha = {sparse(d): sparse(e) for d, e in alpha.items()}
+    representable = sigma.keys() == darts and alpha.keys() <= darts
+    if not representable:
+        with pytest.raises(ValueError):
+            CombinatorialMap(darts, sigma, alpha)
+        return
+    got = validate(CombinatorialMap(darts, sigma, alpha))
+    assert got.checks == validate_dicts(darts, sigma, alpha).checks

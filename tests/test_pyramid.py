@@ -18,14 +18,17 @@ from combipyramid.pyramid import (
 )
 from combipyramid.segmentation import segment_labels
 
-from conftest import random_pyramid, ringed_labels
+from conftest import borderless_outside_pyramid, random_pyramid, ringed_labels
 from eager_oracle import (
     DictTop,
     check_ck_by_union_find,
+    composed_of_by_cycles,
     eager_levels,
     empty_self_loops,
+    find_root,
     kruskal_forest,
     replay_pixel_labels,
+    rkede_by_walk,
     sorted_sweep_loops,
     vertex_of,
 )
@@ -136,7 +139,16 @@ def test_random_kernel_is_rejected_or_yields_the_eager_level(seed, state, closed
 def test_spanning_forest_equals_kruskal(edges):
     # few vertices, so ties between trees, self loops and parallel edges abound
     u, v = (np.array([e[k] for e in edges], dtype=np.int32) for k in (0, 1))
-    assert _spanning_forest(u, v).tolist() == kruskal_forest(u.tolist(), v.tolist())
+    keep, ends, root = _spanning_forest(u, v)
+    assert keep.tolist() == kruskal_forest(u.tolist(), v.tolist())
+    # the trees are the components of the edges: each named by one of its ends
+    parent: dict = {}
+    for a, b in edges:
+        parent[find_root(parent, a)] = find_root(parent, b)
+    assert sorted(ends.tolist()) == sorted({x for e in edges for x in e})
+    for x, r in zip(ends.tolist(), root.tolist()):
+        assert find_root(parent, x) == find_root(parent, r)
+    assert len(set(root.tolist())) == len({find_root(parent, x) for x in ends.tolist()})
 
 
 @settings(max_examples=300, deadline=None)
@@ -330,8 +342,8 @@ def test_array_derivation_equals_the_dict_reference(seed, ringed):
     def same_top(pyr, ref):
         assert pyr.top_map() == ref.m
         assert {d: pyr._regions[-1][d] for d in ref.m.darts} == ref.vertex
-        assert pyr._top_loops == ref.loops
-        assert pyr._top_joints == ref.joints
+        assert set(pyr._top_loops.tolist()) == ref.loops
+        assert set(pyr._top_joints.tolist()) == ref.joints
 
     def checked(pyr, kernel):
         ref = DictTop.of(pyr)
@@ -604,6 +616,61 @@ def test_composed_of_swallowed_tree_vertex():
     assert all(d not in m1.darts for d in center)
     merged = pyr.vertex_of_pixel(1, 1, 1)
     assert vertex_of(m0, center[0]) in pyr.composed_of(1, merged)
+
+
+def rkede_checked_build(build):
+    """build() with every top it applies a kernel to, and its last top,
+    checked: compute_rkede equals the dict walk of the joint links."""
+    apply = Pyramid.apply_kernel
+
+    def checked(pyr, kernel):
+        assert pyr.compute_rkede().darts == rkede_by_walk(pyr)
+        return apply(pyr, kernel)
+
+    with mock.patch.object(Pyramid, "apply_kernel", checked):
+        pyr = build()
+    assert pyr.compute_rkede().darts == rkede_by_walk(pyr)
+    return pyr
+
+
+def assert_children_equal_the_cycle_walk(pyr: Pyramid) -> None:
+    for p in (pyr, Pyramid.from_json(pyr.to_json())):
+        kernels = p.kernels
+        for i in range(1, p.top_level + 1):
+            contracted = kernels[i - 1].darts if p.state(i) is KernelState.CK else frozenset()
+            for cyc in p.reconstruct_level(i).vertices():
+                assert p.composed_of(i, cyc[0]) == composed_of_by_cycles(p, i, cyc[0], contracted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, kinds)
+def test_rkede_kernels_and_children_equal_the_walk_references(seed, kind):
+    # every top of a random build: the pointer-jumping double-edge kernel
+    # against the dict walk; every vertex of every level, built and
+    # reloaded: its children from the region arrays against the cycle walk
+    pyr = rkede_checked_build(lambda: built_pyramid(random.Random(seed), kind))
+    assert_children_equal_the_cycle_walk(pyr)
+
+
+def test_borderless_outside_equals_the_walk_references():
+    assert_children_equal_the_cycle_walk(rkede_checked_build(borderless_outside_pyramid))
+
+
+@pytest.mark.parametrize("rows, island", [
+    (["000", "010", "000"], (1, 1)),  # one pixel
+    (["0000", "0110", "0000"], (1, 1)),  # a 2x1 block
+    (["00000", "01110", "01210", "01110", "00000"], (2, 2)),  # a ring inside a ring
+    (["000000", "000000", "000110", "000110", "000000"], (3, 2)),  # off centre
+    (["0000000", "0111110", "0100010", "0102010", "0100010", "0111110", "0000000"], (3, 3)),  # a ring around a gap
+])
+def test_closed_boundary_rings_keep_one_edge(rows, island):
+    # the island's boundary is a closed ring of degree-2 corners, from which
+    # the maximal double-edge kernel leaves one edge
+    labels = np.array([[int(c) for c in row] for row in rows])
+    pyr = rkede_checked_build(lambda: segment_labels(labels).pyramid)
+    i = pyr.top_level
+    assert len(pyr.top_map().orbit(pyr.vertex_of_pixel(i, *island), "sigma")) == 1
+    assert_children_equal_the_cycle_walk(pyr)
 
 
 def test_pixel_labels_agree_with_single_lookups():
