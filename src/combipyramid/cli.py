@@ -180,19 +180,13 @@ def _cmd_roadsign(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # loading re-checks every kernel; what is left are each level's invariants
     pyr = _load_pyramid(args.pyr)
     problems: list[str] = []
     for i in range(pyr.top_level + 1):
         report = validate(pyr.reconstruct_level(i))
         for name in report.failed():
             problems.append(f"level {i}: {name}")
-    sizes = [len(pyr.reconstruct_level(i)) for i in range(pyr.top_level + 1)]
-    for i, kernel in enumerate(pyr.kernels, start=1):
-        if kernel.darts and sizes[i] >= sizes[i - 1]:
-            problems.append(f"level {i}: dart count did not shrink under a non-empty kernel")
-        for d in kernel.darts:
-            if pyr.level(d) != i:
-                problems.append(f"level {i}: kernel dart {d} has level {pyr.level(d)}")
     ok = not problems
     print(json.dumps({"ok": ok, "levels": pyr.top_level, "problems": problems}, sort_keys=True))
     return 0 if ok else 1

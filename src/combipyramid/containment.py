@@ -176,8 +176,8 @@ def contains(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
 
 
 def _enclosers(pyr: Pyramid, i: int, v: Dart) -> list[Dart]:
-    """The vertices enclosing v, innermost first."""
-    pyr._require_alive(i, v)
+    """The vertices enclosing v, innermost first. Callers check that v
+    survives at level i."""
     parent = _enclosure_forest(pyr, i)[0]
     out: list[Dart] = []
     u = parent.get(pyr._region(i, v))

@@ -152,9 +152,13 @@ class Pyramid:
     @property
     def kernels(self) -> list[Kernel]:
         """The kernel of every level, rebuilt from the level of each dart."""
+        return [Kernel.of(s, darts) for s, darts in zip(self._states, self._kernel_darts())]
+
+    def _kernel_darts(self) -> list[list[Dart]]:
+        """The darts of every level's kernel, in dart_sort_key order."""
         order = dart_order(self._n)
         died = self._died[order]
-        return [Kernel.of(s, self._ints[order[died == k]].tolist()) for k, s in enumerate(self._states, 1)]
+        return [self._ints[order[died == k]].tolist() for k in range(1, self.top_level + 1)]
 
     def level(self, d: Dart) -> int:
         """Highest level where d survives, top_level + 1 if it never dies."""
@@ -283,9 +287,10 @@ class Pyramid:
 
     def apply_kernel(self, kernel: Kernel) -> "Pyramid":
         """Append one reduction level, derived from the current top map. The
-        kernel is checked against the top map before any state is touched."""
+        kernel is checked against the top map before any state is touched,
+        in dart_sort_key order, so a rejection names the least offending dart."""
         top, n = self.top_map(), self._n
-        # kd keeps the kernel's iteration order; a dart beyond int64 fails to convert
+        # a dart beyond int64 fails to convert
         try:
             kd = np.fromiter(kernel.darts, np.int64, len(kernel.darts))
             live = ((kd >= -n) & (kd <= n)).all() and self._sigma[kd].all()
@@ -295,7 +300,7 @@ class Pyramid:
             dead = [d for d in kernel.darts if d not in top]
             raise KernelError(f"kernel contains dead or unknown darts: {sorted(dead, key=dart_sort_key)[:4]}")
         # only live top darts from here on, so they index the arrays
-        kd = kd.astype(np.int32)
+        kd = _by_rank(kd.astype(np.int32))
         kill = np.zeros(len(self._sigma), dtype=bool)
         kill[kd] = True
         # each base dart's top vertex, named alike along contracted trees
@@ -348,8 +353,8 @@ class Pyramid:
         self._redundant.append(np.concatenate([self._top_loops, self._top_joints]))
 
     def _unpaired(self, kd: np.ndarray, kill: np.ndarray) -> Dart | None:
-        """The first kernel dart, in the kernel's iteration order, whose alpha
-        partner is not in the kernel; kd lists the kernel in that order."""
+        """The least kernel dart whose alpha partner is not in the kernel; kd
+        lists the kernel in dart_sort_key order."""
         open_ = kd[~kill[self._alpha[kd]]]
         return int(open_[0]) if open_.size else None
 
@@ -363,7 +368,6 @@ class Pyramid:
         # the kernel's edges, each from its first dart in dart_sort_key order,
         # form a forest exactly when Kruskal keeps them all; the first edge
         # it drops is a self loop or closes a cycle
-        kd = _by_rank(kd)
         kd = kd[_rank(self._alpha[kd]) > _rank(kd)]
         u, v = self._regions[-1][kd], self._regions[-1][self._alpha[kd]]
         keep, ends, root = _spanning_forest(u, v)
@@ -380,7 +384,7 @@ class Pyramid:
             raise KernelError(f"self-loop kernel is not closed under alpha at dart {open_}")
         stray = kd[~np.isin(kd, self._top_loops)]
         if stray.size:
-            raise KernelError(f"dart {int(stray[np.argmin(_rank(stray))])} is not part of an empty self loop")
+            raise KernelError(f"dart {int(stray[0])} is not part of an empty self loop")
         self._check_keeps_vertices(kd)
 
     def _check_rkede(self, kd: np.ndarray, kill: np.ndarray) -> None:
@@ -389,7 +393,7 @@ class Pyramid:
         stray = ~np.isin(kd, self._top_joints)
         bad = stray | ~kill[self._sigma[self._alpha[kd]]]
         if bad.any():
-            k = np.flatnonzero(bad)[np.argmin(_rank(kd[bad]))]
+            k = np.flatnonzero(bad)[0]
             if stray[k]:
                 raise KernelError(f"dart {int(kd[k])} is not a double-edge joint at a degree-2 dual vertex")
             raise KernelError(f"joint of dart {int(kd[k])} is only half removed")
@@ -534,9 +538,7 @@ class Pyramid:
 
     def to_json(self) -> str:
         """Flat record of the implicit encoding; loading replays the kernels."""
-        order = dart_order(self._n)
-        died = self._died[order]
-        base_sigma = self.embedding.grid_sigma()[order].tolist()
+        base_sigma = self.embedding.grid_sigma()[dart_order(self._n)].tolist()
         payload = {
             "format": "combipyramid-pyramid",
             "version": 1,
@@ -544,7 +546,7 @@ class Pyramid:
             "height": self.embedding.height,
             "base_sigma": base_sigma,
             "states": [state.value for state in self._states],
-            "kernels": [self._ints[order[died == k]].tolist() for k in range(1, self.top_level + 1)],
+            "kernels": self._kernel_darts(),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -576,7 +578,9 @@ class Pyramid:
         for k, (state, darts) in enumerate(zip(states, kernels), start=1):
             if not isinstance(darts, list) or not set(map(type, darts)) <= {int}:
                 raise ValueError(f"kernel {k} is not a list of integer darts")
-            pyr.apply_kernel(Kernel.of(KernelState(state), darts))
+            if len(kernel := Kernel.of(KernelState(state), darts)) != len(darts):
+                raise ValueError(f"kernel {k} lists a dart twice")
+            pyr.apply_kernel(kernel)
         return pyr
 
 

@@ -93,23 +93,17 @@ def _pieces(m: CombinatorialMap, rep: dict[Dart, Dart] | np.ndarray, facing: lis
     has_pred = {c for c in nxt.values() if c is not None}
     chains = []
     seen: set[Dart] = set()
-    for d in sorted(facing, key=dart_sort_key):
-        if d in has_pred or d in seen:
-            continue
-        chain = [d]
-        seen.add(d)
-        while nxt[chain[-1]] is not None:
-            chain.append(nxt[chain[-1]])
-            seen.add(chain[-1])
-        chains.append(chain)
-    for d in sorted(facing, key=dart_sort_key):
+    # heads of open chains first, then closed rings pinned only by loop
+    # anchors, each by its least dart: a chain ends where nxt gives None, a
+    # ring where it comes back to its start
+    for d in sorted(facing, key=lambda d: (d in has_pred, dart_sort_key(d))):
         if d in seen:
             continue
-        chain = [d]  # a closed ring pinned only by loop anchors
+        end = d if d in has_pred else None
+        chain = [d]
         seen.add(d)
-        while nxt[chain[-1]] != d:
-            step = nxt[chain[-1]]
-            if step is None or len(chain) > len(facing):
+        while (step := nxt[chain[-1]]) != end:
+            if step is None or len(chain) >= len(facing):
                 raise RuntimeError("boundary ring between the regions does not close")
             chain.append(step)
             seen.add(step)

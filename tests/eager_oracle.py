@@ -177,7 +177,7 @@ class DictTop:
         if kernel.state is KernelState.CK:
             self._check_ck(darts)
         elif kernel.state is KernelState.RKESL:
-            for d in darts:
+            for d in sorted(darts, key=dart_sort_key):
                 if top.alpha(d) not in darts:
                     raise KernelError(f"self-loop kernel is not closed under alpha at dart {d}")
             for d in sorted(darts, key=dart_sort_key):
@@ -200,7 +200,7 @@ class DictTop:
         top = self.m
         if len(darts) == len(top):
             raise KernelError("contraction kernel contains every dart of the top map")
-        for d in darts:
+        for d in sorted(darts, key=dart_sort_key):
             if top.alpha(d) not in darts:
                 raise KernelError(f"contraction kernel is not closed under alpha at dart {d}")
         parent: dict[Dart, Dart] = {}
@@ -724,7 +724,7 @@ def check_ck_by_union_find(pyr: Pyramid, kernel: Kernel) -> None:
     top = pyr.top_map()
     if len(kernel.darts) == len(top):
         raise KernelError("contraction kernel contains every dart of the top map")
-    for d in kernel.darts:
+    for d in sorted(kernel.darts, key=dart_sort_key):
         if top.alpha(d) not in kernel.darts:
             raise KernelError(f"contraction kernel is not closed under alpha at dart {d}")
     vertex = top.vertex_ids()

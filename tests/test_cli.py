@@ -325,6 +325,16 @@ def test_kernel_with_an_unknown_dart_is_rejected(tmp_path, capsys, dart):
     assert err.startswith("error: kernel contains dead or unknown darts: [") and str(d) in err
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_kernel_that_lists_a_dart_twice_is_rejected(tmp_path, capsys, command):
+    # a frozenset of the list would merge the repeat, and a reload would
+    # then write other JSON than it read
+    data = small_record()
+    data["kernels"][0].append(data["kernels"][0][0])
+    err = load_error(capsys, tmp_path, data, command)
+    assert err == "error: kernel 1 lists a dart twice\n"
+
+
 def test_base_sigma_length_is_checked_before_the_grid_is_built(tmp_path, capsys):
     # the record claims a 300x300 grid but carries no permutation: the length
     # check must fail before 361k darts are allocated

@@ -4,6 +4,8 @@ For seed 1 of each workload in perfbench/workloads.py: the sha256 of the
 built pyramid's to_json() and of its top level's relation_report (dumped
 with sorted keys), and the state and size of every kernel. A change to how
 levels are derived, checked or stored must leave all three as they are.
+MEETS_EACH pins, for the same builds, the darts and Freeman chain of every
+meets_each piece over the top level's adjacent pairs, in order.
 For seeds 1-3, the merge rounds also build what the one-edge-at-a-time
 reference builds.
 """
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from combipyramid.pyramid import Pyramid
-from combipyramid.relations import relation_report
+from combipyramid.relations import meets_each, rag_export, relation_report
 from combipyramid.segmentation import SegmentedImage
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -43,6 +45,12 @@ GOLDEN = {
     ),
 }
 
+MEETS_EACH = {
+    "noise-regions": (997, "2a6cd8b37c5898f938e55f86c60180c4813178b2d1e52553b388bf2e5d3cc6d4"),
+    "gradient-levels": (116, "58216dd8875464a9a019f7532f3cce806f8ce1241560d4a73a774fdc3d885453"),
+    "sign-mosaic": (9, "9dc171e8971863536170495e9c53e05baacd817903cac226ffa9530f427044fa"),
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -61,6 +69,15 @@ def test_workload_outputs_are_pinned(name):
     clone = Pyramid.from_json(text)
     assert clone.to_json() == text
     assert sha256(json.dumps(relation_report(clone, clone.top_level), sort_keys=True)) == report_hash
+
+
+@pytest.mark.parametrize("name", MEETS_EACH)
+def test_meets_each_pieces_are_pinned(name):
+    workload = WORKLOADS[name]
+    pyr = SegmentedImage(workload.raster(np.random.default_rng(1))).run(workload.threshold).pyramid
+    top = pyr.top_level
+    pieces = [[list(s.darts), s.cracks.freeman()] for u, v in rag_export(pyr, top)[1] for s in meets_each(pyr, top, u, v)]
+    assert (len(pieces), sha256(json.dumps(pieces))) == MEETS_EACH[name]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
