@@ -5,10 +5,10 @@ answers region relationships (meets, contains, inside, composed_of) with
 local computations on any level.
 """
 
-from .boundary import CrackChain, Segment, dart_orientation, segment, sequence_orientation
+from .boundary import CrackChain, Segment, segment, sequence_orientation
 from .containment import VisitCounter, contains, inside_all, inside_direct, starting_darts
 from .map_core import CombinatorialMap, CrackEmbedding, Dart, ValidationReport, build_grid_map, to_dot, validate
-from .moves import UNDEFINED_ANGLE, Move, angle
+from .moves import Move
 from .netpbm import NetpbmError, load_image, save_pgm, save_ppm
 from .pyramid import Kernel, KernelError, KernelState, Pyramid
 from .relations import infinite_region, meets_each, meets_exists, rag_export, rag_to_dot, region_ids, relation_report
@@ -31,13 +31,10 @@ __all__ = [
     "RoadsignNotFound",
     "Segment",
     "SegmentedImage",
-    "UNDEFINED_ANGLE",
     "ValidationReport",
     "VisitCounter",
-    "angle",
     "build_grid_map",
     "contains",
-    "dart_orientation",
     "infinite_region",
     "inside_all",
     "inside_direct",

@@ -1,13 +1,16 @@
-"""Boundary pieces as oriented crack chains, and their turn counts.
+"""Boundary pieces as oriented crack chains, and the turn count of a run.
 
 A dart surviving at level i stands for a run of base cracks: its own crack
 followed by the cracks of every double-edge dart absorbed into it. That run,
 the dart's segment, is recovered from the base by hopping around base corners
 to the next absorbed double-edge dart until the partner edge is reached.
 
-Orientations count signed quarter turns along crack chains. Any closed run of
-boundary pieces totals -4 when it winds counter-clockwise (a finite region)
-and +4 when it winds clockwise (the outside face).
+Orientations count signed quarter turns (moves.turn_angle) along crack
+chains. A piece's own count is Pyramid.cached_orientation, kept as kernels
+are applied; its first move is its own crack's, embedding.move(d), and its
+last Pyramid.last_move. Any closed run of boundary pieces totals -4 when it
+winds counter-clockwise (a finite region) and +4 when it winds clockwise
+(the outside face).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ __all__ = [
     "CrackChain",
     "Segment",
     "segment",
-    "dart_orientation",
     "sequence_orientation",
 ]
 
@@ -92,21 +94,6 @@ def segment(pyr: Pyramid, i: int, d: Dart) -> Segment:
     return Segment(tuple(darts), CrackChain(emb.start(d), tuple(moves)))
 
 
-def dart_orientation(pyr: Pyramid, i: int, d: Dart, recompute: bool = False) -> int:
-    """Sum of quarter turns along d's segment.
-
-    The cached value is maintained during construction; recompute=True walks
-    the segment instead and must agree with the cache.
-    """
-    if not recompute:
-        return pyr.cached_orientation(i, d)
-    seg = segment(pyr, i, d)
-    total = 0
-    for m1, m2 in zip(seg.cracks.moves, seg.cracks.moves[1:]):
-        total += turn_angle(m1, m2)
-    return total
-
-
 def sequence_orientation(pyr: Pyramid, i: int, seq: list[Dart] | tuple[Dart, ...], closed: bool) -> int:
     """Turn count of consecutive darts d1..dp with sigma_i(dj) = dj+1.
 
@@ -130,8 +117,8 @@ def sequence_orientation(pyr: Pyramid, i: int, seq: list[Dart] | tuple[Dart, ...
     total = 0
     for a, b in zip(seq, seq[1:]):
         total += pyr.cached_orientation(i, a)
-        total += turn_angle(pyr.last_move(i, a), pyr.first_move(b))
+        total += turn_angle(pyr.last_move(i, a), pyr.embedding.move(b))
     total += pyr.cached_orientation(i, last)
     if closed:
-        total += turn_angle(pyr.last_move(i, last), pyr.first_move(seq[0]))
+        total += turn_angle(pyr.last_move(i, last), pyr.embedding.move(seq[0]))
     return total

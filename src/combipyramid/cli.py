@@ -12,7 +12,7 @@ from . import relations
 from .containment import contains
 from .map_core import dart_sort_key, to_dot, validate
 from .netpbm import load_image, save_pgm
-from .pyramid import Pyramid, _rank
+from .pyramid import Pyramid
 from .segmentation import RoadsignNotFound, SegmentedImage, roadsign_extract
 
 
@@ -144,7 +144,7 @@ def _cmd_export(args) -> int:
     if args.labels:
         rows = np.array(pyr.pixel_labels(i), dtype=np.int64)
         # regions numbered 0, 1, ... in dart_sort_key order of their darts
-        _, first, arr = np.unique(_rank(rows), return_index=True, return_inverse=True)
+        _, first, arr = np.unique(dart_sort_key(rows), return_index=True, return_inverse=True)
         arr = arr.reshape(rows.shape)
         maxval = max(1, int(arr.max()))
         save_pgm(args.labels, arr, maxval=min(65535, maxval))

@@ -72,10 +72,10 @@ def starting_darts(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None =
     require_clean_level(pyr, i)
     pyr._require_alive(i, v)
     m = pyr.reconstruct_level(i)
-    first_move = pyr.first_move
+    move = pyr.embedding.move
 
     def last_move(d: Dart) -> Move:
-        return first_move(-m.alpha(d))
+        return move(-m.alpha(d))
 
     cycle = m.orbit(pyr._region(i, v), "sigma")
     out: list[Dart] = []
@@ -89,7 +89,7 @@ def starting_darts(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None =
             counter.hit()
         before = prefix
         if prev is not None:
-            prefix += turn_angle(last_move(prev), first_move(dk))
+            prefix += turn_angle(last_move(prev), move(dk))
         prefix += pyr.cached_orientation(i, dk)
         partner = m.alpha(dk)
         if partner in discarded:
@@ -107,8 +107,8 @@ def starting_darts(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None =
             or_c1 = (
                 before
                 - prefix_j
-                - turn_angle(last_move(dj), first_move(dj_next))
-                + turn_angle(last_move(prev), first_move(dj_next))
+                - turn_angle(last_move(dj), move(dj_next))
+                + turn_angle(last_move(prev), move(dj_next))
             )
             if or_c1 not in (4, -4):
                 raise RuntimeError(f"loop span at dart {dj} has turn count {or_c1}, expected +4 or -4")

@@ -32,9 +32,11 @@ __all__ = [
 Dart = int
 
 
-def dart_sort_key(d: Dart) -> tuple[int, int]:
-    """Deterministic dart order: by magnitude, positive before negative."""
-    return (abs(d), 0 if d > 0 else 1)
+def dart_sort_key(d: Dart | np.ndarray) -> int | np.ndarray:
+    """Deterministic dart order, by magnitude, positive before negative: the
+    rank of d, so 1, -1, 2, -2, ... map to 0, 1, 2, 3, ... Works element by
+    element on an int array."""
+    return 2 * abs(d) - 2 + (d < 0)
 
 
 class CombinatorialMap:

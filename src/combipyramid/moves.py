@@ -1,10 +1,10 @@
-"""Oriented crack moves (Freeman codes) and quarter-turn angles."""
+"""Oriented crack moves (Freeman codes) and the quarter turn between two."""
 
 from __future__ import annotations
 
 from enum import IntEnum
 
-__all__ = ["Move", "UNDEFINED_ANGLE", "angle", "turn_angle"]
+__all__ = ["Move", "turn_angle"]
 
 
 class Move(IntEnum):
@@ -26,26 +26,12 @@ class Move(IntEnum):
 
 _DELTAS = {Move.RIGHT: (1, 0), Move.UP: (0, -1), Move.LEFT: (-1, 0), Move.DOWN: (0, 1)}
 
-# Sentinel for the angle between opposite moves (a U turn). Kept distinct from
-# any integer so it can never be summed into an orientation by accident.
-UNDEFINED_ANGLE = None
-
-
-def angle(m1: Move, m2: Move) -> int | None:
-    """Signed quarter turn from m1 to m2.
-
-    +1 for a clockwise turn, -1 for a counter-clockwise turn, 0 for equal
-    moves, UNDEFINED_ANGLE for opposite moves.
-    """
-    a = (m1 - m2) % 4
-    if a == 2:
-        return UNDEFINED_ANGLE
-    return -1 if a == 3 else a
-
 
 def turn_angle(m1: Move, m2: Move) -> int:
-    """Like angle() but a U turn is a hard error (corrupt boundary chain)."""
-    a = angle(m1, m2)
-    if a is UNDEFINED_ANGLE:
+    """Signed quarter turn from m1 to m2: +1 clockwise, -1 counter-clockwise,
+    0 for equal moves. Opposite moves (a U turn) never follow each other in
+    a boundary chain, so they raise ValueError."""
+    a = (m1 - m2) % 4
+    if a == 2:
         raise ValueError(f"opposite moves {m1.name}/{m2.name} inside a boundary chain")
-    return a
+    return -1 if a == 3 else a

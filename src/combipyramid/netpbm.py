@@ -109,10 +109,13 @@ def save_pgm(path: str, gray: np.ndarray, maxval: int = 255) -> None:
 
 
 def save_ppm(path: str, rgb: np.ndarray) -> None:
-    arr = np.asarray(rgb, dtype=np.uint8)
+    """Binary PPM; raises ValueError for a sample outside 0..255."""
+    arr = np.asarray(rgb)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError("expected an array of shape (height, width, 3)")
+    if arr.size and not (arr.min() >= 0 and arr.max() <= 255):
+        raise ValueError(f"samples {arr.min()}..{arr.max()} exceed the range 0..255")
     h, w, _ = arr.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(arr.tobytes())
+        fh.write(arr.astype(np.uint8).tobytes())

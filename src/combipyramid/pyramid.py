@@ -161,7 +161,8 @@ class Pyramid:
         return [self._ints[order[died == k]].tolist() for k in range(1, self.top_level + 1)]
 
     def level(self, d: Dart) -> int:
-        """Highest level where d survives, top_level + 1 if it never dies."""
+        """The level whose kernel removes d, top_level + 1 if it never dies:
+        d survives up to level(d) - 1."""
         if not (-self._n <= d <= self._n and d):
             raise KeyError(f"dart {d} is not in the base map")
         if self._died_list is None:
@@ -169,6 +170,9 @@ class Pyramid:
         return self._died_list[d]
 
     def state(self, i: int) -> KernelState:
+        """How the level-i kernel removes its darts, for i in 1..top_level."""
+        if not 1 <= i <= self.top_level:
+            raise ValueError(f"level {i} out of range 1..{self.top_level}")
         return self._states[i - 1]
 
     def top_map(self) -> CombinatorialMap:
@@ -273,10 +277,6 @@ class Pyramid:
         self._require_alive(i, d)
         return int(self._turns_at[i][d])
 
-    def first_move(self, d: Dart) -> Move:
-        """Move of the first crack of d's boundary piece: d's own crack."""
-        return self.embedding.move(d)
-
     def last_move(self, i: int, d: Dart) -> Move:
         """Move of the last crack of d's boundary piece at level i, the
         reverse of the crack of its partner alpha_i(d)."""
@@ -300,7 +300,7 @@ class Pyramid:
             dead = [d for d in kernel.darts if d not in top]
             raise KernelError(f"kernel contains dead or unknown darts: {sorted(dead, key=dart_sort_key)[:4]}")
         # only live top darts from here on, so they index the arrays
-        kd = _by_rank(kd.astype(np.int32))
+        kd = kd[np.argsort(dart_sort_key(kd))].astype(np.int32)
         kill = np.zeros(len(self._sigma), dtype=bool)
         kill[kd] = True
         # each base dart's top vertex, named alike along contracted trees
@@ -368,7 +368,7 @@ class Pyramid:
         # the kernel's edges, each from its first dart in dart_sort_key order,
         # form a forest exactly when Kruskal keeps them all; the first edge
         # it drops is a self loop or closes a cycle
-        kd = kd[_rank(self._alpha[kd]) > _rank(kd)]
+        kd = kd[dart_sort_key(self._alpha[kd]) > dart_sort_key(kd)]
         u, v = self._regions[-1][kd], self._regions[-1][self._alpha[kd]]
         keep, ends, root = _spanning_forest(u, v)
         dropped = np.flatnonzero(~keep)
@@ -402,15 +402,15 @@ class Pyramid:
     def _check_keeps_vertices(self, kd: np.ndarray) -> None:
         gone = self._emptied(kd)
         if gone.size:
-            raise KernelError(f"kernel consumes every dart of the vertex of {int(gone[np.argmin(_rank(gone))])}")
+            raise KernelError(f"kernel consumes every dart of the vertex of {min(gone.tolist(), key=dart_sort_key)}")
 
     def _emptied(self, kd: np.ndarray) -> np.ndarray:
         """Canonical darts of the top vertices all of whose darts are in kd,
         once per dart of kd that lies on one."""
         # kernel darts against all darts, counted per vertex
         vertex = self._regions[-1][kd]
-        rank = _rank(vertex)
-        size = np.bincount(_rank(self._regions[-1][self._top_order]))
+        rank = dart_sort_key(vertex)
+        size = np.bincount(dart_sort_key(self._regions[-1][self._top_order]))
         taken = np.bincount(rank, minlength=len(size))
         return vertex[taken[rank] == size[rank]]
 
@@ -479,7 +479,8 @@ class Pyramid:
             hop[keys] = hop[hop[keys]]
         on_chain = ~key[hop[keys]]
         # the rings by position in dart_sort_key order, each pair's least
-        ring = _by_rank(keys[~on_chain])
+        ring = keys[~on_chain]
+        ring = ring[np.argsort(dart_sort_key(ring))]
         pos = np.zeros(len(sigma), dtype=np.int32)
         pos[ring] = np.arange(len(ring), dtype=np.int32)
         least = _cycle_min(pos[sigma[ring]])
@@ -519,11 +520,10 @@ class Pyramid:
         kernel: the level-(i-1) regions of the kernel darts that land in v,
         one slice of the level's sorted index, name the rest.
         """
-        if not 1 <= i <= self.top_level:
-            raise ValueError(f"level {i} out of range 1..{self.top_level}")
+        state = self.state(i)
         self._require_alive(i, v)
         out = [self._region(i - 1, v)]
-        if self._states[i - 1] is KernelState.CK:
+        if state is KernelState.CK:
             if (index := self._merged.get(i)) is None:
                 kd = self._ids[self._died == i]
                 new = self._regions[i][kd]
@@ -596,17 +596,6 @@ def _list_field(payload: dict, key: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a list")
     return value
-
-
-def _rank(d: np.ndarray) -> np.ndarray:
-    """Position of each dart in dart_sort_key order: 1, -1, 2, -2, ... map
-    to 0, 1, 2, 3, ..."""
-    return 2 * np.abs(d) - 2 + (d < 0)
-
-
-def _by_rank(d: np.ndarray) -> np.ndarray:
-    """The darts d sorted by dart_sort_key."""
-    return d[np.argsort(_rank(d))]
 
 
 def _reduce(sigma: np.ndarray, alpha: np.ndarray, ids: np.ndarray, dead: np.ndarray, live: np.ndarray,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .containment import inside_all, require_clean_level
 from .map_core import Dart, dart_sort_key
-from .pyramid import Kernel, KernelState, Pyramid, _rank, _spanning_forest
+from .pyramid import Kernel, KernelState, Pyramid, _spanning_forest
 
 __all__ = [
     "RegionStats",
@@ -97,7 +97,7 @@ class SegmentedImage:
         """The top regions holding pixels in dart_sort_key order, their pixel
         counts and color sums, and each pixel's index among them."""
         region = self.pyramid._regions[-1][self._pixels]
-        _, at, inverse = np.unique(_rank(region), return_index=True, return_inverse=True)
+        _, at, inverse = np.unique(dart_sort_key(region), return_index=True, return_inverse=True)
         count = np.bincount(inverse)
         pixels = self.image.reshape(len(region), -1)
         color_sum = np.stack([np.bincount(inverse, pixels[:, c], len(at)) for c in range(pixels.shape[1])], axis=1)
@@ -105,9 +105,10 @@ class SegmentedImage:
 
     def labels(self) -> np.ndarray:
         """Dense region index per pixel: the top level's regions numbered
-        0, 1, ... in increasing order of their vertex dart."""
+        0, 1, ... in dart_sort_key order of their vertex dart, as export
+        --labels numbers them."""
         darts = np.array(self.pyramid.pixel_labels(self.pyramid.top_level))
-        return np.unique(darts, return_inverse=True)[1].reshape(darts.shape)
+        return np.unique(dart_sort_key(darts), return_inverse=True)[1].reshape(darts.shape)
 
     # -- construction ------------------------------------------------------------
 
@@ -127,7 +128,7 @@ class SegmentedImage:
         # each edge once, from its first dart, between two image regions
         # (the outside holds no pixel), its ends as indices into regions
         first = pyr._top_order
-        first = first[_rank(pyr._alpha[first]) > _rank(first)]
+        first = first[dart_sort_key(pyr._alpha[first]) > dart_sort_key(first)]
         mate = pyr._alpha[first]
         index = np.full(len(rep), -1)
         index[regions] = np.arange(len(regions))

@@ -21,7 +21,9 @@ finds each pixel's region by replaying absorbed darts from the base.
 kruskal_forest and check_ck_by_union_find are the sequential union-find
 forms of the package's Borůvka forest and contraction check, and
 KruskalSegmentation is the merge round one candidate edge at a time, with
-region statistics merged pairwise. All are kept deliberately simple.
+region statistics merged pairwise. segment_orientation counts a boundary
+piece's quarter turns along its walked segment, the recount of the turn
+counts that kernels fold in. All are kept deliberately simple.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from typing import Iterable
 
+from combipyramid.boundary import segment
 from combipyramid.containment import inside_direct
 from combipyramid.map_core import CombinatorialMap, CrackEmbedding, Dart, ValidationReport, dart_sort_key
 from combipyramid.moves import Move, turn_angle
@@ -806,3 +809,10 @@ class KruskalSegmentation:
         new = {pyr.vertex_of_pixel(top, *pyr.embedding.pixel_of(r)): s for r, s in stats.items()}
         self.stats = {r: new[r] for r in sorted(new, key=dart_sort_key)}
         return True
+
+
+def segment_orientation(pyr: Pyramid, i: int, d: Dart) -> int:
+    """Sum of the quarter turns between consecutive cracks of d's segment at
+    level i, which Pyramid.cached_orientation must equal."""
+    moves = segment(pyr, i, d).cracks.moves
+    return sum(turn_angle(m1, m2) for m1, m2 in zip(moves, moves[1:]))

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from combipyramid.boundary import dart_orientation, sequence_orientation
+from combipyramid.boundary import sequence_orientation
 from combipyramid.containment import (
     VisitCounter,
     contains,
@@ -35,7 +35,7 @@ from conftest import (
     random_pyramid,
     shared_boundary_components,
 )
-from eager_oracle import eager_levels, flood_fill_contains_oracle
+from eager_oracle import eager_levels, flood_fill_contains_oracle, segment_orientation
 
 N_PYRAMIDS = 100
 N_PARTITIONS = 100
@@ -196,7 +196,7 @@ def test_criterion_7_orientation_cache(pyramid_sweep):
     for pyr in pyramid_sweep:
         for i in range(pyr.top_level + 1):
             for d in pyr.reconstruct_level(i).darts:
-                assert dart_orientation(pyr, i, d) == dart_orientation(pyr, i, d, recompute=True)
+                assert pyr.cached_orientation(i, d) == segment_orientation(pyr, i, d)
                 darts += 1
     report(f"criterion 7 PASS: cached turn counts equal recomputation for {darts} dart-level pairs")
 

@@ -2,15 +2,12 @@ import random
 
 import pytest
 
-from combipyramid.boundary import (
-    dart_orientation,
-    segment,
-    sequence_orientation,
-)
-from combipyramid.moves import Move
+from combipyramid.boundary import segment, sequence_orientation
+from combipyramid.moves import Move, turn_angle
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
 
 from conftest import boundary_cracks, clean_levels, random_pyramid
+from eager_oracle import segment_orientation
 
 
 def reduced_two_by_one():
@@ -107,13 +104,13 @@ def test_inner_corner_scan_is_bounded_on_grids():
 
 def test_first_last_moves_singleton():
     pyr = Pyramid.from_grid(2, 1)
-    assert (pyr.first_move(4), pyr.last_move(0, 4)) == (Move.LEFT, Move.LEFT)
+    assert (pyr.embedding.move(4), pyr.last_move(0, 4)) == (Move.LEFT, Move.LEFT)
 
 
 def test_first_last_moves_of_extended_piece():
     pyr = reduced_two_by_one()
-    assert (pyr.first_move(1), pyr.last_move(2, 1)) == (Move.UP, Move.LEFT)
-    assert (pyr.first_move(-6), pyr.last_move(2, -6)) == (Move.RIGHT, Move.DOWN)
+    assert (pyr.embedding.move(1), pyr.last_move(2, 1)) == (Move.UP, Move.LEFT)
+    assert (pyr.embedding.move(-6), pyr.last_move(2, -6)) == (Move.RIGHT, Move.DOWN)
     with pytest.raises(ValueError, match="does not survive"):
         pyr.last_move(2, 2)  # contracted at level 1
 
@@ -126,27 +123,23 @@ def test_two_crack_counter_clockwise_turn():
     seg = segment(pyr, 1, 3)
     assert seg.darts == (3, 8)
     assert seg.cracks.moves == (Move.UP, Move.LEFT)
-    assert dart_orientation(pyr, 1, 3) == -1
-    assert dart_orientation(pyr, 1, 3, recompute=True) == -1
-    assert dart_orientation(pyr, 1, -8) == 1
+    assert pyr.cached_orientation(1, 3) == segment_orientation(pyr, 1, 3) == -1
+    assert pyr.cached_orientation(1, -8) == 1
 
 
 def test_single_dart_orientation_is_zero():
     pyr = Pyramid.from_grid(3, 3)
-    assert dart_orientation(pyr, 0, 5) == 0
-    assert dart_orientation(pyr, 0, 5, recompute=True) == 0
+    assert pyr.cached_orientation(0, 5) == segment_orientation(pyr, 0, 5) == 0
 
 
 def test_fold_matches_pairwise_rule():
     # removing one joint merges exactly two pieces: the new count is the sum
     # of both plus the junction turn
     pyr = Pyramid.from_grid(2, 2)
-    before = dart_orientation(pyr, 0, 3), dart_orientation(pyr, 0, 8)
+    before = pyr.cached_orientation(0, 3), pyr.cached_orientation(0, 8)
     pyr.apply_kernel(Kernel.of(KernelState.RKEDE, [8, -3]))
-    from combipyramid.moves import angle
-
-    expected = before[0] + before[1] + angle(Move.UP, Move.LEFT)
-    assert dart_orientation(pyr, 1, 3) == expected == -1
+    expected = before[0] + before[1] + turn_angle(Move.UP, Move.LEFT)
+    assert pyr.cached_orientation(1, 3) == expected == -1
 
 
 def test_cached_equals_recomputed_everywhere():
@@ -155,7 +148,7 @@ def test_cached_equals_recomputed_everywhere():
         pyr = random_pyramid(rng, max_side=6)
         for i in range(pyr.top_level + 1):
             for d in pyr.reconstruct_level(i).darts:
-                assert dart_orientation(pyr, i, d) == dart_orientation(pyr, i, d, recompute=True)
+                assert pyr.cached_orientation(i, d) == segment_orientation(pyr, i, d)
 
 
 def test_no_opposite_moves_inside_or_between_segments():
@@ -170,9 +163,9 @@ def test_no_opposite_moves_inside_or_between_segments():
                 moves = segment(pyr, i, d).cracks.moves
                 for a, b in zip(moves, moves[1:]):
                     assert b != a.opposite
-                fm, lm = pyr.first_move(d), pyr.last_move(i, d)
+                fm, lm = pyr.embedding.move(d), pyr.last_move(i, d)
                 assert (fm, lm) == (moves[0], moves[-1])
-                succ_first = pyr.first_move(m.sigma(d))
+                succ_first = pyr.embedding.move(m.sigma(d))
                 assert succ_first != lm.opposite
 
 

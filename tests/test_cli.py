@@ -10,6 +10,7 @@ from combipyramid.cli import main
 from combipyramid.map_core import CombinatorialMap
 from combipyramid.netpbm import load_image, save_ppm
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
+from combipyramid.segmentation import SegmentedImage
 
 from conftest import arrow_sign_raster, borderless_outside_pyramid, flag_sign_raster
 
@@ -94,7 +95,14 @@ def test_export_dot_and_labels(tmp_path, sign_ppm, capsys):
     img = load_image(str(labels))
     assert img.shape == (24, 24, 1)
     assert len(np.unique(img)) == 3
-    assert (tmp_path / "labels.pgm.json").exists()
+    # SegmentedImage.labels() numbers the regions as the PGM and its sidecar
+    # do: read the raw samples, as load_image scales them to 0..255
+    regions = json.loads((tmp_path / "labels.pgm.json").read_text())["regions"]
+    exported = np.frombuffer(labels.read_bytes().split(b"\n", 3)[3], np.uint8).reshape(24, 24)
+    seg = SegmentedImage(load_image(str(sign_ppm))).run(1)
+    darts = np.array(seg.pyramid.pixel_labels(seg.pyramid.top_level))
+    assert (seg.labels() == exported).all()
+    assert all(regions[str(k)] == d for k, d in zip(exported.ravel().tolist(), darts.ravel().tolist()))
 
 
 def test_roadsign_mask(tmp_path, sign_ppm, capsys):

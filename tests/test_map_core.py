@@ -24,6 +24,15 @@ def grid_dart_count(w, h):
     return 2 * (w * (h + 1) + (w + 1) * h)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**30), 2**30).filter(bool), max_size=50))
+def test_dart_sort_key_of_an_array_is_the_scalar_rank(darts):
+    arr = np.array(darts, dtype=np.int32)
+    assert dart_sort_key(arr).tolist() == [dart_sort_key(d) for d in darts]
+    assert sorted(darts, key=dart_sort_key) == sorted(darts, key=lambda d: (abs(d), d < 0))
+    assert arr[np.argsort(dart_sort_key(arr), kind="stable")].tolist() == sorted(darts, key=dart_sort_key)
+
+
 def test_rejects_bad_dimensions():
     for w, h in ((0, 3), (3, 0), (-1, 2)):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from combipyramid.moves import UNDEFINED_ANGLE, Move, angle, turn_angle
+from combipyramid.moves import Move, turn_angle
 
 
 def test_freeman_codes():
@@ -10,20 +10,20 @@ def test_freeman_codes():
 
 
 def test_angle_table():
-    assert angle(Move.RIGHT, Move.DOWN) == 1  # clockwise quarter turn
-    assert angle(Move.UP, Move.UP) == 0
-    assert angle(Move.RIGHT, Move.LEFT) is UNDEFINED_ANGLE
-    assert angle(Move.UP, Move.LEFT) == -1  # counter-clockwise
+    assert turn_angle(Move.RIGHT, Move.DOWN) == 1  # clockwise quarter turn
+    assert turn_angle(Move.UP, Move.UP) == 0
+    assert turn_angle(Move.UP, Move.LEFT) == -1  # counter-clockwise
 
 
 @given(st.sampled_from(list(Move)), st.sampled_from(list(Move)))
 def test_angle_properties(m1, m2):
-    a = angle(m1, m2)
     if m2 == m1.opposite:
-        assert a is UNDEFINED_ANGLE
+        with pytest.raises(ValueError, match="opposite moves"):
+            turn_angle(m1, m2)
     else:
+        a = turn_angle(m1, m2)
         assert a in (-1, 0, 1)
-        assert angle(m2, m1) == -a
+        assert turn_angle(m2, m1) == -a
 
 
 @given(st.sampled_from(list(Move)))

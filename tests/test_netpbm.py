@@ -62,6 +62,15 @@ def test_save_pgm_rejects_what_the_format_cannot_store(tmp_path):
     assert load_image(str(path))[0, :, 0].tolist() == [255, 0]
 
 
+def test_save_ppm_rejects_samples_outside_a_byte(tmp_path):
+    path = tmp_path / "x.ppm"
+    with pytest.raises(ValueError, match=re.escape("samples -1..300 exceed the range 0..255")):
+        save_ppm(str(path), np.array([[[300, 0, 0], [-1, 5, 5]]]))
+    assert not path.exists()
+    save_ppm(str(path), [[[255, 0, 7]]])
+    assert load_image(str(path))[0, 0].tolist() == [255, 0, 7]
+
+
 def test_truncated_binary_payload_reports_offset(tmp_path):
     p = tmp_path / "t.pgm"
     data = b"P5\n2 2\n255\n\x01\x02"

@@ -1,4 +1,5 @@
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -483,6 +484,22 @@ def test_level_bounds_and_bad_vertex_errors():
     pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
     with pytest.raises(ValueError, match="survive"):
         pyr.composed_of(1, 2)
+    assert pyr.state(1) is KernelState.CK
+    for i in (0, -1, 2):
+        for query in (pyr.state, lambda i: pyr.composed_of(i, 1)):
+            with pytest.raises(ValueError, match=re.escape(f"level {i} out of range 1..1")):
+                query(i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.booleans())
+def test_a_dead_dart_survives_just_below_its_level(seed, touch_outside):
+    pyr = random_pyramid(random.Random(seed), max_side=6, touch_outside=touch_outside)
+    for d in pyr.base.darts:
+        i = pyr.level(d)
+        if i <= pyr.top_level:
+            assert d in pyr.reconstruct_level(i - 1)
+            assert d not in pyr.reconstruct_level(i)
 
 
 def test_rkede_empty_on_interior_only_candidates():
