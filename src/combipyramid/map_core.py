@@ -9,7 +9,7 @@ alpha(d) = -d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable
 
@@ -171,6 +171,7 @@ class CrackEmbedding:
 
     width: int
     height: int
+    _tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_vertical(self) -> int:
@@ -236,14 +237,23 @@ class CrackEmbedding:
         return (x, y - 1) if y >= 1 else None
 
     def grid_sigma(self) -> np.ndarray:
-        """sigma of the base map as an int32 array indexed by signed dart: a
-        negative dart wraps to the end, entry 0 is unused.
+        """sigma of the base map as a read-only int32 array indexed by signed
+        dart: a negative dart wraps to the end, entry 0 is unused.
 
         Each pixel is the cycle (right, top, -left, -bottom) of its sides,
         positive vertical darts pointing up and positive horizontal darts
         pointing left, so it runs counter-clockwise; the outer sides of the
         border pixels form the outside vertex, whose cycle runs clockwise.
         """
+        return self._grid_tables()[0]
+
+    def _grid_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """grid_sigma, dart_ids and the int object of every dart, indexed
+        alike: computed on first use, once per embedding, and read-only.
+        build_grid_map builds the base map's lists from them and a Pyramid
+        of the embedding shares them."""
+        if self._tables is not None:
+            return self._tables
         w, h, nv = self.width, self.height, self.n_vertical
         n = self.n_darts // 2
         if 2 * n + 1 > np.iinfo(np.int32).max:
@@ -260,7 +270,14 @@ class CrackEmbedding:
             [-(nv + xs + 1), -(ys * (w + 1) + w + 1), (nv + h * w + xs + 1)[::-1], (ys * (w + 1) + 1)[::-1]]
         )
         sigma[outside] = np.roll(outside, -1)
-        return sigma
+        ids = dart_ids(n)
+        tables = sigma, ids, ids.astype(object)
+        for table in tables:
+            table.flags.writeable = False
+        # a field of a frozen dataclass is set through object; a cache in the
+        # instance's __dict__ would slow every attribute read of start and move
+        object.__setattr__(self, "_tables", tables)
+        return tables
 
     def grid_regions(self) -> np.ndarray:
         """Canonical dart of each dart's base vertex, indexed like grid_sigma:
@@ -281,9 +298,8 @@ def build_grid_map(width: int, height: int) -> tuple[CombinatorialMap, CrackEmbe
     if width < 1 or height < 1:
         raise ValueError(f"grid dimensions must be positive, got {width}x{height}")
     emb = CrackEmbedding(width, height)
-    sigma = emb.grid_sigma()
-    ids = dart_ids(len(sigma) // 2)
-    return map_of(ids.astype(object), dart_order(len(sigma) // 2), sigma, -ids), emb
+    sigma, ids, ints = emb._grid_tables()
+    return map_of(ints, dart_order(len(sigma) // 2), sigma, -ids), emb
 
 
 def dart_ids(n: int) -> np.ndarray:

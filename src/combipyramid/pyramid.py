@@ -61,12 +61,11 @@ from .map_core import (
     CrackEmbedding,
     Dart,
     build_grid_map,
-    dart_ids,
     dart_order,
     dart_sort_key,
     map_of,
 )
-from .moves import Move
+from .moves import Move, turn_angle
 
 __all__ = ["KernelState", "Kernel", "Pyramid", "KernelError"]
 
@@ -112,29 +111,29 @@ class Pyramid:
         # signed dart (see map_core.dart_ids), the level whose kernel removed
         # each dart, 0 while it survives, with the list copy level() reads
         self._states: list[KernelState] = []
-        self._sigma = embedding.grid_sigma()
+        self._sigma, self._ids, self._ints = embedding._grid_tables()
         n = self._n = len(self._sigma) // 2
         self._died = np.zeros(2 * n + 1, dtype=np.int32)
         self._died_list: list[int] | None = None
         # per level (see the module docstring): the top's turn counts once
         # its kernel was applied, shared until a double-edge kernel, the map,
         # the redundant darts and the region array; the index composed_of
-        # builds for a contraction level, its kernel darts' regions there,
-        # sorted, with their regions below; a clean level's enclosure forest
+        # builds for a contraction level, the children of each region it
+        # merges; a clean level's enclosure forest
         self._turns_at: list[np.ndarray] = []
         self._levels: list[CombinatorialMap] = []
         self._redundant: list[np.ndarray] = []
         self._regions: list[np.ndarray] = []
-        self._merged: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._merged: dict[int, dict[Dart, frozenset[Dart]]] = {}
         self._forests: dict[int, tuple] = {}
         # The top level as int32 arrays indexed by signed dart, 0 for a dead
         # dart: sigma, alpha and the turn count of each dart's boundary
-        # piece. _ints holds the base's int object of every dart (its alpha
-        # list holds -d at slot d), which the level maps share.
-        self._ids = dart_ids(n)
+        # piece. sigma starts as the embedding's read-only grid_sigma, which
+        # apply_kernel replaces and never writes into. _ids and _ints, the
+        # int object of every dart, are the embedding's too, so the level
+        # maps share the int objects of the base map build_grid_map made.
         self._alpha = -self._ids
         self._turns = np.zeros(2 * n + 1, dtype=np.int32)
-        self._ints = np.array(base._alpha, dtype=object)[self._alpha]
         # the start corner of every dart, for the joints of each level
         self._corners = embedding.corners(self._ids).astype(np.int32)
         self._append_level(base, dart_order(n), embedding.grid_regions())
@@ -428,11 +427,9 @@ class Pyramid:
         steps = live[kill[alpha[live]]]  # darts whose chain moves on to sigma
         heads = steps[~kill[steps]]
         nxt = sigma[steps]
-        turn = (self.embedding.moves(-alpha[steps]) - self.embedding.moves(nxt)) % 4
-        if (turn == 2).any():
-            raise ValueError("opposite moves inside a boundary chain")
+        turn = turn_angle(self.embedding.moves(-alpha[steps]), self.embedding.moves(nxt))
         total = np.zeros(len(sigma), dtype=np.int64)
-        total[steps] = np.where(turn == 3, -1, turn) + self._turns[nxt]
+        total[steps] = turn + self._turns[nxt]
         hop = self._ids.copy()
         hop[steps] = nxt
         moving = kill[alpha]
@@ -517,22 +514,30 @@ class Pyramid:
         A removal kernel keeps every vertex, so v's own level-(i-1) vertex is
         the one child. A contraction kernel merges a tree of vertices along
         its edges, and each vertex of a tree with an edge holds a dart of the
-        kernel: the level-(i-1) regions of the kernel darts that land in v,
-        one slice of the level's sorted index, name the rest.
+        kernel: the level-(i-1) regions of the kernel darts that land in v
+        name them all. The level's index holds them per region, grouped in
+        one pass over the kernel, so a call is one dict read.
         """
         state = self.state(i)
         self._require_alive(i, v)
-        out = [self._region(i - 1, v)]
         if state is KernelState.CK:
             if (index := self._merged.get(i)) is None:
-                kd = self._ids[self._died == i]
-                new = self._regions[i][kd]
-                by = np.argsort(new)
-                index = self._merged[i] = new[by], self._regions[i - 1][kd[by]]
-            new, old = index
-            r = self._regions[i][v]
-            out += self._ints[old[new.searchsorted(r) : new.searchsorted(r, "right")]].tolist()
-        return frozenset(out)
+                index = self._merged[i] = self._children(i)
+            if (out := index.get(self._region(i, v))) is not None:
+                return out
+        return frozenset([self._region(i - 1, v)])
+
+    def _children(self, i: int) -> dict[Dart, frozenset[Dart]]:
+        """The level-(i-1) regions merged into each level-i region by the
+        contraction kernel of level i, for the regions it merges: the kernel
+        darts sorted by their level-i region, one slice per region."""
+        kd = self._ids[self._died == i]
+        new = self._regions[i][kd]
+        by = np.argsort(new)
+        new, old = new[by], self._ints[self._regions[i - 1][kd[by]]].tolist()
+        parents, start = np.unique(new, return_index=True)
+        bounds = [*start.tolist(), len(old)]
+        return {r: frozenset(old[a:b]) for r, a, b in zip(self._ints[parents].tolist(), bounds, bounds[1:])}
 
     # -- serialization ----------------------------------------------------------
 

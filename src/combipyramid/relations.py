@@ -12,8 +12,8 @@ import numpy as np
 
 from .boundary import CrackChain, Segment, segment
 from .containment import _enclosers, infinite_region, inside_all
-from .map_core import CombinatorialMap, Dart, dart_order, dart_sort_key
-from .pyramid import Pyramid
+from .map_core import CombinatorialMap, Dart, dart_sort_key
+from .pyramid import Pyramid, _cycle_min
 
 __all__ = [
     "region_ids",
@@ -30,9 +30,8 @@ def region_ids(pyr: Pyramid, i: int) -> list[Dart]:
     """Canonical representative darts of all level-i vertices, in
     dart_sort_key order: the darts that are their own region."""
     pyr._check_level(i)
-    region = pyr._regions[i]
-    order = dart_order(len(region) // 2)
-    return pyr._ints[order[region[order] == order]].tolist()
+    order = pyr._levels[i]._order
+    return pyr._ints[order[pyr._regions[i][order] == order]].tolist()
 
 
 def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:
@@ -65,13 +64,14 @@ def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:
     return out
 
 
-def _pieces(m: CombinatorialMap, rep: dict[Dart, Dart] | np.ndarray, facing: list[Dart]) -> list[list[Dart]]:
+def _pieces(m: CombinatorialMap, rep: dict[Dart, Dart], facing: list[Dart]) -> list[list[Dart]]:
     """The darts of one region that face one other region, grouped into
     boundary pieces, each a chain of darts in boundary order.
 
-    rep maps every dart of m to its vertex: a dict, or the level's region
-    array indexed by signed dart. A piece continues past a junction when
-    every other edge there is a self loop.
+    rep maps every dart of m to its vertex. A piece continues past a
+    junction when every other edge there is a self loop. Only meets_each
+    walks pieces; relation_report counts them with _segment_counts, which
+    applies the same rule in whole-array passes.
     """
     if not facing:
         return []
@@ -112,21 +112,92 @@ def _pieces(m: CombinatorialMap, rep: dict[Dart, Dart] | np.ndarray, facing: lis
 
 
 def meets_exists(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
-    return bool(meets_each(pyr, i, a, b))
+    """True when regions a and b share a boundary: one walk of a's vertex
+    cycle, stopping at the first dart whose partner lies in b's region."""
+    for d in (a, b):
+        pyr._require_alive(i, d)
+    region = pyr._regions[i]
+    ra, rb = region[a], region[b]
+    if ra == rb:
+        raise ValueError("meets_each needs two distinct regions")
+    m = pyr.reconstruct_level(i)
+    d = start = int(ra)
+    while region[m.alpha(d)] != rb:
+        d = m.sigma(d)
+        if d == start:
+            return False
+    return True
 
 
 def rag_export(pyr: Pyramid, i: int) -> tuple[list[Dart], list[tuple[Dart, Dart]]]:
     """Plain region adjacency graph: one vertex per region, one undirected
-    edge per adjacent pair. Self loops and parallel edges collapse."""
-    m = pyr.reconstruct_level(i)
+    edge per adjacent pair, both in dart_sort_key order. Self loops and
+    parallel edges collapse: the edges are one np.unique over the pairs of
+    the facing darts."""
     regions = region_ids(pyr, i)
-    edges: set[tuple[Dart, Dart]] = set()
-    for d in m.darts:
-        # each pair once, from the dart on its lesser region
-        u, v = pyr._region(i, d), pyr._region(i, m.alpha(d))
-        if dart_sort_key(u) < dart_sort_key(v):
-            edges.add((u, v))
-    return regions, sorted(edges, key=lambda e: (dart_sort_key(e[0]), dart_sort_key(e[1])))
+    _, u, v, pair = _facing(pyr, i)
+    _, first = np.unique(pair, return_index=True)
+    return regions, list(zip(u[first].tolist(), v[first].tolist()))
+
+
+def _facing(pyr: Pyramid, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The darts of level i whose region u precedes their partner's region
+    v in dart_sort_key order: their positions in the level's dart order, u,
+    v and the pair as one int64 key, rank(u) * R + rank(v). The caller
+    checks the level.
+
+    A live dart d is the first crack of its boundary piece, so its base
+    partner -d lies across that crack, in the region of alpha_i(d): the
+    region array alone names both sides.
+    """
+    order, region = pyr._levels[i]._order, pyr._regions[i]
+    u, v = region[order], region[-order]
+    ru, rv = dart_sort_key(u).astype(np.int64), dart_sort_key(v)
+    facing = np.flatnonzero(ru < rv)
+    return facing, u[facing], v[facing], (ru * len(region) + rv)[facing]
+
+
+def _segment_counts(pyr: Pyramid, i: int) -> np.ndarray:
+    """The boundary pieces of every edge of rag_export(pyr, i), in its
+    order: the pieces _pieces walks, counted in whole-array passes over the
+    level's darts, with alpha gathered once at them. The caller checks the
+    level.
+
+    A facing dart d continues its piece into y when the face of alpha(d)
+    holds exactly two separating darts (darts whose regions differ), y is
+    the other one, y has d's pair and y is not d. Each face keeps the count
+    and the position sum of its separating darts, so y is the sum less
+    alpha(d). The links form chains and rings: a piece is counted at the
+    last dart of its chain, which does not continue, or at the least dart of
+    its ring. Pointer jumping takes every dart of a chain to its last dart
+    and leaves a ring's darts on the ring.
+    """
+    facing, _, _, pair = _facing(pyr, i)
+    edges, edge = np.unique(pair, return_inverse=True)
+    m = pyr._levels[i]
+    alpha = [m._alpha[d] for d in m._order.tolist()]
+    k = len(alpha)
+    pos = np.zeros(len(m._sigma), dtype=np.int64)
+    pos[m._order] = np.arange(k)
+    mate = pos[alpha]
+    face = _cycle_min(pos[[m._sigma[d] for d in alpha]])
+    separating = np.concatenate([facing, mate[facing]])
+    count = np.bincount(face[separating], minlength=k)
+    total = np.bincount(face[separating], weights=separating, minlength=k).astype(np.int64)
+    pair_at = np.full(k, -1)
+    pair_at[facing] = pair
+    f = face[mate[facing]]
+    y = np.where(count[f] == 2, total[f] - mate[facing], facing)
+    links = (pair_at[y] == pair) & (y != facing)
+    nxt = np.arange(k)
+    nxt[facing[links]] = y[links]
+    hop = nxt
+    for _ in range(int(links.sum()).bit_length()):
+        hop = hop[hop]
+    ring = nxt[hop] != hop
+    least = _cycle_min(np.where(ring, nxt, np.arange(k)))
+    heads = ring[facing] & (least[facing] == facing)
+    return np.bincount(edge[~links | heads], minlength=len(edges))
 
 
 def rag_to_dot(pyr: Pyramid, i: int, name: str = "rag") -> str:
@@ -149,10 +220,11 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
     redundant edges; everything else is always reported. The optional region
     filter keeps, and computes, only pairs involving that region: its
     enclosers and the regions it encloses, read off the level's enclosure
-    forest. The level's region array names the region of every dart, so the
-    report costs one pass over the level plus the enclosure pairs it lists.
+    forest. The adjacent pairs and their piece counts are whole-array
+    passes over the level's live darts (rag_export and _segment_counts);
+    the enclosure and composition entries take one inside_all and one
+    composed_of call per region reported.
     """
-    m = pyr.reconstruct_level(i)
     home = None
     if region is not None:
         pyr._require_alive(i, region)
@@ -162,18 +234,10 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
         return home is None or home in darts
 
     regions, rag_edges = rag_export(pyr, i)
-    rag_edges = [e for e in rag_edges if keep(*e)]
+    segments = _segment_counts(pyr, i).tolist()
+    meets = [{"a": u, "b": v, "segments": n} for (u, v), n in zip(rag_edges, segments) if keep(u, v)]
     outside = infinite_region(pyr, i)
     warnings: list[str] = []
-
-    # int32 darts, which hash and compare as the ints rag_export lists
-    rep = pyr._regions[i]
-    facing: dict[tuple[Dart, Dart], list[Dart]] = {}
-    for d in m.darts:
-        u, v = rep[d], rep[m.alpha(d)]
-        if u != v:
-            facing.setdefault((u, v), []).append(d)
-    meets = [{"a": u, "b": v, "segments": len(_pieces(m, rep, facing[u, v]))} for u, v in rag_edges]
 
     contains_pairs: list[tuple[Dart, Dart]] = []
     if pyr.redundant_darts(i):

@@ -8,7 +8,9 @@ level from the one below one dart at a time on dicts, with the kernel
 checks' messages: the loop form of the package's array passes.
 sorted_sweep_loops grows the empty self loops by repeated sorted sweeps.
 vertex_of, region_ids_by_cycles and rag_export_by_cycles name regions by
-walking vertex cycles instead of reading region arrays. inside_all_flood floods
+walking vertex cycles instead of reading region arrays.
+relation_report_by_darts builds the relation report one dart at a time,
+walking each pair's boundary pieces instead of counting them in array passes. inside_all_flood floods
 the map from a vertex's directly enclosed neighbours; flood_fill_contains_oracle
 and enclosed_regions decide enclosure on the pixels, and BoundaryOracle finds
 shared boundary pieces on them. composed_of_scan assigns every vertex of the
@@ -33,10 +35,11 @@ import numpy as np
 from typing import Iterable
 
 from combipyramid.boundary import segment
-from combipyramid.containment import inside_direct
+from combipyramid.containment import _enclosers, inside_all, inside_direct
 from combipyramid.map_core import CombinatorialMap, CrackEmbedding, Dart, ValidationReport, dart_sort_key
 from combipyramid.moves import Move, turn_angle
 from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid
+from combipyramid.relations import _pieces, infinite_region, region_ids
 from combipyramid.segmentation import RegionStats
 
 Crack = tuple[tuple[int, int], tuple[int, int]]
@@ -386,6 +389,68 @@ def rag_export_by_cycles(pyr: Pyramid, i: int) -> tuple[list[Dart], list[tuple[D
         if u != v:
             edges.add((u, v) if dart_sort_key(u) <= dart_sort_key(v) else (v, u))
     return region_ids_by_cycles(pyr, i), sorted(edges, key=lambda e: (dart_sort_key(e[0]), dart_sort_key(e[1])))
+
+
+def relation_report_by_darts(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
+    """relations.relation_report one dart at a time: the RAG from every
+    dart's region pair, and each pair's boundary pieces grouped by walking
+    the phi orbits at their junctions (relations._pieces) from the darts of
+    one region that face the other. Enclosure and composition come from the
+    same public queries the report calls."""
+    m = pyr.reconstruct_level(i)
+    home = None
+    if region is not None:
+        pyr._require_alive(i, region)
+        home = pyr._region(i, region)
+
+    def keep(*darts: Dart) -> bool:
+        return home is None or home in darts
+
+    regions = region_ids(pyr, i)
+    edges: set[tuple[Dart, Dart]] = set()
+    for d in m.darts:
+        # each pair once, from the dart on its lesser region
+        u, v = pyr._region(i, d), pyr._region(i, m.alpha(d))
+        if dart_sort_key(u) < dart_sort_key(v):
+            edges.add((u, v))
+    rag_edges = [e for e in sorted(edges, key=lambda e: (dart_sort_key(e[0]), dart_sort_key(e[1]))) if keep(*e)]
+    outside = infinite_region(pyr, i)
+    warnings: list[str] = []
+
+    rep = pyr._regions[i]
+    facing: dict[tuple[Dart, Dart], list[Dart]] = {}
+    for d in m.darts:
+        u, v = rep[d], rep[m.alpha(d)]
+        if u != v:
+            facing.setdefault((u, v), []).append(d)
+    meets = [{"a": u, "b": v, "segments": len(_pieces(m, rep, facing[u, v]))} for u, v in rag_edges]
+
+    contains_pairs: list[tuple[Dart, Dart]] = []
+    if pyr.redundant_darts(i):
+        warnings.append("redundant edges present: enclosure entries omitted")
+    elif home is None:
+        for r in regions:
+            contains_pairs += [(r, b) for b in sorted(inside_all(pyr, i, r), key=dart_sort_key)]
+    else:
+        contains_pairs = [(a, home) for a in _enclosers(pyr, i, home)]
+        contains_pairs += [(home, b) for b in inside_all(pyr, i, home)]
+        contains_pairs.sort(key=lambda p: (dart_sort_key(p[0]), dart_sort_key(p[1])))
+
+    composed = [
+        {"parent": r, "children": sorted(pyr.composed_of(i, r), key=dart_sort_key)}
+        for r in regions if i >= 1 and keep(r)
+    ]
+
+    return {
+        "level": i,
+        "regions": regions,
+        "infinite_region": outside,
+        "meets": meets,
+        "contains": [[a, b] for a, b in contains_pairs],
+        "inside": [[b, a] for a, b in contains_pairs],
+        "composed_of": composed,
+        "warnings": warnings,
+    }
 
 
 def inside_all_flood(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:

@@ -5,7 +5,8 @@ built pyramid's to_json() and of its top level's relation_report (dumped
 with sorted keys), and the state and size of every kernel. A change to how
 levels are derived, checked or stored must leave all three as they are.
 MEETS_EACH pins, for the same builds, the darts and Freeman chain of every
-meets_each piece over the top level's adjacent pairs, in order.
+meets_each piece over the top level's adjacent pairs, in order, and RAG_DOT
+the sha256 of the top level's rag_to_dot text.
 For seeds 1-3, the merge rounds also build what the one-edge-at-a-time
 reference builds.
 """
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from combipyramid.pyramid import Pyramid
-from combipyramid.relations import meets_each, rag_export, relation_report
+from combipyramid.relations import meets_each, rag_export, rag_to_dot, relation_report
 from combipyramid.segmentation import SegmentedImage
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -51,6 +52,12 @@ MEETS_EACH = {
     "sign-mosaic": (9, "9dc171e8971863536170495e9c53e05baacd817903cac226ffa9530f427044fa"),
 }
 
+RAG_DOT = {
+    "noise-regions": "c6b93270688b360eb2676d7b3435b6af5711696a391c2c518a44e463c8f9934e",
+    "gradient-levels": "ce3fcdf104f7980716e0bae8160a990487b77c92a5bdb7196c6c7dd560ff6085",
+    "sign-mosaic": "810a62ec8893b45957faf73aeaf537b7d2dc11a5cc65305f7859e96887cbb82e",
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -78,6 +85,13 @@ def test_meets_each_pieces_are_pinned(name):
     top = pyr.top_level
     pieces = [[list(s.darts), s.cracks.freeman()] for u, v in rag_export(pyr, top)[1] for s in meets_each(pyr, top, u, v)]
     assert (len(pieces), sha256(json.dumps(pieces))) == MEETS_EACH[name]
+
+
+@pytest.mark.parametrize("name", RAG_DOT)
+def test_rag_dot_is_pinned(name):
+    workload = WORKLOADS[name]
+    pyr = SegmentedImage(workload.raster(np.random.default_rng(1))).run(workload.threshold).pyramid
+    assert sha256(rag_to_dot(pyr, pyr.top_level)) == RAG_DOT[name]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

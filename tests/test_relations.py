@@ -2,6 +2,7 @@ import json
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from combipyramid.relations import (
     region_ids,
     relation_report,
 )
+from combipyramid import relations
 from combipyramid.containment import contains, inside_all
 from combipyramid.map_core import CombinatorialMap
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
@@ -36,6 +38,7 @@ from eager_oracle import (
     enclosed_regions,
     rag_export_by_cycles,
     region_ids_by_cycles,
+    relation_report_by_darts,
 )
 
 
@@ -318,18 +321,54 @@ def test_report_agrees_with_single_queries(seed):
             assert pyr.composed_of(i, r) == composed_of_scan(pyr, i, r) == composed[r]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_report_equals_the_per_dart_reference(seed, touch_outside):
+    # levels that keep redundant darts included: only the enclosure entries
+    # are dropped there
+    pyr = random_pyramid(random.Random(seed), max_side=6, touch_outside=touch_outside)
+    for i in range(pyr.top_level + 1):
+        assert relation_report(pyr, i) == relation_report_by_darts(pyr, i)
+        m = pyr.reconstruct_level(i)
+        for r in region_ids(pyr, i):
+            assert relation_report(pyr, i, m.sigma(r)) == relation_report_by_darts(pyr, i, m.sigma(r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_meets_exists_is_whether_meets_each_finds_a_piece(seed, touch_outside):
+    pyr = random_pyramid(random.Random(seed), max_side=6, touch_outside=touch_outside)
+    for i in range(pyr.top_level + 1):
+        m = pyr.reconstruct_level(i)
+        regions = region_ids(pyr, i)
+        for a in regions:
+            for b in regions:
+                if a == b:
+                    with pytest.raises(ValueError, match="two distinct regions"):
+                        meets_exists(pyr, i, a, m.sigma(b))
+                else:
+                    assert meets_exists(pyr, i, a, b) is bool(meets_each(pyr, i, a, b))
+
+
 def test_report_rebuilds_no_level_per_pair(monkeypatch):
     # the first report of a level, which builds its enclosure forest, and the
     # first enclosure queries read regions off the region arrays and walk
-    # single vertex cycles only: no whole-level map of cycles is built
+    # single vertex cycles only: no whole-level map of cycles is built. Once
+    # the forest exists, a report walks no dart at all: its pairs and piece
+    # counts are array passes, its enclosure entries forest reads
     calls = []
-    cycles = CombinatorialMap.cycles
 
-    def counted(self, kind):
-        calls.append(kind)
-        return cycles(self, kind)
+    def count(owner, name):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(CombinatorialMap, "cycles", counted)
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((CombinatorialMap, "cycles"), (CombinatorialMap, "alpha"), (relations, "_pieces")):
+        count(owner, name)
     for side in (8, 24):
         labels = random_labels(random.Random(side), side, side, blobs=side // 2)
         text = segment_labels(labels).pyramid.to_json()
@@ -346,7 +385,14 @@ def test_report_rebuilds_no_level_per_pair(monkeypatch):
             pyr = Pyramid.from_json(text)
             calls.clear()
             query(pyr)
-            assert calls == []
+            assert "cycles" not in calls
+    # the 24x24 raster: a second report, once the first built the forest
+    assert any(e["segments"] > 1 for e in report["meets"])
+    pyr = Pyramid.from_json(text)
+    relation_report(pyr, top)
+    calls.clear()
+    assert relation_report(pyr, top) == report
+    assert calls == []
 
 
 @settings(max_examples=40, deadline=None)
