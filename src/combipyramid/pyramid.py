@@ -13,25 +13,39 @@ Each level is derived from the level below when its kernel is applied:
 sigma_i(d) is the first survivor along sigma_{i-1} after d, stepping by
 phi_{i-1} past a contracted dart and by sigma_{i-1} past a removed one, and
 alpha_i(d) = alpha_{i-1}(d) except under RKEDE, where
-y <- alpha_{i-1}(phi_{i-1}(y)) steps past removed joints. The top level alone
-is also held as int32 sigma/alpha arrays indexed by signed dart, and the
-derivation, the kernel checks and the top's empty self loops and joints are
-whole-array passes over them: pointer jumping instead of one walk per dart.
+y <- alpha_{i-1}(phi_{i-1}(y)) steps past removed joints. Each level is held
+as int32 sigma/alpha arrays indexed by signed dart, and the derivation and
+the kernel checks are whole-array passes over the top's: pointer jumping
+instead of one walk per dart.
 
-Every level keeps its map, as lists indexed by signed dart holding the
-base's int objects (a level whose kernel keeps alpha shares the alpha list
-below), its redundant darts as an int32 array, and its region array: for
-every base dart, the canonical dart of the level-i vertex that holds or
-absorbed it. A level's vertices are those below merged along the contracted
-trees, less the killed darts, so one gather derives the region array from
-the one below. Kernel checks, merge rounds, pixel_labels, vertex_of_pixel,
-composed_of and the query layer (all but meets_each) read these arrays. The
+Every level keeps those arrays (a level whose kernel keeps alpha shares the
+alpha array below), its darts in dart_sort_key order, its turn counts and
+its region array: for every base dart, the canonical dart of the level-i
+vertex that holds or absorbed it. A level's vertices are those below merged
+along the contracted trees, less the killed darts, so one gather derives the
+region array from the one below. Kernel checks, merge rounds, pixel_labels,
+vertex_of_pixel, composed_of and the query layer read these arrays. The
 level of each dart is one int array; kernels are rebuilt from it on request.
 Only the constructor and apply_kernel write all this, and it never changes
-after that. A query stores only idempotent caches, each published with one
-store, so racing builds give equal values: a clean level's enclosure forest
-in `_forests`, composed_of's index of a contraction level and the list copy
-of the dart levels that level() reads.
+after that.
+
+What only some readers need is computed on first read and kept, each value
+published with one store, so racing builds give equal values. These are
+the caches a query may store: a level's map as lists indexed by signed dart
+(reconstruct_level and top_map; the base's is built with it, and levels that
+share an alpha array share its list), a level's empty self loops and
+double-edge joints (read by the next kernel's check, compute_rkesl,
+compute_rkede and redundant_darts), a clean level's enclosure forest in
+`_forests`, composed_of's index of a contraction level and the list copy of
+the dart levels that level() reads. A build or a reload thus costs in
+proportion to its kernels and their checks, not to a map per level.
+
+The JSON record (version 2) is the encoding itself: the grid size, the
+state of each kernel and, in dart_order, the level whose kernel removes each
+dart, 0 for a survivor. Loading groups the darts by level and applies every
+kernel through the checks apply_kernel makes; a version-1 record (the base
+permutation and one dart list per kernel) still loads, through the same
+path.
 
 Replay from the base serves receptive fields and boundary segments. Walking
 from a surviving dart d with sigma0, taking phi0 after a contracted dart and
@@ -52,7 +66,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,28 +129,35 @@ class Pyramid:
         n = self._n = len(self._sigma) // 2
         self._died = np.zeros(2 * n + 1, dtype=np.int32)
         self._died_list: list[int] | None = None
-        # per level (see the module docstring): the top's turn counts once
-        # its kernel was applied, shared until a double-edge kernel, the map,
-        # the redundant darts and the region array; the index composed_of
-        # builds for a contraction level, the children of each region it
-        # merges; a clean level's enclosure forest
+        # per level (see the module docstring): the top's sigma, alpha and
+        # turn counts once its kernel was applied (alpha shared until a
+        # double-edge kernel, turn counts too), its darts in dart_sort_key
+        # order and its region array; the caches filled on first read: the
+        # map, the empty self loops and joints, the index composed_of builds
+        # for a contraction level (the children of each region it merges)
+        # and a clean level's enclosure forest
+        self._sigmas: list[np.ndarray] = []
+        self._alphas: list[np.ndarray] = []
         self._turns_at: list[np.ndarray] = []
-        self._levels: list[CombinatorialMap] = []
-        self._redundant: list[np.ndarray] = []
+        self._orders: list[np.ndarray] = []
         self._regions: list[np.ndarray] = []
+        self._maps: list[CombinatorialMap | None] = []
+        self._redundant: list[tuple[np.ndarray, np.ndarray] | None] = []
         self._merged: dict[int, dict[Dart, frozenset[Dart]]] = {}
         self._forests: dict[int, tuple] = {}
-        # The top level as int32 arrays indexed by signed dart, 0 for a dead
-        # dart: sigma, alpha and the turn count of each dart's boundary
-        # piece. sigma starts as the embedding's read-only grid_sigma, which
-        # apply_kernel replaces and never writes into. _ids and _ints, the
-        # int object of every dart, are the embedding's too, so the level
-        # maps share the int objects of the base map build_grid_map made.
+        # The top level as int32 arrays indexed by signed dart: sigma, 0 for
+        # a dead dart, alpha, stale at a dart that died under a kernel which
+        # keeps alpha, and the turn count of each dart's boundary piece.
+        # sigma starts as the embedding's read-only grid_sigma; apply_kernel
+        # replaces these arrays and never writes into them. _ids and _ints,
+        # the int object of every dart, are the embedding's too, so the
+        # level maps share the int objects of the base map build_grid_map made.
         self._alpha = -self._ids
         self._turns = np.zeros(2 * n + 1, dtype=np.int32)
         # the start corner of every dart, for the joints of each level
         self._corners = embedding.corners(self._ids).astype(np.int32)
-        self._append_level(base, dart_order(n), embedding.grid_regions())
+        self._append_level(dart_order(n), embedding.grid_regions())
+        self._maps[0] = base
 
     @classmethod
     def from_grid(cls, width: int, height: int) -> "Pyramid":
@@ -151,13 +172,9 @@ class Pyramid:
     @property
     def kernels(self) -> list[Kernel]:
         """The kernel of every level, rebuilt from the level of each dart."""
-        return [Kernel.of(s, darts) for s, darts in zip(self._states, self._kernel_darts())]
-
-    def _kernel_darts(self) -> list[list[Dart]]:
-        """The darts of every level's kernel, in dart_sort_key order."""
         order = dart_order(self._n)
         died = self._died[order]
-        return [self._ints[order[died == k]].tolist() for k in range(1, self.top_level + 1)]
+        return [Kernel.of(s, self._ints[order[died == k]].tolist()) for k, s in enumerate(self._states, start=1)]
 
     def level(self, d: Dart) -> int:
         """The level whose kernel removes d, top_level + 1 if it never dies:
@@ -175,7 +192,7 @@ class Pyramid:
         return self._states[i - 1]
 
     def top_map(self) -> CombinatorialMap:
-        return self._levels[-1]
+        return self._map(self.top_level)
 
     # -- replay of absorbed darts ---------------------------------------------
 
@@ -246,9 +263,18 @@ class Pyramid:
             c = nxt
 
     def reconstruct_level(self, i: int) -> CombinatorialMap:
-        """The level-i map, derived from level i-1 when its kernel was applied."""
+        """The level-i map: lists of the arrays derived from level i-1 when
+        its kernel was applied, built on the first call."""
         self._check_level(i)
-        return self._levels[i]
+        return self._map(i)
+
+    def _map(self, i: int) -> CombinatorialMap:
+        if (m := self._maps[i]) is None:
+            # levels whose kernels keep alpha share one alpha list
+            alpha = self._alphas[i]
+            alpha = next((k._alpha for k, a in zip(self._maps, self._alphas) if k is not None and a is alpha), alpha)
+            m = self._maps[i] = map_of(self._ints, self._orders[i], self._sigmas[i], alpha)
+        return m
 
     def _check_level(self, i: int) -> None:
         if not 0 <= i <= self.top_level:
@@ -280,36 +306,30 @@ class Pyramid:
         """Move of the last crack of d's boundary piece at level i, the
         reverse of the crack of its partner alpha_i(d)."""
         self._require_alive(i, d)
-        return self.embedding.move(-self._levels[i].alpha(d))
+        return self.embedding.move(-self._ints[self._alphas[i][d]])
 
     # -- kernel application ---------------------------------------------------
 
     def apply_kernel(self, kernel: Kernel) -> "Pyramid":
-        """Append one reduction level, derived from the current top map. The
-        kernel is checked against the top map before any state is touched,
-        in dart_sort_key order, so a rejection names the least offending dart."""
-        top, n = self.top_map(), self._n
-        # a dart beyond int64 fails to convert
-        try:
-            kd = np.fromiter(kernel.darts, np.int64, len(kernel.darts))
-            live = ((kd >= -n) & (kd <= n)).all() and self._sigma[kd].all()
-        except OverflowError:
-            live = False
-        if not live:
-            dead = [d for d in kernel.darts if d not in top]
-            raise KernelError(f"kernel contains dead or unknown darts: {sorted(dead, key=dart_sort_key)[:4]}")
-        # only live top darts from here on, so they index the arrays
-        kd = kd[np.argsort(dart_sort_key(kd))].astype(np.int32)
+        """Append one reduction level, derived from the current top. The
+        kernel is checked against the top before any state is touched, in
+        dart_sort_key order, so a rejection names the least offending dart."""
+        return self._apply(kernel.state, list(kernel.darts))
+
+    def _apply(self, state: KernelState, darts: Sequence[Dart] | np.ndarray) -> "Pyramid":
+        """apply_kernel of the kernel of state made of darts, a sequence of
+        distinct ints or an int array, as from_json passes it."""
+        kd = self._live_darts(darts)
         kill = np.zeros(len(self._sigma), dtype=bool)
         kill[kd] = True
         # each base dart's top vertex, named alike along contracted trees
         merged = self._regions[-1]
-        if kernel.state is KernelState.CK:
-            ends, root = self._check_ck(top, kd, kill)
+        if state is KernelState.CK:
+            ends, root = self._check_ck(kd, kill)
             tree = self._ids.copy()
             tree[ends] = root
             merged = tree[merged]
-        elif kernel.state is KernelState.RKESL:
+        elif state is KernelState.RKESL:
             self._check_rkesl(kd, kill)
         else:
             self._check_rkede(kd, kill)
@@ -325,31 +345,55 @@ class Pyramid:
         least = np.full(len(merged), len(order), dtype=np.int32)
         np.minimum.at(least, merged[order], np.arange(len(order), dtype=np.int32))
         region = np.append(order, np.int32(0))[least[merged]]
-        self._sigma, self._alpha = _reduce(self._sigma, self._alpha, self._ids, kill, order, kernel.state)
-        self._states.append(kernel.state)
+        self._sigma, self._alpha = _reduce(self._sigma, self._alpha, self._ids, kill, order, state)
+        self._states.append(state)
         self._died[kd] = len(self._states)
         self._died_list = None
-        # only RKEDE changes alpha, so other levels share the list below
-        alpha = self._alpha if kernel.state is KernelState.RKEDE else top._alpha
-        self._append_level(map_of(self._ints, order, self._sigma, alpha), order, region)
+        self._append_level(order, region)
         return self
 
-    def _append_level(self, m: CombinatorialMap, order: np.ndarray, region: np.ndarray) -> None:
-        """Store m, the map of the top arrays, its region array and the top's
-        turn counts as the new top; order is its darts in dart_sort_key
-        order. For the top only, also keep the order, the empty self loops
-        and the double-edge joints."""
+    def _live_darts(self, darts: Sequence[Dart] | np.ndarray) -> np.ndarray:
+        """darts as an int32 array in dart_sort_key order; KernelError,
+        naming the least four in plain ints, unless all are live top darts."""
+        n = self._n
+        try:
+            kd = np.asarray(darts, dtype=np.int64)
+            live = ((kd >= -n) & (kd <= n)).all() and self._sigma[kd].all()
+        except OverflowError:  # a dart beyond int64
+            live = False
+        if not live:
+            if isinstance(darts, np.ndarray):
+                darts = darts.tolist()
+            dead = [d for d in darts if not (-n <= d <= n and self._sigma[d])]
+            raise KernelError(f"kernel contains dead or unknown darts: {sorted(dead, key=dart_sort_key)[:4]}")
+        # only live top darts from here on, so they index the arrays
+        return kd[np.argsort(dart_sort_key(kd))].astype(np.int32)
+
+    def _append_level(self, order: np.ndarray, region: np.ndarray) -> None:
+        """Store the top arrays, its region array and order, its darts in
+        dart_sort_key order, as the new top level, with its caches empty."""
         self._top_order = order
-        # the passes run over positions in order: pos maps a dart to its own
-        pos = np.zeros(len(self._sigma), dtype=np.int32)
-        pos[order] = np.arange(len(order), dtype=np.int32)
-        sigma, mate = pos[self._sigma[order]], pos[self._alpha[order]]
-        self._regions.append(region)
+        self._sigmas.append(self._sigma)
+        self._alphas.append(self._alpha)
         self._turns_at.append(self._turns)
-        self._top_loops = order[_empty_loops(sigma, mate, pos[region[order]])]
-        self._top_joints = order[_joints(sigma, mate, self._corners[order])]
-        self._levels.append(m)
-        self._redundant.append(np.concatenate([self._top_loops, self._top_joints]))
+        self._orders.append(order)
+        self._regions.append(region)
+        self._maps.append(None)
+        self._redundant.append(None)
+
+    def _loops_and_joints(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The darts of level i's empty self loops and of its double-edge
+        joints, each in dart_sort_key order: computed on first use."""
+        if (found := self._redundant[i]) is None:
+            order = self._orders[i]
+            # the passes run over positions in order: pos maps a dart to its own
+            pos = np.zeros(len(self._ids), dtype=np.int32)
+            pos[order] = np.arange(len(order), dtype=np.int32)
+            sigma, mate = pos[self._sigmas[i][order]], pos[self._alphas[i][order]]
+            loops = order[_empty_loops(sigma, mate, pos[self._regions[i][order]])]
+            joints = order[_joints(sigma, mate, self._corners[order])]
+            found = self._redundant[i] = loops, joints
+        return found
 
     def _unpaired(self, kd: np.ndarray, kill: np.ndarray) -> Dart | None:
         """The least kernel dart whose alpha partner is not in the kernel; kd
@@ -357,10 +401,10 @@ class Pyramid:
         open_ = kd[~kill[self._alpha[kd]]]
         return int(open_[0]) if open_.size else None
 
-    def _check_ck(self, top: CombinatorialMap, kd: np.ndarray, kill: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _check_ck(self, kd: np.ndarray, kill: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Raise unless the kernel is a forest of whole edges that leaves a
         dart; else return the top vertices on its trees, each with its tree's name."""
-        if len(kd) == len(top):
+        if len(kd) == len(self._top_order):
             raise KernelError("contraction kernel contains every dart of the top map")
         if (open_ := self._unpaired(kd, kill)) is not None:
             raise KernelError(f"contraction kernel is not closed under alpha at dart {open_}")
@@ -381,15 +425,16 @@ class Pyramid:
     def _check_rkesl(self, kd: np.ndarray, kill: np.ndarray) -> None:
         if (open_ := self._unpaired(kd, kill)) is not None:
             raise KernelError(f"self-loop kernel is not closed under alpha at dart {open_}")
-        stray = kd[~np.isin(kd, self._top_loops)]
+        stray = kd[~np.isin(kd, self._loops_and_joints(self.top_level)[0])]
         if stray.size:
             raise KernelError(f"dart {int(stray[0])} is not part of an empty self loop")
         self._check_keeps_vertices(kd)
 
     def _check_rkede(self, kd: np.ndarray, kill: np.ndarray) -> None:
-        if self._top_loops.size:
+        loops, joints = self._loops_and_joints(self.top_level)
+        if loops.size:
             raise KernelError("empty self loops present; remove them before double edges")
-        stray = ~np.isin(kd, self._top_joints)
+        stray = ~np.isin(kd, joints)
         bad = stray | ~kill[self._sigma[self._alpha[kd]]]
         if bad.any():
             k = np.flatnonzero(bad)[0]
@@ -447,7 +492,7 @@ class Pyramid:
         """Maximal kernel of empty self loops of the current top map. A
         vertex made of empty self loops only keeps the loop of its canonical
         dart, so that no vertex is emptied."""
-        loops = self._top_loops
+        loops = self._loops_and_joints(self.top_level)[0]
         spare = np.unique(self._emptied(loops))
         spare = np.concatenate([spare, self._alpha[spare]])
         return Kernel.of(KernelState.RKESL, self._ints[loops[~np.isin(loops, spare)]].tolist())
@@ -468,7 +513,7 @@ class Pyramid:
         keeps its least dart s and the partner phi(s) of s.
         """
         sigma, alpha = self._sigma, self._alpha
-        keys = alpha[self._top_joints]
+        keys = alpha[self._loops_and_joints(self.top_level)[1]]
         key = np.zeros(len(sigma), dtype=bool)
         key[keys] = True
         hop = np.where(key, sigma, self._ids)
@@ -505,7 +550,7 @@ class Pyramid:
         """Darts of empty self loops and of removable double-edge joints at
         level i. Empty means the level is safe for enclosure queries."""
         self._check_level(i)
-        bad = self._redundant[i]
+        bad = np.concatenate(self._loops_and_joints(i))
         return frozenset(self._ints[bad].tolist()) if bad.size else frozenset()
 
     def composed_of(self, i: int, v: Dart) -> frozenset[Dart]:
@@ -542,23 +587,24 @@ class Pyramid:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> str:
-        """Flat record of the implicit encoding; loading replays the kernels."""
-        base_sigma = self.embedding.grid_sigma()[dart_order(self._n)].tolist()
+        """The implicit encoding as a flat record (version 2): the grid size,
+        the state of each kernel and, for each dart in dart_order, the level
+        whose kernel removes it, 0 for a survivor."""
         payload = {
             "format": "combipyramid-pyramid",
-            "version": 1,
+            "version": 2,
             "width": self.embedding.width,
             "height": self.embedding.height,
-            "base_sigma": base_sigma,
             "states": [state.value for state in self._states],
-            "kernels": self._kernel_darts(),
+            "died": self._died[dart_order(self._n)].tolist(),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Pyramid":
-        """Load a record written by to_json. Every kernel is checked again as
-        it is applied; malformed input raises ValueError."""
+        """Load a record written by to_json, or a version-1 record. Every
+        kernel is checked again as it is applied; malformed input raises
+        ValueError."""
         try:
             payload = json.loads(text)
         except RecursionError:
@@ -566,27 +612,63 @@ class Pyramid:
         if not isinstance(payload, dict) or payload.get("format") != "combipyramid-pyramid":
             raise ValueError("not a serialized pyramid")
         version = payload.get("version")
-        if type(version) is not int or version != 1:  # 1.0 and True compare equal to 1
-            raise ValueError(f"unsupported pyramid version {version!r}, expected 1")
+        if type(version) is not int or version not in (1, 2):  # 1.0 and True compare equal to 1
+            raise ValueError(f"unsupported pyramid version {version!r}, expected 1 or 2")
         width, height = _positive_int(payload, "width"), _positive_int(payload, "height")
-        stored, states, kernels = (_list_field(payload, key) for key in ("base_sigma", "states", "kernels"))
         n_darts = CrackEmbedding(width, height).n_darts
-        if len(stored) != n_darts:
-            raise ValueError(f"base_sigma has {len(stored)} entries, a {width}x{height} grid has {n_darts} darts")
-        if len(states) != len(kernels):
-            raise ValueError(f"{len(states)} kernel states for {len(kernels)} kernels")
-        if not set(map(type, stored)) <= {int}:  # 4.0 and True compare equal to ints
-            raise ValueError("base_sigma is not a list of integer darts")
+        kernels = (_kernels_v1 if version == 1 else _kernels_v2)(payload, width, height, n_darts)
         pyr = cls.from_grid(width, height)
-        if stored != pyr._ints[pyr._sigma[dart_order(pyr._n)]].tolist():
-            raise ValueError("stored base permutation does not match the grid layout")
+        for state, darts in kernels:
+            pyr._apply(state, darts)
+        return pyr
+
+
+def _kernels_v2(payload: dict, width: int, height: int, n_darts: int) -> list[tuple[KernelState, np.ndarray]]:
+    """The kernels of a version-2 record, each with its darts in dart_order,
+    grouped by one stable sort of the dart levels."""
+    states, died = _list_field(payload, "states"), _list_field(payload, "died")
+    if len(died) != n_darts:
+        raise ValueError(f"died has {len(died)} entries, a {width}x{height} grid has {n_darts} darts")
+    if not set(map(type, died)) <= {int}:  # 4.0 and True compare equal to ints
+        raise ValueError("died is not a list of integer levels")
+    top = len(states)
+    try:
+        level = np.fromiter(died, np.int64, len(died))
+    except OverflowError:  # an entry beyond int64
+        level = None
+    if level is None or not ((level >= 0) & (level <= top)).all():
+        bad = next(k for k in died if not 0 <= k <= top)
+        raise ValueError(f"died holds level {bad}, outside 0..{top}")
+    states = [KernelState(state) for state in states]
+    darts = dart_order(n_darts // 2)[np.argsort(level, kind="stable")]
+    ends = np.cumsum(np.bincount(level, minlength=top + 1)).tolist()
+    return [(state, darts[ends[k] : ends[k + 1]]) for k, state in enumerate(states)]
+
+
+def _kernels_v1(payload: dict, width: int, height: int, n_darts: int) -> Iterator[tuple[KernelState, list[Dart]]]:
+    """The kernels of a version-1 record, which also stores the base
+    permutation and a dart list per kernel: the permutation is checked now,
+    each list as the loader reaches it."""
+    stored, states, kernels = (_list_field(payload, key) for key in ("base_sigma", "states", "kernels"))
+    if len(stored) != n_darts:
+        raise ValueError(f"base_sigma has {len(stored)} entries, a {width}x{height} grid has {n_darts} darts")
+    if len(states) != len(kernels):
+        raise ValueError(f"{len(states)} kernel states for {len(kernels)} kernels")
+    if not set(map(type, stored)) <= {int}:  # 4.0 and True compare equal to ints
+        raise ValueError("base_sigma is not a list of integer darts")
+    if stored != CrackEmbedding(width, height).grid_sigma()[dart_order(n_darts // 2)].tolist():
+        raise ValueError("stored base permutation does not match the grid layout")
+
+    def lists() -> Iterator[tuple[KernelState, list[Dart]]]:
         for k, (state, darts) in enumerate(zip(states, kernels), start=1):
             if not isinstance(darts, list) or not set(map(type, darts)) <= {int}:
                 raise ValueError(f"kernel {k} is not a list of integer darts")
-            if len(kernel := Kernel.of(KernelState(state), darts)) != len(darts):
+            state = KernelState(state)
+            if len(set(darts)) != len(darts):
                 raise ValueError(f"kernel {k} lists a dart twice")
-            pyr.apply_kernel(kernel)
-        return pyr
+            yield state, darts
+
+    return lists()
 
 
 def _positive_int(payload: dict, key: str) -> int:
@@ -608,17 +690,16 @@ def _reduce(sigma: np.ndarray, alpha: np.ndarray, ids: np.ndarray, dead: np.ndar
     """sigma and alpha once the dead darts are contracted (CK) or removed.
 
     sigma'(d) is the first survivor after d along sigma, stepping by phi past
-    a contracted dart and by sigma past a removed one. alpha' = alpha,
+    a contracted dart and by sigma past a removed one. alpha' is alpha itself,
     except under RKEDE, where y <- alpha(phi(y)) steps past the removed
     joints. live lists the survivors.
     """
-    phi = sigma[alpha]
-    new_sigma, new_alpha = np.zeros_like(sigma), np.zeros_like(alpha)
-    new_sigma[live] = _first_alive(phi if state is KernelState.CK else sigma, dead, ids, sigma[live])
-    if state is KernelState.RKEDE:
-        new_alpha[live] = _first_alive(alpha[phi], dead, ids, alpha[live])
-    else:
-        new_alpha[live] = alpha[live]
+    new_sigma = np.zeros_like(sigma)
+    new_sigma[live] = _first_alive(sigma[alpha] if state is KernelState.CK else sigma, dead, ids, sigma[live])
+    if state is not KernelState.RKEDE:
+        return new_sigma, alpha
+    new_alpha = np.zeros_like(alpha)
+    new_alpha[live] = _first_alive(alpha[sigma[alpha]], dead, ids, alpha[live])
     return new_sigma, new_alpha
 
 

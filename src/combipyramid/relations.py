@@ -30,7 +30,7 @@ def region_ids(pyr: Pyramid, i: int) -> list[Dart]:
     """Canonical representative darts of all level-i vertices, in
     dart_sort_key order: the darts that are their own region."""
     pyr._check_level(i)
-    order = pyr._levels[i]._order
+    order = pyr._orders[i]
     return pyr._ints[order[pyr._regions[i][order] == order]].tolist()
 
 
@@ -150,7 +150,7 @@ def _facing(pyr: Pyramid, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     partner -d lies across that crack, in the region of alpha_i(d): the
     region array alone names both sides.
     """
-    order, region = pyr._levels[i]._order, pyr._regions[i]
+    order, region = pyr._orders[i], pyr._regions[i]
     u, v = region[order], region[-order]
     ru, rv = dart_sort_key(u).astype(np.int64), dart_sort_key(v)
     facing = np.flatnonzero(ru < rv)
@@ -160,8 +160,7 @@ def _facing(pyr: Pyramid, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 def _segment_counts(pyr: Pyramid, i: int) -> np.ndarray:
     """The boundary pieces of every edge of rag_export(pyr, i), in its
     order: the pieces _pieces walks, counted in whole-array passes over the
-    level's darts, with alpha gathered once at them. The caller checks the
-    level.
+    level's darts, read off its stored arrays. The caller checks the level.
 
     A facing dart d continues its piece into y when the face of alpha(d)
     holds exactly two separating darts (darts whose regions differ), y is
@@ -174,13 +173,13 @@ def _segment_counts(pyr: Pyramid, i: int) -> np.ndarray:
     """
     facing, _, _, pair = _facing(pyr, i)
     edges, edge = np.unique(pair, return_inverse=True)
-    m = pyr._levels[i]
-    alpha = [m._alpha[d] for d in m._order.tolist()]
-    k = len(alpha)
-    pos = np.zeros(len(m._sigma), dtype=np.int64)
-    pos[m._order] = np.arange(k)
+    order, sigma = pyr._orders[i], pyr._sigmas[i]
+    alpha = pyr._alphas[i][order]
+    k = len(order)
+    pos = np.zeros(len(sigma), dtype=np.int64)
+    pos[order] = np.arange(k)
     mate = pos[alpha]
-    face = _cycle_min(pos[[m._sigma[d] for d in alpha]])
+    face = _cycle_min(pos[sigma[alpha]])
     separating = np.concatenate([facing, mate[facing]])
     count = np.bincount(face[separating], minlength=k)
     total = np.bincount(face[separating], weights=separating, minlength=k).astype(np.int64)

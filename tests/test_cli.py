@@ -13,6 +13,7 @@ from combipyramid.pyramid import Kernel, KernelState, Pyramid
 from combipyramid.segmentation import SegmentedImage
 
 from conftest import arrow_sign_raster, borderless_outside_pyramid, flag_sign_raster
+from eager_oracle import to_json_v1
 
 
 @pytest.fixture
@@ -135,10 +136,23 @@ def test_validate_intact_pyramid(tmp_path, sign_ppm, capsys):
     assert json.loads(text)["ok"] is True
 
 
+# a version-2 record holds the level of every dart in dart_order: 1, -1, 2, -2, ...
+
+
+def died_index(d):
+    return 2 * (abs(d) - 1) + (d < 0)
+
+
+def darts_of_level(record, k):
+    """The darts that a version-2 record's level-k kernel removes, in dart_order."""
+    return [(p // 2 + 1) * (-1 if p % 2 else 1) for p, level in enumerate(record["died"]) if level == k]
+
+
 def test_validate_rejects_corrupt_file(tmp_path, sign_ppm, capsys):
     pyr_path = built(tmp_path, sign_ppm, capsys)
     data = json.loads(pyr_path.read_text())
-    data["kernels"][0] = data["kernels"][0][:-2]  # drop darts from a kernel
+    for d in darts_of_level(data, 1)[-2:]:  # drop darts from a kernel
+        data["died"][died_index(d)] = 0
     bad = tmp_path / "bad.pyr"
     bad.write_text(json.dumps(data))
     code, _ = run(capsys, "validate", "--pyr", bad)
@@ -178,7 +192,7 @@ def test_report_with_an_unknown_region_names_it(tmp_path, sign_ppm, capsys):
     pyr_path = built(tmp_path, sign_ppm, capsys)
     err = query_error(capsys, pyr_path, "--report", "--region", 99999)
     assert err == "error: dart 99999 is not in the base map\n"
-    dead = json.loads(pyr_path.read_text())["kernels"][0][0]
+    dead = darts_of_level(json.loads(pyr_path.read_text()), 1)[0]
     err = query_error(capsys, pyr_path, "--level", 1, "--report", "--region", dead)
     assert err == f"error: dart {dead} does not survive at level 1\n"
 
@@ -190,9 +204,9 @@ def test_contains_with_an_unknown_dart_names_it(tmp_path, sign_ppm, capsys):
     record = json.loads(pyr_path.read_text())
     err = query_error(capsys, pyr_path, "--contains", region, 99999)
     assert "dart 99999 is not in the base map" in err
-    dead = record["kernels"][0][0]
+    dead = darts_of_level(record, 1)[0]
     err = query_error(capsys, pyr_path, "--contains", dead, region)
-    assert f"dart {dead} does not survive at level {len(record['kernels'])}" in err
+    assert f"dart {dead} does not survive at level {len(record['states'])}" in err
 
 
 def test_unknown_composed_of_dart_names_it(tmp_path, sign_ppm, capsys):
@@ -242,8 +256,16 @@ def test_missing_file_is_a_clean_error(tmp_path, capsys):
 # -- malformed pyramid files ---------------------------------------------------------
 
 
+def small_pyramid():
+    return Pyramid.from_grid(2, 1).apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+
+
 def small_record():
-    return json.loads(Pyramid.from_grid(2, 1).apply_kernel(Kernel.of(KernelState.CK, [2, -2])).to_json())
+    return json.loads(small_pyramid().to_json())
+
+
+def small_record_v1():
+    return json.loads(to_json_v1(small_pyramid()))
 
 
 def assert_clean_error(capsys, tmp_path, data, needle):
@@ -256,7 +278,7 @@ def assert_clean_error(capsys, tmp_path, data, needle):
 
 
 def test_states_and_kernels_of_different_lengths_are_rejected(tmp_path, sign_ppm, capsys):
-    data = json.loads(built(tmp_path, sign_ppm, capsys).read_text())
+    data = json.loads(to_json_v1(Pyramid.from_json(built(tmp_path, sign_ppm, capsys).read_text())))
     assert len(data["kernels"]) >= 3
     data["states"] = data["states"][:1]
     assert_clean_error(capsys, tmp_path, data, "kernel states for")
@@ -270,7 +292,7 @@ def test_width_that_is_not_a_positive_int_is_rejected(tmp_path, capsys, width):
 
 
 def test_kernel_entry_that_is_not_an_int_is_rejected(tmp_path, capsys):
-    data = small_record()
+    data = small_record_v1()
     data["kernels"] = [[None]]
     assert_clean_error(capsys, tmp_path, data, "kernel 1 is not a list of integer darts")
 
@@ -288,19 +310,20 @@ COMMANDS = [["validate"], ["query", "--report"]]
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("version", [2, 0, 1.0, True, "1", None])
+@pytest.mark.parametrize("version", [3, 0, 1.0, True, "1", None])
 def test_version_other_than_1_is_rejected(tmp_path, capsys, command, version):
+    # nor other than 2, the version to_json writes
     data = small_record()
     data["version"] = version
     err = load_error(capsys, tmp_path, data, command)
-    assert err == f"error: unsupported pyramid version {version!r}, expected 1\n"
+    assert err == f"error: unsupported pyramid version {version!r}, expected 1 or 2\n"
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("entry", ["float", "bool"])
 def test_base_sigma_entry_that_is_not_an_int_is_rejected(tmp_path, capsys, command, entry):
     # 4.0 == 4 and True == 1, so either would pass the permutation compare
-    data = small_record()
+    data = small_record_v1()
     sigma = data["base_sigma"]
     if entry == "float":
         sigma[0] = float(sigma[0])
@@ -325,7 +348,7 @@ UNKNOWN_DARTS = {
 def test_kernel_with_an_unknown_dart_is_rejected(tmp_path, capsys, dart):
     # beyond +-n a dart must not reach an array indexed by signed dart,
     # where n+1 would alias -n and 2**31 overflow int32
-    data = small_record()
+    data = small_record_v1()
     d = UNKNOWN_DARTS[dart](len(data["base_sigma"]) // 2)
     data["states"].append("CK")
     data["kernels"].append([d, 1])
@@ -337,7 +360,7 @@ def test_kernel_with_an_unknown_dart_is_rejected(tmp_path, capsys, dart):
 def test_kernel_that_lists_a_dart_twice_is_rejected(tmp_path, capsys, command):
     # a frozenset of the list would merge the repeat, and a reload would
     # then write other JSON than it read
-    data = small_record()
+    data = small_record_v1()
     data["kernels"][0].append(data["kernels"][0][0])
     err = load_error(capsys, tmp_path, data, command)
     assert err == "error: kernel 1 lists a dart twice\n"
@@ -346,9 +369,59 @@ def test_kernel_that_lists_a_dart_twice_is_rejected(tmp_path, capsys, command):
 def test_base_sigma_length_is_checked_before_the_grid_is_built(tmp_path, capsys):
     # the record claims a 300x300 grid but carries no permutation: the length
     # check must fail before 361k darts are allocated
-    data = small_record()
+    data = small_record_v1()
     data["width"] = data["height"] = 300
     assert_clean_error(capsys, tmp_path, data, "base_sigma has 14 entries, a 300x300 grid has 361200 darts")
+
+
+# small_record's died list is 14 entries long, for 1 state
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("length", [13, 15, 0])
+def test_died_of_the_wrong_length_is_rejected(tmp_path, capsys, command, length):
+    data = small_record()
+    data["died"] = (data["died"] + [0])[:length]
+    err = load_error(capsys, tmp_path, data, command)
+    assert err == f"error: died has {length} entries, a 2x1 grid has 14 darts\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("entry", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_died_entry_that_is_not_an_int_is_rejected(tmp_path, capsys, command, entry):
+    # True == 1 and 1.0 == 1, so either would pass as level 1
+    data = small_record()
+    data["died"][data["died"].index(1)] = entry
+    err = load_error(capsys, tmp_path, data, command)
+    assert err == "error: died is not a list of integer levels\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("level", [-1, 2, 2**63], ids=["-1", "len(states)+1", "2**63"])
+def test_died_entry_out_of_range_is_rejected(tmp_path, capsys, command, level):
+    data = small_record()
+    data["died"][died_index(-3)] = level
+    err = load_error(capsys, tmp_path, data, command)
+    assert err == f"error: died holds level {level}, outside 0..1\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("state, darts, message", [
+    # darts 5 and -3 join the contraction without their partners
+    ("CK", {1: [5, -3]}, "contraction kernel is not closed under alpha at dart -3"),
+    # a border edge is no empty self loop
+    ("RKESL", {2: [-6, 6, -1, 1]}, "dart 1 is not part of an empty self loop"),
+], ids=["unpaired", "not-a-loop"])
+def test_died_whose_kernel_fails_its_check_names_the_least_dart(tmp_path, capsys, command, state, darts, message):
+    # the check runs on arrays, and the message names a plain int
+    data = small_record()
+    if state != "CK":
+        data["states"].append(state)
+    for level, ds in darts.items():
+        for d in ds:
+            data["died"][died_index(d)] = level
+    err = load_error(capsys, tmp_path, data, command)
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", [["validate"], ["query", "--report"], ["export", "--labels", "x.pgm"]])
@@ -367,7 +440,7 @@ def test_validate_rejects_a_contraction_of_the_whole_map(tmp_path, capsys):
     pyr.apply_kernel(pyr.compute_rkede())
     data = json.loads(pyr.to_json())
     data["states"].append("CK")
-    data["kernels"].append([1, -4])
+    data["died"][0] = data["died"][7] = len(data["states"])  # darts 1 and -4
     assert_clean_error(capsys, tmp_path, data, "contraction kernel contains every dart of the top map")
 
 

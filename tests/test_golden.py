@@ -4,6 +4,8 @@ For seed 1 of each workload in perfbench/workloads.py: the sha256 of the
 built pyramid's to_json() and of its top level's relation_report (dumped
 with sorted keys), and the state and size of every kernel. A change to how
 levels are derived, checked or stored must leave all three as they are.
+V1 pins the sha256 of the same builds' version-1 records, which load to the
+pyramid whose to_json() GOLDEN pins.
 MEETS_EACH pins, for the same builds, the darts and Freeman chain of every
 meets_each piece over the top level's adjacent pairs, in order, and RAG_DOT
 the sha256 of the top level's rag_to_dot text.
@@ -25,25 +27,31 @@ from combipyramid.segmentation import SegmentedImage
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from eager_oracle import KruskalSegmentation  # noqa: E402
+from eager_oracle import KruskalSegmentation, to_json_v1  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 GOLDEN = {
     "noise-regions": (
-        "a2b265c29af251a47004d4b2eebc0e9fc06715853ba515aba626a7a93168f7e8",
+        "13e8aee7445a0fdfcabfa73536161e10f9551326bafb15e8cac84be8e867c719",
         "194ce251caeb7892552221137a03f11d882d34ed60d19477a5c748bca8f996d4",
         [("CK", 252), ("RKEDE", 124)],
     ),
     "gradient-levels": (
-        "1b1885759017b054e09fac6dc08b0008d8e9547ee7e3ace00439e512f1c614cc",
+        "3dcf7c02677227b325d96e19b33a53db3fd3dbc59bb84ed9c4461585843fe763",
         "0da3dc795cf381e5477d85eaf01969cc5174c6f64af0fe42832773499e2f4ae9",
         [("CK", 7904), ("RKESL", 4596), ("RKEDE", 3342), ("CK", 64), ("RKEDE", 100), ("CK", 32), ("RKEDE", 50)],
     ),
     "sign-mosaic": (
-        "34467e32ba5fb2fd4a33e3c3a5db9c39e6d345ccdf4867dd5a4054ffb192991f",
+        "69eb3798c83ad560d8f47d4e9dd12f9e217c40385a7562061998874ba5ac85ca",
         "862b5f88e0f38d6730f52868607bf10e21c1cea3574201d24ebb9ff0dcbc5856",
         [("CK", 8174), ("RKESL", 6494), ("RKEDE", 1924)],
     ),
+}
+
+V1 = {
+    "noise-regions": "a2b265c29af251a47004d4b2eebc0e9fc06715853ba515aba626a7a93168f7e8",
+    "gradient-levels": "1b1885759017b054e09fac6dc08b0008d8e9547ee7e3ace00439e512f1c614cc",
+    "sign-mosaic": "34467e32ba5fb2fd4a33e3c3a5db9c39e6d345ccdf4867dd5a4054ffb192991f",
 }
 
 MEETS_EACH = {
@@ -76,6 +84,15 @@ def test_workload_outputs_are_pinned(name):
     clone = Pyramid.from_json(text)
     assert clone.to_json() == text
     assert sha256(json.dumps(relation_report(clone, clone.top_level), sort_keys=True)) == report_hash
+
+
+@pytest.mark.parametrize("name", V1)
+def test_version_1_record_loads_to_the_pinned_pyramid(name):
+    workload = WORKLOADS[name]
+    pyr = SegmentedImage(workload.raster(np.random.default_rng(1))).run(workload.threshold).pyramid
+    v1 = to_json_v1(pyr)
+    assert sha256(v1) == V1[name]
+    assert sha256(Pyramid.from_json(v1).to_json()) == GOLDEN[name][0]
 
 
 @pytest.mark.parametrize("name", MEETS_EACH)

@@ -319,12 +319,13 @@ kinds = st.sampled_from(["random", "ringed", "outside"])
 @given(seeds, kinds)
 def test_stored_top_partition_is_the_vertex_map(seed, kind):
     # checked after every kernel a random build or its reload applies: the
-    # top's region array holds every base dart's level vertex, by replay
-    apply = Pyramid.apply_kernel
+    # top's region array holds every base dart's level vertex, by replay;
+    # apply_kernel and from_json both apply through _apply
+    apply = Pyramid._apply
     applied = []
 
-    def checked(pyr, kernel):
-        apply(pyr, kernel)
+    def checked(pyr, state, darts):
+        apply(pyr, state, darts)
         i, top = pyr.top_level, pyr.top_map()
         region = pyr._regions[-1]
         assert len(pyr._regions) == i + 1
@@ -332,10 +333,10 @@ def test_stored_top_partition_is_the_vertex_map(seed, kind):
             d: vertex_of(top, pyr._absorbed(i, d)[1]) for d in pyr.base.darts
         }
         assert pyr._top_order.tolist() == sorted(top.darts, key=dart_sort_key)
-        applied.append(kernel)
+        applied.append(state)
         return pyr
 
-    with mock.patch.object(Pyramid, "apply_kernel", checked):
+    with mock.patch.object(Pyramid, "_apply", checked):
         pyr = built_pyramid(random.Random(seed), kind)
         Pyramid.from_json(pyr.to_json())
     assert len(applied) == 2 * pyr.top_level
@@ -366,28 +367,29 @@ def test_array_derivation_equals_the_dict_reference(seed, ringed):
     # every kernel a random build applies, and random kernels on each of its
     # tops: the same KernelError message, or the same level and top facts
     # as the loop-by-dart derivation of eager_oracle.DictTop
-    apply = Pyramid.apply_kernel
+    apply = Pyramid._apply
     rng = random.Random(seed)
 
     def same_top(pyr, ref):
         assert pyr.top_map() == ref.m
         assert {d: pyr._regions[-1][d] for d in ref.m.darts} == ref.vertex
-        assert set(pyr._top_loops.tolist()) == ref.loops
-        assert set(pyr._top_joints.tolist()) == ref.joints
+        loops, joints = pyr._loops_and_joints(pyr.top_level)
+        assert set(loops.tolist()) == ref.loops
+        assert set(joints.tolist()) == ref.joints
 
-    def checked(pyr, kernel):
+    def checked(pyr, state, darts):
         ref = DictTop.of(pyr)
         same_top(pyr, ref)
         try:
-            nxt, updates = ref.apply(kernel)
+            nxt, updates = ref.apply(Kernel.of(state, map(int, darts)))
         except KernelError as exc:
             before = pyr.to_json()
             with pytest.raises(KernelError) as got:
-                apply(pyr, kernel)
+                apply(pyr, state, darts)
             assert str(got.value) == str(exc)
             assert pyr.to_json() == before
             return pyr
-        apply(pyr, kernel)
+        apply(pyr, state, darts)
         same_top(pyr, nxt)
         # the new level's counts are the level below's with the updates
         expected = pyr._turns_at[-2].copy()
@@ -395,7 +397,7 @@ def test_array_derivation_equals_the_dict_reference(seed, ringed):
         assert (pyr._turns_at[-1] == expected).all()
         return pyr
 
-    with mock.patch.object(Pyramid, "apply_kernel", checked):
+    with mock.patch.object(Pyramid, "_apply", checked):
         if ringed:
             pyr = segment_labels(ringed_labels(rng, rng.randint(3, 10), rng.randint(3, 10))).pyramid
         else:

@@ -1,0 +1,62 @@
+"""The JSON record of a pyramid.
+
+to_json writes version 2: the grid size, the state of each kernel and the
+level of each dart. Version 1 (eager_oracle.to_json_v1: the base
+permutation and one dart list per kernel) still loads, to the same pyramid.
+A version-2 record with the level of one dart or one base edge changed is
+rejected, or loads levels that are valid maps.
+"""
+
+import json
+import random
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from combipyramid.map_core import validate
+from combipyramid.pyramid import Pyramid
+
+from conftest import random_pyramid
+from eager_oracle import eager_levels, to_json_v1
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.booleans())
+def test_both_versions_load_to_the_pyramid(seed, touch_outside):
+    pyr = random_pyramid(random.Random(seed), max_side=6, touch_outside=touch_outside)
+    levels = eager_levels(pyr)
+    text = pyr.to_json()
+    for record in (text, to_json_v1(pyr)):
+        clone = Pyramid.from_json(record)
+        assert clone.to_json() == text
+        assert clone.kernels == pyr.kernels
+        for i, ref in enumerate(levels):
+            assert clone.reconstruct_level(i) == ref
+            assert (clone._regions[i] == pyr._regions[i]).all()
+            assert clone.redundant_darts(i) == pyr.redundant_darts(i)
+            assert [clone.cached_orientation(i, d) for d in ref.darts] == [
+                pyr.cached_orientation(i, d) for d in ref.darts
+            ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.booleans(), st.data())
+def test_a_changed_level_is_rejected_or_loads_valid_levels(seed, touch_outside, data):
+    pyr = random_pyramid(random.Random(seed), max_side=6, touch_outside=touch_outside)
+    record = json.loads(pyr.to_json())
+    died, top = record["died"], pyr.top_level
+    assume(top > 0)
+    # one dart, or both darts of its base edge, which sit side by side in
+    # dart_order: a lone dart breaks its kernel's pairs, an edge often not
+    k = data.draw(st.integers(0, len(died) - 1), label="entry")
+    level = (died[k] + data.draw(st.integers(1, top), label="shift")) % (top + 1)
+    for j in {k, k ^ 1} if data.draw(st.booleans(), label="edge") else {k}:
+        died[j] = level
+    try:
+        clone = Pyramid.from_json(json.dumps(record))
+    except ValueError:  # KernelError too
+        return
+    for i in range(clone.top_level + 1):
+        assert validate(clone.reconstruct_level(i)).ok
