@@ -86,8 +86,7 @@ def _parse_level(pyr: Pyramid, text: str) -> int:
         i = int(text)
     except ValueError:
         raise ValueError(f"--level must be 'top' or an integer in 0..{pyr.top_level}, got {text!r}") from None
-    if not 0 <= i <= pyr.top_level:
-        raise ValueError(f"level {i} out of range 0..{pyr.top_level}")
+    pyr._check_level(i)
     return i
 
 

@@ -14,7 +14,7 @@ collects the enclosed neighbours.
 Enclosure is laminar, so each clean level has a forest in which a region's
 parent is its innermost encloser. It is derived from those local tests in one
 traversal of the level from the outside region, on the first enclosure query
-of the level, and stored on the Pyramid with one dict store; levels never
+of the level, and stored in the level's record with one store; levels never
 change, so two racing builds give equal forests. Each query names a dart's
 region by one read of the level's region array, so contains is then an
 ancestor check, O(nesting depth), and inside_all a subtree walk, O(output).
@@ -199,11 +199,11 @@ _Forest = tuple[dict[Dart, Dart], dict[Dart, list[Dart]]]
 
 def _enclosure_forest(pyr: Pyramid, i: int) -> _Forest:
     """The level's enclosure forest, built on first use and then read from
-    pyr._forests. Levels never change, so racing builds give equal forests
-    and the one dict store that publishes each is safe."""
-    forest = pyr._forests.get(i)
-    if forest is None:
-        forest = pyr._forests[i] = _build_forest(pyr, i)
+    the level's record. Levels never change, so racing builds give equal
+    forests and the one store that publishes each is safe."""
+    level = pyr._levels[i]
+    if (forest := level.forest) is None:
+        forest = level.forest = _build_forest(pyr, i)
     return forest
 
 

@@ -171,7 +171,7 @@ class CrackEmbedding:
 
     width: int
     height: int
-    _tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    _tables: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_vertical(self) -> int:
@@ -247,8 +247,10 @@ class CrackEmbedding:
         """
         return self._grid_tables()[0]
 
-    def _grid_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """grid_sigma, dart_ids and the int object of every dart, indexed
+    def _grid_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """grid_sigma, dart_ids, the int object of every dart and the base
+        region array (the canonical dart of each dart's base vertex: -left
+        for the four sides of a pixel, 1 for the outside vertex), indexed
         alike: computed on first use, once per embedding, and read-only.
         build_grid_map builds the base map's lists from them and a Pyramid
         of the embedding shares them."""
@@ -259,37 +261,28 @@ class CrackEmbedding:
         if 2 * n + 1 > np.iinfo(np.int32).max:
             raise ValueError(f"a {w}x{h} grid has too many darts for int32 dart ids")
         sigma = np.zeros(2 * n + 1, dtype=np.int32)
+        region = np.ones(2 * n + 1, dtype=np.int32)
+        region[0] = 0
         y, x = np.divmod(np.arange(w * h, dtype=np.int64), w)
         left = y * (w + 1) + x + 1  # vertical crack at column x, row y
         top = nv + y * w + x + 1  # horizontal crack at row y, column x
         cycle = [left + 1, top, -left, -(top + w)]
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             sigma[a] = b
+            region[a] = -left
         xs, ys = np.arange(w, dtype=np.int64), np.arange(h, dtype=np.int64)
         outside = np.concatenate(
             [-(nv + xs + 1), -(ys * (w + 1) + w + 1), (nv + h * w + xs + 1)[::-1], (ys * (w + 1) + 1)[::-1]]
         )
         sigma[outside] = np.roll(outside, -1)
         ids = dart_ids(n)
-        tables = sigma, ids, ids.astype(object)
+        tables = sigma, ids, ids.astype(object), region
         for table in tables:
             table.flags.writeable = False
         # a field of a frozen dataclass is set through object; a cache in the
         # instance's __dict__ would slow every attribute read of start and move
         object.__setattr__(self, "_tables", tables)
         return tables
-
-    def grid_regions(self) -> np.ndarray:
-        """Canonical dart of each dart's base vertex, indexed like grid_sigma:
-        -left for the four sides of a pixel, 1 for the outside vertex."""
-        w, h, nv = self.width, self.height, self.n_vertical
-        region = np.ones(self.n_darts + 1, dtype=np.int32)
-        y, x = np.divmod(np.arange(w * h, dtype=np.int64), w)
-        left, top = y * (w + 1) + x + 1, nv + y * w + x + 1
-        for d in (left + 1, top, -left, -(top + w)):
-            region[d] = -left
-        region[0] = 0
-        return region
 
 
 def build_grid_map(width: int, height: int) -> tuple[CombinatorialMap, CrackEmbedding]:
@@ -298,7 +291,7 @@ def build_grid_map(width: int, height: int) -> tuple[CombinatorialMap, CrackEmbe
     if width < 1 or height < 1:
         raise ValueError(f"grid dimensions must be positive, got {width}x{height}")
     emb = CrackEmbedding(width, height)
-    sigma, ids, ints = emb._grid_tables()
+    sigma, ids, ints, _ = emb._grid_tables()
     return map_of(ints, dart_order(len(sigma) // 2), sigma, -ids), emb
 
 

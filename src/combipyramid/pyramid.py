@@ -16,29 +16,29 @@ alpha_i(d) = alpha_{i-1}(d) except under RKEDE, where
 y <- alpha_{i-1}(phi_{i-1}(y)) steps past removed joints. Each level is held
 as int32 sigma/alpha arrays indexed by signed dart, and the derivation and
 the kernel checks are whole-array passes over the top's: pointer jumping
-instead of one walk per dart.
+(_chain_ends) instead of one walk per dart.
 
-Every level keeps those arrays (a level whose kernel keeps alpha shares the
-alpha array below), its darts in dart_sort_key order, its turn counts and
-its region array: for every base dart, the canonical dart of the level-i
-vertex that holds or absorbed it. A level's vertices are those below merged
-along the contracted trees, less the killed darts, so one gather derives the
-region array from the one below. Kernel checks, merge rounds, pixel_labels,
-vertex_of_pixel, composed_of and the query layer read these arrays. The
-level of each dart is one int array; kernels are rebuilt from it on request.
-Only the constructor and apply_kernel write all this, and it never changes
-after that.
+Each level is one record, a _Level, of its sigma and alpha arrays (a level
+whose kernel keeps alpha shares the alpha array below), its turn counts, its
+darts in dart_sort_key order and its region array: for every base dart, the
+canonical dart of the level-i vertex that holds or absorbed it. A level's
+vertices are those below merged along the contracted trees, less the killed
+darts, so one gather derives the region array from the one below. Kernel
+checks, merge rounds, pixel_labels, vertex_of_pixel, composed_of and the
+query layer read these arrays. The level of each dart is one int array;
+kernels are rebuilt from it on request. apply_kernel builds a level in
+locals and appends its record once every step has passed, so it either
+appends a level or changes nothing; a level never changes after that.
 
-What only some readers need is computed on first read and kept, each value
-published with one store, so racing builds give equal values. These are
-the caches a query may store: a level's map as lists indexed by signed dart
-(reconstruct_level and top_map; the base's is built with it, and levels that
-share an alpha array share its list), a level's empty self loops and
-double-edge joints (read by the next kernel's check, compute_rkesl,
-compute_rkede and redundant_darts), a clean level's enclosure forest in
-`_forests`, composed_of's index of a contraction level and the list copy of
-the dart levels that level() reads. A build or a reload thus costs in
-proportion to its kernels and their checks, not to a map per level.
+The record also keeps what only some readers need, computed on first read
+and published with one store, so racing builds give equal values: `map`,
+the level's map as lists indexed by signed dart (the base's is built with
+it, and levels that share an alpha array share its list), `redundant`, its
+empty self loops and double-edge joints (read by the next kernel's check,
+compute_rkesl, compute_rkede and redundant_darts), `children`, composed_of's
+index of a contraction level, and `forest`, a clean level's enclosure
+forest; level() keeps its list copy of the dart levels alike. A build or a
+reload thus costs in proportion to its kernels and their checks.
 
 The JSON record (version 2) is the encoding itself: the grid size, the
 state of each kernel and, in dart_order, the level whose kernel removes each
@@ -109,12 +109,39 @@ class KernelError(ValueError):
     """A kernel does not satisfy the invariants of its state."""
 
 
+@dataclass(slots=True, eq=False)
+class _Level:
+    """One pyramid level (see the module docstring): sigma, 0 at a dead
+    dart, and alpha, stale at a dart that died under a kernel which keeps
+    alpha, as int32 arrays indexed by signed dart, the turn counts, the dart
+    order and the region array, none written once the level is made; the
+    fields after them are the caches filled on first read."""
+
+    sigma: np.ndarray
+    alpha: np.ndarray
+    turns: np.ndarray
+    order: np.ndarray
+    region: np.ndarray
+    map: CombinatorialMap | None = None
+    redundant: tuple[np.ndarray, np.ndarray] | None = None
+    children: dict[Dart, frozenset[Dart]] | None = None
+    forest: tuple | None = None
+
+    def positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The level in positions of its dart order, position k standing for
+        dart order[k]: the position of every dart, indexed by signed dart,
+        and sigma and alpha (the mate) as permutations of positions."""
+        pos = np.zeros(len(self.sigma), dtype=np.int32)
+        pos[self.order] = np.arange(len(self.order), dtype=np.int32)
+        return pos, pos[self.sigma[self.order]], pos[self.alpha[self.order]]
+
+
 class Pyramid:
     """Base grid map plus the per-dart level and per-kernel state functions.
 
     apply_kernel, the single writer, derives each level from the top's
-    sigma/alpha arrays; queries read what it stored, which never changes,
-    and add only idempotent caches (see the module docstring).
+    record; queries read what it stored, which never changes, and add only
+    idempotent caches (see the module docstring).
     """
 
     def __init__(self, base: CombinatorialMap, embedding: CrackEmbedding):
@@ -125,39 +152,18 @@ class Pyramid:
         # signed dart (see map_core.dart_ids), the level whose kernel removed
         # each dart, 0 while it survives, with the list copy level() reads
         self._states: list[KernelState] = []
-        self._sigma, self._ids, self._ints = embedding._grid_tables()
-        n = self._n = len(self._sigma) // 2
+        # the base's sigma and region array are the embedding's read-only
+        # tables; so are _ids and _ints, the int object of every dart, so the
+        # level maps share the int objects of the base map build_grid_map made
+        sigma, self._ids, self._ints, region = embedding._grid_tables()
+        n = self._n = len(sigma) // 2
         self._died = np.zeros(2 * n + 1, dtype=np.int32)
         self._died_list: list[int] | None = None
-        # per level (see the module docstring): the top's sigma, alpha and
-        # turn counts once its kernel was applied (alpha shared until a
-        # double-edge kernel, turn counts too), its darts in dart_sort_key
-        # order and its region array; the caches filled on first read: the
-        # map, the empty self loops and joints, the index composed_of builds
-        # for a contraction level (the children of each region it merges)
-        # and a clean level's enclosure forest
-        self._sigmas: list[np.ndarray] = []
-        self._alphas: list[np.ndarray] = []
-        self._turns_at: list[np.ndarray] = []
-        self._orders: list[np.ndarray] = []
-        self._regions: list[np.ndarray] = []
-        self._maps: list[CombinatorialMap | None] = []
-        self._redundant: list[tuple[np.ndarray, np.ndarray] | None] = []
-        self._merged: dict[int, dict[Dart, frozenset[Dart]]] = {}
-        self._forests: dict[int, tuple] = {}
-        # The top level as int32 arrays indexed by signed dart: sigma, 0 for
-        # a dead dart, alpha, stale at a dart that died under a kernel which
-        # keeps alpha, and the turn count of each dart's boundary piece.
-        # sigma starts as the embedding's read-only grid_sigma; apply_kernel
-        # replaces these arrays and never writes into them. _ids and _ints,
-        # the int object of every dart, are the embedding's too, so the
-        # level maps share the int objects of the base map build_grid_map made.
-        self._alpha = -self._ids
-        self._turns = np.zeros(2 * n + 1, dtype=np.int32)
         # the start corner of every dart, for the joints of each level
         self._corners = embedding.corners(self._ids).astype(np.int32)
-        self._append_level(dart_order(n), embedding.grid_regions())
-        self._maps[0] = base
+        # every level, the top last
+        turns = np.zeros(2 * n + 1, dtype=np.int32)
+        self._levels = [_Level(sigma, -self._ids, turns, dart_order(n), region, map=base)]
 
     @classmethod
     def from_grid(cls, width: int, height: int) -> "Pyramid":
@@ -269,11 +275,11 @@ class Pyramid:
         return self._map(i)
 
     def _map(self, i: int) -> CombinatorialMap:
-        if (m := self._maps[i]) is None:
+        level = self._levels[i]
+        if (m := level.map) is None:
             # levels whose kernels keep alpha share one alpha list
-            alpha = self._alphas[i]
-            alpha = next((k._alpha for k, a in zip(self._maps, self._alphas) if k is not None and a is alpha), alpha)
-            m = self._maps[i] = map_of(self._ints, self._orders[i], self._sigmas[i], alpha)
+            alpha = next((k.map._alpha for k in self._levels if k.map is not None and k.alpha is level.alpha), level.alpha)
+            m = level.map = map_of(self._ints, level.order, level.sigma, alpha)
         return m
 
     def _check_level(self, i: int) -> None:
@@ -289,7 +295,7 @@ class Pyramid:
         """Canonical dart of the level-i vertex that holds or absorbed base
         dart d. No check: a negative index wraps, so callers check the level
         and the dart first."""
-        return self._ints[self._regions[i][d]]
+        return self._ints[self._levels[i].region[d]]
 
     # -- orientation cache ----------------------------------------------------
 
@@ -300,30 +306,33 @@ class Pyramid:
         piece, by folding in the absorbed darts' counts and junction turns.
         """
         self._require_alive(i, d)
-        return int(self._turns_at[i][d])
+        return int(self._levels[i].turns[d])
 
     def last_move(self, i: int, d: Dart) -> Move:
         """Move of the last crack of d's boundary piece at level i, the
         reverse of the crack of its partner alpha_i(d)."""
         self._require_alive(i, d)
-        return self.embedding.move(-self._ints[self._alphas[i][d]])
+        return self.embedding.move(-self._ints[self._levels[i].alpha[d]])
 
     # -- kernel application ---------------------------------------------------
 
     def apply_kernel(self, kernel: Kernel) -> "Pyramid":
         """Append one reduction level, derived from the current top. The
-        kernel is checked against the top before any state is touched, in
-        dart_sort_key order, so a rejection names the least offending dart."""
+        kernel is checked against the top in dart_sort_key order, so a
+        rejection names the least offending dart, and a kernel that fails
+        anywhere leaves the pyramid unchanged."""
         return self._apply(kernel.state, list(kernel.darts))
 
     def _apply(self, state: KernelState, darts: Sequence[Dart] | np.ndarray) -> "Pyramid":
         """apply_kernel of the kernel of state made of darts, a sequence of
-        distinct ints or an int array, as from_json passes it."""
+        distinct ints or an int array, as from_json passes it. The new level
+        is built in locals and published by the one append at the end."""
+        top = self._levels[-1]
         kd = self._live_darts(darts)
-        kill = np.zeros(len(self._sigma), dtype=bool)
+        kill = np.zeros(len(top.sigma), dtype=bool)
         kill[kd] = True
         # each base dart's top vertex, named alike along contracted trees
-        merged = self._regions[-1]
+        merged, turns = top.region, top.turns
         if state is KernelState.CK:
             ends, root = self._check_ck(kd, kill)
             tree = self._ids.copy()
@@ -333,86 +342,70 @@ class Pyramid:
             self._check_rkesl(kd, kill)
         else:
             self._check_rkede(kd, kill)
-            heads, turns = self._fold_orientations(kill)
-            # Nothing fails from here on: _reduce repairs only the chains
-            # that _fold_orientations walked. The levels below keep the
-            # array they share, so the new counts go into a copy.
-            self._turns = self._turns.copy()
-            self._turns[heads] = turns
-        order = self._top_order[~kill[self._top_order]]
+            heads, grown = self._fold_orientations(kill)
+            turns = turns.copy()  # the levels below keep theirs
+            turns[heads] = grown
+        order = top.order[~kill[top.order]]
         # a new vertex is the survivors of the top vertices merged alike, its
         # canonical dart the least in order; slot len(order) stands for dart 0
         least = np.full(len(merged), len(order), dtype=np.int32)
         np.minimum.at(least, merged[order], np.arange(len(order), dtype=np.int32))
         region = np.append(order, np.int32(0))[least[merged]]
-        self._sigma, self._alpha = _reduce(self._sigma, self._alpha, self._ids, kill, order, state)
+        sigma, alpha = _reduce(top.sigma, top.alpha, self._ids, kill, order, state)
+        self._levels.append(_Level(sigma, alpha, turns, order, region))
         self._states.append(state)
         self._died[kd] = len(self._states)
         self._died_list = None
-        self._append_level(order, region)
         return self
 
     def _live_darts(self, darts: Sequence[Dart] | np.ndarray) -> np.ndarray:
         """darts as an int32 array in dart_sort_key order; KernelError,
         naming the least four in plain ints, unless all are live top darts."""
-        n = self._n
+        n, sigma = self._n, self._levels[-1].sigma
         try:
             kd = np.asarray(darts, dtype=np.int64)
-            live = ((kd >= -n) & (kd <= n)).all() and self._sigma[kd].all()
+            live = ((kd >= -n) & (kd <= n)).all() and sigma[kd].all()
         except OverflowError:  # a dart beyond int64
             live = False
         if not live:
             if isinstance(darts, np.ndarray):
                 darts = darts.tolist()
-            dead = [d for d in darts if not (-n <= d <= n and self._sigma[d])]
+            dead = [d for d in darts if not (-n <= d <= n and sigma[d])]
             raise KernelError(f"kernel contains dead or unknown darts: {sorted(dead, key=dart_sort_key)[:4]}")
         # only live top darts from here on, so they index the arrays
         return kd[np.argsort(dart_sort_key(kd))].astype(np.int32)
 
-    def _append_level(self, order: np.ndarray, region: np.ndarray) -> None:
-        """Store the top arrays, its region array and order, its darts in
-        dart_sort_key order, as the new top level, with its caches empty."""
-        self._top_order = order
-        self._sigmas.append(self._sigma)
-        self._alphas.append(self._alpha)
-        self._turns_at.append(self._turns)
-        self._orders.append(order)
-        self._regions.append(region)
-        self._maps.append(None)
-        self._redundant.append(None)
-
     def _loops_and_joints(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The darts of level i's empty self loops and of its double-edge
         joints, each in dart_sort_key order: computed on first use."""
-        if (found := self._redundant[i]) is None:
-            order = self._orders[i]
-            # the passes run over positions in order: pos maps a dart to its own
-            pos = np.zeros(len(self._ids), dtype=np.int32)
-            pos[order] = np.arange(len(order), dtype=np.int32)
-            sigma, mate = pos[self._sigmas[i][order]], pos[self._alphas[i][order]]
-            loops = order[_empty_loops(sigma, mate, pos[self._regions[i][order]])]
+        level = self._levels[i]
+        if (found := level.redundant) is None:
+            order = level.order
+            pos, sigma, mate = level.positions()
+            loops = order[_empty_loops(sigma, mate, pos[level.region[order]])]
             joints = order[_joints(sigma, mate, self._corners[order])]
-            found = self._redundant[i] = loops, joints
+            found = level.redundant = loops, joints
         return found
 
     def _unpaired(self, kd: np.ndarray, kill: np.ndarray) -> Dart | None:
         """The least kernel dart whose alpha partner is not in the kernel; kd
         lists the kernel in dart_sort_key order."""
-        open_ = kd[~kill[self._alpha[kd]]]
+        open_ = kd[~kill[self._levels[-1].alpha[kd]]]
         return int(open_[0]) if open_.size else None
 
     def _check_ck(self, kd: np.ndarray, kill: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Raise unless the kernel is a forest of whole edges that leaves a
         dart; else return the top vertices on its trees, each with its tree's name."""
-        if len(kd) == len(self._top_order):
+        top = self._levels[-1]
+        if len(kd) == len(top.order):
             raise KernelError("contraction kernel contains every dart of the top map")
         if (open_ := self._unpaired(kd, kill)) is not None:
             raise KernelError(f"contraction kernel is not closed under alpha at dart {open_}")
         # the kernel's edges, each from its first dart in dart_sort_key order,
         # form a forest exactly when Kruskal keeps them all; the first edge
         # it drops is a self loop or closes a cycle
-        kd = kd[dart_sort_key(self._alpha[kd]) > dart_sort_key(kd)]
-        u, v = self._regions[-1][kd], self._regions[-1][self._alpha[kd]]
+        kd = kd[dart_sort_key(top.alpha[kd]) > dart_sort_key(kd)]
+        u, v = top.region[kd], top.region[top.alpha[kd]]
         keep, ends, root = _spanning_forest(u, v)
         dropped = np.flatnonzero(~keep)
         if dropped.size:
@@ -435,7 +428,8 @@ class Pyramid:
         if loops.size:
             raise KernelError("empty self loops present; remove them before double edges")
         stray = ~np.isin(kd, joints)
-        bad = stray | ~kill[self._sigma[self._alpha[kd]]]
+        top = self._levels[-1]
+        bad = stray | ~kill[top.sigma[top.alpha[kd]]]
         if bad.any():
             k = np.flatnonzero(bad)[0]
             if stray[k]:
@@ -452,9 +446,10 @@ class Pyramid:
         """Canonical darts of the top vertices all of whose darts are in kd,
         once per dart of kd that lies on one."""
         # kernel darts against all darts, counted per vertex
-        vertex = self._regions[-1][kd]
+        top = self._levels[-1]
+        vertex = top.region[kd]
         rank = dart_sort_key(vertex)
-        size = np.bincount(dart_sort_key(self._regions[-1][self._top_order]))
+        size = np.bincount(dart_sort_key(top.region[top.order]))
         taken = np.bincount(rank, minlength=len(size))
         return vertex[taken[rank] == size[rank]]
 
@@ -463,28 +458,23 @@ class Pyramid:
 
         A survivor f1 whose partner dies heads a chain f1, sigma(f1), ... of
         same-direction darts ending just before the surviving reverse dart;
-        its new count folds the chain's counts and the turns at the joints.
-        Every chain at once, by pointer jumping: after r rounds hop(f) lies
-        2^r steps down f's chain, or at its end, and total(f) sums the
-        weights of the steps in between.
+        its new count folds the chain's counts and the turns at the joints:
+        one _chain_ends walk of every chain, each step weighted by the turn
+        at its joint and the count of the dart it moves to.
         """
-        sigma, alpha, live = self._sigma, self._alpha, self._top_order
+        top = self._levels[-1]
+        sigma, alpha, live = top.sigma, top.alpha, top.order
         steps = live[kill[alpha[live]]]  # darts whose chain moves on to sigma
         heads = steps[~kill[steps]]
         nxt = sigma[steps]
-        turn = turn_angle(self.embedding.moves(-alpha[steps]), self.embedding.moves(nxt))
-        total = np.zeros(len(sigma), dtype=np.int64)
-        total[steps] = turn + self._turns[nxt]
         hop = self._ids.copy()
         hop[steps] = nxt
-        moving = kill[alpha]
-        for _ in range(len(steps).bit_length() + 1):
-            if not moving[hop[heads]].any():
-                return heads, self._turns[heads] + total[heads]
-            h = hop[steps]
-            total[steps] += total[h]
-            hop[steps] = hop[h]
-        raise KernelError("double-edge chain is not terminated by a surviving partner")
+        weight = np.zeros(len(sigma), dtype=np.int64)
+        weight[steps] = turn_angle(self.embedding.moves(-alpha[steps]), self.embedding.moves(nxt)) + top.turns[nxt]
+        end, total = _chain_ends(hop, heads, weight)
+        if kill[alpha[end]].any():
+            raise KernelError("double-edge chain is not terminated by a surviving partner")
+        return heads, top.turns[heads] + total
 
     # -- kernel construction --------------------------------------------------
 
@@ -494,7 +484,7 @@ class Pyramid:
         dart, so that no vertex is emptied."""
         loops = self._loops_and_joints(self.top_level)[0]
         spare = np.unique(self._emptied(loops))
-        spare = np.concatenate([spare, self._alpha[spare]])
+        spare = np.concatenate([spare, self._levels[-1].alpha[spare]])
         return Kernel.of(KernelState.RKESL, self._ints[loops[~np.isin(loops, spare)]].tolist())
 
     def compute_rkede(self) -> Kernel:
@@ -506,20 +496,19 @@ class Pyramid:
         whole edge so every region keeps a border.
 
         Link is sigma on the keys alpha(joints). From a key that is no joint
-        it runs over joints, all removed, until it leaves the keys; pointer
-        jumping finds the keys on such a path. The other keys lie on rings,
-        in pairs: alpha(r) is the joint partner of sigma(r), so the mates of
-        a ring r0, r1, ... form the ring ..., alpha(r1), alpha(r0). A pair
-        keeps its least dart s and the partner phi(s) of s.
+        it runs over joints, all removed, until it leaves the keys; the
+        _chain_ends walk finds the keys on such a path. The other keys lie on
+        rings, the walk's cycles, in pairs: alpha(r) is the joint partner of
+        sigma(r), so the mates of a ring r0, r1, ... form the ring ...,
+        alpha(r1), alpha(r0). A pair keeps its least dart s and the partner
+        phi(s) of s.
         """
-        sigma, alpha = self._sigma, self._alpha
+        top = self._levels[-1]
+        sigma, alpha = top.sigma, top.alpha
         keys = alpha[self._loops_and_joints(self.top_level)[1]]
         key = np.zeros(len(sigma), dtype=bool)
         key[keys] = True
-        hop = np.where(key, sigma, self._ids)
-        for _ in range(len(keys).bit_length()):
-            hop[keys] = hop[hop[keys]]
-        on_chain = ~key[hop[keys]]
+        on_chain = ~key[_chain_ends(np.where(key, sigma, self._ids), keys)]
         # the rings by position in dart_sort_key order, each pair's least
         ring = keys[~on_chain]
         ring = ring[np.argsort(dart_sort_key(ring))]
@@ -544,7 +533,7 @@ class Pyramid:
         self._check_level(i)
         emb = self.embedding
         darts = emb.pixel_dart(np.arange(emb.width), np.arange(emb.height)[:, None])
-        return self._ints[self._regions[i][darts]].tolist()
+        return self._ints[self._levels[i].region[darts]].tolist()
 
     def redundant_darts(self, i: int) -> frozenset[Dart]:
         """Darts of empty self loops and of removable double-edge joints at
@@ -566,8 +555,9 @@ class Pyramid:
         state = self.state(i)
         self._require_alive(i, v)
         if state is KernelState.CK:
-            if (index := self._merged.get(i)) is None:
-                index = self._merged[i] = self._children(i)
+            level = self._levels[i]
+            if (index := level.children) is None:
+                index = level.children = self._children(i)
             if (out := index.get(self._region(i, v))) is not None:
                 return out
         return frozenset([self._region(i - 1, v)])
@@ -577,9 +567,9 @@ class Pyramid:
         contraction kernel of level i, for the regions it merges: the kernel
         darts sorted by their level-i region, one slice per region."""
         kd = self._ids[self._died == i]
-        new = self._regions[i][kd]
+        new = self._levels[i].region[kd]
         by = np.argsort(new)
-        new, old = new[by], self._ints[self._regions[i - 1][kd[by]]].tolist()
+        new, old = new[by], self._ints[self._levels[i - 1].region[kd[by]]].tolist()
         parents, start = np.unique(new, return_index=True)
         bounds = [*start.tolist(), len(old)]
         return {r: frozenset(old[a:b]) for r, a, b in zip(self._ints[parents].tolist(), bounds, bounds[1:])}
@@ -694,12 +684,21 @@ def _reduce(sigma: np.ndarray, alpha: np.ndarray, ids: np.ndarray, dead: np.ndar
     except under RKEDE, where y <- alpha(phi(y)) steps past the removed
     joints. live lists the survivors.
     """
+
+    def first_alive(step: np.ndarray, start: np.ndarray) -> np.ndarray:
+        # the first of c, step(c), step(step(c)), ... that is not dead, for
+        # each c of start; a walk that never gets there is on a dead cycle
+        end = _chain_ends(np.where(dead, step, ids), start)
+        if dead[end].any():
+            raise RuntimeError("a walk over contracted or removed darts does not terminate")
+        return end
+
     new_sigma = np.zeros_like(sigma)
-    new_sigma[live] = _first_alive(sigma[alpha] if state is KernelState.CK else sigma, dead, ids, sigma[live])
+    new_sigma[live] = first_alive(sigma[alpha] if state is KernelState.CK else sigma, sigma[live])
     if state is not KernelState.RKEDE:
         return new_sigma, alpha
     new_alpha = np.zeros_like(alpha)
-    new_alpha[live] = _first_alive(alpha[sigma[alpha]], dead, ids, alpha[live])
+    new_alpha[live] = first_alive(alpha[sigma[alpha]], alpha[live])
     return new_sigma, new_alpha
 
 
@@ -711,9 +710,9 @@ def _spanning_forest(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Borůvka rounds: the index order is strict, so that forest is the unique
     minimum spanning forest. A round hooks every tree to the tree across
     its least outgoing edge, which the forest holds; of two trees that
-    picked the same edge the lesser stays a root, and pointer jumping takes
-    every tree to its new root. Each round at least halves the trees that still have
-    an outgoing edge.
+    picked the same edge the lesser stays a root, so the hooks hold no
+    cycle, and _chain_ends takes every tree to its new root. Each round at
+    least halves the trees that still have an outgoing edge.
     """
     ends, vertex = np.unique(np.concatenate([u, v]), return_inverse=True)
     vertex = vertex.reshape(2, -1)
@@ -735,30 +734,38 @@ def _spanning_forest(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
         hook[trees] = np.where(at % 2 == 0, b[pick], a[pick])
         mutual = trees[(hook[hook[trees]] == trees) & (trees < hook[trees])]
         hook[mutual] = mutual
-        while True:
-            nxt = hook[hook]
-            if (nxt == hook).all():
-                break
-            hook = nxt
-        tree = hook[tree]
+        tree = _chain_ends(hook, tree)
 
 
-def _first_alive(step: np.ndarray, dead: np.ndarray, ids: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """For each dart c of start, the first of c, step(c), step(step(c)), ...
-    that is not dead.
+def _chain_ends(step: np.ndarray, start: np.ndarray,
+                weight: np.ndarray | None = None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """For each position p of start, where the walk p, step(p),
+    step(step(p)), ... ends: at the fixed point it reaches, or at a position
+    on the cycle it enters, which the caller tells apart by step(end) != end.
+    Positions index step, a negative one wrapping as a signed dart does.
+    With weight, zero at every fixed point, also the sum of weight over the
+    positions each walk leaves on its way.
 
-    Pointer jumping over the dead darts: after r rounds hop(c) lies 2^r
-    steps past a dead c, or at the first survivor, so a walk over k dead
-    darts takes log2(k) rounds.
+    Pointer jumping: after r rounds hop(p) lies 2^r steps on from p, or at
+    its fixed point, and total(p) sums the weights in between. A round jumps
+    only the positions whose hop still moves on; after as many rounds as the
+    bits of their first count, every walk is at its fixed point or on its
+    cycle.
     """
-    hop = np.where(dead, step, ids)
-    todo = np.flatnonzero(dead)
-    for _ in range(len(todo).bit_length() + 1):
-        out = hop[start]
-        if not dead[out].any():
-            return out
-        hop[todo] = hop[hop[todo]]
-    raise RuntimeError("a walk over contracted or removed darts does not terminate")
+    hop = step.copy()
+    total = None if weight is None else weight.astype(np.int64)
+    todo = np.flatnonzero(hop[hop] != hop)
+    for _ in range(len(todo).bit_length()):
+        if not todo.size:
+            break
+        h = hop[todo]
+        if total is not None:
+            total[todo] += total[h]
+        hop[todo] = hop[h]
+        h = hop[todo]
+        todo = todo[hop[h] != h]
+    end = hop[start]
+    return end if total is None else (end, total[start])
 
 
 def _cycle_min(step: np.ndarray) -> np.ndarray:

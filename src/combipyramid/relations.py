@@ -13,7 +13,7 @@ import numpy as np
 from .boundary import CrackChain, Segment, segment
 from .containment import _enclosers, infinite_region, inside_all
 from .map_core import CombinatorialMap, Dart, dart_sort_key
-from .pyramid import Pyramid, _cycle_min
+from .pyramid import Pyramid, _chain_ends, _cycle_min
 
 __all__ = [
     "region_ids",
@@ -30,8 +30,9 @@ def region_ids(pyr: Pyramid, i: int) -> list[Dart]:
     """Canonical representative darts of all level-i vertices, in
     dart_sort_key order: the darts that are their own region."""
     pyr._check_level(i)
-    order = pyr._orders[i]
-    return pyr._ints[order[pyr._regions[i][order] == order]].tolist()
+    level = pyr._levels[i]
+    order = level.order
+    return pyr._ints[order[level.region[order] == order]].tolist()
 
 
 def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:
@@ -116,10 +117,10 @@ def meets_exists(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
     cycle, stopping at the first dart whose partner lies in b's region."""
     for d in (a, b):
         pyr._require_alive(i, d)
-    region = pyr._regions[i]
+    region = pyr._levels[i].region
     ra, rb = region[a], region[b]
     if ra == rb:
-        raise ValueError("meets_each needs two distinct regions")
+        raise ValueError("meets_exists needs two distinct regions")
     m = pyr.reconstruct_level(i)
     d = start = int(ra)
     while region[m.alpha(d)] != rb:
@@ -150,7 +151,8 @@ def _facing(pyr: Pyramid, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     partner -d lies across that crack, in the region of alpha_i(d): the
     region array alone names both sides.
     """
-    order, region = pyr._orders[i], pyr._regions[i]
+    level = pyr._levels[i]
+    order, region = level.order, level.region
     u, v = region[order], region[-order]
     ru, rv = dart_sort_key(u).astype(np.int64), dart_sort_key(v)
     facing = np.flatnonzero(ru < rv)
@@ -168,18 +170,14 @@ def _segment_counts(pyr: Pyramid, i: int) -> np.ndarray:
     and the position sum of its separating darts, so y is the sum less
     alpha(d). The links form chains and rings: a piece is counted at the
     last dart of its chain, which does not continue, or at the least dart of
-    its ring. Pointer jumping takes every dart of a chain to its last dart
-    and leaves a ring's darts on the ring.
+    its ring. The _chain_ends walk takes every dart of a chain to its last
+    dart and leaves a ring's darts on the ring, its cycle.
     """
     facing, _, _, pair = _facing(pyr, i)
     edges, edge = np.unique(pair, return_inverse=True)
-    order, sigma = pyr._orders[i], pyr._sigmas[i]
-    alpha = pyr._alphas[i][order]
-    k = len(order)
-    pos = np.zeros(len(sigma), dtype=np.int64)
-    pos[order] = np.arange(k)
-    mate = pos[alpha]
-    face = _cycle_min(pos[sigma[alpha]])
+    _, sigma, mate = pyr._levels[i].positions()
+    k = len(sigma)
+    face = _cycle_min(sigma[mate])
     separating = np.concatenate([facing, mate[facing]])
     count = np.bincount(face[separating], minlength=k)
     total = np.bincount(face[separating], weights=separating, minlength=k).astype(np.int64)
@@ -190,10 +188,8 @@ def _segment_counts(pyr: Pyramid, i: int) -> np.ndarray:
     links = (pair_at[y] == pair) & (y != facing)
     nxt = np.arange(k)
     nxt[facing[links]] = y[links]
-    hop = nxt
-    for _ in range(int(links.sum()).bit_length()):
-        hop = hop[hop]
-    ring = nxt[hop] != hop
+    end = _chain_ends(nxt, np.arange(k))
+    ring = nxt[end] != end
     least = _cycle_min(np.where(ring, nxt, np.arange(k)))
     heads = ring[facing] & (least[facing] == facing)
     return np.bincount(edge[~links | heads], minlength=len(edges))

@@ -81,7 +81,7 @@ class SegmentedImage:
         """Read-only view of every top region but the outside, in
         dart_sort_key order, built from the top's region array when the top
         has changed since the last access."""
-        rep = self.pyramid._regions[-1]
+        rep = self.pyramid._levels[-1].region
         if self._view is None or self._view[0] is not rep:
             regions, count, color_sum, inverse = self._region_sums()
             # pixels grouped by region, the groups in the order of regions
@@ -96,7 +96,7 @@ class SegmentedImage:
     def _region_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The top regions holding pixels in dart_sort_key order, their pixel
         counts and color sums, and each pixel's index among them."""
-        region = self.pyramid._regions[-1][self._pixels]
+        region = self.pyramid._levels[-1].region[self._pixels]
         _, at, inverse = np.unique(dart_sort_key(region), return_index=True, return_inverse=True)
         count = np.bincount(inverse)
         pixels = self.image.reshape(len(region), -1)
@@ -123,13 +123,14 @@ class SegmentedImage:
         means nothing merged.
         """
         pyr = self.pyramid
-        rep = pyr._regions[-1]
+        top = pyr._levels[-1]
+        rep = top.region
         regions, count, color_sum, _ = self._region_sums()
         # each edge once, from its first dart, between two image regions
         # (the outside holds no pixel), its ends as indices into regions
-        first = pyr._top_order
-        first = first[dart_sort_key(pyr._alpha[first]) > dart_sort_key(first)]
-        mate = pyr._alpha[first]
+        first = top.order
+        first = first[dart_sort_key(top.alpha[first]) > dart_sort_key(first)]
+        mate = top.alpha[first]
         index = np.full(len(rep), -1)
         index[regions] = np.arange(len(regions))
         u, v = index[rep[first]], index[rep[mate]]

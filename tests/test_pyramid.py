@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combipyramid.map_core import CombinatorialMap, dart_sort_key, validate
+from combipyramid import pyramid as pyramid_module
+from combipyramid.map_core import CombinatorialMap, dart_ids, dart_sort_key, validate
 from combipyramid.pyramid import (
     Kernel,
     KernelError,
     KernelState,
     Pyramid,
+    _chain_ends,
     _cycle_min,
     _empty_loops,
+    _reduce,
     _spanning_forest,
 )
 from combipyramid.segmentation import segment_labels
@@ -303,6 +306,77 @@ def test_removal_kernel_that_consumes_a_vertex_is_rejected(contract):
     assert pyr.to_json() == before
 
 
+@pytest.mark.parametrize("state", list(KernelState))
+def test_a_kernel_that_fails_after_its_checks_changes_nothing(state):
+    # _reduce runs once every check has passed: a failure there leaves the
+    # pyramid as it was, and applying the kernel again gives the level that
+    # a fresh apply gives
+    kernels = segment_labels(ringed_labels(random.Random(0), 8, 8)).pyramid.kernels
+    i = [k.state for k in kernels].index(state)
+    pyr = Pyramid.from_grid(8, 8)
+    for kernel in kernels[:i]:
+        pyr.apply_kernel(kernel)
+    before, top = pyr.to_json(), pyr._levels[-1]
+    arrays = [a.copy() for a in (top.sigma, top.alpha, top.turns, top.order, top.region)]
+    with mock.patch.object(pyramid_module, "_reduce", side_effect=RuntimeError("injected")):
+        with pytest.raises(RuntimeError, match="injected"):
+            pyr.apply_kernel(kernels[i])
+    assert pyr.to_json() == before
+    assert pyr.top_level == i and pyr._levels[-1] is top
+    for old, new in zip(arrays, (top.sigma, top.alpha, top.turns, top.order, top.region)):
+        assert (old == new).all()
+    pyr.apply_kernel(kernels[i])
+    fresh = Pyramid.from_json(before).apply_kernel(kernels[i])
+    assert pyr.top_map() == fresh.top_map()
+    assert (pyr._levels[-1].region == fresh._levels[-1].region).all()
+    darts = fresh.top_map().darts
+    assert [pyr.cached_orientation(i + 1, d) for d in darts] == [fresh.cached_orientation(i + 1, d) for d in darts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_chain_ends_equal_a_plain_walk(data):
+    # a random function on positions 0..n-1 forms chains that end at fixed
+    # points or run into cycles; each position is written as p or p - n, as
+    # a signed dart wraps
+    n = data.draw(st.integers(1, 30), label="n")
+    step = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="step")
+    wrap = data.draw(st.lists(st.booleans(), min_size=2 * n, max_size=2 * n), label="wrap")
+    weight = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n), label="weight")
+    weight = [0 if step[p] == p else w for p, w in enumerate(weight)]
+    signed = np.array([q - n if w else q for q, w in zip(step, wrap)])
+    start = np.array([p - n if w else p for p, w in zip(range(n), wrap[n:])])
+    end, total = _chain_ends(signed, start, np.array(weight))
+    assert (_chain_ends(signed, start) == end).all()
+    for p, e, t in zip(start.tolist(), end.tolist(), total.tolist()):
+        walk, q, acc = [], p % n, 0
+        while q not in walk:
+            walk.append(q)
+            acc += weight[q]
+            q = step[q]
+        cycle = walk[walk.index(q):]
+        assert e % n in cycle
+        if len(cycle) == 1:  # a fixed point, whose weight is 0
+            assert t == acc
+
+
+def test_walks_that_cycle_raise_the_callers_errors():
+    # sigma 1 -> 2 -> -2 -> 2: removing 2 and -2 leaves dart 1 no survivor
+    sigma = np.zeros(5, dtype=np.int32)
+    sigma[[1, 2, -2, -1]] = [2, -2, 2, -1]
+    dead = np.zeros(5, dtype=bool)
+    dead[[2, -2]] = True
+    with pytest.raises(RuntimeError, match="walk over contracted or removed darts does not terminate"):
+        _reduce(sigma, -dart_ids(2), dart_ids(2), dead, np.array([1, -1]), KernelState.RKESL)
+    # 1x1 grid without the pixel's darts: every outside dart loses its
+    # partner, so the chains run round the outside vertex
+    pyr = Pyramid.from_grid(1, 1)
+    kill = np.zeros(len(pyr._ids), dtype=bool)
+    kill[list(pyr.base.orbit(pyr.embedding.pixel_dart(0, 0), "sigma"))] = True
+    with pytest.raises(KernelError, match="double-edge chain is not terminated by a surviving partner"):
+        pyr._fold_orientations(kill)
+
+
 def built_pyramid(rng: random.Random, kind: str) -> Pyramid:
     """A random pyramid of one of three kinds: random_pyramid's, a
     segmentation of ringed_labels, or random_pyramid's with contractions
@@ -327,12 +401,12 @@ def test_stored_top_partition_is_the_vertex_map(seed, kind):
     def checked(pyr, state, darts):
         apply(pyr, state, darts)
         i, top = pyr.top_level, pyr.top_map()
-        region = pyr._regions[-1]
-        assert len(pyr._regions) == i + 1
+        region = pyr._levels[-1].region
+        assert len(pyr._levels) == i + 1
         assert {d: region[d] for d in pyr.base.darts} == {
             d: vertex_of(top, pyr._absorbed(i, d)[1]) for d in pyr.base.darts
         }
-        assert pyr._top_order.tolist() == sorted(top.darts, key=dart_sort_key)
+        assert pyr._levels[-1].order.tolist() == sorted(top.darts, key=dart_sort_key)
         applied.append(state)
         return pyr
 
@@ -341,7 +415,7 @@ def test_stored_top_partition_is_the_vertex_map(seed, kind):
         Pyramid.from_json(pyr.to_json())
     assert len(applied) == 2 * pyr.top_level
     base = Pyramid.from_grid(pyr.embedding.width, pyr.embedding.height)
-    assert {d: base._regions[0][d] for d in base.base.darts} == base.top_map().vertex_ids()
+    assert {d: base._levels[0].region[d] for d in base.base.darts} == base.top_map().vertex_ids()
 
 
 def random_kernels(rng: random.Random, pyr: Pyramid) -> list[Kernel]:
@@ -372,7 +446,7 @@ def test_array_derivation_equals_the_dict_reference(seed, ringed):
 
     def same_top(pyr, ref):
         assert pyr.top_map() == ref.m
-        assert {d: pyr._regions[-1][d] for d in ref.m.darts} == ref.vertex
+        assert {d: pyr._levels[-1].region[d] for d in ref.m.darts} == ref.vertex
         loops, joints = pyr._loops_and_joints(pyr.top_level)
         assert set(loops.tolist()) == ref.loops
         assert set(joints.tolist()) == ref.joints
@@ -392,9 +466,9 @@ def test_array_derivation_equals_the_dict_reference(seed, ringed):
         apply(pyr, state, darts)
         same_top(pyr, nxt)
         # the new level's counts are the level below's with the updates
-        expected = pyr._turns_at[-2].copy()
+        expected = pyr._levels[-2].turns.copy()
         expected[list(updates)] = list(updates.values())
-        assert (pyr._turns_at[-1] == expected).all()
+        assert (pyr._levels[-1].turns == expected).all()
         return pyr
 
     with mock.patch.object(Pyramid, "_apply", checked):

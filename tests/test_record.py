@@ -34,7 +34,7 @@ def test_both_versions_load_to_the_pyramid(seed, touch_outside):
         assert clone.kernels == pyr.kernels
         for i, ref in enumerate(levels):
             assert clone.reconstruct_level(i) == ref
-            assert (clone._regions[i] == pyr._regions[i]).all()
+            assert (clone._levels[i].region == pyr._levels[i].region).all()
             assert clone.redundant_darts(i) == pyr.redundant_darts(i)
             assert [clone.cached_orientation(i, d) for d in ref.darts] == [
                 pyr.cached_orientation(i, d) for d in ref.darts
