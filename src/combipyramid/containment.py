@@ -62,12 +62,12 @@ def require_clean_level(pyr: Pyramid, i: int) -> None:
 def starting_darts(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None = None) -> list[Dart]:
     """Starting darts of all self loops incident to the vertex of v.
 
-    Single pass over the vertex cycle. Prefix turn counts are pushed with
-    each dart; when a dart's partner is found below the stack top, the darts
-    popped over it belong to neither side of any loop and are discarded,
-    which planarity makes safe. The span count of the closing loop is then
-    the current prefix minus the stored one, corrected by the two junction
-    turns at the span ends.
+    Single pass over the vertex cycle. A loop dart, one whose partner lies
+    on the same vertex, is pushed with its prefix turn count until its
+    partner closes the loop; planarity nests the loops, so the partner is
+    then on top of the stack. The span count of the closing loop is the
+    current prefix minus the stored one, corrected by the two junction turns
+    at the span ends.
     """
     require_clean_level(pyr, i)
     pyr._require_alive(i, v)
@@ -77,14 +77,13 @@ def starting_darts(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None =
     def last_move(d: Dart) -> Move:
         return move(-m.alpha(d))
 
-    cycle = m.orbit(pyr._region(i, v), "sigma")
+    home = pyr._region(i, v)
     out: list[Dart] = []
     stack: list[tuple[Dart, int]] = []
     on_stack: set[Dart] = set()
-    discarded: set[Dart] = set()
     prefix = 0
     prev = None
-    for dk in cycle:
+    for dk in m.orbit(home, "sigma"):
         if counter is not None:
             counter.hit()
         before = prefix
@@ -92,16 +91,10 @@ def starting_darts(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None =
             prefix += turn_angle(last_move(prev), move(dk))
         prefix += pyr.cached_orientation(i, dk)
         partner = m.alpha(dk)
-        if partner in discarded:
-            raise RuntimeError(f"crossing loops at dart {dk}: the map is not planar")
         if partner in on_stack:
-            while stack and stack[-1][0] != partner:
-                gone, _ = stack.pop()
-                on_stack.discard(gone)
-                discarded.add(gone)
-            if not stack:
-                raise RuntimeError(f"stack exhausted looking for the partner of dart {dk}")
             dj, prefix_j = stack.pop()
+            if dj != partner:
+                raise RuntimeError(f"crossing loops at dart {dk}: the map is not planar")
             on_stack.discard(dj)
             dj_next = m.sigma(dj)
             or_c1 = (
@@ -116,7 +109,7 @@ def starting_darts(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None =
             out.append(start)
             if counter is not None:
                 counter.loops.append((start, or_c1))
-        else:
+        elif pyr._region(i, partner) == home:
             stack.append((dk, prefix))
             on_stack.add(dk)
         prev = dk

@@ -213,28 +213,21 @@ class CrackEmbedding:
         return k + np.where(d > 0, np.where(horizontal, 1, self.width + 1), 0)
 
     def end(self, d: Dart) -> tuple[int, int]:
-        (x, y), (dx, dy) = self.start(d), self.move(d).delta
-        return (x + dx, y + dy)
+        return self.start(-d)
 
     def pixel_dart(self, x: int, y: int) -> Dart:
         """Dart down the left side of pixel (x, y): the canonical dart of the
-        pixel's vertex in the base map."""
+        pixel's vertex in the base map, starting at the pixel's corner (x, y)."""
         return -(y * (self.width + 1) + x + 1)
 
     def pixel_of(self, d: Dart) -> tuple[int, int] | None:
         """Pixel whose sigma cycle owns dart d at the base level, or None for
-        the outside vertex."""
-        k = abs(d) - 1
-        if k < self.n_vertical:
-            x, y = k % (self.width + 1), k // (self.width + 1)
-            if d > 0:
-                return (x - 1, y) if x >= 1 else None
-            return (x, y) if x <= self.width - 1 else None
-        k -= self.n_vertical
-        x, y = k % self.width, k // self.width
-        if d > 0:
-            return (x, y) if y <= self.height - 1 else None
-        return (x, y - 1) if y >= 1 else None
+        the outside vertex: the start of the canonical dart that the base
+        region array holds for d."""
+        if not (d and abs(d) <= self.n_darts // 2):
+            raise KeyError(f"dart {d} is not in the base map")
+        r = int(self._grid_tables()[3][d])
+        return None if r == 1 else self.start(r)
 
     def grid_sigma(self) -> np.ndarray:
         """sigma of the base map as a read-only int32 array indexed by signed

@@ -12,15 +12,18 @@ level, tagged with how it disappears:
 Each level is derived from the level below when its kernel is applied:
 sigma_i(d) is the first survivor along sigma_{i-1} after d, stepping by
 phi_{i-1} past a contracted dart and by sigma_{i-1} past a removed one, and
-alpha_i(d) = alpha_{i-1}(d) except under RKEDE, where
-y <- alpha_{i-1}(phi_{i-1}(y)) steps past removed joints. Each level is held
-as int32 sigma/alpha arrays indexed by signed dart, and the derivation and
-the kernel checks are whole-array passes over the top's: pointer jumping
-(_chain_ends) instead of one walk per dart.
+alpha_i(d) = alpha_{i-1}(d) except under RKEDE for a survivor d whose partner
+dies: d heads a chain d, sigma_{i-1}(d), ... of darts whose partners die, and
+alpha_i(d) is the partner of the chain's last dart. The walk of each chain
+that folds its turn counts (_fold_orientations) also yields that last dart.
+Each level is held as int32 sigma/alpha arrays indexed by signed dart, and
+the derivation and the kernel checks are whole-array passes over the top's:
+pointer jumping (_chain_ends) instead of one walk per dart.
 
-Each level is one record, a _Level, of its sigma and alpha arrays (a level
-whose kernel keeps alpha shares the alpha array below), its turn counts, its
-darts in dart_sort_key order and its region array: for every base dart, the
+Each level is one record, a _Level, of the state of the kernel that made it
+(None at the base), its sigma and alpha arrays (a level whose kernel keeps
+alpha shares the alpha array below), its turn counts, its darts in
+dart_sort_key order and its region array: for every base dart, the
 canonical dart of the level-i vertex that holds or absorbed it. A level's
 vertices are those below merged along the contracted trees, less the killed
 darts, so one gather derives the region array from the one below. Kernel
@@ -111,12 +114,15 @@ class KernelError(ValueError):
 
 @dataclass(slots=True, eq=False)
 class _Level:
-    """One pyramid level (see the module docstring): sigma, 0 at a dead
-    dart, and alpha, stale at a dart that died under a kernel which keeps
-    alpha, as int32 arrays indexed by signed dart, the turn counts, the dart
-    order and the region array, none written once the level is made; the
-    fields after them are the caches filled on first read."""
+    """One pyramid level (see the module docstring): the state of the kernel
+    that made it, None at level 0; sigma, 0 at a dead dart, and alpha, stale
+    at a dart that died under a kernel which keeps alpha and 0 at the other
+    dead darts, as int32 arrays indexed by signed dart; the turn counts, the
+    dart order and the region array, none written once the level is made.
+    Under RKEDE, alpha is derived with the turn counts (_fold_orientations).
+    The fields after them are the caches filled on first read."""
 
+    state: KernelState | None
     sigma: np.ndarray
     alpha: np.ndarray
     turns: np.ndarray
@@ -148,22 +154,22 @@ class Pyramid:
         """base is the grid map of embedding, as build_grid_map makes it."""
         self.base = base
         self.embedding = embedding
-        # the encoding past the base: each kernel's state and, indexed by
-        # signed dart (see map_core.dart_ids), the level whose kernel removed
-        # each dart, 0 while it survives, with the list copy level() reads
-        self._states: list[KernelState] = []
         # the base's sigma and region array are the embedding's read-only
         # tables; so are _ids and _ints, the int object of every dart, so the
         # level maps share the int objects of the base map build_grid_map made
         sigma, self._ids, self._ints, region = embedding._grid_tables()
         n = self._n = len(sigma) // 2
+        # the encoding past the base, besides each level's kernel state: the
+        # level whose kernel removed each dart, indexed by signed dart (see
+        # map_core.dart_ids), 0 while it survives, with the list copy level()
+        # reads
         self._died = np.zeros(2 * n + 1, dtype=np.int32)
         self._died_list: list[int] | None = None
         # the start corner of every dart, for the joints of each level
         self._corners = embedding.corners(self._ids).astype(np.int32)
         # every level, the top last
         turns = np.zeros(2 * n + 1, dtype=np.int32)
-        self._levels = [_Level(sigma, -self._ids, turns, dart_order(n), region, map=base)]
+        self._levels = [_Level(None, sigma, -self._ids, turns, dart_order(n), region, map=base)]
 
     @classmethod
     def from_grid(cls, width: int, height: int) -> "Pyramid":
@@ -173,14 +179,15 @@ class Pyramid:
 
     @property
     def top_level(self) -> int:
-        return len(self._states)
+        return len(self._levels) - 1
 
     @property
     def kernels(self) -> list[Kernel]:
         """The kernel of every level, rebuilt from the level of each dart."""
         order = dart_order(self._n)
         died = self._died[order]
-        return [Kernel.of(s, self._ints[order[died == k]].tolist()) for k, s in enumerate(self._states, start=1)]
+        levels = enumerate(self._levels[1:], start=1)
+        return [Kernel.of(level.state, self._ints[order[died == k]].tolist()) for k, level in levels]
 
     def level(self, d: Dart) -> int:
         """The level whose kernel removes d, top_level + 1 if it never dies:
@@ -188,17 +195,14 @@ class Pyramid:
         if not (-self._n <= d <= self._n and d):
             raise KeyError(f"dart {d} is not in the base map")
         if self._died_list is None:
-            self._died_list = np.where(self._died, self._died, len(self._states) + 1).tolist()
+            self._died_list = np.where(self._died, self._died, len(self._levels)).tolist()
         return self._died_list[d]
 
     def state(self, i: int) -> KernelState:
         """How the level-i kernel removes its darts, for i in 1..top_level."""
         if not 1 <= i <= self.top_level:
             raise ValueError(f"level {i} out of range 1..{self.top_level}")
-        return self._states[i - 1]
-
-    def top_map(self) -> CombinatorialMap:
-        return self._map(self.top_level)
+        return self._levels[i].state
 
     # -- replay of absorbed darts ---------------------------------------------
 
@@ -214,9 +218,10 @@ class Pyramid:
         limit = len(self.base)
         c, lvl = d, self.level(d)
         # every step stays on base darts, so the lists are read unchecked
-        sigma, alpha, states, died = self.base._sigma, self.base._alpha, self._states, self._died_list
+        sigma, alpha, died = self.base._sigma, self.base._alpha, self._died_list
+        states = [level.state for level in self._levels]
         while True:
-            if lvl <= i and states[lvl - 1] is KernelState.CK:
+            if lvl <= i and states[lvl] is KernelState.CK:
                 c = sigma[alpha[c]]
             else:
                 c = sigma[c]
@@ -245,7 +250,8 @@ class Pyramid:
         limit = len(self.base)
         c = d
         self.level(d)  # the lists are then read unchecked, as in _absorbed
-        sigma, alpha, states, died = self.base._sigma, self.base._alpha, self._states, self._died_list
+        sigma, alpha, died = self.base._sigma, self.base._alpha, self._died_list
+        states = [level.state for level in self._levels]
         while True:
             hop = sigma[alpha[-c]]
             steps = 0
@@ -254,7 +260,7 @@ class Pyramid:
                 lvl = died[hop]
                 if lvl > i:
                     break
-                if states[lvl - 1] is KernelState.RKEDE:
+                if states[lvl] is KernelState.RKEDE:
                     nxt = hop
                     break
                 hop = sigma[alpha[hop]]
@@ -331,8 +337,9 @@ class Pyramid:
         kd = self._live_darts(darts)
         kill = np.zeros(len(top.sigma), dtype=bool)
         kill[kd] = True
+        order = top.order[~kill[top.order]]
         # each base dart's top vertex, named alike along contracted trees
-        merged, turns = top.region, top.turns
+        merged, turns, alpha = top.region, top.turns, top.alpha
         if state is KernelState.CK:
             ends, root = self._check_ck(kd, kill)
             tree = self._ids.copy()
@@ -342,19 +349,21 @@ class Pyramid:
             self._check_rkesl(kd, kill)
         else:
             self._check_rkede(kd, kill)
-            heads, grown = self._fold_orientations(kill)
-            turns = turns.copy()  # the levels below keep theirs
+            heads, partners, grown = self._fold_orientations(kill)
+            # the levels below keep their arrays; a dead dart's partner is 0
+            turns = turns.copy()
             turns[heads] = grown
-        order = top.order[~kill[top.order]]
+            alpha = np.zeros_like(alpha)
+            alpha[order] = top.alpha[order]
+            alpha[heads] = partners
         # a new vertex is the survivors of the top vertices merged alike, its
         # canonical dart the least in order; slot len(order) stands for dart 0
         least = np.full(len(merged), len(order), dtype=np.int32)
         np.minimum.at(least, merged[order], np.arange(len(order), dtype=np.int32))
         region = np.append(order, np.int32(0))[least[merged]]
-        sigma, alpha = _reduce(top.sigma, top.alpha, self._ids, kill, order, state)
-        self._levels.append(_Level(sigma, alpha, turns, order, region))
-        self._states.append(state)
-        self._died[kd] = len(self._states)
+        sigma = _reduce(top.sigma, top.alpha, self._ids, kill, order, state)
+        self._levels.append(_Level(state, sigma, alpha, turns, order, region))
+        self._died[kd] = self.top_level
         self._died_list = None
         return self
 
@@ -453,14 +462,16 @@ class Pyramid:
         taken = np.bincount(rank, minlength=len(size))
         return vertex[taken[rank] == size[rank]]
 
-    def _fold_orientations(self, kill: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Survivors whose boundary piece grows, with their new turn counts.
+    def _fold_orientations(self, kill: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Survivors whose boundary piece grows, with their new partners and
+        turn counts.
 
         A survivor f1 whose partner dies heads a chain f1, sigma(f1), ... of
-        same-direction darts ending just before the surviving reverse dart;
-        its new count folds the chain's counts and the turns at the joints:
-        one _chain_ends walk of every chain, each step weighted by the turn
-        at its joint and the count of the dart it moves to.
+        same-direction darts ending at the first dart whose partner survives,
+        and that partner is f1's new one. Its new count folds the chain's
+        counts and the turns at the joints: one _chain_ends walk of every
+        chain, each step weighted by the turn at its joint and the count of
+        the dart it moves to.
         """
         top = self._levels[-1]
         sigma, alpha, live = top.sigma, top.alpha, top.order
@@ -474,7 +485,7 @@ class Pyramid:
         end, total = _chain_ends(hop, heads, weight)
         if kill[alpha[end]].any():
             raise KernelError("double-edge chain is not terminated by a surviving partner")
-        return heads, top.turns[heads] + total
+        return heads, alpha[end], top.turns[heads] + total
 
     # -- kernel construction --------------------------------------------------
 
@@ -585,7 +596,7 @@ class Pyramid:
             "version": 2,
             "width": self.embedding.width,
             "height": self.embedding.height,
-            "states": [state.value for state in self._states],
+            "states": [level.state.value for level in self._levels[1:]],
             "died": self._died[dart_order(self._n)].tolist(),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -676,30 +687,19 @@ def _list_field(payload: dict, key: str) -> list:
 
 
 def _reduce(sigma: np.ndarray, alpha: np.ndarray, ids: np.ndarray, dead: np.ndarray, live: np.ndarray,
-            state: KernelState) -> tuple[np.ndarray, np.ndarray]:
-    """sigma and alpha once the dead darts are contracted (CK) or removed.
-
-    sigma'(d) is the first survivor after d along sigma, stepping by phi past
-    a contracted dart and by sigma past a removed one. alpha' is alpha itself,
-    except under RKEDE, where y <- alpha(phi(y)) steps past the removed
-    joints. live lists the survivors.
+            state: KernelState) -> np.ndarray:
+    """sigma once the dead darts are contracted (CK) or removed: sigma'(d)
+    is the first survivor after d along sigma, stepping by phi past a
+    contracted dart and by sigma past a removed one, for each d of live, the
+    survivors, and 0 at a dead dart. alpha' is derived by the caller.
     """
-
-    def first_alive(step: np.ndarray, start: np.ndarray) -> np.ndarray:
-        # the first of c, step(c), step(step(c)), ... that is not dead, for
-        # each c of start; a walk that never gets there is on a dead cycle
-        end = _chain_ends(np.where(dead, step, ids), start)
-        if dead[end].any():
-            raise RuntimeError("a walk over contracted or removed darts does not terminate")
-        return end
-
+    step = sigma[alpha] if state is KernelState.CK else sigma
+    end = _chain_ends(np.where(dead, step, ids), sigma[live])
+    if dead[end].any():  # a walk that never gets past the dead darts cycles
+        raise RuntimeError("a walk over contracted or removed darts does not terminate")
     new_sigma = np.zeros_like(sigma)
-    new_sigma[live] = first_alive(sigma[alpha] if state is KernelState.CK else sigma, sigma[live])
-    if state is not KernelState.RKEDE:
-        return new_sigma, alpha
-    new_alpha = np.zeros_like(alpha)
-    new_alpha[live] = first_alive(alpha[sigma[alpha]], alpha[live])
-    return new_sigma, new_alpha
+    new_sigma[live] = end
+    return new_sigma
 
 
 def _spanning_forest(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid
+from combipyramid.segmentation import segment_labels
 
 
 def random_pyramid(rng: random.Random, max_side: int = 8, rounds: int | None = None,
@@ -26,7 +28,7 @@ def random_pyramid(rng: random.Random, max_side: int = 8, rounds: int | None = N
     w, h = rng.randint(1, max_side), rng.randint(1, max_side)
     pyr = Pyramid.from_grid(w, h)
     for _ in range(rounds if rounds is not None else rng.randint(1, 3)):
-        top = pyr.top_map()
+        top = pyr.reconstruct_level(pyr.top_level)
         rep = top.vertex_ids()
         cands = []
         for cyc in top.edges():
@@ -72,6 +74,18 @@ def random_pyramid(rng: random.Random, max_side: int = 8, rounds: int | None = N
                         raise
                     break
     return pyr
+
+
+def built_pyramid(rng: random.Random, kind: str) -> Pyramid:
+    """A random pyramid of one of three kinds: random_pyramid's, a
+    segmentation of ringed_labels, or random_pyramid's with contractions
+    through the outside vertex, which can leave the outside no border dart."""
+    if kind == "ringed":
+        return segment_labels(ringed_labels(rng, rng.randint(4, 10), rng.randint(4, 10))).pyramid
+    return random_pyramid(rng, max_side=6, touch_outside=kind == "outside")
+
+
+kinds = st.sampled_from(["random", "ringed", "outside"])
 
 
 def borderless_outside_pyramid() -> Pyramid:

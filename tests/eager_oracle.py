@@ -10,7 +10,10 @@ sorted_sweep_loops grows the empty self loops by repeated sorted sweeps.
 vertex_of, region_ids_by_cycles and rag_export_by_cycles name regions by
 walking vertex cycles instead of reading region arrays.
 relation_report_by_darts builds the relation report one dart at a time,
-walking each pair's boundary pieces instead of counting them in array passes. inside_all_flood floods
+walking each pair's boundary pieces instead of counting them in array passes.
+starting_darts_with_discards classifies a vertex's loops with every dart
+of the cycle on its stack, discarding the non-loop darts a closing loop
+pops over. inside_all_flood floods
 the map from a vertex's directly enclosed neighbours; flood_fill_contains_oracle
 and enclosed_regions decide enclosure on the pixels, and BoundaryOracle finds
 shared boundary pieces on them. composed_of_scan assigns every vertex of the
@@ -39,7 +42,7 @@ import numpy as np
 from typing import Iterable
 
 from combipyramid.boundary import segment
-from combipyramid.containment import _enclosers, inside_all, inside_direct
+from combipyramid.containment import VisitCounter, _enclosers, inside_all, inside_direct, require_clean_level
 from combipyramid.map_core import CombinatorialMap, CrackEmbedding, Dart, ValidationReport, dart_sort_key
 from combipyramid.moves import Move, turn_angle
 from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid
@@ -174,7 +177,7 @@ class DictTop:
     @classmethod
     def of(cls, pyr: Pyramid) -> "DictTop":
         i = pyr.top_level
-        m = pyr.top_map()
+        m = pyr.reconstruct_level(pyr.top_level)
         return cls(m, pyr.embedding, {d: pyr.cached_orientation(i, d) for d in m.darts})
 
     def apply(self, kernel: Kernel) -> tuple["DictTop", dict[Dart, int]]:
@@ -457,6 +460,63 @@ def relation_report_by_darts(pyr: Pyramid, i: int, region: Dart | None = None) -
     }
 
 
+def starting_darts_with_discards(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None = None) -> list[Dart]:
+    """containment.starting_darts with every dart of the cycle pushed: when
+    a dart's partner is found below the stack top, the darts popped over it
+    belong to neither side of any loop and are discarded."""
+    require_clean_level(pyr, i)
+    pyr._require_alive(i, v)
+    m = pyr.reconstruct_level(i)
+    move = pyr.embedding.move
+
+    def last_move(d: Dart) -> Move:
+        return move(-m.alpha(d))
+
+    out: list[Dart] = []
+    stack: list[tuple[Dart, int]] = []
+    on_stack: set[Dart] = set()
+    discarded: set[Dart] = set()
+    prefix = 0
+    prev = None
+    for dk in m.orbit(pyr._region(i, v), "sigma"):
+        if counter is not None:
+            counter.hit()
+        before = prefix
+        if prev is not None:
+            prefix += turn_angle(last_move(prev), move(dk))
+        prefix += pyr.cached_orientation(i, dk)
+        partner = m.alpha(dk)
+        if partner in discarded:
+            raise RuntimeError(f"crossing loops at dart {dk}: the map is not planar")
+        if partner in on_stack:
+            while stack and stack[-1][0] != partner:
+                gone, _ = stack.pop()
+                on_stack.discard(gone)
+                discarded.add(gone)
+            if not stack:
+                raise RuntimeError(f"stack exhausted looking for the partner of dart {dk}")
+            dj, prefix_j = stack.pop()
+            on_stack.discard(dj)
+            dj_next = m.sigma(dj)
+            or_c1 = (
+                before
+                - prefix_j
+                - turn_angle(last_move(dj), move(dj_next))
+                + turn_angle(last_move(prev), move(dj_next))
+            )
+            if or_c1 not in (4, -4):
+                raise RuntimeError(f"loop span at dart {dj} has turn count {or_c1}, expected +4 or -4")
+            start = dj if or_c1 == 4 else dk
+            out.append(start)
+            if counter is not None:
+                counter.loops.append((start, or_c1))
+        else:
+            stack.append((dk, prefix))
+            on_stack.add(dk)
+        prev = dk
+    return out
+
+
 def inside_all_flood(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
     """All vertices enclosed by v: everything reachable from the directly
     enclosed neighbours without stepping across v."""
@@ -654,7 +714,7 @@ def rkede_by_walk(pyr: Pyramid) -> frozenset[Dart]:
     """Pyramid.compute_rkede's darts, by walking the joint links
     alpha(x) -> phi(x) of the top: each chain from its start, each ring
     once from the least dart of it and its mates."""
-    top = pyr.top_map()
+    top = pyr.reconstruct_level(pyr.top_level)
     link = {top.alpha(x): top.phi(x) for x in joint_darts(top, pyr.embedding)}
     has_pred = set(link.values())
     removed: set[Dart] = set()
@@ -793,7 +853,7 @@ def check_ck_by_union_find(pyr: Pyramid, kernel: Kernel) -> None:
     """The checks apply_kernel makes of a contraction kernel of live top
     darts, with its messages: union-find over the kernel's edges, each from
     its first dart in dart_sort_key order, on the top map's vertex cycles."""
-    top = pyr.top_map()
+    top = pyr.reconstruct_level(pyr.top_level)
     if len(kernel.darts) == len(top):
         raise KernelError("contraction kernel contains every dart of the top map")
     for d in sorted(kernel.darts, key=dart_sort_key):
@@ -844,7 +904,7 @@ class KruskalSegmentation:
 
     def merge_level(self, threshold: float) -> bool:
         pyr, stats = self.pyramid, self.stats
-        top = pyr.top_map()
+        top = pyr.reconstruct_level(pyr.top_level)
         vertex = top.vertex_ids()
         candidates = []
         for d in top.darts:

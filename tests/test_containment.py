@@ -21,8 +21,8 @@ from combipyramid.pyramid import Kernel, KernelState, Pyramid
 from combipyramid.relations import relation_report
 from combipyramid.segmentation import SegmentedImage, segment_labels
 
-from conftest import clean_levels, random_labels, random_pyramid, ringed_labels
-from eager_oracle import flood_fill_contains_oracle, inside_all_flood, vertex_of
+from conftest import built_pyramid, clean_levels, kinds, random_labels, random_pyramid, ringed_labels
+from eager_oracle import flood_fill_contains_oracle, inside_all_flood, starting_darts_with_discards, vertex_of
 
 
 def ring_labels(size=3):
@@ -74,7 +74,7 @@ def test_vertex_without_loops_has_no_starting_darts():
     pyr = Pyramid.from_grid(2, 1)
     pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
     pyr.apply_kernel(pyr.compute_rkede())
-    m = pyr.top_map()
+    m = pyr.reconstruct_level(pyr.top_level)
     for cyc in m.vertices():
         assert starting_darts(pyr, pyr.top_level, cyc[0]) == []
         assert inside_direct(pyr, pyr.top_level, cyc[0]) == frozenset()
@@ -119,6 +119,19 @@ def test_exactly_one_starting_dart_per_loop():
                 starts = starting_darts(pyr, i, cyc[0])
                 assert len(starts) == len(loops)
                 assert {frozenset((s, m.alpha(s))) for s in starts} == loops
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), kinds)
+def test_a_stack_of_loop_darts_only_classifies_as_the_full_stack(seed, kind):
+    # pushing only loop darts changes neither the starting darts nor the
+    # work: every cycle dart is visited once and every loop closes alike
+    pyr = built_pyramid(random.Random(seed), kind)
+    for i in clean_levels(pyr):
+        for cyc in pyr.reconstruct_level(i).vertices():
+            got, ref = VisitCounter(), VisitCounter()
+            assert starting_darts(pyr, i, cyc[0], got) == starting_darts_with_discards(pyr, i, cyc[0], ref)
+            assert (got.visits, got.loops) == (ref.visits, ref.loops)
 
 
 def test_rejects_levels_with_redundant_edges():

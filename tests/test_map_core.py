@@ -104,6 +104,23 @@ def test_pixel_dart_is_the_canonical_dart_of_the_pixel_vertex():
             assert vertex_of(m, d) == d and emb.pixel_of(d) == (x, y)
 
 
+def test_pixel_of_names_the_pixel_of_every_dart_of_its_cycle():
+    for w, h in ((1, 1), (4, 3), (2, 5)):
+        m, emb = build_grid_map(w, h)
+        for y in range(h):
+            for x in range(w):
+                assert {emb.pixel_of(d) for d in m.orbit(emb.pixel_dart(x, y), "sigma")} == {(x, y)}
+        assert {emb.pixel_of(d) for d in m.orbit(1, "sigma")} == {None}
+
+
+@pytest.mark.parametrize("d", [0, 18, -18, 10**6, -(10**6)])
+def test_pixel_of_rejects_darts_outside_the_base_map(d):
+    emb = CrackEmbedding(3, 2)
+    assert emb.n_darts == 34
+    with pytest.raises(KeyError, match=f"dart {d} is not in the base map"):
+        emb.pixel_of(d)
+
+
 def test_alpha_orbit_is_the_edge_pair():
     m, _ = build_grid_map(2, 2)
     for d in (1, -5, 9):
@@ -151,6 +168,8 @@ def test_grid_embedding_geometry():
     for d in m.darts:
         assert emb.move(-d) == emb.move(d).opposite
         assert emb.end(-d) == emb.start(d)
+        (x, y), (dx, dy) = emb.start(d), emb.move(d).delta
+        assert emb.end(d) == (x + dx, y + dy)
     # consecutive sigma darts of a pixel chain counter-clockwise
     for cyc in m.vertices():
         if emb.pixel_of(cyc[0]) is None:

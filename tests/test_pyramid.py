@@ -22,7 +22,7 @@ from combipyramid.pyramid import (
 )
 from combipyramid.segmentation import segment_labels
 
-from conftest import borderless_outside_pyramid, random_pyramid, ringed_labels
+from conftest import borderless_outside_pyramid, built_pyramid, kinds, random_pyramid, ringed_labels
 from eager_oracle import (
     DictTop,
     check_ck_by_union_find,
@@ -109,7 +109,7 @@ def test_contraction_of_the_whole_map_is_rejected():
     # outside; contracting it would leave a level with no darts
     pyr = Pyramid.from_grid(1, 1)
     pyr.apply_kernel(pyr.compute_rkede())
-    assert pyr.top_map().darts == {1, -4}
+    assert pyr.reconstruct_level(pyr.top_level).darts == {1, -4}
     with pytest.raises(KernelError, match="every dart"):
         pyr.apply_kernel(Kernel.of(KernelState.CK, [1, -4]))
     assert pyr.top_level == 1
@@ -121,7 +121,7 @@ def test_random_kernel_is_rejected_or_yields_the_eager_level(seed, state, closed
     # any dart subset of a random top, raw or closed under alpha, under any
     # state: apply_kernel rejects it untouched or derives a valid level
     pyr = random_pyramid(random.Random(seed), max_side=5)
-    top = pyr.top_map()
+    top = pyr.reconstruct_level(pyr.top_level)
     darts = data.draw(st.sets(st.sampled_from(sorted(top.darts, key=dart_sort_key))))
     if closed:
         darts |= {top.alpha(d) for d in darts}
@@ -131,7 +131,7 @@ def test_random_kernel_is_rejected_or_yields_the_eager_level(seed, state, closed
     except KernelError:
         assert pyr.to_json() == before
         return
-    level = pyr.top_map()
+    level = pyr.reconstruct_level(pyr.top_level)
     assert validate(level).ok
     assert level == eager_levels(pyr)[-1]
     text = pyr.to_json()
@@ -146,7 +146,7 @@ def test_kernel_outcome_is_a_function_of_the_dart_set(seed, touch_outside, state
     # share a slot of a small table): both are rejected with the same
     # message, or both derive the same level
     pyr = random_pyramid(random.Random(seed), max_side=5, touch_outside=touch_outside)
-    top = pyr.top_map()
+    top = pyr.reconstruct_level(pyr.top_level)
     darts = data.draw(st.lists(st.sampled_from(sorted(top.darts, key=dart_sort_key)), unique=True))
     if closed:
         darts += [top.alpha(d) for d in darts if top.alpha(d) not in darts]
@@ -192,7 +192,7 @@ def test_contraction_check_agrees_with_union_find(seed, touch_outside, data):
     # accepts, else raises its message
     rounds = data.draw(st.integers(0, 2))
     pyr = random_pyramid(random.Random(seed), max_side=5, rounds=rounds, touch_outside=touch_outside)
-    edges = sorted(pyr.top_map().edges())
+    edges = sorted(pyr.reconstruct_level(pyr.top_level).edges())
     taken = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     darts = {d for e, t in zip(edges, taken) if t for d in e}
     if darts and data.draw(st.integers(0, 3)) == 0:
@@ -218,7 +218,7 @@ def test_maximal_loop_kernel_keeps_a_loop_of_a_vertex_it_would_empty():
     kernel = pyr.compute_rkesl()
     assert kernel.darts == {-4, -3, 3, 4}
     pyr.apply_kernel(kernel)
-    level = pyr.top_map()
+    level = pyr.reconstruct_level(pyr.top_level)
     assert level.darts == {2, -2} and validate(level).ok
     assert level == eager_levels(pyr)[-1]
     assert not pyr.compute_rkesl().darts
@@ -233,7 +233,7 @@ def test_partial_removal_kernel_is_rejected_or_yields_the_eager_level(seed, stat
     pyr = random_pyramid(random.Random(seed), max_side=5)
     if state is KernelState.RKEDE and pyr.compute_rkesl().darts:
         pyr.apply_kernel(pyr.compute_rkesl())
-    top = pyr.top_map()
+    top = pyr.reconstruct_level(pyr.top_level)
     full, mate = {
         KernelState.RKESL: (pyr.compute_rkesl().darts, top.alpha),
         KernelState.RKEDE: (pyr.compute_rkede().darts, top.phi),
@@ -247,7 +247,7 @@ def test_partial_removal_kernel_is_rejected_or_yields_the_eager_level(seed, stat
     except KernelError:
         assert pyr.to_json() == before
         return
-    level = pyr.top_map()
+    level = pyr.reconstruct_level(pyr.top_level)
     assert validate(level).ok
     assert level == eager_levels(pyr)[-1]
     text = pyr.to_json()
@@ -297,7 +297,7 @@ def test_removal_kernel_that_consumes_a_vertex_is_rejected(contract):
     pyr = Pyramid.from_grid(1, 1)
     if contract:
         pyr.apply_kernel(Kernel.of(KernelState.CK, [1, -1]))
-    darts = pyr.top_map().darts
+    darts = pyr.reconstruct_level(pyr.top_level).darts
     assert pyr.redundant_darts(pyr.top_level) == darts
     kernel = Kernel.of(KernelState.RKESL if contract else KernelState.RKEDE, darts)
     before = pyr.to_json()
@@ -327,9 +327,9 @@ def test_a_kernel_that_fails_after_its_checks_changes_nothing(state):
         assert (old == new).all()
     pyr.apply_kernel(kernels[i])
     fresh = Pyramid.from_json(before).apply_kernel(kernels[i])
-    assert pyr.top_map() == fresh.top_map()
+    assert pyr.reconstruct_level(pyr.top_level) == fresh.reconstruct_level(fresh.top_level)
     assert (pyr._levels[-1].region == fresh._levels[-1].region).all()
-    darts = fresh.top_map().darts
+    darts = fresh.reconstruct_level(fresh.top_level).darts
     assert [pyr.cached_orientation(i + 1, d) for d in darts] == [fresh.cached_orientation(i + 1, d) for d in darts]
 
 
@@ -361,11 +361,15 @@ def test_chain_ends_equal_a_plain_walk(data):
 
 
 def test_walks_that_cycle_raise_the_callers_errors():
-    # sigma 1 -> 2 -> -2 -> 2: removing 2 and -2 leaves dart 1 no survivor
+    # sigma 1 -> 2 -> -2 -> 2: removing 2 leaves dart 1 the survivor -2, and
+    # removing -2 as well leaves it none
     sigma = np.zeros(5, dtype=np.int32)
     sigma[[1, 2, -2, -1]] = [2, -2, 2, -1]
     dead = np.zeros(5, dtype=bool)
-    dead[[2, -2]] = True
+    dead[2] = True
+    reduced = _reduce(sigma, -dart_ids(2), dart_ids(2), dead, np.array([1, -2, -1]), KernelState.RKESL)
+    assert reduced[[1, 2, -2, -1]].tolist() == [-2, 0, -2, -1]
+    dead[-2] = True
     with pytest.raises(RuntimeError, match="walk over contracted or removed darts does not terminate"):
         _reduce(sigma, -dart_ids(2), dart_ids(2), dead, np.array([1, -1]), KernelState.RKESL)
     # 1x1 grid without the pixel's darts: every outside dart loses its
@@ -375,18 +379,6 @@ def test_walks_that_cycle_raise_the_callers_errors():
     kill[list(pyr.base.orbit(pyr.embedding.pixel_dart(0, 0), "sigma"))] = True
     with pytest.raises(KernelError, match="double-edge chain is not terminated by a surviving partner"):
         pyr._fold_orientations(kill)
-
-
-def built_pyramid(rng: random.Random, kind: str) -> Pyramid:
-    """A random pyramid of one of three kinds: random_pyramid's, a
-    segmentation of ringed_labels, or random_pyramid's with contractions
-    through the outside vertex, which can leave the outside no border dart."""
-    if kind == "ringed":
-        return segment_labels(ringed_labels(rng, rng.randint(4, 10), rng.randint(4, 10))).pyramid
-    return random_pyramid(rng, max_side=6, touch_outside=kind == "outside")
-
-
-kinds = st.sampled_from(["random", "ringed", "outside"])
 
 
 @settings(max_examples=60, deadline=None)
@@ -400,7 +392,7 @@ def test_stored_top_partition_is_the_vertex_map(seed, kind):
 
     def checked(pyr, state, darts):
         apply(pyr, state, darts)
-        i, top = pyr.top_level, pyr.top_map()
+        i, top = pyr.top_level, pyr.reconstruct_level(pyr.top_level)
         region = pyr._levels[-1].region
         assert len(pyr._levels) == i + 1
         assert {d: region[d] for d in pyr.base.darts} == {
@@ -415,14 +407,14 @@ def test_stored_top_partition_is_the_vertex_map(seed, kind):
         Pyramid.from_json(pyr.to_json())
     assert len(applied) == 2 * pyr.top_level
     base = Pyramid.from_grid(pyr.embedding.width, pyr.embedding.height)
-    assert {d: base._levels[0].region[d] for d in base.base.darts} == base.top_map().vertex_ids()
+    assert {d: base._levels[0].region[d] for d in base.base.darts} == base.reconstruct_level(base.top_level).vertex_ids()
 
 
 def random_kernels(rng: random.Random, pyr: Pyramid) -> list[Kernel]:
     """Kernels to try on the top: a random dart subset under every state,
     raw and closed under alpha, and random halves of the top's maximal
     removal kernels, closed under their alpha or phi pairs."""
-    top = pyr.top_map()
+    top = pyr.reconstruct_level(pyr.top_level)
     darts = sorted(top.darts, key=dart_sort_key)
     out = []
     for state in KernelState:
@@ -445,7 +437,7 @@ def test_array_derivation_equals_the_dict_reference(seed, ringed):
     rng = random.Random(seed)
 
     def same_top(pyr, ref):
-        assert pyr.top_map() == ref.m
+        assert pyr.reconstruct_level(pyr.top_level) == ref.m
         assert {d: pyr._levels[-1].region[d] for d in ref.m.darts} == ref.vertex
         loops, joints = pyr._loops_and_joints(pyr.top_level)
         assert set(loops.tolist()) == ref.loops
@@ -548,7 +540,7 @@ def test_rkede_on_raw_grid_simplifies_image_corners():
     starts = {pyr.embedding.start(d) for d in kernel.darts}
     assert starts == {(0, 0), (3, 0), (0, 3), (3, 3)}
     pyr.apply_kernel(kernel)
-    assert validate(pyr.top_map()).ok
+    assert validate(pyr.reconstruct_level(pyr.top_level)).ok
 
 
 def test_level_bounds_and_bad_vertex_errors():
@@ -791,7 +783,7 @@ def test_closed_boundary_rings_keep_one_edge(rows, island):
     labels = np.array([[int(c) for c in row] for row in rows])
     pyr = rkede_checked_build(lambda: segment_labels(labels).pyramid)
     i = pyr.top_level
-    assert len(pyr.top_map().orbit(pyr.vertex_of_pixel(i, *island), "sigma")) == 1
+    assert len(pyr.reconstruct_level(pyr.top_level).orbit(pyr.vertex_of_pixel(i, *island), "sigma")) == 1
     assert_children_equal_the_cycle_walk(pyr)
 
 
@@ -824,7 +816,7 @@ def test_json_round_trip_is_exact(seed):
     assert clone.top_level == pyr.top_level
     for i in range(pyr.top_level + 1):
         assert clone.reconstruct_level(i) == pyr.reconstruct_level(i)
-    for d in pyr.top_map().darts:
+    for d in pyr.reconstruct_level(pyr.top_level).darts:
         assert clone.cached_orientation(pyr.top_level, d) == pyr.cached_orientation(pyr.top_level, d)
 
 

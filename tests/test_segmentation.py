@@ -91,7 +91,7 @@ def test_uniform_image_collapses_to_one_region():
     img = np.full((4, 5, 3), 9, dtype=np.uint8)
     seg = SegmentedImage(img).run(threshold=10.0)
     assert seg.region_count() == 1
-    top = seg.pyramid.top_map()
+    top = seg.pyramid.reconstruct_level(seg.pyramid.top_level)
     # a single region: every surviving edge has both sides on it or outside
     assert len(top.vertices()) == 2
 
