@@ -37,11 +37,12 @@ The record also keeps what only some readers need, computed on first read
 and published with one store, so racing builds give equal values: `map`,
 the level's map as lists indexed by signed dart (the base's is built with
 it, and levels that share an alpha array share its list), `redundant`, its
-empty self loops and double-edge joints (read by the next kernel's check,
-compute_rkesl, compute_rkede and redundant_darts), `children`, composed_of's
-index of a contraction level, and `forest`, a clean level's enclosure
-forest; level() keeps its list copy of the dart levels alike. A build or a
-reload thus costs in proportion to its kernels and their checks.
+empty self loops, one _chain_ends walk as planar loops nest, and double-edge
+joints (read by the next kernel's check, compute_rkesl, compute_rkede and
+redundant_darts), `children`, composed_of's index of a contraction level,
+and `forest`, a clean level's enclosure forest; level() keeps its list copy
+of the dart levels alike. A build or a reload thus costs in proportion to
+its kernels and their checks.
 
 The JSON record (version 2) is the encoding itself: the grid size, the
 state of each kernel and, in dart_order, the level whose kernel removes each
@@ -597,9 +598,10 @@ class Pyramid:
             "width": self.embedding.width,
             "height": self.embedding.height,
             "states": [level.state.value for level in self._levels[1:]],
-            "died": self._died[dart_order(self._n)].tolist(),
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        rest = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        # "died" is the first key in sorted order
+        return '{"died":' + _json_naturals(self._died[dart_order(self._n)]) + "," + rest[1:] + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Pyramid":
@@ -622,6 +624,20 @@ class Pyramid:
         for state, darts in kernels:
             pyr._apply(state, darts)
         return pyr
+
+
+def _json_naturals(values: np.ndarray) -> str:
+    """json.dumps(values.tolist(), separators=(",", ":")) of an int array of
+    values >= 0, built as one byte array of digits and commas."""
+    digits = len(str(values.max(initial=0)))
+    width = sum((values >= 10**j for j in range(1, digits)), np.ones(len(values), np.int64))
+    out = np.full(len(values) + width.sum(), ord(","), dtype=np.uint8)
+    # each value's digits, then a comma: at[k] is the last digit of value k
+    at, rest = np.cumsum(width + 1) - 2, values
+    while at.size:  # the next digit of every value with one more, from the right
+        out[at] = ord("0") + rest % 10
+        at, rest = at[rest >= 10] - 1, rest[rest >= 10] // 10
+    return "[" + out[:-1].tobytes().decode("ascii") + "]"
 
 
 def _kernels_v2(payload: dict, width: int, height: int, n_darts: int) -> list[tuple[KernelState, np.ndarray]]:
@@ -725,13 +741,15 @@ def _spanning_forest(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
         if not cross.any():
             return keep, ends, ends[tree]
         live, a, b = live[cross], a[cross], b[cross]
-        # each tree's first appearance among the live edges' ends, taken in
-        # index order, is its least outgoing edge
-        trees, at = np.unique(np.stack([a, b], axis=1).ravel(), return_index=True)
-        pick = at // 2
+        # each tree's least outgoing edge, by its index among the live ones
+        pick = np.full(len(ends), len(live))
+        for side in (a, b):
+            np.minimum.at(pick, side, np.arange(len(live)))
+        trees = np.flatnonzero(pick < len(live))
+        pick = pick[trees]
         keep[live[pick]] = True
         hook = np.arange(len(ends))
-        hook[trees] = np.where(at % 2 == 0, b[pick], a[pick])
+        hook[trees] = np.where(a[pick] == trees, b[pick], a[pick])
         mutual = trees[(hook[hook[trees]] == trees) & (trees < hook[trees])]
         hook[mutual] = mutual
         tree = _chain_ends(hook, tree)
@@ -786,45 +804,26 @@ def _cycle_min(step: np.ndarray) -> np.ndarray:
 
 def _empty_loops(sigma: np.ndarray, mate: np.ndarray, vertex: np.ndarray) -> np.ndarray:
     """Mask of the darts of self loops enclosing nothing: the least set
-    closed under marking a loop, with its partner, once the rest of its
-    face is marked. Darts are positions; sigma and mate (alpha) permute
-    them and vertex names the vertex of each by its least position.
+    closed under marking a loop, with its partner, once the rest of its face
+    is marked. Darts are positions; sigma and mate (alpha) permute them and
+    vertex names the vertex of each.
 
-    Each face keeps the count and the sum of its unmarked darts, so a face
-    down to one unmarked dart names that dart. A round marks the loops so
-    named; marking a loop and its partner can only bring the partner's face
-    down to one, so the next round examines those faces only.
+    Planar loops at a vertex nest like brackets along its cycle, so a loop
+    is marked exactly when a side of it there holds loop darts only: those
+    peel from the innermost, a face of one dart, out, while a side with a
+    dart of another edge keeps such a dart, or a loop that never peels
+    either, in the loop's face. Then its darts lie on one run of loop darts
+    or its vertex holds loops only: a _chain_ends walk along sigma over loop
+    darts names each run by the dart after it, or ends on a cycle.
     """
-    marked = np.zeros(len(sigma), dtype=bool)
-    phi = sigma[mate]
-    # marking starts from the faces of one dart, phi(d) = d
-    if not (phi == np.arange(len(sigma))).any():
-        return marked
+    at = np.arange(len(sigma))
+    # peeling starts from the faces of one dart, phi(d) = d
+    if not (sigma[mate] == at).any():
+        return np.zeros(len(sigma), dtype=bool)
     loop = vertex == vertex[mate]
-    face = _cycle_min(phi)
-    count = np.bincount(face, minlength=len(sigma))
-    total = np.zeros(len(sigma), dtype=np.int64)
-    np.add.at(total, face, np.arange(len(sigma)))
-    slot = np.empty(len(sigma), dtype=np.intp)
-    todo = np.flatnonzero(count == 1)
-    while todo.size:
-        d = total[todo]
-        d = d[loop[d]]
-        # a loop named from both its faces is marked from its lesser dart
-        marked[d] = True
-        d = d[~marked[mate[d]] | (d < mate[d])]
-        new = np.concatenate([d, mate[d]])
-        marked[new] = True
-        np.subtract.at(count, face[new], 1)
-        np.subtract.at(total, face[new], new)
-        # the touched faces down to one dart, each once: the last write to
-        # a face's slot wins, so a round costs the darts it marks
-        todo = face[new]
-        todo = todo[count[todo] == 1]
-        at = np.arange(len(todo))
-        slot[todo] = at
-        todo = todo[slot[todo] == at]
-    return marked
+    step = np.where(loop, sigma, at)
+    end = _chain_ends(step, at)
+    return loop & ((end == end[mate]) | (step[end] != end))
 
 
 def _joints(sigma: np.ndarray, mate: np.ndarray, corner: np.ndarray) -> np.ndarray:

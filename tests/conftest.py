@@ -15,6 +15,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid
 from combipyramid.segmentation import segment_labels
 
+from eager_oracle import find_root
+
 
 def random_pyramid(rng: random.Random, max_side: int = 8, rounds: int | None = None,
                    always_clean: bool = False, touch_outside: bool = False) -> Pyramid:
@@ -86,6 +88,23 @@ def built_pyramid(rng: random.Random, kind: str) -> Pyramid:
 
 
 kinds = st.sampled_from(["random", "ringed", "outside"])
+
+
+def spanning_tree(pyr: Pyramid, rng: random.Random) -> list[int]:
+    """A random spanning tree of every base vertex, the outside included:
+    its edges by their positive darts, in the order Kruskal's algorithm
+    takes them from a shuffled edge list."""
+    vertex = pyr.base.vertex_ids()
+    edges = sorted(d for d in pyr.base.darts if d > 0)
+    rng.shuffle(edges)
+    parent: dict[int, int] = {}
+    tree = []
+    for d in edges:
+        a, b = find_root(parent, vertex[d]), find_root(parent, vertex[-d])
+        if a != b:
+            parent[a] = b
+            tree.append(d)
+    return tree
 
 
 def borderless_outside_pyramid() -> Pyramid:

@@ -22,7 +22,7 @@ from combipyramid.pyramid import (
 )
 from combipyramid.segmentation import segment_labels
 
-from conftest import borderless_outside_pyramid, built_pyramid, kinds, random_pyramid, ringed_labels
+from conftest import borderless_outside_pyramid, built_pyramid, kinds, random_pyramid, ringed_labels, spanning_tree
 from eager_oracle import (
     DictTop,
     check_ck_by_union_find,
@@ -505,13 +505,49 @@ def test_rkesl_expansion_collects_nested_loops():
     m = CombinatorialMap(sigma.keys(), sigma, alpha)
     assert validate(m).ok
     assert empty_self_loops(m, m.vertex_ids()) == {t, -t, u, -u}
-    # the array pass, over the darts' positions in dart_sort_key order
+    assert array_loops(m) == {t, -t, u, -u}
+
+
+def array_loops(m: CombinatorialMap) -> set:
+    """The darts _empty_loops marks, run over m's darts as positions in
+    dart_sort_key order."""
     order = sorted(m.darts, key=dart_sort_key)
     pos = {d: k for k, d in enumerate(order)}
-    step = np.array([pos[sigma[d]] for d in order])
-    mate = np.array([pos[alpha[d]] for d in order])
+    step = np.array([pos[m.sigma(d)] for d in order])
+    mate = np.array([pos[m.alpha(d)] for d in order])
     loops = _empty_loops(step, mate, _cycle_min(step))
-    assert {d for d, marked in zip(order, loops) if marked} == {t, -t, u, -u}
+    return {d for d, marked in zip(order, loops) if marked}
+
+
+@pytest.mark.parametrize("around_an_edge", [False, True])
+def test_a_deep_nest_of_loops_is_empty_unless_it_encloses_an_edge(around_an_edge):
+    # vertex (t1, ..., t64, [e], -t64, ..., -t1, w) and the vertices (-w)
+    # and [(-e)]: 64 nested loops around nothing, or around the edge e,
+    # whose other sides hold the edge w
+    loops = list(range(1, 65))
+    w, e = 65, 66
+    inner = [e] if around_an_edge else []
+    cycles = [loops + inner + [-t for t in reversed(loops)] + [w], [-w], *([-d] for d in inner)]
+    sigma = {d: c[(k + 1) % len(c)] for c in cycles for k, d in enumerate(c)}
+    m = CombinatorialMap(sigma.keys(), sigma, {d: -d for d in sigma})
+    assert validate(m).ok
+    empty = set() if around_an_edge else {d for t in loops for d in (t, -t)}
+    assert empty_self_loops(m, m.vertex_ids()) == empty
+    assert array_loops(m) == empty
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), seeds)
+def test_every_loop_of_a_one_vertex_bouquet_is_empty(width, height, seed):
+    # contracting a spanning tree of every vertex, the outside included,
+    # leaves one vertex that holds loops only
+    pyr = Pyramid.from_grid(width, height)
+    tree = spanning_tree(pyr, random.Random(seed))
+    pyr.apply_kernel(Kernel.of(KernelState.CK, tree + [-d for d in tree]))
+    m = pyr.reconstruct_level(1)
+    assert len(m.vertices()) == 1
+    assert empty_self_loops(m, m.vertex_ids()) == m.darts
+    assert array_loops(m) == m.darts
 
 
 @settings(max_examples=60, deadline=None)

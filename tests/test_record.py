@@ -4,19 +4,21 @@ to_json writes version 2: the grid size, the state of each kernel and the
 level of each dart. Version 1 (eager_oracle.to_json_v1: the base
 permutation and one dart list per kernel) still loads, to the same pyramid.
 A version-2 record with the level of one dart or one base edge changed is
-rejected, or loads levels that are valid maps.
+rejected, or loads levels that are valid maps. The level list is written
+as one byte array, which equals json.dumps of the list.
 """
 
 import json
 import random
 
-from hypothesis import assume, given, settings
+import numpy as np
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from combipyramid.map_core import validate
-from combipyramid.pyramid import Pyramid
+from combipyramid.pyramid import Kernel, KernelState, Pyramid, _json_naturals
 
-from conftest import random_pyramid
+from conftest import random_pyramid, spanning_tree
 from eager_oracle import eager_levels, to_json_v1
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -60,3 +62,26 @@ def test_a_changed_level_is_rejected_or_loads_valid_levels(seed, touch_outside, 
         return
     for i in range(clone.top_level + 1):
         assert validate(clone.reconstruct_level(i)).ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.just(0)), st.lists(st.integers(0, 9)), st.lists(st.integers(0, 2**63 - 1))))
+@example([])
+def test_the_level_list_writer_matches_json_dumps(values):
+    assert _json_naturals(np.array(values, dtype=np.int64)) == json.dumps(values, separators=(",", ":"))
+
+
+def test_a_record_with_two_digit_levels_round_trips():
+    # one contracted edge per level: a 4x3 grid has 13 vertices, the
+    # outside included, so a spanning tree makes 12 levels
+    pyr = Pyramid.from_grid(4, 3)
+    for d in spanning_tree(pyr, random.Random(0)):
+        pyr.apply_kernel(Kernel.of(KernelState.CK, [d, -d]))
+    text = pyr.to_json()
+    record = json.loads(text)
+    assert max(record["died"]) == pyr.top_level == 12
+    assert text == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    clone = Pyramid.from_json(text)
+    assert clone.to_json() == text
+    for i, ref in enumerate(eager_levels(pyr)):
+        assert clone.reconstruct_level(i) == ref
