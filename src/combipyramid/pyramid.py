@@ -2,7 +2,9 @@
 
 The encoding is the base map, the level at which each dart dies and the
 state of each kernel. A kernel is the set of darts that disappears at one
-level, tagged with how it disappears:
+level, held as one int array sorted in dart_sort_key order, from the code
+that computes it to the check and the derivation, and tagged with how it
+disappears:
 
 * CK: a forest of edges whose contraction merges adjacent regions,
 * RKESL: empty self loops (inner boundaries around nothing),
@@ -47,9 +49,7 @@ its kernels and their checks.
 The JSON record (version 2) is the encoding itself: the grid size, the
 state of each kernel and, in dart_order, the level whose kernel removes each
 dart, 0 for a survivor. Loading groups the darts by level and applies every
-kernel through the checks apply_kernel makes; a version-1 record (the base
-permutation and one dart list per kernel) still loads, through the same
-path.
+kernel through the checks apply_kernel makes.
 
 Replay from the base serves receptive fields and boundary segments. Walking
 from a surviving dart d with sigma0, taking phi0 after a contracted dart and
@@ -70,7 +70,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -94,19 +95,46 @@ class KernelState(Enum):
     RKEDE = "RKEDE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
-    """Dart set removed by one reduction level, with its removal mode."""
+    """Dart set removed by one reduction level, with its removal mode: the
+    darts as one read-only int64 array in dart_sort_key order without
+    repeats, which Kernel.of makes, and their frozenset, built on read."""
 
     state: KernelState
-    darts: frozenset[Dart]
+    order: np.ndarray
 
     @staticmethod
-    def of(state: KernelState, darts: Iterable[Dart]) -> "Kernel":
-        return Kernel(state, frozenset(darts))
+    def of(state: KernelState, darts: Iterable[Dart] | np.ndarray) -> "Kernel":
+        """The kernel of state made of darts, ints or an int array. A dart
+        that is not an int, or is a bool, raises KernelError, and so does
+        one beyond int64, which no pyramid holds."""
+        if not (isinstance(darts, np.ndarray) and darts.dtype.kind == "i"):
+            darts = darts.tolist() if isinstance(darts, np.ndarray) else list(darts)
+            if bad := [d for d in darts if isinstance(d, bool) or not isinstance(d, (int, np.integer))]:
+                raise KernelError(f"kernel dart {bad[0]!r} is not an integer")
+            if big := [d for d in map(int, darts) if not -(2**63) <= d < 2**63]:
+                raise KernelError(f"kernel contains dead or unknown darts: {sorted(big, key=dart_sort_key)[:4]}")
+        array = np.asarray(darts, dtype=np.int64)
+        # as uint64 the keys of all int64 darts are distinct and in order
+        order = array[np.unique(dart_sort_key(array).view(np.uint64), return_index=True)[1]]
+        order.flags.writeable = False
+        return Kernel(state, order)
+
+    @cached_property
+    def darts(self) -> frozenset[Dart]:
+        return frozenset(self.order.tolist())
 
     def __len__(self) -> int:
-        return len(self.darts)
+        return len(self.order)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Kernel):
+            return NotImplemented
+        return self.state is other.state and np.array_equal(self.order, other.order)
+
+    def __hash__(self) -> int:
+        return hash((self.state, self.order.tobytes()))
 
 
 class KernelError(ValueError):
@@ -188,7 +216,7 @@ class Pyramid:
         order = dart_order(self._n)
         died = self._died[order]
         levels = enumerate(self._levels[1:], start=1)
-        return [Kernel.of(level.state, self._ints[order[died == k]].tolist()) for k, level in levels]
+        return [Kernel.of(level.state, order[died == k]) for k, level in levels]
 
     def level(self, d: Dart) -> int:
         """The level whose kernel removes d, top_level + 1 if it never dies:
@@ -328,14 +356,15 @@ class Pyramid:
         kernel is checked against the top in dart_sort_key order, so a
         rejection names the least offending dart, and a kernel that fails
         anywhere leaves the pyramid unchanged."""
-        return self._apply(kernel.state, list(kernel.darts))
+        return self._apply(kernel.state, kernel.order)
 
-    def _apply(self, state: KernelState, darts: Sequence[Dart] | np.ndarray) -> "Pyramid":
-        """apply_kernel of the kernel of state made of darts, a sequence of
-        distinct ints or an int array, as from_json passes it. The new level
-        is built in locals and published by the one append at the end."""
+    def _apply(self, state: KernelState, kd: np.ndarray) -> "Pyramid":
+        """apply_kernel of the kernel of state made of the darts of kd, an int
+        array of distinct darts in dart_sort_key order, as Kernel.of and
+        from_json make it. The new level is built in locals and published
+        by the one append at the end."""
         top = self._levels[-1]
-        kd = self._live_darts(darts)
+        self._check_live(kd)
         kill = np.zeros(len(top.sigma), dtype=bool)
         kill[kd] = True
         order = top.order[~kill[top.order]]
@@ -368,22 +397,14 @@ class Pyramid:
         self._died_list = None
         return self
 
-    def _live_darts(self, darts: Sequence[Dart] | np.ndarray) -> np.ndarray:
-        """darts as an int32 array in dart_sort_key order; KernelError,
-        naming the least four in plain ints, unless all are live top darts."""
+    def _check_live(self, kd: np.ndarray) -> None:
+        """KernelError, naming the least four in plain ints, unless the darts
+        of kd, in dart_sort_key order, are all live top darts: only those
+        index the arrays."""
         n, sigma = self._n, self._levels[-1].sigma
-        try:
-            kd = np.asarray(darts, dtype=np.int64)
-            live = ((kd >= -n) & (kd <= n)).all() and sigma[kd].all()
-        except OverflowError:  # a dart beyond int64
-            live = False
-        if not live:
-            if isinstance(darts, np.ndarray):
-                darts = darts.tolist()
-            dead = [d for d in darts if not (-n <= d <= n and sigma[d])]
-            raise KernelError(f"kernel contains dead or unknown darts: {sorted(dead, key=dart_sort_key)[:4]}")
-        # only live top darts from here on, so they index the arrays
-        return kd[np.argsort(dart_sort_key(kd))].astype(np.int32)
+        if not (((kd >= -n) & (kd <= n)).all() and sigma[kd].all()):
+            dead = [d for d in kd.tolist() if not (-n <= d <= n and sigma[d])]
+            raise KernelError(f"kernel contains dead or unknown darts: {dead[:4]}")
 
     def _loops_and_joints(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The darts of level i's empty self loops and of its double-edge
@@ -497,7 +518,7 @@ class Pyramid:
         loops = self._loops_and_joints(self.top_level)[0]
         spare = np.unique(self._emptied(loops))
         spare = np.concatenate([spare, self._levels[-1].alpha[spare]])
-        return Kernel.of(KernelState.RKESL, self._ints[loops[~np.isin(loops, spare)]].tolist())
+        return Kernel.of(KernelState.RKESL, loops[~np.isin(loops, spare)])
 
     def compute_rkede(self) -> Kernel:
         """Maximal kernel of double-edge joints of the current top map.
@@ -530,7 +551,7 @@ class Pyramid:
         start = ring[np.minimum(least, least[pos[alpha[ring]]])]
         kept = np.concatenate([start, sigma[alpha[start]]])
         removed = np.concatenate([sigma[keys[on_chain]], ring[~np.isin(ring, kept)]])
-        return Kernel.of(KernelState.RKEDE, self._ints[removed].tolist())
+        return Kernel.of(KernelState.RKEDE, removed)
 
     def vertex_of_pixel(self, i: int, x: int, y: int) -> Dart:
         """Representative of the level-i region containing pixel (x, y)."""
@@ -605,9 +626,9 @@ class Pyramid:
 
     @classmethod
     def from_json(cls, text: str) -> "Pyramid":
-        """Load a record written by to_json, or a version-1 record. Every
-        kernel is checked again as it is applied; malformed input raises
-        ValueError."""
+        """Load a record written by to_json: the darts grouped into kernels by
+        one stable sort of their levels, each kernel then checked again as it
+        is applied. Malformed input raises ValueError."""
         try:
             payload = json.loads(text)
         except RecursionError:
@@ -615,14 +636,29 @@ class Pyramid:
         if not isinstance(payload, dict) or payload.get("format") != "combipyramid-pyramid":
             raise ValueError("not a serialized pyramid")
         version = payload.get("version")
-        if type(version) is not int or version not in (1, 2):  # 1.0 and True compare equal to 1
-            raise ValueError(f"unsupported pyramid version {version!r}, expected 1 or 2")
+        if type(version) is not int or version != 2:  # 2.0 compares equal to 2
+            raise ValueError(f"unsupported pyramid version {version!r}, expected 2")
         width, height = _positive_int(payload, "width"), _positive_int(payload, "height")
         n_darts = CrackEmbedding(width, height).n_darts
-        kernels = (_kernels_v1 if version == 1 else _kernels_v2)(payload, width, height, n_darts)
+        states, died = _list_field(payload, "states"), _list_field(payload, "died")
+        if len(died) != n_darts:
+            raise ValueError(f"died has {len(died)} entries, a {width}x{height} grid has {n_darts} darts")
+        if not set(map(type, died)) <= {int}:  # 4.0 and True compare equal to ints
+            raise ValueError("died is not a list of integer levels")
+        top = len(states)
+        try:
+            level = np.fromiter(died, np.int64, len(died))
+        except OverflowError:  # an entry beyond int64
+            level = None
+        if level is None or not ((level >= 0) & (level <= top)).all():
+            bad = next(k for k in died if not 0 <= k <= top)
+            raise ValueError(f"died holds level {bad}, outside 0..{top}")
+        states = [KernelState(state) for state in states]
+        darts = dart_order(n_darts // 2)[np.argsort(level, kind="stable")]
+        ends = np.cumsum(np.bincount(level, minlength=top + 1)).tolist()
         pyr = cls.from_grid(width, height)
-        for state, darts in kernels:
-            pyr._apply(state, darts)
+        for k, state in enumerate(states):
+            pyr._apply(state, darts[ends[k] : ends[k + 1]])
         return pyr
 
 
@@ -638,54 +674,6 @@ def _json_naturals(values: np.ndarray) -> str:
         out[at] = ord("0") + rest % 10
         at, rest = at[rest >= 10] - 1, rest[rest >= 10] // 10
     return "[" + out[:-1].tobytes().decode("ascii") + "]"
-
-
-def _kernels_v2(payload: dict, width: int, height: int, n_darts: int) -> list[tuple[KernelState, np.ndarray]]:
-    """The kernels of a version-2 record, each with its darts in dart_order,
-    grouped by one stable sort of the dart levels."""
-    states, died = _list_field(payload, "states"), _list_field(payload, "died")
-    if len(died) != n_darts:
-        raise ValueError(f"died has {len(died)} entries, a {width}x{height} grid has {n_darts} darts")
-    if not set(map(type, died)) <= {int}:  # 4.0 and True compare equal to ints
-        raise ValueError("died is not a list of integer levels")
-    top = len(states)
-    try:
-        level = np.fromiter(died, np.int64, len(died))
-    except OverflowError:  # an entry beyond int64
-        level = None
-    if level is None or not ((level >= 0) & (level <= top)).all():
-        bad = next(k for k in died if not 0 <= k <= top)
-        raise ValueError(f"died holds level {bad}, outside 0..{top}")
-    states = [KernelState(state) for state in states]
-    darts = dart_order(n_darts // 2)[np.argsort(level, kind="stable")]
-    ends = np.cumsum(np.bincount(level, minlength=top + 1)).tolist()
-    return [(state, darts[ends[k] : ends[k + 1]]) for k, state in enumerate(states)]
-
-
-def _kernels_v1(payload: dict, width: int, height: int, n_darts: int) -> Iterator[tuple[KernelState, list[Dart]]]:
-    """The kernels of a version-1 record, which also stores the base
-    permutation and a dart list per kernel: the permutation is checked now,
-    each list as the loader reaches it."""
-    stored, states, kernels = (_list_field(payload, key) for key in ("base_sigma", "states", "kernels"))
-    if len(stored) != n_darts:
-        raise ValueError(f"base_sigma has {len(stored)} entries, a {width}x{height} grid has {n_darts} darts")
-    if len(states) != len(kernels):
-        raise ValueError(f"{len(states)} kernel states for {len(kernels)} kernels")
-    if not set(map(type, stored)) <= {int}:  # 4.0 and True compare equal to ints
-        raise ValueError("base_sigma is not a list of integer darts")
-    if stored != CrackEmbedding(width, height).grid_sigma()[dart_order(n_darts // 2)].tolist():
-        raise ValueError("stored base permutation does not match the grid layout")
-
-    def lists() -> Iterator[tuple[KernelState, list[Dart]]]:
-        for k, (state, darts) in enumerate(zip(states, kernels), start=1):
-            if not isinstance(darts, list) or not set(map(type, darts)) <= {int}:
-                raise ValueError(f"kernel {k} is not a list of integer darts")
-            state = KernelState(state)
-            if len(set(darts)) != len(darts):
-                raise ValueError(f"kernel {k} lists a dart twice")
-            yield state, darts
-
-    return lists()
 
 
 def _positive_int(payload: dict, key: str) -> int:

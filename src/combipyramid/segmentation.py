@@ -144,14 +144,14 @@ class SegmentedImage:
         chosen = order[_spanning_forest(u[order], v[order])[0]]
         if not chosen.size:
             return []
-        applied = [Kernel.of(KernelState.CK, pyr._ints[np.concatenate([first[chosen], mate[chosen]])].tolist())]
+        applied = [Kernel.of(KernelState.CK, np.concatenate([first[chosen], mate[chosen]]))]
         pyr.apply_kernel(applied[0])
         rkesl = pyr.compute_rkesl()
-        if rkesl.darts:
+        if len(rkesl):
             pyr.apply_kernel(rkesl)
             applied.append(rkesl)
         rkede = pyr.compute_rkede()
-        if rkede.darts:
+        if len(rkede):
             pyr.apply_kernel(rkede)
             applied.append(rkede)
         return applied

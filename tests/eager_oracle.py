@@ -28,14 +28,10 @@ forms of the package's Borůvka forest and contraction check, and
 KruskalSegmentation is the merge round one candidate edge at a time, with
 region statistics merged pairwise. segment_orientation counts a boundary
 piece's quarter turns along its walked segment, the recount of the turn
-counts that kernels fold in. to_json_v1 writes the version-1 record, with
-the base permutation and one dart list per kernel, which Pyramid.from_json
-still reads. All are kept deliberately simple.
+counts that kernels fold in. All are kept deliberately simple.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -946,19 +942,3 @@ def segment_orientation(pyr: Pyramid, i: int, d: Dart) -> int:
     moves = segment(pyr, i, d).cracks.moves
     return sum(turn_angle(m1, m2) for m1, m2 in zip(moves, moves[1:]))
 
-
-def to_json_v1(pyr: Pyramid) -> str:
-    """The version-1 record of pyr: the grid size, the base map's sigma over
-    its darts in dart_sort_key order, and each kernel's state and darts in
-    that order."""
-    order = sorted(pyr.base.darts, key=dart_sort_key)
-    payload = {
-        "format": "combipyramid-pyramid",
-        "version": 1,
-        "width": pyr.embedding.width,
-        "height": pyr.embedding.height,
-        "base_sigma": [pyr.base.sigma(d) for d in order],
-        "states": [k.state.value for k in pyr.kernels],
-        "kernels": [sorted(k.darts, key=dart_sort_key) for k in pyr.kernels],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

@@ -1,6 +1,7 @@
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +10,10 @@ import combipyramid
 from combipyramid.cli import main
 from combipyramid.map_core import CombinatorialMap
 from combipyramid.netpbm import load_image, save_ppm
-from combipyramid.pyramid import Kernel, KernelState, Pyramid
+from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid
 from combipyramid.segmentation import SegmentedImage
 
 from conftest import arrow_sign_raster, borderless_outside_pyramid, flag_sign_raster
-from eager_oracle import to_json_v1
 
 
 @pytest.fixture
@@ -264,10 +264,6 @@ def small_record():
     return json.loads(small_pyramid().to_json())
 
 
-def small_record_v1():
-    return json.loads(to_json_v1(small_pyramid()))
-
-
 def assert_clean_error(capsys, tmp_path, data, needle):
     path = tmp_path / "bad.pyr"
     path.write_text(json.dumps(data))
@@ -277,24 +273,11 @@ def assert_clean_error(capsys, tmp_path, data, needle):
     assert err.startswith("error: ") and needle in err
 
 
-def test_states_and_kernels_of_different_lengths_are_rejected(tmp_path, sign_ppm, capsys):
-    data = json.loads(to_json_v1(Pyramid.from_json(built(tmp_path, sign_ppm, capsys).read_text())))
-    assert len(data["kernels"]) >= 3
-    data["states"] = data["states"][:1]
-    assert_clean_error(capsys, tmp_path, data, "kernel states for")
-
-
 @pytest.mark.parametrize("width", ["4", True, 2.0, 0])
 def test_width_that_is_not_a_positive_int_is_rejected(tmp_path, capsys, width):
     data = small_record()
     data["width"] = width
     assert_clean_error(capsys, tmp_path, data, "width must be a positive integer")
-
-
-def test_kernel_entry_that_is_not_an_int_is_rejected(tmp_path, capsys):
-    data = small_record_v1()
-    data["kernels"] = [[None]]
-    assert_clean_error(capsys, tmp_path, data, "kernel 1 is not a list of integer darts")
 
 
 def load_error(capsys, tmp_path, data, command):
@@ -310,27 +293,34 @@ COMMANDS = [["validate"], ["query", "--report"]]
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("version", [3, 0, 1.0, True, "1", None])
-def test_version_other_than_1_is_rejected(tmp_path, capsys, command, version):
-    # nor other than 2, the version to_json writes
+@pytest.mark.parametrize(
+    "version", [3, 0, 1, 1.0, True, "1", 2.0, None], ids=["3", "0", "1", "1.0", "True", "str-1", "2.0", "None"]
+)
+def test_version_other_than_2_is_rejected(tmp_path, capsys, command, version):
+    # 2, the version to_json writes, is the one a record may carry
     data = small_record()
     data["version"] = version
     err = load_error(capsys, tmp_path, data, command)
-    assert err == f"error: unsupported pyramid version {version!r}, expected 1 or 2\n"
+    assert err == f"error: unsupported pyramid version {version!r}, expected 2\n"
+
+
+# the version-1 record of small_pyramid: the base permutation over the darts
+# in dart_order and one dart list per kernel
+VERSION_1_RECORD = {
+    "base_sigma": [-4, -6, 4, -7, 5, 7, -1, -5, -2, -3, 1, 2, 6, 3],
+    "format": "combipyramid-pyramid",
+    "height": 1,
+    "kernels": [[2, -2]],
+    "states": ["CK"],
+    "version": 1,
+    "width": 2,
+}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("entry", ["float", "bool"])
-def test_base_sigma_entry_that_is_not_an_int_is_rejected(tmp_path, capsys, command, entry):
-    # 4.0 == 4 and True == 1, so either would pass the permutation compare
-    data = small_record_v1()
-    sigma = data["base_sigma"]
-    if entry == "float":
-        sigma[0] = float(sigma[0])
-    else:
-        sigma[sigma.index(1)] = True
-    err = load_error(capsys, tmp_path, data, command)
-    assert err == "error: base_sigma is not a list of integer darts\n"
+def test_a_version_1_record_is_rejected(tmp_path, capsys, command):
+    err = load_error(capsys, tmp_path, VERSION_1_RECORD, command)
+    assert err == "error: unsupported pyramid version 1, expected 2\n"
 
 
 UNKNOWN_DARTS = {
@@ -341,37 +331,32 @@ UNKNOWN_DARTS = {
     "2**31": lambda n: 2**31,
     "2**40": lambda n: 2**40,
     "-2**63": lambda n: -2**63,
+    "2**64": lambda n: 2**64,
 }
 
 
 @pytest.mark.parametrize("dart", UNKNOWN_DARTS)
-def test_kernel_with_an_unknown_dart_is_rejected(tmp_path, capsys, dart):
+def test_kernel_with_an_unknown_dart_is_rejected(dart):
     # beyond +-n a dart must not reach an array indexed by signed dart,
-    # where n+1 would alias -n and 2**31 overflow int32
-    data = small_record_v1()
-    d = UNKNOWN_DARTS[dart](len(data["base_sigma"]) // 2)
-    data["states"].append("CK")
-    data["kernels"].append([d, 1])
-    err = load_error(capsys, tmp_path, data, ["validate"])
-    assert err.startswith("error: kernel contains dead or unknown darts: [") and str(d) in err
+    # where n+1 would alias -n and 2**31 overflow int32; 2**64 does not
+    # fit in int64
+    pyr = small_pyramid()
+    d = UNKNOWN_DARTS[dart](len(pyr.base) // 2)
+    before = pyr.to_json()
+    with pytest.raises(KernelError) as exc:
+        pyr.apply_kernel(Kernel.of(KernelState.CK, [d, 1]))
+    assert str(exc.value) == f"kernel contains dead or unknown darts: [{d}]"
+    assert pyr.to_json() == before
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_kernel_that_lists_a_dart_twice_is_rejected(tmp_path, capsys, command):
-    # a frozenset of the list would merge the repeat, and a reload would
-    # then write other JSON than it read
-    data = small_record_v1()
-    data["kernels"][0].append(data["kernels"][0][0])
-    err = load_error(capsys, tmp_path, data, command)
-    assert err == "error: kernel 1 lists a dart twice\n"
-
-
-def test_base_sigma_length_is_checked_before_the_grid_is_built(tmp_path, capsys):
-    # the record claims a 300x300 grid but carries no permutation: the length
-    # check must fail before 361k darts are allocated
-    data = small_record_v1()
+def test_died_length_is_checked_before_the_grid_is_built(tmp_path, capsys):
+    # the record claims a 300x300 grid: the length check must fail before
+    # 361k darts are allocated
+    data = small_record()
     data["width"] = data["height"] = 300
-    assert_clean_error(capsys, tmp_path, data, "base_sigma has 14 entries, a 300x300 grid has 361200 darts")
+    with mock.patch.object(Pyramid, "from_grid", side_effect=AssertionError("grid built")) as from_grid:
+        assert_clean_error(capsys, tmp_path, data, "died has 14 entries, a 300x300 grid has 361200 darts")
+    from_grid.assert_not_called()
 
 
 # small_record's died list is 14 entries long, for 1 state

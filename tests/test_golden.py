@@ -4,30 +4,30 @@ For seed 1 of each workload in perfbench/workloads.py: the sha256 of the
 built pyramid's to_json() and of its top level's relation_report (dumped
 with sorted keys), and the state and size of every kernel. A change to how
 levels are derived, checked or stored must leave all three as they are.
-V1 pins the sha256 of the same builds' version-1 records, which load to the
-pyramid whose to_json() GOLDEN pins.
 MEETS_EACH pins, for the same builds, the darts and Freeman chain of every
 meets_each piece over the top level's adjacent pairs, in order, and RAG_DOT
 the sha256 of the top level's rag_to_dot text.
 For seeds 1-3, the merge rounds also build what the one-edge-at-a-time
-reference builds.
+reference builds. A kernel's frozenset view, Kernel.darts, is built only
+when read, and neither a seed-1 build nor its reload reads it.
 """
 
 import hashlib
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from combipyramid.pyramid import Pyramid
+from combipyramid.pyramid import Kernel, Pyramid
 from combipyramid.relations import meets_each, rag_export, rag_to_dot, relation_report
 from combipyramid.segmentation import SegmentedImage
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from eager_oracle import KruskalSegmentation, to_json_v1  # noqa: E402
+from eager_oracle import KruskalSegmentation  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 GOLDEN = {
@@ -46,12 +46,6 @@ GOLDEN = {
         "862b5f88e0f38d6730f52868607bf10e21c1cea3574201d24ebb9ff0dcbc5856",
         [("CK", 8174), ("RKESL", 6494), ("RKEDE", 1924)],
     ),
-}
-
-V1 = {
-    "noise-regions": "a2b265c29af251a47004d4b2eebc0e9fc06715853ba515aba626a7a93168f7e8",
-    "gradient-levels": "1b1885759017b054e09fac6dc08b0008d8e9547ee7e3ace00439e512f1c614cc",
-    "sign-mosaic": "34467e32ba5fb2fd4a33e3c3a5db9c39e6d345ccdf4867dd5a4054ffb192991f",
 }
 
 MEETS_EACH = {
@@ -86,13 +80,14 @@ def test_workload_outputs_are_pinned(name):
     assert sha256(json.dumps(relation_report(clone, clone.top_level), sort_keys=True)) == report_hash
 
 
-@pytest.mark.parametrize("name", V1)
-def test_version_1_record_loads_to_the_pinned_pyramid(name):
-    workload = WORKLOADS[name]
-    pyr = SegmentedImage(workload.raster(np.random.default_rng(1))).run(workload.threshold).pyramid
-    v1 = to_json_v1(pyr)
-    assert sha256(v1) == V1[name]
-    assert sha256(Pyramid.from_json(v1).to_json()) == GOLDEN[name][0]
+def test_build_and_reload_never_build_a_kernel_frozenset():
+    workload = WORKLOADS["gradient-levels"]
+    json_hash = GOLDEN["gradient-levels"][0]
+    unread = property(lambda kernel: pytest.fail("Kernel.darts was read"))
+    with mock.patch.object(Kernel, "darts", unread):
+        pyr = SegmentedImage(workload.raster(np.random.default_rng(1))).run(workload.threshold).pyramid
+        assert sha256(Pyramid.from_json(pyr.to_json()).to_json()) == json_hash
+    assert [(k.state.value, len(k.darts)) for k in pyr.kernels] == GOLDEN["gradient-levels"][2]
 
 
 @pytest.mark.parametrize("name", MEETS_EACH)

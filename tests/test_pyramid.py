@@ -104,6 +104,27 @@ def test_unknown_darts_are_rejected_before_any_array_read(state):
     assert pyr.to_json() == before
 
 
+@pytest.mark.parametrize("dart", [2.7, 2.0, "2", True, None], ids=repr)
+def test_a_kernel_dart_that_is_no_integer_is_rejected(dart):
+    # 2.7 and "2" would index dart 2 once made an int array, and True dart 1
+    pyr = Pyramid.from_grid(2, 1)
+    before = pyr.to_json()
+    with pytest.raises(KernelError, match=rf"^kernel dart {re.escape(repr(dart))} is not an integer$"):
+        pyr.apply_kernel(Kernel.of(KernelState.CK, [dart, -2]))
+    assert pyr.to_json() == before
+
+
+def test_a_kernel_holds_its_darts_once_in_dart_sort_key_order():
+    for darts in ([3, -1, 2, 3, -1, 1], np.array([3, -1, 2, 3, -1, 1], dtype=np.int32), (d for d in [1, -1, 2, 3])):
+        kernel = Kernel.of(KernelState.CK, darts)
+        assert len(kernel) == 4 and kernel.darts == {1, -1, 2, 3}
+    assert kernel.order.tolist() == [1, -1, 2, 3] and not kernel.order.flags.writeable
+    assert kernel == Kernel.of(KernelState.CK, [3, 2, -1, 1]) != Kernel.of(KernelState.RKESL, [3, 2, -1, 1])
+    assert hash(kernel) == hash(Kernel.of(KernelState.CK, np.array([3, 2, -1, 1])))
+    # keys past 2**62 wrap in int64 but stay in order as unsigned
+    assert Kernel.of(KernelState.CK, [-2**63, 2**63 - 1, 2**62, 1]).order.tolist() == [1, 2**62, 2**63 - 1, -2**63]
+
+
 def test_contraction_of_the_whole_map_is_rejected():
     # a 1x1 grid cleaned by RKEDE keeps one edge between the pixel and the
     # outside; contracting it would leave a level with no darts

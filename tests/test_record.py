@@ -1,9 +1,7 @@
 """The JSON record of a pyramid.
 
 to_json writes version 2: the grid size, the state of each kernel and the
-level of each dart. Version 1 (eager_oracle.to_json_v1: the base
-permutation and one dart list per kernel) still loads, to the same pyramid.
-A version-2 record with the level of one dart or one base edge changed is
+level of each dart, and from_json loads it to the same pyramid. A record with the level of one dart or one base edge changed is
 rejected, or loads levels that are valid maps. The level list is written
 as one byte array, which equals json.dumps of the list.
 """
@@ -19,28 +17,26 @@ from combipyramid.map_core import validate
 from combipyramid.pyramid import Kernel, KernelState, Pyramid, _json_naturals
 
 from conftest import random_pyramid, spanning_tree
-from eager_oracle import eager_levels, to_json_v1
+from eager_oracle import eager_levels
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seeds, st.booleans())
-def test_both_versions_load_to_the_pyramid(seed, touch_outside):
+def test_a_record_loads_to_the_pyramid(seed, touch_outside):
     pyr = random_pyramid(random.Random(seed), max_side=6, touch_outside=touch_outside)
-    levels = eager_levels(pyr)
     text = pyr.to_json()
-    for record in (text, to_json_v1(pyr)):
-        clone = Pyramid.from_json(record)
-        assert clone.to_json() == text
-        assert clone.kernels == pyr.kernels
-        for i, ref in enumerate(levels):
-            assert clone.reconstruct_level(i) == ref
-            assert (clone._levels[i].region == pyr._levels[i].region).all()
-            assert clone.redundant_darts(i) == pyr.redundant_darts(i)
-            assert [clone.cached_orientation(i, d) for d in ref.darts] == [
-                pyr.cached_orientation(i, d) for d in ref.darts
-            ]
+    clone = Pyramid.from_json(text)
+    assert clone.to_json() == text
+    assert clone.kernels == pyr.kernels
+    for i, ref in enumerate(eager_levels(pyr)):
+        assert clone.reconstruct_level(i) == ref
+        assert (clone._levels[i].region == pyr._levels[i].region).all()
+        assert clone.redundant_darts(i) == pyr.redundant_darts(i)
+        assert [clone.cached_orientation(i, d) for d in ref.darts] == [
+            pyr.cached_orientation(i, d) for d in ref.darts
+        ]
 
 
 @settings(max_examples=80, deadline=None)
