@@ -24,9 +24,10 @@ pointer jumping (_chain_ends) instead of one walk per dart.
 
 Each level is one record, a _Level, of the state of the kernel that made it
 (None at the base), its sigma and alpha arrays (a level whose kernel keeps
-alpha shares the alpha array below), its turn counts, its darts in
-dart_sort_key order and its region array: for every base dart, the
-canonical dart of the level-i vertex that holds or absorbed it. A level's
+alpha shares the alpha array below, and one whose kernel removes no dart
+shares every array below), its turn counts, its darts in dart_sort_key
+order and its region array: for every base dart, the canonical dart of the
+level-i vertex that holds or absorbed it. A level's
 vertices are those below merged along the contracted trees, less the killed
 darts, so one gather derives the region array from the one below. Kernel
 checks, merge rounds, pixel_labels, vertex_of_pixel, composed_of and the
@@ -42,9 +43,10 @@ it, and levels that share an alpha array share its list), `redundant`, its
 empty self loops, one _chain_ends walk as planar loops nest, and double-edge
 joints (read by the next kernel's check, compute_rkesl, compute_rkede and
 redundant_darts), `children`, composed_of's index of a contraction level,
-and `forest`, a clean level's enclosure forest; level() keeps its list copy
-of the dart levels alike. A build or a reload thus costs in proportion to
-its kernels and their checks.
+`forest`, a clean level's enclosure forest, and `boundary`, the boundary
+index that rag_export, relation_report and meets_each read; level() keeps
+its list copy of the dart levels alike. A build or a reload thus costs in
+proportion to its kernels and their checks.
 
 The JSON record (version 2) is the encoding itself: the grid size, the
 state of each kernel and, in dart_order, the level whose kernel removes each
@@ -161,6 +163,7 @@ class _Level:
     redundant: tuple[np.ndarray, np.ndarray] | None = None
     children: dict[Dart, frozenset[Dart]] | None = None
     forest: tuple | None = None
+    boundary: tuple | None = None
 
     def positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The level in positions of its dart order, position k standing for
@@ -367,18 +370,25 @@ class Pyramid:
         self._check_live(kd)
         kill = np.zeros(len(top.sigma), dtype=bool)
         kill[kd] = True
-        order = top.order[~kill[top.order]]
-        # each base dart's top vertex, named alike along contracted trees
-        merged, turns, alpha = top.region, top.turns, top.alpha
         if state is KernelState.CK:
             ends, root = self._check_ck(kd, kill)
-            tree = self._ids.copy()
-            tree[ends] = root
-            merged = tree[merged]
         elif state is KernelState.RKESL:
             self._check_rkesl(kd, kill)
         else:
             self._check_rkede(kd, kill)
+        if not kd.size:
+            # nothing dies: the new level is the top again and shares its arrays
+            self._levels.append(_Level(state, top.sigma, top.alpha, top.turns, top.order, top.region))
+            self._died_list = None
+            return self
+        order = top.order[~kill[top.order]]
+        # each base dart's top vertex, named alike along contracted trees
+        merged, turns, alpha = top.region, top.turns, top.alpha
+        if state is KernelState.CK:
+            tree = self._ids.copy()
+            tree[ends] = root
+            merged = tree[merged]
+        elif state is KernelState.RKEDE:
             heads, partners, grown = self._fold_orientations(kill)
             # the levels below keep their arrays; a dead dart's partner is 0
             turns = turns.copy()

@@ -3,7 +3,9 @@
 Five relationships between regions: meets_exists, meets_each (one boundary
 piece per shared border), contains, inside and composed_of. Regions are named
 by the canonical dart of their vertex cycle; exactly one region per level is
-the outside face.
+the outside face. rag_export, relation_report and meets_each read one
+boundary index per level (_boundary_index), which alone glues a boundary
+piece across a junction where every other edge is a self loop.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from .boundary import CrackChain, Segment, segment
 from .containment import _enclosers, infinite_region, inside_all
-from .map_core import CombinatorialMap, Dart, dart_sort_key
+from .map_core import Dart, dart_sort_key
 from .pyramid import Pyramid, _chain_ends, _cycle_min
 
 __all__ = [
@@ -40,8 +42,9 @@ def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:
 
     A piece may span several map edges: where an inner self loop anchors on
     the boundary it pins a junction that does not separate two pieces of the
-    a/b border, so edges continuing through such junctions are glued. Empty
-    when the regions are not adjacent.
+    a/b border, so edges continuing through such junctions are glued, by
+    the links of the level's boundary index. Empty when the regions are not
+    adjacent.
     """
     for d in (a, b):
         pyr._require_alive(i, d)
@@ -52,7 +55,7 @@ def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:
         raise ValueError("meets_each needs two distinct regions")
     facing = [d for d in m.orbit(ra, "sigma") if rep[m.alpha(d)] == rb]
     out = []
-    for chain in _pieces(m, rep, facing):
+    for chain in _chains(facing, _boundary_index(pyr, i)[2]):
         pieces = [segment(pyr, i, d) for d in chain]
         darts: list[Dart] = []
         moves = []
@@ -65,49 +68,25 @@ def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:
     return out
 
 
-def _pieces(m: CombinatorialMap, rep: dict[Dart, Dart], facing: list[Dart]) -> list[list[Dart]]:
+def _chains(facing: list[Dart], links: dict[Dart, Dart]) -> list[list[Dart]]:
     """The darts of one region that face one other region, grouped into
-    boundary pieces, each a chain of darts in boundary order.
-
-    rep maps every dart of m to its vertex. A piece continues past a
-    junction when every other edge there is a self loop. Only meets_each
-    walks pieces; relation_report counts them with _segment_counts, which
-    applies the same rule in whole-array passes.
-    """
-    if not facing:
-        return []
-    ra, rb = rep[facing[0]], rep[m.alpha(facing[0])]
-
-    def continuation(d: Dart) -> Dart | None:
-        # the junction at the far end of d's piece: glue when every incident
-        # edge except the two a/b ones is a self loop
-        junction = m.orbit(m.alpha(d), "phi")
-        separating = [x for x in junction if rep[x] != rep[m.alpha(x)]]
-        if len(separating) != 2:
-            return None
-        y = separating[0] if separating[1] == m.alpha(d) else separating[1]
-        if rep[y] == ra and rep[m.alpha(y)] == rb and y != d:
-            return y
-        return None
-
-    nxt = {d: continuation(d) for d in facing}
-    has_pred = {c for c in nxt.values() if c is not None}
+    boundary pieces, each a chain of darts in boundary order: links takes a
+    dart to the one its piece continues into."""
+    has_pred = {links[d] for d in facing if d in links}
     chains = []
     seen: set[Dart] = set()
     # heads of open chains first, then closed rings pinned only by loop
-    # anchors, each by its least dart: a chain ends where nxt gives None, a
-    # ring where it comes back to its start
+    # anchors, each by its least dart: a chain ends at a dart without a
+    # link, a ring where it comes back to its start
     for d in sorted(facing, key=lambda d: (d in has_pred, dart_sort_key(d))):
         if d in seen:
             continue
-        end = d if d in has_pred else None
         chain = [d]
-        seen.add(d)
-        while (step := nxt[chain[-1]]) != end:
-            if step is None or len(chain) >= len(facing):
+        while (step := links.get(chain[-1], d)) != d:
+            if len(chain) >= len(facing):
                 raise RuntimeError("boundary ring between the regions does not close")
             chain.append(step)
-            seen.add(step)
+        seen.update(chain)
         chains.append(chain)
     return chains
 
@@ -133,66 +112,70 @@ def meets_exists(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
 def rag_export(pyr: Pyramid, i: int) -> tuple[list[Dart], list[tuple[Dart, Dart]]]:
     """Plain region adjacency graph: one vertex per region, one undirected
     edge per adjacent pair, both in dart_sort_key order. Self loops and
-    parallel edges collapse: the edges are one np.unique over the pairs of
-    the facing darts."""
+    parallel edges collapse. The edges are copied from the level's
+    boundary index into a fresh list."""
     regions = region_ids(pyr, i)
-    _, u, v, pair = _facing(pyr, i)
-    _, first = np.unique(pair, return_index=True)
-    return regions, list(zip(u[first].tolist(), v[first].tolist()))
+    return regions, list(_boundary_index(pyr, i)[0])
 
 
-def _facing(pyr: Pyramid, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The darts of level i whose region u precedes their partner's region
-    v in dart_sort_key order: their positions in the level's dart order, u,
-    v and the pair as one int64 key, rank(u) * R + rank(v). The caller
+_Boundary = tuple[tuple[tuple[Dart, Dart], ...], tuple[int, ...], dict[Dart, Dart]]
+
+
+def _boundary_index(pyr: Pyramid, i: int) -> _Boundary:
+    """Level i's boundary index: the edges of rag_export, the boundary
+    pieces of each, and the links, which take every separating dart (one
+    whose region differs from its partner's) whose piece continues to the
+    dart it continues into. Built on first read in whole-array passes over
+    the level's darts, in positions of its dart order, and then read from
+    the level's record: levels never change, so racing builds give equal
+    indexes and the one store that publishes each is safe. The caller
     checks the level.
 
     A live dart d is the first crack of its boundary piece, so its base
     partner -d lies across that crack, in the region of alpha_i(d): the
-    region array alone names both sides.
+    region array alone names both sides, u and v, and their ordered pair,
+    rank(u) * R + rank(v). A separating dart d continues into y when the
+    face of alpha(d) holds exactly two separating darts, y is the other one
+    and y is not d; along a face the region changes only across separating
+    darts, so y then has d's ordered pair. Each face keeps the count and the
+    position sum of its separating darts, so y is the sum less alpha(d).
+    The links form chains and rings. The edges are the pairs with u before
+    v, one np.unique over them; an edge counts a piece at the last dart of
+    each chain on its u side, which does not continue, and at the least
+    dart of each ring there. The _chain_ends walk takes every dart of a
+    chain to its last dart and leaves a ring's darts on the ring, its cycle.
     """
     level = pyr._levels[i]
+    if level.boundary is not None:
+        return level.boundary
     order, region = level.order, level.region
+    _, sigma, mate = level.positions()
+    k = len(order)
+    at = np.arange(k)
     u, v = region[order], region[-order]
     ru, rv = dart_sort_key(u).astype(np.int64), dart_sort_key(v)
-    facing = np.flatnonzero(ru < rv)
-    return facing, u[facing], v[facing], (ru * len(region) + rv)[facing]
-
-
-def _segment_counts(pyr: Pyramid, i: int) -> np.ndarray:
-    """The boundary pieces of every edge of rag_export(pyr, i), in its
-    order: the pieces _pieces walks, counted in whole-array passes over the
-    level's darts, read off its stored arrays. The caller checks the level.
-
-    A facing dart d continues its piece into y when the face of alpha(d)
-    holds exactly two separating darts (darts whose regions differ), y is
-    the other one, y has d's pair and y is not d. Each face keeps the count
-    and the position sum of its separating darts, so y is the sum less
-    alpha(d). The links form chains and rings: a piece is counted at the
-    last dart of its chain, which does not continue, or at the least dart of
-    its ring. The _chain_ends walk takes every dart of a chain to its last
-    dart and leaves a ring's darts on the ring, its cycle.
-    """
-    facing, _, _, pair = _facing(pyr, i)
-    edges, edge = np.unique(pair, return_inverse=True)
-    _, sigma, mate = pyr._levels[i].positions()
-    k = len(sigma)
+    pair = ru * len(region) + rv
+    separating = np.flatnonzero(ru != rv)
     face = _cycle_min(sigma[mate])
-    separating = np.concatenate([facing, mate[facing]])
     count = np.bincount(face[separating], minlength=k)
     total = np.bincount(face[separating], weights=separating, minlength=k).astype(np.int64)
-    pair_at = np.full(k, -1)
-    pair_at[facing] = pair
-    f = face[mate[facing]]
-    y = np.where(count[f] == 2, total[f] - mate[facing], facing)
-    links = (pair_at[y] == pair) & (y != facing)
-    nxt = np.arange(k)
-    nxt[facing[links]] = y[links]
-    end = _chain_ends(nxt, np.arange(k))
+    f = face[mate[separating]]
+    y = np.where(count[f] == 2, total[f] - mate[separating], separating)
+    links = y != separating
+    nxt = at.copy()
+    nxt[separating[links]] = y[links]
+    end = _chain_ends(nxt, at)
     ring = nxt[end] != end
-    least = _cycle_min(np.where(ring, nxt, np.arange(k)))
-    heads = ring[facing] & (least[facing] == facing)
-    return np.bincount(edge[~links | heads], minlength=len(edges))
+    least = _cycle_min(np.where(ring, nxt, at))
+    counted = (nxt == at) | (ring & (least == at))
+    facing = np.flatnonzero(ru < rv)
+    _, first, edge = np.unique(pair[facing], return_index=True, return_inverse=True)
+    index = level.boundary = (
+        tuple(zip(u[facing[first]].tolist(), v[facing[first]].tolist())),
+        tuple(np.bincount(edge[counted[facing]], minlength=len(first)).tolist()),
+        dict(zip(order[separating[links]].tolist(), order[y[links]].tolist())),
+    )
+    return index
 
 
 def rag_to_dot(pyr: Pyramid, i: int, name: str = "rag") -> str:
@@ -215,10 +198,10 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
     redundant edges; everything else is always reported. The optional region
     filter keeps, and computes, only pairs involving that region: its
     enclosers and the regions it encloses, read off the level's enclosure
-    forest. The adjacent pairs and their piece counts are whole-array
-    passes over the level's live darts (rag_export and _segment_counts);
-    the enclosure and composition entries take one inside_all and one
-    composed_of call per region reported.
+    forest. The adjacent pairs and their piece counts are read off the
+    level's boundary index, built once per level; the enclosure and
+    composition entries take one inside_all and one composed_of call per
+    region reported.
     """
     home = None
     if region is not None:
@@ -229,7 +212,7 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
         return home is None or home in darts
 
     regions, rag_edges = rag_export(pyr, i)
-    segments = _segment_counts(pyr, i).tolist()
+    segments = _boundary_index(pyr, i)[1]
     meets = [{"a": u, "b": v, "segments": n} for (u, v), n in zip(rag_edges, segments) if keep(u, v)]
     outside = infinite_region(pyr, i)
     warnings: list[str] = []

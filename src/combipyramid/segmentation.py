@@ -170,8 +170,10 @@ class SegmentedImage:
         return self
 
     def region_count(self) -> int:
-        """Number of image regions at the top level, the outside excluded."""
-        return len(self.stats)
+        """Number of image regions at the top level, the outside excluded:
+        the canonical darts of the top's region array, less the outside's."""
+        top = self.pyramid._levels[-1]
+        return int(np.count_nonzero(top.region[top.order] == top.order)) - 1
 
 
 def segment_labels(labels: np.ndarray) -> SegmentedImage:

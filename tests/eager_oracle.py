@@ -9,8 +9,11 @@ checks' messages: the loop form of the package's array passes.
 sorted_sweep_loops grows the empty self loops by repeated sorted sweeps.
 vertex_of, region_ids_by_cycles and rag_export_by_cycles name regions by
 walking vertex cycles instead of reading region arrays.
+_pieces groups the darts of one region that face another into boundary
+pieces by walking the phi orbit at each junction, and
 relation_report_by_darts builds the relation report one dart at a time,
-walking each pair's boundary pieces instead of counting them in array passes.
+walking each pair's boundary pieces instead of reading the level's
+boundary index.
 starting_darts_with_discards classifies a vertex's loops with every dart
 of the cycle on its stack, discarding the non-loop darts a closing loop
 pops over. inside_all_flood floods
@@ -42,7 +45,7 @@ from combipyramid.containment import VisitCounter, _enclosers, inside_all, insid
 from combipyramid.map_core import CombinatorialMap, CrackEmbedding, Dart, ValidationReport, dart_sort_key
 from combipyramid.moves import Move, turn_angle
 from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid
-from combipyramid.relations import _pieces, infinite_region, region_ids
+from combipyramid.relations import infinite_region, region_ids
 from combipyramid.segmentation import RegionStats
 
 Crack = tuple[tuple[int, int], tuple[int, int]]
@@ -394,11 +397,59 @@ def rag_export_by_cycles(pyr: Pyramid, i: int) -> tuple[list[Dart], list[tuple[D
     return region_ids_by_cycles(pyr, i), sorted(edges, key=lambda e: (dart_sort_key(e[0]), dart_sort_key(e[1])))
 
 
+def _pieces(m: CombinatorialMap, rep, facing: list[Dart]) -> list[list[Dart]]:
+    """The darts of one region that face one other region, grouped into
+    boundary pieces, each a chain of darts in boundary order, in the order
+    relations.meets_each lists them.
+
+    rep maps every dart of m to its vertex, as a dict or a region array. A
+    piece continues past a junction when every other edge there is a self
+    loop: the rule the level's boundary index applies in whole-array
+    passes, here walked one phi orbit at a time.
+    """
+    if not facing:
+        return []
+    ra, rb = rep[facing[0]], rep[m.alpha(facing[0])]
+
+    def continuation(d: Dart) -> Dart | None:
+        # the junction at the far end of d's piece: glue when every incident
+        # edge except the two a/b ones is a self loop
+        junction = m.orbit(m.alpha(d), "phi")
+        separating = [x for x in junction if rep[x] != rep[m.alpha(x)]]
+        if len(separating) != 2:
+            return None
+        y = separating[0] if separating[1] == m.alpha(d) else separating[1]
+        if rep[y] == ra and rep[m.alpha(y)] == rb and y != d:
+            return y
+        return None
+
+    nxt = {d: continuation(d) for d in facing}
+    has_pred = {c for c in nxt.values() if c is not None}
+    chains = []
+    seen: set[Dart] = set()
+    # heads of open chains first, then closed rings pinned only by loop
+    # anchors, each by its least dart: a chain ends where nxt gives None, a
+    # ring where it comes back to its start
+    for d in sorted(facing, key=lambda d: (d in has_pred, dart_sort_key(d))):
+        if d in seen:
+            continue
+        end = d if d in has_pred else None
+        chain = [d]
+        seen.add(d)
+        while (step := nxt[chain[-1]]) != end:
+            if step is None or len(chain) >= len(facing):
+                raise RuntimeError("boundary ring between the regions does not close")
+            chain.append(step)
+            seen.add(step)
+        chains.append(chain)
+    return chains
+
+
 def relation_report_by_darts(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
     """relations.relation_report one dart at a time: the RAG from every
     dart's region pair, and each pair's boundary pieces grouped by walking
-    the phi orbits at their junctions (relations._pieces) from the darts of
-    one region that face the other. Enclosure and composition come from the
+    the phi orbits at their junctions (_pieces) from the darts of one region
+    that face the other. Enclosure and composition come from the
     same public queries the report calls."""
     m = pyr.reconstruct_level(i)
     home = None

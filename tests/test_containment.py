@@ -18,7 +18,7 @@ from combipyramid.containment import (
     starting_darts,
 )
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
-from combipyramid.relations import relation_report
+from combipyramid.relations import meets_each, rag_export, relation_report
 from combipyramid.segmentation import SegmentedImage, segment_labels
 
 from conftest import built_pyramid, clean_levels, kinds, random_labels, random_pyramid, ringed_labels
@@ -355,10 +355,17 @@ def test_concurrent_queries_on_a_fresh_pyramid_match_sequential_ones():
     seq = Pyramid.from_json(text)
     levels = clean_levels(seq)
     regions = {i: [cyc[0] for cyc in seq.reconstruct_level(i).vertices()] for i in levels}
+    pairs = {i: rag_export(seq, i)[1][:10] for i in levels}
     assert sum(any(inside_all(seq, i, a) for a in regions[i]) for i in levels) >= 2
 
     def answers(pyr, i):
-        return [(inside_all(pyr, i, a), [contains(pyr, i, a, b) for b in regions[i][:20]]) for a in regions[i]]
+        # the first reads of a level build its enclosure forest and its
+        # boundary index, which the report and meets_each read
+        return (
+            [(inside_all(pyr, i, a), [contains(pyr, i, a, b) for b in regions[i][:20]]) for a in regions[i]],
+            relation_report(pyr, i),
+            [(meets_each(pyr, i, a, b), meets_each(pyr, i, b, a)) for a, b in pairs[i]],
+        )
 
     want = {i: answers(seq, i) for i in levels}
     for _ in range(3):
@@ -375,7 +382,7 @@ def test_concurrent_queries_on_a_fresh_pyramid_match_sequential_ones():
 
         threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, inside the forest builds too
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the forest and index builds too
         try:
             for t in threads:
                 t.start()

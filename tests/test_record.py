@@ -3,18 +3,22 @@
 to_json writes version 2: the grid size, the state of each kernel and the
 level of each dart, and from_json loads it to the same pyramid. A record with the level of one dart or one base edge changed is
 rejected, or loads levels that are valid maps. The level list is written
-as one byte array, which equals json.dumps of the list.
+as one byte array, which equals json.dumps of the list. A kernel that
+removes no dart loads as a level that shares the arrays below it.
 """
 
+import gc
 import json
 import random
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from combipyramid.map_core import validate
-from combipyramid.pyramid import Kernel, KernelState, Pyramid, _json_naturals
+from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid, _json_naturals
 
 from conftest import random_pyramid, spanning_tree
 from eager_oracle import eager_levels
@@ -81,3 +85,40 @@ def test_a_record_with_two_digit_levels_round_trips():
     assert clone.to_json() == text
     for i, ref in enumerate(eager_levels(pyr)):
         assert clone.reconstruct_level(i) == ref
+
+
+def held_by_load(text: str) -> tuple[Pyramid, float]:
+    """A warm load of text, and the MB it holds (tracemalloc)."""
+    Pyramid.from_json(text)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pyr = Pyramid.from_json(text)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return pyr, held / 2**20
+
+
+def test_empty_kernels_hold_no_arrays_of_their_own():
+    # 500 kernels that remove nothing are 3 KB of JSON; a level of its own
+    # arrays per kernel would hold over 100 MB at 64x64
+    base = Pyramid.from_grid(64, 64).to_json()
+    payload = json.loads(base)
+    payload["states"] = ["CK"] * 500
+    pyr, held = held_by_load(json.dumps(payload))
+    assert pyr.top_level == 500 and pyr.level(1) == 501
+    assert pyr.reconstruct_level(500) == pyr.reconstruct_level(0)
+    assert held - held_by_load(base)[1] <= 1.0, f"500 empty kernels hold {held:.2f} MB"
+
+
+def test_an_empty_double_edge_kernel_still_needs_the_loops_removed():
+    pyr = Pyramid.from_grid(2, 2)
+    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2, 9, -9, 5, -5]))  # leaves empty self loops
+    with pytest.raises(KernelError, match="empty self loops present"):
+        pyr.apply_kernel(Kernel.of(KernelState.RKEDE, []))
+    assert pyr.top_level == 1
+    pyr.apply_kernel(Kernel.of(KernelState.RKESL, []))
+    assert pyr.top_level == 2 and pyr.redundant_darts(2) == pyr.redundant_darts(1)

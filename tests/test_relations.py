@@ -16,6 +16,7 @@ from combipyramid.relations import (
     relation_report,
 )
 from combipyramid import relations
+from combipyramid.boundary import segment
 from combipyramid.containment import contains, inside_all
 from combipyramid.map_core import CombinatorialMap
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
@@ -34,6 +35,7 @@ from conftest import (
 )
 from eager_oracle import (
     BoundaryOracle,
+    _pieces,
     composed_of_scan,
     enclosed_regions,
     rag_export_by_cycles,
@@ -351,11 +353,12 @@ def test_meets_exists_is_whether_meets_each_finds_a_piece(seed, touch_outside):
 
 
 def test_report_rebuilds_no_level_per_pair(monkeypatch):
-    # the first report of a level, which builds its enclosure forest, and the
-    # first enclosure queries read regions off the region arrays and walk
-    # single vertex cycles only: no whole-level map of cycles is built. Once
-    # the forest exists, a report walks no dart at all: its pairs and piece
-    # counts are array passes, its enclosure entries forest reads
+    # the first report of a level, which builds its enclosure forest and its
+    # boundary index, and the first enclosure queries read regions off the
+    # region arrays and walk single vertex cycles only: no whole-level map
+    # of cycles is built. Once both exist, a report walks no dart and
+    # rebuilds neither: its pairs and piece counts are index reads, its
+    # enclosure entries forest reads
     calls = []
 
     def count(owner, name):
@@ -367,7 +370,9 @@ def test_report_rebuilds_no_level_per_pair(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in ((CombinatorialMap, "cycles"), (CombinatorialMap, "alpha"), (relations, "_pieces")):
+    patched = [(CombinatorialMap, "cycles"), (CombinatorialMap, "alpha")]
+    patched += [(relations, name) for name in ("_chains", "_cycle_min", "_chain_ends")]
+    for owner, name in patched:
         count(owner, name)
     for side in (8, 24):
         labels = random_labels(random.Random(side), side, side, blobs=side // 2)
@@ -386,10 +391,13 @@ def test_report_rebuilds_no_level_per_pair(monkeypatch):
             calls.clear()
             query(pyr)
             assert "cycles" not in calls
-    # the 24x24 raster: a second report, once the first built the forest
+    # the 24x24 raster: a second report, once the first built the forest and
+    # the boundary index
     assert any(e["segments"] > 1 for e in report["meets"])
     pyr = Pyramid.from_json(text)
+    calls.clear()
     relation_report(pyr, top)
+    assert "_cycle_min" in calls and "_chain_ends" in calls
     calls.clear()
     assert relation_report(pyr, top) == report
     assert calls == []
@@ -405,3 +413,32 @@ def test_region_reads_equal_the_cycle_references(seed, touch_outside):
             assert region_ids(pyr, i) == regions == region_ids_by_cycles(pyr, i)
             assert (regions, edges) == rag_export_by_cycles(pyr, i)
             assert {type(d) for d in regions + [d for e in edges for d in e]} == {int}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_meets_each_chains_equal_the_orbit_walk(seed, touch_outside):
+    # random_pyramid leaves some levels with redundant darts, so clean and
+    # dirty levels are both met; each border is read from both sides
+    pyr = random_pyramid(random.Random(seed), max_side=6, touch_outside=touch_outside)
+    for i in range(pyr.top_level + 1):
+        m = pyr.reconstruct_level(i)
+        rep = m.vertex_ids()
+        for u, v in rag_export(pyr, i)[1]:
+            for a, b in ((u, v), (v, u)):
+                facing = [d for d in m.orbit(a, "sigma") if rep[m.alpha(d)] == b]
+                want = [sum((segment(pyr, i, d).darts for d in chain), ()) for chain in _pieces(m, rep, facing)]
+                assert [s.darts for s in meets_each(pyr, i, a, b)] == want
+
+
+def test_rag_export_returns_fresh_lists():
+    rng = random.Random(4)
+    pyr = segment_labels(random_labels(rng, 8, 8)).pyramid
+    top = pyr.top_level
+    regions, edges = rag_export(pyr, top)
+    want = (list(regions), list(edges))
+    regions.clear()
+    edges.reverse()
+    edges.append((0, 0))
+    assert rag_export(pyr, top) == want
+    assert [(e["a"], e["b"]) for e in relation_report(pyr, top)["meets"]] == want[1]

@@ -125,6 +125,20 @@ def test_region_count_on_sign_fixture():
     assert seg.region_count() == 3  # border ring, background, arrow
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0.0, 1.0, 2.0]))
+def test_region_count_is_the_number_of_stats(seed, threshold):
+    # labels 0..3 as grey levels 0, 1, 2, 3: a threshold of 1 or 2 merges
+    # neighbouring labels over one round or several
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 4, size=(int(rng.integers(1, 9)), int(rng.integers(1, 9))))
+    seg = SegmentedImage(labels)
+    assert seg.region_count() == labels.size
+    assert seg._view is None  # counting builds no stats view
+    while seg.merge_level(threshold):
+        assert seg.region_count() == len(seg.stats) == len(np.unique(seg.labels()))
+
+
 def test_merge_loop_strictly_shrinks():
     img = arrow_sign_raster(16)
     seg = SegmentedImage(img)
