@@ -42,11 +42,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="ask relationship questions at one level")
     p.add_argument("--pyr", required=True)
     p.add_argument("--level", default="top")
-    p.add_argument("--contains", nargs=2, type=int, metavar=("A", "B"))
-    p.add_argument("--inside", nargs=2, type=int, metavar=("A", "B"))
-    p.add_argument("--meets-each", nargs=2, type=int, metavar=("A", "B"))
-    p.add_argument("--composed-of", type=int, metavar="V")
-    p.add_argument("--report", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--contains", nargs=2, type=int, metavar=("A", "B"))
+    mode.add_argument("--inside", nargs=2, type=int, metavar=("A", "B"))
+    mode.add_argument("--meets-each", nargs=2, type=int, metavar=("A", "B"))
+    mode.add_argument("--composed-of", type=int, metavar="V")
+    mode.add_argument("--report", action="store_true")
     p.add_argument("--region", type=int, default=None)
     p.set_defaults(func=_cmd_query)
 
@@ -104,6 +105,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    if args.region is not None and not args.report:
+        raise ValueError("--region applies only to --report")
     pyr = _load_pyramid(args.pyr)
     i = _parse_level(pyr, args.level)
     out: dict = {"level": i}
@@ -179,13 +182,15 @@ def _cmd_roadsign(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    # loading re-checks every kernel; what is left are each level's invariants
+    # loading re-checks every kernel; what is left are each level's
+    # invariants, checked once for levels that share one map
     pyr = _load_pyramid(args.pyr)
     problems: list[str] = []
+    checked = None
     for i in range(pyr.top_level + 1):
-        report = validate(pyr.reconstruct_level(i))
-        for name in report.failed():
-            problems.append(f"level {i}: {name}")
+        if (m := pyr.reconstruct_level(i)) is not checked:
+            checked, failed = m, validate(m).failed()
+        problems.extend(f"level {i}: {name}" for name in failed)
     ok = not problems
     print(json.dumps({"ok": ok, "levels": pyr.top_level, "problems": problems}, sort_keys=True))
     return 0 if ok else 1

@@ -22,18 +22,19 @@ Each level is held as int32 sigma/alpha arrays indexed by signed dart, and
 the derivation and the kernel checks are whole-array passes over the top's:
 pointer jumping (_chain_ends) instead of one walk per dart.
 
-Each level is one record, a _Level, of the state of the kernel that made it
-(None at the base), its sigma and alpha arrays (a level whose kernel keeps
-alpha shares the alpha array below, and one whose kernel removes no dart
-shares every array below), its turn counts, its darts in dart_sort_key
-order and its region array: for every base dart, the canonical dart of the
-level-i vertex that holds or absorbed it. A level's
+The pyramid stores the encoding as such: the level of each dart in one
+int array and the state of each kernel in one list (None at the base);
+kernels are rebuilt from them on request. Each level is one record, a
+_Level, of its sigma and alpha arrays (a level whose kernel keeps alpha
+shares the alpha array below), its turn counts, its darts in
+dart_sort_key order and its region array: for every base dart, the
+canonical dart of the level-i vertex that holds or absorbed it. A level's
 vertices are those below merged along the contracted trees, less the killed
-darts, so one gather derives the region array from the one below. Kernel
-checks, merge rounds, pixel_labels, vertex_of_pixel, composed_of and the
-query layer read these arrays. The level of each dart is one int array;
-kernels are rebuilt from it on request. apply_kernel builds a level in
-locals and appends its record once every step has passed, so it either
+darts, so one gather derives the region array from the one below. A level
+whose kernel removes no dart is the record below it, caches included.
+Kernel checks, merge rounds, pixel_labels, vertex_of_pixel, composed_of and
+the query layer read these arrays. apply_kernel builds a level in locals
+and appends its state and record once every step has passed, so it either
 appends a level or changes nothing; a level never changes after that.
 
 The record also keeps what only some readers need, computed on first read
@@ -42,10 +43,10 @@ the level's map as lists indexed by signed dart (the base's is built with
 it, and levels that share an alpha array share its list), `redundant`, its
 empty self loops, one _chain_ends walk as planar loops nest, and double-edge
 joints (read by the next kernel's check, compute_rkesl, compute_rkede and
-redundant_darts), `children`, composed_of's index of a contraction level,
-`forest`, a clean level's enclosure forest, and `boundary`, the boundary
-index that rag_export, relation_report and meets_each read; level() keeps
-its list copy of the dart levels alike. A build or a reload thus costs in
+redundant_darts), `children`, composed_of's index of the contraction that
+made the record, `forest`, a clean level's enclosure forest, and
+`boundary`, the boundary index that rag_export, relation_report and
+meets_each read; level() keeps its list copy of the dart levels alike. A build or a reload thus costs in
 proportion to its kernels and their checks.
 
 The JSON record (version 2) is the encoding itself: the grid size, the
@@ -145,15 +146,14 @@ class KernelError(ValueError):
 
 @dataclass(slots=True, eq=False)
 class _Level:
-    """One pyramid level (see the module docstring): the state of the kernel
-    that made it, None at level 0; sigma, 0 at a dead dart, and alpha, stale
-    at a dart that died under a kernel which keeps alpha and 0 at the other
-    dead darts, as int32 arrays indexed by signed dart; the turn counts, the
-    dart order and the region array, none written once the level is made.
-    Under RKEDE, alpha is derived with the turn counts (_fold_orientations).
-    The fields after them are the caches filled on first read."""
+    """One pyramid level (see the module docstring) and those above it whose
+    kernels remove no dart: sigma, 0 at a dead dart, and alpha, stale at a
+    dart that died under a kernel which keeps alpha and 0 at the other dead
+    darts, as int32 arrays indexed by signed dart; the turn counts, the dart
+    order and the region array, none written once the level is made. Under
+    RKEDE, alpha is derived with the turn counts (_fold_orientations). The
+    fields after them are the caches filled on first read."""
 
-    state: KernelState | None
     sigma: np.ndarray
     alpha: np.ndarray
     turns: np.ndarray
@@ -191,17 +191,16 @@ class Pyramid:
         # level maps share the int objects of the base map build_grid_map made
         sigma, self._ids, self._ints, region = embedding._grid_tables()
         n = self._n = len(sigma) // 2
-        # the encoding past the base, besides each level's kernel state: the
-        # level whose kernel removed each dart, indexed by signed dart (see
-        # map_core.dart_ids), 0 while it survives, with the list copy level()
-        # reads
+        # the encoding past the base: the level whose kernel removed each
+        # dart, indexed by signed dart (see map_core.dart_ids), 0 while it
+        # survives, with the list copy level() reads, and the state of each
+        # level's kernel
         self._died = np.zeros(2 * n + 1, dtype=np.int32)
         self._died_list: list[int] | None = None
-        # the start corner of every dart, for the joints of each level
-        self._corners = embedding.corners(self._ids).astype(np.int32)
+        self._states: list[KernelState | None] = [None]
         # every level, the top last
         turns = np.zeros(2 * n + 1, dtype=np.int32)
-        self._levels = [_Level(None, sigma, -self._ids, turns, dart_order(n), region, map=base)]
+        self._levels = [_Level(sigma, -self._ids, turns, dart_order(n), region, map=base)]
 
     @classmethod
     def from_grid(cls, width: int, height: int) -> "Pyramid":
@@ -218,8 +217,7 @@ class Pyramid:
         """The kernel of every level, rebuilt from the level of each dart."""
         order = dart_order(self._n)
         died = self._died[order]
-        levels = enumerate(self._levels[1:], start=1)
-        return [Kernel.of(level.state, order[died == k]) for k, level in levels]
+        return [Kernel.of(state, order[died == k]) for k, state in enumerate(self._states[1:], start=1)]
 
     def level(self, d: Dart) -> int:
         """The level whose kernel removes d, top_level + 1 if it never dies:
@@ -234,7 +232,7 @@ class Pyramid:
         """How the level-i kernel removes its darts, for i in 1..top_level."""
         if not 1 <= i <= self.top_level:
             raise ValueError(f"level {i} out of range 1..{self.top_level}")
-        return self._levels[i].state
+        return self._states[i]
 
     # -- replay of absorbed darts ---------------------------------------------
 
@@ -250,8 +248,7 @@ class Pyramid:
         limit = len(self.base)
         c, lvl = d, self.level(d)
         # every step stays on base darts, so the lists are read unchecked
-        sigma, alpha, died = self.base._sigma, self.base._alpha, self._died_list
-        states = [level.state for level in self._levels]
+        sigma, alpha, died, states = self.base._sigma, self.base._alpha, self._died_list, self._states
         while True:
             if lvl <= i and states[lvl] is KernelState.CK:
                 c = sigma[alpha[c]]
@@ -282,8 +279,7 @@ class Pyramid:
         limit = len(self.base)
         c = d
         self.level(d)  # the lists are then read unchecked, as in _absorbed
-        sigma, alpha, died = self.base._sigma, self.base._alpha, self._died_list
-        states = [level.state for level in self._levels]
+        sigma, alpha, died, states = self.base._sigma, self.base._alpha, self._died_list, self._states
         while True:
             hop = sigma[alpha[-c]]
             steps = 0
@@ -364,8 +360,8 @@ class Pyramid:
     def _apply(self, state: KernelState, kd: np.ndarray) -> "Pyramid":
         """apply_kernel of the kernel of state made of the darts of kd, an int
         array of distinct darts in dart_sort_key order, as Kernel.of and
-        from_json make it. The new level is built in locals and published
-        by the one append at the end."""
+        from_json make it. The new level is built in locals and published,
+        with its state, by the appends at the end."""
         top = self._levels[-1]
         self._check_live(kd)
         kill = np.zeros(len(top.sigma), dtype=bool)
@@ -376,33 +372,32 @@ class Pyramid:
             self._check_rkesl(kd, kill)
         else:
             self._check_rkede(kd, kill)
-        if not kd.size:
-            # nothing dies: the new level is the top again and shares its arrays
-            self._levels.append(_Level(state, top.sigma, top.alpha, top.turns, top.order, top.region))
-            self._died_list = None
-            return self
-        order = top.order[~kill[top.order]]
-        # each base dart's top vertex, named alike along contracted trees
-        merged, turns, alpha = top.region, top.turns, top.alpha
-        if state is KernelState.CK:
-            tree = self._ids.copy()
-            tree[ends] = root
-            merged = tree[merged]
-        elif state is KernelState.RKEDE:
-            heads, partners, grown = self._fold_orientations(kill)
-            # the levels below keep their arrays; a dead dart's partner is 0
-            turns = turns.copy()
-            turns[heads] = grown
-            alpha = np.zeros_like(alpha)
-            alpha[order] = top.alpha[order]
-            alpha[heads] = partners
-        # a new vertex is the survivors of the top vertices merged alike, its
-        # canonical dart the least in order; slot len(order) stands for dart 0
-        least = np.full(len(merged), len(order), dtype=np.int32)
-        np.minimum.at(least, merged[order], np.arange(len(order), dtype=np.int32))
-        region = np.append(order, np.int32(0))[least[merged]]
-        sigma = _reduce(top.sigma, top.alpha, self._ids, kill, order, state)
-        self._levels.append(_Level(state, sigma, alpha, turns, order, region))
+        level = top  # nothing dies: the new level is the top's own record, caches and all
+        if kd.size:
+            order = top.order[~kill[top.order]]
+            # each base dart's top vertex, named alike along contracted trees
+            merged, turns, alpha = top.region, top.turns, top.alpha
+            if state is KernelState.CK:
+                tree = self._ids.copy()
+                tree[ends] = root
+                merged = tree[merged]
+            elif state is KernelState.RKEDE:
+                heads, partners, grown = self._fold_orientations(kill)
+                # the levels below keep their arrays; a dead dart's partner is 0
+                turns = turns.copy()
+                turns[heads] = grown
+                alpha = np.zeros_like(alpha)
+                alpha[order] = top.alpha[order]
+                alpha[heads] = partners
+            # a new vertex is the survivors of the top vertices merged alike,
+            # its canonical dart the least in order; slot len(order) is dart 0
+            least = np.full(len(merged), len(order), dtype=np.int32)
+            np.minimum.at(least, merged[order], np.arange(len(order), dtype=np.int32))
+            region = np.append(order, np.int32(0))[least[merged]]
+            sigma = _reduce(top.sigma, top.alpha, self._ids, kill, order, state)
+            level = _Level(sigma, alpha, turns, order, region)
+        self._states.append(state)
+        self._levels.append(level)
         self._died[kd] = self.top_level
         self._died_list = None
         return self
@@ -424,7 +419,7 @@ class Pyramid:
             order = level.order
             pos, sigma, mate = level.positions()
             loops = order[_empty_loops(sigma, mate, pos[level.region[order]])]
-            joints = order[_joints(sigma, mate, self._corners[order])]
+            joints = order[_joints(sigma, mate, order, self.embedding)]
             found = level.redundant = loops, joints
         return found
 
@@ -486,6 +481,8 @@ class Pyramid:
     def _emptied(self, kd: np.ndarray) -> np.ndarray:
         """Canonical darts of the top vertices all of whose darts are in kd,
         once per dart of kd that lies on one."""
+        if not kd.size:
+            return kd
         # kernel darts against all darts, counted per vertex
         top = self._levels[-1]
         vertex = top.region[kd]
@@ -588,8 +585,8 @@ class Pyramid:
     def composed_of(self, i: int, v: Dart) -> frozenset[Dart]:
         """Level-(i-1) vertices merged into vertex v by the level-i kernel.
 
-        A removal kernel keeps every vertex, so v's own level-(i-1) vertex is
-        the one child. A contraction kernel merges a tree of vertices along
+        A removal kernel, or one that removes no dart, keeps every vertex, so
+        v's own level-(i-1) vertex is the one child. A contraction kernel merges a tree of vertices along
         its edges, and each vertex of a tree with an edge holds a dart of the
         kernel: the level-(i-1) regions of the kernel darts that land in v
         name them all. The level's index holds them per region, grouped in
@@ -597,8 +594,8 @@ class Pyramid:
         """
         state = self.state(i)
         self._require_alive(i, v)
-        if state is KernelState.CK:
-            level = self._levels[i]
+        level = self._levels[i]
+        if state is KernelState.CK and level is not self._levels[i - 1]:
             if (index := level.children) is None:
                 index = level.children = self._children(i)
             if (out := index.get(self._region(i, v))) is not None:
@@ -628,7 +625,7 @@ class Pyramid:
             "version": 2,
             "width": self.embedding.width,
             "height": self.embedding.height,
-            "states": [level.state.value for level in self._levels[1:]],
+            "states": [state.value for state in self._states[1:]],
         }
         rest = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         # "died" is the first key in sorted order
@@ -824,11 +821,12 @@ def _empty_loops(sigma: np.ndarray, mate: np.ndarray, vertex: np.ndarray) -> np.
     return loop & ((end == end[mate]) | (step[end] != end))
 
 
-def _joints(sigma: np.ndarray, mate: np.ndarray, corner: np.ndarray) -> np.ndarray:
-    """Mask of the darts of degree-2 dual vertices whose two darts come from
-    distinct edges and start at one grid corner: the removable double-edge
-    joints. Darts are positions as in _empty_loops; corner holds the start
-    corner of each."""
+def _joints(sigma: np.ndarray, mate: np.ndarray, dart: np.ndarray, embedding: CrackEmbedding) -> np.ndarray:
+    """Positions, in order, of the darts of degree-2 dual vertices whose two
+    darts come from distinct edges and start at one grid corner: the
+    removable double-edge joints. Darts are positions as in _empty_loops;
+    dart holds the dart of each, whose start corner embedding gives."""
     phi = sigma[mate]
     at = np.arange(len(sigma))
-    return (phi != at) & (phi[phi] == at) & (phi != mate) & (corner == corner[phi])
+    k = np.flatnonzero((phi != at) & (phi[phi] == at) & (phi != mate))
+    return k[embedding.corners(dart[k]) == embedding.corners(dart[phi[k]])]

@@ -221,6 +221,30 @@ def test_level_that_is_not_a_number_names_the_flag(tmp_path, sign_ppm, capsys):
     assert err == "error: --level must be 'top' or an integer in 0..3, got 'abc'\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    ([], "one of the arguments --contains --inside --meets-each --composed-of --report is required"),
+    (["--contains", 1, 2, "--inside", 1, 2], "argument --inside: not allowed with argument --contains"),
+    (["--meets-each", 1, 2, "--contains", 1, 2], "argument --contains: not allowed with argument --meets-each"),
+    (["--report", "--composed-of", 1], "argument --composed-of: not allowed with argument --report"),
+    (["--region", 1], "one of the arguments --contains --inside --meets-each --composed-of --report is required"),
+], ids=["no-mode", "contains-inside", "meets-each-contains", "report-composed-of", "region-alone"])
+def test_query_takes_exactly_one_mode(tmp_path, capsys, flags, message):
+    path = tmp_path / "small.pyr"
+    path.write_text(small_pyramid().to_json())
+    with pytest.raises(SystemExit) as exit_:
+        main(["query", "--pyr", str(path), *(str(f) for f in flags)])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flags", [["--contains", 1, 2], ["--composed-of", 1]], ids=["contains", "composed-of"])
+def test_region_without_report_is_rejected(tmp_path, capsys, flags):
+    path = tmp_path / "small.pyr"
+    path.write_text(small_pyramid().to_json())
+    err = query_error(capsys, path, *flags, "--region", 2)
+    assert err == "error: --region applies only to --report\n"
+
+
 @pytest.mark.parametrize("command", ["build", "roadsign"])
 @pytest.mark.parametrize("flags, message", [
     (["--threshold", "nan"], "threshold must be a non-negative number, got nan"),

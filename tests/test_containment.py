@@ -351,9 +351,15 @@ def test_forest_is_the_transitive_reduction_of_the_flood(seed, source):
 
 
 def test_concurrent_queries_on_a_fresh_pyramid_match_sequential_ones():
-    text = tiered_pyramid(ringed_labels(random.Random(8), 24, 24, rings=8)).to_json()
+    pyr = tiered_pyramid(ringed_labels(random.Random(8), 24, 24, rings=8))
+    # kernels that remove no dart: the top, which is clean, accepts one of
+    # each state, and their levels share its record and so its caches
+    for state in KernelState:
+        pyr.apply_kernel(Kernel.of(state, []))
+    text = pyr.to_json()
     seq = Pyramid.from_json(text)
     levels = clean_levels(seq)
+    assert seq._levels[-1] is seq._levels[-4] and seq.top_level in levels
     regions = {i: [cyc[0] for cyc in seq.reconstruct_level(i).vertices()] for i in levels}
     pairs = {i: rag_export(seq, i)[1][:10] for i in levels}
     assert sum(any(inside_all(seq, i, a) for a in regions[i]) for i in levels) >= 2

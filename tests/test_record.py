@@ -4,7 +4,8 @@ to_json writes version 2: the grid size, the state of each kernel and the
 level of each dart, and from_json loads it to the same pyramid. A record with the level of one dart or one base edge changed is
 rejected, or loads levels that are valid maps. The level list is written
 as one byte array, which equals json.dumps of the list. A kernel that
-removes no dart loads as a level that shares the arrays below it.
+removes no dart loads as a level that is the record below it, so it is
+built, checked and validated once however many such kernels follow.
 """
 
 import gc
@@ -17,8 +18,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from combipyramid.map_core import validate
+from combipyramid import cli, map_core, pyramid
+from combipyramid.cli import main
+from combipyramid.containment import contains
+from combipyramid.map_core import ValidationReport, validate
 from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid, _json_naturals
+from combipyramid.relations import meets_each, rag_export, region_ids, relation_report
 
 from conftest import random_pyramid, spanning_tree
 from eager_oracle import eager_levels
@@ -122,3 +127,102 @@ def test_an_empty_double_edge_kernel_still_needs_the_loops_removed():
     assert pyr.top_level == 1
     pyr.apply_kernel(Kernel.of(KernelState.RKESL, []))
     assert pyr.top_level == 2 and pyr.redundant_darts(2) == pyr.redundant_darts(1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_a_level_whose_kernel_removes_no_dart_repeats_the_level_below(seed):
+    rng = random.Random(seed)
+    ref = random_pyramid(rng, max_side=6)
+    pyr = Pyramid.from_grid(ref.embedding.width, ref.embedding.height)
+    kernels = []
+    for kernel in [*ref.kernels, None]:
+        while rng.random() < 0.4:
+            empty = Kernel.of(rng.choice(list(KernelState)), [])
+            try:
+                pyr.apply_kernel(empty)
+            except KernelError:  # a double-edge kernel waits for the loops to go
+                assert empty.state is KernelState.RKEDE
+                continue
+            kernels.append(empty)
+        if kernel is not None:
+            pyr.apply_kernel(kernel)
+            kernels.append(kernel)
+    assert pyr.kernels == kernels
+    text = pyr.to_json()
+    assert Pyramid.from_json(text).to_json() == text
+    repeats = [i for i, kernel in enumerate(kernels, start=1) if not len(kernel)]
+    assert [i for i in range(1, pyr.top_level + 1) if pyr._levels[i] is pyr._levels[i - 1]] == repeats
+
+    def answers(pyr, i, pairs):
+        report = relation_report(pyr, i)
+        del report["level"], report["composed_of"]
+        out = [region_ids(pyr, i), pyr.pixel_labels(i), pyr.redundant_darts(i), rag_export(pyr, i), report,
+               [meets_each(pyr, i, a, b) for a, b in pairs]]
+        if not pyr.redundant_darts(i):
+            out.append([contains(pyr, i, a, b) for a, b in pairs])
+        return out
+
+    # a fresh load, so the first reads of a repeated level fill the caches
+    # of the record it shares with the level below
+    pyr = Pyramid.from_json(text)
+    for i in repeats:
+        assert pyr.reconstruct_level(i) is pyr.reconstruct_level(i - 1)
+        regions = region_ids(pyr, i)
+        pairs = [tuple(rng.sample(regions, 2)) for _ in range(8)] if len(regions) > 1 else []
+        assert answers(pyr, i, pairs) == answers(pyr, i - 1, pairs)
+        assert all(pyr.composed_of(i, r) == {r} for r in regions)
+
+
+def empty_kernel_record(each: int) -> str:
+    """The record of a 64x64 grid and each kernels of every state that
+    remove no dart, the states taking turns."""
+    payload = json.loads(Pyramid.from_grid(64, 64).to_json())
+    payload["states"] = [state.value for state in KernelState] * each
+    return json.dumps(payload)
+
+
+def calls_of(monkeypatch, module, name: str) -> list:
+    """The argument tuples of every later call of module.name, which keeps
+    doing what it did."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_levels_of_empty_kernels_are_built_once(monkeypatch):
+    text = empty_kernel_record(200)
+    loops = calls_of(monkeypatch, pyramid, "_empty_loops")
+    # the base's map is build_grid_map's, the other levels' _map's
+    base_maps, level_maps = calls_of(monkeypatch, map_core, "map_of"), calls_of(monkeypatch, pyramid, "map_of")
+    pyr = Pyramid.from_json(text)
+    assert pyr.top_level == 600 and len(loops) == 1
+    assert len({id(pyr.reconstruct_level(i)) for i in range(601)}) == 1
+    assert len(base_maps) == 1 and not level_maps
+
+
+def test_an_empty_kernel_is_checked_without_a_count_per_vertex(monkeypatch):
+    pyr = Pyramid.from_json(empty_kernel_record(200))
+    counts = calls_of(monkeypatch, np, "bincount")
+    for state in KernelState:
+        pyr.apply_kernel(Kernel.of(state, []))
+    assert pyr.top_level == 603 and not counts
+
+
+def test_validate_checks_the_map_of_empty_kernels_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "empty.pyr"
+    path.write_text(empty_kernel_record(200), encoding="ascii")
+    checks = calls_of(monkeypatch, cli, "validate")
+    assert main(["validate", "--pyr", str(path)]) == 0
+    assert capsys.readouterr().out == '{"levels": 600, "ok": true, "problems": []}\n'
+    assert len(checks) == 1
+    # a failed check is still listed at every level that shares the map
+    monkeypatch.setattr(cli, "validate", lambda m: ValidationReport([("connected", False, 1)]))
+    assert main(["validate", "--pyr", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["problems"] == [f"level {i}: connected" for i in range(601)]
