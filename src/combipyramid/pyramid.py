@@ -308,12 +308,16 @@ class Pyramid:
         self._check_level(i)
         return self._map(i)
 
-    def _map(self, i: int) -> CombinatorialMap:
+    def _map(self, i: int, cache: bool = True) -> CombinatorialMap:
+        """The level-i map, kept in the level's record when cache, else
+        built afresh unless already kept. The caller checks the level."""
         level = self._levels[i]
         if (m := level.map) is None:
             # levels whose kernels keep alpha share one alpha list
             alpha = next((k.map._alpha for k in self._levels if k.map is not None and k.alpha is level.alpha), level.alpha)
-            m = level.map = map_of(self._ints, level.order, level.sigma, alpha)
+            m = map_of(self._ints, level.order, level.sigma, alpha)
+            if cache:
+                level.map = m
         return m
 
     def _check_level(self, i: int) -> None:
@@ -590,17 +594,20 @@ class Pyramid:
         its edges, and each vertex of a tree with an edge holds a dart of the
         kernel: the level-(i-1) regions of the kernel darts that land in v
         name them all. The level's index holds them per region, grouped in
-        one pass over the kernel, so a call is one dict read.
+        one pass over the kernel, so a call is one range check, one read of
+        v's level and one dict read.
         """
-        state = self.state(i)
-        self._require_alive(i, v)
+        if not 1 <= i < len(self._levels):
+            raise ValueError(f"level {i} out of range 1..{len(self._levels) - 1}")
+        if self.level(v) <= i:
+            raise ValueError(f"dart {v} does not survive at level {i}")
         level = self._levels[i]
-        if state is KernelState.CK and level is not self._levels[i - 1]:
+        if self._states[i] is KernelState.CK and level is not self._levels[i - 1]:
             if (index := level.children) is None:
                 index = level.children = self._children(i)
-            if (out := index.get(self._region(i, v))) is not None:
+            if (out := index.get(self._ints[level.region[v]])) is not None:
                 return out
-        return frozenset([self._region(i - 1, v)])
+        return frozenset([self._ints[self._levels[i - 1].region[v]]])
 
     def _children(self, i: int) -> dict[Dart, frozenset[Dart]]:
         """The level-(i-1) regions merged into each level-i region by the

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boundary import CrackChain, Segment, segment
-from .containment import _enclosers, infinite_region, inside_all
+from .containment import _enclosers, _enclosure_forest, infinite_region, inside_all
 from .map_core import Dart, dart_sort_key
 from .pyramid import Pyramid, _chain_ends, _cycle_min
 
@@ -199,21 +199,19 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
     filter keeps, and computes, only pairs involving that region: its
     enclosers and the regions it encloses, read off the level's enclosure
     forest. The adjacent pairs and their piece counts are read off the
-    level's boundary index, built once per level; the enclosure and
-    composition entries take one inside_all and one composed_of call per
-    region reported.
+    level's boundary index, built once per level. Only the regions that
+    enclose something, the keys of the forest's children, take an inside_all
+    call; every region reported takes one composed_of call.
     """
     home = None
     if region is not None:
         pyr._require_alive(i, region)
         home = pyr._region(i, region)
-
-    def keep(*darts: Dart) -> bool:
-        return home is None or home in darts
-
     regions, rag_edges = rag_export(pyr, i)
-    segments = _boundary_index(pyr, i)[1]
-    meets = [{"a": u, "b": v, "segments": n} for (u, v), n in zip(rag_edges, segments) if keep(u, v)]
+    pairs = zip(rag_edges, _boundary_index(pyr, i)[1])
+    if home is not None:
+        pairs = [(e, n) for e, n in pairs if home in e]
+    meets = [{"a": u, "b": v, "segments": n} for (u, v), n in pairs]
     outside = infinite_region(pyr, i)
     warnings: list[str] = []
 
@@ -221,17 +219,15 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
     if pyr.redundant_darts(i):
         warnings.append("redundant edges present: enclosure entries omitted")
     elif home is None:
-        for r in regions:
-            contains_pairs += [(r, b) for b in sorted(inside_all(pyr, i, r), key=dart_sort_key)]
+        for r in sorted(_enclosure_forest(pyr, i)[1], key=dart_sort_key):
+            contains_pairs += [(r, b) for b in _sorted(inside_all(pyr, i, r))]
     else:
         contains_pairs = [(a, home) for a in _enclosers(pyr, i, home)]
         contains_pairs += [(home, b) for b in inside_all(pyr, i, home)]
         contains_pairs.sort(key=lambda p: (dart_sort_key(p[0]), dart_sort_key(p[1])))
 
-    composed = [
-        {"parent": r, "children": sorted(pyr.composed_of(i, r), key=dart_sort_key)}
-        for r in regions if i >= 1 and keep(r)
-    ]
+    reported = regions if home is None else [home]
+    composed = [{"parent": r, "children": _sorted(pyr.composed_of(i, r))} for r in reported] if i >= 1 else []
 
     return {
         "level": i,
@@ -243,3 +239,8 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
         "composed_of": composed,
         "warnings": warnings,
     }
+
+
+def _sorted(darts: frozenset[Dart]) -> list[Dart]:
+    """darts in dart_sort_key order; a set of at most one needs no sort."""
+    return sorted(darts, key=dart_sort_key) if len(darts) > 1 else list(darts)

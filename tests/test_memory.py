@@ -8,10 +8,13 @@ levels share alpha, one alpha list), is built on its first read. Per-dart
 dicts or frozensets on that path (level maps, dart levels, kept kernels)
 cost several times as much: with them a warm seed-1 reload held 7.22 MB on
 gradient-levels and 6.85 MB on sign-mosaic (tracemalloc, CPython 3.11).
-The bounds hold with every level's map built too.
+The bounds hold with every level's map built too. validate checks each
+level's map without keeping it, so what it holds grows with the darts, not
+with levels x darts.
 """
 
 import gc
+import random
 import sys
 import tracemalloc
 from pathlib import Path
@@ -20,9 +23,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from combipyramid import map_core, pyramid
-from combipyramid.pyramid import Pyramid
+from combipyramid import cli, map_core, pyramid
+from combipyramid.pyramid import Kernel, KernelState, Pyramid
 from combipyramid.segmentation import SegmentedImage
+
+from conftest import spanning_tree
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -85,3 +90,34 @@ def test_reload_builds_only_the_base_map():
         for i in range(pyr.top_level + 1):
             assert pyr.reconstruct_level(i) is pyr.reconstruct_level(i)
     assert len(calls) == pyr.top_level + 1
+
+
+def test_validate_keeps_no_level_map(tmp_path):
+    # one contracted edge per level: a 12x12 grid has 145 vertices, the
+    # outside included, so a spanning tree makes 144 levels. Keeping every
+    # level's map after validate held 7.6 MB here, against 1.1 MB for the load
+    pyr = Pyramid.from_grid(12, 12)
+    for d in spanning_tree(pyr, random.Random(0)):
+        pyr.apply_kernel(Kernel.of(KernelState.CK, [d, -d]))
+    path = tmp_path / "tree.pyr"
+    path.write_text(pyr.to_json())
+    Pyramid.from_json(path.read_text())  # warm
+    loaded = []
+    load = cli._load_pyramid
+
+    def kept(p):
+        loaded.append(load(p))
+        return loaded[-1]
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with mock.patch.object(cli, "_load_pyramid", kept):
+            assert cli.main(["validate", "--pyr", str(path)]) == 0
+        gc.collect()
+        held = (tracemalloc.get_traced_memory()[0] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert loaded[0].top_level == 144
+    assert held <= 2.5, f"the validated pyramid holds {held:.2f} MB"

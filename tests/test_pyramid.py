@@ -789,6 +789,27 @@ def test_composed_of_swallowed_tree_vertex():
     assert vertex_of(m0, center[0]) in pyr.composed_of(1, merged)
 
 
+@pytest.mark.parametrize("i, d, error, message", [
+    (0, 1, ValueError, "level 0 out of range 1..2"),
+    (3, 1, ValueError, "level 3 out of range 1..2"),
+    (0, 0, ValueError, "level 0 out of range 1..2"),  # the level is checked first
+    (1, 2, ValueError, "dart 2 does not survive at level 1"),  # dies at level 1
+    (2, -2, ValueError, "dart -2 does not survive at level 2"),  # dies below level 2
+    (2, -1, ValueError, "dart -1 does not survive at level 2"),
+    (1, 0, KeyError, "dart 0 is not in the base map"),
+    (1, 8, KeyError, "dart 8 is not in the base map"),
+    (2, -8, KeyError, "dart -8 is not in the base map"),
+])
+def test_composed_of_errors_are_pinned(i, d, error, message):
+    # a 2x1 grid has the darts -7..7 but 0; level 1 contracts the inner edge 2, level 2
+    # removes one dart of each double edge, dart -1 among them
+    pyr = Pyramid.from_grid(2, 1).apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    pyr.apply_kernel(pyr.compute_rkede())
+    with pytest.raises(error) as info:
+        pyr.composed_of(i, d)
+    assert info.type is error and info.value.args == (message,)
+
+
 def rkede_checked_build(build):
     """build() with every top it applies a kernel to, and its last top,
     checked: compute_rkede equals the dict walk of the joint links."""

@@ -403,6 +403,31 @@ def test_report_rebuilds_no_level_per_pair(monkeypatch):
     assert calls == []
 
 
+def test_warm_report_calls_inside_all_per_encloser_only(monkeypatch):
+    # only the regions that enclose something, the keys of the forest's
+    # children, have contains pairs, so only they take an inside_all call;
+    # every region takes one composed_of call, which makes no alive check
+    pyr = segment_labels(ringed_labels(random.Random(3), 24, 24, rings=6)).pyramid
+    top = pyr.top_level
+    report = relation_report(pyr, top)
+    calls = []
+    for owner, name in [(relations, "inside_all"), (Pyramid, "composed_of"), (Pyramid, "_require_alive")]:
+        original = getattr(owner, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert relation_report(pyr, top) == report
+    enclosers = pyr._levels[top].forest[1]
+    regions = report["regions"]
+    assert 0 < len(enclosers) < len(regions) and report["contains"]
+    assert calls.count("inside_all") == len(enclosers)
+    assert calls.count("composed_of") == len(regions)
+    assert calls.count("_require_alive") <= len(enclosers)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
 def test_region_reads_equal_the_cycle_references(seed, touch_outside):
