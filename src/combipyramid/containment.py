@@ -12,21 +12,24 @@ one traversal of the cycle classifies every loop, and a second bounded sweep
 collects the enclosed neighbours.
 
 Enclosure is laminar, so each clean level has a forest in which a region's
-parent is its innermost encloser. It is derived from those local tests in one
-traversal of the level from the outside region, on the first enclosure query
-of the level, and stored in the level's record with one store; levels never
-change, so two racing builds give equal forests. Each query names a dart's
-region by one read of the level's region array, so contains is then an
-ancestor check, O(nesting depth), and inside_all a subtree walk, O(output).
+parent is its innermost encloser. The first enclosure query of a level
+derives it from the local tests at the vertices with self loops and the
+level's region adjacencies (_build_forest), and stores it in the level's
+record with one store; levels never change, so two racing builds give equal
+forests. Each query names a dart's region by one read of the level's region
+array, so contains is then an ancestor check, O(nesting depth), and
+inside_all a subtree walk, O(output).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .map_core import Dart, dart_sort_key
 from .moves import Move, turn_angle
-from .pyramid import Pyramid
+from .pyramid import Pyramid, _spanning_forest
 
 __all__ = [
     "VisitCounter",
@@ -150,12 +153,9 @@ def inside_all(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
     forest. Costs O(output) once the forest is built."""
     pyr._require_alive(i, v)
     children = _enclosure_forest(pyr, i)[1]
-    out: list[Dart] = []
-    todo = list(children.get(pyr._region(i, v), ()))
-    while todo:
-        u = todo.pop()
-        out.append(u)
-        todo.extend(children.get(u, ()))
+    out = list(children.get(pyr._region(i, v), ()))
+    for u in out:  # the loop reaches the children appended to out
+        out.extend(children.get(u, ()))
     return frozenset(out)
 
 
@@ -205,32 +205,34 @@ def _build_forest(pyr: Pyramid, i: int) -> _Forest:
     vertex dart: a vertex's parent is its innermost encloser, and vertices
     enclosed by nothing have none.
 
-    One traversal from the outside vertex. A neighbour w first reached from
-    v is enclosed by everything enclosing v, and by v itself exactly when w
-    lies inside a loop of v, which inside_direct tells; so w's parent is v
-    or v's own parent. Costs O(|level|) plus one loop classification per
-    vertex with self loops.
+    Each live dart joins its region u to the region v across its first
+    crack. inside_direct runs only at the vertices with a self loop, u == v,
+    and names the regions each encloses directly: the down pairs. Regions
+    joined by any other pair share their innermost encloser, so those pairs
+    join them into classes (_spanning_forest), and a class takes the
+    encloser of its down pairs; the outside region's class has none.
     """
     require_clean_level(pyr, i)
-    m = pyr.reconstruct_level(i)
-    outside = infinite_region(pyr, i)
-    parent: dict[Dart, Dart] = {}
+    level = pyr._levels[i]
+    u, v = level.region[level.order], level.region[-level.order]
+    down = [(x, w) for x in pyr._ints[np.unique(u[u == v])].tolist() for w in inside_direct(pyr, i, x)]
+    if not down:
+        return {}, {}
+    encloser, child = np.array(down, dtype=np.int32).T
+    # up: the encloser of each child of a down pair, then of each class, by the region naming it
+    up = np.zeros(len(level.region), dtype=np.int32)
+    up[child] = encloser
+    joined = (up[v] != u) & (up[u] != v)
+    _, ends, root = _spanning_forest(u[joined], v[joined])
+    cls = pyr._ids.copy()
+    cls[ends] = root
+    up[child] = 0
+    up[cls[child]] = encloser
+    if (up[cls[child]] != encloser).any() or up[cls[infinite_region(pyr, i)]]:
+        raise RuntimeError(f"a class of regions at level {i} has two enclosers")
+    up = up[cls[u]]
+    parent = dict(zip(pyr._ints[u[up != 0]].tolist(), pyr._ints[up[up != 0]].tolist()))
     children: dict[Dart, list[Dart]] = {}
-    seen = {outside}
-    todo = [outside]
-    while todo:
-        v = todo.pop()
-        around = dict.fromkeys(pyr._region(i, m.alpha(d)) for d in m.orbit(v, "sigma"))
-        inner = inside_direct(pyr, i, v) if v in around else frozenset()
-        up = parent.get(v)
-        for w in around:
-            if w in seen:
-                continue
-            seen.add(w)
-            todo.append(w)
-            p = v if w in inner else up
-            if p is not None:
-                parent[w] = p
-                children.setdefault(p, []).append(w)
+    for w, p in parent.items():
+        children.setdefault(p, []).append(w)
     return parent, children
-

@@ -329,44 +329,65 @@ class ValidationReport:
         return [name for name, passed, _ in self.checks if not passed]
 
     def __str__(self) -> str:
-        lines = []
-        for name, passed, witness in self.checks:
-            mark = "ok" if passed else "FAIL"
-            extra = "" if witness is None else f" (dart {witness})"
-            lines.append(f"{name}: {mark}{extra}")
-        return "\n".join(lines)
+        return "\n".join(f"{name}: {'ok' if passed else 'FAIL'}" + ("" if witness is None else f" (dart {witness})")
+                         for name, passed, witness in self.checks)
 
 
 def validate(m: CombinatorialMap) -> ValidationReport:
     """Report on involution, bijectivity, connectivity and the Euler count."""
-    # a map built from dicts reads 0 at a missing alpha image and at the slot of a non-dart
-    order, alpha = m._order.tolist(), m._alpha
-    involution = next((d for d in order if alpha[alpha[d]] != d), None)
-    fixed = next((d for d in order if alpha[d] == d), None)
-    # the constructor makes sigma's domain the darts
-    image = {m._sigma[d] for d in order}
-    sigma_ok = image == m.darts
-    connected, witness = _connected(m, order)
-    euler = sigma_ok and involution is None and fixed is None
-    return ValidationReport([
-        ("alpha_involution", involution is None, involution),
-        ("alpha_no_fixed_point", fixed is None, fixed),
-        ("sigma_bijection", sigma_ok, None if sigma_ok else next(d for d in order if d not in image)),
-        ("connected", connected, witness),
-        ("euler_count_2", euler and len(m.vertices()) - len(m.edges()) + len(m.faces()) == 2, None),
-    ])
+    return _validate_arrays(m._order, np.asarray(m._sigma), np.asarray(m._alpha))
 
 
-def _connected(m: CombinatorialMap, order: list[Dart]) -> tuple[bool, Dart | None]:
-    seen, stack = set(order[:1]), order[:1]
-    while stack:
-        d = stack.pop()
-        for e in (m._sigma[d], m._alpha[d]):
-            if e in m and e not in seen:
-                seen.add(e)
-                stack.append(e)
-    missing = next((d for d in order if d not in seen), None)
-    return missing is None, missing
+def _validate_arrays(order: np.ndarray, sigma: np.ndarray, alpha: np.ndarray) -> ValidationReport:
+    """validate of the map with the darts of order, in dart_sort_key order,
+    and sigma and alpha arrays indexed by signed dart, a dart being in the
+    map when its sigma slot is not 0. Each witness is the least failing dart."""
+    # in positions of order, position k standing for any image off the map
+    k = len(order)
+    pos = np.full(len(sigma), k)
+    at = pos[order] = np.arange(k)
+    s, a = pos[sigma[order]], pos[alpha[order]]
+    hit = np.bincount(s, minlength=k + 1) > 0
+    # connected: the darts reached from the least one, a frontier of groups a
+    # round, with the groups each steps to in near: darts along sigma and
+    # alpha, or whole vertices along alpha once sigma permutes the darts
+    group, steps = (_cycle_min(s), (a,)) if hit[:k].all() else (at, (s, a))
+    src = np.tile(group, len(steps))
+    size = np.bincount(src, minlength=k)
+    first = np.cumsum(size) - size
+    near = np.append(group, k)[np.concatenate(steps)][np.argsort(src, kind="stable")]
+    # mark is -1 at a group not met; a round keeps one copy of each new group
+    mark = np.full(k + 1, -1)
+    front = group[:1]
+    mark[k] = mark[front] = 0
+    while front.size:
+        n = size[front]
+        front = near[np.repeat(first[front] - np.cumsum(n) + n, n) + np.arange(n.sum())]
+        front = front[mark[front] < 0]
+        mark[front] = np.arange(len(front))
+        front = front[mark[front] == np.arange(len(front))]
+    bad = [order[np.append(a, k)[a] != at], order[a == at], order[~hit[:k]], order[mark[group] < 0]]
+    # alpha pairs the darts into k / 2 edges
+    euler = not any(b.size for b in bad[:3]) and (group == at).sum() - k // 2 + (_cycle_min(s[a]) == at).sum() == 2
+    names = ["alpha_involution", "alpha_no_fixed_point", "sigma_bijection", "connected"]
+    checks = [(name, not b.size, int(b[0]) if b.size else None) for name, b in zip(names, bad)]
+    return ValidationReport(checks + [("euler_count_2", bool(euler), None)])
+
+
+def _cycle_min(step: np.ndarray) -> np.ndarray:
+    """For a permutation step of positions 0..k-1, the least position on
+    the cycle of each.
+
+    Pointer jumping: after r rounds best(p) is the least position among the
+    2^r met from p on and hop(p) lies 2^r steps on. A round that changes no
+    best ends it: every window then holds its cycle's least position.
+    """
+    best, hop = np.arange(len(step), dtype=np.int32), step
+    while True:
+        new = np.minimum(best, best[hop])
+        if (new == best).all():
+            return best
+        best, hop = new, hop[hop]
 
 
 def to_dot(m: CombinatorialMap, name: str = "map") -> str:

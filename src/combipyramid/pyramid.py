@@ -39,15 +39,16 @@ appends a level or changes nothing; a level never changes after that.
 
 The record also keeps what only some readers need, computed on first read
 and published with one store, so racing builds give equal values: `map`,
-the level's map as lists indexed by signed dart (the base's is built with
-it, and levels that share an alpha array share its list), `redundant`, its
-empty self loops, one _chain_ends walk as planar loops nest, and double-edge
-joints (read by the next kernel's check, compute_rkesl, compute_rkede and
-redundant_darts), `children`, composed_of's index of the contraction that
-made the record, `forest`, a clean level's enclosure forest, and
-`boundary`, the boundary index that rag_export, relation_report and
-meets_each read; level() keeps its list copy of the dart levels alike. A build or a reload thus costs in
-proportion to its kernels and their checks.
+the level's map as lists indexed by signed dart, read only by a query's walk
+of one vertex cycle or boundary piece (the base's is built with it, and
+levels that share an alpha array share its list), `redundant`, its empty
+self loops and double-edge joints (read by the next kernel's check,
+compute_rkesl, compute_rkede and redundant_darts), `children`, composed_of's
+index of the contraction that made the record, `forest`, a clean level's
+enclosure forest, and `boundary`, the boundary index that rag_export,
+relation_report and meets_each read; level() keeps its list copy of the
+dart levels alike. Whole-level passes read the arrays, so a build or a
+reload costs in proportion to its kernels and their checks.
 
 The JSON record (version 2) is the encoding itself: the grid size, the
 state of each kernel and, in dart_order, the level whose kernel removes each
@@ -82,6 +83,7 @@ from .map_core import (
     CombinatorialMap,
     CrackEmbedding,
     Dart,
+    _cycle_min,
     build_grid_map,
     dart_order,
     dart_sort_key,
@@ -306,18 +308,11 @@ class Pyramid:
         """The level-i map: lists of the arrays derived from level i-1 when
         its kernel was applied, built on the first call."""
         self._check_level(i)
-        return self._map(i)
-
-    def _map(self, i: int, cache: bool = True) -> CombinatorialMap:
-        """The level-i map, kept in the level's record when cache, else
-        built afresh unless already kept. The caller checks the level."""
         level = self._levels[i]
         if (m := level.map) is None:
             # levels whose kernels keep alpha share one alpha list
             alpha = next((k.map._alpha for k in self._levels if k.map is not None and k.alpha is level.alpha), level.alpha)
-            m = map_of(self._ints, level.order, level.sigma, alpha)
-            if cache:
-                level.map = m
+            m = level.map = map_of(self._ints, level.order, level.sigma, alpha)
         return m
 
     def _check_level(self, i: int) -> None:
@@ -786,22 +781,6 @@ def _chain_ends(step: np.ndarray, start: np.ndarray,
         todo = todo[hop[h] != h]
     end = hop[start]
     return end if total is None else (end, total[start])
-
-
-def _cycle_min(step: np.ndarray) -> np.ndarray:
-    """For a permutation step of positions 0..k-1, the least position on
-    the cycle of each.
-
-    Pointer jumping: after r rounds best(p) is the least position among the
-    2^r met from p on and hop(p) lies 2^r steps on. A round that changes no
-    best ends it: every window then holds its cycle's least position.
-    """
-    best, hop = np.arange(len(step), dtype=np.int32), step
-    while True:
-        new = np.minimum(best, best[hop])
-        if (new == best).all():
-            return best
-        best, hop = new, hop[hop]
 
 
 def _empty_loops(sigma: np.ndarray, mate: np.ndarray, vertex: np.ndarray) -> np.ndarray:

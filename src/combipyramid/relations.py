@@ -14,8 +14,8 @@ import numpy as np
 
 from .boundary import CrackChain, Segment, segment
 from .containment import _enclosers, _enclosure_forest, infinite_region, inside_all
-from .map_core import Dart, dart_sort_key
-from .pyramid import Pyramid, _chain_ends, _cycle_min
+from .map_core import Dart, _cycle_min, dart_sort_key
+from .pyramid import Pyramid, _chain_ends
 
 __all__ = [
     "region_ids",

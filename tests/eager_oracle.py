@@ -17,7 +17,9 @@ boundary index.
 starting_darts_with_discards classifies a vertex's loops with every dart
 of the cycle on its stack, discarding the non-loop darts a closing loop
 pops over. inside_all_flood floods
-the map from a vertex's directly enclosed neighbours; flood_fill_contains_oracle
+the map from a vertex's directly enclosed neighbours, and
+enclosure_forest_by_traversal builds the enclosure forest in one traversal
+of every vertex cycle from the outside region; flood_fill_contains_oracle
 and enclosed_regions decide enclosure on the pixels, and BoundaryOracle finds
 shared boundary pieces on them. composed_of_scan assigns every vertex of the
 level below to its parent by a scan of the whole level, and
@@ -581,6 +583,37 @@ def inside_all_flood(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
                 seen.add(w)
                 stack.append(w)
     return frozenset(seen)
+
+
+def enclosure_forest_by_traversal(pyr: Pyramid, i: int) -> tuple[dict[Dart, Dart], dict[Dart, list[Dart]]]:
+    """(parent, children) of the level's enclosure forest, keyed by
+    canonical vertex dart, from one traversal from the outside vertex. A
+    neighbour w first reached from v is enclosed by everything enclosing v,
+    and by v itself exactly when w lies inside a loop of v, which
+    inside_direct tells; so w's parent is v or v's own parent."""
+    require_clean_level(pyr, i)
+    m = pyr.reconstruct_level(i)
+    rep = m.vertex_ids()
+    outside = infinite_region(pyr, i)
+    parent: dict[Dart, Dart] = {}
+    children: dict[Dart, list[Dart]] = {}
+    seen = {outside}
+    todo = [outside]
+    while todo:
+        v = todo.pop()
+        around = dict.fromkeys(rep[m.alpha(d)] for d in m.orbit(v, "sigma"))
+        inner = inside_direct(pyr, i, v) if v in around else frozenset()
+        up = parent.get(v)
+        for w in around:
+            if w in seen:
+                continue
+            seen.add(w)
+            todo.append(w)
+            p = v if w in inner else up
+            if p is not None:
+                parent[w] = p
+                children.setdefault(p, []).append(w)
+    return parent, children
 
 
 def flood_fill_contains_oracle(labels, a: int, b: int) -> bool:

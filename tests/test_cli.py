@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import combipyramid
+from combipyramid import cli, map_core, pyramid
 from combipyramid.cli import main
 from combipyramid.map_core import CombinatorialMap
 from combipyramid.netpbm import load_image, save_ppm
@@ -134,6 +135,27 @@ def test_validate_intact_pyramid(tmp_path, sign_ppm, capsys):
     code, text = run(capsys, "validate", "--pyr", pyr_path)
     assert code == 0
     assert json.loads(text)["ok"] is True
+
+
+def test_validate_builds_no_level_map(tmp_path, sign_ppm, capsys, monkeypatch):
+    # loading builds the base map with the pyramid; from then on map_of
+    # raises, and validate still checks every level, on its record's arrays
+    pyr_path = built(tmp_path, sign_ppm, capsys)
+    load = cli._load_pyramid
+
+    def forbidden(*args):
+        raise AssertionError("validate built a level map")
+
+    def loaded(path):
+        pyr = load(path)
+        assert pyr.top_level >= 2
+        for module in (pyramid, map_core):
+            monkeypatch.setattr(module, "map_of", forbidden)
+        return pyr
+
+    monkeypatch.setattr(cli, "_load_pyramid", loaded)
+    code, text = run(capsys, "validate", "--pyr", pyr_path)
+    assert code == 0 and json.loads(text)["ok"] is True
 
 
 # a version-2 record holds the level of every dart in dart_order: 1, -1, 2, -2, ...

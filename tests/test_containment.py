@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combipyramid import containment
 from combipyramid.containment import (
     VisitCounter,
     _enclosure_forest,
@@ -18,11 +19,17 @@ from combipyramid.containment import (
     starting_darts,
 )
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
-from combipyramid.relations import meets_each, rag_export, relation_report
+from combipyramid.relations import infinite_region, meets_each, rag_export, relation_report
 from combipyramid.segmentation import SegmentedImage, segment_labels
 
 from conftest import built_pyramid, clean_levels, kinds, random_labels, random_pyramid, ringed_labels
-from eager_oracle import flood_fill_contains_oracle, inside_all_flood, starting_darts_with_discards, vertex_of
+from eager_oracle import (
+    enclosure_forest_by_traversal,
+    flood_fill_contains_oracle,
+    inside_all_flood,
+    starting_darts_with_discards,
+    vertex_of,
+)
 
 
 def ring_labels(size=3):
@@ -348,6 +355,32 @@ def test_forest_is_the_transitive_reduction_of_the_flood(seed, source):
                 chain.append(p)
                 p = parent.get(p)
             assert chain == outer
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), kinds)
+def test_forest_equals_the_traversal_of_every_vertex_cycle(seed, kind):
+    # the classes of regions joined by adjacencies that are not down pairs
+    # give the forest that one traversal from the outside region gives
+    pyr = built_pyramid(random.Random(seed), kind)
+    for i in clean_levels(pyr):
+        parent, children = _enclosure_forest(pyr, i)
+        want_parent, want_children = enclosure_forest_by_traversal(pyr, i)
+        assert parent == want_parent
+        assert {p: set(cs) for p, cs in children.items()} == {p: set(cs) for p, cs in want_children.items()}
+        assert all(len(cs) == len(set(cs)) for cs in children.values())
+
+
+def test_forest_refuses_an_encloser_of_the_outside_class(monkeypatch):
+    # a loop test that also named the outside region would give the class
+    # of regions that nothing encloses an encloser
+    pyr = segment_labels(ringed_labels(random.Random(2), 16, 16)).pyramid
+    top = pyr.top_level
+    outside = infinite_region(pyr, top)
+    real = containment.inside_direct
+    monkeypatch.setattr(containment, "inside_direct", lambda pyr, i, v: real(pyr, i, v) | {outside})
+    with pytest.raises(RuntimeError, match="two enclosers"):
+        contains(pyr, top, outside, outside)
 
 
 def test_concurrent_queries_on_a_fresh_pyramid_match_sequential_ones():

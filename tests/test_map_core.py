@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from combipyramid.map_core import (
     CombinatorialMap,
     CrackEmbedding,
+    _validate_arrays,
     build_grid_map,
     dart_order,
     dart_sort_key,
@@ -16,7 +18,9 @@ from combipyramid.map_core import (
 )
 from combipyramid.moves import Move
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
+from combipyramid.segmentation import segment_labels
 
+from conftest import built_pyramid, kinds, ringed_labels
 from eager_oracle import grid_map_by_pixels, validate_dicts, vertex_of
 
 
@@ -328,3 +332,51 @@ def test_validate_equals_the_dict_validate_on_mutated_maps(w, h, mutations, data
         return
     got = validate(CombinatorialMap(darts, sigma, alpha))
     assert got.checks == validate_dicts(darts, sigma, alpha).checks
+
+
+# -- the check on a level record's arrays ---------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), kinds)
+def test_level_arrays_validate_as_their_permutation_dicts(seed, kind):
+    pyr = built_pyramid(random.Random(seed), kind)
+    for level in pyr._levels:
+        darts = level.order.tolist()
+        sigma = {d: int(level.sigma[d]) for d in darts}
+        alpha = {d: int(level.alpha[d]) for d in darts}
+        got = _validate_arrays(level.order, level.sigma, level.alpha)
+        assert got.checks == validate_dicts(darts, sigma, alpha).checks
+        assert got.ok
+
+
+def test_corrupted_level_arrays_name_the_check_and_its_least_dart():
+    pyr = segment_labels(ringed_labels(random.Random(1), 8, 8)).pyramid
+    level = pyr._levels[-1]
+    order = level.order.tolist()
+    d, e = order[3], next(x for x in order[4:] if level.alpha[x] != order[3])
+
+    def check(name, order=level.order, sigma=level.sigma, alpha=level.alpha):
+        report = _validate_arrays(np.asarray(order), sigma, alpha)
+        assert not report.ok and "euler_count_2" in report.failed()
+        return next((ok, witness) for n, ok, witness in report.checks if n == name)
+
+    alpha = level.alpha.copy()
+    alpha[d] = d
+    assert check("alpha_no_fixed_point", alpha=alpha) == (False, d)
+    assert check("alpha_involution", alpha=alpha) == (False, int(level.alpha[d]))
+
+    alpha = level.alpha.copy()
+    alpha[d] = level.alpha[e]  # d takes e's partner, whose partner stays e
+    assert check("alpha_involution", alpha=alpha) == (False, min(d, int(level.alpha[d]), key=dart_sort_key))
+
+    sigma = level.sigma.copy()
+    sigma[d] = sigma[e]  # two darts with one successor; the old one of d is never met
+    assert check("sigma_bijection", sigma=sigma) == (False, int(level.sigma[d]))
+
+    # two dead darts made into a one-edge map of their own
+    x = max(dart for dart in pyr.base.darts if max(pyr.level(dart), pyr.level(-dart)) <= pyr.top_level)
+    sigma, alpha = level.sigma.copy(), level.alpha.copy()
+    sigma[[x, -x]], alpha[[x, -x]] = [x, -x], [-x, x]
+    apart = sorted(order + [x, -x], key=dart_sort_key)
+    assert check("connected", order=apart, sigma=sigma, alpha=alpha) == (False, x)

@@ -9,8 +9,8 @@ dicts or frozensets on that path (level maps, dart levels, kept kernels)
 cost several times as much: with them a warm seed-1 reload held 7.22 MB on
 gradient-levels and 6.85 MB on sign-mosaic (tracemalloc, CPython 3.11).
 The bounds hold with every level's map built too. validate checks each
-level's map without keeping it, so what it holds grows with the darts, not
-with levels x darts.
+level on its record's arrays and builds no level map, so what it holds grows
+with the darts, not with levels x darts.
 """
 
 import gc

@@ -218,11 +218,11 @@ def test_an_empty_kernel_is_checked_without_a_count_per_vertex(monkeypatch):
 def test_validate_checks_the_map_of_empty_kernels_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "empty.pyr"
     path.write_text(empty_kernel_record(200), encoding="ascii")
-    checks = calls_of(monkeypatch, cli, "validate")
+    checks = calls_of(monkeypatch, cli, "_validate_arrays")
     assert main(["validate", "--pyr", str(path)]) == 0
     assert capsys.readouterr().out == '{"levels": 600, "ok": true, "problems": []}\n'
     assert len(checks) == 1
     # a failed check is still listed at every level that shares the map
-    monkeypatch.setattr(cli, "validate", lambda m: ValidationReport([("connected", False, 1)]))
+    monkeypatch.setattr(cli, "_validate_arrays", lambda *arrays: ValidationReport([("connected", False, 1)]))
     assert main(["validate", "--pyr", str(path)]) == 1
     assert json.loads(capsys.readouterr().out)["problems"] == [f"level {i}: connected" for i in range(601)]

@@ -356,9 +356,10 @@ def test_report_rebuilds_no_level_per_pair(monkeypatch):
     # the first report of a level, which builds its enclosure forest and its
     # boundary index, and the first enclosure queries read regions off the
     # region arrays and walk single vertex cycles only: no whole-level map
-    # of cycles is built. Once both exist, a report walks no dart and
-    # rebuilds neither: its pairs and piece counts are index reads, its
-    # enclosure entries forest reads
+    # of cycles is built, and the loop test walks the cycle of each vertex
+    # with a self loop, one orbit each. Once both exist, a report walks no
+    # dart and rebuilds neither: its pairs and piece counts are index reads,
+    # its enclosure entries forest reads
     calls = []
 
     def count(owner, name):
@@ -370,16 +371,23 @@ def test_report_rebuilds_no_level_per_pair(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    patched = [(CombinatorialMap, "cycles"), (CombinatorialMap, "alpha")]
+    patched = [(CombinatorialMap, "cycles"), (CombinatorialMap, "alpha"), (CombinatorialMap, "orbit")]
     patched += [(relations, name) for name in ("_chains", "_cycle_min", "_chain_ends")]
     for owner, name in patched:
         count(owner, name)
-    for side in (8, 24):
-        labels = random_labels(random.Random(side), side, side, blobs=side // 2)
+    rasters = [ringed_labels(random.Random(2), 16, 16)]
+    rasters += [random_labels(random.Random(side), side, side, blobs=side // 2) for side in (8, 24)]
+    for labels in rasters:
         text = segment_labels(labels).pyramid.to_json()
-        top = Pyramid.from_json(text).top_level
-        report = relation_report(Pyramid.from_json(text), top)
+        pyr = Pyramid.from_json(text)
+        top = pyr.top_level
+        report = relation_report(pyr, top)
         assert report["meets"] and report["composed_of"]
+        if labels is rasters[0]:
+            assert pyr._levels[top].forest[1]
+        level = pyr._levels[top]
+        u, v = level.region[level.order], level.region[-level.order]
+        looped = len(np.unique(u[u == v]))
         regions = report["regions"]
         queries = [
             lambda pyr: relation_report(pyr, top),
@@ -391,6 +399,7 @@ def test_report_rebuilds_no_level_per_pair(monkeypatch):
             calls.clear()
             query(pyr)
             assert "cycles" not in calls
+            assert calls.count("orbit") <= looped
     # the 24x24 raster: a second report, once the first built the forest and
     # the boundary index
     assert any(e["segments"] > 1 for e in report["meets"])
