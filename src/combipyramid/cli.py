@@ -13,7 +13,7 @@ from .containment import contains
 from .map_core import _validate_arrays, dart_sort_key, to_dot
 from .netpbm import load_image, save_pgm
 from .pyramid import Pyramid
-from .segmentation import RoadsignNotFound, SegmentedImage, roadsign_extract
+from .segmentation import RoadsignNotFound, SegmentedImage, _label_image, roadsign_extract
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -144,13 +144,10 @@ def _cmd_export(args) -> int:
         with open(args.rag_dot, "w", encoding="ascii") as fh:
             fh.write(relations.rag_to_dot(pyr, i, name=f"rag{i}"))
     if args.labels:
-        rows = np.array(pyr.pixel_labels(i), dtype=np.int64)
-        # regions numbered 0, 1, ... in dart_sort_key order of their darts
-        _, first, arr = np.unique(dart_sort_key(rows), return_index=True, return_inverse=True)
-        arr = arr.reshape(rows.shape)
+        arr, names = _label_image(pyr, i)
         maxval = max(1, int(arr.max()))
         save_pgm(args.labels, arr, maxval=min(65535, maxval))
-        regions = {str(k): v for k, v in enumerate(rows.ravel()[first].tolist())}
+        regions = {str(k): v for k, v in enumerate(names.tolist())}
         with open(args.labels + ".json", "w", encoding="ascii") as fh:
             fh.write(json.dumps({"regions": regions}, sort_keys=True) + "\n")
     return 0

@@ -205,33 +205,33 @@ def _build_forest(pyr: Pyramid, i: int) -> _Forest:
     vertex dart: a vertex's parent is its innermost encloser, and vertices
     enclosed by nothing have none.
 
-    Each live dart joins its region u to the region v across its first
+    Each live dart joins its region index u to the one v across its first
     crack. inside_direct runs only at the vertices with a self loop, u == v,
     and names the regions each encloses directly: the down pairs. Regions
     joined by any other pair share their innermost encloser, so those pairs
     join them into classes (_spanning_forest), and a class takes the
-    encloser of its down pairs; the outside region's class has none.
+    encloser of its down pairs (-1 for none); the outside's class has none.
     """
     require_clean_level(pyr, i)
     level = pyr._levels[i]
-    u, v = level.region[level.order], level.region[-level.order]
-    down = [(x, w) for x in pyr._ints[np.unique(u[u == v])].tolist() for w in inside_direct(pyr, i, x)]
+    region, names = level.region, level.names
+    u, v = region[level.order], region[-level.order]
+    down = [(x, w) for x in np.unique(u[u == v]).tolist() for w in inside_direct(pyr, i, names[x])]
     if not down:
         return {}, {}
-    encloser, child = np.array(down, dtype=np.int32).T
+    encloser, child = np.array(down, dtype=np.int64).T
+    child = region[child]
     # up: the encloser of each child of a down pair, then of each class, by the region naming it
-    up = np.zeros(len(level.region), dtype=np.int32)
+    up = np.full(len(names), -1)
     up[child] = encloser
     joined = (up[v] != u) & (up[u] != v)
-    _, ends, root = _spanning_forest(u[joined], v[joined])
-    cls = pyr._ids.copy()
-    cls[ends] = root
-    up[child] = 0
+    _, cls = _spanning_forest(u[joined], v[joined], len(names))
+    up[child] = -1
     up[cls[child]] = encloser
-    if (up[cls[child]] != encloser).any() or up[cls[infinite_region(pyr, i)]]:
+    if (up[cls[child]] != encloser).any() or up[cls[region[1]]] >= 0:
         raise RuntimeError(f"a class of regions at level {i} has two enclosers")
-    up = up[cls[u]]
-    parent = dict(zip(pyr._ints[u[up != 0]].tolist(), pyr._ints[up[up != 0]].tolist()))
+    has = np.flatnonzero(up[cls] >= 0)
+    parent = dict(zip(names[has].tolist(), names[up[cls[has]]].tolist()))
     children: dict[Dart, list[Dart]] = {}
     for w, p in parent.items():
         children.setdefault(p, []).append(w)

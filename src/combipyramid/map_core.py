@@ -222,12 +222,11 @@ class CrackEmbedding:
 
     def pixel_of(self, d: Dart) -> tuple[int, int] | None:
         """Pixel whose sigma cycle owns dart d at the base level, or None for
-        the outside vertex: the start of the canonical dart that the base
-        region array holds for d."""
+        the outside vertex: read off the base region index of d."""
         if not (d and abs(d) <= self.n_darts // 2):
             raise KeyError(f"dart {d} is not in the base map")
         r = int(self._grid_tables()[3][d])
-        return None if r == 1 else self.start(r)
+        return divmod(r - 1, self.width)[::-1] if r else None
 
     def grid_sigma(self) -> np.ndarray:
         """sigma of the base map as a read-only int32 array indexed by signed
@@ -242,8 +241,8 @@ class CrackEmbedding:
 
     def _grid_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """grid_sigma, dart_ids, the int object of every dart and the base
-        region array (the canonical dart of each dart's base vertex: -left
-        for the four sides of a pixel, 1 for the outside vertex), indexed
+        region array (0 on the outside vertex, 1 + y * width + x on pixel
+        (x, y): the order of their canonical darts 1 and -left), indexed
         alike: computed on first use, once per embedding, and read-only.
         build_grid_map builds the base map's lists from them and a Pyramid
         of the embedding shares them."""
@@ -254,15 +253,14 @@ class CrackEmbedding:
         if 2 * n + 1 > np.iinfo(np.int32).max:
             raise ValueError(f"a {w}x{h} grid has too many darts for int32 dart ids")
         sigma = np.zeros(2 * n + 1, dtype=np.int32)
-        region = np.ones(2 * n + 1, dtype=np.int32)
-        region[0] = 0
+        region = np.zeros(2 * n + 1, dtype=np.int32)
         y, x = np.divmod(np.arange(w * h, dtype=np.int64), w)
         left = y * (w + 1) + x + 1  # vertical crack at column x, row y
         top = nv + y * w + x + 1  # horizontal crack at row y, column x
         cycle = [left + 1, top, -left, -(top + w)]
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             sigma[a] = b
-            region[a] = -left
+            region[a] = y * w + x + 1
         xs, ys = np.arange(w, dtype=np.int64), np.arange(h, dtype=np.int64)
         outside = np.concatenate(
             [-(nv + xs + 1), -(ys * (w + 1) + w + 1), (nv + h * w + xs + 1)[::-1], (ys * (w + 1) + 1)[::-1]]

@@ -22,20 +22,22 @@ Each level is held as int32 sigma/alpha arrays indexed by signed dart, and
 the derivation and the kernel checks are whole-array passes over the top's:
 pointer jumping (_chain_ends) instead of one walk per dart.
 
-The pyramid stores the encoding as such: the level of each dart in one
-int array and the state of each kernel in one list (None at the base);
-kernels are rebuilt from them on request. Each level is one record, a
-_Level, of its sigma and alpha arrays (a level whose kernel keeps alpha
-shares the alpha array below), its turn counts, its darts in
-dart_sort_key order and its region array: for every base dart, the
-canonical dart of the level-i vertex that holds or absorbed it. A level's
+The pyramid stores the encoding as such: the level of each dart in one int
+array and the state of each kernel in one list (None at the base); kernels
+are rebuilt from them on request. Each level is one record, a _Level, of
+its sigma and alpha arrays (a level whose kernel keeps alpha shares the
+alpha array below), its turn counts, its darts in dart_sort_key order and
+its regions, numbered 0..R-1 in dart_sort_key order of their canonical
+darts, which `names` lists: the region array holds, for every base dart,
+the index of the level-i vertex that holds or absorbed it. A level's
 vertices are those below merged along the contracted trees, less the killed
-darts, so one gather derives the region array from the one below. A level
-whose kernel removes no dart is the record below it, caches included.
-Kernel checks, merge rounds, pixel_labels, vertex_of_pixel, composed_of and
-the query layer read these arrays. apply_kernel builds a level in locals
-and appends its state and record once every step has passed, so it either
-appends a level or changes nothing; a level never changes after that.
+darts, so a gather over the regions below numbers them and one more derives
+the region array. A level whose kernel removes no dart is the record below
+it, caches included. Kernel checks, merge rounds, pixel_labels,
+vertex_of_pixel, composed_of and the query layer read these arrays.
+apply_kernel builds a level in locals and appends its state and record once
+every step has passed, so it either appends a level or changes nothing; a
+level never changes after that.
 
 The record also keeps what only some readers need, computed on first read
 and published with one store, so racing builds give equal values: `map`,
@@ -149,31 +151,32 @@ class KernelError(ValueError):
 @dataclass(slots=True, eq=False)
 class _Level:
     """One pyramid level (see the module docstring) and those above it whose
-    kernels remove no dart: sigma, 0 at a dead dart, and alpha, stale at a
-    dart that died under a kernel which keeps alpha and 0 at the other dead
-    darts, as int32 arrays indexed by signed dart; the turn counts, the dart
-    order and the region array, none written once the level is made. Under
-    RKEDE, alpha is derived with the turn counts (_fold_orientations). The
-    fields after them are the caches filled on first read."""
+    kernels remove no dart: sigma, 0 at a dead dart, and alpha, stale at a dart
+    that died under a kernel which keeps alpha and 0 at the other dead darts,
+    as int32 arrays indexed by signed dart; the turn counts, the dart order,
+    the int32 region index of every base dart and names, the canonical darts of
+    the regions as Pyramid._ints' objects, none written once the level is made.
+    Under RKEDE, alpha is derived with the turn counts (_fold_orientations).
+    The fields after them are the caches filled on first read."""
 
     sigma: np.ndarray
     alpha: np.ndarray
     turns: np.ndarray
     order: np.ndarray
     region: np.ndarray
+    names: np.ndarray
     map: CombinatorialMap | None = None
     redundant: tuple[np.ndarray, np.ndarray] | None = None
     children: dict[Dart, frozenset[Dart]] | None = None
     forest: tuple | None = None
     boundary: tuple | None = None
 
-    def positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
         """The level in positions of its dart order, position k standing for
-        dart order[k]: the position of every dart, indexed by signed dart,
-        and sigma and alpha (the mate) as permutations of positions."""
-        pos = np.zeros(len(self.sigma), dtype=np.int32)
-        pos[self.order] = np.arange(len(self.order), dtype=np.int32)
-        return pos, pos[self.sigma[self.order]], pos[self.alpha[self.order]]
+        dart order[k]: sigma and alpha (the mate) as intp permutations."""
+        pos = np.zeros(len(self.sigma), dtype=np.intp)
+        pos[self.order] = np.arange(len(self.order))
+        return pos[self.sigma[self.order]], pos[self.alpha[self.order]]
 
 
 class Pyramid:
@@ -190,9 +193,12 @@ class Pyramid:
         self.embedding = embedding
         # the base's sigma and region array are the embedding's read-only
         # tables; so are _ids and _ints, the int object of every dart, so the
-        # level maps share the int objects of the base map build_grid_map made
+        # level maps and names share the int objects of the base map
         sigma, self._ids, self._ints, region = embedding._grid_tables()
         n = self._n = len(sigma) // 2
+        # every pixel's dart, row by row: the base's regions are dart 1's, then theirs
+        self._pixels = embedding.pixel_dart(np.arange(embedding.width), np.arange(embedding.height)[:, None])
+        names = self._ints[np.append(1, self._pixels)]
         # the encoding past the base: the level whose kernel removed each
         # dart, indexed by signed dart (see map_core.dart_ids), 0 while it
         # survives, with the list copy level() reads, and the state of each
@@ -202,7 +208,7 @@ class Pyramid:
         self._states: list[KernelState | None] = [None]
         # every level, the top last
         turns = np.zeros(2 * n + 1, dtype=np.int32)
-        self._levels = [_Level(sigma, -self._ids, turns, dart_order(n), region, map=base)]
+        self._levels = [_Level(sigma, -self._ids, turns, dart_order(n), region, names, map=base)]
 
     @classmethod
     def from_grid(cls, width: int, height: int) -> "Pyramid":
@@ -328,7 +334,8 @@ class Pyramid:
         """Canonical dart of the level-i vertex that holds or absorbed base
         dart d. No check: a negative index wraps, so callers check the level
         and the dart first."""
-        return self._ints[self._levels[i].region[d]]
+        level = self._levels[i]
+        return level.names[level.region[d]]
 
     # -- orientation cache ----------------------------------------------------
 
@@ -365,8 +372,10 @@ class Pyramid:
         self._check_live(kd)
         kill = np.zeros(len(top.sigma), dtype=bool)
         kill[kd] = True
+        # each top region's tree, by a top region on it: itself but under CK
+        tree = np.arange(len(top.names))
         if state is KernelState.CK:
-            ends, root = self._check_ck(kd, kill)
+            tree = self._check_ck(kd, kill)
         elif state is KernelState.RKESL:
             self._check_rkesl(kd, kill)
         else:
@@ -374,13 +383,8 @@ class Pyramid:
         level = top  # nothing dies: the new level is the top's own record, caches and all
         if kd.size:
             order = top.order[~kill[top.order]]
-            # each base dart's top vertex, named alike along contracted trees
-            merged, turns, alpha = top.region, top.turns, top.alpha
-            if state is KernelState.CK:
-                tree = self._ids.copy()
-                tree[ends] = root
-                merged = tree[merged]
-            elif state is KernelState.RKEDE:
+            turns, alpha = top.turns, top.alpha
+            if state is KernelState.RKEDE:
                 heads, partners, grown = self._fold_orientations(kill)
                 # the levels below keep their arrays; a dead dart's partner is 0
                 turns = turns.copy()
@@ -388,13 +392,16 @@ class Pyramid:
                 alpha = np.zeros_like(alpha)
                 alpha[order] = top.alpha[order]
                 alpha[heads] = partners
-            # a new vertex is the survivors of the top vertices merged alike,
-            # its canonical dart the least in order; slot len(order) is dart 0
-            least = np.full(len(merged), len(order), dtype=np.int32)
-            np.minimum.at(least, merged[order], np.arange(len(order), dtype=np.int32))
-            region = np.append(order, np.int32(0))[least[merged]]
+            # a new vertex is the survivors of the top vertices on one tree,
+            # which the checks leave one; their least, in order, number them
+            least = np.full(len(tree), len(order))
+            np.minimum.at(least, tree[top.region[order]], np.arange(len(order)))
+            least = least[tree]
+            first = np.zeros(len(order), dtype=bool)
+            first[least] = True
+            region = (np.cumsum(first, dtype=np.int32) - 1)[least][top.region]
             sigma = _reduce(top.sigma, top.alpha, self._ids, kill, order, state)
-            level = _Level(sigma, alpha, turns, order, region)
+            level = _Level(sigma, alpha, turns, order, region, self._ints[order[first]])
         self._states.append(state)
         self._levels.append(level)
         self._died[kd] = self.top_level
@@ -416,8 +423,8 @@ class Pyramid:
         level = self._levels[i]
         if (found := level.redundant) is None:
             order = level.order
-            pos, sigma, mate = level.positions()
-            loops = order[_empty_loops(sigma, mate, pos[level.region[order]])]
+            sigma, mate = level.positions()
+            loops = order[_empty_loops(sigma, mate, level.region[order])]
             joints = order[_joints(sigma, mate, order, self.embedding)]
             found = level.redundant = loops, joints
         return found
@@ -428,9 +435,9 @@ class Pyramid:
         open_ = kd[~kill[self._levels[-1].alpha[kd]]]
         return int(open_[0]) if open_.size else None
 
-    def _check_ck(self, kd: np.ndarray, kill: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _check_ck(self, kd: np.ndarray, kill: np.ndarray) -> np.ndarray:
         """Raise unless the kernel is a forest of whole edges that leaves a
-        dart; else return the top vertices on its trees, each with its tree's name."""
+        dart; else return, for each top region, a region naming its tree."""
         top = self._levels[-1]
         if len(kd) == len(top.order):
             raise KernelError("contraction kernel contains every dart of the top map")
@@ -441,14 +448,14 @@ class Pyramid:
         # it drops is a self loop or closes a cycle
         kd = kd[dart_sort_key(top.alpha[kd]) > dart_sort_key(kd)]
         u, v = top.region[kd], top.region[top.alpha[kd]]
-        keep, ends, root = _spanning_forest(u, v)
+        keep, tree = _spanning_forest(u, v, len(top.names))
         dropped = np.flatnonzero(~keep)
         if dropped.size:
             k = dropped[0]
             if u[k] == v[k]:
                 raise KernelError(f"contraction kernel contains the self-loop edge of dart {int(kd[k])}")
             raise KernelError(f"contraction kernel contains a cycle through dart {int(kd[k])}")
-        return ends, root
+        return tree
 
     def _check_rkesl(self, kd: np.ndarray, kill: np.ndarray) -> None:
         if (open_ := self._unpaired(kd, kill)) is not None:
@@ -475,20 +482,19 @@ class Pyramid:
     def _check_keeps_vertices(self, kd: np.ndarray) -> None:
         gone = self._emptied(kd)
         if gone.size:
-            raise KernelError(f"kernel consumes every dart of the vertex of {min(gone.tolist(), key=dart_sort_key)}")
+            raise KernelError(f"kernel consumes every dart of the vertex of {self._levels[-1].names[gone.min()]}")
 
     def _emptied(self, kd: np.ndarray) -> np.ndarray:
-        """Canonical darts of the top vertices all of whose darts are in kd,
-        once per dart of kd that lies on one."""
+        """Indices of the top vertices all of whose darts are in kd, once per
+        dart of kd that lies on one."""
         if not kd.size:
             return kd
         # kernel darts against all darts, counted per vertex
         top = self._levels[-1]
         vertex = top.region[kd]
-        rank = dart_sort_key(vertex)
-        size = np.bincount(dart_sort_key(top.region[top.order]))
-        taken = np.bincount(rank, minlength=len(size))
-        return vertex[taken[rank] == size[rank]]
+        size = np.bincount(top.region[top.order])
+        taken = np.bincount(vertex, minlength=len(size))
+        return vertex[taken[vertex] == size[vertex]]
 
     def _fold_orientations(self, kill: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Survivors whose boundary piece grows, with their new partners and
@@ -522,7 +528,7 @@ class Pyramid:
         vertex made of empty self loops only keeps the loop of its canonical
         dart, so that no vertex is emptied."""
         loops = self._loops_and_joints(self.top_level)[0]
-        spare = np.unique(self._emptied(loops))
+        spare = self._levels[-1].names[np.unique(self._emptied(loops))].astype(np.int64)
         spare = np.concatenate([spare, self._levels[-1].alpha[spare]])
         return Kernel.of(KernelState.RKESL, loops[~np.isin(loops, spare)])
 
@@ -570,9 +576,8 @@ class Pyramid:
     def pixel_labels(self, i: int) -> list[list[Dart]]:
         """Region representative of every pixel at level i, row by row."""
         self._check_level(i)
-        emb = self.embedding
-        darts = emb.pixel_dart(np.arange(emb.width), np.arange(emb.height)[:, None])
-        return self._ints[self._levels[i].region[darts]].tolist()
+        level = self._levels[i]
+        return level.names[level.region[self._pixels]].tolist()
 
     def redundant_darts(self, i: int) -> frozenset[Dart]:
         """Darts of empty self loops and of removable double-edge joints at
@@ -600,21 +605,23 @@ class Pyramid:
         if self._states[i] is KernelState.CK and level is not self._levels[i - 1]:
             if (index := level.children) is None:
                 index = level.children = self._children(i)
-            if (out := index.get(self._ints[level.region[v]])) is not None:
+            if (out := index.get(level.names[level.region[v]])) is not None:
                 return out
-        return frozenset([self._ints[self._levels[i - 1].region[v]]])
+        below = self._levels[i - 1]
+        return frozenset([below.names[below.region[v]]])
 
     def _children(self, i: int) -> dict[Dart, frozenset[Dart]]:
         """The level-(i-1) regions merged into each level-i region by the
         contraction kernel of level i, for the regions it merges: the kernel
         darts sorted by their level-i region, one slice per region."""
         kd = self._ids[self._died == i]
-        new = self._levels[i].region[kd]
+        level, below = self._levels[i], self._levels[i - 1]
+        new = level.region[kd]
         by = np.argsort(new)
-        new, old = new[by], self._ints[self._levels[i - 1].region[kd[by]]].tolist()
+        new, old = new[by], below.names[below.region[kd[by]]].tolist()
         parents, start = np.unique(new, return_index=True)
         bounds = [*start.tolist(), len(old)]
-        return {r: frozenset(old[a:b]) for r, a, b in zip(self._ints[parents].tolist(), bounds, bounds[1:])}
+        return {r: frozenset(old[a:b]) for r, a, b in zip(level.names[parents].tolist(), bounds, bounds[1:])}
 
     # -- serialization ----------------------------------------------------------
 
@@ -715,10 +722,10 @@ def _reduce(sigma: np.ndarray, alpha: np.ndarray, ids: np.ndarray, dead: np.ndar
     return new_sigma
 
 
-def _spanning_forest(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mask of the edges u[k]-v[k] that Kruskal's algorithm keeps when it
-    takes them in index order (each joins two trees of the edges before it),
-    the distinct ends of the edges and, for each end, an end naming its tree.
+def _spanning_forest(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the edges u[k]-v[k], between vertices 0..n-1, that Kruskal's
+    algorithm keeps when it takes them in index order (each joins two trees
+    of the edges before it), and for each vertex a vertex naming its tree.
 
     Borůvka rounds: the index order is strict, so that forest is the unique
     minimum spanning forest. A round hooks every tree to the tree across
@@ -727,25 +734,23 @@ def _spanning_forest(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     cycle, and _chain_ends takes every tree to its new root. Each round at
     least halves the trees that still have an outgoing edge.
     """
-    ends, vertex = np.unique(np.concatenate([u, v]), return_inverse=True)
-    vertex = vertex.reshape(2, -1)
     keep = np.zeros(len(u), dtype=bool)
-    tree = np.arange(len(ends))
-    live = np.flatnonzero(vertex[0] != vertex[1])
+    tree = np.arange(n)
+    live = np.flatnonzero(u != v)
     while True:
-        a, b = tree[vertex[0, live]], tree[vertex[1, live]]
+        a, b = tree[u[live]], tree[v[live]]
         cross = a != b
         if not cross.any():
-            return keep, ends, ends[tree]
+            return keep, tree
         live, a, b = live[cross], a[cross], b[cross]
         # each tree's least outgoing edge, by its index among the live ones
-        pick = np.full(len(ends), len(live))
+        pick = np.full(n, len(live))
         for side in (a, b):
             np.minimum.at(pick, side, np.arange(len(live)))
         trees = np.flatnonzero(pick < len(live))
         pick = pick[trees]
         keep[live[pick]] = True
-        hook = np.arange(len(ends))
+        hook = np.arange(n)
         hook[trees] = np.where(a[pick] == trees, b[pick], a[pick])
         mutual = trees[(hook[hook[trees]] == trees) & (trees < hook[trees])]
         hook[mutual] = mutual

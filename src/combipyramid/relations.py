@@ -30,11 +30,9 @@ __all__ = [
 
 def region_ids(pyr: Pyramid, i: int) -> list[Dart]:
     """Canonical representative darts of all level-i vertices, in
-    dart_sort_key order: the darts that are their own region."""
+    dart_sort_key order: the level's region names."""
     pyr._check_level(i)
-    level = pyr._levels[i]
-    order = level.order
-    return pyr._ints[order[level.region[order] == order]].tolist()
+    return pyr._levels[i].names.tolist()
 
 
 def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:
@@ -101,7 +99,7 @@ def meets_exists(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
     if ra == rb:
         raise ValueError("meets_exists needs two distinct regions")
     m = pyr.reconstruct_level(i)
-    d = start = int(ra)
+    d = start = pyr._region(i, a)
     while region[m.alpha(d)] != rb:
         d = m.sigma(d)
         if d == start:
@@ -133,8 +131,8 @@ def _boundary_index(pyr: Pyramid, i: int) -> _Boundary:
 
     A live dart d is the first crack of its boundary piece, so its base
     partner -d lies across that crack, in the region of alpha_i(d): the
-    region array alone names both sides, u and v, and their ordered pair,
-    rank(u) * R + rank(v). A separating dart d continues into y when the
+    region array alone numbers both sides, u and v, and their ordered pair,
+    u * R + v. A separating dart d continues into y when the
     face of alpha(d) holds exactly two separating darts, y is the other one
     and y is not d; along a face the region changes only across separating
     darts, so y then has d's ordered pair. Each face keeps the count and the
@@ -148,14 +146,13 @@ def _boundary_index(pyr: Pyramid, i: int) -> _Boundary:
     level = pyr._levels[i]
     if level.boundary is not None:
         return level.boundary
-    order, region = level.order, level.region
-    _, sigma, mate = level.positions()
+    order, region, names = level.order, level.region, level.names
+    sigma, mate = level.positions()
     k = len(order)
     at = np.arange(k)
     u, v = region[order], region[-order]
-    ru, rv = dart_sort_key(u).astype(np.int64), dart_sort_key(v)
-    pair = ru * len(region) + rv
-    separating = np.flatnonzero(ru != rv)
+    pair = u.astype(np.int64) * len(names) + v
+    separating = np.flatnonzero(u != v)
     face = _cycle_min(sigma[mate])
     count = np.bincount(face[separating], minlength=k)
     total = np.bincount(face[separating], weights=separating, minlength=k).astype(np.int64)
@@ -168,10 +165,10 @@ def _boundary_index(pyr: Pyramid, i: int) -> _Boundary:
     ring = nxt[end] != end
     least = _cycle_min(np.where(ring, nxt, at))
     counted = (nxt == at) | (ring & (least == at))
-    facing = np.flatnonzero(ru < rv)
+    facing = np.flatnonzero(u < v)
     _, first, edge = np.unique(pair[facing], return_index=True, return_inverse=True)
     index = level.boundary = (
-        tuple(zip(u[facing[first]].tolist(), v[facing[first]].tolist())),
+        tuple(zip(names[u[facing[first]]].tolist(), names[v[facing[first]]].tolist())),
         tuple(np.bincount(edge[counted[facing]], minlength=len(first)).tolist()),
         dict(zip(order[separating[links]].tolist(), order[y[links]].tolist())),
     )

@@ -3,8 +3,8 @@
 Merging is driven by color: each level contracts a spanning forest of the
 adjacency edges whose region mean colors are within a threshold, then cleans
 up the redundant edges the contraction left behind. Region statistics are
-not carried along from round to round: each round reads every region's
-pixel count and color sum off the top's region array over the pixels, and
+not carried along from round to round: each round counts and sums every
+region's pixels by np.bincount over their top region indices, and
 `SegmentedImage.stats`, keyed by the region's vertex dart in the top map so
 that the road-sign extraction can reason about colors, is built the same
 way. Color sums are exact for integer-valued rasters, which every Netpbm
@@ -71,9 +71,6 @@ class SegmentedImage:
         self.image = arr.astype(float)
         self.height, self.width = arr.shape[:2]
         self.pyramid = Pyramid.from_grid(self.width, self.height)
-        emb = self.pyramid.embedding
-        # one dart of every pixel, in raster order
-        self._pixels = emb.pixel_dart(np.arange(self.width), np.arange(self.height)[:, None]).ravel()
         self._view: tuple[np.ndarray, Mapping[Dart, RegionStats]] | None = None
 
     @property
@@ -81,34 +78,33 @@ class SegmentedImage:
         """Read-only view of every top region but the outside, in
         dart_sort_key order, built from the top's region array when the top
         has changed since the last access."""
-        rep = self.pyramid._levels[-1].region
-        if self._view is None or self._view[0] is not rep:
-            regions, count, color_sum, inverse = self._region_sums()
+        top = self.pyramid._levels[-1]
+        if self._view is None or self._view[0] is not top.region:
+            region, count, color_sum = self._region_sums()
+            held = np.flatnonzero(count)
             # pixels grouped by region, the groups in the order of regions
-            ys, xs = np.divmod(np.argsort(inverse), self.width)
-            starts = np.cumsum(count) - count
+            ys, xs = np.divmod(np.argsort(region), self.width)
+            starts = (np.cumsum(count) - count)[held]
             low = [np.minimum.reduceat(c, starts).tolist() for c in (xs, ys)]
             high = [np.maximum.reduceat(c, starts).tolist() for c in (xs, ys)]
-            stats = map(RegionStats, count.tolist(), color_sum, zip(*low, *high))
-            self._view = rep, MappingProxyType(dict(zip(self.pyramid._ints[regions].tolist(), stats)))
+            stats = map(RegionStats, count[held].tolist(), color_sum[held], zip(*low, *high))
+            self._view = top.region, MappingProxyType(dict(zip(top.names[held].tolist(), stats)))
         return self._view[1]
 
-    def _region_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The top regions holding pixels in dart_sort_key order, their pixel
-        counts and color sums, and each pixel's index among them."""
-        region = self.pyramid._levels[-1].region[self._pixels]
-        _, at, inverse = np.unique(dart_sort_key(region), return_index=True, return_inverse=True)
-        count = np.bincount(inverse)
+    def _region_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each pixel's top region index, in raster order, and the pixel
+        count and color sums of every top region, 0 where it holds none."""
+        top = self.pyramid._levels[-1]
+        region = top.region[self.pyramid._pixels].ravel()
+        count = np.bincount(region, minlength=len(top.names))
         pixels = self.image.reshape(len(region), -1)
-        color_sum = np.stack([np.bincount(inverse, pixels[:, c], len(at)) for c in range(pixels.shape[1])], axis=1)
-        return region[at], count, color_sum, inverse
+        color_sum = np.stack([np.bincount(region, pixels[:, c], len(count)) for c in range(pixels.shape[1])], axis=1)
+        return region, count, color_sum
 
     def labels(self) -> np.ndarray:
-        """Dense region index per pixel: the top level's regions numbered
-        0, 1, ... in dart_sort_key order of their vertex dart, as export
-        --labels numbers them."""
-        darts = np.array(self.pyramid.pixel_labels(self.pyramid.top_level))
-        return np.unique(dart_sort_key(darts), return_inverse=True)[1].reshape(darts.shape)
+        """Dense region index per pixel: the top level's regions that hold
+        pixels numbered 0, 1, ... in dart_sort_key order, as export --labels does."""
+        return _label_image(self.pyramid, self.pyramid.top_level)[0]
 
     # -- construction ------------------------------------------------------------
 
@@ -124,24 +120,22 @@ class SegmentedImage:
         """
         pyr = self.pyramid
         top = pyr._levels[-1]
-        rep = top.region
-        regions, count, color_sum, _ = self._region_sums()
+        _, count, color_sum = self._region_sums()
         # each edge once, from its first dart, between two image regions
-        # (the outside holds no pixel), its ends as indices into regions
+        # (the outside holds no pixel), its ends as region indices
         first = top.order
         first = first[dart_sort_key(top.alpha[first]) > dart_sort_key(first)]
         mate = top.alpha[first]
-        index = np.full(len(rep), -1)
-        index[regions] = np.arange(len(regions))
-        u, v = index[rep[first]], index[rep[mate]]
-        keep = (u != v) & (u >= 0) & (v >= 0)
+        u, v = top.region[first], top.region[mate]
+        keep = (u != v) & (count[u] > 0) & (count[v] > 0)
         first, mate, u, v = first[keep], mate[keep], u[keep], v[keep]
-        mean = color_sum / count[:, None]
+        # a region without pixels divides by 1, and no kept edge reads its mean
+        mean = color_sum / np.maximum(count, 1)[:, None]
         dist = _row_norms(mean[u] - mean[v])
         keep = dist <= threshold
         first, mate, u, v, dist = first[keep], mate[keep], u[keep], v[keep], dist[keep]
         order = np.lexsort((first, np.abs(first), dist))
-        chosen = order[_spanning_forest(u[order], v[order])[0]]
+        chosen = order[_spanning_forest(u[order], v[order], len(count))[0]]
         if not chosen.size:
             return []
         applied = [Kernel.of(KernelState.CK, np.concatenate([first[chosen], mate[chosen]]))]
@@ -171,9 +165,8 @@ class SegmentedImage:
 
     def region_count(self) -> int:
         """Number of image regions at the top level, the outside excluded:
-        the canonical darts of the top's region array, less the outside's."""
-        top = self.pyramid._levels[-1]
-        return int(np.count_nonzero(top.region[top.order] == top.order)) - 1
+        the top's region names, less the outside's."""
+        return len(self.pyramid._levels[-1].names) - 1
 
 
 def segment_labels(labels: np.ndarray) -> SegmentedImage:
@@ -182,6 +175,16 @@ def segment_labels(labels: np.ndarray) -> SegmentedImage:
     seg = SegmentedImage(arr.astype(float))
     seg.run(threshold=0.0)
     return seg
+
+
+def _label_image(pyr: Pyramid, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level-i regions that hold pixels, numbered 0, 1, ... in
+    dart_sort_key order of their vertex darts: that number for every pixel,
+    row by row, and the vertex dart of each number."""
+    level = pyr._levels[i]
+    region = level.region[pyr._pixels]
+    held = np.bincount(region.ravel(), minlength=len(level.names)) > 0
+    return (np.cumsum(held) - 1)[region], level.names[held]
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

@@ -473,7 +473,8 @@ def relation_report_by_darts(pyr: Pyramid, i: int, region: Dart | None = None) -
     outside = infinite_region(pyr, i)
     warnings: list[str] = []
 
-    rep = pyr._levels[i].region
+    level = pyr._levels[i]
+    rep = level.names[level.region]
     facing: dict[tuple[Dart, Dart], list[Dart]] = {}
     for d in m.darts:
         u, v = rep[d], rep[m.alpha(d)]

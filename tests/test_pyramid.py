@@ -192,17 +192,17 @@ def test_unpaired_contraction_dart_named_is_the_least():
 @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=40))
 def test_spanning_forest_equals_kruskal(edges):
     # few vertices, so ties between trees, self loops and parallel edges abound
-    u, v = (np.array([e[k] for e in edges], dtype=np.int32) for k in (0, 1))
-    keep, ends, root = _spanning_forest(u, v)
+    # the vertices -5..5 as labels 0..10
+    u, v = (np.array([e[k] + 5 for e in edges], dtype=np.int32) for k in (0, 1))
+    keep, tree = _spanning_forest(u, v, 11)
     assert keep.tolist() == kruskal_forest(u.tolist(), v.tolist())
-    # the trees are the components of the edges: each named by one of its ends
+    # the trees are the components of the edges: each named by one of its vertices
     parent: dict = {}
-    for a, b in edges:
+    for a, b in zip(u.tolist(), v.tolist()):
         parent[find_root(parent, a)] = find_root(parent, b)
-    assert sorted(ends.tolist()) == sorted({x for e in edges for x in e})
-    for x, r in zip(ends.tolist(), root.tolist()):
+    for x, r in enumerate(tree.tolist()):
         assert find_root(parent, x) == find_root(parent, r)
-    assert len(set(root.tolist())) == len({find_root(parent, x) for x in ends.tolist()})
+    assert len(set(tree.tolist())) == len({find_root(parent, x) for x in range(11)})
 
 
 @settings(max_examples=300, deadline=None)
@@ -414,7 +414,7 @@ def test_stored_top_partition_is_the_vertex_map(seed, kind):
     def checked(pyr, state, darts):
         apply(pyr, state, darts)
         i, top = pyr.top_level, pyr.reconstruct_level(pyr.top_level)
-        region = pyr._levels[-1].region
+        region = pyr._levels[-1].names[pyr._levels[-1].region]
         assert len(pyr._levels) == i + 1
         assert {d: region[d] for d in pyr.base.darts} == {
             d: vertex_of(top, pyr._absorbed(i, d)[1]) for d in pyr.base.darts
@@ -428,7 +428,23 @@ def test_stored_top_partition_is_the_vertex_map(seed, kind):
         Pyramid.from_json(pyr.to_json())
     assert len(applied) == 2 * pyr.top_level
     base = Pyramid.from_grid(pyr.embedding.width, pyr.embedding.height)
-    assert {d: base._levels[0].region[d] for d in base.base.darts} == base.reconstruct_level(base.top_level).vertex_ids()
+    assert {d: base._region(0, d) for d in base.base.darts} == base.reconstruct_level(base.top_level).vertex_ids()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, kinds)
+def test_every_level_numbers_its_regions_in_key_order(seed, kind):
+    # a build and its reload: region r is named by names[r], the names are
+    # in dart_sort_key order, the live darts take every index 0..R-1, and
+    # R is the number of vertices of the level's map
+    pyr = built_pyramid(random.Random(seed), kind)
+    for built in (pyr, Pyramid.from_json(pyr.to_json())):
+        for i, level in enumerate(built._levels):
+            names = np.array(level.names.tolist(), dtype=np.int64)
+            assert (np.diff(dart_sort_key(names)) > 0).all()
+            assert level.region[names].tolist() == list(range(len(names)))
+            assert np.unique(level.region[level.order]).tolist() == list(range(len(names)))
+            assert len(names) == len(built.reconstruct_level(i).vertices())
 
 
 def random_kernels(rng: random.Random, pyr: Pyramid) -> list[Kernel]:
@@ -459,7 +475,7 @@ def test_array_derivation_equals_the_dict_reference(seed, ringed):
 
     def same_top(pyr, ref):
         assert pyr.reconstruct_level(pyr.top_level) == ref.m
-        assert {d: pyr._levels[-1].region[d] for d in ref.m.darts} == ref.vertex
+        assert {d: pyr._region(pyr.top_level, d) for d in ref.m.darts} == ref.vertex
         loops, joints = pyr._loops_and_joints(pyr.top_level)
         assert set(loops.tolist()) == ref.loops
         assert set(joints.tolist()) == ref.joints
