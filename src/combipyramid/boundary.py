@@ -114,11 +114,9 @@ def sequence_orientation(pyr: Pyramid, i: int, seq: list[Dart] | tuple[Dart, ...
             raise ValueError("closed sequence may not end on the partner of its first dart")
         if seq[0] not in m.orbit(m.alpha(last), "phi"):
             raise ValueError("sequence endpoints do not meet at one dual vertex")
-    total = 0
+    total = sum(pyr._orientations(i, seq))
     for a, b in zip(seq, seq[1:]):
-        total += pyr.cached_orientation(i, a)
         total += turn_angle(pyr.last_move(i, a), pyr.embedding.move(b))
-    total += pyr.cached_orientation(i, last)
     if closed:
         total += turn_angle(pyr.last_move(i, last), pyr.embedding.move(seq[0]))
     return total

@@ -86,13 +86,14 @@ def starting_darts(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None =
     on_stack: set[Dart] = set()
     prefix = 0
     prev = None
-    for dk in m.orbit(home, "sigma"):
+    cycle = m.orbit(home, "sigma")
+    for dk, count in zip(cycle, pyr._orientations(i, cycle)):
         if counter is not None:
             counter.hit()
         before = prefix
         if prev is not None:
             prefix += turn_angle(last_move(prev), move(dk))
-        prefix += pyr.cached_orientation(i, dk)
+        prefix += count
         partner = m.alpha(dk)
         if partner in on_stack:
             dj, prefix_j = stack.pop()

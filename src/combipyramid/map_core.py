@@ -333,18 +333,22 @@ class ValidationReport:
 
 def validate(m: CombinatorialMap) -> ValidationReport:
     """Report on involution, bijectivity, connectivity and the Euler count."""
-    return _validate_arrays(m._order, np.asarray(m._sigma), np.asarray(m._alpha))
+    # the lists in positions of the map's dart order, len(order) standing
+    # for any image off the map
+    order = m._order
+    pos = np.full(len(m._sigma), len(order))
+    pos[order] = np.arange(len(order))
+    return _validate_arrays(order, pos[np.asarray(m._sigma)[order]], pos[np.asarray(m._alpha)[order]])
 
 
-def _validate_arrays(order: np.ndarray, sigma: np.ndarray, alpha: np.ndarray) -> ValidationReport:
+def _validate_arrays(order: np.ndarray, s: np.ndarray, a: np.ndarray) -> ValidationReport:
     """validate of the map with the darts of order, in dart_sort_key order,
-    and sigma and alpha arrays indexed by signed dart, a dart being in the
-    map when its sigma slot is not 0. Each witness is the least failing dart."""
-    # in positions of order, position k standing for any image off the map
+    in positions of order: position p stands for dart order[p], s and a give
+    the positions of sigma and alpha of each, and len(order) stands for any
+    image off the map, as in a pyramid level's record. Each witness is the
+    least failing dart."""
     k = len(order)
-    pos = np.full(len(sigma), k)
-    at = pos[order] = np.arange(k)
-    s, a = pos[sigma[order]], pos[alpha[order]]
+    at = np.arange(k)
     hit = np.bincount(s, minlength=k + 1) > 0
     # connected: the darts reached from the least one, a frontier of groups a
     # round, with the groups each steps to in near: darts along sigma and

@@ -18,15 +18,20 @@ alpha_i(d) = alpha_{i-1}(d) except under RKEDE for a survivor d whose partner
 dies: d heads a chain d, sigma_{i-1}(d), ... of darts whose partners die, and
 alpha_i(d) is the partner of the chain's last dart. The walk of each chain
 that folds its turn counts (_fold_orientations) also yields that last dart.
-Each level is held as int32 sigma/alpha arrays indexed by signed dart, and
-the derivation and the kernel checks are whole-array passes over the top's:
-pointer jumping (_chain_ends) instead of one walk per dart.
+Each level is held in positions of its own dart order, position k standing
+for dart order[k]: sigma and alpha as int32 arrays of positions and the
+turn counts as an int32 array, each as long as the level. The derivation
+and the kernel checks are whole-array passes over the top's: pointer
+jumping (_chain_ends) instead of one walk per dart, and one cumulative sum
+over the survivors gives their positions in the next level. So an apply
+and its checks cost in proportion to the darts alive at the top, but for
+one gather of the base-length region array and a mask over the signed
+darts that finds the kernel's positions (_kill).
 
 The pyramid stores the encoding as such: the level of each dart in one int
 array and the state of each kernel in one list (None at the base); kernels
 are rebuilt from them on request. Each level is one record, a _Level, of
-its sigma and alpha arrays (a level whose kernel keeps alpha shares the
-alpha array below), its turn counts, its darts in dart_sort_key order and
+its sigma, alpha and turn-count arrays, its darts in dart_sort_key order and
 its regions, numbered 0..R-1 in dart_sort_key order of their canonical
 darts, which `names` lists: the region array holds, for every base dart,
 the index of the level-i vertex that holds or absorbed it. A level's
@@ -41,10 +46,11 @@ level never changes after that.
 
 The record also keeps what only some readers need, computed on first read
 and published with one store, so racing builds give equal values: `map`,
-the level's map as lists indexed by signed dart, read only by a query's walk
-of one vertex cycle or boundary piece (the base's is built with it, and
-levels that share an alpha array share its list), `redundant`, its empty
-self loops and double-edge joints (read by the next kernel's check,
+the level's map as lists indexed by signed dart, scattered back from the
+positions and read only by a query's walk of one vertex cycle or boundary
+piece and by last_move (the base's is built with it, and levels whose
+kernels keep alpha share one alpha list), `redundant`, the positions of its
+empty self loops and double-edge joints (read by the next kernel's check,
 compute_rkesl, compute_rkede and redundant_darts), `children`, composed_of's
 index of the contraction that made the record, `forest`, a clean level's
 enclosure forest, and `boundary`, the boundary index that rag_export,
@@ -54,8 +60,10 @@ reload costs in proportion to its kernels and their checks.
 
 The JSON record (version 2) is the encoding itself: the grid size, the
 state of each kernel and, in dart_order, the level whose kernel removes each
-dart, 0 for a survivor. Loading groups the darts by level and applies every
-kernel through the checks apply_kernel makes.
+dart, 0 for a survivor. Loading reads that list, nearly all of a record,
+in array passes where it is written as to_json writes it (_read_record),
+groups the darts by level and applies every kernel through the checks
+apply_kernel makes.
 
 Replay from the base serves receptive fields and boundary segments. Walking
 from a surviving dart d with sigma0, taking phi0 after a contracted dart and
@@ -74,9 +82,11 @@ distinct edges; CK and RKESL kernels always remove whole base edges.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -151,13 +161,14 @@ class KernelError(ValueError):
 @dataclass(slots=True, eq=False)
 class _Level:
     """One pyramid level (see the module docstring) and those above it whose
-    kernels remove no dart: sigma, 0 at a dead dart, and alpha, stale at a dart
-    that died under a kernel which keeps alpha and 0 at the other dead darts,
-    as int32 arrays indexed by signed dart; the turn counts, the dart order,
-    the int32 region index of every base dart and names, the canonical darts of
-    the regions as Pyramid._ints' objects, none written once the level is made.
-    Under RKEDE, alpha is derived with the turn counts (_fold_orientations).
-    The fields after them are the caches filled on first read."""
+    kernels remove no dart, in positions of its dart order `order`, position
+    k standing for dart order[k]: sigma and alpha as int32 arrays of the
+    positions of each dart's images and turns as int32 counts, each as long
+    as order; then the int32 region index of every base dart, indexed by
+    signed dart, and names, the canonical darts of the regions as
+    Pyramid._ints' objects, none written once the level is made. Under
+    RKEDE, alpha is derived with the turn counts (_fold_orientations). The
+    fields after them are the caches filled on first read."""
 
     sigma: np.ndarray
     alpha: np.ndarray
@@ -170,13 +181,6 @@ class _Level:
     children: dict[Dart, frozenset[Dart]] | None = None
     forest: tuple | None = None
     boundary: tuple | None = None
-
-    def positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """The level in positions of its dart order, position k standing for
-        dart order[k]: sigma and alpha (the mate) as intp permutations."""
-        pos = np.zeros(len(self.sigma), dtype=np.intp)
-        pos[self.order] = np.arange(len(self.order))
-        return pos[self.sigma[self.order]], pos[self.alpha[self.order]]
 
 
 class Pyramid:
@@ -206,9 +210,12 @@ class Pyramid:
         self._died = np.zeros(2 * n + 1, dtype=np.int32)
         self._died_list: list[int] | None = None
         self._states: list[KernelState | None] = [None]
-        # every level, the top last
-        turns = np.zeros(2 * n + 1, dtype=np.int32)
-        self._levels = [_Level(sigma, -self._ids, turns, dart_order(n), region, names, map=base)]
+        # every level, the top last; the base's position of dart d is
+        # dart_sort_key(d), and -d sits next to it
+        order = dart_order(n)
+        sigma, alpha = dart_sort_key(sigma[order]), np.arange(2 * n, dtype=np.int32) ^ 1
+        turns = np.zeros(2 * n, dtype=np.int32)
+        self._levels = [_Level(sigma, alpha, turns, order, region, names, map=base)]
 
     @classmethod
     def from_grid(cls, width: int, height: int) -> "Pyramid":
@@ -316,9 +323,19 @@ class Pyramid:
         self._check_level(i)
         level = self._levels[i]
         if (m := level.map) is None:
-            # levels whose kernels keep alpha share one alpha list
-            alpha = next((k.map._alpha for k in self._levels if k.map is not None and k.alpha is level.alpha), level.alpha)
-            m = level.map = map_of(self._ints, level.order, level.sigma, alpha)
+            order = level.order
+            sigma = np.zeros(len(self._ids), dtype=np.int32)
+            sigma[order] = order[level.sigma]
+            # levels whose kernels keep alpha share one alpha list: the
+            # levels with as many RKEDE kernels at or below them
+            group = list(accumulate(state is KernelState.RKEDE for state in self._states))
+            shared = [k.map for k, g in zip(self._levels, group) if g == group[i] and k.map is not None]
+            if shared:
+                alpha = shared[0]._alpha
+            else:
+                alpha = np.zeros_like(sigma)
+                alpha[order] = order[level.alpha]
+            m = level.map = map_of(self._ints, order, sigma, alpha)
         return m
 
     def _check_level(self, i: int) -> None:
@@ -346,13 +363,25 @@ class Pyramid:
         piece, by folding in the absorbed darts' counts and junction turns.
         """
         self._require_alive(i, d)
-        return int(self._levels[i].turns[d])
+        order = self._levels[i].order
+        # the count at d's position, by a binary search of the order, which
+        # holds the darts of magnitude |d| next to each other, positive first
+        at = bisect_left(order, abs(d), key=abs)
+        return int(self._levels[i].turns[at + (order[at] != d)])
+
+    def _orientations(self, i: int, darts: Iterable[Dart]) -> list[int]:
+        """cached_orientation of each of darts, all live at level i, for
+        callers that read a whole cycle or sequence: one array search of
+        their ranks in the level's dart order."""
+        level = self._levels[i]
+        at = np.searchsorted(dart_sort_key(level.order), dart_sort_key(np.fromiter(darts, np.int64)))
+        return level.turns[at].tolist()
 
     def last_move(self, i: int, d: Dart) -> Move:
         """Move of the last crack of d's boundary piece at level i, the
         reverse of the crack of its partner alpha_i(d)."""
         self._require_alive(i, d)
-        return self.embedding.move(-self._ints[self._levels[i].alpha[d]])
+        return self.embedding.move(-self.reconstruct_level(i).alpha(d))
 
     # -- kernel application ---------------------------------------------------
 
@@ -366,32 +395,33 @@ class Pyramid:
     def _apply(self, state: KernelState, kd: np.ndarray) -> "Pyramid":
         """apply_kernel of the kernel of state made of the darts of kd, an int
         array of distinct darts in dart_sort_key order, as Kernel.of and
-        from_json make it. The new level is built in locals and published,
-        with its state, by the appends at the end."""
+        from_json make it. The checks and the derivation run in positions of
+        the top's dart order, and the new level is built in locals and
+        published, with its state, by the appends at the end."""
         top = self._levels[-1]
-        self._check_live(kd)
-        kill = np.zeros(len(top.sigma), dtype=bool)
-        kill[kd] = True
+        kill = self._kill(kd)
+        at = np.flatnonzero(kill)
         # each top region's tree, by a top region on it: itself but under CK
         tree = np.arange(len(top.names))
         if state is KernelState.CK:
-            tree = self._check_ck(kd, kill)
+            tree = self._check_ck(at, kill)
         elif state is KernelState.RKESL:
-            self._check_rkesl(kd, kill)
+            self._check_rkesl(at, kill)
         else:
-            self._check_rkede(kd, kill)
+            self._check_rkede(at, kill)
         level = top  # nothing dies: the new level is the top's own record, caches and all
         if kd.size:
-            order = top.order[~kill[top.order]]
-            turns, alpha = top.turns, top.alpha
+            keep = ~kill
+            live = np.flatnonzero(keep)
+            order = top.order[live]
+            # the survivors before each top position: a survivor's new position,
+            # int32 as the level stores it, half the memory of intp
+            new = np.cumsum(keep, dtype=np.int32) - 1
+            alpha, turns = new[top.alpha[live]], top.turns[live]
             if state is KernelState.RKEDE:
                 heads, partners, grown = self._fold_orientations(kill)
-                # the levels below keep their arrays; a dead dart's partner is 0
-                turns = turns.copy()
-                turns[heads] = grown
-                alpha = np.zeros_like(alpha)
-                alpha[order] = top.alpha[order]
-                alpha[heads] = partners
+                alpha[new[heads]] = new[partners]
+                turns[new[heads]] = grown
             # a new vertex is the survivors of the top vertices on one tree,
             # which the checks leave one; their least, in order, number them
             least = np.full(len(tree), len(order))
@@ -400,7 +430,7 @@ class Pyramid:
             first = np.zeros(len(order), dtype=bool)
             first[least] = True
             region = (np.cumsum(first, dtype=np.int32) - 1)[least][top.region]
-            sigma = _reduce(top.sigma, top.alpha, self._ids, kill, order, state)
+            sigma = new[_reduce(top.sigma, top.alpha, kill, live, state)]
             level = _Level(sigma, alpha, turns, order, region, self._ints[order[first]])
         self._states.append(state)
         self._levels.append(level)
@@ -408,97 +438,102 @@ class Pyramid:
         self._died_list = None
         return self
 
-    def _check_live(self, kd: np.ndarray) -> None:
-        """KernelError, naming the least four in plain ints, unless the darts
-        of kd, in dart_sort_key order, are all live top darts: only those
-        index the arrays."""
-        n, sigma = self._n, self._levels[-1].sigma
-        if not (((kd >= -n) & (kd <= n)).all() and sigma[kd].all()):
-            dead = [d for d in kd.tolist() if not (-n <= d <= n and sigma[d])]
-            raise KernelError(f"kernel contains dead or unknown darts: {dead[:4]}")
+    def _kill(self, kd: np.ndarray) -> np.ndarray:
+        """The mask over the top's positions of the darts of kd, which are
+        distinct: kd marked in a mask over signed darts, read at the top's
+        dart order. KernelError, naming the least four in plain ints, unless
+        all are live top darts; kd is in dart_sort_key order."""
+        order, n = self._levels[-1].order, self._n
+        if ((kd >= -n) & (kd <= n)).all():
+            mark = np.zeros(2 * n + 1, dtype=bool)
+            mark[kd] = True
+            kill = mark[order]
+            if np.count_nonzero(kill) == len(kd):
+                return kill
+        dead = [d for d in kd.tolist() if not (-n <= d <= n and d and not self._died[d])]
+        raise KernelError(f"kernel contains dead or unknown darts: {dead[:4]}")
 
     def _loops_and_joints(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """The darts of level i's empty self loops and of its double-edge
-        joints, each in dart_sort_key order: computed on first use."""
+        """The positions of level i's empty self loops and of its double-edge
+        joints, each in order: computed on first use."""
         level = self._levels[i]
         if (found := level.redundant) is None:
-            order = level.order
-            sigma, mate = level.positions()
-            loops = order[_empty_loops(sigma, mate, level.region[order])]
-            joints = order[_joints(sigma, mate, order, self.embedding)]
-            found = level.redundant = loops, joints
+            loops = np.flatnonzero(_empty_loops(level.sigma, level.alpha, level.region[level.order]))
+            found = level.redundant = loops, _joints(level.sigma, level.alpha, level.order, self.embedding)
         return found
 
-    def _unpaired(self, kd: np.ndarray, kill: np.ndarray) -> Dart | None:
-        """The least kernel dart whose alpha partner is not in the kernel; kd
-        lists the kernel in dart_sort_key order."""
-        open_ = kd[~kill[self._levels[-1].alpha[kd]]]
-        return int(open_[0]) if open_.size else None
+    def _unpaired(self, at: np.ndarray, kill: np.ndarray) -> Dart | None:
+        """The least kernel dart whose alpha partner is not in the kernel; at
+        lists the kernel's positions in order."""
+        top = self._levels[-1]
+        open_ = at[~kill[top.alpha[at]]]
+        return int(top.order[open_[0]]) if open_.size else None
 
-    def _check_ck(self, kd: np.ndarray, kill: np.ndarray) -> np.ndarray:
+    def _check_ck(self, at: np.ndarray, kill: np.ndarray) -> np.ndarray:
         """Raise unless the kernel is a forest of whole edges that leaves a
         dart; else return, for each top region, a region naming its tree."""
         top = self._levels[-1]
-        if len(kd) == len(top.order):
+        if len(at) == len(top.order):
             raise KernelError("contraction kernel contains every dart of the top map")
-        if (open_ := self._unpaired(kd, kill)) is not None:
+        if (open_ := self._unpaired(at, kill)) is not None:
             raise KernelError(f"contraction kernel is not closed under alpha at dart {open_}")
         # the kernel's edges, each from its first dart in dart_sort_key order,
         # form a forest exactly when Kruskal keeps them all; the first edge
         # it drops is a self loop or closes a cycle
-        kd = kd[dart_sort_key(top.alpha[kd]) > dart_sort_key(kd)]
-        u, v = top.region[kd], top.region[top.alpha[kd]]
+        at = at[top.alpha[at] > at]
+        u, v = top.region[top.order[at]], top.region[top.order[top.alpha[at]]]
         keep, tree = _spanning_forest(u, v, len(top.names))
         dropped = np.flatnonzero(~keep)
         if dropped.size:
             k = dropped[0]
+            d = int(top.order[at[k]])
             if u[k] == v[k]:
-                raise KernelError(f"contraction kernel contains the self-loop edge of dart {int(kd[k])}")
-            raise KernelError(f"contraction kernel contains a cycle through dart {int(kd[k])}")
+                raise KernelError(f"contraction kernel contains the self-loop edge of dart {d}")
+            raise KernelError(f"contraction kernel contains a cycle through dart {d}")
         return tree
 
-    def _check_rkesl(self, kd: np.ndarray, kill: np.ndarray) -> None:
-        if (open_ := self._unpaired(kd, kill)) is not None:
+    def _check_rkesl(self, at: np.ndarray, kill: np.ndarray) -> None:
+        if (open_ := self._unpaired(at, kill)) is not None:
             raise KernelError(f"self-loop kernel is not closed under alpha at dart {open_}")
-        stray = kd[~np.isin(kd, self._loops_and_joints(self.top_level)[0])]
+        stray = at[~_mask(len(kill), self._loops_and_joints(self.top_level)[0])[at]]
         if stray.size:
-            raise KernelError(f"dart {int(stray[0])} is not part of an empty self loop")
-        self._check_keeps_vertices(kd)
+            raise KernelError(f"dart {int(self._levels[-1].order[stray[0]])} is not part of an empty self loop")
+        self._check_keeps_vertices(at)
 
-    def _check_rkede(self, kd: np.ndarray, kill: np.ndarray) -> None:
+    def _check_rkede(self, at: np.ndarray, kill: np.ndarray) -> None:
         loops, joints = self._loops_and_joints(self.top_level)
         if loops.size:
             raise KernelError("empty self loops present; remove them before double edges")
-        stray = ~np.isin(kd, joints)
+        stray = ~_mask(len(kill), joints)[at]
         top = self._levels[-1]
-        bad = stray | ~kill[top.sigma[top.alpha[kd]]]
+        bad = stray | ~kill[top.sigma[top.alpha[at]]]
         if bad.any():
             k = np.flatnonzero(bad)[0]
+            d = int(top.order[at[k]])
             if stray[k]:
-                raise KernelError(f"dart {int(kd[k])} is not a double-edge joint at a degree-2 dual vertex")
-            raise KernelError(f"joint of dart {int(kd[k])} is only half removed")
-        self._check_keeps_vertices(kd)
+                raise KernelError(f"dart {d} is not a double-edge joint at a degree-2 dual vertex")
+            raise KernelError(f"joint of dart {d} is only half removed")
+        self._check_keeps_vertices(at)
 
-    def _check_keeps_vertices(self, kd: np.ndarray) -> None:
-        gone = self._emptied(kd)
+    def _check_keeps_vertices(self, at: np.ndarray) -> None:
+        # the least dart on an emptied vertex is the least such vertex's canonical dart
+        gone = at[self._emptied(at)]
         if gone.size:
-            raise KernelError(f"kernel consumes every dart of the vertex of {self._levels[-1].names[gone.min()]}")
+            raise KernelError(f"kernel consumes every dart of the vertex of {int(self._levels[-1].order[gone[0]])}")
 
-    def _emptied(self, kd: np.ndarray) -> np.ndarray:
-        """Indices of the top vertices all of whose darts are in kd, once per
-        dart of kd that lies on one."""
-        if not kd.size:
-            return kd
-        # kernel darts against all darts, counted per vertex
+    def _emptied(self, at: np.ndarray) -> np.ndarray:
+        """Mask of the positions of at that lie on top vertices all of whose
+        darts are in at: kernel darts against all darts, counted per vertex."""
+        if not at.size:
+            return np.zeros(0, dtype=bool)
         top = self._levels[-1]
-        vertex = top.region[kd]
-        size = np.bincount(top.region[top.order])
-        taken = np.bincount(vertex, minlength=len(size))
-        return vertex[taken[vertex] == size[vertex]]
+        vertex = top.region[top.order]
+        v = vertex[at]
+        return np.bincount(v, minlength=len(top.names))[v] == np.bincount(vertex)[v]
 
     def _fold_orientations(self, kill: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Survivors whose boundary piece grows, with their new partners and
-        turn counts.
+        turn counts, all as positions of the top.
 
         A survivor f1 whose partner dies heads a chain f1, sigma(f1), ... of
         same-direction darts ending at the first dart whose partner survives,
@@ -508,14 +543,15 @@ class Pyramid:
         the dart it moves to.
         """
         top = self._levels[-1]
-        sigma, alpha, live = top.sigma, top.alpha, top.order
-        steps = live[kill[alpha[live]]]  # darts whose chain moves on to sigma
+        sigma, alpha, order = top.sigma, top.alpha, top.order
+        steps = np.flatnonzero(kill[alpha])  # darts whose chain moves on to sigma
         heads = steps[~kill[steps]]
         nxt = sigma[steps]
-        hop = self._ids.copy()
+        hop = np.arange(len(sigma))
         hop[steps] = nxt
         weight = np.zeros(len(sigma), dtype=np.int64)
-        weight[steps] = turn_angle(self.embedding.moves(-alpha[steps]), self.embedding.moves(nxt)) + top.turns[nxt]
+        moves = self.embedding.moves
+        weight[steps] = turn_angle(moves(-order[alpha[steps]]), moves(order[nxt])) + top.turns[nxt]
         end, total = _chain_ends(hop, heads, weight)
         if kill[alpha[end]].any():
             raise KernelError("double-edge chain is not terminated by a surviving partner")
@@ -527,10 +563,13 @@ class Pyramid:
         """Maximal kernel of empty self loops of the current top map. A
         vertex made of empty self loops only keeps the loop of its canonical
         dart, so that no vertex is emptied."""
+        top = self._levels[-1]
         loops = self._loops_and_joints(self.top_level)[0]
-        spare = self._levels[-1].names[np.unique(self._emptied(loops))].astype(np.int64)
-        spare = np.concatenate([spare, self._levels[-1].alpha[spare]])
-        return Kernel.of(KernelState.RKESL, loops[~np.isin(loops, spare)])
+        # such a vertex's first loop dart, in order, is its canonical dart
+        gone = loops[self._emptied(loops)]
+        spare = gone[np.unique(top.region[top.order[gone]], return_index=True)[1]]
+        spare = np.concatenate([spare, top.alpha[spare]])
+        return Kernel.of(KernelState.RKESL, top.order[loops[~_mask(len(top.order), spare)[loops]]])
 
     def compute_rkede(self) -> Kernel:
         """Maximal kernel of double-edge joints of the current top map.
@@ -546,24 +585,22 @@ class Pyramid:
         rings, the walk's cycles, in pairs: alpha(r) is the joint partner of
         sigma(r), so the mates of a ring r0, r1, ... form the ring ...,
         alpha(r1), alpha(r0). A pair keeps its least dart s and the partner
-        phi(s) of s.
+        phi(s) of s. All of it runs in positions of the top.
         """
         top = self._levels[-1]
         sigma, alpha = top.sigma, top.alpha
         keys = alpha[self._loops_and_joints(self.top_level)[1]]
-        key = np.zeros(len(sigma), dtype=bool)
-        key[keys] = True
-        on_chain = ~key[_chain_ends(np.where(key, sigma, self._ids), keys)]
-        # the rings by position in dart_sort_key order, each pair's least
-        ring = keys[~on_chain]
-        ring = ring[np.argsort(dart_sort_key(ring))]
-        pos = np.zeros(len(sigma), dtype=np.int32)
-        pos[ring] = np.arange(len(ring), dtype=np.int32)
-        least = _cycle_min(pos[sigma[ring]])
-        start = ring[np.minimum(least, least[pos[alpha[ring]]])]
+        key = _mask(len(sigma), keys)
+        on_chain = ~key[_chain_ends(np.where(key, sigma, np.arange(len(sigma))), keys)]
+        # the rings by their rank in order, each pair's least
+        ring = np.sort(keys[~on_chain])
+        rank = np.zeros(len(sigma), dtype=np.intp)
+        rank[ring] = np.arange(len(ring))
+        least = _cycle_min(rank[sigma[ring]])
+        start = ring[np.minimum(least, least[rank[alpha[ring]]])]
         kept = np.concatenate([start, sigma[alpha[start]]])
-        removed = np.concatenate([sigma[keys[on_chain]], ring[~np.isin(ring, kept)]])
-        return Kernel.of(KernelState.RKEDE, removed)
+        removed = np.concatenate([sigma[keys[on_chain]], ring[~_mask(len(sigma), kept)[ring]]])
+        return Kernel.of(KernelState.RKEDE, top.order[removed])
 
     def vertex_of_pixel(self, i: int, x: int, y: int) -> Dart:
         """Representative of the level-i region containing pixel (x, y)."""
@@ -584,7 +621,7 @@ class Pyramid:
         level i. Empty means the level is safe for enclosure queries."""
         self._check_level(i)
         bad = np.concatenate(self._loops_and_joints(i))
-        return frozenset(self._ints[bad].tolist()) if bad.size else frozenset()
+        return frozenset(self._ints[self._levels[i].order[bad]].tolist()) if bad.size else frozenset()
 
     def composed_of(self, i: int, v: Dart) -> frozenset[Dart]:
         """Level-(i-1) vertices merged into vertex v by the level-i kernel.
@@ -642,13 +679,11 @@ class Pyramid:
 
     @classmethod
     def from_json(cls, text: str) -> "Pyramid":
-        """Load a record written by to_json: the darts grouped into kernels by
-        one stable sort of their levels, each kernel then checked again as it
-        is applied. Malformed input raises ValueError."""
-        try:
-            payload = json.loads(text)
-        except RecursionError:
-            raise ValueError("pyramid JSON is nested too deeply") from None
+        """Load a record written by to_json: read by _read_record, the darts
+        grouped into kernels by one stable sort of their levels, each kernel
+        then checked again as it is applied. Malformed input raises
+        ValueError."""
+        payload = _read_record(text)
         if not isinstance(payload, dict) or payload.get("format") != "combipyramid-pyramid":
             raise ValueError("not a serialized pyramid")
         version = payload.get("version")
@@ -656,26 +691,81 @@ class Pyramid:
             raise ValueError(f"unsupported pyramid version {version!r}, expected 2")
         width, height = _positive_int(payload, "width"), _positive_int(payload, "height")
         n_darts = CrackEmbedding(width, height).n_darts
-        states, died = _list_field(payload, "states"), _list_field(payload, "died")
+        states, died = _list_field(payload, "states"), payload.get("died")
+        if not isinstance(died, np.ndarray):  # not read by _naturals
+            died = _list_field(payload, "died")
         if len(died) != n_darts:
             raise ValueError(f"died has {len(died)} entries, a {width}x{height} grid has {n_darts} darts")
-        if not set(map(type, died)) <= {int}:  # 4.0 and True compare equal to ints
-            raise ValueError("died is not a list of integer levels")
         top = len(states)
-        try:
-            level = np.fromiter(died, np.int64, len(died))
-        except OverflowError:  # an entry beyond int64
-            level = None
+        level = died
+        if isinstance(died, list):
+            if not set(map(type, died)) <= {int}:  # 4.0 and True compare equal to ints
+                raise ValueError("died is not a list of integer levels")
+            try:
+                level = np.fromiter(died, np.int64, len(died))
+            except OverflowError:  # an entry beyond int64
+                level = None
         if level is None or not ((level >= 0) & (level <= top)).all():
             bad = next(k for k in died if not 0 <= k <= top)
             raise ValueError(f"died holds level {bad}, outside 0..{top}")
         states = [KernelState(state) for state in states]
-        darts = dart_order(n_darts // 2)[np.argsort(level, kind="stable")]
+        # on keys of 16 bits or fewer, as below 65,536 levels, the stable sort is a radix sort
+        darts = dart_order(n_darts // 2)[np.argsort(level.astype(np.min_scalar_type(top)), kind="stable")]
         ends = np.cumsum(np.bincount(level, minlength=top + 1)).tolist()
         pyr = cls.from_grid(width, height)
         for k, state in enumerate(states):
             pyr._apply(state, darts[ends[k] : ends[k + 1]])
         return pyr
+
+
+def _read_record(text: str) -> dict:
+    """json.loads of a pyramid record, with its died list read as an int64
+    array when the record starts with it written as to_json writes it:
+    naturals below 10**18 in JSON's form, between commas. That list is
+    nearly all of a record, and _naturals reads it in array passes; the rest
+    goes through json.loads, with 0 in the list's place, unless it could
+    hold another key died (a later key wins in json.loads), which needs the
+    name or an escape. Any other text, or one that json.loads rejects, is
+    read by json.loads whole, so what it accepts and the errors it raises
+    are json.loads's."""
+    head = '{"died":['
+    if text[: len(head)] == head:
+        end = text.find("]")
+        rest = text[end:]
+        died = _naturals(text[len(head) : end]) if end >= 0 and '"died"' not in rest and "\\" not in rest else None
+        if died is not None:
+            try:
+                payload = json.loads('{"died":0' + rest[1:])
+            except (ValueError, RecursionError):
+                pass
+            else:
+                payload["died"] = died
+                return payload
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("pyramid JSON is nested too deeply") from None
+
+
+def _naturals(text: str) -> np.ndarray | None:
+    """The int64 values of text, a comma-separated list of naturals in JSON's
+    form (no sign, no leading zero), each below 10**18; None for any other
+    text, the empty one too. One array pass reads each digit column."""
+    if not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), np.uint8)
+    cut = np.flatnonzero(raw == ord(","))
+    digit = raw - ord("0")  # a byte below "0" wraps past 9
+    start = np.append(0, cut + 1)
+    width = np.append(cut, len(digit)) - start
+    digit[cut] = 0
+    if (digit > 9).any() or not 0 < width.min() <= width.max() <= 18 or (digit[start[width > 1]] == 0).any():
+        return None
+    value = digit[start].astype(np.int64)
+    for j in range(1, width.max()):
+        more = np.flatnonzero(width > j)
+        value[more] = value[more] * 10 + digit[start[more] + j]
+    return value
 
 
 def _json_naturals(values: np.ndarray) -> str:
@@ -706,20 +796,20 @@ def _list_field(payload: dict, key: str) -> list:
     return value
 
 
-def _reduce(sigma: np.ndarray, alpha: np.ndarray, ids: np.ndarray, dead: np.ndarray, live: np.ndarray,
+def _reduce(sigma: np.ndarray, alpha: np.ndarray, dead: np.ndarray, live: np.ndarray,
             state: KernelState) -> np.ndarray:
     """sigma once the dead darts are contracted (CK) or removed: sigma'(d)
     is the first survivor after d along sigma, stepping by phi past a
-    contracted dart and by sigma past a removed one, for each d of live, the
-    survivors, and 0 at a dead dart. alpha' is derived by the caller.
+    contracted dart and by sigma past a removed one. Darts are positions,
+    which sigma and alpha permute, and dead and live mark and list the
+    kernel's and the others; returns the position of sigma'(d) for each d
+    of live. alpha' is derived by the caller.
     """
     step = sigma[alpha] if state is KernelState.CK else sigma
-    end = _chain_ends(np.where(dead, step, ids), sigma[live])
+    end = _chain_ends(np.where(dead, step, np.arange(len(sigma))), sigma[live])
     if dead[end].any():  # a walk that never gets past the dead darts cycles
         raise RuntimeError("a walk over contracted or removed darts does not terminate")
-    new_sigma = np.zeros_like(sigma)
-    new_sigma[live] = end
-    return new_sigma
+    return end
 
 
 def _spanning_forest(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -781,11 +871,17 @@ def _chain_ends(step: np.ndarray, start: np.ndarray,
         h = hop[todo]
         if total is not None:
             total[todo] += total[h]
-        hop[todo] = hop[h]
-        h = hop[todo]
+        hop[todo] = h = hop[h]
         todo = todo[hop[h] != h]
     end = hop[start]
     return end if total is None else (end, total[start])
+
+
+def _mask(k: int, at: np.ndarray) -> np.ndarray:
+    """Mask over positions 0..k-1, true at those of at."""
+    mask = np.zeros(k, dtype=bool)
+    mask[at] = True
+    return mask
 
 
 def _empty_loops(sigma: np.ndarray, mate: np.ndarray, vertex: np.ndarray) -> np.ndarray:

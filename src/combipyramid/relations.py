@@ -147,7 +147,7 @@ def _boundary_index(pyr: Pyramid, i: int) -> _Boundary:
     if level.boundary is not None:
         return level.boundary
     order, region, names = level.order, level.region, level.names
-    sigma, mate = level.positions()
+    sigma, mate = level.sigma, level.alpha
     k = len(order)
     at = np.arange(k)
     u, v = region[order], region[-order]

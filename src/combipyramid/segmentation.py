@@ -121,11 +121,10 @@ class SegmentedImage:
         pyr = self.pyramid
         top = pyr._levels[-1]
         _, count, color_sum = self._region_sums()
-        # each edge once, from its first dart, between two image regions
-        # (the outside holds no pixel), its ends as region indices
-        first = top.order
-        first = first[dart_sort_key(top.alpha[first]) > dart_sort_key(first)]
-        mate = top.alpha[first]
+        # each edge once, from its first dart in order, between two image
+        # regions (the outside holds no pixel), its ends as region indices
+        at = np.flatnonzero(top.alpha > np.arange(len(top.alpha)))
+        first, mate = top.order[at], top.order[top.alpha[at]]
         u, v = top.region[first], top.region[mate]
         keep = (u != v) & (count[u] > 0) & (count[v] > 0)
         first, mate, u, v = first[keep], mate[keep], u[keep], v[keep]

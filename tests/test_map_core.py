@@ -343,8 +343,8 @@ def test_level_arrays_validate_as_their_permutation_dicts(seed, kind):
     pyr = built_pyramid(random.Random(seed), kind)
     for level in pyr._levels:
         darts = level.order.tolist()
-        sigma = {d: int(level.sigma[d]) for d in darts}
-        alpha = {d: int(level.alpha[d]) for d in darts}
+        sigma = dict(zip(darts, level.order[level.sigma].tolist()))
+        alpha = dict(zip(darts, level.order[level.alpha].tolist()))
         got = _validate_arrays(level.order, level.sigma, level.alpha)
         assert got.checks == validate_dicts(darts, sigma, alpha).checks
         assert got.ok
@@ -354,7 +354,8 @@ def test_corrupted_level_arrays_name_the_check_and_its_least_dart():
     pyr = segment_labels(ringed_labels(random.Random(1), 8, 8)).pyramid
     level = pyr._levels[-1]
     order = level.order.tolist()
-    d, e = order[3], next(x for x in order[4:] if level.alpha[x] != order[3])
+    # the arrays are in positions of order: d at position 3, e at q
+    d, q = order[3], next(q for q in range(4, len(order)) if level.alpha[q] != 3)
 
     def check(name, order=level.order, sigma=level.sigma, alpha=level.alpha):
         report = _validate_arrays(np.asarray(order), sigma, alpha)
@@ -362,21 +363,23 @@ def test_corrupted_level_arrays_name_the_check_and_its_least_dart():
         return next((ok, witness) for n, ok, witness in report.checks if n == name)
 
     alpha = level.alpha.copy()
-    alpha[d] = d
+    alpha[3] = 3
     assert check("alpha_no_fixed_point", alpha=alpha) == (False, d)
-    assert check("alpha_involution", alpha=alpha) == (False, int(level.alpha[d]))
+    assert check("alpha_involution", alpha=alpha) == (False, order[level.alpha[3]])
 
     alpha = level.alpha.copy()
-    alpha[d] = level.alpha[e]  # d takes e's partner, whose partner stays e
-    assert check("alpha_involution", alpha=alpha) == (False, min(d, int(level.alpha[d]), key=dart_sort_key))
+    alpha[3] = level.alpha[q]  # d takes e's partner, whose partner stays e
+    assert check("alpha_involution", alpha=alpha) == (False, min(d, order[level.alpha[3]], key=dart_sort_key))
 
     sigma = level.sigma.copy()
-    sigma[d] = sigma[e]  # two darts with one successor; the old one of d is never met
-    assert check("sigma_bijection", sigma=sigma) == (False, int(level.sigma[d]))
+    sigma[3] = sigma[q]  # two darts with one successor; the old one of d is never met
+    assert check("sigma_bijection", sigma=sigma) == (False, order[level.sigma[3]])
 
     # two dead darts made into a one-edge map of their own
     x = max(dart for dart in pyr.base.darts if max(pyr.level(dart), pyr.level(-dart)) <= pyr.top_level)
-    sigma, alpha = level.sigma.copy(), level.alpha.copy()
-    sigma[[x, -x]], alpha[[x, -x]] = [x, -x], [-x, x]
+    sigma = dict(zip(order, level.order[level.sigma].tolist())) | {x: x, -x: -x}
+    alpha = dict(zip(order, level.order[level.alpha].tolist())) | {x: -x, -x: x}
     apart = sorted(order + [x, -x], key=dart_sort_key)
+    at = {dart: p for p, dart in enumerate(apart)}
+    sigma, alpha = (np.array([at[perm[dart]] for dart in apart]) for perm in (sigma, alpha))
     assert check("connected", order=apart, sigma=sigma, alpha=alpha) == (False, x)

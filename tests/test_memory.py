@@ -1,8 +1,8 @@
 """Memory held by a reloaded pyramid.
 
-A reload keeps each level's sigma/alpha as int32 arrays (a level whose
-kernel keeps alpha shares the array below) and the level of every dart as
-one int array, and builds no level map but the base's. A level's map, two
+A reload keeps each level's sigma, alpha and turn counts as arrays over its
+live darts, its int32 region array over the base's darts and the level of
+every dart as one int array, and builds no level map but the base's. A level's map, two
 lists indexed by signed dart that share the base's int objects (and, where
 levels share alpha, one alpha list), is built on its first read. Per-dart
 dicts or frozensets on that path (level maps, dart levels, kept kernels)

@@ -1,14 +1,15 @@
+import json
 import random
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from combipyramid import pyramid as pyramid_module
-from combipyramid.map_core import CombinatorialMap, dart_ids, dart_sort_key, validate
+from combipyramid.map_core import CombinatorialMap, dart_sort_key, validate
 from combipyramid.pyramid import (
     Kernel,
     KernelError,
@@ -17,10 +18,11 @@ from combipyramid.pyramid import (
     _chain_ends,
     _cycle_min,
     _empty_loops,
+    _read_record,
     _reduce,
     _spanning_forest,
 )
-from combipyramid.segmentation import segment_labels
+from combipyramid.segmentation import SegmentedImage, segment_labels
 
 from conftest import borderless_outside_pyramid, built_pyramid, kinds, random_pyramid, ringed_labels, spanning_tree
 from eager_oracle import (
@@ -91,8 +93,8 @@ def test_kernel_rejections():
 
 @pytest.mark.parametrize("state", list(KernelState))
 def test_unknown_darts_are_rejected_before_any_array_read(state):
-    # the top arrays have 2n+1 entries indexed by signed dart: n+1 would
-    # alias -n, and 2**31 does not fit int32
+    # the kernel is marked in a mask of 2n+1 entries indexed by signed
+    # dart: n+1 would alias -n, and 2**31 does not fit int32
     pyr = Pyramid.from_grid(3, 2)
     n = len(pyr.base) // 2
     before = pyr.to_json()
@@ -381,23 +383,63 @@ def test_chain_ends_equal_a_plain_walk(data):
             assert t == acc
 
 
+def staircase_raster(side: int = 32) -> np.ndarray:
+    """side x side of 16 px tiles, each a red staircase of eight 2 px stripes
+    that merge over three rounds at threshold 12 (the gradient-levels
+    benchmark raster's steps), with blue alternating over the tiles so that
+    no region crosses a tile edge, and a few one-pixel green islands."""
+    img = np.zeros((side, side, 3))
+    img[:, :, 0] = np.tile(np.repeat([20, 10, 23, 13, 26, 36, 23, 21], 2), side // 16)
+    tile = np.arange(side) // 16
+    img[:, :, 2] = np.where((tile[:, None] + tile[None, :]) % 2, 192, 64)
+    for y, x in ((3, 2), (7, 4), (11, 8), (5, 10), (9, 14), (20, 18), (25, 27)):
+        img[y, x, 1] = 250
+    return img
+
+
+def test_each_apply_works_on_arrays_as_long_as_its_top():
+    # three merge rounds leave a top far smaller than the base: each level
+    # keeps sigma, alpha and turns over its live darts only, and on a
+    # reload every pointer-jumping walk of an apply above level 1 runs on
+    # an array no longer than the top the kernel is applied to
+    pyr = SegmentedImage(staircase_raster()).run(12.0).pyramid
+    assert pyr.top_level >= 6 and 20 * len(pyr._levels[-1].order) < len(pyr.base)
+    for level in pyr._levels:
+        assert len(level.sigma) == len(level.alpha) == len(level.turns) == len(level.order)
+    applies = []  # per apply: the top's live darts, and the step length of each walk
+    apply, chain_ends = Pyramid._apply, pyramid_module._chain_ends
+
+    def tracked(self, state, darts):
+        applies.append((len(self._levels[-1].order), []))
+        return apply(self, state, darts)
+
+    def counted(step, *args):
+        applies[-1][1].append(len(step))
+        return chain_ends(step, *args)
+
+    with mock.patch.object(Pyramid, "_apply", tracked), mock.patch.object(pyramid_module, "_chain_ends", counted):
+        Pyramid.from_json(pyr.to_json())
+    assert len(applies) == pyr.top_level
+    for live, steps in applies[1:]:
+        assert steps and max(steps) <= live
+
+
 def test_walks_that_cycle_raise_the_callers_errors():
     # sigma 1 -> 2 -> -2 -> 2: removing 2 leaves dart 1 the survivor -2, and
-    # removing -2 as well leaves it none
-    sigma = np.zeros(5, dtype=np.int32)
-    sigma[[1, 2, -2, -1]] = [2, -2, 2, -1]
-    dead = np.zeros(5, dtype=bool)
-    dead[2] = True
-    reduced = _reduce(sigma, -dart_ids(2), dart_ids(2), dead, np.array([1, -2, -1]), KernelState.RKESL)
-    assert reduced[[1, 2, -2, -1]].tolist() == [-2, 0, -2, -1]
-    dead[-2] = True
+    # removing -2 as well leaves it none. Darts 1, -1, 2, -2 sit at
+    # positions 0..3, their dart_sort_key order
+    sigma, alpha = np.array([2, 1, 3, 2]), np.array([1, 0, 3, 2])
+    dead = np.array([False, False, True, False])
+    # the survivors 1, -1 and -2 go to -2, -1 and -2
+    assert _reduce(sigma, alpha, dead, np.flatnonzero(~dead), KernelState.RKESL).tolist() == [3, 1, 3]
+    dead[3] = True
     with pytest.raises(RuntimeError, match="walk over contracted or removed darts does not terminate"):
-        _reduce(sigma, -dart_ids(2), dart_ids(2), dead, np.array([1, -1]), KernelState.RKESL)
+        _reduce(sigma, alpha, dead, np.flatnonzero(~dead), KernelState.RKESL)
     # 1x1 grid without the pixel's darts: every outside dart loses its
     # partner, so the chains run round the outside vertex
     pyr = Pyramid.from_grid(1, 1)
-    kill = np.zeros(len(pyr._ids), dtype=bool)
-    kill[list(pyr.base.orbit(pyr.embedding.pixel_dart(0, 0), "sigma"))] = True
+    kill = np.zeros(len(pyr._levels[-1].order), dtype=bool)
+    kill[dart_sort_key(np.array(pyr.base.orbit(pyr.embedding.pixel_dart(0, 0), "sigma")))] = True
     with pytest.raises(KernelError, match="double-edge chain is not terminated by a surviving partner"):
         pyr._fold_orientations(kill)
 
@@ -476,9 +518,10 @@ def test_array_derivation_equals_the_dict_reference(seed, ringed):
     def same_top(pyr, ref):
         assert pyr.reconstruct_level(pyr.top_level) == ref.m
         assert {d: pyr._region(pyr.top_level, d) for d in ref.m.darts} == ref.vertex
+        order = pyr._levels[-1].order
         loops, joints = pyr._loops_and_joints(pyr.top_level)
-        assert set(loops.tolist()) == ref.loops
-        assert set(joints.tolist()) == ref.joints
+        assert set(order[loops].tolist()) == ref.loops
+        assert set(order[joints].tolist()) == ref.joints
 
     def checked(pyr, state, darts):
         ref = DictTop.of(pyr)
@@ -494,10 +537,11 @@ def test_array_derivation_equals_the_dict_reference(seed, ringed):
             return pyr
         apply(pyr, state, darts)
         same_top(pyr, nxt)
-        # the new level's counts are the level below's with the updates
-        expected = pyr._levels[-2].turns.copy()
-        expected[list(updates)] = list(updates.values())
-        assert (pyr._levels[-1].turns == expected).all()
+        # the new level's counts are the level below's with the updates,
+        # each level's by position of its dart order
+        below, level = pyr._levels[-2], pyr._levels[-1]
+        expected = dict(zip(below.order.tolist(), below.turns.tolist())) | updates
+        assert level.turns.tolist() == [expected[d] for d in level.order.tolist()]
         return pyr
 
     with mock.patch.object(Pyramid, "_apply", checked):
@@ -917,3 +961,65 @@ def test_json_round_trip_is_exact(seed):
 def test_json_rejects_garbage():
     with pytest.raises(ValueError):
         Pyramid.from_json('{"format": "something-else"}')
+
+
+def read_by_json(text: str):
+    """What _read_record returns or raises, by json.loads of the whole text,
+    with each value written out by repr, so that 1, 1.0 and True differ."""
+    try:
+        try:
+            payload = json.loads(text)
+        except RecursionError:
+            raise ValueError("pyramid JSON is nested too deeply") from None
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return repr(payload)
+
+
+def read_by_record(text: str):
+    try:
+        payload = _read_record(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return repr({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()})
+
+
+died_lists = st.one_of(
+    st.lists(st.integers(0, 2**64), max_size=6).map(lambda xs: ",".join(map(str, xs))),
+    st.text(alphabet="0123456789,-+.eE tfrunals[]{}\"", max_size=12),
+)
+record_tails = st.sampled_from([
+    "}", ',"format":"combipyramid-pyramid","version":2}', ',"a":[1]} ', "", "]}", ",}",
+    ',"died":[0]}', ',"di\\u0065d":[0]}', ',"a":{"died":[0]}}', ',"a":"\\u00e9"}', ',"a":"\u00e9"}',
+    ',"a":1}x', ',"a":1e400}', ',"a":NaN}',
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(died_lists, record_tails)
+@example("0,1,12", "}")
+@example("0,01", "}")
+@example("1" * 18 + ",0", "}")
+@example("9" * 19, "}")
+@example("3", ',"a":' + "[" * 100000 + "]" * 100000 + "}")
+def test_the_record_reader_equals_json_loads(died, tail):
+    # the died list is read in array passes only where json.loads would
+    # read the same values, and every other text, duplicate keys and errors
+    # included, goes to json.loads as a whole
+    text = '{"died":[' + died + "]" + tail
+    assert read_by_record(text) == read_by_json(text)
+
+
+def test_a_reload_reads_its_died_list_without_json_loads():
+    pyr = random_pyramid(random.Random(0), max_side=8)
+    text = pyr.to_json()
+    loads = json.loads
+    read = []
+
+    def counted(s, *args, **kwargs):
+        read.append(len(s))
+        return loads(s, *args, **kwargs)
+
+    with mock.patch.object(pyramid_module.json, "loads", counted):
+        assert Pyramid.from_json(text).to_json() == text
+    assert len(read) == 1 and read[0] < 150 < len(text)
