@@ -44,7 +44,7 @@ class CombinatorialMap:
 
     sigma and alpha are lists indexed by signed dart over -n..n. A dart is
     in the map when its sigma slot is not 0; the alpha slot of any other
-    dart is 0, or stale where a pyramid level shares the alpha list of the
+    dart is 0, or stale where a pyramid level shares the alpha list of a
     level below, so every accessor checks the range and the sigma slot
     before it reads. The dart set is built on first use.
     """

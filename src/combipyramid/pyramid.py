@@ -49,21 +49,19 @@ and published with one store, so racing builds give equal values: `map`,
 the level's map as lists indexed by signed dart, scattered back from the
 positions and read only by a query's walk of one vertex cycle or boundary
 piece and by last_move (the base's is built with it, and levels whose
-kernels keep alpha share one alpha list), `redundant`, the positions of its
-empty self loops and double-edge joints (read by the next kernel's check,
-compute_rkesl, compute_rkede and redundant_darts), `children`, composed_of's
-index of the contraction that made the record, `forest`, a clean level's
-enclosure forest, and `boundary`, the boundary index that rag_export,
-relation_report and meets_each read; level() keeps its list copy of the
-dart levels alike. Whole-level passes read the arrays, so a build or a
+kernels keep alpha share one alpha list), `counts`, its turn counts by
+dart for the same walks, `redundant`, the positions of its empty self loops
+and double-edge joints (read by the next kernel's check, compute_rkesl,
+compute_rkede and redundant_darts), `children`, composed_of's index of the
+contraction that made the record, `forest`, a clean level's enclosure
+forest, and `boundary`, the boundary index that rag_export, relation_report
+and meets_each read; level() keeps its list copy of the dart levels alike. Whole-level passes read the arrays, so a build or a
 reload costs in proportion to its kernels and their checks.
 
 The JSON record (version 2) is the encoding itself: the grid size, the
 state of each kernel and, in dart_order, the level whose kernel removes each
-dart, 0 for a survivor. Loading reads that list, nearly all of a record,
-in array passes where it is written as to_json writes it (_read_record),
-groups the darts by level and applies every kernel through the checks
-apply_kernel makes.
+dart, 0 for a survivor. Loading groups the darts by level and applies every
+kernel through the checks apply_kernel makes.
 
 Replay from the base serves receptive fields and boundary segments. Walking
 from a surviving dart d with sigma0, taking phi0 after a contracted dart and
@@ -177,6 +175,7 @@ class _Level:
     region: np.ndarray
     names: np.ndarray
     map: CombinatorialMap | None = None
+    counts: dict[Dart, int] | None = None
     redundant: tuple[np.ndarray, np.ndarray] | None = None
     children: dict[Dart, frozenset[Dart]] | None = None
     forest: tuple | None = None
@@ -327,14 +326,20 @@ class Pyramid:
             sigma = np.zeros(len(self._ids), dtype=np.int32)
             sigma[order] = order[level.sigma]
             # levels whose kernels keep alpha share one alpha list: the
-            # levels with as many RKEDE kernels at or below them
-            group = list(accumulate(state is KernelState.RKEDE for state in self._states))
-            shared = [k.map for k, g in zip(self._levels, group) if g == group[i] and k.map is not None]
+            # levels with as many RKEDE kernels that remove darts at or below
+            # them. Their lowest holds all their darts, so the list is built
+            # from it, whichever of them is built first
+            levels = self._levels
+            fused = [state is KernelState.RKEDE and k is not below
+                     for state, k, below in zip(self._states, levels, [None, *levels])]
+            group = list(accumulate(fused))
+            shared = [k.map for k, g in zip(levels, group) if g == group[i] and k.map is not None]
             if shared:
                 alpha = shared[0]._alpha
             else:
+                low = levels[group.index(group[i])]
                 alpha = np.zeros_like(sigma)
-                alpha[order] = order[level.alpha]
+                alpha[low.order] = low.order[low.alpha]
             m = level.map = map_of(self._ints, order, sigma, alpha)
         return m
 
@@ -371,11 +376,12 @@ class Pyramid:
 
     def _orientations(self, i: int, darts: Iterable[Dart]) -> list[int]:
         """cached_orientation of each of darts, all live at level i, for
-        callers that read a whole cycle or sequence: one array search of
-        their ranks in the level's dart order."""
+        callers that read a whole cycle or sequence: read from the level's
+        counts by dart, a dict built on first use."""
         level = self._levels[i]
-        at = np.searchsorted(dart_sort_key(level.order), dart_sort_key(np.fromiter(darts, np.int64)))
-        return level.turns[at].tolist()
+        if (counts := level.counts) is None:
+            counts = level.counts = dict(zip(level.order.tolist(), level.turns.tolist()))
+        return [counts[d] for d in darts]
 
     def last_move(self, i: int, d: Dart) -> Move:
         """Move of the last crack of d's boundary piece at level i, the
@@ -679,11 +685,13 @@ class Pyramid:
 
     @classmethod
     def from_json(cls, text: str) -> "Pyramid":
-        """Load a record written by to_json: read by _read_record, the darts
-        grouped into kernels by one stable sort of their levels, each kernel
-        then checked again as it is applied. Malformed input raises
-        ValueError."""
-        payload = _read_record(text)
+        """Load a record written by to_json: the darts grouped into kernels by
+        one stable sort of their levels, each kernel then checked again as it
+        is applied. Malformed input raises ValueError."""
+        try:
+            payload = json.loads(text)
+        except RecursionError:
+            raise ValueError("pyramid JSON is nested too deeply") from None
         if not isinstance(payload, dict) or payload.get("format") != "combipyramid-pyramid":
             raise ValueError("not a serialized pyramid")
         version = payload.get("version")
@@ -691,20 +699,16 @@ class Pyramid:
             raise ValueError(f"unsupported pyramid version {version!r}, expected 2")
         width, height = _positive_int(payload, "width"), _positive_int(payload, "height")
         n_darts = CrackEmbedding(width, height).n_darts
-        states, died = _list_field(payload, "states"), payload.get("died")
-        if not isinstance(died, np.ndarray):  # not read by _naturals
-            died = _list_field(payload, "died")
+        states, died = _list_field(payload, "states"), _list_field(payload, "died")
         if len(died) != n_darts:
             raise ValueError(f"died has {len(died)} entries, a {width}x{height} grid has {n_darts} darts")
+        if not set(map(type, died)) <= {int}:  # 4.0 and True compare equal to ints
+            raise ValueError("died is not a list of integer levels")
         top = len(states)
-        level = died
-        if isinstance(died, list):
-            if not set(map(type, died)) <= {int}:  # 4.0 and True compare equal to ints
-                raise ValueError("died is not a list of integer levels")
-            try:
-                level = np.fromiter(died, np.int64, len(died))
-            except OverflowError:  # an entry beyond int64
-                level = None
+        try:
+            level = np.fromiter(died, np.int64, len(died))
+        except OverflowError:  # an entry beyond int64
+            level = None
         if level is None or not ((level >= 0) & (level <= top)).all():
             bad = next(k for k in died if not 0 <= k <= top)
             raise ValueError(f"died holds level {bad}, outside 0..{top}")
@@ -716,56 +720,6 @@ class Pyramid:
         for k, state in enumerate(states):
             pyr._apply(state, darts[ends[k] : ends[k + 1]])
         return pyr
-
-
-def _read_record(text: str) -> dict:
-    """json.loads of a pyramid record, with its died list read as an int64
-    array when the record starts with it written as to_json writes it:
-    naturals below 10**18 in JSON's form, between commas. That list is
-    nearly all of a record, and _naturals reads it in array passes; the rest
-    goes through json.loads, with 0 in the list's place, unless it could
-    hold another key died (a later key wins in json.loads), which needs the
-    name or an escape. Any other text, or one that json.loads rejects, is
-    read by json.loads whole, so what it accepts and the errors it raises
-    are json.loads's."""
-    head = '{"died":['
-    if text[: len(head)] == head:
-        end = text.find("]")
-        rest = text[end:]
-        died = _naturals(text[len(head) : end]) if end >= 0 and '"died"' not in rest and "\\" not in rest else None
-        if died is not None:
-            try:
-                payload = json.loads('{"died":0' + rest[1:])
-            except (ValueError, RecursionError):
-                pass
-            else:
-                payload["died"] = died
-                return payload
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError("pyramid JSON is nested too deeply") from None
-
-
-def _naturals(text: str) -> np.ndarray | None:
-    """The int64 values of text, a comma-separated list of naturals in JSON's
-    form (no sign, no leading zero), each below 10**18; None for any other
-    text, the empty one too. One array pass reads each digit column."""
-    if not text.isascii():
-        return None
-    raw = np.frombuffer(text.encode("ascii"), np.uint8)
-    cut = np.flatnonzero(raw == ord(","))
-    digit = raw - ord("0")  # a byte below "0" wraps past 9
-    start = np.append(0, cut + 1)
-    width = np.append(cut, len(digit)) - start
-    digit[cut] = 0
-    if (digit > 9).any() or not 0 < width.min() <= width.max() <= 18 or (digit[start[width > 1]] == 0).any():
-        return None
-    value = digit[start].astype(np.int64)
-    for j in range(1, width.max()):
-        more = np.flatnonzero(width > j)
-        value[more] = value[more] * 10 + digit[start[more] + j]
-    return value
 
 
 def _json_naturals(values: np.ndarray) -> str:

@@ -311,6 +311,37 @@ def test_work_bound_two_visits_per_cycle_dart():
             assert counter.visits <= 2 * len(cyc)
 
 
+class WatchedDarts(np.ndarray):
+    """A level's dart order that counts the whole passes made over it:
+    elementwise arithmetic and conversions to a list."""
+
+    passes = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        WatchedDarts.passes += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, WatchedDarts) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def tolist(self):
+        WatchedDarts.passes += 1
+        return self.view(np.ndarray).tolist()
+
+
+def test_a_forest_build_passes_over_the_level_a_bounded_number_of_times():
+    # 36 rings, each around one pixel, on one background: the forest build
+    # walks the cycles of 37 vertices with self loops and reads their darts'
+    # turn counts, so a pass over the level per loop vertex would show
+    tile = np.zeros((5, 5), dtype=np.int64)
+    tile[1:4, 1:4], tile[2, 2] = 1, 2
+    pyr = segment_labels(np.tile(tile, (6, 6))).pyramid
+    level = pyr._levels[pyr.top_level]
+    level.order = level.order.view(WatchedDarts)
+    WatchedDarts.passes = 0
+    parent, _ = _enclosure_forest(pyr, pyr.top_level)
+    assert len(parent) == 72  # each ring under the background, each pixel under its ring
+    assert WatchedDarts.passes <= 8  # a few in all, where one per loop vertex makes 37 or more
+
+
 # -- the enclosure forest --------------------------------------------------------------
 
 

@@ -1,4 +1,3 @@
-import json
 import random
 import re
 from unittest import mock
@@ -18,7 +17,6 @@ from combipyramid.pyramid import (
     _chain_ends,
     _cycle_min,
     _empty_loops,
-    _read_record,
     _reduce,
     _spanning_forest,
 )
@@ -963,63 +961,31 @@ def test_json_rejects_garbage():
         Pyramid.from_json('{"format": "something-else"}')
 
 
-def read_by_json(text: str):
-    """What _read_record returns or raises, by json.loads of the whole text,
-    with each value written out by repr, so that 1, 1.0 and True differ."""
-    try:
-        try:
-            payload = json.loads(text)
-        except RecursionError:
-            raise ValueError("pyramid JSON is nested too deeply") from None
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return repr(payload)
-
-
-def read_by_record(text: str):
-    try:
-        payload = _read_record(text)
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return repr({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()})
-
-
-died_lists = st.one_of(
-    st.lists(st.integers(0, 2**64), max_size=6).map(lambda xs: ",".join(map(str, xs))),
-    st.text(alphabet="0123456789,-+.eE tfrunals[]{}\"", max_size=12),
-)
-record_tails = st.sampled_from([
-    "}", ',"format":"combipyramid-pyramid","version":2}', ',"a":[1]} ', "", "]}", ",}",
-    ',"died":[0]}', ',"di\\u0065d":[0]}', ',"a":{"died":[0]}}', ',"a":"\\u00e9"}', ',"a":"\u00e9"}',
-    ',"a":1}x', ',"a":1e400}', ',"a":NaN}',
-])
-
-
-@settings(max_examples=400, deadline=None)
-@given(died_lists, record_tails)
-@example("0,1,12", "}")
-@example("0,01", "}")
-@example("1" * 18 + ",0", "}")
-@example("9" * 19, "}")
-@example("3", ',"a":' + "[" * 100000 + "]" * 100000 + "}")
-def test_the_record_reader_equals_json_loads(died, tail):
-    # the died list is read in array passes only where json.loads would
-    # read the same values, and every other text, duplicate keys and errors
-    # included, goes to json.loads as a whole
-    text = '{"died":[' + died + "]" + tail
-    assert read_by_record(text) == read_by_json(text)
-
-
-def test_a_reload_reads_its_died_list_without_json_loads():
-    pyr = random_pyramid(random.Random(0), max_side=8)
+def assert_top_down_maps_equal_bottom_up(pyr: Pyramid) -> None:
+    """Reload pyr twice and build the level maps of one clone from the top
+    down, through last_move at the top first, and of the other from the
+    bottom up: levels whose kernels keep alpha share one alpha list, which
+    must hold the darts of the lowest of them whichever is built first."""
     text = pyr.to_json()
-    loads = json.loads
-    read = []
+    down, up = Pyramid.from_json(text), Pyramid.from_json(text)
+    top = pyr.top_level
+    for d in pyr._levels[-1].order.tolist():
+        down.last_move(top, d)
+    expected = [up.reconstruct_level(i) for i in range(top + 1)]
+    for i in range(top, -1, -1):
+        m = down.reconstruct_level(i)
+        assert m == expected[i] and validate(m).ok
 
-    def counted(s, *args, **kwargs):
-        read.append(len(s))
-        return loads(s, *args, **kwargs)
 
-    with mock.patch.object(pyramid_module.json, "loads", counted):
-        assert Pyramid.from_json(text).to_json() == text
-    assert len(read) == 1 and read[0] < 150 < len(text)
+@settings(max_examples=60, deadline=None)
+@given(seeds, kinds)
+def test_level_maps_built_from_the_top_down_equal_those_built_up(seed, kind):
+    assert_top_down_maps_equal_bottom_up(built_pyramid(random.Random(seed), kind))
+
+
+def test_level_maps_built_from_the_top_down_after_double_edge_removals():
+    # the staircase raster removes double edges at level 3 and contracts
+    # edges at level 4, so the level-4 map is built before the level-3 one
+    pyr = SegmentedImage(staircase_raster()).run(12.0).pyramid
+    assert pyr.state(3) is KernelState.RKEDE and pyr.state(4) is KernelState.CK
+    assert_top_down_maps_equal_bottom_up(pyr)
