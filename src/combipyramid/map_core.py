@@ -42,11 +42,9 @@ def dart_sort_key(d: Dart | np.ndarray) -> int | np.ndarray:
 class CombinatorialMap:
     """Immutable dart set plus sigma/alpha permutations for one map level.
 
-    sigma and alpha are lists indexed by signed dart over -n..n. A dart is
-    in the map when its sigma slot is not 0; the alpha slot of any other
-    dart is 0, or stale where a pyramid level shares the alpha list of a
-    level below, so every accessor checks the range and the sigma slot
-    before it reads. The dart set is built on first use.
+    sigma and alpha are lists indexed by signed dart over -n..n, 0 at a
+    dart not in the map, so an accessor checks the range and reads its own
+    slot. The dart set is built on first use.
     """
 
     __slots__ = ("_sigma", "_alpha", "_n", "_order", "_darts")
@@ -94,7 +92,7 @@ class CombinatorialMap:
         raise KeyError(d)
 
     def alpha(self, d: Dart) -> Dart:
-        if -self._n <= d <= self._n and self._sigma[d] and (e := self._alpha[d]):
+        if -self._n <= d <= self._n and (e := self._alpha[d]):
             return e
         raise KeyError(d)
 
@@ -302,14 +300,13 @@ def dart_order(n: int) -> np.ndarray:
     return order
 
 
-def map_of(ints: np.ndarray, darts: np.ndarray, sigma: np.ndarray, alpha: np.ndarray | list[Dart]) -> CombinatorialMap:
+def map_of(ints: np.ndarray, darts: np.ndarray, sigma: np.ndarray, alpha: np.ndarray) -> CombinatorialMap:
     """Map of dart-indexed sigma/alpha arrays, 0 at a dart not in the map;
-    darts lists its darts in dart_sort_key order, and alpha may be a map's
-    alpha list instead, which the new map shares. ints is an object array
+    darts lists its darts in dart_sort_key order. ints is an object array
     holding the int object of every dart, which the maps built from it share."""
     m = CombinatorialMap.__new__(CombinatorialMap)
     m._sigma, m._n, m._order, m._darts = ints[sigma].tolist(), len(sigma) // 2, darts, None
-    m._alpha = ints[alpha].tolist() if isinstance(alpha, np.ndarray) else alpha
+    m._alpha = ints[alpha].tolist()
     return m
 
 

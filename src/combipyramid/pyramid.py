@@ -46,17 +46,18 @@ level never changes after that.
 
 The record also keeps what only some readers need, computed on first read
 and published with one store, so racing builds give equal values: `map`,
-the level's map as lists indexed by signed dart, scattered back from the
-positions and read only by a query's walk of one vertex cycle or boundary
-piece and by last_move (the base's is built with it, and levels whose
-kernels keep alpha share one alpha list), `counts`, its turn counts by
-dart for the same walks, `redundant`, the positions of its empty self loops
-and double-edge joints (read by the next kernel's check, compute_rkesl,
-compute_rkede and redundant_darts), `children`, composed_of's index of the
-contraction that made the record, `forest`, a clean level's enclosure
-forest, and `boundary`, the boundary index that rag_export, relation_report
-and meets_each read; level() keeps its list copy of the dart levels alike. Whole-level passes read the arrays, so a build or a
-reload costs in proportion to its kernels and their checks.
+the level's map as lists indexed by signed dart, scattered back from its
+own positions and read only by a query's walk of one vertex cycle or
+boundary piece and by last_move (the base's is built with it), `counts`,
+its turn counts by dart for the same walks and cached_orientation,
+`redundant`, the positions of its empty self loops and double-edge joints
+(read by the next kernel's check, compute_rkesl, compute_rkede and
+redundant_darts), `children`, composed_of's index of the contraction that
+made the record, `forest`, a clean level's enclosure forest, and
+`boundary`, the boundary index that rag_export, relation_report and
+meets_each read. level() keeps its list copy of the dart levels alike.
+Whole-level passes read the arrays, so a build or a reload costs in
+proportion to its kernels and their checks.
 
 The JSON record (version 2) is the encoding itself: the grid size, the
 state of each kernel and, in dart_order, the level whose kernel removes each
@@ -80,11 +81,9 @@ distinct edges; CK and RKESL kernels always remove whole base edges.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -317,29 +316,14 @@ class Pyramid:
             c = nxt
 
     def reconstruct_level(self, i: int) -> CombinatorialMap:
-        """The level-i map: lists of the arrays derived from level i-1 when
-        its kernel was applied, built on the first call."""
+        """The level-i map: lists scattered from level i's own arrays, built
+        on the first call."""
         self._check_level(i)
         level = self._levels[i]
         if (m := level.map) is None:
             order = level.order
-            sigma = np.zeros(len(self._ids), dtype=np.int32)
-            sigma[order] = order[level.sigma]
-            # levels whose kernels keep alpha share one alpha list: the
-            # levels with as many RKEDE kernels that remove darts at or below
-            # them. Their lowest holds all their darts, so the list is built
-            # from it, whichever of them is built first
-            levels = self._levels
-            fused = [state is KernelState.RKEDE and k is not below
-                     for state, k, below in zip(self._states, levels, [None, *levels])]
-            group = list(accumulate(fused))
-            shared = [k.map for k, g in zip(levels, group) if g == group[i] and k.map is not None]
-            if shared:
-                alpha = shared[0]._alpha
-            else:
-                low = levels[group.index(group[i])]
-                alpha = np.zeros_like(sigma)
-                alpha[low.order] = low.order[low.alpha]
+            sigma, alpha = np.zeros((2, len(self._ids)), dtype=np.int32)
+            sigma[order], alpha[order] = order[level.sigma], order[level.alpha]
             m = level.map = map_of(self._ints, order, sigma, alpha)
         return m
 
@@ -368,16 +352,11 @@ class Pyramid:
         piece, by folding in the absorbed darts' counts and junction turns.
         """
         self._require_alive(i, d)
-        order = self._levels[i].order
-        # the count at d's position, by a binary search of the order, which
-        # holds the darts of magnitude |d| next to each other, positive first
-        at = bisect_left(order, abs(d), key=abs)
-        return int(self._levels[i].turns[at + (order[at] != d)])
+        return self._orientations(i, [d])[0]
 
     def _orientations(self, i: int, darts: Iterable[Dart]) -> list[int]:
-        """cached_orientation of each of darts, all live at level i, for
-        callers that read a whole cycle or sequence: read from the level's
-        counts by dart, a dict built on first use."""
+        """cached_orientation of each of darts, all live at level i, read
+        from the level's counts by dart, a dict built on first use."""
         level = self._levels[i]
         if (counts := level.counts) is None:
             counts = level.counts = dict(zip(level.order.tolist(), level.turns.tolist()))

@@ -87,7 +87,8 @@ def built_pyramid(rng: random.Random, kind: str) -> Pyramid:
     return random_pyramid(rng, max_side=6, touch_outside=kind == "outside")
 
 
-kinds = st.sampled_from(["random", "ringed", "outside"])
+KINDS = ["random", "ringed", "outside"]
+kinds = st.sampled_from(KINDS)
 
 
 def spanning_tree(pyr: Pyramid, rng: random.Random) -> list[int]:

@@ -3,8 +3,8 @@
 A reload keeps each level's sigma, alpha and turn counts as arrays over its
 live darts, its int32 region array over the base's darts and the level of
 every dart as one int array, and builds no level map but the base's. A level's map, two
-lists indexed by signed dart that share the base's int objects (and, where
-levels share alpha, one alpha list), is built on its first read. Per-dart
+lists indexed by signed dart that share the base's int objects, is built on
+its first read from that level's own arrays. Per-dart
 dicts or frozensets on that path (level maps, dart levels, kept kernels)
 cost several times as much: with them a warm seed-1 reload held 7.22 MB on
 gradient-levels and 6.85 MB on sign-mosaic (tracemalloc, CPython 3.11).
@@ -69,8 +69,9 @@ def test_reload_holds_no_per_dart_containers(name, bound_mb):
 
 @pytest.mark.parametrize("name, bound_mb", BOUNDS)
 def test_reload_with_every_level_map_built_stays_in_bounds(name, bound_mb):
-    # levels that share an alpha array share its list: without that, the
-    # gradient-levels maps would take the reload past 4.5 MB
+    # each level map holds its own sigma and alpha lists: a warm seed-1
+    # reload with every map built held 4.10 MB on gradient-levels and
+    # 2.75 MB on sign-mosaic (tracemalloc, CPython 3.11)
     held = held_by_reload(seed_1_record(name), maps=True)
     assert held <= bound_mb, f"a reload with its maps holds {held:.2f} MB"
 

@@ -22,7 +22,9 @@ from combipyramid.pyramid import (
 )
 from combipyramid.segmentation import SegmentedImage, segment_labels
 
-from conftest import borderless_outside_pyramid, built_pyramid, kinds, random_pyramid, ringed_labels, spanning_tree
+from conftest import (
+    KINDS, borderless_outside_pyramid, built_pyramid, kinds, random_pyramid, ringed_labels, spanning_tree,
+)
 from eager_oracle import (
     DictTop,
     check_ck_by_union_find,
@@ -964,8 +966,7 @@ def test_json_rejects_garbage():
 def assert_top_down_maps_equal_bottom_up(pyr: Pyramid) -> None:
     """Reload pyr twice and build the level maps of one clone from the top
     down, through last_move at the top first, and of the other from the
-    bottom up: levels whose kernels keep alpha share one alpha list, which
-    must hold the darts of the lowest of them whichever is built first."""
+    bottom up: each map must come out the same whichever is built first."""
     text = pyr.to_json()
     down, up = Pyramid.from_json(text), Pyramid.from_json(text)
     top = pyr.top_level
@@ -989,3 +990,31 @@ def test_level_maps_built_from_the_top_down_after_double_edge_removals():
     pyr = SegmentedImage(staircase_raster()).run(12.0).pyramid
     assert pyr.state(3) is KernelState.RKEDE and pyr.state(4) is KernelState.CK
     assert_top_down_maps_equal_bottom_up(pyr)
+
+
+def assert_maps_hold_no_alpha_off_their_darts(pyr: Pyramid) -> None:
+    """Build the level maps of two reloads of pyr, one from the bottom up and
+    one from the top down: each map's alpha list is 0 at every base dart not
+    in the map, and alpha raises KeyError there."""
+    text = pyr.to_json()
+    base = pyr.base._order.tolist()
+    for levels in (range(pyr.top_level + 1), range(pyr.top_level, -1, -1)):
+        clone = Pyramid.from_json(text)
+        for i in levels:
+            m = clone.reconstruct_level(i)
+            for d in base:
+                if d not in m:
+                    assert m._alpha[d] == 0, f"level {i} holds an alpha slot at dart {d}"
+                    with pytest.raises(KeyError):
+                        m.alpha(d)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=20, deadline=None)
+@given(seeds)
+def test_level_maps_hold_no_alpha_off_their_darts(kind, seed):
+    assert_maps_hold_no_alpha_off_their_darts(built_pyramid(random.Random(seed), kind))
+
+
+def test_staircase_level_maps_hold_no_alpha_off_their_darts():
+    assert_maps_hold_no_alpha_off_their_darts(SegmentedImage(staircase_raster()).run(12.0).pyramid)
