@@ -10,6 +10,7 @@ alpha(d) = -d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 from typing import Iterable
 
@@ -170,6 +171,8 @@ class CrackEmbedding:
     width: int
     height: int
     _tables: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    # level 0 of every pyramid of the embedding, read-only: pyramid.py fills it once
+    _pyramid_base: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_vertical(self) -> int:
@@ -242,8 +245,8 @@ class CrackEmbedding:
         region array (0 on the outside vertex, 1 + y * width + x on pixel
         (x, y): the order of their canonical darts 1 and -left), indexed
         alike: computed on first use, once per embedding, and read-only.
-        build_grid_map builds the base map's lists from them and a Pyramid
-        of the embedding shares them."""
+        build_grid_map builds the base map's lists from them and every
+        Pyramid of the embedding shares them."""
         if self._tables is not None:
             return self._tables
         w, h, nv = self.width, self.height, self.n_vertical
@@ -276,9 +279,25 @@ class CrackEmbedding:
 
 def build_grid_map(width: int, height: int) -> tuple[CombinatorialMap, CrackEmbedding]:
     """Base map of a width x height 4-connected grid, from the closed form of
-    CrackEmbedding.grid_sigma. alpha(d) = -d."""
+    CrackEmbedding.grid_sigma. alpha(d) = -d.
+
+    The map and its embedding are built once per grid size and kept for the
+    last size asked for, so every pyramid of that size shares them, the
+    embedding's read-only tables and the level-0 record a Pyramid keeps on
+    the embedding; no caller writes the map's lists. A size that is not an
+    int, or is a bool, raises ValueError before the cache is read, since 3.0
+    and True hash as 3 and 1 do."""
+    for value in (width, height):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"grid dimensions must be integers, got {value!r}")
+    width, height = int(width), int(height)
     if width < 1 or height < 1:
         raise ValueError(f"grid dimensions must be positive, got {width}x{height}")
+    return _grid_map(width, height)
+
+
+@lru_cache(maxsize=1)
+def _grid_map(width: int, height: int) -> tuple[CombinatorialMap, CrackEmbedding]:
     emb = CrackEmbedding(width, height)
     sigma, ids, ints, _ = emb._grid_tables()
     return map_of(ints, dart_order(len(sigma) // 2), sigma, -ids), emb

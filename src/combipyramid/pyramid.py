@@ -48,15 +48,23 @@ The record also keeps what only some readers need, computed on first read
 and published with one store, so racing builds give equal values: `map`,
 the level's map as lists indexed by signed dart, scattered back from its
 own positions and read only by a query's walk of one vertex cycle or
-boundary piece and by last_move (the base's is built with it), `counts`,
+boundary piece and by last_move (the base's is build_grid_map's), `counts`,
 its turn counts by dart for the same walks and cached_orientation,
-`redundant`, the positions of its empty self loops and double-edge joints
-(read by the next kernel's check, compute_rkesl, compute_rkede and
-redundant_darts), `children`, composed_of's index of the contraction that
-made the record, `forest`, a clean level's enclosure forest, and
-`boundary`, the boundary index that rag_export, relation_report and
-meets_each read. level() keeps its list copy of the dart levels alike.
-Whole-level passes read the arrays, so a build or a reload costs in
+`loops` and `joints`, the positions of its empty self loops and of its
+double-edge joints, each found apart (the next kernel's check and
+compute_rkesl read the loops; an RKEDE check, compute_rkede and
+redundant_darts read both), `children`, composed_of's index of the
+contraction that made the record, `forest`, a clean level's enclosure
+forest, and `boundary`, the boundary index that rag_export,
+relation_report and meets_each read. level() keeps its list copy of the
+dart levels alike.
+
+The base depends on the grid size alone. The grid tables, the base map and
+level 0's record, caches included, are built once per grid size and shared,
+read-only, by every pyramid of that size (build_grid_map keeps the last
+size; _base_level keeps the record on the embedding), so a new pyramid
+allocates only its array of dart levels. Whole-level passes read the
+arrays, so a build or a reload builds no map of its own and costs in
 proportion to its kernels and their checks.
 
 The JSON record (version 2) is the encoding itself: the grid size, the
@@ -175,10 +183,33 @@ class _Level:
     names: np.ndarray
     map: CombinatorialMap | None = None
     counts: dict[Dart, int] | None = None
-    redundant: tuple[np.ndarray, np.ndarray] | None = None
+    loops: np.ndarray | None = None
+    joints: np.ndarray | None = None
     children: dict[Dart, frozenset[Dart]] | None = None
     forest: tuple | None = None
     boundary: tuple | None = None
+
+
+def _base_level(base: CombinatorialMap, embedding: CrackEmbedding) -> tuple[_Level, np.ndarray]:
+    """Level 0's record, with base as its map, and every pixel's dart, row by
+    row: built by the embedding's first pyramid and kept on the embedding,
+    read-only, for every later one. The base's position of dart d is
+    dart_sort_key(d), and -d sits next to it; its regions are dart 1's, the
+    outside, then the pixels'. Its caches depend on the grid alone, so the
+    pyramids share them too."""
+    if (found := embedding._pyramid_base) is None:
+        sigma, _, ints, region = embedding._grid_tables()
+        n = len(sigma) // 2
+        pixels = embedding.pixel_dart(np.arange(embedding.width), np.arange(embedding.height)[:, None])
+        order = dart_order(n)
+        alpha, turns = np.arange(2 * n, dtype=np.int32) ^ 1, np.zeros(2 * n, dtype=np.int32)
+        level = _Level(dart_sort_key(sigma[order]), alpha, turns, order, region, ints[np.append(1, pixels)], map=base)
+        for array in (level.sigma, alpha, turns, order, level.names, pixels):
+            array.flags.writeable = False
+        found = level, pixels
+        # published with one store, as the embedding's tables are
+        object.__setattr__(embedding, "_pyramid_base", found)
+    return found
 
 
 class Pyramid:
@@ -193,27 +224,22 @@ class Pyramid:
         """base is the grid map of embedding, as build_grid_map makes it."""
         self.base = base
         self.embedding = embedding
-        # the base's sigma and region array are the embedding's read-only
-        # tables; so are _ids and _ints, the int object of every dart, so the
-        # level maps and names share the int objects of the base map
-        sigma, self._ids, self._ints, region = embedding._grid_tables()
-        n = self._n = len(sigma) // 2
-        # every pixel's dart, row by row: the base's regions are dart 1's, then theirs
-        self._pixels = embedding.pixel_dart(np.arange(embedding.width), np.arange(embedding.height)[:, None])
-        names = self._ints[np.append(1, self._pixels)]
+        # the embedding's read-only tables: _ids and _ints, the int object of
+        # every dart, so the level maps and names share the int objects of
+        # the base map; then level 0 and every pixel's dart, row by row,
+        # shared with every pyramid of the embedding (_base_level)
+        _, self._ids, self._ints, _ = embedding._grid_tables()
+        base_level, self._pixels = _base_level(base, embedding)
+        self._n = len(self._ids) // 2
         # the encoding past the base: the level whose kernel removed each
         # dart, indexed by signed dart (see map_core.dart_ids), 0 while it
         # survives, with the list copy level() reads, and the state of each
         # level's kernel
-        self._died = np.zeros(2 * n + 1, dtype=np.int32)
+        self._died = np.zeros(2 * self._n + 1, dtype=np.int32)
         self._died_list: list[int] | None = None
         self._states: list[KernelState | None] = [None]
-        # every level, the top last; the base's position of dart d is
-        # dart_sort_key(d), and -d sits next to it
-        order = dart_order(n)
-        sigma, alpha = dart_sort_key(sigma[order]), np.arange(2 * n, dtype=np.int32) ^ 1
-        turns = np.zeros(2 * n, dtype=np.int32)
-        self._levels = [_Level(sigma, alpha, turns, order, region, names, map=base)]
+        # every level, the top last
+        self._levels = [base_level]
 
     @classmethod
     def from_grid(cls, width: int, height: int) -> "Pyramid":
@@ -228,7 +254,7 @@ class Pyramid:
     @property
     def kernels(self) -> list[Kernel]:
         """The kernel of every level, rebuilt from the level of each dart."""
-        order = dart_order(self._n)
+        order = self._levels[0].order
         died = self._died[order]
         return [Kernel.of(state, order[died == k]) for k, state in enumerate(self._states[1:], start=1)]
 
@@ -438,14 +464,21 @@ class Pyramid:
         dead = [d for d in kd.tolist() if not (-n <= d <= n and d and not self._died[d])]
         raise KernelError(f"kernel contains dead or unknown darts: {dead[:4]}")
 
+    def _loops(self, i: int) -> np.ndarray:
+        """The positions of level i's empty self loops, in order: computed on
+        first use."""
+        level = self._levels[i]
+        if (loops := level.loops) is None:
+            loops = level.loops = np.flatnonzero(_empty_loops(level.sigma, level.alpha, level.region[level.order]))
+        return loops
+
     def _loops_and_joints(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The positions of level i's empty self loops and of its double-edge
-        joints, each in order: computed on first use."""
+        joints, each in order: each computed on first use."""
         level = self._levels[i]
-        if (found := level.redundant) is None:
-            loops = np.flatnonzero(_empty_loops(level.sigma, level.alpha, level.region[level.order]))
-            found = level.redundant = loops, _joints(level.sigma, level.alpha, level.order, self.embedding)
-        return found
+        if (joints := level.joints) is None:
+            joints = level.joints = _joints(level.sigma, level.alpha, level.order, self.embedding)
+        return self._loops(i), joints
 
     def _unpaired(self, at: np.ndarray, kill: np.ndarray) -> Dart | None:
         """The least kernel dart whose alpha partner is not in the kernel; at
@@ -480,7 +513,7 @@ class Pyramid:
     def _check_rkesl(self, at: np.ndarray, kill: np.ndarray) -> None:
         if (open_ := self._unpaired(at, kill)) is not None:
             raise KernelError(f"self-loop kernel is not closed under alpha at dart {open_}")
-        stray = at[~_mask(len(kill), self._loops_and_joints(self.top_level)[0])[at]]
+        stray = at[~_mask(len(kill), self._loops(self.top_level))[at]]
         if stray.size:
             raise KernelError(f"dart {int(self._levels[-1].order[stray[0]])} is not part of an empty self loop")
         self._check_keeps_vertices(at)
@@ -549,7 +582,7 @@ class Pyramid:
         vertex made of empty self loops only keeps the loop of its canonical
         dart, so that no vertex is emptied."""
         top = self._levels[-1]
-        loops = self._loops_and_joints(self.top_level)[0]
+        loops = self._loops(self.top_level)
         # such a vertex's first loop dart, in order, is its canonical dart
         gone = loops[self._emptied(loops)]
         spare = gone[np.unique(top.region[top.order[gone]], return_index=True)[1]]
@@ -605,8 +638,10 @@ class Pyramid:
         """Darts of empty self loops and of removable double-edge joints at
         level i. Empty means the level is safe for enclosure queries."""
         self._check_level(i)
-        bad = np.concatenate(self._loops_and_joints(i))
-        return frozenset(self._ints[self._levels[i].order[bad]].tolist()) if bad.size else frozenset()
+        loops, joints = self._loops_and_joints(i)
+        if not (loops.size or joints.size):  # a clean level, which enclosure queries check for
+            return frozenset()
+        return frozenset(self._ints[self._levels[i].order[np.concatenate([loops, joints])]].tolist())
 
     def composed_of(self, i: int, v: Dart) -> frozenset[Dart]:
         """Level-(i-1) vertices merged into vertex v by the level-i kernel.
@@ -660,7 +695,7 @@ class Pyramid:
         }
         rest = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         # "died" is the first key in sorted order
-        return '{"died":' + _json_naturals(self._died[dart_order(self._n)]) + "," + rest[1:] + "\n"
+        return '{"died":' + _json_naturals(self._died[self._levels[0].order]) + "," + rest[1:] + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Pyramid":
@@ -692,10 +727,10 @@ class Pyramid:
             bad = next(k for k in died if not 0 <= k <= top)
             raise ValueError(f"died holds level {bad}, outside 0..{top}")
         states = [KernelState(state) for state in states]
-        # on keys of 16 bits or fewer, as below 65,536 levels, the stable sort is a radix sort
-        darts = dart_order(n_darts // 2)[np.argsort(level.astype(np.min_scalar_type(top)), kind="stable")]
-        ends = np.cumsum(np.bincount(level, minlength=top + 1)).tolist()
         pyr = cls.from_grid(width, height)
+        # on keys of 16 bits or fewer, as below 65,536 levels, the stable sort is a radix sort
+        darts = pyr._levels[0].order[np.argsort(level.astype(np.min_scalar_type(top)), kind="stable")]
+        ends = np.cumsum(np.bincount(level, minlength=top + 1)).tolist()
         for k, state in enumerate(states):
             pyr._apply(state, darts[ends[k] : ends[k + 1]])
         return pyr

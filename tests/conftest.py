@@ -19,15 +19,17 @@ from eager_oracle import find_root
 
 
 def random_pyramid(rng: random.Random, max_side: int = 8, rounds: int | None = None,
-                   always_clean: bool = False, touch_outside: bool = False) -> Pyramid:
-    """Pyramid over a random small grid with random valid kernel sequences.
+                   always_clean: bool = False, touch_outside: bool = False,
+                   size: tuple[int, int] | None = None) -> Pyramid:
+    """Pyramid over a random small grid, or one of size (width, height), with
+    random valid kernel sequences.
 
     Each round contracts a random forest of region adjacencies (never touching
     the outside vertex, unless touch_outside), then usually removes the empty
     self loops and double edges it created. With always_clean the cleanup
     always runs.
     """
-    w, h = rng.randint(1, max_side), rng.randint(1, max_side)
+    w, h = size or (rng.randint(1, max_side), rng.randint(1, max_side))
     pyr = Pyramid.from_grid(w, h)
     for _ in range(rounds if rounds is not None else rng.randint(1, 3)):
         top = pyr.reconstruct_level(pyr.top_level)

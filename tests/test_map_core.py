@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -41,6 +42,19 @@ def test_rejects_bad_dimensions():
     for w, h in ((0, 3), (3, 0), (-1, 2)):
         with pytest.raises(ValueError):
             build_grid_map(w, h)
+    # 3.0 and True hash as 3 and 1 do: each is rejected even while the
+    # grid of the size it hashes as is cached
+    for w, h in ((3.0, 3), (3, 3.0), (True, 3), (3, True)):
+        build_grid_map(int(w), int(h))
+        for build in (build_grid_map, Pyramid.from_grid):
+            with pytest.raises(ValueError, match=re.escape(repr(h if type(w) is int else w))):
+                build(w, h)
+
+
+def test_numpy_integer_dimensions_give_the_int_grid():
+    m, emb = build_grid_map(np.int64(3), np.int32(2))
+    assert type(emb.width) is int and type(emb.height) is int
+    assert (m, emb) == build_grid_map(3, 2)
 
 
 @pytest.mark.parametrize("w,h", [(1, 1), (1, 4), (5, 1), (3, 3), (7, 4)])

@@ -2,9 +2,14 @@
 
 A reload keeps each level's sigma, alpha and turn counts as arrays over its
 live darts, its int32 region array over the base's darts and the level of
-every dart as one int array, and builds no level map but the base's. A level's map, two
-lists indexed by signed dart that share the base's int objects, is built on
-its first read from that level's own arrays. Per-dart
+every dart as one int array, and builds no map of its own. The grid
+tables, the base map and level 0's record are built once per grid size and
+shared, read-only, by every pyramid of that size, so a warm reload of a
+size already loaded holds none of them: a warm seed-1 reload held 0.83 MB
+on gradient-levels and 0.48 MB on sign-mosaic, 2.32 and 1.99 MB while
+every reload built its own. A level's map, two lists indexed
+by signed dart that share the base's int objects, is built on its first
+read from that level's own arrays. Per-dart
 dicts or frozensets on that path (level maps, dart levels, kept kernels)
 cost several times as much: with them a warm seed-1 reload held 7.22 MB on
 gradient-levels and 6.85 MB on sign-mosaic (tracemalloc, CPython 3.11).
@@ -70,14 +75,16 @@ def test_reload_holds_no_per_dart_containers(name, bound_mb):
 @pytest.mark.parametrize("name, bound_mb", BOUNDS)
 def test_reload_with_every_level_map_built_stays_in_bounds(name, bound_mb):
     # each level map holds its own sigma and alpha lists: a warm seed-1
-    # reload with every map built held 4.10 MB on gradient-levels and
-    # 2.75 MB on sign-mosaic (tracemalloc, CPython 3.11)
+    # reload with every map built held 2.61 MB on gradient-levels and
+    # 1.24 MB on sign-mosaic (tracemalloc, CPython 3.11), the shared base
+    # excluded; 4.10 and 2.75 MB while every reload built its own
     held = held_by_reload(seed_1_record(name), maps=True)
     assert held <= bound_mb, f"a reload with its maps holds {held:.2f} MB"
 
 
 def test_reload_builds_only_the_base_map():
     text = seed_1_record("gradient-levels")
+    map_core._grid_map.cache_clear()  # the record's build left its size's base map cached
     calls = []
     map_of = map_core.map_of
 
@@ -88,6 +95,9 @@ def test_reload_builds_only_the_base_map():
     with mock.patch.object(map_core, "map_of", counted), mock.patch.object(pyramid, "map_of", counted):
         pyr = Pyramid.from_json(text)
         assert len(calls) == 1  # the base, from build_grid_map
+        again = Pyramid.from_json(text)
+        assert len(calls) == 1  # a second load of the size builds no map at all
+        assert again.base is pyr.base
         for i in range(pyr.top_level + 1):
             assert pyr.reconstruct_level(i) is pyr.reconstruct_level(i)
     assert len(calls) == pyr.top_level + 1

@@ -12,6 +12,7 @@ import gc
 import json
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from combipyramid.map_core import ValidationReport, validate
 from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid, _json_naturals
 from combipyramid.relations import meets_each, rag_export, region_ids, relation_report
 
-from conftest import random_pyramid, spanning_tree
+from conftest import clean_levels, random_pyramid, spanning_tree
 from eager_oracle import eager_levels
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -198,6 +199,7 @@ def calls_of(monkeypatch, module, name: str) -> list:
 
 def test_levels_of_empty_kernels_are_built_once(monkeypatch):
     text = empty_kernel_record(200)
+    map_core._grid_map.cache_clear()  # the record's build left its size's base cached
     loops = calls_of(monkeypatch, pyramid, "_empty_loops")
     # the base's map is build_grid_map's, the other levels' _map's
     base_maps, level_maps = calls_of(monkeypatch, map_core, "map_of"), calls_of(monkeypatch, pyramid, "map_of")
@@ -205,6 +207,10 @@ def test_levels_of_empty_kernels_are_built_once(monkeypatch):
     assert pyr.top_level == 600 and len(loops) == 1
     assert len({id(pyr.reconstruct_level(i)) for i in range(601)}) == 1
     assert len(base_maps) == 1 and not level_maps
+    # a second load of the size builds no map at all, and shares the base's loops
+    again = Pyramid.from_json(text)
+    assert again.reconstruct_level(600) is pyr.reconstruct_level(0)
+    assert len(base_maps) == 1 and not level_maps and len(loops) == 1
 
 
 def test_an_empty_kernel_is_checked_without_a_count_per_vertex(monkeypatch):
@@ -226,3 +232,55 @@ def test_validate_checks_the_map_of_empty_kernels_once(tmp_path, monkeypatch, ca
     monkeypatch.setattr(cli, "_validate_arrays", lambda *arrays: ValidationReport([("connected", False, 1)]))
     assert main(["validate", "--pyr", str(path)]) == 1
     assert json.loads(capsys.readouterr().out)["problems"] == [f"level {i}: connected" for i in range(601)]
+
+
+def test_pyramids_of_one_size_share_the_base():
+    built = Pyramid.from_grid(5, 4)
+    loaded = Pyramid.from_json(built.to_json())
+    assert loaded.embedding is built.embedding and loaded.base is built.base
+    assert loaded._levels[0] is built._levels[0]
+    assert loaded._ids is built._ids and loaded._ints is built._ints and loaded._pixels is built._pixels
+    assert loaded._died is not built._died
+
+
+def test_shared_arrays_are_read_only():
+    pyr = Pyramid.from_grid(5, 4)
+    base = pyr._levels[0]
+    shared = [base.sigma, base.alpha, base.turns, base.order, base.region, base.names,
+              pyr._ids, pyr._ints, pyr._pixels, *pyr.embedding._grid_tables()]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def shared_base_answers(pyr: Pyramid) -> list:
+    return [pyr.to_json(), [pyr.pixel_labels(i) for i in range(pyr.top_level + 1)],
+            [relation_report(pyr, i) for i in clean_levels(pyr)]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.lists(seeds, min_size=2, max_size=4), st.booleans())
+def test_pyramids_of_one_size_answer_as_if_built_alone(width, height, build_seeds, touch_outside):
+    # each pyramid is read after the ones before it have filled the caches
+    # of the level-0 record they share
+    def build(seed):
+        return random_pyramid(random.Random(seed), size=(width, height), touch_outside=touch_outside)
+
+    built = [build(seed) for seed in build_seeds]
+    assert len({id(pyr._levels[0]) for pyr in built}) == 1
+    answers = [shared_base_answers(pyr) for pyr in built]
+    for seed, got in zip(build_seeds, answers):
+        map_core._grid_map.cache_clear()
+        alone = build(seed)
+        assert alone._levels[0] is not built[0]._levels[0]
+        assert shared_base_answers(alone) == got
+
+
+def test_a_new_size_frees_the_tables_of_the_last():
+    pyr = Pyramid.from_grid(7, 3)
+    relation_report(pyr, 0)  # fills the caches of the shared level 0
+    embedding = weakref.ref(pyr.embedding)
+    del pyr
+    Pyramid.from_grid(3, 7)
+    gc.collect()
+    assert embedding() is None
