@@ -69,8 +69,13 @@ proportion to its kernels and their checks.
 
 The JSON record (version 2) is the encoding itself: the grid size, the
 state of each kernel and, in dart_order, the level whose kernel removes each
-dart, 0 for a survivor. Loading groups the darts by level and applies every
-kernel through the checks apply_kernel makes.
+dart, 0 for a survivor. Loading reads a died list written as to_json writes
+it, first in the record, in array passes into one int64 array (_read_died,
+_naturals), with only the short rest of the record through json.loads; any
+other text goes to json.loads whole, and either way the same inputs load
+and the same are rejected, with the same messages. It then groups the
+darts by level and applies every kernel through the checks apply_kernel
+makes.
 
 Replay from the base serves receptive fields and boundary segments. Walking
 from a surviving dart d with sigma0, taking phi0 after a contracted dart and
@@ -701,11 +706,17 @@ class Pyramid:
     def from_json(cls, text: str) -> "Pyramid":
         """Load a record written by to_json: the darts grouped into kernels by
         one stable sort of their levels, each kernel then checked again as it
-        is applied. Malformed input raises ValueError."""
-        try:
-            payload = json.loads(text)
-        except RecursionError:
-            raise ValueError("pyramid JSON is nested too deeply") from None
+        is applied. A died list in to_json's layout is read by _read_died,
+        any other text by json.loads whole, and either way the same inputs
+        load and the same are rejected. Malformed input raises ValueError."""
+        read = _read_died(text)
+        if read is None:
+            try:
+                payload, body = json.loads(text), None
+            except RecursionError:
+                raise ValueError("pyramid JSON is nested too deeply") from None
+        else:
+            payload, body = read
         if not isinstance(payload, dict) or payload.get("format") != "combipyramid-pyramid":
             raise ValueError("not a serialized pyramid")
         version = payload.get("version")
@@ -713,16 +724,24 @@ class Pyramid:
             raise ValueError(f"unsupported pyramid version {version!r}, expected 2")
         width, height = _positive_int(payload, "width"), _positive_int(payload, "height")
         n_darts = CrackEmbedding(width, height).n_darts
-        states, died = _list_field(payload, "states"), _list_field(payload, "died")
-        if len(died) != n_darts:
-            raise ValueError(f"died has {len(died)} entries, a {width}x{height} grid has {n_darts} darts")
-        if not set(map(type, died)) <= {int}:  # 4.0 and True compare equal to ints
-            raise ValueError("died is not a list of integer levels")
+        states = _list_field(payload, "states")
+        if body is None:
+            died = _list_field(payload, "died")
+            entries = len(died)
+        else:
+            entries = int(np.count_nonzero(body == ord(","))) + 1
+        if entries != n_darts:
+            raise ValueError(f"died has {entries} entries, a {width}x{height} grid has {n_darts} darts")
         top = len(states)
-        try:
-            level = np.fromiter(died, np.int64, len(died))
-        except OverflowError:  # an entry beyond int64
-            level = None
+        if body is not None:
+            level = died = _naturals(body)
+        elif not set(map(type, died)) <= {int}:  # 4.0 and True compare equal to ints
+            raise ValueError("died is not a list of integer levels")
+        else:
+            try:
+                level = np.fromiter(died, np.int64, len(died))
+            except OverflowError:  # an entry beyond int64
+                level = None
         if level is None or not ((level >= 0) & (level <= top)).all():
             bad = next(k for k in died if not 0 <= k <= top)
             raise ValueError(f"died holds level {bad}, outside 0..{top}")
@@ -734,6 +753,55 @@ class Pyramid:
         for k, state in enumerate(states):
             pyr._apply(state, darts[ends[k] : ends[k + 1]])
         return pyr
+
+
+def _read_died(text: str) -> tuple[dict, np.ndarray] | None:
+    """The record, as json.loads reads it, and its died list's body as ASCII
+    bytes, for a text that starts with that list as to_json writes it:
+    naturals in JSON's form (no sign, no leading zero, 1 to 18 digits)
+    between single commas. Only the rest of the record, which is short, goes
+    through json.loads, with 0 in the list's place, and _naturals reads the
+    body once the record's fields have been checked. None for any other
+    text: a rest that could hold another key died (json.loads keeps the
+    last; an escape can spell one), one that json.loads rejects, or a list
+    in any other form, so json.loads of the whole text reads those."""
+    head = '{"died":['
+    if not isinstance(text, str) or not text.startswith(head) or (end := text.find("]")) < 0:
+        return None
+    body, rest = text[len(head) : end], text[end + 1 :]
+    if not body or not body.isascii() or '"died"' in rest or "\\" in rest:
+        return None
+    # byte passes only, and before any of the record's checks can raise: a
+    # list that json.loads rejects, or reads as ints of 19 digits or more
+    # (beyond int64, or beyond int()'s digit limit), is declined here
+    raw = np.frombuffer(body.encode("ascii"), np.uint8)
+    comma, digit = raw == ord(","), raw - ord("0") <= 9  # a byte below "0" wraps past 9
+    opens = np.concatenate(([True], comma[:-1]))  # the first byte of each entry
+    run = digit
+    for step in 1, 2, 4, 8, 3:  # run[k]: bytes k to k + 18 are digits
+        run = run[:-step] & run[step:]
+    if (not (digit | comma).all() or comma[-1] or (opens & comma).any() or run.any()
+            or (opens[:-1] & (raw[:-1] == ord("0")) & digit[1:]).any()):  # a leading zero
+        return None
+    try:
+        payload = json.loads('{"died":0' + rest)
+    except (ValueError, RecursionError):
+        return None
+    return payload, raw
+
+
+def _naturals(body: np.ndarray) -> np.ndarray:
+    """The int64 values of a list body that _read_died accepted, the inverse
+    of _json_naturals: one array pass per digit column."""
+    cut = np.flatnonzero(body == ord(","))
+    start = np.concatenate(([0], cut + 1))
+    width = np.concatenate((cut, [len(body)])) - start
+    digit = body - ord("0")
+    value = digit[start].astype(np.int64)
+    for j in range(1, width.max()):
+        more = np.flatnonzero(width > j)
+        value[more] = value[more] * 10 + digit[start[more] + j]
+    return value
 
 
 def _json_naturals(values: np.ndarray) -> str:

@@ -3,7 +3,10 @@
 to_json writes version 2: the grid size, the state of each kernel and the
 level of each dart, and from_json loads it to the same pyramid. A record with the level of one dart or one base edge changed is
 rejected, or loads levels that are valid maps. The level list is written
-as one byte array, which equals json.dumps of the list. A kernel that
+as one byte array, which equals json.dumps of the list, and read back in
+array passes from a record laid out as to_json writes it; any other text is
+read by json.loads whole, and a record loads, or is rejected with the same
+error, either way. A kernel that
 removes no dart loads as a level that is the record below it, so it is
 built, checked and validated once however many such kernels follow.
 """
@@ -13,6 +16,7 @@ import json
 import random
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -75,6 +79,126 @@ def test_a_changed_level_is_rejected_or_loads_valid_levels(seed, touch_outside, 
 @example([])
 def test_the_level_list_writer_matches_json_dumps(values):
     assert _json_naturals(np.array(values, dtype=np.int64)) == json.dumps(values, separators=(",", ":"))
+
+
+def load_outcome(text) -> str | tuple:
+    """to_json of the pyramid from_json loads from text, or the type and
+    message of what it raises."""
+    try:
+        return Pyramid.from_json(text).to_json()
+    except Exception as error:  # ValueError (KernelError too) for a bad record
+        return type(error), str(error)
+
+
+def json_loads_outcome(text) -> str | tuple:
+    """load_outcome with _read_died declining, so that json.loads reads text whole."""
+    with mock.patch.object(pyramid, "_read_died", lambda text: None):
+        return load_outcome(text)
+
+
+# entries that break the list's form or its range: JSON rejects some, reads
+# others as a sign, a float, a bool or an int of 19 digits or more, and the
+# last one exceeds CPython's digit limit for int()
+ENTRIES = ["0", "1", "9", "10", "", "01", "00", "-0", "-1", "1.0", "1e0", "true", "null", " 1", "1 ", "\u0663",
+           "9" * 18, "1" + "0" * 18, "9" * 19, "9" * 20, "1" * 4301]
+EDITS = ["canonical", "dumps", "indent", "reordered", "duplicate", "escaped", "drop", "empty", "trailing", "bom",
+         "bytes", "tail"]
+TAILS = [('"version":2', '"version":2.0'), ('"version":2', '"version":3'), ('"width":', '"width":1'),
+         ('"height":', '"height":-'), ('"states":[', '"states":["XX",'), ('"states":[', '"states":[[[['),
+         ('"format":"', '"format":"x'), ("}\n", ""), ("}\n", "}}"), ('"format"', '"died":0,"format"')]
+
+
+def seeded_record(seed: int) -> tuple[Pyramid, str, int, list[str]]:
+    """A random pyramid, its record, where its died list ends and the list's entries."""
+    pyr = random_pyramid(random.Random(seed), max_side=5, touch_outside=seed % 2 == 1)
+    text = pyr.to_json()
+    end = text.index("]")
+    return pyr, text, end, text[len('{"died":[') : end].split(",")
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.sampled_from(EDITS), st.data())
+@example(0, "canonical", None)
+def test_a_record_loads_or_is_rejected_as_json_loads_reads_it(seed, edit, data):
+    pyr, text, end, body = seeded_record(seed)
+    record = json.loads(text)
+    if edit == "canonical":
+        assert pyramid._read_died(text) is not None
+    elif edit == "dumps":
+        text = json.dumps(record)
+    elif edit == "indent":
+        text = json.dumps(record, indent=1)
+    elif edit == "reordered":
+        text = json.dumps(dict(reversed(record.items())), separators=(",", ":"))
+    elif edit in ("duplicate", "escaped"):  # json.loads keeps the later list
+        key = '"died"' if edit == "duplicate" else '"di\\u0065d"'
+        later = data.draw(st.lists(st.integers(0, pyr.top_level), min_size=len(body), max_size=len(body)))
+        text = text[:-2] + f",{key}:{json.dumps(later, separators=(',', ':'))}}}\n"
+    elif edit == "drop":
+        del body[data.draw(st.integers(0, len(body) - 1), label="at")]
+        text = '{"died":[' + ",".join(body) + text[end:]
+    elif edit == "empty":
+        text = '{"died":[' + text[end:]
+    elif edit == "trailing":
+        text = text[:end] + "," + text[end:]
+    elif edit == "bom":
+        text = "\ufeff" + text
+    elif edit == "bytes":
+        text = text.encode("ascii")
+    else:
+        old, new = data.draw(st.sampled_from(TAILS), label="tail")
+        text = text[:end] + text[end:].replace(old, new, 1)
+    assert load_outcome(text) == json_loads_outcome(text)
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: repr(e) if len(e) < 8 else f"{e[0]!r}x{len(e)}")
+@settings(max_examples=8, deadline=None)
+@given(seed=seeds, data=st.data())
+def test_an_entry_in_any_form_loads_or_is_rejected_as_json_loads_reads_it(entry, seed, data):
+    # the entry, and maybe a level in or beyond range before or after it
+    pyr, text, end, body = seeded_record(seed)
+    body[data.draw(st.integers(0, len(body) - 1), label="at")] = entry
+    if data.draw(st.booleans(), label="and a level"):
+        body[data.draw(st.integers(0, len(body) - 1), label="at")] = str(data.draw(st.integers(0, pyr.top_level + 2)))
+    text = '{"died":[' + ",".join(body) + text[end:]
+    assert load_outcome(text) == json_loads_outcome(text)
+
+
+def test_the_died_reader_takes_to_jsons_layout_only():
+    text = random_pyramid(random.Random(5), max_side=5).to_json()
+    head, end = len('{"died":['), text.index("]")
+    body, rest = text[head:end], text[end + 1 :]
+    # the list's form holds, and the record's own checks reject these
+    for taken in [text.replace('"version":2', '"version":3'), text[: end - 2] + text[end:],
+                  text[:head] + "9" * 18 + text[head + 1 : end] + text[end:]]:
+        assert pyramid._read_died(taken) is not None and load_outcome(taken) == json_loads_outcome(taken)
+    declined = [text.encode("ascii"), "\ufeff" + text, " " + text, text.replace(",", ", ", 1),
+                text.replace(",", ",,", 1),
+                text[:head] + text[end:], text[:head] + "," + text[head:], text[:end] + "," + text[end:],
+                text[:head] + "0" + text[head:], text[:head] + "9" * 19 + text[head + 1 :],
+                text[:head] + "-" + text[head:], text[:head] + "\u0663," + text[head:],
+                text[:-2] + ',"died":[]}\n', text[:-2] + ',"di\\u0065d":[]}\n', text[:-2] + "]}\n",
+                text[:-1] + "x"]
+    for other in declined:
+        assert pyramid._read_died(other) is None
+    payload, read = pyramid._read_died(text)
+    assert read.tobytes().decode("ascii") == body and payload == {**json.loads("{" + rest[1:]), "died": 0}
+
+
+def test_a_reload_passes_only_the_records_tail_to_json_loads(monkeypatch):
+    text = random_pyramid(random.Random(7), max_side=6).to_json()
+    loads = calls_of(monkeypatch, json, "loads")
+    assert Pyramid.from_json(text).to_json() == text
+    assert loads == [('{"died":0' + text[text.index("]") + 1 :],)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 10**18 - 1), min_size=1), st.integers(0, 3))
+def test_the_died_reader_inverts_the_level_list_writer(values, shift):
+    values = [v // 10**shift for v in values]  # fewer digits, more often
+    text = '{"died":' + _json_naturals(np.array(values, dtype=np.int64)) + ',"format":"combipyramid-pyramid"}'
+    _, body = pyramid._read_died(text)
+    assert pyramid._naturals(body).tolist() == values
 
 
 def test_a_record_with_two_digit_levels_round_trips():
