@@ -41,14 +41,15 @@ def dart_sort_key(d: Dart | np.ndarray) -> int | np.ndarray:
 
 
 class CombinatorialMap:
-    """Immutable dart set plus sigma/alpha permutations for one map level.
-
-    sigma and alpha are lists indexed by signed dart over -n..n, 0 at a
-    dart not in the map, so an accessor checks the range and reads its own
-    slot. The dart set is built on first use.
+    """Immutable map of one level, in the layout of a pyramid level's record:
+    its darts in dart_sort_key order and sigma and alpha as int arrays of
+    positions in that order, position p standing for dart order[p] and
+    len(order) for an image off the map or an alpha left undefined, where
+    sigma and alpha raise KeyError. The dart set, and the walk lists with a
+    dart-to-position dict, are built on first use, in O(len(map)).
     """
 
-    __slots__ = ("_sigma", "_alpha", "_n", "_order", "_darts")
+    __slots__ = ("_order", "_sigma", "_alpha", "_darts", "_walk")
 
     def __init__(self, darts: Iterable[Dart], sigma: dict[Dart, Dart], alpha: dict[Dart, Dart]):
         """Map of permutation dicts: sigma defined on exactly the darts,
@@ -59,11 +60,29 @@ class CombinatorialMap:
         n = max(map(abs, [*darts, *images]), default=0)
         if sigma.keys() != darts or not alpha.keys() <= darts or 0 in darts or 0 in images or n >= 2**31:
             raise ValueError("a map needs sigma on exactly its darts, alpha on no other, all nonzero int32")
-        self._sigma, self._alpha, self._n = [0] * (2 * n + 1), [0] * (2 * n + 1), n
-        for table, perm in ((self._sigma, sigma), (self._alpha, alpha)):
-            for d, e in perm.items():
-                table[d] = e
-        self._order, self._darts = np.array(sorted(darts, key=dart_sort_key), dtype=np.int64), darts
+        order = sorted(darts, key=dart_sort_key)
+        at = dict(zip(order, range(len(order))))
+        self._order, self._darts, self._walk = np.array(order, dtype=np.int64), darts, None
+        self._sigma, self._alpha = (np.array([at.get(perm.get(d), len(order)) for d in order], dtype=np.intp)
+                                    for perm in (sigma, alpha))
+
+    @classmethod
+    def _of(cls, order: np.ndarray, sigma: np.ndarray, alpha: np.ndarray) -> "CombinatorialMap":
+        """The map of arrays in the layout above, shared and unchecked."""
+        m = cls.__new__(cls)
+        m._order, m._sigma, m._alpha, m._darts, m._walk = order, sigma, alpha, None, None
+        return m
+
+    def _lists(self) -> tuple[list[Dart], list[int], list[int], dict[Dart, int]]:
+        """The darts, sigma and alpha as lists of positions (len(order) steps
+        to itself) and each dart's position, built once, sharing int objects."""
+        if self._walk is None:
+            k = len(self._order)
+            ints = np.arange(k + 1).astype(object)
+            names = self._order.tolist()
+            walk = names, ints[np.append(self._sigma, k)].tolist(), ints[np.append(self._alpha, k)].tolist()
+            self._walk = (*walk, dict(zip(names, ints.tolist())))
+        return self._walk
 
     @property
     def darts(self) -> frozenset[Dart]:
@@ -75,70 +94,74 @@ class CombinatorialMap:
         return len(self._order)
 
     def __contains__(self, d: Dart) -> bool:
-        return -self._n <= d <= self._n and self._sigma[d] != 0
+        return d in self._lists()[3]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CombinatorialMap):
             return NotImplemented
-        # lists of equal maps may differ in length, so compare per dart
-        s, a, os, oa = self._sigma, self._alpha, other._sigma, other._alpha
-        return self.darts == other.darts and all(s[d] == os[d] and a[d] == oa[d] for d in self.darts)
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in ("_order", "_sigma", "_alpha"))
 
     def __hash__(self):
         raise TypeError("CombinatorialMap is not hashable")
 
     def sigma(self, d: Dart) -> Dart:
-        if -self._n <= d <= self._n and (e := self._sigma[d]):
-            return e
+        names, s, _, at = self._walk or self._lists()
+        if (e := s[at[d]]) < len(names):
+            return names[e]
         raise KeyError(d)
 
     def alpha(self, d: Dart) -> Dart:
-        if -self._n <= d <= self._n and (e := self._alpha[d]):
-            return e
+        names, _, a, at = self._walk or self._lists()
+        if (e := a[at[d]]) < len(names):
+            return names[e]
         raise KeyError(d)
 
     def phi(self, d: Dart) -> Dart:
         return self.sigma(self.alpha(d))
 
     def orbit(self, d: Dart, kind: str) -> tuple[Dart, ...]:
-        """Cycle (d, pi(d), pi^2(d), ...) of d under sigma, alpha or phi."""
-        if d not in self:
+        """Cycle (d, pi(d), pi^2(d), ...) of d under sigma, alpha or phi: a
+        plain loop over the walk lists, bounded by the dart count."""
+        names, sigma, alpha, at = self._lists()
+        if d not in at:
             raise KeyError(f"dart {d} is not in the map")
-        return self._cycle(d, kind)
-
-    def _cycle(self, d: Dart, kind: str) -> tuple[Dart, ...]:
-        """orbit of a dart of the map: a plain loop per kind, bounded by the
-        dart count."""
-        sigma, alpha, out = self._sigma, self._alpha, [d]
-        if kind == "phi":
-            c = sigma[alpha[d]]
-            for _ in repeat(None, len(self._order)):
-                if c == d:
-                    return tuple(out)
-                out.append(c)
-                c = sigma[alpha[c]]
-        else:
-            step = {"sigma": sigma, "alpha": alpha}[kind]
-            c = step[d]
-            for _ in repeat(None, len(self._order)):
-                if c == d:
-                    return tuple(out)
-                out.append(c)
-                c = step[c]
+        step, out = {"sigma": sigma, "alpha": alpha, "phi": None}[kind], []
+        p = c = at[d]
+        for _ in repeat(None, len(names)):
+            out.append(c)
+            c = sigma[alpha[c]] if step is None else step[c]
+            if c == p:
+                return tuple(map(names.__getitem__, out))
         raise RuntimeError(f"{kind} orbit of {d} does not close")
+
+    def _perm(self, kind: str) -> np.ndarray:
+        """sigma, alpha or phi as an array of positions, len(order) standing
+        for an image off the map."""
+        if kind == "phi":
+            return np.append(self._sigma, len(self._order))[self._alpha]
+        return {"sigma": self._sigma, "alpha": self._alpha}[kind]
 
     def cycles(self, kind: str) -> list[tuple[Dart, ...]]:
         """All cycles of a permutation, each rotated to start at its canonical
-        dart, listed in canonical order."""
-        seen: set[Dart] = set()
-        out = []
-        for d in self._order.tolist():
-            if d in seen:
-                continue
-            cyc = self._cycle(d, kind)
-            seen.update(cyc)
-            out.append(cyc)
-        return out
+        dart, listed in canonical order: a walk from each least position not
+        met yet, then one read of the darts at all the positions walked.
+        RuntimeError unless the permutation permutes the map's darts."""
+        names, perm = self._lists()[0], self._perm(kind)
+        k = len(perm)
+        if not (np.bincount(perm, minlength=k + 1)[:k] == 1).all():
+            raise RuntimeError(f"{kind} does not permute the darts of the map")
+        step, seen, flat, ends = perm.tolist(), bytearray(k), [], []
+        p = seen.find(0)
+        while p >= 0:
+            c = p
+            while not seen[c]:
+                flat.append(c)
+                seen[c] = 1
+                c = step[c]
+            ends.append(len(flat))
+            p = seen.find(0, p + 1)
+        flat = list(map(names.__getitem__, flat))
+        return [tuple(flat[i:j]) for i, j in zip([0, *ends], ends)]
 
     def vertices(self) -> list[tuple[Dart, ...]]:
         return self.cycles("sigma")
@@ -154,9 +177,12 @@ class CombinatorialMap:
         return {d: cyc[0] for cyc in self.vertices() for d in cyc}
 
     def dual(self) -> "CombinatorialMap":
-        """Map whose vertex permutation is phi; dual of the dual is the map."""
-        phi = {d: self.phi(d) for d in self.darts}
-        return CombinatorialMap(self.darts, phi, {d: self._alpha[d] for d in self.darts})
+        """Map whose vertex permutation is phi; dual of the dual is the map.
+        KeyError at the least dart without a phi image."""
+        phi = self._perm("phi")
+        if (undefined := np.flatnonzero(phi == len(phi))).size:
+            raise KeyError(int(self._order[undefined[0]]))
+        return CombinatorialMap._of(self._order, phi, self._alpha)
 
 
 @dataclass(frozen=True)
@@ -226,7 +252,7 @@ class CrackEmbedding:
         the outside vertex: read off the base region index of d."""
         if not (d and abs(d) <= self.n_darts // 2):
             raise KeyError(f"dart {d} is not in the base map")
-        r = int(self._grid_tables()[3][d])
+        r = int(self._grid_tables()[1][d])
         return divmod(r - 1, self.width)[::-1] if r else None
 
     def grid_sigma(self) -> np.ndarray:
@@ -240,13 +266,12 @@ class CrackEmbedding:
         """
         return self._grid_tables()[0]
 
-    def _grid_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """grid_sigma, dart_ids, the int object of every dart and the base
-        region array (0 on the outside vertex, 1 + y * width + x on pixel
-        (x, y): the order of their canonical darts 1 and -left), indexed
-        alike: computed on first use, once per embedding, and read-only.
-        build_grid_map builds the base map's lists from them and every
-        Pyramid of the embedding shares them."""
+    def _grid_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """grid_sigma and the base region array (0 on the outside vertex,
+        1 + y * width + x on pixel (x, y): the order of their canonical
+        darts 1 and -left), indexed alike: computed on first use, once per
+        embedding, and read-only. build_grid_map builds the base map from
+        them and every Pyramid of the embedding shares them."""
         if self._tables is not None:
             return self._tables
         w, h, nv = self.width, self.height, self.n_vertical
@@ -267,8 +292,7 @@ class CrackEmbedding:
             [-(nv + xs + 1), -(ys * (w + 1) + w + 1), (nv + h * w + xs + 1)[::-1], (ys * (w + 1) + 1)[::-1]]
         )
         sigma[outside] = np.roll(outside, -1)
-        ids = dart_ids(n)
-        tables = sigma, ids, ids.astype(object), region
+        tables = sigma, region
         for table in tables:
             table.flags.writeable = False
         # a field of a frozen dataclass is set through object; a cache in the
@@ -284,7 +308,7 @@ def build_grid_map(width: int, height: int) -> tuple[CombinatorialMap, CrackEmbe
     The map and its embedding are built once per grid size and kept for the
     last size asked for, so every pyramid of that size shares them, the
     embedding's read-only tables and the level-0 record a Pyramid keeps on
-    the embedding; no caller writes the map's lists. A size that is not an
+    the embedding, whose arrays are the map's own. A size that is not an
     int, or is a bool, raises ValueError before the cache is read, since 3.0
     and True hash as 3 and 1 do."""
     for value in (width, height):
@@ -299,16 +323,13 @@ def build_grid_map(width: int, height: int) -> tuple[CombinatorialMap, CrackEmbe
 @lru_cache(maxsize=1)
 def _grid_map(width: int, height: int) -> tuple[CombinatorialMap, CrackEmbedding]:
     emb = CrackEmbedding(width, height)
-    sigma, ids, ints, _ = emb._grid_tables()
-    return map_of(ints, dart_order(len(sigma) // 2), sigma, -ids), emb
-
-
-def dart_ids(n: int) -> np.ndarray:
-    """The dart that indexes each slot of an array over darts -n..n: slots
-    0..n hold 0..n, slots n+1..2n hold -n..-1."""
-    ids = np.arange(2 * n + 1, dtype=np.int32)
-    ids[n + 1 :] -= 2 * n + 1
-    return ids
+    sigma = emb._grid_tables()[0]
+    # the base's position of dart d is dart_sort_key(d), and -d sits next to it
+    order = dart_order(len(sigma) // 2)
+    arrays = order, dart_sort_key(sigma[order]), np.arange(len(order), dtype=np.int32) ^ 1
+    for array in arrays:
+        array.flags.writeable = False
+    return CombinatorialMap._of(*arrays), emb
 
 
 def dart_order(n: int) -> np.ndarray:
@@ -317,16 +338,6 @@ def dart_order(n: int) -> np.ndarray:
     order[0::2] = np.arange(1, n + 1)
     order[1::2] = -order[0::2]
     return order
-
-
-def map_of(ints: np.ndarray, darts: np.ndarray, sigma: np.ndarray, alpha: np.ndarray) -> CombinatorialMap:
-    """Map of dart-indexed sigma/alpha arrays, 0 at a dart not in the map;
-    darts lists its darts in dart_sort_key order. ints is an object array
-    holding the int object of every dart, which the maps built from it share."""
-    m = CombinatorialMap.__new__(CombinatorialMap)
-    m._sigma, m._n, m._order, m._darts = ints[sigma].tolist(), len(sigma) // 2, darts, None
-    m._alpha = ints[alpha].tolist()
-    return m
 
 
 @dataclass
@@ -349,12 +360,7 @@ class ValidationReport:
 
 def validate(m: CombinatorialMap) -> ValidationReport:
     """Report on involution, bijectivity, connectivity and the Euler count."""
-    # the lists in positions of the map's dart order, len(order) standing
-    # for any image off the map
-    order = m._order
-    pos = np.full(len(m._sigma), len(order))
-    pos[order] = np.arange(len(order))
-    return _validate_arrays(order, pos[np.asarray(m._sigma)[order]], pos[np.asarray(m._alpha)[order]])
+    return _validate_arrays(m._order, m._sigma, m._alpha)
 
 
 def _validate_arrays(order: np.ndarray, s: np.ndarray, a: np.ndarray) -> ValidationReport:

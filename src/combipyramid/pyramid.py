@@ -46,26 +46,22 @@ level never changes after that.
 
 The record also keeps what only some readers need, computed on first read
 and published with one store, so racing builds give equal values: `map`,
-the level's map as lists indexed by signed dart, scattered back from its
-own positions and read only by a query's walk of one vertex cycle or
-boundary piece and by last_move (the base's is build_grid_map's), `counts`,
-its turn counts by dart for the same walks and cached_orientation,
-`loops` and `joints`, the positions of its empty self loops and of its
-double-edge joints, each found apart (the next kernel's check and
-compute_rkesl read the loops; an RKEDE check, compute_rkede and
-redundant_darts read both), `children`, composed_of's index of the
-contraction that made the record, `forest`, a clean level's enclosure
-forest, and `boundary`, the boundary index that rag_export,
-relation_report and meets_each read. level() keeps its list copy of the
-dart levels alike.
+the level's CombinatorialMap, a view of its own arrays that builds its walk
+lists on a query's first walk (the base's is build_grid_map's); `loops`
+and `joints`, the positions of its empty self loops and of its double-edge
+joints, each found apart (the next kernel's check and compute_rkesl read
+the loops; an RKEDE check, compute_rkede and redundant_darts read both);
+`children`, composed_of's index of the contraction that made the record;
+`forest`, a clean level's enclosure forest; and `boundary`, the boundary
+index that rag_export, relation_report and meets_each read.
 
 The base depends on the grid size alone. The grid tables, the base map and
 level 0's record, caches included, are built once per grid size and shared,
 read-only, by every pyramid of that size (build_grid_map keeps the last
 size; _base_level keeps the record on the embedding), so a new pyramid
-allocates only its array of dart levels. Whole-level passes read the
-arrays, so a build or a reload builds no map of its own and costs in
-proportion to its kernels and their checks.
+allocates only its array of dart levels, which level() reads. Whole-level
+passes read the arrays, so a build or a reload builds no map of its own and
+costs in proportion to its kernels and their checks.
 
 The JSON record (version 2) is the encoding itself: the grid size, the
 state of each kernel and, in dart_order, the level whose kernel removes each
@@ -77,14 +73,15 @@ and the same are rejected, with the same messages. It then groups the
 darts by level and applies every kernel through the checks apply_kernel
 makes.
 
-Replay from the base serves receptive fields and boundary segments. Walking
-from a surviving dart d with sigma0, taking phi0 after a contracted dart and
-sigma0 after a removed dart, yields the darts swallowed between d and its
-level-i successor: the first surviving dart hit is sigma_i(d). A boundary
-piece is read off the base instead: scanning around base corners, the piece
-grows by one absorbed double-edge dart at a time and stops where a survivor
-is met, and the base partner of its last dart is alpha_i(d) (just -d while
-the piece is a single crack).
+Replay from the base serves receptive fields and boundary segments, reading
+the grid's sigma and the dart levels in place, so it allocates in
+proportion to its walk. Walking from a surviving dart d with sigma0, taking
+phi0 after a contracted dart and sigma0 after a removed dart, yields the
+darts swallowed between d and its level-i successor: the first surviving
+dart hit is sigma_i(d). A boundary piece is read off the base instead:
+scanning around base corners, the piece grows by one absorbed double-edge
+dart at a time and stops where a survivor is met, and the base partner of
+its last dart is alpha_i(d) (just -d while the piece is a single crack).
 
 A removed double-edge joint drops one dart from each of the two boundary
 directions, so kernels with state RKEDE pair surviving darts of formerly
@@ -107,9 +104,7 @@ from .map_core import (
     Dart,
     _cycle_min,
     build_grid_map,
-    dart_order,
     dart_sort_key,
-    map_of,
 )
 from .moves import Move, turn_angle
 
@@ -175,8 +170,8 @@ class _Level:
     k standing for dart order[k]: sigma and alpha as int32 arrays of the
     positions of each dart's images and turns as int32 counts, each as long
     as order; then the int32 region index of every base dart, indexed by
-    signed dart, and names, the canonical darts of the regions as
-    Pyramid._ints' objects, none written once the level is made. Under
+    signed dart, and names, the canonical darts of the regions as an object
+    array of Python ints. All are read-only once the level is made. Under
     RKEDE, alpha is derived with the turn counts (_fold_orientations). The
     fields after them are the caches filled on first read."""
 
@@ -187,31 +182,29 @@ class _Level:
     region: np.ndarray
     names: np.ndarray
     map: CombinatorialMap | None = None
-    counts: dict[Dart, int] | None = None
     loops: np.ndarray | None = None
     joints: np.ndarray | None = None
     children: dict[Dart, frozenset[Dart]] | None = None
     forest: tuple | None = None
     boundary: tuple | None = None
 
+    def __post_init__(self):
+        for array in (self.sigma, self.alpha, self.turns, self.order, self.region, self.names):
+            array.flags.writeable = False
+
 
 def _base_level(base: CombinatorialMap, embedding: CrackEmbedding) -> tuple[_Level, np.ndarray]:
-    """Level 0's record, with base as its map, and every pixel's dart, row by
-    row: built by the embedding's first pyramid and kept on the embedding,
-    read-only, for every later one. The base's position of dart d is
-    dart_sort_key(d), and -d sits next to it; its regions are dart 1's, the
-    outside, then the pixels'. Its caches depend on the grid alone, so the
-    pyramids share them too."""
+    """Level 0's record, on base's own arrays and with base as its map, and
+    every pixel's dart, row by row: built by the embedding's first pyramid
+    and kept on the embedding, read-only, for every later one. Its regions
+    are dart 1's, the outside, then the pixels'. Its caches depend on the
+    grid alone, so the pyramids share them too."""
     if (found := embedding._pyramid_base) is None:
-        sigma, _, ints, region = embedding._grid_tables()
-        n = len(sigma) // 2
         pixels = embedding.pixel_dart(np.arange(embedding.width), np.arange(embedding.height)[:, None])
-        order = dart_order(n)
-        alpha, turns = np.arange(2 * n, dtype=np.int32) ^ 1, np.zeros(2 * n, dtype=np.int32)
-        level = _Level(dart_sort_key(sigma[order]), alpha, turns, order, region, ints[np.append(1, pixels)], map=base)
-        for array in (level.sigma, alpha, turns, order, level.names, pixels):
-            array.flags.writeable = False
-        found = level, pixels
+        pixels.flags.writeable = False
+        turns, region = np.zeros(len(base), dtype=np.int32), embedding._grid_tables()[1]
+        names = np.append(1, pixels).astype(object)
+        found = _Level(base._sigma, base._alpha, turns, base._order, region, names, map=base), pixels
         # published with one store, as the embedding's tables are
         object.__setattr__(embedding, "_pyramid_base", found)
     return found
@@ -229,19 +222,14 @@ class Pyramid:
         """base is the grid map of embedding, as build_grid_map makes it."""
         self.base = base
         self.embedding = embedding
-        # the embedding's read-only tables: _ids and _ints, the int object of
-        # every dart, so the level maps and names share the int objects of
-        # the base map; then level 0 and every pixel's dart, row by row,
-        # shared with every pyramid of the embedding (_base_level)
-        _, self._ids, self._ints, _ = embedding._grid_tables()
+        # level 0 and every pixel's dart, row by row, shared with every
+        # pyramid of the embedding (_base_level)
         base_level, self._pixels = _base_level(base, embedding)
-        self._n = len(self._ids) // 2
+        self._n = len(base) // 2
         # the encoding past the base: the level whose kernel removed each
-        # dart, indexed by signed dart (see map_core.dart_ids), 0 while it
-        # survives, with the list copy level() reads, and the state of each
-        # level's kernel
+        # dart, indexed by signed dart (-d at slot 2n + 1 - d), 0 while it
+        # survives, and the state of each level's kernel
         self._died = np.zeros(2 * self._n + 1, dtype=np.int32)
-        self._died_list: list[int] | None = None
         self._states: list[KernelState | None] = [None]
         # every level, the top last
         self._levels = [base_level]
@@ -265,12 +253,11 @@ class Pyramid:
 
     def level(self, d: Dart) -> int:
         """The level whose kernel removes d, top_level + 1 if it never dies:
-        d survives up to level(d) - 1."""
-        if not (-self._n <= d <= self._n and d):
+        d survives up to level(d) - 1. A dart that is not an int or a numpy
+        integer, a bool among them, is unknown, as one off the base is."""
+        if not (type(d) is int or isinstance(d, np.integer)) or not (-self._n <= d <= self._n and d):
             raise KeyError(f"dart {d} is not in the base map")
-        if self._died_list is None:
-            self._died_list = np.where(self._died, self._died, len(self._levels)).tolist()
-        return self._died_list[d]
+        return self._died.item(d) or len(self._levels)
 
     def state(self, i: int) -> KernelState:
         """How the level-i kernel removes its darts, for i in 1..top_level."""
@@ -291,15 +278,13 @@ class Pyramid:
         walk = [d]
         limit = len(self.base)
         c, lvl = d, self.level(d)
-        # every step stays on base darts, so the lists are read unchecked
-        sigma, alpha, died, states = self.base._sigma, self.base._alpha, self._died_list, self._states
+        # every step stays on base darts, so the arrays are read unchecked;
+        # the base's alpha is -c, and a dart of level 0 survives
+        sigma, died, states = self.embedding.grid_sigma().item, self._died.item, self._states
         while True:
-            if lvl <= i and states[lvl] is KernelState.CK:
-                c = sigma[alpha[c]]
-            else:
-                c = sigma[c]
-            lvl = died[c]
-            if lvl > i:
+            c = sigma(-c if 0 < lvl <= i and states[lvl] is KernelState.CK else c)
+            lvl = died(c)
+            if not 0 < lvl <= i:
                 return walk, c
             walk.append(c)
             if len(walk) > limit:
@@ -322,20 +307,20 @@ class Pyramid:
         out = [d]
         limit = len(self.base)
         c = d
-        self.level(d)  # the lists are then read unchecked, as in _absorbed
-        sigma, alpha, died, states = self.base._sigma, self.base._alpha, self._died_list, self._states
+        self.level(d)  # the arrays are then read unchecked, as in _absorbed
+        sigma, died, states = self.embedding.grid_sigma().item, self._died.item, self._states
         while True:
-            hop = sigma[alpha[-c]]
+            hop = sigma(c)
             steps = 0
             nxt = None
             while True:
-                lvl = died[hop]
-                if lvl > i:
+                lvl = died(hop)
+                if not 0 < lvl <= i:
                     break
                 if states[lvl] is KernelState.RKEDE:
                     nxt = hop
                     break
-                hop = sigma[alpha[hop]]
+                hop = sigma(-hop)
                 steps += 1
                 if steps > limit:
                     raise RuntimeError(f"corner scan from dart {c} does not terminate")
@@ -347,19 +332,16 @@ class Pyramid:
             c = nxt
 
     def reconstruct_level(self, i: int) -> CombinatorialMap:
-        """The level-i map: lists scattered from level i's own arrays, built
-        on the first call."""
+        """The level-i map: a view of level i's own arrays, made on the
+        first call."""
         self._check_level(i)
         level = self._levels[i]
         if (m := level.map) is None:
-            order = level.order
-            sigma, alpha = np.zeros((2, len(self._ids)), dtype=np.int32)
-            sigma[order], alpha[order] = order[level.sigma], order[level.alpha]
-            m = level.map = map_of(self._ints, order, sigma, alpha)
+            m = level.map = CombinatorialMap._of(level.order, level.sigma, level.alpha)
         return m
 
     def _check_level(self, i: int) -> None:
-        if not 0 <= i <= self.top_level:
+        if not 0 <= i < len(self._levels):
             raise ValueError(f"level {i} out of range 0..{self.top_level}")
 
     def _require_alive(self, i: int, d: Dart) -> None:
@@ -386,12 +368,10 @@ class Pyramid:
         return self._orientations(i, [d])[0]
 
     def _orientations(self, i: int, darts: Iterable[Dart]) -> list[int]:
-        """cached_orientation of each of darts, all live at level i, read
-        from the level's counts by dart, a dict built on first use."""
-        level = self._levels[i]
-        if (counts := level.counts) is None:
-            counts = level.counts = dict(zip(level.order.tolist(), level.turns.tolist()))
-        return [counts[d] for d in darts]
+        """cached_orientation of each of darts, all live at level i: the
+        level's turn counts at their positions in its map."""
+        at = self.reconstruct_level(i)._lists()[3]
+        return self._levels[i].turns[[at[d] for d in darts]].tolist()
 
     def last_move(self, i: int, d: Dart) -> Move:
         """Move of the last crack of d's boundary piece at level i, the
@@ -447,11 +427,10 @@ class Pyramid:
             first[least] = True
             region = (np.cumsum(first, dtype=np.int32) - 1)[least][top.region]
             sigma = new[_reduce(top.sigma, top.alpha, kill, live, state)]
-            level = _Level(sigma, alpha, turns, order, region, self._ints[order[first]])
+            level = _Level(sigma, alpha, turns, order, region, order[first].astype(object))
         self._states.append(state)
         self._levels.append(level)
         self._died[kd] = self.top_level
-        self._died_list = None
         return self
 
     def _kill(self, kd: np.ndarray) -> np.ndarray:
@@ -646,7 +625,7 @@ class Pyramid:
         loops, joints = self._loops_and_joints(i)
         if not (loops.size or joints.size):  # a clean level, which enclosure queries check for
             return frozenset()
-        return frozenset(self._ints[self._levels[i].order[np.concatenate([loops, joints])]].tolist())
+        return frozenset(self._levels[i].order[np.concatenate([loops, joints])].tolist())
 
     def composed_of(self, i: int, v: Dart) -> frozenset[Dart]:
         """Level-(i-1) vertices merged into vertex v by the level-i kernel.
@@ -676,7 +655,8 @@ class Pyramid:
         """The level-(i-1) regions merged into each level-i region by the
         contraction kernel of level i, for the regions it merges: the kernel
         darts sorted by their level-i region, one slice per region."""
-        kd = self._ids[self._died == i]
+        order = self._levels[0].order
+        kd = order[self._died[order] == i]
         level, below = self._levels[i], self._levels[i - 1]
         new = level.region[kd]
         by = np.argsort(new)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import combipyramid
-from combipyramid import cli, map_core, pyramid
+from combipyramid import cli
 from combipyramid.cli import main
 from combipyramid.map_core import CombinatorialMap
 from combipyramid.netpbm import load_image, save_ppm
@@ -138,8 +138,9 @@ def test_validate_intact_pyramid(tmp_path, sign_ppm, capsys):
 
 
 def test_validate_builds_no_level_map(tmp_path, sign_ppm, capsys, monkeypatch):
-    # loading builds the base map with the pyramid; from then on map_of
-    # raises, and validate still checks every level, on its record's arrays
+    # loading builds the base map with the pyramid; from then on the map
+    # constructor raises, and validate still checks every level, on its
+    # record's arrays
     pyr_path = built(tmp_path, sign_ppm, capsys)
     load = cli._load_pyramid
 
@@ -149,8 +150,7 @@ def test_validate_builds_no_level_map(tmp_path, sign_ppm, capsys, monkeypatch):
     def loaded(path):
         pyr = load(path)
         assert pyr.top_level >= 2
-        for module in (pyramid, map_core):
-            monkeypatch.setattr(module, "map_of", forbidden)
+        monkeypatch.setattr(CombinatorialMap, "_of", forbidden)
         return pyr
 
     monkeypatch.setattr(cli, "_load_pyramid", loaded)

@@ -5,8 +5,9 @@ built pyramid's to_json() and of its top level's relation_report (dumped
 with sorted keys), and the state and size of every kernel. A change to how
 levels are derived, checked or stored must leave all three as they are.
 MEETS_EACH pins, for the same builds, the darts and Freeman chain of every
-meets_each piece over the top level's adjacent pairs, in order, and RAG_DOT
-the sha256 of the top level's rag_to_dot text.
+meets_each piece over the top level's adjacent pairs, in order; RAG_DOT
+the sha256 of the top level's rag_to_dot text; and LEVEL_MAPS the sha256
+of every level map's to_dot text, of the build and of its reload.
 For seeds 1-3, the merge rounds also build what the one-edge-at-a-time
 reference builds. A kernel's frozenset view, Kernel.darts, is built only
 when read, and neither a seed-1 build nor its reload reads it.
@@ -21,6 +22,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from combipyramid.map_core import to_dot
 from combipyramid.pyramid import Kernel, Pyramid
 from combipyramid.relations import meets_each, rag_export, rag_to_dot, relation_report
 from combipyramid.segmentation import SegmentedImage
@@ -58,6 +60,30 @@ RAG_DOT = {
     "noise-regions": "c6b93270688b360eb2676d7b3435b6af5711696a391c2c518a44e463c8f9934e",
     "gradient-levels": "ce3fcdf104f7980716e0bae8160a990487b77c92a5bdb7196c6c7dd560ff6085",
     "sign-mosaic": "810a62ec8893b45957faf73aeaf537b7d2dc11a5cc65305f7859e96887cbb82e",
+}
+
+LEVEL_MAPS = {
+    "noise-regions": [
+        "401f3337ef77922ebb9faee8c86c6126b2fe3eadf505f335cd53df9685bfcc9e",
+        "19ee5c916c0b25f5d0913214472cea7ab4bcf53ba800ebb6c400b60ef1e41e36",
+        "b43384fc7417fdcbb012cec5e63f1e5495e7d7eea27d15899d290145acab1f49",
+    ],
+    "gradient-levels": [
+        "a8aa62bb581dafaee79ce9476bbdfcdbbd7be99d6884d768cc2107bf0815519d",
+        "42582ce8801aaaf671fbd176a787a12ad2780abae1f8238d8c809151d7a51f35",
+        "fba3705c0b1dbf54697cd1e86be2e0998ed2172dd17241fa935ae27123fde7d9",
+        "3e0767bbf1cfe2ad98f7fd3e2abff382dd1dd30309a4190ff89d9ce248e741fb",
+        "650d1b8669a343377a46786f8f135fe74d5d914de2eeb094a88a05acaddbe78b",
+        "2c8402eee4081ef1d222944aa6bbbee644e03687e2af4a8ad6725fffd55d9415",
+        "0453f825f2c96784610d50704aac23ab1ec94aa2dfc2ca4937d4bc5bbcb6f576",
+        "a6a9c1e83357978d00b71c541748e146cacaf080beb4dd4ad3740535be1b46c5",
+    ],
+    "sign-mosaic": [
+        "a8aa62bb581dafaee79ce9476bbdfcdbbd7be99d6884d768cc2107bf0815519d",
+        "c3c7e22345d84361e0d8adca6887ba5ec32c77f4fc99bd1316b062f8d652f3ce",
+        "b39b7458b42fbc6d4f1d70c5fb0933b535c573effdf5daea7f7905ec490d00fd",
+        "bad3143b83363ce014c54cc1df076462a1644a82ac7636b2292bce4b208e576d",
+    ],
 }
 
 
@@ -105,6 +131,13 @@ def test_rag_dot_is_pinned(name):
     pyr = SegmentedImage(workload.raster(np.random.default_rng(1))).run(workload.threshold).pyramid
     assert sha256(rag_to_dot(pyr, pyr.top_level)) == RAG_DOT[name]
 
+
+@pytest.mark.parametrize("name", LEVEL_MAPS)
+def test_level_maps_are_pinned(name):
+    workload = WORKLOADS[name]
+    pyr = SegmentedImage(workload.raster(np.random.default_rng(1))).run(workload.threshold).pyramid
+    for p in (pyr, Pyramid.from_json(pyr.to_json())):
+        assert [sha256(to_dot(p.reconstruct_level(i))) for i in range(p.top_level + 1)] == LEVEL_MAPS[name]
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("name", GOLDEN)

@@ -5,20 +5,22 @@ live darts, its int32 region array over the base's darts and the level of
 every dart as one int array, and builds no map of its own. The grid
 tables, the base map and level 0's record are built once per grid size and
 shared, read-only, by every pyramid of that size, so a warm reload of a
-size already loaded holds none of them: a warm seed-1 reload held 0.83 MB
+size already loaded holds none of them: a warm seed-1 reload held 0.86 MB
 on gradient-levels and 0.48 MB on sign-mosaic, 2.32 and 1.99 MB while
 every reload built its own. A cold reload, of a size whose grid cache was
 cleared, builds that base once and is bounded apart. The died list is read
 into one int64 array without a Python int per entry, so a reload peaks
-below what it did while json.loads decoded the list. A level's map, two
-lists indexed by signed dart that share the base's int objects, is built
-on its first read from that level's own arrays. Per-dart
-dicts or frozensets on that path (level maps, dart levels, kept kernels)
-cost several times as much: with them a warm seed-1 reload held 7.22 MB on
+below what it did while json.loads decoded the list. A level's map is a
+view of that level's own arrays, and its walk lists, lists of positions
+with a dict from dart to position, are built on its first walk, in
+proportion to the level's darts; so the first query after a reload holds
+what its level needs, not what the base does. Per-dart dicts or frozensets
+kept by every reload (level maps, dart levels, kept kernels) cost several
+times as much: with them a warm seed-1 reload held 7.22 MB on
 gradient-levels and 6.85 MB on sign-mosaic (tracemalloc, CPython 3.11).
-Each mode, every level's map built or not, has a bound of its own. validate checks each
-level on its record's arrays and builds no level map, so what it holds grows
-with the darts, not with levels x darts.
+Each mode, every level's map walked or not, has a bound of its own.
+validate checks each level on its record's arrays and builds no level map,
+so what it holds grows with the darts, not with levels x darts.
 """
 
 import gc
@@ -31,8 +33,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from combipyramid import cli, map_core, pyramid
+from combipyramid import cli, map_core
+from combipyramid.map_core import CombinatorialMap
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
+from combipyramid.relations import meets_exists, rag_export
 from combipyramid.segmentation import SegmentedImage
 
 from conftest import spanning_tree
@@ -51,8 +55,11 @@ def held_by_reload(text: str, maps: bool = False, cold: bool = False) -> tuple[f
     """MB a reload of text holds and MB it peaks at while it loads
     (tracemalloc): warm, of a size loaded before, or cold, of a size whose
     grid cache was cleared, so that it builds and holds the shared base; with
-    every level's map built when maps."""
-    Pyramid.from_json(text)  # warm: first-use allocations of numpy and the package
+    every level's map and its walk lists built when maps, the shared base's
+    built before the trace starts."""
+    warm = Pyramid.from_json(text)  # warm: first-use allocations of numpy and the package
+    if maps:
+        assert 0 not in warm.base  # builds the shared base's walk lists
     if cold:
         map_core._grid_map.cache_clear()
     gc.collect()
@@ -63,7 +70,7 @@ def held_by_reload(text: str, maps: bool = False, cold: bool = False) -> tuple[f
         peak = tracemalloc.get_traced_memory()[1] - before
         if maps:
             for i in range(pyr.top_level + 1):
-                pyr.reconstruct_level(i)
+                assert 0 not in pyr.reconstruct_level(i)  # builds the map's walk lists
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -79,18 +86,18 @@ NAMES = ["gradient-levels", "sign-mosaic"]
 
 @pytest.mark.parametrize("name, bound_mb", [("gradient-levels", 1.7), ("sign-mosaic", 1.0)], ids=NAMES)
 def test_reload_holds_no_per_dart_containers(name, bound_mb):
-    # a warm reload held 0.83 MB on gradient-levels and 0.48 MB on sign-mosaic
+    # a warm reload held 0.86 MB on gradient-levels and 0.48 MB on sign-mosaic
     held, _ = held_by_reload(seed_1_record(name))
     assert held <= bound_mb, f"a reload holds {held:.2f} MB"
 
 
 @pytest.mark.parametrize("name, bound_mb", [("gradient-levels", 4.5), ("sign-mosaic", 2.5)], ids=NAMES)
 def test_reload_with_every_level_map_built_stays_in_bounds(name, bound_mb):
-    # each level map holds its own sigma and alpha lists: a warm reload with
-    # every map built held 2.61 MB on gradient-levels and 1.24 MB on
-    # sign-mosaic, the shared base excluded; 4.10 and 2.75 MB while every
-    # reload built its own. gradient-levels keeps its earlier 4.5 MB, which
-    # is below twice its figure
+    # each level map's walk lists are over its own darts: a warm reload with
+    # every map walked held 2.71 MB on gradient-levels and 1.70 MB on
+    # sign-mosaic, the shared base excluded; 2.61 and 1.24 MB while a map
+    # was two lists over the base's darts that shared one int object per
+    # dart, and 4.10 and 2.75 MB while every reload built its own base
     held, _ = held_by_reload(seed_1_record(name), maps=True)
     assert held <= bound_mb, f"a reload with its maps holds {held:.2f} MB"
 
@@ -98,7 +105,8 @@ def test_reload_with_every_level_map_built_stays_in_bounds(name, bound_mb):
 @pytest.mark.parametrize("name, bound_mb", [("gradient-levels", 4.6), ("sign-mosaic", 3.9)], ids=NAMES)
 def test_reload_of_a_cold_size_holds_one_base(name, bound_mb):
     # the reload and the shared base of its size, which the grid cache then
-    # keeps: 2.29 MB on gradient-levels and 1.94 MB on sign-mosaic
+    # keeps: 1.43 MB on gradient-levels and 1.05 MB on sign-mosaic; 2.29 and
+    # 1.94 MB while the base kept an int object per dart and its map's lists
     held, _ = held_by_reload(seed_1_record(name), cold=True)
     assert held <= bound_mb, f"a cold reload holds {held:.2f} MB"
 
@@ -115,13 +123,13 @@ def test_reload_builds_only_the_base_map():
     text = seed_1_record("gradient-levels")
     map_core._grid_map.cache_clear()  # the record's build left its size's base map cached
     calls = []
-    map_of = map_core.map_of
+    make = CombinatorialMap._of
 
     def counted(*args):
         calls.append(args)
-        return map_of(*args)
+        return make(*args)
 
-    with mock.patch.object(map_core, "map_of", counted), mock.patch.object(pyramid, "map_of", counted):
+    with mock.patch.object(CombinatorialMap, "_of", counted):
         pyr = Pyramid.from_json(text)
         assert len(calls) == 1  # the base, from build_grid_map
         again = Pyramid.from_json(text)
@@ -131,6 +139,31 @@ def test_reload_builds_only_the_base_map():
             assert pyr.reconstruct_level(i) is pyr.reconstruct_level(i)
     assert len(calls) == pyr.top_level + 1
 
+
+
+def test_first_query_after_a_reload_holds_what_its_level_needs():
+    # a 4x4 tiling of the seed-1 sign-mosaic raster: 263,168 base darts
+    # under a top of 768. The first meets_exists on the top walks the top's
+    # map and holds its walk lists alone: 6.0 MB while a level's map was
+    # two lists over every base dart and level() kept a list of them
+    workload = WORKLOADS["sign-mosaic"]
+    raster = np.tile(workload.raster(np.random.default_rng(1)), (4, 4, 1))
+    built = SegmentedImage(raster).run(workload.threshold).pyramid
+    text, top = built.to_json(), built.top_level
+    a, b = rag_export(built, top)[1][0]
+    assert meets_exists(Pyramid.from_json(text), top, a, b)  # warm
+    pyr = Pyramid.from_json(text)
+    assert len(pyr.base) == 263_168 and len(pyr._levels[top].order) == 768
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert meets_exists(pyr, top, a, b)
+        gc.collect()
+        held = (tracemalloc.get_traced_memory()[0] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.0, f"the first query holds {held:.2f} MB"
 
 def test_validate_keeps_no_level_map(tmp_path):
     # one contracted edge per level: a 12x12 grid has 145 vertices, the

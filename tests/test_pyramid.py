@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from combipyramid import pyramid as pyramid_module
+from combipyramid.boundary import segment
+from combipyramid.containment import contains
 from combipyramid.map_core import CombinatorialMap, dart_sort_key, validate
 from combipyramid.pyramid import (
     Kernel,
@@ -20,6 +22,7 @@ from combipyramid.pyramid import (
     _reduce,
     _spanning_forest,
 )
+from combipyramid.relations import meets_exists
 from combipyramid.segmentation import SegmentedImage, segment_labels
 
 from conftest import (
@@ -870,6 +873,44 @@ def test_composed_of_errors_are_pinned(i, d, error, message):
     assert info.type is error and info.value.args == (message,)
 
 
+NOT_INTEGERS = {
+    "True": True,
+    "False": False,
+    "1.0": 1.0,
+    "-2.0": -2.0,
+    "nan": float("nan"),
+    "'1'": "1",
+    "None": None,
+    "np.True_": np.True_,
+    "np.float64": np.float64(1.0),
+}
+
+
+@pytest.mark.parametrize("dart", NOT_INTEGERS)
+@pytest.mark.parametrize("call", ["level", "contains", "meets_exists", "segment"])
+def test_a_dart_that_is_not_an_integer_is_unknown(call, dart):
+    # a bool would index the array of dart levels as a mask, and a float
+    # raise IndexError: each is refused as a dart off the base is
+    arr = np.zeros((5, 5), dtype=np.int64)
+    arr[1:4, 1:4] = 1
+    arr[2, 2] = 2
+    pyr = segment_labels(arr).pyramid
+    top = pyr.top_level
+    inner, ring = pyr.vertex_of_pixel(top, 2, 2), pyr.vertex_of_pixel(top, 1, 1)
+    calls = {
+        "level": pyr.level,
+        "contains": lambda d: contains(pyr, top, ring, d),
+        "meets_exists": lambda d: meets_exists(pyr, top, ring, d),
+        "segment": lambda d: segment(pyr, top, d),
+    }
+    d = NOT_INTEGERS[dart]
+    with pytest.raises(KeyError) as got:
+        calls[call](d)
+    assert type(got.value) is KeyError and got.value.args == (f"dart {d} is not in the base map",)
+    # a numpy integer is a dart
+    for kind in (np.int32, np.int64):
+        assert calls[call](kind(inner)) == calls[call](inner)
+
 def rkede_checked_build(build):
     """build() with every top it applies a kernel to, and its last top,
     checked: compute_rkede equals the dict walk of the joint links."""
@@ -994,8 +1035,8 @@ def test_level_maps_built_from_the_top_down_after_double_edge_removals():
 
 def assert_maps_hold_no_alpha_off_their_darts(pyr: Pyramid) -> None:
     """Build the level maps of two reloads of pyr, one from the bottom up and
-    one from the top down: each map's alpha list is 0 at every base dart not
-    in the map, and alpha raises KeyError there."""
+    one from the top down: alpha raises KeyError at every base dart not in
+    the map."""
     text = pyr.to_json()
     base = pyr.base._order.tolist()
     for levels in (range(pyr.top_level + 1), range(pyr.top_level, -1, -1)):
@@ -1004,7 +1045,6 @@ def assert_maps_hold_no_alpha_off_their_darts(pyr: Pyramid) -> None:
             m = clone.reconstruct_level(i)
             for d in base:
                 if d not in m:
-                    assert m._alpha[d] == 0, f"level {i} holds an alpha slot at dart {d}"
                     with pytest.raises(KeyError):
                         m.alpha(d)
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from combipyramid import cli, map_core, pyramid
 from combipyramid.cli import main
 from combipyramid.containment import contains
-from combipyramid.map_core import ValidationReport, validate
+from combipyramid.map_core import CombinatorialMap, ValidationReport, validate
 from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid, _json_naturals
 from combipyramid.relations import meets_each, rag_export, region_ids, relation_report
 
@@ -325,16 +325,16 @@ def test_levels_of_empty_kernels_are_built_once(monkeypatch):
     text = empty_kernel_record(200)
     map_core._grid_map.cache_clear()  # the record's build left its size's base cached
     loops = calls_of(monkeypatch, pyramid, "_empty_loops")
-    # the base's map is build_grid_map's, the other levels' _map's
-    base_maps, level_maps = calls_of(monkeypatch, map_core, "map_of"), calls_of(monkeypatch, pyramid, "map_of")
+    # the one map made is build_grid_map's, the base's, on level 0's arrays
+    maps = calls_of(monkeypatch, CombinatorialMap, "_of")
     pyr = Pyramid.from_json(text)
     assert pyr.top_level == 600 and len(loops) == 1
     assert len({id(pyr.reconstruct_level(i)) for i in range(601)}) == 1
-    assert len(base_maps) == 1 and not level_maps
+    assert len(maps) == 1 and maps[0][0] is pyr._levels[0].order
     # a second load of the size builds no map at all, and shares the base's loops
     again = Pyramid.from_json(text)
     assert again.reconstruct_level(600) is pyr.reconstruct_level(0)
-    assert len(base_maps) == 1 and not level_maps and len(loops) == 1
+    assert len(maps) == 1 and len(loops) == 1
 
 
 def test_an_empty_kernel_is_checked_without_a_count_per_vertex(monkeypatch):
@@ -363,7 +363,7 @@ def test_pyramids_of_one_size_share_the_base():
     loaded = Pyramid.from_json(built.to_json())
     assert loaded.embedding is built.embedding and loaded.base is built.base
     assert loaded._levels[0] is built._levels[0]
-    assert loaded._ids is built._ids and loaded._ints is built._ints and loaded._pixels is built._pixels
+    assert loaded._pixels is built._pixels
     assert loaded._died is not built._died
 
 
@@ -371,7 +371,7 @@ def test_shared_arrays_are_read_only():
     pyr = Pyramid.from_grid(5, 4)
     base = pyr._levels[0]
     shared = [base.sigma, base.alpha, base.turns, base.order, base.region, base.names,
-              pyr._ids, pyr._ints, pyr._pixels, *pyr.embedding._grid_tables()]
+              pyr._pixels, *pyr.embedding._grid_tables()]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
