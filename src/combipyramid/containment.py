@@ -16,9 +16,9 @@ parent is its innermost encloser. The first enclosure query of a level
 derives it from the local tests at the vertices with self loops and the
 level's region adjacencies (_build_forest), and stores it in the level's
 record with one store; levels never change, so two racing builds give equal
-forests. Each query names a dart's region by one read of the level's region
-array, so contains is then an ancestor check, O(nesting depth), and
-inside_all a subtree walk, O(output).
+forests. The forest is keyed by region index, which a query reads off the
+level's region array, so contains is then an ancestor check, O(nesting
+depth), and inside_all a subtree walk, O(output), named at its end.
 """
 
 from __future__ import annotations
@@ -80,13 +80,14 @@ def starting_darts(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None =
     def last_move(d: Dart) -> Move:
         return move(-m.alpha(d))
 
-    home = pyr._region(i, v)
+    level = pyr._levels[i]
+    home = level.region.item(v)
     out: list[Dart] = []
     stack: list[tuple[Dart, int]] = []
     on_stack: set[Dart] = set()
     prefix = 0
     prev = None
-    cycle = m.orbit(home, "sigma")
+    cycle = m.orbit(level.names[home], "sigma")
     for dk, count in zip(cycle, pyr._orientations(i, cycle)):
         if counter is not None:
             counter.hit()
@@ -113,7 +114,7 @@ def starting_darts(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None =
             out.append(start)
             if counter is not None:
                 counter.loops.append((start, or_c1))
-        elif pyr._region(i, partner) == home:
+        elif level.region.item(partner) == home:
             stack.append((dk, prefix))
             on_stack.add(dk)
         prev = dk
@@ -154,10 +155,12 @@ def inside_all(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
     forest. Costs O(output) once the forest is built."""
     pyr._require_alive(i, v)
     children = _enclosure_forest(pyr, i)[1]
-    out = list(children.get(pyr._region(i, v), ()))
+    level = pyr._levels[i]
+    out = list(children.get(level.region.item(v), ()))
     for u in out:  # the loop reaches the children appended to out
         out.extend(children.get(u, ()))
-    return frozenset(out)
+    names = level.names
+    return frozenset([names[u] for u in out])
 
 
 def contains(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
@@ -166,15 +169,15 @@ def contains(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
     forest is built."""
     pyr._require_alive(i, b)
     pyr._require_alive(i, a)
-    return pyr._region(i, a) in _enclosers(pyr, i, b)
+    return pyr._levels[i].region.item(a) in _enclosers(pyr, i, b)
 
 
-def _enclosers(pyr: Pyramid, i: int, v: Dart) -> list[Dart]:
-    """The vertices enclosing v, innermost first. Callers check that v
-    survives at level i."""
+def _enclosers(pyr: Pyramid, i: int, v: Dart) -> list[int]:
+    """The region indices of the vertices enclosing v, innermost first.
+    Callers check that v survives at level i."""
     parent = _enclosure_forest(pyr, i)[0]
-    out: list[Dart] = []
-    u = parent.get(pyr._region(i, v))
+    out: list[int] = []
+    u = parent.get(pyr._levels[i].region.item(v))
     while u is not None:
         out.append(u)
         u = parent.get(u)
@@ -188,7 +191,7 @@ def infinite_region(pyr: Pyramid, i: int) -> Dart:
     return pyr._region(i, 1)
 
 
-_Forest = tuple[dict[Dart, Dart], dict[Dart, list[Dart]]]
+_Forest = tuple[dict[int, int], dict[int, list[int]]]
 
 
 def _enclosure_forest(pyr: Pyramid, i: int) -> _Forest:
@@ -202,8 +205,8 @@ def _enclosure_forest(pyr: Pyramid, i: int) -> _Forest:
 
 
 def _build_forest(pyr: Pyramid, i: int) -> _Forest:
-    """(parent, children) over the level's vertices, keyed by canonical
-    vertex dart: a vertex's parent is its innermost encloser, and vertices
+    """(parent, children) over the level's vertices, keyed by region
+    index: a vertex's parent is its innermost encloser, and vertices
     enclosed by nothing have none.
 
     Each live dart joins its region index u to the one v across its first
@@ -232,8 +235,8 @@ def _build_forest(pyr: Pyramid, i: int) -> _Forest:
     if (up[cls[child]] != encloser).any() or up[cls[region[1]]] >= 0:
         raise RuntimeError(f"a class of regions at level {i} has two enclosers")
     has = np.flatnonzero(up[cls] >= 0)
-    parent = dict(zip(names[has].tolist(), names[up[cls[has]]].tolist()))
-    children: dict[Dart, list[Dart]] = {}
+    parent = dict(zip(has.tolist(), up[cls[has]].tolist()))
+    children: dict[int, list[int]] = {}
     for w, p in parent.items():
         children.setdefault(p, []).append(w)
     return parent, children

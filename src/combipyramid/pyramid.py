@@ -51,8 +51,9 @@ lists on a query's first walk (the base's is build_grid_map's); `loops`
 and `joints`, the positions of its empty self loops and of its double-edge
 joints, each found apart (the next kernel's check and compute_rkesl read
 the loops; an RKEDE check, compute_rkede and redundant_darts read both);
-`children`, composed_of's index of the contraction that made the record;
-`forest`, a clean level's enclosure forest; and `boundary`, the boundary
+`children`, composed_of's list of the level-(i-1) canonical darts in each
+region, for the level i that made the record; `forest`, a clean level's
+enclosure forest over its region indices; and `boundary`, the boundary
 index that rag_export, relation_report and meets_each read.
 
 The base depends on the grid size alone. The grid tables, the base map and
@@ -173,7 +174,8 @@ class _Level:
     signed dart, and names, the canonical darts of the regions as an object
     array of Python ints. All are read-only once the level is made. Under
     RKEDE, alpha is derived with the turn counts (_fold_orientations). The
-    fields after them are the caches filled on first read."""
+    fields after them are the caches filled on first read, children and
+    forest indexed by region: children[r] is composed_of(r) of region r."""
 
     sigma: np.ndarray
     alpha: np.ndarray
@@ -184,7 +186,7 @@ class _Level:
     map: CombinatorialMap | None = None
     loops: np.ndarray | None = None
     joints: np.ndarray | None = None
-    children: dict[Dart, frozenset[Dart]] | None = None
+    children: list[frozenset[Dart]] | None = None
     forest: tuple | None = None
     boundary: tuple | None = None
 
@@ -261,7 +263,7 @@ class Pyramid:
 
     def state(self, i: int) -> KernelState:
         """How the level-i kernel removes its darts, for i in 1..top_level."""
-        if not 1 <= i <= self.top_level:
+        if not (type(i) is int or isinstance(i, np.integer)) or not 1 <= i <= self.top_level:
             raise ValueError(f"level {i} out of range 1..{self.top_level}")
         return self._states[i]
 
@@ -341,7 +343,7 @@ class Pyramid:
         return m
 
     def _check_level(self, i: int) -> None:
-        if not 0 <= i < len(self._levels):
+        if not (type(i) is int or isinstance(i, np.integer)) or not 0 <= i < len(self._levels):
             raise ValueError(f"level {i} out of range 0..{self.top_level}")
 
     def _require_alive(self, i: int, d: Dart) -> None:
@@ -607,7 +609,8 @@ class Pyramid:
     def vertex_of_pixel(self, i: int, x: int, y: int) -> Dart:
         """Representative of the level-i region containing pixel (x, y)."""
         emb = self.embedding
-        if not (0 <= x < emb.width and 0 <= y < emb.height):
+        whole = all(type(c) is int or isinstance(c, np.integer) for c in (x, y))  # a bool is no coordinate
+        if not (whole and 0 <= x < emb.width and 0 <= y < emb.height):
             raise ValueError(f"pixel ({x}, {y}) outside the {emb.width}x{emb.height} grid")
         self._check_level(i)
         return self._region(i, emb.pixel_dart(x, y))
@@ -630,40 +633,28 @@ class Pyramid:
     def composed_of(self, i: int, v: Dart) -> frozenset[Dart]:
         """Level-(i-1) vertices merged into vertex v by the level-i kernel.
 
-        A removal kernel, or one that removes no dart, keeps every vertex, so
-        v's own level-(i-1) vertex is the one child. A contraction kernel merges a tree of vertices along
-        its edges, and each vertex of a tree with an edge holds a dart of the
-        kernel: the level-(i-1) regions of the kernel darts that land in v
-        name them all. The level's index holds them per region, grouped in
-        one pass over the kernel, so a call is one range check, one read of
-        v's level and one dict read.
+        A removal kernel keeps every vertex, so v's own level-(i-1) vertex
+        is the one child; a contraction kernel merges a tree of vertices
+        along its edges. Either way a level-(i-1) region lies in the level-i
+        region of its canonical dart, so one stable sort of the regions
+        below by the region above gives the level's list of each region's
+        children, and a call is one range check, one read of v's level and
+        one list read. A level that shares the record below answers v's own
+        region: that record's list belongs to the level that made it.
         """
-        if not 1 <= i < len(self._levels):
+        if not (type(i) is int or isinstance(i, np.integer)) or not 1 <= i < len(self._levels):
             raise ValueError(f"level {i} out of range 1..{len(self._levels) - 1}")
         if self.level(v) <= i:
             raise ValueError(f"dart {v} does not survive at level {i}")
-        level = self._levels[i]
-        if self._states[i] is KernelState.CK and level is not self._levels[i - 1]:
-            if (index := level.children) is None:
-                index = level.children = self._children(i)
-            if (out := index.get(level.names[level.region[v]])) is not None:
-                return out
-        below = self._levels[i - 1]
-        return frozenset([below.names[below.region[v]]])
-
-    def _children(self, i: int) -> dict[Dart, frozenset[Dart]]:
-        """The level-(i-1) regions merged into each level-i region by the
-        contraction kernel of level i, for the regions it merges: the kernel
-        darts sorted by their level-i region, one slice per region."""
-        order = self._levels[0].order
-        kd = order[self._died[order] == i]
         level, below = self._levels[i], self._levels[i - 1]
-        new = level.region[kd]
-        by = np.argsort(new)
-        new, old = new[by], below.names[below.region[kd[by]]].tolist()
-        parents, start = np.unique(new, return_index=True)
-        bounds = [*start.tolist(), len(old)]
-        return {r: frozenset(old[a:b]) for r, a, b in zip(level.names[parents].tolist(), bounds, bounds[1:])}
+        if level is below:
+            return frozenset([level.names[level.region.item(v)]])
+        if (index := level.children) is None:
+            up = level.region[below.names.astype(np.int64)]
+            old = below.names[np.argsort(up, kind="stable")].tolist()
+            ends = np.cumsum(np.bincount(up, minlength=len(level.names))).tolist()
+            index = level.children = [frozenset(old[a:b]) for a, b in zip([0, *ends], ends)]
+        return index[level.region.item(v)]
 
     # -- serialization ----------------------------------------------------------
 

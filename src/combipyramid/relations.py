@@ -197,8 +197,9 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
     enclosers and the regions it encloses, read off the level's enclosure
     forest. The adjacent pairs and their piece counts are read off the
     level's boundary index, built once per level. Only the regions that
-    enclose something, the keys of the forest's children, take an inside_all
-    call; every region reported takes one composed_of call.
+    enclose something, the region indices that key the forest's children,
+    take an inside_all call, in index order, which is name order; every
+    region reported takes one composed_of call.
     """
     home = None
     if region is not None:
@@ -213,13 +214,15 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
     warnings: list[str] = []
 
     contains_pairs: list[tuple[Dart, Dart]] = []
+    names = pyr._levels[i].names
     if pyr.redundant_darts(i):
         warnings.append("redundant edges present: enclosure entries omitted")
     elif home is None:
-        for r in sorted(_enclosure_forest(pyr, i)[1], key=dart_sort_key):
+        # regions are numbered in dart_sort_key order, so the enclosers' indices sort as their names
+        for r in [names[u] for u in sorted(_enclosure_forest(pyr, i)[1])]:
             contains_pairs += [(r, b) for b in _sorted(inside_all(pyr, i, r))]
     else:
-        contains_pairs = [(a, home) for a in _enclosers(pyr, i, home)]
+        contains_pairs = [(names[a], home) for a in _enclosers(pyr, i, home)]
         contains_pairs += [(home, b) for b in inside_all(pyr, i, home)]
         contains_pairs.sort(key=lambda p: (dart_sort_key(p[0]), dart_sort_key(p[1])))
 
@@ -227,7 +230,7 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
     composed = [{"parent": r, "children": _sorted(pyr.composed_of(i, r))} for r in reported] if i >= 1 else []
 
     return {
-        "level": i,
+        "level": int(i),
         "regions": regions,
         "infinite_region": outside,
         "meets": meets,

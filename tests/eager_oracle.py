@@ -43,7 +43,7 @@ import numpy as np
 from typing import Iterable
 
 from combipyramid.boundary import segment
-from combipyramid.containment import VisitCounter, _enclosers, inside_all, inside_direct, require_clean_level
+from combipyramid.containment import VisitCounter, inside_direct, require_clean_level
 from combipyramid.map_core import CombinatorialMap, CrackEmbedding, Dart, ValidationReport, dart_sort_key
 from combipyramid.moves import Move, turn_angle
 from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid
@@ -451,8 +451,10 @@ def relation_report_by_darts(pyr: Pyramid, i: int, region: Dart | None = None) -
     """relations.relation_report one dart at a time: the RAG from every
     dart's region pair, and each pair's boundary pieces grouped by walking
     the phi orbits at their junctions (_pieces) from the darts of one region
-    that face the other. Enclosure and composition come from the
-    same public queries the report calls."""
+    that face the other. Enclosure comes from the forest of one traversal
+    from the outside vertex (enclosure_forest_by_traversal): a region's
+    enclosers are its chain of parents, and the regions it encloses its
+    subtree. Composition comes from the public query the report calls."""
     m = pyr.reconstruct_level(i)
     home = None
     if region is not None:
@@ -485,12 +487,23 @@ def relation_report_by_darts(pyr: Pyramid, i: int, region: Dart | None = None) -
     contains_pairs: list[tuple[Dart, Dart]] = []
     if pyr.redundant_darts(i):
         warnings.append("redundant edges present: enclosure entries omitted")
-    elif home is None:
-        for r in regions:
-            contains_pairs += [(r, b) for b in sorted(inside_all(pyr, i, r), key=dart_sort_key)]
     else:
-        contains_pairs = [(a, home) for a in _enclosers(pyr, i, home)]
-        contains_pairs += [(home, b) for b in inside_all(pyr, i, home)]
+        parent, children = enclosure_forest_by_traversal(pyr, i)
+
+        def enclosed(r: Dart) -> list[Dart]:
+            out = list(children.get(r, ()))
+            for u in out:
+                out.extend(children.get(u, ()))
+            return out
+
+        if home is None:
+            for r in regions:
+                contains_pairs += [(r, b) for b in sorted(enclosed(r), key=dart_sort_key)]
+        else:
+            a = home
+            while (a := parent.get(a)) is not None:
+                contains_pairs.append((a, home))
+            contains_pairs += [(home, b) for b in enclosed(home)]
         contains_pairs.sort(key=lambda p: (dart_sort_key(p[0]), dart_sort_key(p[1])))
 
     composed = [

@@ -1,10 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
-from combipyramid.boundary import segment, sequence_orientation
+from combipyramid import relations
+from combipyramid.boundary import CrackChain, Segment, segment, sequence_orientation
 from combipyramid.moves import Move, turn_angle
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
+from combipyramid.relations import meets_each, rag_export
+from combipyramid.segmentation import segment_labels
 
 from conftest import boundary_cracks, clean_levels, random_pyramid
 from eager_oracle import segment_orientation
@@ -48,6 +52,43 @@ def test_segment_covers_the_whole_boundary_ring():
     assert mate.darts == (-6, -7, 3, 5, 4, -1)
     assert crack_set(seg) == crack_set(mate)
     assert len(crack_set(seg)) == 6
+
+
+@pytest.mark.parametrize("walk, message", [
+    ([1, -4, -5, -3, 7], "segment of dart 1 does not reach its partner edge"),
+    ([1, -1, -4, -5, -3, 7, 6], "segment of dart 1 folds back on itself at dart -1"),
+    ([1, -5, -3, 7, 6], "segment of dart 1 breaks apart at dart -5"),
+])
+def test_segment_refuses_a_walk_that_is_no_crack_chain(monkeypatch, walk, message):
+    # the walk of dart 1's piece less its last dart, with a reversed crack
+    # put in, and less its second dart
+    pyr = reduced_two_by_one()
+    assert segment(pyr, 2, 1).darts == (1, -4, -5, -3, 7, 6)
+    monkeypatch.setattr(Pyramid, "_segment_walk", lambda self, i, d: list(walk))
+    with pytest.raises(RuntimeError) as got:
+        segment(pyr, 2, 1)
+    assert got.value.args == (message,)
+
+
+def test_meets_each_refuses_glued_pieces_that_do_not_touch(monkeypatch):
+    # the diagonal pixels of a 2x2 checkerboard are two regions, and the
+    # outside's border with each is one piece glued from two edges: moving
+    # the second edge's segment one corner away breaks the glue
+    pyr = segment_labels(np.array([[2, 0], [1, 2]])).pyramid
+    top = pyr.top_level
+    (a, b), piece = next((e, p) for e in rag_export(pyr, top)[1] for p in meets_each(pyr, top, *e) if len(p) == 2)
+    second = piece.darts[1]
+    real = relations.segment
+
+    def moved(pyr, i, d):
+        got = real(pyr, i, d)
+        x, y = got.cracks.start
+        return Segment(got.darts, CrackChain((x + 1, y), got.cracks.moves)) if d == second else got
+
+    monkeypatch.setattr(relations, "segment", moved)
+    with pytest.raises(RuntimeError) as got:
+        meets_each(pyr, top, a, b)
+    assert got.value.args == ("glued boundary pieces do not touch",)
 
 
 def test_segment_chains_are_geometrically_connected():

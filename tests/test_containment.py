@@ -345,6 +345,15 @@ def test_a_forest_build_passes_over_the_level_a_bounded_number_of_times():
 # -- the enclosure forest --------------------------------------------------------------
 
 
+def named_forest(pyr: Pyramid, i: int) -> tuple[dict, dict]:
+    """The level's enclosure forest, which is keyed by region index, with
+    each index replaced by its region's canonical dart."""
+    names = pyr._levels[i].names
+    parent, children = _enclosure_forest(pyr, i)
+    return ({names[c]: names[p] for c, p in parent.items()},
+            {names[p]: [names[c] for c in cs] for p, cs in children.items()})
+
+
 def tiered_pyramid(labels: np.ndarray) -> Pyramid:
     """A label partition painted in four grey tiers and merged at two
     thresholds, which gives several clean levels."""
@@ -373,7 +382,7 @@ def test_forest_is_the_transitive_reduction_of_the_flood(seed, source):
         flood = {v: inside_all_flood(pyr, i, v) for v in vertices}
         for v in vertices:
             assert inside_all(pyr, i, v) == flood[v]
-        parent, children = _enclosure_forest(pyr, i)
+        parent, children = named_forest(pyr, i)
         assert set(parent) | set(children) <= set(vertices)
         assert {(p, c) for p, cs in children.items() for c in cs} == {(p, c) for c, p in parent.items()}
         for u in vertices:
@@ -395,7 +404,7 @@ def test_forest_equals_the_traversal_of_every_vertex_cycle(seed, kind):
     # give the forest that one traversal from the outside region gives
     pyr = built_pyramid(random.Random(seed), kind)
     for i in clean_levels(pyr):
-        parent, children = _enclosure_forest(pyr, i)
+        parent, children = named_forest(pyr, i)
         want_parent, want_children = enclosure_forest_by_traversal(pyr, i)
         assert parent == want_parent
         assert {p: set(cs) for p, cs in children.items()} == {p: set(cs) for p, cs in want_children.items()}

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from unittest import mock
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from combipyramid import pyramid as pyramid_module
 from combipyramid.boundary import segment
-from combipyramid.containment import contains
+from combipyramid.containment import contains, infinite_region
 from combipyramid.map_core import CombinatorialMap, dart_sort_key, validate
 from combipyramid.pyramid import (
     Kernel,
@@ -22,7 +23,7 @@ from combipyramid.pyramid import (
     _reduce,
     _spanning_forest,
 )
-from combipyramid.relations import meets_exists
+from combipyramid.relations import meets_exists, region_ids, relation_report
 from combipyramid.segmentation import SegmentedImage, segment_labels
 
 from conftest import (
@@ -910,6 +911,54 @@ def test_a_dart_that_is_not_an_integer_is_unknown(call, dart):
     # a numpy integer is a dart
     for kind in (np.int32, np.int64):
         assert calls[call](kind(inner)) == calls[call](inner)
+
+
+LEVEL_CALLS = ["pixel_labels", "reconstruct_level", "state", "composed_of", "region_ids", "infinite_region",
+               "contains", "relation_report", "vertex_of_pixel"]
+
+
+@pytest.mark.parametrize("level", NOT_INTEGERS)
+@pytest.mark.parametrize("call", LEVEL_CALLS)
+def test_a_level_that_is_not_an_integer_is_out_of_range(call, level):
+    # a bool compares as level 0 or 1 and a float indexes no list: each is
+    # refused as a level off the pyramid is, and a numpy integer is a level
+    arr = np.zeros((5, 5), dtype=np.int64)
+    arr[1:4, 1:4] = 1
+    arr[2, 2] = 2
+    pyr = segment_labels(arr).pyramid
+    top = pyr.top_level
+    inner, ring = pyr.vertex_of_pixel(top, 2, 2), pyr.vertex_of_pixel(top, 1, 1)
+    calls = {
+        "pixel_labels": pyr.pixel_labels,
+        "reconstruct_level": pyr.reconstruct_level,
+        "state": pyr.state,
+        "composed_of": lambda i: pyr.composed_of(i, inner),
+        "region_ids": lambda i: region_ids(pyr, i),
+        "infinite_region": lambda i: infinite_region(pyr, i),
+        "contains": lambda i: contains(pyr, i, ring, inner),
+        # the report is JSON-ready, its level a plain int
+        "relation_report": lambda i: json.dumps(relation_report(pyr, i)),
+        "vertex_of_pixel": lambda i: pyr.vertex_of_pixel(i, 2, 2),
+    }
+    i = NOT_INTEGERS[level]
+    low = 1 if call in ("state", "composed_of") else 0
+    with pytest.raises(ValueError) as got:
+        calls[call](i)
+    assert type(got.value) is ValueError and got.value.args == (f"level {i} out of range {low}..{top}",)
+    for kind in (np.int32, np.int64):
+        assert calls[call](kind(top)) == calls[call](top)
+
+
+@pytest.mark.parametrize("coordinate", NOT_INTEGERS)
+def test_a_pixel_coordinate_that_is_not_an_integer_is_outside_the_grid(coordinate):
+    pyr = Pyramid.from_grid(5, 4)
+    c = NOT_INTEGERS[coordinate]
+    for x, y in ((c, 2), (2, c)):
+        with pytest.raises(ValueError) as got:
+            pyr.vertex_of_pixel(0, x, y)
+        assert type(got.value) is ValueError and got.value.args == (f"pixel ({x}, {y}) outside the 5x4 grid",)
+    assert pyr.vertex_of_pixel(0, np.int64(3), np.int32(2)) == pyr.vertex_of_pixel(0, 3, 2)
+
 
 def rkede_checked_build(build):
     """build() with every top it applies a kernel to, and its last top,

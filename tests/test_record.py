@@ -29,9 +29,10 @@ from combipyramid.containment import contains
 from combipyramid.map_core import CombinatorialMap, ValidationReport, validate
 from combipyramid.pyramid import Kernel, KernelError, KernelState, Pyramid, _json_naturals
 from combipyramid.relations import meets_each, rag_export, region_ids, relation_report
+from combipyramid.segmentation import segment_labels
 
 from conftest import clean_levels, random_pyramid, spanning_tree
-from eager_oracle import eager_levels
+from eager_oracle import composed_of_scan, eager_levels
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -297,6 +298,32 @@ def test_a_level_whose_kernel_removes_no_dart_repeats_the_level_below(seed):
         pairs = [tuple(rng.sample(regions, 2)) for _ in range(8)] if len(regions) > 1 else []
         assert answers(pyr, i, pairs) == answers(pyr, i - 1, pairs)
         assert all(pyr.composed_of(i, r) == {r} for r in regions)
+
+
+@pytest.mark.parametrize("first", ["contraction", "repeat"])
+def test_a_shared_record_answers_composed_of_for_each_of_its_levels(first):
+    # a contraction makes level i - 1's record and an empty kernel repeats it
+    # at level i: the record's children index is the contraction's, and
+    # level i, whose kernel merged nothing, answers each region's own,
+    # whichever level is read first
+    labels = np.zeros((6, 6), dtype=np.int64)
+    labels[1:5, 1:5] = 1
+    labels[2:4, 2:4] = 2
+    ck = segment_labels(labels).pyramid.kernels[0]
+    assert ck.state is KernelState.CK
+    pyr = Pyramid.from_grid(6, 6).apply_kernel(ck).apply_kernel(Kernel.of(KernelState.RKESL, []))
+    i = pyr.top_level
+    assert i == 2 and pyr._levels[i] is pyr._levels[i - 1]
+    regions = region_ids(pyr, i)
+    reads = {
+        "contraction": lambda: [pyr.composed_of(i - 1, r) for r in regions],
+        "repeat": lambda: [pyr.composed_of(i, r) for r in regions],
+    }
+    got = {first: reads[first]()}
+    got.update((name, read()) for name, read in reads.items() if name not in got)
+    assert got["contraction"] == [composed_of_scan(pyr, i - 1, r) for r in regions]
+    assert max(map(len, got["contraction"])) > 1  # the contraction merged regions
+    assert got["repeat"] == [{r} for r in regions]
 
 
 def empty_kernel_record(each: int) -> str:
