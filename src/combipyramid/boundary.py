@@ -75,7 +75,7 @@ def segment(pyr: Pyramid, i: int, d: Dart) -> Segment:
     edge shows up; the chain stops at the base partner of alpha_i(d). At
     level 0 every segment is the dart's single crack.
     """
-    pyr._require_alive(i, d)
+    pyr._checked(i, d)
     emb = pyr.embedding
     darts = pyr._segment_walk(i, d)
     if darts[-1] != -pyr.reconstruct_level(i).alpha(d):
@@ -102,8 +102,7 @@ def sequence_orientation(pyr: Pyramid, i: int, seq: list[Dart] | tuple[Dart, ...
     """
     if not seq:
         raise ValueError("empty dart sequence")
-    for d in seq:
-        pyr._require_alive(i, d)
+    pyr._checked(i, *seq)
     m = pyr.reconstruct_level(i)
     for a, b in zip(seq, seq[1:]):
         if m.sigma(a) != b:
@@ -114,9 +113,8 @@ def sequence_orientation(pyr: Pyramid, i: int, seq: list[Dart] | tuple[Dart, ...
             raise ValueError("closed sequence may not end on the partner of its first dart")
         if seq[0] not in m.orbit(m.alpha(last), "phi"):
             raise ValueError("sequence endpoints do not meet at one dual vertex")
+    move = pyr.embedding.move
     total = sum(pyr._orientations(i, seq))
-    for a, b in zip(seq, seq[1:]):
-        total += turn_angle(pyr.last_move(i, a), pyr.embedding.move(b))
-    if closed:
-        total += turn_angle(pyr.last_move(i, last), pyr.embedding.move(seq[0]))
+    for a, b in zip(seq, [*seq[1:], seq[0]] if closed else seq[1:]):  # closed: the last dart meets the first
+        total += turn_angle(move(-m.alpha(a)), move(b))
     return total

@@ -87,7 +87,7 @@ def _parse_level(pyr: Pyramid, text: str) -> int:
         i = int(text)
     except ValueError:
         raise ValueError(f"--level must be 'top' or an integer in 0..{pyr.top_level}, got {text!r}") from None
-    pyr._check_level(i)
+    pyr._checked(i)
     return i
 
 
@@ -137,6 +137,10 @@ def _cmd_export(args) -> int:
     i = _parse_level(pyr, args.level)
     if not (args.map_dot or args.rag_dot or args.labels):
         raise ValueError("nothing to export: pass --map-dot, --rag-dot or --labels")
+    if args.labels:  # refused before any output is opened
+        arr, names = _label_image(pyr, i)
+        if len(names) > 65536:
+            raise ValueError(f"--labels: level {i} has {len(names)} regions with pixels, past a 16-bit PGM's 65536")
     if args.map_dot:
         with open(args.map_dot, "w", encoding="ascii") as fh:
             fh.write(to_dot(pyr.reconstruct_level(i), name=f"level{i}"))
@@ -144,7 +148,6 @@ def _cmd_export(args) -> int:
         with open(args.rag_dot, "w", encoding="ascii") as fh:
             fh.write(relations.rag_to_dot(pyr, i, name=f"rag{i}"))
     if args.labels:
-        arr, names = _label_image(pyr, i)
         maxval = max(1, int(arr.max()))
         save_pgm(args.labels, arr, maxval=min(65535, maxval))
         regions = {str(k): v for k, v in enumerate(names.tolist())}

@@ -73,14 +73,13 @@ def starting_darts(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None =
     at the span ends.
     """
     require_clean_level(pyr, i)
-    pyr._require_alive(i, v)
+    level = pyr._checked(i, v)
     m = pyr.reconstruct_level(i)
     move = pyr.embedding.move
 
     def last_move(d: Dart) -> Move:
         return move(-m.alpha(d))
 
-    level = pyr._levels[i]
     home = level.region.item(v)
     out: list[Dart] = []
     stack: list[tuple[Dart, int]] = []
@@ -153,9 +152,8 @@ def inside_direct(pyr: Pyramid, i: int, v: Dart, counter: VisitCounter | None = 
 def inside_all(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
     """All vertices enclosed by v: its subtree in the level's enclosure
     forest. Costs O(output) once the forest is built."""
-    pyr._require_alive(i, v)
+    level = pyr._checked(i, v)
     children = _enclosure_forest(pyr, i)[1]
-    level = pyr._levels[i]
     out = list(children.get(level.region.item(v), ()))
     for u in out:  # the loop reaches the children appended to out
         out.extend(children.get(u, ()))
@@ -167,9 +165,8 @@ def contains(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
     """True when region b lies inside region a at level i: a is an ancestor
     of b in the enclosure forest. Costs O(nesting depth of b) once the
     forest is built."""
-    pyr._require_alive(i, b)
-    pyr._require_alive(i, a)
-    return pyr._levels[i].region.item(a) in _enclosers(pyr, i, b)
+    level = pyr._checked(i, b, a)
+    return level.region.item(a) in _enclosers(pyr, i, b)
 
 
 def _enclosers(pyr: Pyramid, i: int, v: Dart) -> list[int]:
@@ -187,7 +184,7 @@ def _enclosers(pyr: Pyramid, i: int, v: Dart) -> list[int]:
 def infinite_region(pyr: Pyramid, i: int) -> Dart:
     """Representative of the vertex encoding the outside of the image: the
     level-i region of dart 1, which the base's outside vertex starts with."""
-    pyr._check_level(i)
+    pyr._checked(i)
     return pyr._region(i, 1)
 
 

@@ -416,9 +416,10 @@ def _cycle_min(step: np.ndarray) -> np.ndarray:
 
 def to_dot(m: CombinatorialMap, name: str = "map") -> str:
     """DOT text with one node per sigma cycle and one edge per alpha cycle."""
-    rep = m.vertex_ids()
+    vertices = m.vertices()
+    rep = {d: cyc[0] for cyc in vertices for d in cyc}
     lines = [f"graph {name} {{"]
-    for cyc in m.vertices():
+    for cyc in vertices:
         label = ",".join(str(d) for d in cyc)
         lines.append(f'  "v{cyc[0]}" [label="{label}"];')
     for edge in m.edges():

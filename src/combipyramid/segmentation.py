@@ -153,6 +153,8 @@ class SegmentedImage:
         """Merge until stable (or until max_levels merge rounds)."""
         if not threshold >= 0:  # also rejects nan
             raise ValueError(f"threshold must be a non-negative number, got {threshold}")
+        if max_levels is not None and not (type(max_levels) is int or isinstance(max_levels, np.integer)):
+            raise ValueError(f"max_levels must be an integer, got {max_levels!r}")  # a bool is no count
         if max_levels is not None and max_levels < 0:
             raise ValueError(f"max_levels must be non-negative, got {max_levels}")
         rounds = 0
@@ -210,6 +212,8 @@ def roadsign_extract(
     enclosed regions' area-weighted mean color is nearest to the symbol
     color; ties prefer candidates with more enclosed pixels.
     """
+    if not (type(k) is int or isinstance(k, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
     pyr = seg.pyramid

@@ -458,7 +458,7 @@ def relation_report_by_darts(pyr: Pyramid, i: int, region: Dart | None = None) -
     m = pyr.reconstruct_level(i)
     home = None
     if region is not None:
-        pyr._require_alive(i, region)
+        pyr._checked(i, region)
         home = pyr._region(i, region)
 
     def keep(*darts: Dart) -> bool:
@@ -528,7 +528,7 @@ def starting_darts_with_discards(pyr: Pyramid, i: int, v: Dart, counter: VisitCo
     a dart's partner is found below the stack top, the darts popped over it
     belong to neither side of any loop and are discarded."""
     require_clean_level(pyr, i)
-    pyr._require_alive(i, v)
+    pyr._checked(i, v)
     m = pyr.reconstruct_level(i)
     move = pyr.embedding.move
 
@@ -583,7 +583,7 @@ def starting_darts_with_discards(pyr: Pyramid, i: int, v: Dart, counter: VisitCo
 def inside_all_flood(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
     """All vertices enclosed by v: everything reachable from the directly
     enclosed neighbours without stepping across v."""
-    pyr._require_alive(i, v)
+    pyr._checked(i, v)
     cur = pyr.reconstruct_level(i)
     home = vertex_of(cur, v)
     seeds = inside_direct(pyr, i, v)

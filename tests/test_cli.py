@@ -107,6 +107,18 @@ def test_export_dot_and_labels(tmp_path, sign_ppm, capsys):
     assert all(regions[str(k)] == d for k, d in zip(exported.ravel().tolist(), darts.ravel().tolist()))
 
 
+def test_export_refuses_labels_a_16_bit_pgm_cannot_hold_before_writing(tmp_path, capsys):
+    # level 0 of a 257x256 grid has 65,792 pixel regions, past the 65,536
+    # labels of a 16-bit PGM: no output is written, the DOT files included
+    pyr_path = tmp_path / "big.pyr"
+    pyr_path.write_text(Pyramid.from_grid(257, 256).to_json())
+    rag_dot, labels = tmp_path / "x.dot", tmp_path / "x.pgm"
+    code = main(["export", "--pyr", str(pyr_path), "--rag-dot", str(rag_dot), "--labels", str(labels)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "65792" in err and "65536" in err
+    assert not rag_dot.exists() and not labels.exists()
+
+
 def test_roadsign_mask(tmp_path, sign_ppm, capsys):
     mask_path = tmp_path / "mask.pgm"
     code, text = run(

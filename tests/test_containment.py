@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combipyramid import containment
+from combipyramid.boundary import segment, sequence_orientation
 from combipyramid.containment import (
     VisitCounter,
     _enclosure_forest,
@@ -19,7 +20,7 @@ from combipyramid.containment import (
     starting_darts,
 )
 from combipyramid.pyramid import Kernel, KernelState, Pyramid
-from combipyramid.relations import infinite_region, meets_each, rag_export, relation_report
+from combipyramid.relations import infinite_region, meets_each, meets_exists, rag_export, relation_report
 from combipyramid.segmentation import SegmentedImage, segment_labels
 
 from conftest import built_pyramid, clean_levels, kinds, random_labels, random_pyramid, ringed_labels
@@ -492,6 +493,16 @@ def test_bad_darts_are_refused_before_any_region_read():
         lambda d: inside_direct(pyr, top, d),
         lambda d: relation_report(pyr, top, region=d),
         lambda d: pyr.composed_of(top, d),
+        lambda d: meets_each(pyr, top, d, good),
+        lambda d: meets_each(pyr, top, good, d),
+        lambda d: meets_exists(pyr, top, d, good),
+        lambda d: meets_exists(pyr, top, good, d),
+        lambda d: segment(pyr, top, d),
+        lambda d: sequence_orientation(pyr, top, [d], False),
+        lambda d: starting_darts(pyr, top, d),
+        lambda d: pyr.receptive_field(top, d),
+        lambda d: pyr.cached_orientation(top, d),
+        lambda d: pyr.last_move(top, d),
     ]
     for _ in range(2):
         for call in calls:

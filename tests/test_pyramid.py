@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from combipyramid import pyramid as pyramid_module
-from combipyramid.boundary import segment
-from combipyramid.containment import contains, infinite_region
+from combipyramid.boundary import segment, sequence_orientation
+from combipyramid.containment import contains, infinite_region, inside_all, inside_direct, starting_darts
 from combipyramid.map_core import CombinatorialMap, dart_sort_key, validate
 from combipyramid.pyramid import (
     Kernel,
@@ -23,7 +23,7 @@ from combipyramid.pyramid import (
     _reduce,
     _spanning_forest,
 )
-from combipyramid.relations import meets_exists, region_ids, relation_report
+from combipyramid.relations import meets_each, meets_exists, region_ids, relation_report
 from combipyramid.segmentation import SegmentedImage, segment_labels
 
 from conftest import (
@@ -914,14 +914,17 @@ def test_a_dart_that_is_not_an_integer_is_unknown(call, dart):
 
 
 LEVEL_CALLS = ["pixel_labels", "reconstruct_level", "state", "composed_of", "region_ids", "infinite_region",
-               "contains", "relation_report", "vertex_of_pixel"]
+               "contains", "relation_report", "vertex_of_pixel", "meets_each", "meets_exists", "segment",
+               "sequence_orientation", "starting_darts", "receptive_field", "cached_orientation", "last_move",
+               "inside_all", "inside_direct", "redundant_darts"]
 
 
 @pytest.mark.parametrize("level", NOT_INTEGERS)
 @pytest.mark.parametrize("call", LEVEL_CALLS)
 def test_a_level_that_is_not_an_integer_is_out_of_range(call, level):
     # a bool compares as level 0 or 1 and a float indexes no list: each is
-    # refused as a level off the pyramid is, and a numpy integer is a level
+    # refused as a level off the pyramid, -1 or top + 1, is, with the same
+    # message, and a numpy integer is a level
     arr = np.zeros((5, 5), dtype=np.int64)
     arr[1:4, 1:4] = 1
     arr[2, 2] = 2
@@ -939,12 +942,23 @@ def test_a_level_that_is_not_an_integer_is_out_of_range(call, level):
         # the report is JSON-ready, its level a plain int
         "relation_report": lambda i: json.dumps(relation_report(pyr, i)),
         "vertex_of_pixel": lambda i: pyr.vertex_of_pixel(i, 2, 2),
+        "meets_each": lambda i: meets_each(pyr, i, ring, inner),
+        "meets_exists": lambda i: meets_exists(pyr, i, ring, inner),
+        "segment": lambda i: segment(pyr, i, inner),
+        "sequence_orientation": lambda i: sequence_orientation(pyr, i, [inner], False),
+        "starting_darts": lambda i: starting_darts(pyr, i, ring),
+        "receptive_field": lambda i: pyr.receptive_field(i, inner),
+        "cached_orientation": lambda i: pyr.cached_orientation(i, inner),
+        "last_move": lambda i: pyr.last_move(i, inner),
+        "inside_all": lambda i: inside_all(pyr, i, ring),
+        "inside_direct": lambda i: inside_direct(pyr, i, ring),
+        "redundant_darts": pyr.redundant_darts,
     }
-    i = NOT_INTEGERS[level]
     low = 1 if call in ("state", "composed_of") else 0
-    with pytest.raises(ValueError) as got:
-        calls[call](i)
-    assert type(got.value) is ValueError and got.value.args == (f"level {i} out of range {low}..{top}",)
+    for i in (NOT_INTEGERS[level], -1, top + 1):
+        with pytest.raises(ValueError) as got:
+            calls[call](i)
+        assert type(got.value) is ValueError and got.value.args == (f"level {i} out of range {low}..{top}",)
     for kind in (np.int32, np.int64):
         assert calls[call](kind(top)) == calls[call](top)
 

@@ -415,12 +415,13 @@ def test_report_rebuilds_no_level_per_pair(monkeypatch):
 def test_warm_report_calls_inside_all_per_encloser_only(monkeypatch):
     # only the regions that enclose something, the keys of the forest's
     # children, have contains pairs, so only they take an inside_all call;
-    # every region takes one composed_of call, which makes no alive check
+    # every region takes one composed_of call, which makes no alive check,
+    # and the report's own dartless level checks count no dart
     pyr = segment_labels(ringed_labels(random.Random(3), 24, 24, rings=6)).pyramid
     top = pyr.top_level
     report = relation_report(pyr, top)
     calls = []
-    for owner, name in [(relations, "inside_all"), (Pyramid, "composed_of"), (Pyramid, "_require_alive")]:
+    for owner, name in [(relations, "inside_all"), (Pyramid, "composed_of")]:
         original = getattr(owner, name)
 
         def counted(*args, name=name, original=original):
@@ -428,13 +429,21 @@ def test_warm_report_calls_inside_all_per_encloser_only(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(owner, name, counted)
+    checked = []
+    original_checked = Pyramid._checked
+
+    def counted_checked(self, i, *darts, **kwargs):
+        checked.append(len(darts))
+        return original_checked(self, i, *darts, **kwargs)
+
+    monkeypatch.setattr(Pyramid, "_checked", counted_checked)
     assert relation_report(pyr, top) == report
     enclosers = pyr._levels[top].forest[1]
     regions = report["regions"]
     assert 0 < len(enclosers) < len(regions) and report["contains"]
     assert calls.count("inside_all") == len(enclosers)
     assert calls.count("composed_of") == len(regions)
-    assert calls.count("_require_alive") <= len(enclosers)
+    assert sum(checked) <= len(enclosers)
 
 
 @settings(max_examples=40, deadline=None)

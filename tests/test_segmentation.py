@@ -214,3 +214,21 @@ def test_builder_rejects_bad_k():
     seg = SegmentedImage(img).run(threshold=1.0)
     with pytest.raises(ValueError):
         roadsign_extract(seg, k=0)
+
+
+@pytest.mark.parametrize("count", [True, False, 1.5, 2.0, np.float64(1.0), "1"])
+@pytest.mark.parametrize("name", ["max_levels", "k"])
+def test_a_count_that_is_not_an_integer_is_refused(name, count):
+    # a bool would count as 0 or 1 and a float run to its ceiling or fail
+    # as a slice index: each is refused by name, and a numpy integer counts
+    img = arrow_sign_raster(16)
+    calls = {
+        "max_levels": lambda n: SegmentedImage(img).run(1.0, max_levels=n).pyramid.to_json(),
+        "k": lambda n: roadsign_extract(SegmentedImage(img).run(1.0), k=n, background_color=BLUE,
+                                        symbol_color=WHITE),
+    }
+    with pytest.raises(ValueError) as got:
+        calls[name](count)
+    assert type(got.value) is ValueError and str(got.value) == f"{name} must be an integer, got {count!r}"
+    for kind in (np.int32, np.int64):
+        assert calls[name](kind(2)) == calls[name](2)
