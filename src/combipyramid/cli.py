@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 from . import relations
 from .containment import contains
 from .map_core import _validate_arrays, dart_sort_key, to_dot
-from .netpbm import load_image, save_pgm
+from .netpbm import _pgm_bytes, load_image, save_pgm
 from .pyramid import Pyramid
 from .segmentation import RoadsignNotFound, SegmentedImage, _label_image, roadsign_extract
 
@@ -137,23 +138,47 @@ def _cmd_export(args) -> int:
     i = _parse_level(pyr, args.level)
     if not (args.map_dot or args.rag_dot or args.labels):
         raise ValueError("nothing to export: pass --map-dot, --rag-dot or --labels")
-    if args.labels:  # refused before any output is opened
+    files = []  # every output is made before any file is opened
+    if args.labels:
         arr, names = _label_image(pyr, i)
         if len(names) > 65536:
             raise ValueError(f"--labels: level {i} has {len(names)} regions with pixels, past a 16-bit PGM's 65536")
     if args.map_dot:
-        with open(args.map_dot, "w", encoding="ascii") as fh:
-            fh.write(to_dot(pyr.reconstruct_level(i), name=f"level{i}"))
+        files.append((args.map_dot, to_dot(pyr.reconstruct_level(i), name=f"level{i}").encode("ascii")))
     if args.rag_dot:
-        with open(args.rag_dot, "w", encoding="ascii") as fh:
-            fh.write(relations.rag_to_dot(pyr, i, name=f"rag{i}"))
+        files.append((args.rag_dot, relations.rag_to_dot(pyr, i, name=f"rag{i}").encode("ascii")))
     if args.labels:
-        maxval = max(1, int(arr.max()))
-        save_pgm(args.labels, arr, maxval=min(65535, maxval))
+        files.append((args.labels, _pgm_bytes(arr, min(65535, max(1, int(arr.max()))))))
         regions = {str(k): v for k, v in enumerate(names.tolist())}
-        with open(args.labels + ".json", "w", encoding="ascii") as fh:
-            fh.write(json.dumps({"regions": regions}, sort_keys=True) + "\n")
+        files.append((args.labels + ".json", (json.dumps({"regions": regions}, sort_keys=True) + "\n").encode("ascii")))
+    _write_all(files)
     return 0
+
+
+def _write_all(files: list[tuple[str, bytes]]) -> None:
+    """Write each (path, data) or create none of the files: every path is
+    opened, an existing file untruncated, before any is written, and on an
+    error the files this call created are removed. A write that fails
+    midway, on a full disk say, can leave an existing file cut short."""
+    handles, created = [], []
+    try:
+        try:
+            for path, _ in files:
+                try:
+                    handles.append(open(path, "xb"))
+                    created.append(path)
+                except FileExistsError:
+                    handles.append(open(path, "r+b"))
+            for fh, (_, data) in zip(handles, files):
+                fh.write(data)
+                fh.truncate()
+        finally:
+            for fh in handles:
+                fh.close()
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
 
 
 def _parse_color(text: str) -> tuple[float, ...]:

@@ -18,7 +18,10 @@ level's region adjacencies (_build_forest), and stores it in the level's
 record with one store; levels never change, so two racing builds give equal
 forests. The forest is keyed by region index, which a query reads off the
 level's region array, so contains is then an ancestor check, O(nesting
-depth), and inside_all a subtree walk, O(output), named at its end.
+depth): it reads the forest off the level's record and walks up from b's
+region, returning at a's, with no list built. inside_all is a subtree walk,
+O(output), named at its end. Each query's dart checks read the pyramid's
+view of its dart levels (Pyramid._checked).
 """
 
 from __future__ import annotations
@@ -164,9 +167,16 @@ def inside_all(pyr: Pyramid, i: int, v: Dart) -> frozenset[Dart]:
 def contains(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
     """True when region b lies inside region a at level i: a is an ancestor
     of b in the enclosure forest. Costs O(nesting depth of b) once the
-    forest is built."""
+    forest is built: a walk up from b that stops at a."""
     level = pyr._checked(i, b, a)
-    return level.region.item(a) in _enclosers(pyr, i, b)
+    parent = (level.forest or _enclosure_forest(pyr, i))[0]
+    region = level.region
+    target, u = region.item(a), parent.get(region.item(b))
+    while u is not None:
+        if u == target:
+            return True
+        u = parent.get(u)
+    return False
 
 
 def _enclosers(pyr: Pyramid, i: int, v: Dart) -> list[int]:

@@ -91,6 +91,13 @@ def _read_ints(data: bytes, pos: int, count: int, maxval: int | None = None) -> 
 def save_pgm(path: str, gray: np.ndarray, maxval: int = 255) -> None:
     """Binary PGM; raises ValueError for a sample outside 0..maxval or a
     maxval outside 1..65535, which the format cannot store."""
+    data = _pgm_bytes(gray, maxval)
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def _pgm_bytes(gray: np.ndarray, maxval: int) -> bytes:
+    """The binary PGM file of gray, as save_pgm writes it, with its checks."""
     if not 1 <= maxval <= 65535:
         raise ValueError(f"maximum value {maxval} outside the range 1..65535")
     arr = np.asarray(gray)
@@ -103,9 +110,7 @@ def save_pgm(path: str, gray: np.ndarray, maxval: int = 255) -> None:
         payload = arr.astype(">u2").tobytes()
     else:
         payload = arr.astype(np.uint8).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
-        fh.write(payload)
+    return f"P5\n{w} {h}\n{maxval}\n".encode("ascii") + payload
 
 
 def save_ppm(path: str, rgb: np.ndarray) -> None:

@@ -119,6 +119,27 @@ def test_export_refuses_labels_a_16_bit_pgm_cannot_hold_before_writing(tmp_path,
     assert not rag_dot.exists() and not labels.exists()
 
 
+@pytest.mark.parametrize("blocked", ["missing directory", "sidecar is a directory"])
+def test_a_failed_export_leaves_none_of_its_files(tmp_path, sign_ppm, capsys, blocked):
+    # the DOT files come before the labels and the labels before their
+    # sidecar, yet none is left behind, and a file that was there is kept
+    pyr_path = built(tmp_path, sign_ppm, capsys)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "map.dot").write_bytes(b"kept")
+    if blocked == "missing directory":
+        labels = out / "no" / "such" / "dir" / "x.pgm"
+    else:
+        labels = out / "x.pgm"
+        (out / "x.pgm.json").mkdir()
+    code = main(["export", "--pyr", str(pyr_path), "--map-dot", str(out / "map.dot"),
+                 "--rag-dot", str(out / "part.dot"), "--labels", str(labels)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: [Errno ") and "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == ["map.dot"] + (["x.pgm.json"] if "sidecar" in blocked else [])
+    assert (out / "map.dot").read_bytes() == b"kept"
+
+
 def test_roadsign_mask(tmp_path, sign_ppm, capsys):
     mask_path = tmp_path / "mask.pgm"
     code, text = run(

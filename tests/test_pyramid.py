@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 import re
 from unittest import mock
@@ -23,7 +25,7 @@ from combipyramid.pyramid import (
     _reduce,
     _spanning_forest,
 )
-from combipyramid.relations import meets_each, meets_exists, region_ids, relation_report
+from combipyramid.relations import meets_each, meets_exists, rag_export, region_ids, relation_report
 from combipyramid.segmentation import SegmentedImage, segment_labels
 
 from conftest import (
@@ -1121,3 +1123,120 @@ def test_level_maps_hold_no_alpha_off_their_darts(kind, seed):
 
 def test_staircase_level_maps_hold_no_alpha_off_their_darts():
     assert_maps_hold_no_alpha_off_their_darts(SegmentedImage(staircase_raster()).run(12.0).pyramid)
+
+
+def assert_plain(value, *leaves) -> None:
+    """value is made of lists, tuples, frozensets and dicts with str keys,
+    down to leaves whose type is exactly one of leaves: no numpy scalar, no
+    bool standing for an int."""
+    if type(value) in (list, tuple, frozenset):
+        for x in value:
+            assert_plain(x, *leaves)
+    elif type(value) is dict:
+        for key, x in value.items():
+            assert type(key) is str
+            assert_plain(x, *leaves)
+    else:
+        assert type(value) in leaves, f"{value!r} is a {type(value).__name__}"
+
+
+# a frame around three nested squares, and a corner region on the frame: 6
+# regions with the outside, 6 contains pairs
+NESTED_LABELS = np.zeros((12, 12), dtype=np.int64)
+NESTED_LABELS[2:10, 2:10] = 1
+NESTED_LABELS[4:8, 4:8] = 2
+NESTED_LABELS[5:7, 5:7] = 3
+NESTED_LABELS[11, 10:] = 4
+
+
+@pytest.mark.parametrize("reload", [False, True])
+def test_queries_and_the_report_hand_out_plain_python_values(reload):
+    # darts are ints and answers bools, however the dart was given: JSON
+    # output and repr would change with a numpy scalar
+    pyr = segment_labels(NESTED_LABELS).pyramid
+    if reload:
+        pyr = Pyramid.from_json(pyr.to_json())
+    top = pyr.top_level
+    regions = region_ids(pyr, top)
+    assert len(regions) == 6
+    enclosing = [r for r in regions if inside_all(pyr, top, r)]
+    assert len(enclosing) == 3
+    values = {
+        "region_ids": regions,
+        "infinite_region": infinite_region(pyr, top),
+        "level": [pyr.level(d) for d in pyr._levels[0].order[::7].tolist()],
+        "pixel_labels": pyr.pixel_labels(top),
+        "vertex_of_pixel": [pyr.vertex_of_pixel(top, x, y) for x, y in ((0, 0), (5, 5), (np.int64(2), 2))],
+        "rag_export": rag_export(pyr, top),
+        "relation_report": relation_report(pyr, top),
+        "filtered_report": relation_report(pyr, top, np.int64(enclosing[1])),
+        "composed_of": [pyr.composed_of(i, d) for i in range(1, top + 1) for d in region_ids(pyr, i)],
+    }
+    for r in regions + [np.int64(r) for r in regions]:
+        values[f"inside_all({r!r})"] = inside_all(pyr, top, r)
+        values[f"inside_direct({r!r})"] = inside_direct(pyr, top, r)
+        values[f"starting_darts({r!r})"] = starting_darts(pyr, top, r)
+    for key, value in values.items():
+        if "report" in key:  # its warnings are strs
+            assert_plain(value, int, str)
+        else:
+            assert_plain(value, int)
+    answers = [contains(pyr, top, a, b) for a in regions for b in regions]
+    assert answers.count(True) == 6
+    for a in regions:
+        for b in [b for b in regions if b != a]:
+            answers.append(meets_exists(pyr, top, a, np.int64(b)))
+            if answers[-1]:
+                pieces = meets_each(pyr, top, np.int64(a), b)
+                assert pieces
+                assert_plain([piece.darts for piece in pieces], int)
+    assert_plain(answers, bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_the_dart_levels_read_one_at_a_time_follow_every_apply(width, height, data):
+    # level() reads a view of the array of dart levels that kernels reads
+    # whole: after every apply of a build, and in the reloaded record, both
+    # give each dart of the base, either sign, the same level
+    cells = data.draw(st.lists(st.integers(0, 2), min_size=width * height, max_size=width * height))
+    labels = np.array(cells).reshape(height, width)
+
+    def assert_levels_agree(pyr: Pyramid) -> None:
+        want = dict.fromkeys(pyr._levels[0].order.tolist(), pyr.top_level + 1)
+        for k, kernel in enumerate(pyr.kernels, start=1):
+            want.update(dict.fromkeys(kernel.order.tolist(), k))
+        assert {d: pyr.level(d) for d in want} == want
+        # _checked reads the view on its own, without level()
+        alive = {}
+        for d in want:
+            try:
+                alive[d] = pyr._checked(pyr.top_level, d) is pyr._levels[-1]
+            except ValueError:
+                alive[d] = False
+        assert alive == {d: k > pyr.top_level for d, k in want.items()}
+
+    apply, applied = Pyramid.apply_kernel, []
+
+    def checked(pyr, kernel):
+        out = apply(pyr, kernel)
+        assert_levels_agree(pyr)
+        applied.append(kernel)
+        return out
+
+    with mock.patch.object(Pyramid, "apply_kernel", checked):
+        pyr = segment_labels(labels).pyramid
+    assert len(applied) == pyr.top_level
+    assert_levels_agree(Pyramid.from_json(pyr.to_json()))
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+def test_a_copied_pyramid_reads_its_own_dart_levels(duplicate):
+    # the view of the dart levels is made again over the copy's own array,
+    # so the copy's applies do not show in the original
+    built = Pyramid.from_grid(2, 1)
+    twin = duplicate(built)
+    assert twin._died_view.obj is twin._died is not built._died
+    twin.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    assert (twin.level(2), twin.level(1)) == (1, 2)
+    assert (built.level(2), built.level(1)) == (1, 1)
