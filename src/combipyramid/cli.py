@@ -156,10 +156,16 @@ def _cmd_export(args) -> int:
 
 
 def _write_all(files: list[tuple[str, bytes]]) -> None:
-    """Write each (path, data) or create none of the files: every path is
-    opened, an existing file untruncated, before any is written, and on an
-    error the files this call created are removed. A write that fails
-    midway, on a full disk say, can leave an existing file cut short."""
+    """Write each (path, data) or create none of the files: two paths that
+    name one file are refused before any is opened, every path is opened, an
+    existing file untruncated, before any is written, and on an error the
+    files this call created are removed. A write that fails midway, on a
+    full disk say, can leave an existing file cut short."""
+    seen = set()
+    for path, _ in files:
+        if (real := os.path.realpath(path)) in seen:
+            raise ValueError(f"two outputs name one file: {path}")
+        seen.add(real)
     handles, created = [], []
     try:
         try:

@@ -60,11 +60,11 @@ The base depends on the grid size alone. The grid tables, the base map and
 level 0's record, caches included, are built once per grid size and shared,
 read-only, by every pyramid of that size (build_grid_map keeps the last
 size; _base_level keeps the record on the embedding), so a new pyramid
-allocates only its array of dart levels. level(), the dart checks of
-_checked and the replay walks read it one dart at a time through one
-memoryview over the same buffer, which the apply's writes show through.
-Whole-level passes read the arrays, so a build or a reload builds no map of
-its own and costs in proportion to its kernels and their checks.
+allocates only its buffer of dart levels, an array("i"). level(), the dart
+checks of _checked and the replay walks index it one dart at a time; the
+apply's write, to_json and kernels view it whole with np.frombuffer, no
+copy. Whole-level passes read the arrays, so a build or a reload builds no
+map of its own and costs in proportion to its kernels and their checks.
 
 The JSON record (version 2) is the encoding itself: the grid size, the
 state of each kernel and, in dart_order, the level whose kernel removes each
@@ -73,8 +73,8 @@ it, first in the record, in array passes into one int64 array (_read_died,
 _naturals), with only the short rest of the record through json.loads; any
 other text goes to json.loads whole, and either way the same inputs load
 and the same are rejected, with the same messages. It then groups the
-darts by level and applies every kernel through the checks apply_kernel
-makes.
+darts by level (_by_level, which kernels reads too) and applies every kernel
+through the checks apply_kernel makes.
 
 Replay from the base serves receptive fields and boundary segments, reading
 the grid's sigma and the dart levels in place, so it allocates in
@@ -94,6 +94,7 @@ distinct edges; CK and RKESL kernels always remove whole base edges.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -223,32 +224,20 @@ class Pyramid:
     """
 
     def __init__(self, base: CombinatorialMap, embedding: CrackEmbedding):
-        """base is the grid map of embedding, as build_grid_map makes it."""
+        """base is the grid map of embedding, as build_grid_map makes it.
+        The encoding past the base is _states, each level's kernel state, and
+        _died, one array("i") buffer, never resized, of the level whose kernel
+        removed each signed dart (-d at slot 2n + 1 - d), 0 while it lives."""
         self.base = base
         self.embedding = embedding
         # level 0 and every pixel's dart, row by row, shared with every
         # pyramid of the embedding (_base_level)
         base_level, self._pixels = _base_level(base, embedding)
         self._n = len(base) // 2
-        # the encoding past the base: the level whose kernel removed each
-        # dart, indexed by signed dart (-d at slot 2n + 1 - d), 0 while it
-        # survives, and the state of each level's kernel
-        self._died = np.zeros(2 * self._n + 1, dtype=np.int32)
-        # a view of that buffer, no copy, for reads of one dart: indexing it
-        # gives a Python int faster than _died.item, and _apply's writes to
-        # _died show through it as long as _died is never rebound
-        self._died_view = memoryview(self._died)
+        self._died = array("i", [0]) * (2 * self._n + 1)
         self._states: list[KernelState | None] = [None]
         # every level, the top last
         self._levels = [base_level]
-
-    def __getstate__(self) -> dict:
-        # a memoryview does not pickle: a copy makes one over its own array
-        return {k: v for k, v in self.__dict__.items() if k != "_died_view"}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._died_view = memoryview(self._died)
 
     @classmethod
     def from_grid(cls, width: int, height: int) -> "Pyramid":
@@ -264,8 +253,8 @@ class Pyramid:
     def kernels(self) -> list[Kernel]:
         """The kernel of every level, rebuilt from the level of each dart."""
         order = self._levels[0].order
-        died = self._died[order]
-        return [Kernel.of(state, order[died == k]) for k, state in enumerate(self._states[1:], start=1)]
+        darts, ends = _by_level(order, np.frombuffer(self._died, np.intc)[order], self.top_level)
+        return [Kernel.of(state, darts[a:b]) for state, a, b in zip(self._states[1:], ends, ends[1:])]
 
     def level(self, d: Dart) -> int:
         """The level whose kernel removes d, top_level + 1 if it never dies:
@@ -273,7 +262,7 @@ class Pyramid:
         integer, a bool among them, is unknown, as one off the base is."""
         if not (type(d) is int or isinstance(d, np.integer)) or not (-self._n <= d <= self._n and d):
             raise KeyError(f"dart {d} is not in the base map")
-        return self._died_view[d] or len(self._levels)
+        return self._died[d] or len(self._levels)
 
     def state(self, i: int) -> KernelState:
         """How the level-i kernel removes its darts, for i in 1..top_level."""
@@ -288,7 +277,7 @@ class Pyramid:
         levels = self._levels
         if not (type(i) is int or isinstance(i, np.integer)) or not low <= i < len(levels):
             raise ValueError(f"level {i} out of range {low}..{len(levels) - 1}")
-        n, died = self._n, self._died_view
+        n, died = self._n, self._died
         for d in darts:
             if not (type(d) is int or isinstance(d, np.integer)) or not (-n <= d <= n and d):
                 raise KeyError(f"dart {d} is not in the base map")
@@ -311,7 +300,7 @@ class Pyramid:
         c, lvl = d, self.level(d)
         # every step stays on base darts, so the arrays are read unchecked;
         # the base's alpha is -c, and a dart of level 0 survives
-        sigma, died, states = self.embedding.grid_sigma().item, self._died_view, self._states
+        sigma, died, states = self.embedding.grid_sigma().item, self._died, self._states
         while True:
             c = sigma(-c if 0 < lvl <= i and states[lvl] is KernelState.CK else c)
             lvl = died[c]
@@ -339,7 +328,7 @@ class Pyramid:
         out = [d]
         limit = len(self.base)
         c = d
-        sigma, died, states = self.embedding.grid_sigma().item, self._died_view, self._states
+        sigma, died, states = self.embedding.grid_sigma().item, self._died, self._states
         while True:
             hop = sigma(c)
             steps = 0
@@ -451,7 +440,7 @@ class Pyramid:
             level = _Level(sigma, alpha, turns, order, region, order[first].astype(object))
         self._states.append(state)
         self._levels.append(level)
-        self._died[kd] = self.top_level
+        np.frombuffer(self._died, np.intc)[kd] = self.top_level
         return self
 
     def _kill(self, kd: np.ndarray) -> np.ndarray:
@@ -690,8 +679,9 @@ class Pyramid:
             "states": [state.value for state in self._states[1:]],
         }
         rest = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        died = np.frombuffer(self._died, np.intc)[self._levels[0].order]
         # "died" is the first key in sorted order
-        return '{"died":' + _json_naturals(self._died[self._levels[0].order]) + "," + rest[1:] + "\n"
+        return '{"died":' + _json_naturals(died) + "," + rest[1:] + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Pyramid":
@@ -738,12 +728,20 @@ class Pyramid:
             raise ValueError(f"died holds level {bad}, outside 0..{top}")
         states = [KernelState(state) for state in states]
         pyr = cls.from_grid(width, height)
-        # on keys of 16 bits or fewer, as below 65,536 levels, the stable sort is a radix sort
-        darts = pyr._levels[0].order[np.argsort(level.astype(np.min_scalar_type(top)), kind="stable")]
-        ends = np.cumsum(np.bincount(level, minlength=top + 1)).tolist()
-        for k, state in enumerate(states):
-            pyr._apply(state, darts[ends[k] : ends[k + 1]])
+        darts, ends = _by_level(pyr._levels[0].order, level, top)
+        for state, a, b in zip(states, ends, ends[1:]):
+            pyr._apply(state, darts[a:b])
         return pyr
+
+
+def _by_level(order: np.ndarray, level: np.ndarray, top: int) -> tuple[np.ndarray, list[int]]:
+    """order's darts grouped by level[k] in 0..top, the level of order[k], in
+    order within each: darts[:ends[0]] survive, level k's are
+    darts[ends[k-1]:ends[k]]. The stable sort is a radix sort on keys of 16
+    bits or fewer, as below 65,536 levels."""
+    darts = order[np.argsort(level.astype(np.min_scalar_type(top)), kind="stable")]
+    ends = np.cumsum(np.bincount(level, minlength=top + 1)).tolist()
+    return darts, ends
 
 
 def _read_died(text: str) -> tuple[dict, np.ndarray] | None:

@@ -216,11 +216,15 @@ def roadsign_extract(
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
+    bg = np.asarray(background_color, dtype=float)
+    sym = np.asarray(symbol_color, dtype=float)
+    # a NaN distance would leave the regions in dart order, whatever their color
+    for name, color in ("background_color", bg), ("symbol_color", sym):
+        if not np.isfinite(color).all():
+            raise ValueError(f"{name} must be finite, got {color.tolist()!r}")
     pyr = seg.pyramid
     i = pyr.top_level
     require_clean_level(pyr, i)
-    bg = np.asarray(background_color, dtype=float)
-    sym = np.asarray(symbol_color, dtype=float)
     ranked = sorted(
         seg.stats,
         key=lambda v: (float(np.linalg.norm(seg.stats[v].mean_color - bg)), dart_sort_key(v)),

@@ -140,6 +140,25 @@ def test_a_failed_export_leaves_none_of_its_files(tmp_path, sign_ppm, capsys, bl
     assert (out / "map.dot").read_bytes() == b"kept"
 
 
+@pytest.mark.parametrize("first, second", [
+    (("--map-dot", "same.txt"), ("--rag-dot", "same.txt")),
+    (("--rag-dot", "x.pgm.json"), ("--labels", "x.pgm")),
+    (("--map-dot", "x.pgm"), ("--labels", "./x.pgm")),
+], ids=["map and rag", "rag and labels sidecar", "map and labels"])
+def test_export_refuses_two_outputs_that_name_one_file(tmp_path, sign_ppm, capsys, monkeypatch, first, second):
+    # the labels' sidecar is an output too; a file already there keeps its bytes
+    pyr_path = built(tmp_path, sign_ppm, capsys)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / first[1]).write_bytes(b"kept")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code = main(["export", "--pyr", str(pyr_path), *first, *second])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1 and err.startswith("error: two outputs name one file: ")
+    assert err.rstrip().endswith(first[1]) and "Traceback" not in err
+    assert (tmp_path / first[1]).read_bytes() == b"kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_roadsign_mask(tmp_path, sign_ppm, capsys):
     mask_path = tmp_path / "mask.pgm"
     code, text = run(

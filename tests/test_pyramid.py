@@ -1232,11 +1232,24 @@ def test_the_dart_levels_read_one_at_a_time_follow_every_apply(width, height, da
 
 @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
 def test_a_copied_pyramid_reads_its_own_dart_levels(duplicate):
-    # the view of the dart levels is made again over the copy's own array,
+    # the copy holds its own buffer of dart levels, equal to the original's,
     # so the copy's applies do not show in the original
     built = Pyramid.from_grid(2, 1)
     twin = duplicate(built)
-    assert twin._died_view.obj is twin._died is not built._died
+    assert twin._died is not built._died
+    assert twin.to_json() == built.to_json() and twin.kernels == built.kernels
     twin.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
     assert (twin.level(2), twin.level(1)) == (1, 2)
     assert (built.level(2), built.level(1)) == (1, 1)
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+@pytest.mark.parametrize("reload", [False, True])
+def test_a_copy_of_a_pyramid_with_levels_has_its_record(duplicate, reload):
+    pyr = segment_labels(NESTED_LABELS).pyramid
+    if reload:
+        pyr = Pyramid.from_json(pyr.to_json())
+    twin = duplicate(pyr)
+    assert twin._died is not pyr._died
+    assert twin.to_json() == pyr.to_json() and twin.kernels == pyr.kernels
+    assert relation_report(twin, twin.top_level) == relation_report(pyr, pyr.top_level)

@@ -232,3 +232,16 @@ def test_a_count_that_is_not_an_integer_is_refused(name, count):
     assert type(got.value) is ValueError and str(got.value) == f"{name} must be an integer, got {count!r}"
     for kind in (np.int32, np.int64):
         assert calls[name](kind(2)) == calls[name](2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["background_color", "symbol_color"])
+def test_a_color_that_is_not_finite_is_refused(name, value):
+    # every distance to a NaN color is NaN, which would pick the first
+    # regions in dart order: such a color is refused by name
+    seg = SegmentedImage(arrow_sign_raster(16)).run(1.0)
+    colors = {"background_color": BLUE, "symbol_color": WHITE}
+    colors[name] = (value, 0.0, 0.0)
+    with pytest.raises(ValueError) as got:
+        roadsign_extract(seg, **colors)
+    assert type(got.value) is ValueError and str(got.value) == f"{name} must be finite, got {[value, 0.0, 0.0]!r}"
