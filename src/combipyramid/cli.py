@@ -14,7 +14,7 @@ from .containment import contains
 from .map_core import _validate_arrays, dart_sort_key, to_dot
 from .netpbm import _pgm_bytes, load_image, save_pgm
 from .pyramid import Pyramid
-from .segmentation import RoadsignNotFound, SegmentedImage, _label_image, roadsign_extract
+from .segmentation import RoadsignNotFound, SegmentedImage, _label_image, _roadsign_targets, roadsign_extract
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -78,7 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_pyramid(path: str) -> Pyramid:
     with open(path, "r", encoding="ascii") as fh:
-        return Pyramid.from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:  # a record is ASCII JSON
+            raise ValueError("not a serialized pyramid") from None
+    return Pyramid.from_json(text)
 
 
 def _parse_level(pyr: Pyramid, text: str) -> int:
@@ -151,21 +155,30 @@ def _cmd_export(args) -> int:
         files.append((args.labels, _pgm_bytes(arr, min(65535, max(1, int(arr.max()))))))
         regions = {str(k): v for k, v in enumerate(names.tolist())}
         files.append((args.labels + ".json", (json.dumps({"regions": regions}, sort_keys=True) + "\n").encode("ascii")))
-    _write_all(files)
+    _write_all(files, args.pyr)
     return 0
 
 
-def _write_all(files: list[tuple[str, bytes]]) -> None:
-    """Write each (path, data) or create none of the files: two paths that
-    name one file are refused before any is opened, every path is opened, an
-    existing file untruncated, before any is written, and on an error the
-    files this call created are removed. A write that fails midway, on a
-    full disk say, can leave an existing file cut short."""
-    seen = set()
+def _file_id(path: str) -> tuple[int, int] | str:
+    """A file's device and inode, which its hard links share, or the resolved path of one not there yet."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
+def _write_all(files: list[tuple[str, bytes]], source: str) -> None:
+    """Write each (path, data) or create none of the files: a path naming
+    the source file or another path's file is refused before any is opened,
+    every path is opened, an existing file untruncated, before any is
+    written, and on an error the files this call created are removed. A
+    write that fails midway, on a full disk say, can leave an existing file cut short."""
+    seen = {_file_id(source): "an output names the input file"}  # each file, and what a repeat of it is told
     for path, _ in files:
-        if (real := os.path.realpath(path)) in seen:
-            raise ValueError(f"two outputs name one file: {path}")
-        seen.add(real)
+        if (key := _file_id(path)) in seen:
+            raise ValueError(f"{seen[key]}: {path}")
+        seen[key] = "two outputs name one file"
     handles, created = [], []
     try:
         try:
@@ -199,6 +212,7 @@ def _cmd_roadsign(args) -> int:
     channels = image.shape[2]
     bg = _parse_color(args.background_color)[:channels]
     sym = _parse_color(args.symbol_color)[:channels]
+    _roadsign_targets(args.k, bg, sym)  # refused before the build, not after
     seg = SegmentedImage(image).run(args.threshold, args.max_levels)
     symbol = roadsign_extract(seg, k=args.k, background_color=bg, symbol_color=sym)
     rows = np.array(seg.pyramid.pixel_labels(seg.pyramid.top_level), dtype=np.int64)

@@ -179,18 +179,6 @@ def contains(pyr: Pyramid, i: int, a: Dart, b: Dart) -> bool:
     return False
 
 
-def _enclosers(pyr: Pyramid, i: int, v: Dart) -> list[int]:
-    """The region indices of the vertices enclosing v, innermost first.
-    Callers check that v survives at level i."""
-    parent = _enclosure_forest(pyr, i)[0]
-    out: list[int] = []
-    u = parent.get(pyr._levels[i].region.item(v))
-    while u is not None:
-        out.append(u)
-        u = parent.get(u)
-    return out
-
-
 def infinite_region(pyr: Pyramid, i: int) -> Dart:
     """Representative of the vertex encoding the outside of the image: the
     level-i region of dart 1, which the base's outside vertex starts with."""

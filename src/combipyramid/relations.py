@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boundary import CrackChain, Segment, segment
-from .containment import _enclosers, _enclosure_forest, infinite_region, inside_all
+from .containment import _enclosure_forest, infinite_region, inside_all
 from .map_core import Dart, _cycle_min, dart_sort_key
 from .pyramid import Pyramid, _chain_ends
 
@@ -188,47 +188,38 @@ def relation_report(pyr: Pyramid, i: int, region: Dart | None = None) -> dict:
     """All five relationships at level i as one JSON-ready record.
 
     Enclosure entries are dropped with a warning while the level still has
-    redundant edges; everything else is always reported. The optional region
-    filter keeps, and computes, only pairs involving that region: its
-    enclosers and the regions it encloses, read off the level's enclosure
-    forest. The adjacent pairs and their piece counts are read off the
-    level's boundary index, built once per level. Only the regions that
-    enclose something, the region indices that key the forest's children,
-    take an inside_all call, in index order, which is name order; every
-    region reported takes one composed_of call.
+    redundant edges; everything else is always reported. The adjacent pairs
+    and their piece counts are read off the level's boundary index, built
+    once per level. Only the regions that enclose something, the region
+    indices that key the enclosure forest's children, take an inside_all
+    call, in index order, which is name order; every region takes one
+    composed_of call. The optional region filter, checked first, computes
+    the whole record and keeps only the meets, contains, inside and
+    composed_of entries that name that region.
     """
-    home = None
     if region is not None:
         pyr._checked(i, region)
-        home = pyr._region(i, region)
     regions, rag_edges = rag_export(pyr, i)
-    pairs = zip(rag_edges, _boundary_index(pyr, i)[1])
-    if home is not None:
-        pairs = [(e, n) for e, n in pairs if home in e]
-    meets = [{"a": u, "b": v, "segments": n} for (u, v), n in pairs]
-    outside = infinite_region(pyr, i)
+    meets = [{"a": u, "b": v, "segments": n} for (u, v), n in zip(rag_edges, _boundary_index(pyr, i)[1])]
     warnings: list[str] = []
-
     contains_pairs: list[tuple[Dart, Dart]] = []
     names = pyr._levels[i].names
     if pyr.redundant_darts(i):
         warnings.append("redundant edges present: enclosure entries omitted")
-    elif home is None:
+    else:
         # regions are numbered in dart_sort_key order, so the enclosers' indices sort as their names
         for r in [names[u] for u in sorted(_enclosure_forest(pyr, i)[1])]:
             contains_pairs += [(r, b) for b in _sorted(inside_all(pyr, i, r))]
-    else:
-        contains_pairs = [(names[a], home) for a in _enclosers(pyr, i, home)]
-        contains_pairs += [(home, b) for b in inside_all(pyr, i, home)]
-        contains_pairs.sort(key=lambda p: (dart_sort_key(p[0]), dart_sort_key(p[1])))
-
-    reported = regions if home is None else [home]
-    composed = [{"parent": r, "children": _sorted(pyr.composed_of(i, r))} for r in reported] if i >= 1 else []
-
+    composed = [{"parent": r, "children": _sorted(pyr.composed_of(i, r))} for r in regions] if i >= 1 else []
+    if region is not None:
+        home = pyr._region(i, region)
+        meets = [e for e in meets if home in (e["a"], e["b"])]
+        contains_pairs = [p for p in contains_pairs if home in p]
+        composed = [e for e in composed if e["parent"] == home]
     return {
         "level": int(i),
         "regions": regions,
-        "infinite_region": outside,
+        "infinite_region": infinite_region(pyr, i),
         "meets": meets,
         "contains": [[a, b] for a, b in contains_pairs],
         "inside": [[b, a] for a, b in contains_pairs],

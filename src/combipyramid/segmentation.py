@@ -199,6 +199,21 @@ class RoadsignNotFound(RuntimeError):
     pass
 
 
+def _roadsign_targets(k, background_color, symbol_color) -> tuple[np.ndarray, np.ndarray]:
+    """Check roadsign_extract's k and colors; the colors as float arrays."""
+    if not (type(k) is int or isinstance(k, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    bg = np.asarray(background_color, dtype=float)
+    sym = np.asarray(symbol_color, dtype=float)
+    # a NaN distance would leave the regions in dart order, whatever their color
+    for name, color in ("background_color", bg), ("symbol_color", sym):
+        if not np.isfinite(color).all():
+            raise ValueError(f"{name} must be finite, got {color.tolist()!r}")
+    return bg, sym
+
+
 def roadsign_extract(
     seg: SegmentedImage,
     k: int = 5,
@@ -212,16 +227,7 @@ def roadsign_extract(
     enclosed regions' area-weighted mean color is nearest to the symbol
     color; ties prefer candidates with more enclosed pixels.
     """
-    if not (type(k) is int or isinstance(k, np.integer)):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    bg = np.asarray(background_color, dtype=float)
-    sym = np.asarray(symbol_color, dtype=float)
-    # a NaN distance would leave the regions in dart order, whatever their color
-    for name, color in ("background_color", bg), ("symbol_color", sym):
-        if not np.isfinite(color).all():
-            raise ValueError(f"{name} must be finite, got {color.tolist()!r}")
+    bg, sym = _roadsign_targets(k, background_color, symbol_color)
     pyr = seg.pyramid
     i = pyr.top_level
     require_clean_level(pyr, i)

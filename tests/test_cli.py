@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 from unittest import mock
@@ -159,6 +160,27 @@ def test_export_refuses_two_outputs_that_name_one_file(tmp_path, sign_ppm, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("outputs, message", [
+    (["--labels", "sign.pyr"], "an output names the input file: "),
+    (["--rag-dot", "hard.pyr"], "an output names the input file: "),
+    (["--map-dot", "a.dot", "--rag-dot", "hard.dot"], "two outputs name one file: "),
+], ids=["input named directly", "input through a hard link", "hard-linked outputs"])
+def test_export_refuses_an_output_that_is_its_input_or_another_output(tmp_path, sign_ppm, capsys, monkeypatch,
+                                                                     outputs, message):
+    # a file is named by its device and inode, so a hard link names the
+    # file it links; every file keeps its bytes
+    pyr_path = built(tmp_path, sign_ppm, capsys)
+    monkeypatch.chdir(tmp_path)
+    os.link(pyr_path, "hard.pyr")
+    Path("a.dot").write_bytes(b"kept")
+    os.link("a.dot", "hard.dot")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    code = main(["export", "--pyr", str(pyr_path), *outputs])
+    err = capsys.readouterr().err
+    assert code == 1 and err == f"error: {message}{outputs[-1]}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_roadsign_mask(tmp_path, sign_ppm, capsys):
     mask_path = tmp_path / "mask.pgm"
     code, text = run(
@@ -180,6 +202,30 @@ def test_roadsign_flag_fails_cleanly(tmp_path, capsys):
     code, _ = run(capsys, "roadsign", "--input", flag, "--threshold", "1",
                   "--out", tmp_path / "m.pgm")
     assert code == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "0"], "k must be at least 1"),
+    (["--background-color", "nan,0,0"], "background_color must be finite, got [nan, 0.0, 0.0]"),
+], ids=["k", "nan color"])
+def test_roadsign_refuses_its_settings_before_the_build(tmp_path, sign_ppm, capsys, monkeypatch, flags, message):
+    def forbidden(*args):
+        raise AssertionError("roadsign built a pyramid before checking its settings")
+
+    monkeypatch.setattr(SegmentedImage, "run", forbidden)
+    out = tmp_path / "m.pgm"
+    code = main(["roadsign", "--input", str(sign_ppm), "--threshold", "1", *flags, "--out", str(out)])
+    assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["query", "--report"], ["export", "--rag-dot", "x.dot"]],
+                         ids=["validate", "query", "export"])
+def test_a_binary_pyramid_file_is_not_a_record(tmp_path, sign_ppm, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code = main([argv[0], "--pyr", str(sign_ppm), *argv[1:]])
+    assert code == 1 and capsys.readouterr().err == "error: not a serialized pyramid\n"
+    assert not Path("x.dot").exists()
 
 
 def test_validate_intact_pyramid(tmp_path, sign_ppm, capsys):

@@ -194,7 +194,7 @@ def test_relation_report_level_zero_and_filter():
 
 
 def assert_filtered_reports_restrict_the_whole(pyr):
-    for i in clean_levels(pyr):
+    for i in range(pyr.top_level + 1):
         whole = relation_report(pyr, i)
         m = pyr.reconstruct_level(i)
         for r in whole["regions"]:
@@ -212,6 +212,14 @@ def assert_filtered_reports_restrict_the_whole(pyr):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_filtered_report_is_the_whole_report_restricted(seed):
     assert_filtered_reports_restrict_the_whole(random_pyramid(random.Random(seed), max_side=6, always_clean=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_filtered_report_is_the_whole_report_restricted_with_redundant_edges(seed):
+    # level 0, with no composed_of entries, and levels whose redundant edges
+    # drop the enclosure entries with a warning
+    assert_filtered_reports_restrict_the_whole(random_pyramid(random.Random(seed), max_side=6))
 
 
 @settings(max_examples=60, deadline=None)
