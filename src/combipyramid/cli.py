@@ -142,21 +142,26 @@ def _cmd_export(args) -> int:
     i = _parse_level(pyr, args.level)
     if not (args.map_dot or args.rag_dot or args.labels):
         raise ValueError("nothing to export: pass --map-dot, --rag-dot or --labels")
-    files = []  # every output is made before any file is opened
-    if args.labels:
+    paths = [p for p in (args.map_dot, args.rag_dot, args.labels, args.labels and args.labels + ".json") if p]
+    _write_all(paths, _exports(pyr, i, args), args.pyr)
+    return 0
+
+
+def _exports(pyr: Pyramid, i: int, args):
+    """export's outputs in the order of its paths. A generator, so that
+    none is made before _write_all has checked every path."""
+    if args.labels:  # a level the PGM cannot label is refused before any output is made
         arr, names = _label_image(pyr, i)
         if len(names) > 65536:
             raise ValueError(f"--labels: level {i} has {len(names)} regions with pixels, past a 16-bit PGM's 65536")
     if args.map_dot:
-        files.append((args.map_dot, to_dot(pyr.reconstruct_level(i), name=f"level{i}").encode("ascii")))
+        yield to_dot(pyr.reconstruct_level(i), name=f"level{i}").encode("ascii")
     if args.rag_dot:
-        files.append((args.rag_dot, relations.rag_to_dot(pyr, i, name=f"rag{i}").encode("ascii")))
+        yield relations.rag_to_dot(pyr, i, name=f"rag{i}").encode("ascii")
     if args.labels:
-        files.append((args.labels, _pgm_bytes(arr, min(65535, max(1, int(arr.max()))))))
+        yield _pgm_bytes(arr, min(65535, max(1, int(arr.max()))))
         regions = {str(k): v for k, v in enumerate(names.tolist())}
-        files.append((args.labels + ".json", (json.dumps({"regions": regions}, sort_keys=True) + "\n").encode("ascii")))
-    _write_all(files, args.pyr)
-    return 0
+        yield (json.dumps({"regions": regions}, sort_keys=True) + "\n").encode("ascii")
 
 
 def _file_id(path: str) -> tuple[int, int] | str:
@@ -168,27 +173,29 @@ def _file_id(path: str) -> tuple[int, int] | str:
     return st.st_dev, st.st_ino
 
 
-def _write_all(files: list[tuple[str, bytes]], source: str) -> None:
-    """Write each (path, data) or create none of the files: a path naming
-    the source file or another path's file is refused before any is opened,
-    every path is opened, an existing file untruncated, before any is
-    written, and on an error the files this call created are removed. A
-    write that fails midway, on a full disk say, can leave an existing file cut short."""
+def _write_all(paths: list[str], outputs, source: str) -> None:
+    """Write each output to its path or create none of the files: a path
+    naming the source file or another path's file is refused before any
+    output is made, every output is made before any file is opened, every
+    path is opened, an existing file untruncated, before any is written,
+    and on an error the files this call created are removed. A write that
+    fails midway, on a full disk say, can leave an existing file cut short."""
     seen = {_file_id(source): "an output names the input file"}  # each file, and what a repeat of it is told
-    for path, _ in files:
+    for path in paths:
         if (key := _file_id(path)) in seen:
             raise ValueError(f"{seen[key]}: {path}")
         seen[key] = "two outputs name one file"
+    datas = list(outputs)
     handles, created = [], []
     try:
         try:
-            for path, _ in files:
+            for path in paths:
                 try:
                     handles.append(open(path, "xb"))
                     created.append(path)
                 except FileExistsError:
                     handles.append(open(path, "r+b"))
-            for fh, (_, data) in zip(handles, files):
+            for fh, data in zip(handles, datas):
                 fh.write(data)
                 fh.truncate()
         finally:

@@ -1,14 +1,23 @@
 """Reading and writing PGM (P2/P5) and PPM (P3/P6) images.
 
-Values are normalized to 8 bit on load. Parse errors carry the byte offset
-where the file stopped making sense.
+After the magic number a file is tokens separated by whitespace (the six
+bytes of bytes.isspace) and comments, a # to the end of its line. The
+header is width, height and maxval; a P2/P3 payload is more tokens, and a
+P5/P6 payload starts after one whitespace byte. A token is an integer only
+as ASCII digits after an optional -, so +7 and 2_55 are refused. Values are
+normalized to 8 bit on load. Parse errors carry the byte offset where the
+file stopped making sense.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 __all__ = ["NetpbmError", "load_image", "save_pgm", "save_ppm"]
+
+_TOKEN = re.compile(rb"#[^\r\n]*|\S+")  # a comment to the end of its line, or a token
 
 
 class NetpbmError(ValueError):
@@ -41,12 +50,11 @@ def load_image(path: str) -> np.ndarray:
         if pos >= len(data) or not data[pos : pos + 1].isspace():
             raise NetpbmError("missing separator before binary payload", pos)
         pos += 1
-        width_bytes = 2 if maxval > 255 else 1
-        need = count * width_bytes
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        need = count * dtype.itemsize
         payload = data[pos : pos + need]
         if len(payload) < need:
             raise NetpbmError(f"truncated payload, {len(payload)}/{need} bytes", pos + len(payload))
-        dtype = ">u2" if width_bytes == 2 else np.uint8
         arr = np.frombuffer(payload, dtype=dtype).astype(np.uint32)
         if (arr > maxval).any():
             raise NetpbmError(f"sample exceeds maximum value {maxval}", pos)
@@ -56,41 +64,33 @@ def load_image(path: str) -> np.ndarray:
 
 
 def _read_ints(data: bytes, pos: int, count: int, maxval: int | None = None) -> tuple[list[int], int]:
-    """count integers from pos on, separated by whitespace and # comments,
-    and the offset after the last one. Without maxval they are header
-    fields; with it they are samples, each within 0..maxval."""
+    """count integers from pos on, and the offset after the last one.
+    Without maxval they are header fields; with it they are samples, each
+    within 0..maxval."""
     values: list[int] = []
-    while len(values) < count:
-        while pos < len(data):
-            c = data[pos : pos + 1]
-            if c == b"#":
-                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
-        if not token:
-            what = "header" if maxval is None else f"payload, {len(values)}/{count} samples"
-            raise NetpbmError(f"truncated {what}", start)
+    for m in _TOKEN.finditer(data, pos):
+        token = m[0]
+        if token[0] == 35:  # b"#"
+            continue
         try:
-            value = int(token)
+            if not token.removeprefix(b"-").isdigit():
+                raise ValueError
+            value = int(token)  # refuses a run of more digits than int() reads
         except ValueError:
             what = "header token" if maxval is None else "sample"
-            raise NetpbmError(f"bad {what} {token!r}", start) from None
+            raise NetpbmError(f"bad {what} {token!r}", m.start()) from None
         if maxval is not None and not 0 <= value <= maxval:
-            raise NetpbmError(f"sample {value} exceeds the range 0..{maxval}", start)
+            raise NetpbmError(f"sample {value} exceeds the range 0..{maxval}", m.start())
         values.append(value)
-    return values, pos
+        if len(values) == count:
+            return values, m.end()
+    what = "header" if maxval is None else f"payload, {len(values)}/{count} samples"
+    raise NetpbmError(f"truncated {what}", len(data))
 
 
 def save_pgm(path: str, gray: np.ndarray, maxval: int = 255) -> None:
     """Binary PGM; raises ValueError for a sample outside 0..maxval or a
-    maxval outside 1..65535, which the format cannot store."""
+    maxval that is not an integer in 1..65535, which the format cannot store."""
     data = _pgm_bytes(gray, maxval)
     with open(path, "wb") as fh:
         fh.write(data)
@@ -98,19 +98,15 @@ def save_pgm(path: str, gray: np.ndarray, maxval: int = 255) -> None:
 
 def _pgm_bytes(gray: np.ndarray, maxval: int) -> bytes:
     """The binary PGM file of gray, as save_pgm writes it, with its checks."""
+    if isinstance(maxval, bool) or not isinstance(maxval, (int, np.integer)):
+        raise ValueError(f"maximum value must be an integer, got {maxval!r}")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"maximum value {maxval} outside the range 1..65535")
     arr = np.asarray(gray)
-    if arr.ndim == 3:
-        arr = arr[:, :, 0]
-    if arr.size and not (arr.min() >= 0 and arr.max() <= maxval):
-        raise ValueError(f"samples {arr.min()}..{arr.max()} exceed the range 0..{maxval}")
-    h, w = arr.shape
-    if maxval > 255:
-        payload = arr.astype(">u2").tobytes()
-    else:
-        payload = arr.astype(np.uint8).tobytes()
-    return f"P5\n{w} {h}\n{maxval}\n".encode("ascii") + payload
+    arr = arr[:, :, 0] if arr.ndim == 3 else arr
+    if arr.ndim != 2:
+        raise ValueError("expected an array of shape (height, width) or (height, width, channels)")
+    return _encode(arr, maxval)
 
 
 def save_ppm(path: str, rgb: np.ndarray) -> None:
@@ -118,9 +114,16 @@ def save_ppm(path: str, rgb: np.ndarray) -> None:
     arr = np.asarray(rgb)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError("expected an array of shape (height, width, 3)")
-    if arr.size and not (arr.min() >= 0 and arr.max() <= 255):
-        raise ValueError(f"samples {arr.min()}..{arr.max()} exceed the range 0..255")
-    h, w, _ = arr.shape
+    data = _encode(arr, 255)
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(arr.astype(np.uint8).tobytes())
+        fh.write(data)
+
+
+def _encode(arr: np.ndarray, maxval: int) -> bytes:
+    """The binary file of a (height, width) array as P5, or of a (height,
+    width, 3) one as P6; raises ValueError for a sample outside 0..maxval."""
+    if arr.size and not (arr.min() >= 0 and arr.max() <= maxval):
+        raise ValueError(f"samples {arr.min()}..{arr.max()} exceed the range 0..{maxval}")
+    h, w = arr.shape[:2]
+    header = f"{'P5' if arr.ndim == 2 else 'P6'}\n{w} {h}\n{maxval}\n".encode("ascii")
+    return header + arr.astype(">u2" if maxval > 255 else np.uint8).tobytes()

@@ -161,6 +161,38 @@ def test_export_refuses_two_outputs_that_name_one_file(tmp_path, sign_ppm, capsy
 
 
 @pytest.mark.parametrize("outputs, message", [
+    (["--map-dot", "a.dot", "--rag-dot", "a.dot"], "two outputs name one file: a.dot"),
+    (["--rag-dot", "x.pgm.json", "--labels", "x.pgm"], "two outputs name one file: x.pgm.json"),
+    (["--map-dot", "sign.pyr", "--labels", "x.pgm"], "an output names the input file: sign.pyr"),
+], ids=["map and rag", "rag and labels sidecar", "map and input"])
+def test_export_refuses_a_repeated_path_before_making_any_output(tmp_path, sign_ppm, capsys, monkeypatch,
+                                                                 outputs, message):
+    # every path is checked before the DOT graphs or the label image are made
+    pyr_path = built(tmp_path, sign_ppm, capsys)
+    monkeypatch.chdir(tmp_path)
+
+    def made(*args, **kwargs):
+        raise AssertionError("an output was made before the paths were checked")
+
+    monkeypatch.setattr(cli, "to_dot", made)
+    monkeypatch.setattr(cli.relations, "rag_to_dot", made)
+    monkeypatch.setattr(cli, "_label_image", made)
+    code = main(["export", "--pyr", "sign.pyr", *outputs])
+    assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("a.dot").exists() and not Path("x.pgm").exists()
+
+
+def test_export_names_a_repeated_path_before_a_level_the_labels_cannot_hold(tmp_path, capsys, monkeypatch):
+    # the paths are checked before the label image is made, so of the two
+    # refusals the repeated path is the one reported
+    monkeypatch.chdir(tmp_path)
+    Path("big.pyr").write_text(Pyramid.from_grid(257, 256).to_json())
+    code = main(["export", "--pyr", "big.pyr", "--rag-dot", "x.pgm", "--labels", "x.pgm"])
+    assert code == 1 and capsys.readouterr().err == "error: two outputs name one file: x.pgm\n"
+    assert not Path("x.pgm").exists()
+
+
+@pytest.mark.parametrize("outputs, message", [
     (["--labels", "sign.pyr"], "an output names the input file: "),
     (["--rag-dot", "hard.pyr"], "an output names the input file: "),
     (["--map-dot", "a.dot", "--rag-dot", "hard.dot"], "two outputs name one file: "),

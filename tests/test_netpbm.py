@@ -62,6 +62,30 @@ def test_save_pgm_rejects_what_the_format_cannot_store(tmp_path):
     assert load_image(str(path))[0, :, 0].tolist() == [255, 0]
 
 
+@pytest.mark.parametrize("maxval", [True, 255.0, 3.5])
+def test_save_pgm_refuses_a_maxval_that_is_not_an_integer(tmp_path, maxval):
+    # its header line would read True or 255.0, which load_image refuses
+    path = tmp_path / "x.pgm"
+    with pytest.raises(ValueError, match=re.escape(f"maximum value must be an integer, got {maxval!r}")):
+        save_pgm(str(path), [[1, 0]], maxval=maxval)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 1, 1)])
+def test_save_pgm_refuses_an_array_that_is_no_raster(tmp_path, shape):
+    path = tmp_path / "x.pgm"
+    with pytest.raises(ValueError, match="expected an array of shape"):
+        save_pgm(str(path), np.zeros(shape, dtype=np.uint8))
+    assert not path.exists()
+
+
+def test_save_pgm_takes_a_numpy_integer_maxval(tmp_path):
+    path = tmp_path / "x.pgm"
+    save_pgm(str(path), [[1000, 0]], maxval=np.uint16(1000))
+    assert path.read_bytes().startswith(b"P5\n2 1\n1000\n")
+    assert load_image(str(path))[0, :, 0].tolist() == [255, 0]
+
+
 def test_save_ppm_rejects_samples_outside_a_byte(tmp_path):
     path = tmp_path / "x.ppm"
     with pytest.raises(ValueError, match=re.escape("samples -1..300 exceed the range 0..255")):
@@ -107,6 +131,75 @@ def test_sample_above_maxval_rejected(tmp_path):
     with pytest.raises(NetpbmError, match="exceeds"):
         load_image(str(p))
 
+
+@pytest.mark.parametrize("data, token", [
+    (b"P2\n1 1\n2_55\n7\n", b"2_55"),
+    (b"P2\n+1 1\n255\n7\n", b"+1"),
+    (b"P5 1 1_0 255\n\x07", b"1_0"),
+])
+def test_header_token_with_plus_or_underscore_is_rejected(tmp_path, data, token):
+    # int() reads these; a Netpbm integer is ASCII digits after an optional -
+    p = tmp_path / "h.pgm"
+    p.write_bytes(data)
+    with pytest.raises(NetpbmError, match=re.escape(f"bad header token {token!r}")) as err:
+        load_image(str(p))
+    assert err.value.offset == data.index(token)
+
+
+@pytest.mark.parametrize("data, token", [
+    (b"P2\n1 1\n255\n+7\n", b"+7"),
+    (b"P2\n2 1\n255\n7 1_0\n", b"1_0"),
+    (b"P3\n1 1\n255\n1 +2 3\n", b"+2"),
+    (b"P3 1 1 255 1 2 1_2", b"1_2"),
+])
+def test_sample_with_plus_or_underscore_is_rejected(tmp_path, data, token):
+    p = tmp_path / "s.pgm"
+    p.write_bytes(data)
+    with pytest.raises(NetpbmError, match=re.escape(f"bad sample {token!r}")) as err:
+        load_image(str(p))
+    assert err.value.offset == data.index(token)
+
+
+WHITESPACE = b" \t\n\r\x0b\x0c"  # the bytes of bytes.isspace
+
+
+@st.composite
+def netpbm_files(draw):
+    """A valid P2/P3/P5/P6 file of up to 4x4 pixels, runs of every
+    whitespace byte between its tokens and # comments wherever whitespace
+    may go, and its samples."""
+    magic = draw(st.sampled_from([b"P2", b"P3", b"P5", b"P6"]))
+    width, height, maxval = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 65535))
+    n = width * height * (3 if magic in (b"P3", b"P6") else 1)
+    samples = draw(st.lists(st.integers(0, maxval), min_size=n, max_size=n))
+
+    def gap():  # whitespace, with comments that each end in a newline or carriage return
+        out = draw(st.binary(min_size=1, max_size=3).map(lambda b: bytes(WHITESPACE[c % 6] for c in b)))
+        for _ in range(draw(st.integers(0, 2))):
+            text = draw(st.binary(max_size=6).filter(lambda b: b"\n" not in b and b"\r" not in b))
+            out += b"#" + text + draw(st.sampled_from([b"\n", b"\r"])) + draw(st.sampled_from([b"", b" ", b"\t"]))
+        return out
+
+    head = [str(v).encode() for v in (width, height, maxval)]
+    data = magic + b"".join(gap() + token for token in head)
+    if magic in (b"P2", b"P3"):
+        data += b"".join(gap() + str(s).encode() for s in samples) + (gap() if draw(st.booleans()) else b"")
+    else:
+        data += draw(st.sampled_from(list(WHITESPACE))).to_bytes(1, "big")
+        data += np.array(samples, dtype=">u2" if maxval > 255 else np.uint8).tobytes()
+    return data, (width, height, maxval, samples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(netpbm_files())
+def test_netpbm_grammar_loads_the_drawn_samples(tmp_path_factory, drawn):
+    data, (width, height, maxval, samples) = drawn
+    path = tmp_path_factory.mktemp("grammar") / "x.img"
+    path.write_bytes(data)
+    img = load_image(str(path))
+    expected = (np.array(samples, dtype=np.int64) * 255 + maxval // 2) // maxval
+    assert img.shape == (height, width, len(samples) // (width * height))
+    assert img.ravel().tolist() == expected.tolist()
 
 
 def valid_netpbm_files():

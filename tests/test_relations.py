@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -286,6 +287,24 @@ def label_rasters(draw):
 @settings(max_examples=150, deadline=None)
 @given(label_rasters())
 def test_relation_report_matches_pixel_oracles(labels):
+    assert_report_matches_pixel_oracles(labels)
+
+
+def test_every_partition_up_to_3x3_of_up_to_3_labels_matches_pixel_oracles():
+    # each raster once up to a permutation of its labels: numbered by first
+    # appearance, 3,281 rasters at 3x3, the partitions of nine pixels into
+    # at most 3 labels, and 3,554 over every shape up to 3x3
+    rasters = [np.array(r).reshape(h, w) for h, w in itertools.product(range(1, 4), repeat=2)
+               for r in itertools.product(range(3), repeat=h * w)
+               if all(v <= max(r[:k], default=-1) + 1 for k, v in enumerate(r))]
+    assert sum(r.shape == (3, 3) for r in rasters) == 3281 and len(rasters) == 3554
+    for r in rasters:
+        assert_report_matches_pixel_oracles(connected_components(r))
+
+
+def assert_report_matches_pixel_oracles(labels):
+    """Every clean level's report of the pyramid of a label raster agrees
+    with the pixel oracles: regions, meets, contains, inside, composed_of."""
     pyr = segment_labels(labels).pyramid
     levels = []  # per level: the region of every pixel, and the outside region
     for i in range(pyr.top_level + 1):
