@@ -12,7 +12,7 @@ import numpy as np
 from . import relations
 from .containment import contains
 from .map_core import _validate_arrays, dart_sort_key, to_dot
-from .netpbm import _pgm_bytes, load_image, save_pgm
+from .netpbm import _pgm_bytes, load_image
 from .pyramid import Pyramid
 from .segmentation import RoadsignNotFound, SegmentedImage, _label_image, _roadsign_targets, roadsign_extract
 
@@ -99,8 +99,7 @@ def _parse_level(pyr: Pyramid, text: str) -> int:
 def _cmd_build(args) -> int:
     image = load_image(args.input)
     seg = SegmentedImage(image).run(args.threshold, args.max_levels)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(seg.pyramid.to_json())
+    _write_all([args.out], [seg.pyramid.to_json().encode("ascii")], args.input)
     print(json.dumps({
         "levels": seg.pyramid.top_level,
         "regions": seg.region_count(),
@@ -224,7 +223,7 @@ def _cmd_roadsign(args) -> int:
     symbol = roadsign_extract(seg, k=args.k, background_color=bg, symbol_color=sym)
     rows = np.array(seg.pyramid.pixel_labels(seg.pyramid.top_level), dtype=np.int64)
     mask = np.where(np.isin(rows, list(symbol)), 255, 0).astype(np.uint8)
-    save_pgm(args.out, mask)
+    _write_all([args.out], [_pgm_bytes(mask, 255)], args.input)
     print(json.dumps({
         "symbol_regions": sorted(symbol, key=dart_sort_key),
         "symbol_pixels": int((mask > 0).sum()),

@@ -56,8 +56,8 @@ def load_image(path: str) -> np.ndarray:
         if len(payload) < need:
             raise NetpbmError(f"truncated payload, {len(payload)}/{need} bytes", pos + len(payload))
         arr = np.frombuffer(payload, dtype=dtype).astype(np.uint32)
-        if (arr > maxval).any():
-            raise NetpbmError(f"sample exceeds maximum value {maxval}", pos)
+        if (over := arr > maxval).any():
+            raise NetpbmError(f"sample exceeds maximum value {maxval}", pos + int(over.argmax()) * dtype.itemsize)
     if maxval != 255:
         arr = (arr * 255 + maxval // 2) // maxval
     return arr.astype(np.uint8).reshape(height, width, channels)

@@ -123,18 +123,19 @@ class KernelState(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """Dart set removed by one reduction level, with its removal mode: the
-    darts as one read-only int64 array in dart_sort_key order without
-    repeats, which Kernel.of makes, and their frozenset, built on read."""
+    """Dart set removed by one reduction level, with its removal mode:
+    Kernel(state, darts) keeps darts, ints or an int array, as `order`, one
+    read-only int64 array in dart_sort_key order without repeats, and their
+    frozenset `darts` is built on read. A state that is not a KernelState, a
+    dart that is a bool or no int, or one beyond int64 raises KernelError."""
 
     state: KernelState
     order: np.ndarray
 
-    @staticmethod
-    def of(state: KernelState, darts: Iterable[Dart] | np.ndarray) -> "Kernel":
-        """The kernel of state made of darts, ints or an int array. A dart
-        that is not an int, or is a bool, raises KernelError, and so does
-        one beyond int64, which no pyramid holds."""
+    def __post_init__(self):
+        if not isinstance(self.state, KernelState):
+            raise KernelError(f"kernel state {self.state!r} is not a KernelState")
+        darts = self.order
         if not (isinstance(darts, np.ndarray) and darts.dtype.kind == "i"):
             darts = darts.tolist() if isinstance(darts, np.ndarray) else list(darts)
             if bad := [d for d in darts if isinstance(d, bool) or not isinstance(d, (int, np.integer))]:
@@ -145,7 +146,7 @@ class Kernel:
         # as uint64 the keys of all int64 darts are distinct and in order
         order = array[np.unique(dart_sort_key(array).view(np.uint64), return_index=True)[1]]
         order.flags.writeable = False
-        return Kernel(state, order)
+        object.__setattr__(self, "order", order)
 
     @cached_property
     def darts(self) -> frozenset[Dart]:
@@ -223,25 +224,21 @@ class Pyramid:
     idempotent caches (see the module docstring).
     """
 
-    def __init__(self, base: CombinatorialMap, embedding: CrackEmbedding):
-        """base is the grid map of embedding, as build_grid_map makes it.
-        The encoding past the base is _states, each level's kernel state, and
-        _died, one array("i") buffer, never resized, of the level whose kernel
-        removed each signed dart (-d at slot 2n + 1 - d), 0 while it lives."""
-        self.base = base
-        self.embedding = embedding
+    def __init__(self, width: int, height: int):
+        """The unreduced pyramid of a width x height grid, on the base that
+        build_grid_map makes or refuses. The encoding past the base is _states,
+        each level's kernel state, and _died, one array("i") buffer, never
+        resized, of the level whose kernel removed each signed dart (-d at
+        slot 2n + 1 - d), 0 while it lives."""
+        self.base, self.embedding = build_grid_map(width, height)
         # level 0 and every pixel's dart, row by row, shared with every
         # pyramid of the embedding (_base_level)
-        base_level, self._pixels = _base_level(base, embedding)
-        self._n = len(base) // 2
+        base_level, self._pixels = _base_level(self.base, self.embedding)
+        self._n = len(self.base) // 2
         self._died = array("i", [0]) * (2 * self._n + 1)
         self._states: list[KernelState | None] = [None]
         # every level, the top last
         self._levels = [base_level]
-
-    @classmethod
-    def from_grid(cls, width: int, height: int) -> "Pyramid":
-        return cls(*build_grid_map(width, height))
 
     # -- the implicit encoding ------------------------------------------------
 
@@ -254,7 +251,7 @@ class Pyramid:
         """The kernel of every level, rebuilt from the level of each dart."""
         order = self._levels[0].order
         darts, ends = _by_level(order, np.frombuffer(self._died, np.intc)[order], self.top_level)
-        return [Kernel.of(state, darts[a:b]) for state, a, b in zip(self._states[1:], ends, ends[1:])]
+        return [Kernel(state, darts[a:b]) for state, a, b in zip(self._states[1:], ends, ends[1:])]
 
     def level(self, d: Dart) -> int:
         """The level whose kernel removes d, top_level + 1 if it never dies:
@@ -400,7 +397,7 @@ class Pyramid:
 
     def _apply(self, state: KernelState, kd: np.ndarray) -> "Pyramid":
         """apply_kernel of the kernel of state made of the darts of kd, an int
-        array of distinct darts in dart_sort_key order, as Kernel.of and
+        array of distinct darts in dart_sort_key order, as Kernel and
         from_json make it. The checks and the derivation run in positions of
         the top's dart order, and the new level is built in locals and
         published, with its state, by the appends at the end."""
@@ -581,7 +578,7 @@ class Pyramid:
         gone = loops[self._emptied(loops)]
         spare = gone[np.unique(top.region[top.order[gone]], return_index=True)[1]]
         spare = np.concatenate([spare, top.alpha[spare]])
-        return Kernel.of(KernelState.RKESL, top.order[loops[~_mask(len(top.order), spare)[loops]]])
+        return Kernel(KernelState.RKESL, top.order[loops[~_mask(len(top.order), spare)[loops]]])
 
     def compute_rkede(self) -> Kernel:
         """Maximal kernel of double-edge joints of the current top map.
@@ -612,7 +609,7 @@ class Pyramid:
         start = ring[np.minimum(least, least[rank[alpha[ring]]])]
         kept = np.concatenate([start, sigma[alpha[start]]])
         removed = np.concatenate([sigma[keys[on_chain]], ring[~_mask(len(sigma), kept)[ring]]])
-        return Kernel.of(KernelState.RKEDE, top.order[removed])
+        return Kernel(KernelState.RKEDE, top.order[removed])
 
     def vertex_of_pixel(self, i: int, x: int, y: int) -> Dart:
         """Representative of the level-i region containing pixel (x, y)."""
@@ -727,7 +724,7 @@ class Pyramid:
             bad = next(k for k in died if not 0 <= k <= top)
             raise ValueError(f"died holds level {bad}, outside 0..{top}")
         states = [KernelState(state) for state in states]
-        pyr = cls.from_grid(width, height)
+        pyr = cls(width, height)
         darts, ends = _by_level(pyr._levels[0].order, level, top)
         for state, a, b in zip(states, ends, ends[1:]):
             pyr._apply(state, darts[a:b])

@@ -70,7 +70,7 @@ class SegmentedImage:
             raise ValueError("image must be 2D or (height, width, channels)")
         self.image = arr.astype(float)
         self.height, self.width = arr.shape[:2]
-        self.pyramid = Pyramid.from_grid(self.width, self.height)
+        self.pyramid = Pyramid(self.width, self.height)
         self._view: tuple[np.ndarray, Mapping[Dart, RegionStats]] | None = None
 
     @property
@@ -137,7 +137,7 @@ class SegmentedImage:
         chosen = order[_spanning_forest(u[order], v[order], len(count))[0]]
         if not chosen.size:
             return []
-        applied = [Kernel.of(KernelState.CK, np.concatenate([first[chosen], mate[chosen]]))]
+        applied = [Kernel(KernelState.CK, np.concatenate([first[chosen], mate[chosen]]))]
         pyr.apply_kernel(applied[0])
         rkesl = pyr.compute_rkesl()
         if len(rkesl):

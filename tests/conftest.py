@@ -30,7 +30,7 @@ def random_pyramid(rng: random.Random, max_side: int = 8, rounds: int | None = N
     always runs.
     """
     w, h = size or (rng.randint(1, max_side), rng.randint(1, max_side))
-    pyr = Pyramid.from_grid(w, h)
+    pyr = Pyramid(w, h)
     for _ in range(rounds if rounds is not None else rng.randint(1, 3)):
         top = pyr.reconstruct_level(pyr.top_level)
         rep = top.vertex_ids()
@@ -61,9 +61,9 @@ def random_pyramid(rng: random.Random, max_side: int = 8, rounds: int | None = N
             parent[ru] = rv
             chosen.extend((d, top.alpha(d)))
         if chosen and len(chosen) < len(top):  # a tree is not contracted whole
-            pyr.apply_kernel(Kernel.of(KernelState.CK, chosen))
+            pyr.apply_kernel(Kernel(KernelState.CK, chosen))
         elif rng.random() < 0.2:
-            pyr.apply_kernel(Kernel.of(KernelState.CK, []))
+            pyr.apply_kernel(Kernel(KernelState.CK, []))
         if always_clean or rng.random() < 0.85:
             for compute in (pyr.compute_rkesl, pyr.compute_rkede):
                 kernel = compute()
@@ -115,11 +115,11 @@ def borderless_outside_pyramid() -> Pyramid:
     first contraction welds the outside to the pixels it borders, the loop
     removal takes the remaining border darts, and a last contraction merges
     the two regions left."""
-    pyr = Pyramid.from_grid(3, 3)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [-23, -22, -21, -13, -12, -5, -3, -2, 2, 3, 5, 12, 13, 21, 22, 23]))
-    pyr.apply_kernel(Kernel.of(KernelState.RKESL, [-24, -19, -18, -16, -15, -14, -11, -10, -9, -8, -4, -1,
+    pyr = Pyramid(3, 3)
+    pyr.apply_kernel(Kernel(KernelState.CK, [-23, -22, -21, -13, -12, -5, -3, -2, 2, 3, 5, 12, 13, 21, 22, 23]))
+    pyr.apply_kernel(Kernel(KernelState.RKESL, [-24, -19, -18, -16, -15, -14, -11, -10, -9, -8, -4, -1,
                                                    1, 4, 8, 9, 10, 11, 14, 15, 16, 18, 19, 24]))
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [-6, 6]))
+    pyr.apply_kernel(Kernel(KernelState.CK, [-6, 6]))
     return pyr
 
 

@@ -983,7 +983,7 @@ class KruskalSegmentation:
             arr = arr[:, :, None]
         image = arr.astype(float)
         height, width = arr.shape[:2]
-        self.pyramid = Pyramid.from_grid(width, height)
+        self.pyramid = Pyramid(width, height)
         emb = self.pyramid.embedding
         self.stats = {
             emb.pixel_dart(x, y): RegionStats(1, image[y, x].copy(), (x, y, x, y))
@@ -1021,7 +1021,7 @@ class KruskalSegmentation:
             chosen.extend((d, a))
         if not chosen:
             return False
-        pyr.apply_kernel(Kernel.of(KernelState.CK, chosen))
+        pyr.apply_kernel(Kernel(KernelState.CK, chosen))
         for compute in (pyr.compute_rkesl, pyr.compute_rkede):
             kernel = compute()
             if kernel.darts:

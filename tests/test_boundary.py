@@ -15,8 +15,8 @@ from eager_oracle import segment_orientation
 
 
 def reduced_two_by_one():
-    pyr = Pyramid.from_grid(2, 1)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    pyr = Pyramid(2, 1)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     pyr.apply_kernel(pyr.compute_rkede())
     return pyr
 
@@ -30,15 +30,15 @@ def crack_set(seg):
 
 
 def test_level_zero_segment_is_a_single_crack():
-    pyr = Pyramid.from_grid(2, 1)
+    pyr = Pyramid(2, 1)
     seg = segment(pyr, 0, 4)
     assert seg.darts == (4,)
     assert seg.cracks.moves == (Move.LEFT,)
 
 
 def test_singleton_segment_without_double_edges():
-    pyr = Pyramid.from_grid(2, 1)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    pyr = Pyramid(2, 1)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     assert segment(pyr, 1, 4).darts == (4,)
 
 
@@ -136,7 +136,7 @@ def test_segments_tile_the_partition_boundary():
 
 
 def test_inner_corner_scan_is_bounded_on_grids():
-    m, _ = Pyramid.from_grid(5, 4).base, None
+    m, _ = Pyramid(5, 4).base, None
     assert all(len(f) <= 4 for f in m.faces())
 
 
@@ -144,7 +144,7 @@ def test_inner_corner_scan_is_bounded_on_grids():
 
 
 def test_first_last_moves_singleton():
-    pyr = Pyramid.from_grid(2, 1)
+    pyr = Pyramid(2, 1)
     assert (pyr.embedding.move(4), pyr.last_move(0, 4)) == (Move.LEFT, Move.LEFT)
 
 
@@ -159,8 +159,8 @@ def test_first_last_moves_of_extended_piece():
 def test_two_crack_counter_clockwise_turn():
     # fuse the two boundary edges at the top-right image corner of a 2x2
     # grid: the segment of dart 3 runs up then left, one turn left
-    pyr = Pyramid.from_grid(2, 2)
-    pyr.apply_kernel(Kernel.of(KernelState.RKEDE, [8, -3]))
+    pyr = Pyramid(2, 2)
+    pyr.apply_kernel(Kernel(KernelState.RKEDE, [8, -3]))
     seg = segment(pyr, 1, 3)
     assert seg.darts == (3, 8)
     assert seg.cracks.moves == (Move.UP, Move.LEFT)
@@ -169,16 +169,16 @@ def test_two_crack_counter_clockwise_turn():
 
 
 def test_single_dart_orientation_is_zero():
-    pyr = Pyramid.from_grid(3, 3)
+    pyr = Pyramid(3, 3)
     assert pyr.cached_orientation(0, 5) == segment_orientation(pyr, 0, 5) == 0
 
 
 def test_fold_matches_pairwise_rule():
     # removing one joint merges exactly two pieces: the new count is the sum
     # of both plus the junction turn
-    pyr = Pyramid.from_grid(2, 2)
+    pyr = Pyramid(2, 2)
     before = pyr.cached_orientation(0, 3), pyr.cached_orientation(0, 8)
-    pyr.apply_kernel(Kernel.of(KernelState.RKEDE, [8, -3]))
+    pyr.apply_kernel(Kernel(KernelState.RKEDE, [8, -3]))
     expected = before[0] + before[1] + turn_angle(Move.UP, Move.LEFT)
     assert pyr.cached_orientation(1, 3) == expected == -1
 
@@ -214,12 +214,12 @@ def test_no_opposite_moves_inside_or_between_segments():
 
 
 def test_single_pixel_face_counter_clockwise():
-    pyr = Pyramid.from_grid(1, 1)
+    pyr = Pyramid(1, 1)
     assert sequence_orientation(pyr, 0, [2, 3, -1, -4], closed=True) == -4
 
 
 def test_outside_face_clockwise():
-    pyr = Pyramid.from_grid(1, 1)
+    pyr = Pyramid(1, 1)
     assert sequence_orientation(pyr, 0, [1, -3, -2, 4], closed=True) == 4
 
 
@@ -230,7 +230,7 @@ def test_open_single_dart_sequence():
 
 
 def test_sequence_rejects_non_consecutive_darts():
-    pyr = Pyramid.from_grid(2, 1)
+    pyr = Pyramid(2, 1)
     with pytest.raises(ValueError, match="consecutive"):
         sequence_orientation(pyr, 0, [2, 3], closed=False)
 
@@ -238,8 +238,8 @@ def test_sequence_rejects_non_consecutive_darts():
 def test_sequence_rejects_partner_closure():
     # an empty self loop is the one spot where a cycle run ends on the
     # partner of its first dart
-    pyr = Pyramid.from_grid(2, 2)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2, 9, -9, 5, -5]))
+    pyr = Pyramid(2, 2)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2, 9, -9, 5, -5]))
     with pytest.raises(ValueError, match="partner"):
         sequence_orientation(pyr, 1, [10, -10], closed=True)
     with pytest.raises(ValueError, match="dual vertex"):

@@ -112,7 +112,7 @@ def test_export_refuses_labels_a_16_bit_pgm_cannot_hold_before_writing(tmp_path,
     # level 0 of a 257x256 grid has 65,792 pixel regions, past the 65,536
     # labels of a 16-bit PGM: no output is written, the DOT files included
     pyr_path = tmp_path / "big.pyr"
-    pyr_path.write_text(Pyramid.from_grid(257, 256).to_json())
+    pyr_path.write_text(Pyramid(257, 256).to_json())
     rag_dot, labels = tmp_path / "x.dot", tmp_path / "x.pgm"
     code = main(["export", "--pyr", str(pyr_path), "--rag-dot", str(rag_dot), "--labels", str(labels)])
     err = capsys.readouterr().err
@@ -186,7 +186,7 @@ def test_export_names_a_repeated_path_before_a_level_the_labels_cannot_hold(tmp_
     # the paths are checked before the label image is made, so of the two
     # refusals the repeated path is the one reported
     monkeypatch.chdir(tmp_path)
-    Path("big.pyr").write_text(Pyramid.from_grid(257, 256).to_json())
+    Path("big.pyr").write_text(Pyramid(257, 256).to_json())
     code = main(["export", "--pyr", "big.pyr", "--rag-dot", "x.pgm", "--labels", "x.pgm"])
     assert code == 1 and capsys.readouterr().err == "error: two outputs name one file: x.pgm\n"
     assert not Path("x.pgm").exists()
@@ -211,6 +211,18 @@ def test_export_refuses_an_output_that_is_its_input_or_another_output(tmp_path, 
     err = capsys.readouterr().err
     assert code == 1 and err == f"error: {message}{outputs[-1]}\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["build", "roadsign"])
+@pytest.mark.parametrize("out", ["sign.ppm", "hard.ppm"], ids=["input named directly", "input through a hard link"])
+def test_build_and_roadsign_refuse_to_overwrite_their_input(tmp_path, sign_ppm, capsys, monkeypatch, command, out):
+    # the record or the mask would replace the image it was made from
+    monkeypatch.chdir(tmp_path)
+    os.link(sign_ppm, "hard.ppm")
+    before = sign_ppm.read_bytes()
+    code = main([command, "--input", "sign.ppm", "--threshold", "10", "--out", out])
+    assert code == 1 and capsys.readouterr().err == f"error: an output names the input file: {out}\n"
+    assert sign_ppm.read_bytes() == before
 
 
 def test_roadsign_mask(tmp_path, sign_ppm, capsys):
@@ -433,7 +445,7 @@ def test_missing_file_is_a_clean_error(tmp_path, capsys):
 
 
 def small_pyramid():
-    return Pyramid.from_grid(2, 1).apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    return Pyramid(2, 1).apply_kernel(Kernel(KernelState.CK, [2, -2]))
 
 
 def small_record():
@@ -520,7 +532,7 @@ def test_kernel_with_an_unknown_dart_is_rejected(dart):
     d = UNKNOWN_DARTS[dart](len(pyr.base) // 2)
     before = pyr.to_json()
     with pytest.raises(KernelError) as exc:
-        pyr.apply_kernel(Kernel.of(KernelState.CK, [d, 1]))
+        pyr.apply_kernel(Kernel(KernelState.CK, [d, 1]))
     assert str(exc.value) == f"kernel contains dead or unknown darts: [{d}]"
     assert pyr.to_json() == before
 
@@ -530,9 +542,9 @@ def test_died_length_is_checked_before_the_grid_is_built(tmp_path, capsys):
     # 361k darts are allocated
     data = small_record()
     data["width"] = data["height"] = 300
-    with mock.patch.object(Pyramid, "from_grid", side_effect=AssertionError("grid built")) as from_grid:
+    with mock.patch("combipyramid.pyramid.build_grid_map", side_effect=AssertionError("grid built")) as build:
         assert_clean_error(capsys, tmp_path, data, "died has 14 entries, a 300x300 grid has 361200 darts")
-    from_grid.assert_not_called()
+    build.assert_not_called()
 
 
 # small_record's died list is 14 entries long, for 1 state
@@ -597,7 +609,7 @@ def test_deeply_nested_json_is_rejected(tmp_path, capsys, command):
 
 def test_validate_rejects_a_contraction_of_the_whole_map(tmp_path, capsys):
     # the last edge of a cleaned 1x1 grid, contracted, would leave no darts
-    pyr = Pyramid.from_grid(1, 1)
+    pyr = Pyramid(1, 1)
     pyr.apply_kernel(pyr.compute_rkede())
     data = json.loads(pyr.to_json())
     data["states"].append("CK")

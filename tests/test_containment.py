@@ -79,8 +79,8 @@ def test_oracle_rejects_unknown_labels():
 
 
 def test_vertex_without_loops_has_no_starting_darts():
-    pyr = Pyramid.from_grid(2, 1)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    pyr = Pyramid(2, 1)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     pyr.apply_kernel(pyr.compute_rkede())
     m = pyr.reconstruct_level(pyr.top_level)
     for cyc in m.vertices():
@@ -143,8 +143,8 @@ def test_a_stack_of_loop_darts_only_classifies_as_the_full_stack(seed, kind):
 
 
 def test_rejects_levels_with_redundant_edges():
-    pyr = Pyramid.from_grid(2, 2)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))  # leaves double edges
+    pyr = Pyramid(2, 2)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))  # leaves double edges
     with pytest.raises(ValueError, match="redundant"):
         starting_darts(pyr, 1, 4)
     with pytest.raises(ValueError, match="redundant"):
@@ -429,7 +429,7 @@ def test_concurrent_queries_on_a_fresh_pyramid_match_sequential_ones():
     # kernels that remove no dart: the top, which is clean, accepts one of
     # each state, and their levels share its record and so its caches
     for state in KernelState:
-        pyr.apply_kernel(Kernel.of(state, []))
+        pyr.apply_kernel(Kernel(state, []))
     text = pyr.to_json()
     seq = Pyramid.from_json(text)
     levels = clean_levels(seq)

@@ -46,9 +46,22 @@ def test_rejects_bad_dimensions():
     # grid of the size it hashes as is cached
     for w, h in ((3.0, 3), (3, 3.0), (True, 3), (3, True)):
         build_grid_map(int(w), int(h))
-        for build in (build_grid_map, Pyramid.from_grid):
+        for build in (build_grid_map, Pyramid):
             with pytest.raises(ValueError, match=re.escape(repr(h if type(w) is int else w))):
                 build(w, h)
+    # a base map and an embedding, even of two sizes, are not a size
+    for base, embedding in (build_grid_map(3, 3), (build_grid_map(3, 3)[0], build_grid_map(4, 4)[1])):
+        with pytest.raises(ValueError, match="grid dimensions must be integers"):
+            Pyramid(base, embedding)
+
+
+def test_each_pyramid_has_the_base_of_its_own_size():
+    # level 0 is the record of the base of the pyramid's size, also while
+    # the sizes asked for alternate and the shared base is rebuilt
+    for w in (3, 4, 3):
+        pyr = Pyramid(w, w)
+        assert pyr._levels[0].map is pyr.base and pyr.embedding.width == w
+        assert len(pyr.base) == len(pyr._levels[0].order) == 4 * w * (w + 1)
 
 
 def test_numpy_integer_dimensions_give_the_int_grid():
@@ -256,8 +269,8 @@ def small_maps():
     """A grid map, a dict-built map and a pyramid level that lost darts,
     each with a dart that died at a lower level."""
     base, _ = build_grid_map(3, 2)
-    pyr = Pyramid.from_grid(3, 2)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2, 5, -5]))
+    pyr = Pyramid(3, 2)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2, 5, -5]))
     level = pyr.reconstruct_level(1)
     built = CombinatorialMap(level.darts, {d: level.sigma(d) for d in level.darts},
                              {d: level.alpha(d) for d in level.darts})

@@ -169,9 +169,9 @@ def test_validate_keeps_no_level_map(tmp_path):
     # one contracted edge per level: a 12x12 grid has 145 vertices, the
     # outside included, so a spanning tree makes 144 levels. Keeping every
     # level's map after validate held 7.6 MB here, against 1.1 MB for the load
-    pyr = Pyramid.from_grid(12, 12)
+    pyr = Pyramid(12, 12)
     for d in spanning_tree(pyr, random.Random(0)):
-        pyr.apply_kernel(Kernel.of(KernelState.CK, [d, -d]))
+        pyr.apply_kernel(Kernel(KernelState.CK, [d, -d]))
     path = tmp_path / "tree.pyr"
     path.write_text(pyr.to_json())
     Pyramid.from_json(path.read_text())  # warm

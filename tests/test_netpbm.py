@@ -132,6 +132,18 @@ def test_sample_above_maxval_rejected(tmp_path):
         load_image(str(p))
 
 
+@pytest.mark.parametrize("data, offset", [
+    (b"P5\n3 1\n9\n\x01\x02\x0a", 11),  # the P2 form names the token 10, at offset 13
+    (b"P5\n2 1\n300\n\x00\x05\x01\x2d", 13),  # 301, in the second 16-bit sample
+], ids=["8-bit", "16-bit"])
+def test_binary_sample_above_maxval_is_reported_at_its_bytes(tmp_path, data, offset):
+    p = tmp_path / "over.pgm"
+    p.write_bytes(data)
+    with pytest.raises(NetpbmError, match=rf"^sample exceeds maximum value \d+ \(byte offset {offset}\)$") as err:
+        load_image(str(p))
+    assert err.value.offset == offset
+
+
 @pytest.mark.parametrize("data, token", [
     (b"P2\n1 1\n2_55\n7\n", b"2_55"),
     (b"P2\n+1 1\n255\n7\n", b"+1"),

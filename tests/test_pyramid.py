@@ -58,8 +58,8 @@ def rotate_min(cycle):
 
 def test_contract_shared_edge_of_two_pixels():
     # 2x1 grid: pixels (2,4,-1,-6) and (3,5,-2,-7); shared crack carries {2,-2}
-    pyr = Pyramid.from_grid(2, 1)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    pyr = Pyramid(2, 1)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     m1 = pyr.reconstruct_level(1)
     merged = rotate_min(m1.orbit(4, "sigma"))
     # both pixel cycles welded at the dead edge, orientation preserved
@@ -70,77 +70,96 @@ def test_contract_shared_edge_of_two_pixels():
 
 
 def test_empty_kernel_only_adds_a_level():
-    pyr = Pyramid.from_grid(2, 2)
+    pyr = Pyramid(2, 2)
     base = pyr.reconstruct_level(0)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, []))
+    pyr.apply_kernel(Kernel(KernelState.CK, []))
     assert pyr.top_level == 1
     m1 = pyr.reconstruct_level(1)
     assert m1 == base
 
 
 def test_kernel_rejections():
-    pyr = Pyramid.from_grid(2, 1)
+    pyr = Pyramid(2, 1)
     with pytest.raises(KernelError, match="alpha"):
-        pyr.apply_kernel(Kernel.of(KernelState.CK, [2]))
+        pyr.apply_kernel(Kernel(KernelState.CK, [2]))
     with pytest.raises(KernelError, match="cycle"):
         # the two edges between one pixel pair close a cycle only if repeated;
         # use a genuine cycle: all four sides of pixel A against the outside
-        pyr2 = Pyramid.from_grid(1, 1)
-        pyr2.apply_kernel(Kernel.of(KernelState.CK, [1, -1, 2, -2, 3, -3]))
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+        pyr2 = Pyramid(1, 1)
+        pyr2.apply_kernel(Kernel(KernelState.CK, [1, -1, 2, -2, 3, -3]))
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     with pytest.raises(KernelError, match="dead"):
-        pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+        pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     # after full merge the leftover edges of a contracted ring are self loops
-    pyr3 = Pyramid.from_grid(2, 2)
-    pyr3.apply_kernel(Kernel.of(KernelState.CK, [2, -2, 9, -9, 5, -5]))
+    pyr3 = Pyramid(2, 2)
+    pyr3.apply_kernel(Kernel(KernelState.CK, [2, -2, 9, -9, 5, -5]))
     with pytest.raises(KernelError, match="self-loop"):
-        pyr3.apply_kernel(Kernel.of(KernelState.CK, [10, -10]))
+        pyr3.apply_kernel(Kernel(KernelState.CK, [10, -10]))
 
 
 @pytest.mark.parametrize("state", list(KernelState))
 def test_unknown_darts_are_rejected_before_any_array_read(state):
     # the kernel is marked in a mask of 2n+1 entries indexed by signed
     # dart: n+1 would alias -n, and 2**31 does not fit int32
-    pyr = Pyramid.from_grid(3, 2)
+    pyr = Pyramid(3, 2)
     n = len(pyr.base) // 2
     before = pyr.to_json()
     for d in (0, n + 1, -(n + 1), 2 * n, 2**31, 2**40, -2**63):
         with pytest.raises(KernelError, match=rf"^kernel contains dead or unknown darts: \[{d}\]$"):
-            pyr.apply_kernel(Kernel.of(state, [d]))
+            pyr.apply_kernel(Kernel(state, [d]))
         with pytest.raises(KernelError, match=r"^kernel contains dead or unknown darts: "):
-            pyr.apply_kernel(Kernel.of(state, [1, -1, d]))
+            pyr.apply_kernel(Kernel(state, [1, -1, d]))
     assert pyr.to_json() == before
 
 
 @pytest.mark.parametrize("dart", [2.7, 2.0, "2", True, None], ids=repr)
 def test_a_kernel_dart_that_is_no_integer_is_rejected(dart):
     # 2.7 and "2" would index dart 2 once made an int array, and True dart 1
-    pyr = Pyramid.from_grid(2, 1)
+    pyr = Pyramid(2, 1)
     before = pyr.to_json()
     with pytest.raises(KernelError, match=rf"^kernel dart {re.escape(repr(dart))} is not an integer$"):
-        pyr.apply_kernel(Kernel.of(KernelState.CK, [dart, -2]))
+        pyr.apply_kernel(Kernel(KernelState.CK, [dart, -2]))
     assert pyr.to_json() == before
 
 
 def test_a_kernel_holds_its_darts_once_in_dart_sort_key_order():
     for darts in ([3, -1, 2, 3, -1, 1], np.array([3, -1, 2, 3, -1, 1], dtype=np.int32), (d for d in [1, -1, 2, 3])):
-        kernel = Kernel.of(KernelState.CK, darts)
+        kernel = Kernel(KernelState.CK, darts)
         assert len(kernel) == 4 and kernel.darts == {1, -1, 2, 3}
     assert kernel.order.tolist() == [1, -1, 2, 3] and not kernel.order.flags.writeable
-    assert kernel == Kernel.of(KernelState.CK, [3, 2, -1, 1]) != Kernel.of(KernelState.RKESL, [3, 2, -1, 1])
-    assert hash(kernel) == hash(Kernel.of(KernelState.CK, np.array([3, 2, -1, 1])))
+    assert kernel == Kernel(KernelState.CK, [3, 2, -1, 1]) != Kernel(KernelState.RKESL, [3, 2, -1, 1])
+    assert hash(kernel) == hash(Kernel(KernelState.CK, np.array([3, 2, -1, 1])))
     # keys past 2**62 wrap in int64 but stay in order as unsigned
-    assert Kernel.of(KernelState.CK, [-2**63, 2**63 - 1, 2**62, 1]).order.tolist() == [1, 2**62, 2**63 - 1, -2**63]
+    assert Kernel(KernelState.CK, [-2**63, 2**63 - 1, 2**62, 1]).order.tolist() == [1, 2**62, 2**63 - 1, -2**63]
+
+
+def test_a_kernel_is_made_one_way_and_checked_there():
+    kernel = Kernel(KernelState.CK, [5, -5, 5])
+    assert kernel == Kernel(KernelState.CK, [-5, 5]) and kernel.order.tolist() == [5, -5]
+    assert not kernel.order.flags.writeable
+    with pytest.raises(ValueError):
+        kernel.order[0] = 1
+    # "RKEDE" would pass apply_kernel's RKEDE checks and break to_json
+    for state in ("CK", "RKEDE", None):
+        with pytest.raises(KernelError, match=rf"^kernel state {re.escape(repr(state))} is not a KernelState$"):
+            Kernel(state, [1, -1])
+    # a float array would index the mask, a bool one read as darts 0 and 1
+    for darts, bad in ((np.array([1.0, -1.0]), "1.0"), (np.array([True, False]), "True"), ([1, 2.0], "2.0")):
+        with pytest.raises(KernelError, match=rf"^kernel dart {bad} is not an integer$"):
+            Kernel(KernelState.CK, darts)
+    for darts in ([2**64, 1], np.array([2**64 - 1], dtype=np.uint64), [-2**63 - 1]):
+        with pytest.raises(KernelError, match=r"^kernel contains dead or unknown darts: \[-?\d+\]$"):
+            Kernel(KernelState.RKESL, darts)
 
 
 def test_contraction_of_the_whole_map_is_rejected():
     # a 1x1 grid cleaned by RKEDE keeps one edge between the pixel and the
     # outside; contracting it would leave a level with no darts
-    pyr = Pyramid.from_grid(1, 1)
+    pyr = Pyramid(1, 1)
     pyr.apply_kernel(pyr.compute_rkede())
     assert pyr.reconstruct_level(pyr.top_level).darts == {1, -4}
     with pytest.raises(KernelError, match="every dart"):
-        pyr.apply_kernel(Kernel.of(KernelState.CK, [1, -4]))
+        pyr.apply_kernel(Kernel(KernelState.CK, [1, -4]))
     assert pyr.top_level == 1
 
 
@@ -156,7 +175,7 @@ def test_random_kernel_is_rejected_or_yields_the_eager_level(seed, state, closed
         darts |= {top.alpha(d) for d in darts}
     before = pyr.to_json()
     try:
-        pyr.apply_kernel(Kernel.of(state, darts))
+        pyr.apply_kernel(Kernel(state, darts))
     except KernelError:
         assert pyr.to_json() == before
         return
@@ -184,7 +203,7 @@ def test_kernel_outcome_is_a_function_of_the_dart_set(seed, touch_outside, state
     for order in (darts, data.draw(st.permutations(darts))):
         clone = Pyramid.from_json(text)
         try:
-            outcomes.append(clone.apply_kernel(Kernel.of(state, order)).to_json())
+            outcomes.append(clone.apply_kernel(Kernel(state, order)).to_json())
         except KernelError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
@@ -193,7 +212,7 @@ def test_kernel_outcome_is_a_function_of_the_dart_set(seed, touch_outside, state
 def test_unpaired_contraction_dart_named_is_the_least():
     for order in ([1, 9], [9, 1]):
         with pytest.raises(KernelError, match=r"^contraction kernel is not closed under alpha at dart 1$"):
-            Pyramid.from_grid(3, 3).apply_kernel(Kernel.of(KernelState.CK, order))
+            Pyramid(3, 3).apply_kernel(Kernel(KernelState.CK, order))
 
 
 @settings(max_examples=300, deadline=None)
@@ -226,7 +245,7 @@ def test_contraction_check_agrees_with_union_find(seed, touch_outside, data):
     darts = {d for e, t in zip(edges, taken) if t for d in e}
     if darts and data.draw(st.integers(0, 3)) == 0:
         darts.discard(data.draw(st.sampled_from(sorted(darts))))
-    kernel = Kernel.of(KernelState.CK, darts)
+    kernel = Kernel(KernelState.CK, darts)
     try:
         check_ck_by_union_find(pyr, kernel)
         expected = None
@@ -242,7 +261,7 @@ def test_contraction_check_agrees_with_union_find(seed, touch_outside, data):
 
 def test_maximal_loop_kernel_keeps_a_loop_of_a_vertex_it_would_empty():
     # welding the pixel to the outside leaves one vertex of three empty loops
-    pyr = Pyramid.from_grid(1, 1).apply_kernel(Kernel.of(KernelState.CK, [1, -1]))
+    pyr = Pyramid(1, 1).apply_kernel(Kernel(KernelState.CK, [1, -1]))
     assert pyr.redundant_darts(1) == {-4, -3, -2, 2, 3, 4}
     kernel = pyr.compute_rkesl()
     assert kernel.darts == {-4, -3, 3, 4}
@@ -272,7 +291,7 @@ def test_partial_removal_kernel_is_rejected_or_yields_the_eager_level(seed, stat
     darts = chosen | {mate(d) for d in chosen}
     before = pyr.to_json()
     try:
-        pyr.apply_kernel(Kernel.of(state, darts))
+        pyr.apply_kernel(Kernel(state, darts))
     except KernelError:
         assert pyr.to_json() == before
         return
@@ -284,24 +303,24 @@ def test_partial_removal_kernel_is_rejected_or_yields_the_eager_level(seed, stat
 
 
 def test_rkede_requires_loops_gone():
-    pyr = Pyramid.from_grid(2, 2)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2, 9, -9, 5, -5]))
+    pyr = Pyramid(2, 2)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2, 9, -9, 5, -5]))
     assert sorted(pyr.compute_rkesl().darts, key=abs) == [10, -10]
     with pytest.raises(KernelError, match="self loops"):
         pyr.apply_kernel(pyr.compute_rkede())
 
 
 def test_rkesl_rejects_non_loops():
-    pyr = Pyramid.from_grid(2, 1)
+    pyr = Pyramid(2, 1)
     with pytest.raises(KernelError, match="empty self loop"):
-        pyr.apply_kernel(Kernel.of(KernelState.RKESL, [2, -2]))
+        pyr.apply_kernel(Kernel(KernelState.RKESL, [2, -2]))
 
 
 def test_rkede_rejects_half_joints_and_degree():
     # each rejection leaves the pyramid as it was; a joint whose darts start
     # at two grid corners is not built: faces that span corners only occur
     # while empty self loops remain, and those reject a double-edge kernel
-    pyr = Pyramid.from_grid(2, 2)
+    pyr = Pyramid(2, 2)
     before = pyr.to_json()
     for darts, match in [
         ([8], "half removed"),  # joint partner -3 missing
@@ -309,13 +328,13 @@ def test_rkede_rejects_half_joints_and_degree():
         ([8, -3, 9, -9], "degree-2"),  # a whole joint with a non-joint
     ]:
         with pytest.raises(KernelError, match=match):
-            pyr.apply_kernel(Kernel.of(KernelState.RKEDE, darts))
+            pyr.apply_kernel(Kernel(KernelState.RKEDE, darts))
         assert pyr.to_json() == before
-    pyr = Pyramid.from_grid(1, 1)
+    pyr = Pyramid(1, 1)
     pyr.apply_kernel(pyr.compute_rkede())
     before = pyr.to_json()
     with pytest.raises(KernelError, match="degree-2"):  # one edge left: a single-edge boundary
-        pyr.apply_kernel(Kernel.of(KernelState.RKEDE, [1, -4]))
+        pyr.apply_kernel(Kernel(KernelState.RKEDE, [1, -4]))
     assert pyr.to_json() == before
 
 
@@ -323,12 +342,12 @@ def test_rkede_rejects_half_joints_and_degree():
 def test_removal_kernel_that_consumes_a_vertex_is_rejected(contract):
     # 1x1 grid: all eight darts are corner joints; with the pixel contracted
     # into the outside, the three edges left are empty self loops
-    pyr = Pyramid.from_grid(1, 1)
+    pyr = Pyramid(1, 1)
     if contract:
-        pyr.apply_kernel(Kernel.of(KernelState.CK, [1, -1]))
+        pyr.apply_kernel(Kernel(KernelState.CK, [1, -1]))
     darts = pyr.reconstruct_level(pyr.top_level).darts
     assert pyr.redundant_darts(pyr.top_level) == darts
-    kernel = Kernel.of(KernelState.RKESL if contract else KernelState.RKEDE, darts)
+    kernel = Kernel(KernelState.RKESL if contract else KernelState.RKEDE, darts)
     before = pyr.to_json()
     with pytest.raises(KernelError, match="every dart of the vertex"):
         pyr.apply_kernel(kernel)
@@ -342,7 +361,7 @@ def test_a_kernel_that_fails_after_its_checks_changes_nothing(state):
     # a fresh apply gives
     kernels = segment_labels(ringed_labels(random.Random(0), 8, 8)).pyramid.kernels
     i = [k.state for k in kernels].index(state)
-    pyr = Pyramid.from_grid(8, 8)
+    pyr = Pyramid(8, 8)
     for kernel in kernels[:i]:
         pyr.apply_kernel(kernel)
     before, top = pyr.to_json(), pyr._levels[-1]
@@ -443,7 +462,7 @@ def test_walks_that_cycle_raise_the_callers_errors():
         _reduce(sigma, alpha, dead, np.flatnonzero(~dead), KernelState.RKESL)
     # 1x1 grid without the pixel's darts: every outside dart loses its
     # partner, so the chains run round the outside vertex
-    pyr = Pyramid.from_grid(1, 1)
+    pyr = Pyramid(1, 1)
     kill = np.zeros(len(pyr._levels[-1].order), dtype=bool)
     kill[dart_sort_key(np.array(pyr.base.orbit(pyr.embedding.pixel_dart(0, 0), "sigma")))] = True
     with pytest.raises(KernelError, match="double-edge chain is not terminated by a surviving partner"):
@@ -475,7 +494,7 @@ def test_stored_top_partition_is_the_vertex_map(seed, kind):
         pyr = built_pyramid(random.Random(seed), kind)
         Pyramid.from_json(pyr.to_json())
     assert len(applied) == 2 * pyr.top_level
-    base = Pyramid.from_grid(pyr.embedding.width, pyr.embedding.height)
+    base = Pyramid(pyr.embedding.width, pyr.embedding.height)
     assert {d: base._region(0, d) for d in base.base.darts} == base.reconstruct_level(base.top_level).vertex_ids()
 
 
@@ -504,11 +523,11 @@ def random_kernels(rng: random.Random, pyr: Pyramid) -> list[Kernel]:
     out = []
     for state in KernelState:
         raw = {d for d in darts if rng.random() < 0.3}
-        out += [Kernel.of(state, raw), Kernel.of(state, raw | {top.alpha(d) for d in raw})]
+        out += [Kernel(state, raw), Kernel(state, raw | {top.alpha(d) for d in raw})]
     for full, mate, state in ((pyr.compute_rkesl().darts, top.alpha, KernelState.RKESL),
                               (pyr.compute_rkede().darts, top.phi, KernelState.RKEDE)):
         half = {d for d in full if rng.random() < 0.5}
-        out.append(Kernel.of(state, half | {mate(d) for d in half}))
+        out.append(Kernel(state, half | {mate(d) for d in half}))
     return out
 
 
@@ -533,7 +552,7 @@ def test_array_derivation_equals_the_dict_reference(seed, ringed):
         ref = DictTop.of(pyr)
         same_top(pyr, ref)
         try:
-            nxt, updates = ref.apply(Kernel.of(state, map(int, darts)))
+            nxt, updates = ref.apply(Kernel(state, map(int, darts)))
         except KernelError as exc:
             before = pyr.to_json()
             with pytest.raises(KernelError) as got:
@@ -557,7 +576,7 @@ def test_array_derivation_equals_the_dict_reference(seed, ringed):
             pyr = random_pyramid(rng, max_side=6)
         for i in range(pyr.top_level + 1):
             # replay up to level i, then try random kernels on that top
-            prefix = Pyramid.from_grid(pyr.embedding.width, pyr.embedding.height)
+            prefix = Pyramid(pyr.embedding.width, pyr.embedding.height)
             for kernel in pyr.kernels[:i]:
                 prefix.apply_kernel(kernel)
             for kernel in random_kernels(rng, prefix):
@@ -569,15 +588,15 @@ def test_array_derivation_equals_the_dict_reference(seed, ringed):
 
 
 def test_rkesl_on_maps_without_pendant_faces_is_empty():
-    pyr = Pyramid.from_grid(3, 3)
+    pyr = Pyramid(3, 3)
     assert pyr.compute_rkesl().darts == frozenset()
 
 
 def test_contracting_a_pixel_ring_leaves_one_empty_loop():
     # contract a spanning tree of the 2x2 block; the fourth interior edge
     # becomes a self loop around nothing
-    pyr = Pyramid.from_grid(2, 2)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2, 9, -9, 5, -5]))
+    pyr = Pyramid(2, 2)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2, 9, -9, 5, -5]))
     assert sorted(pyr.compute_rkesl().darts, key=abs) == [10, -10]
     pyr.apply_kernel(pyr.compute_rkesl())
     assert pyr.compute_rkesl().darts == frozenset()  # idempotent
@@ -628,9 +647,9 @@ def test_a_deep_nest_of_loops_is_empty_unless_it_encloses_an_edge(around_an_edge
 def test_every_loop_of_a_one_vertex_bouquet_is_empty(width, height, seed):
     # contracting a spanning tree of every vertex, the outside included,
     # leaves one vertex that holds loops only
-    pyr = Pyramid.from_grid(width, height)
+    pyr = Pyramid(width, height)
     tree = spanning_tree(pyr, random.Random(seed))
-    pyr.apply_kernel(Kernel.of(KernelState.CK, tree + [-d for d in tree]))
+    pyr.apply_kernel(Kernel(KernelState.CK, tree + [-d for d in tree]))
     m = pyr.reconstruct_level(1)
     assert len(m.vertices()) == 1
     assert empty_self_loops(m, m.vertex_ids()) == m.darts
@@ -657,7 +676,7 @@ def test_worklist_loops_equal_sorted_sweep(seed):
 def test_rkede_on_raw_grid_simplifies_image_corners():
     # the four image corners are degree-2 dual vertices of the raw grid, so
     # strict topology lets the corner joints fuse; interior corners do not
-    pyr = Pyramid.from_grid(3, 3)
+    pyr = Pyramid(3, 3)
     kernel = pyr.compute_rkede()
     assert len(kernel.darts) == 8  # one joint of two darts per image corner
     starts = {pyr.embedding.start(d) for d in kernel.darts}
@@ -667,12 +686,12 @@ def test_rkede_on_raw_grid_simplifies_image_corners():
 
 
 def test_level_bounds_and_bad_vertex_errors():
-    pyr = Pyramid.from_grid(2, 1)
+    pyr = Pyramid(2, 1)
     with pytest.raises(ValueError, match="range"):
         pyr.reconstruct_level(1)
     with pytest.raises(ValueError, match="range"):
         pyr.receptive_field(-1, 4)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     with pytest.raises(ValueError, match="survive"):
         pyr.composed_of(1, 2)
     assert pyr.state(1) is KernelState.CK
@@ -695,8 +714,8 @@ def test_a_dead_dart_survives_just_below_its_level(seed, touch_outside):
 
 def test_rkede_empty_on_interior_only_candidates():
     # straight-line boundaries with live junctions leave nothing to remove
-    pyr = Pyramid.from_grid(2, 2)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    pyr = Pyramid(2, 2)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     pyr.apply_kernel(pyr.compute_rkede())
     assert pyr.compute_rkede().darts == frozenset()  # idempotent
 
@@ -704,8 +723,8 @@ def test_rkede_empty_on_interior_only_candidates():
 def test_rkede_merges_split_boundary():
     # merging the top two pixels splits the merged region's border into
     # chains of double edges; one surviving dart per direction remains
-    pyr = Pyramid.from_grid(2, 2)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    pyr = Pyramid(2, 2)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     kernel = pyr.compute_rkede()
     assert sorted(kernel.darts, key=lambda d: (abs(d), d < 0)) == [-1, -3, 4, 6, 7, -7, 8, -8, -11, 12]
     pyr.apply_kernel(kernel)
@@ -717,8 +736,8 @@ def test_rkede_merges_split_boundary():
 
 
 def test_full_reduction_of_two_by_one():
-    pyr = Pyramid.from_grid(2, 1)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    pyr = Pyramid(2, 1)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     pyr.apply_kernel(pyr.compute_rkede())
     m2 = pyr.reconstruct_level(2)
     assert sorted(m2.darts, key=abs) == [1, -6]
@@ -730,21 +749,21 @@ def test_full_reduction_of_two_by_one():
 
 
 def test_level_zero_receptive_field_is_singleton():
-    pyr = Pyramid.from_grid(2, 1)
+    pyr = Pyramid(2, 1)
     assert pyr.receptive_field(0, 4) == (4,)
 
 
 def test_receptive_field_contains_contracted_darts():
-    pyr = Pyramid.from_grid(2, 1)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    pyr = Pyramid(2, 1)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     assert pyr.receptive_field(1, -6) == (-6, 2)
     assert pyr.receptive_field(1, 5) == (5, -2)
     assert pyr.reconstruct_level(1).sigma(-6) == -7
 
 
 def test_receptive_field_rejects_dead_darts():
-    pyr = Pyramid.from_grid(2, 1)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    pyr = Pyramid(2, 1)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     with pytest.raises(ValueError):
         pyr.receptive_field(1, 2)
 
@@ -767,8 +786,8 @@ def test_successor_equations_on_random_pyramids():
 
 
 def test_reconstruction_matches_eager_oracle_on_fixed_case():
-    pyr = Pyramid.from_grid(2, 2)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    pyr = Pyramid(2, 2)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     pyr.apply_kernel(pyr.compute_rkede())
     for i, ref in enumerate(eager_levels(pyr)):
         assert pyr.reconstruct_level(i) == ref
@@ -811,8 +830,8 @@ def test_every_level_validates():
 
 
 def test_composed_of_contraction_and_removal_levels():
-    pyr = Pyramid.from_grid(2, 1)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    pyr = Pyramid(2, 1)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     m0, m1 = pyr.reconstruct_level(0), pyr.reconstruct_level(1)
     merged = vertex_of(m1, 4)
     children = pyr.composed_of(1, merged)
@@ -842,13 +861,13 @@ def test_composed_of_is_a_partition():
 def test_composed_of_swallowed_tree_vertex():
     # contract every edge of the center pixel of a 3x3 block so one vertex
     # keeps no surviving dart at the next level
-    pyr = Pyramid.from_grid(3, 3)
+    pyr = Pyramid(3, 3)
     m0 = pyr.base
     center = m0.orbit(pyr.vertex_of_pixel(0, 1, 1), "sigma")
     kernel = []
     for d in center:
         kernel.extend((d, -d))
-    pyr.apply_kernel(Kernel.of(KernelState.CK, kernel))
+    pyr.apply_kernel(Kernel(KernelState.CK, kernel))
     m1 = pyr.reconstruct_level(1)
     assert all(d not in m1.darts for d in center)
     merged = pyr.vertex_of_pixel(1, 1, 1)
@@ -869,7 +888,7 @@ def test_composed_of_swallowed_tree_vertex():
 def test_composed_of_errors_are_pinned(i, d, error, message):
     # a 2x1 grid has the darts -7..7 but 0; level 1 contracts the inner edge 2, level 2
     # removes one dart of each double edge, dart -1 among them
-    pyr = Pyramid.from_grid(2, 1).apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    pyr = Pyramid(2, 1).apply_kernel(Kernel(KernelState.CK, [2, -2]))
     pyr.apply_kernel(pyr.compute_rkede())
     with pytest.raises(error) as info:
         pyr.composed_of(i, d)
@@ -967,7 +986,7 @@ def test_a_level_that_is_not_an_integer_is_out_of_range(call, level):
 
 @pytest.mark.parametrize("coordinate", NOT_INTEGERS)
 def test_a_pixel_coordinate_that_is_not_an_integer_is_outside_the_grid(coordinate):
-    pyr = Pyramid.from_grid(5, 4)
+    pyr = Pyramid(5, 4)
     c = NOT_INTEGERS[coordinate]
     for x, y in ((c, 2), (2, c)):
         with pytest.raises(ValueError) as got:
@@ -1234,11 +1253,11 @@ def test_the_dart_levels_read_one_at_a_time_follow_every_apply(width, height, da
 def test_a_copied_pyramid_reads_its_own_dart_levels(duplicate):
     # the copy holds its own buffer of dart levels, equal to the original's,
     # so the copy's applies do not show in the original
-    built = Pyramid.from_grid(2, 1)
+    built = Pyramid(2, 1)
     twin = duplicate(built)
     assert twin._died is not built._died
     assert twin.to_json() == built.to_json() and twin.kernels == built.kernels
-    twin.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    twin.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     assert (twin.level(2), twin.level(1)) == (1, 2)
     assert (built.level(2), built.level(1)) == (1, 1)
 

@@ -205,9 +205,9 @@ def test_the_died_reader_inverts_the_level_list_writer(values, shift):
 def test_a_record_with_two_digit_levels_round_trips():
     # one contracted edge per level: a 4x3 grid has 13 vertices, the
     # outside included, so a spanning tree makes 12 levels
-    pyr = Pyramid.from_grid(4, 3)
+    pyr = Pyramid(4, 3)
     for d in spanning_tree(pyr, random.Random(0)):
-        pyr.apply_kernel(Kernel.of(KernelState.CK, [d, -d]))
+        pyr.apply_kernel(Kernel(KernelState.CK, [d, -d]))
     text = pyr.to_json()
     record = json.loads(text)
     assert max(record["died"]) == pyr.top_level == 12
@@ -236,7 +236,7 @@ def held_by_load(text: str) -> tuple[Pyramid, float]:
 def test_empty_kernels_hold_no_arrays_of_their_own():
     # 500 kernels that remove nothing are 3 KB of JSON; a level of its own
     # arrays per kernel would hold over 100 MB at 64x64
-    base = Pyramid.from_grid(64, 64).to_json()
+    base = Pyramid(64, 64).to_json()
     payload = json.loads(base)
     payload["states"] = ["CK"] * 500
     pyr, held = held_by_load(json.dumps(payload))
@@ -246,12 +246,12 @@ def test_empty_kernels_hold_no_arrays_of_their_own():
 
 
 def test_an_empty_double_edge_kernel_still_needs_the_loops_removed():
-    pyr = Pyramid.from_grid(2, 2)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2, 9, -9, 5, -5]))  # leaves empty self loops
+    pyr = Pyramid(2, 2)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2, 9, -9, 5, -5]))  # leaves empty self loops
     with pytest.raises(KernelError, match="empty self loops present"):
-        pyr.apply_kernel(Kernel.of(KernelState.RKEDE, []))
+        pyr.apply_kernel(Kernel(KernelState.RKEDE, []))
     assert pyr.top_level == 1
-    pyr.apply_kernel(Kernel.of(KernelState.RKESL, []))
+    pyr.apply_kernel(Kernel(KernelState.RKESL, []))
     assert pyr.top_level == 2 and pyr.redundant_darts(2) == pyr.redundant_darts(1)
 
 
@@ -260,11 +260,11 @@ def test_an_empty_double_edge_kernel_still_needs_the_loops_removed():
 def test_a_level_whose_kernel_removes_no_dart_repeats_the_level_below(seed):
     rng = random.Random(seed)
     ref = random_pyramid(rng, max_side=6)
-    pyr = Pyramid.from_grid(ref.embedding.width, ref.embedding.height)
+    pyr = Pyramid(ref.embedding.width, ref.embedding.height)
     kernels = []
     for kernel in [*ref.kernels, None]:
         while rng.random() < 0.4:
-            empty = Kernel.of(rng.choice(list(KernelState)), [])
+            empty = Kernel(rng.choice(list(KernelState)), [])
             try:
                 pyr.apply_kernel(empty)
             except KernelError:  # a double-edge kernel waits for the loops to go
@@ -311,7 +311,7 @@ def test_a_shared_record_answers_composed_of_for_each_of_its_levels(first):
     labels[2:4, 2:4] = 2
     ck = segment_labels(labels).pyramid.kernels[0]
     assert ck.state is KernelState.CK
-    pyr = Pyramid.from_grid(6, 6).apply_kernel(ck).apply_kernel(Kernel.of(KernelState.RKESL, []))
+    pyr = Pyramid(6, 6).apply_kernel(ck).apply_kernel(Kernel(KernelState.RKESL, []))
     i = pyr.top_level
     assert i == 2 and pyr._levels[i] is pyr._levels[i - 1]
     regions = region_ids(pyr, i)
@@ -329,7 +329,7 @@ def test_a_shared_record_answers_composed_of_for_each_of_its_levels(first):
 def empty_kernel_record(each: int) -> str:
     """The record of a 64x64 grid and each kernels of every state that
     remove no dart, the states taking turns."""
-    payload = json.loads(Pyramid.from_grid(64, 64).to_json())
+    payload = json.loads(Pyramid(64, 64).to_json())
     payload["states"] = [state.value for state in KernelState] * each
     return json.dumps(payload)
 
@@ -368,7 +368,7 @@ def test_an_empty_kernel_is_checked_without_a_count_per_vertex(monkeypatch):
     pyr = Pyramid.from_json(empty_kernel_record(200))
     counts = calls_of(monkeypatch, np, "bincount")
     for state in KernelState:
-        pyr.apply_kernel(Kernel.of(state, []))
+        pyr.apply_kernel(Kernel(state, []))
     assert pyr.top_level == 603 and not counts
 
 
@@ -386,7 +386,7 @@ def test_validate_checks_the_map_of_empty_kernels_once(tmp_path, monkeypatch, ca
 
 
 def test_pyramids_of_one_size_share_the_base():
-    built = Pyramid.from_grid(5, 4)
+    built = Pyramid(5, 4)
     loaded = Pyramid.from_json(built.to_json())
     assert loaded.embedding is built.embedding and loaded.base is built.base
     assert loaded._levels[0] is built._levels[0]
@@ -395,7 +395,7 @@ def test_pyramids_of_one_size_share_the_base():
 
 
 def test_shared_arrays_are_read_only():
-    pyr = Pyramid.from_grid(5, 4)
+    pyr = Pyramid(5, 4)
     base = pyr._levels[0]
     shared = [base.sigma, base.alpha, base.turns, base.order, base.region, base.names,
               pyr._pixels, *pyr.embedding._grid_tables()]
@@ -428,10 +428,10 @@ def test_pyramids_of_one_size_answer_as_if_built_alone(width, height, build_seed
 
 
 def test_a_new_size_frees_the_tables_of_the_last():
-    pyr = Pyramid.from_grid(7, 3)
+    pyr = Pyramid(7, 3)
     relation_report(pyr, 0)  # fills the caches of the shared level 0
     embedding = weakref.ref(pyr.embedding)
     del pyr
-    Pyramid.from_grid(3, 7)
+    Pyramid(3, 7)
     gc.collect()
     assert embedding() is None

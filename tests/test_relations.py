@@ -233,8 +233,8 @@ def test_filtered_report_is_the_whole_report_restricted_on_random_partitions(see
 
 
 def test_relation_report_warns_on_dirty_level():
-    pyr = Pyramid.from_grid(2, 2)
-    pyr.apply_kernel(Kernel.of(KernelState.CK, [2, -2]))
+    pyr = Pyramid(2, 2)
+    pyr.apply_kernel(Kernel(KernelState.CK, [2, -2]))
     report = relation_report(pyr, 1)
     assert report["warnings"]
     assert report["contains"] == []
